@@ -284,6 +284,18 @@ func TestBinaryCodecRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestBinaryCodecRejectsHugeStringLength: a string length of 2^63 or more
+// used to wrap negative as an int and panic the slice expression instead of
+// failing the decode.
+func TestBinaryCodecRejectsHugeStringLength(t *testing.T) {
+	blob := binary.AppendUvarint(nil, binaryVersion)
+	blob = binary.AppendUvarint(blob, 1)     // one interned string
+	blob = binary.AppendUvarint(blob, 1<<63) // its length
+	if _, err := decodeBinaryBatch(blob); err == nil {
+		t.Fatal("string length 2^63 decoded without error")
+	}
+}
+
 // TestParseCodec pins the flag surface.
 func TestParseCodec(t *testing.T) {
 	for s, want := range map[string]Codec{"": CodecBinary, "binary": CodecBinary, "json": CodecJSON} {

@@ -329,7 +329,7 @@ type binReader struct {
 
 func (r *binReader) fail(what string) {
 	if r.err == nil {
-		r.err = fmt.Errorf("collector: truncated or corrupt binary batch at %s (offset %d)", what, r.off)
+		r.err = fmt.Errorf("collector: truncated or corrupt binary payload at %s (offset %d)", what, r.off)
 	}
 }
 
@@ -385,6 +385,20 @@ func (r *binReader) f64(what string) float64 {
 	return v
 }
 
+// bytes returns the next n bytes of the payload.
+func (r *binReader) bytes(n uint64, what string) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if n > uint64(len(r.b)-r.off) {
+		r.fail(what)
+		return nil
+	}
+	s := r.b[r.off : r.off+int(n)]
+	r.off += int(n)
+	return s
+}
+
 func (r *binReader) str(table []string, what string) string {
 	i := r.uvarint(what)
 	if r.err != nil {
@@ -415,16 +429,9 @@ func decodeBinaryBatch(blob []byte) (*Batch, error) {
 	// append grows organically if a legitimate batch beats the estimate.
 	table := make([]string, 0, preallocHint(nstr, len(blob)-r.off, 1))
 	for i := uint64(0); i < nstr && r.err == nil; i++ {
-		l := r.uvarint("string length")
-		if r.err != nil {
-			break
+		if s := r.bytes(r.uvarint("string length"), "string bytes"); r.err == nil {
+			table = append(table, string(s))
 		}
-		if r.off+int(l) > len(blob) {
-			r.fail("string bytes")
-			break
-		}
-		table = append(table, string(blob[r.off:r.off+int(l)]))
-		r.off += int(l)
 	}
 
 	b := &Batch{}

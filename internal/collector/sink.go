@@ -1,7 +1,6 @@
 package collector
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -91,6 +90,8 @@ type tenant struct {
 	ingestBytes   int64 // data-frame wire bytes received (retransmissions included)
 	ingestBatches int   // data frames received
 	quarantined   bool  // over quota: shedding load until Requota
+
+	ckptBuf []byte // checkpoint encode buffer, reused until completion
 
 	done chan struct{}
 }
@@ -304,8 +305,8 @@ func (s *Sink) newTenant(ks KeyspaceConfig) (*tenant, error) {
 	}
 	if ks.CheckpointPath != "" {
 		if blob, err := ReadFileDurable(ks.CheckpointPath); err == nil {
-			var cp sinkCheckpoint
-			if err := json.Unmarshal(blob, &cp); err != nil {
+			cp, err := decodeSinkCheckpoint(blob)
+			if err != nil {
 				return nil, fmt.Errorf("collector: corrupt sink checkpoint %s: %w", ks.CheckpointPath, err)
 			}
 			if cp.Campaign != ks.Campaign || cp.Keyspace != ks.Key {
@@ -678,21 +679,24 @@ func (s *Sink) handleDone(t *tenant, d *Done) {
 }
 
 // checkpointLocked serializes one keyspace's full state to its checkpoint
-// file — guard trailer, previous-good rotation and atomic rename via
-// WriteFileDurable — then advances the acknowledgeable cursors to what the
+// file — binary payload (sinkcheckpoint.go) encoded into the tenant's
+// reused buffer, guard trailer appended in place, previous-good rotation
+// and atomic rename — then advances the acknowledgeable cursors to what the
 // checkpoint covers. Caller holds mu.
 func (s *Sink) checkpointLocked(t *tenant) error {
 	cp, err := t.str.Checkpoint()
 	if err != nil {
 		return err
 	}
-	blob, err := json.Marshal(&sinkCheckpoint{Campaign: t.cfg.Campaign, Keyspace: t.cfg.Key,
+	buf, err := appendSinkCheckpoint(t.ckptBuf[:0], &sinkCheckpoint{Campaign: t.cfg.Campaign, Keyspace: t.cfg.Key,
 		Streamer: cp, Finals: t.finals, Counters: t.counters, Durations: t.durations,
 		IngestBytes: t.ingestBytes, IngestBatches: t.ingestBatches, Quarantined: t.quarantined})
 	if err != nil {
 		return err
 	}
-	if err := WriteFileDurable(t.cfg.CheckpointPath, blob); err != nil {
+	buf = sealDurable(buf)
+	t.ckptBuf = buf[:0]
+	if err := writeSealed(t.cfg.CheckpointPath, buf); err != nil {
 		return err
 	}
 	t.sinceCP = 0
@@ -748,6 +752,7 @@ func (s *Sink) checkCompletion(t *tenant) {
 	if complete {
 		t.agg = t.str.Finalize()
 		t.trace = t.str.DependTrace()
+		t.ckptBuf = nil // no checkpoint follows completion
 	}
 	s.mu.Unlock()
 	for _, sess := range fins {

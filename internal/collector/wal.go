@@ -484,17 +484,13 @@ var durableMagic = [4]byte{'b', 't', 'c', 'k'}
 // previous-good copy kept as the torn-write fallback.
 const PrevSuffix = ".prev"
 
-// sealDurable appends the guard trailer to a payload.
+// sealDurable appends the guard trailer to a payload, in place when the
+// payload's capacity allows.
 func sealDurable(payload []byte) []byte {
-	out := make([]byte, 0, len(payload)+durableTrailerLen)
-	out = append(out, payload...)
-	out = append(out, durableMagic[:]...)
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(payload)))
-	out = append(out, n[:]...)
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	return append(out, crc[:]...)
+	n, crc := len(payload), crc32.ChecksumIEEE(payload)
+	payload = append(payload, durableMagic[:]...)
+	payload = binary.BigEndian.AppendUint32(payload, uint32(n))
+	return binary.BigEndian.AppendUint32(payload, crc)
 }
 
 // unsealDurable verifies the trailer and returns the payload, or an error
@@ -520,9 +516,17 @@ func unsealDurable(blob []byte) ([]byte, error) {
 // WriteFileDurable writes payload to path with the torn-write guard
 // trailer, via write-to-temp + atomic rename, rotating any existing file to
 // path+PrevSuffix first so restore always has a previous-good fallback.
+// The caller's payload is left untouched.
 func WriteFileDurable(path string, payload []byte) error {
+	sealed := make([]byte, 0, len(payload)+durableTrailerLen)
+	return writeSealed(path, sealDurable(append(sealed, payload...)))
+}
+
+// writeSealed is WriteFileDurable for a payload already sealed with
+// sealDurable.
+func writeSealed(path string, sealed []byte) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, sealDurable(payload), 0o644); err != nil {
+	if err := os.WriteFile(tmp, sealed, 0o644); err != nil {
 		return err
 	}
 	if _, err := os.Stat(path); err == nil {
