@@ -37,12 +37,21 @@ func NewRelayDepthAccum() *RelayDepthAccum {
 // AddProbe records one routed probe: a relay over depth bridges that took
 // delaySeconds end to end.
 func (a *RelayDepthAccum) AddProbe(depth int, delaySeconds float64) {
+	a.Depth(depth).Add(delaySeconds)
+}
+
+// Depth returns the delay summary of the given route depth, adding an empty
+// one on first use. A caller that records many probes at one depth may hold
+// the summary and Add to it directly; that is exactly AddProbe, minus the
+// map lookup. The summary must get its first Add before the table renders,
+// or the empty row shows up in it.
+func (a *RelayDepthAccum) Depth(depth int) *stats.Summary {
 	s := a.ByDepth[depth]
 	if s == nil {
 		s = &stats.Summary{}
 		a.ByDepth[depth] = s
 	}
-	s.Add(delaySeconds)
+	return s
 }
 
 // AddUnreachable records one probe with no route.
@@ -57,12 +66,7 @@ func (a *RelayDepthAccum) Merge(o *RelayDepthAccum) {
 		return
 	}
 	for _, d := range o.Depths() {
-		s := a.ByDepth[d]
-		if s == nil {
-			s = &stats.Summary{}
-			a.ByDepth[d] = s
-		}
-		s.Merge(*o.ByDepth[d])
+		a.Depth(d).Merge(*o.ByDepth[d])
 	}
 	a.Unreachable += o.Unreachable
 }

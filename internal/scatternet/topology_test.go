@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 // TestTopologyValidate exercises the membership-map invariants.
@@ -180,32 +178,6 @@ func TestRedundancyGroupsAndReplication(t *testing.T) {
 	}
 	if got := base.WithRedundancy(1); !reflect.DeepEqual(got, base) {
 		t.Errorf("WithRedundancy(1) changed the topology: %+v", got)
-	}
-}
-
-// TestNextResidency pins the probe plane's residency arithmetic against the
-// live schedule function residencyAt.
-func TestNextResidency(t *testing.T) {
-	hold := 10 * sim.Second
-	serves := []int{4, 7, 2}
-	for _, start := range []sim.Time{0, 3 * sim.Second, 10 * sim.Second, 95 * sim.Second} {
-		for _, target := range serves {
-			at := nextResidency(start, hold, serves, target)
-			if at < start {
-				t.Fatalf("nextResidency(%v → piconet %d) = %v, before start", start, target, at)
-			}
-			if got := serves[residencyAt(at, hold, len(serves))]; got != target {
-				t.Errorf("nextResidency(%v → piconet %d) = %v, but schedule says piconet %d",
-					start, target, at, got)
-			}
-			// Minimality: no earlier instant in [start, at) is resident.
-			for probe := start; probe < at; probe += hold / 2 {
-				if serves[residencyAt(probe, hold, len(serves))] == target {
-					t.Fatalf("nextResidency(%v → piconet %d) = %v, but %v already resident",
-						start, target, at, probe)
-				}
-			}
-		}
 	}
 }
 
