@@ -29,14 +29,16 @@ type ARQConfig struct {
 
 	// SlowPath disables the transmitter's probability memoization: every
 	// chunk and attempt probability is recomputed from scratch instead of
-	// served from the (pt, bits, BER)-keyed caches. Control flow —
-	// run-length BER queries and SDU batching included — is identical on
-	// both settings, and probabilities combine in the same order, so
-	// campaign outputs are bit-identical; the knob exists so the
-	// seed-equivalence test can prove the memoization is sound. (The
-	// run-length API itself is pinned to per-slot queries by
-	// radio's TestBERRunMatchesSlotBER, and the batch draw to per-fragment
-	// sends by TestSendSDUMatchesPerFragmentSends.)
+	// served from the (pt, bits, BER)-keyed caches, and each batched SDU
+	// window runs the per-fragment product and CDF inversion scalar by
+	// scalar instead of reading the SDU-shape power table. Control flow —
+	// run-length BER queries, window splits and RNG draws included — is
+	// identical on both settings, and probabilities combine in the same
+	// order, so campaign outputs are bit-identical; the knob exists so the
+	// seed-equivalence test and TestSendSDUFastMatchesSlowPath can prove the
+	// memoization is sound. (The run-length API itself is pinned to
+	// per-slot queries by radio's TestBERRunMatchesSlotBER, and the batch
+	// draw to per-fragment sends by TestSendSDUMatchesPerFragmentSends.)
 	SlowPath bool
 }
 
@@ -126,10 +128,74 @@ type Transmitter struct {
 	attNext int
 	attMRU  int
 
-	// pOKs is SendSDU's scratch buffer of per-fragment survival
-	// probabilities; a field rather than a local so the 1 KiB array is not
-	// re-zeroed on every SDU.
-	pOKs [sduBatchMax]float64
+	// shapes memoizes SendSDU's batched-window probabilities per SDU shape
+	// (packet type, full and last fragment lengths, BER). A workload cycle
+	// sends runs of same-sized SDUs, so the MRU entry answers almost every
+	// window; a ring of eight covers send/receive alternation across
+	// channel states.
+	shapes    [8]sduShape
+	shapeNext int
+	shapeMRU  int
+}
+
+// sduShape is one memoized SDU shape: the first-attempt survival
+// probability of the final fragment and a prefix-power table of the full
+// fragments' survival probability pFull.
+type sduShape struct {
+	ber   float64
+	pLast float64
+	// pows[k] is the probability that k consecutive full fragments survive
+	// their first attempts: pows[0] = 1, pows[k] = pows[k-1] * pFull, built
+	// by sequential multiplication in transmission order — the same floats
+	// the SlowPath running product yields. It grows to the longest window
+	// seen (at most sduBatchMax+1 entries) and keeps its storage when the
+	// entry is evicted.
+	pows    []float64
+	fullLen int32
+	lastLen int32
+	pt      core.PacketType
+	valid   bool
+}
+
+// shape returns the memo entry for an SDU shape at the given BER, built on
+// a miss; only misses pay the air-bit and bits-per-slot arithmetic.
+func (t *Transmitter) shape(pt core.PacketType, fullLen, lastLen int, ber float64) *sduShape {
+	if e := &t.shapes[t.shapeMRU]; e.matches(pt, fullLen, lastLen, ber) {
+		return e
+	}
+	for i := range t.shapes {
+		if e := &t.shapes[i]; e.matches(pt, fullLen, lastLen, ber) {
+			t.shapeMRU = i
+			return e
+		}
+	}
+	e := &t.shapes[t.shapeNext]
+	*e = sduShape{
+		ber:     ber,
+		pLast:   t.fragOK(pt, lastLen, ber),
+		pows:    append(e.pows[:0], 1, t.fragOK(pt, fullLen, ber)),
+		fullLen: int32(fullLen),
+		lastLen: int32(lastLen),
+		pt:      pt,
+		valid:   true,
+	}
+	t.shapeMRU = t.shapeNext
+	t.shapeNext = (t.shapeNext + 1) % len(t.shapes)
+	return e
+}
+
+// matches reports whether e is a live entry for the shape at this BER.
+func (e *sduShape) matches(pt core.PacketType, fullLen, lastLen int, ber float64) bool {
+	return e.valid && e.ber == ber && e.fullLen == int32(fullLen) &&
+		e.lastLen == int32(lastLen) && e.pt == pt
+}
+
+// grow extends the power table through pows[n].
+func (e *sduShape) grow(n int) {
+	pFull := e.pows[1]
+	for len(e.pows) <= n {
+		e.pows = append(e.pows, e.pows[len(e.pows)-1]*pFull)
+	}
 }
 
 // attEntry is one memoized attempt survival probability.
@@ -345,8 +411,8 @@ type SDUResult struct {
 	Elapsed sim.Time // Slots expressed as time
 }
 
-// sduBatchMax bounds the stack array holding per-fragment survival
-// probabilities in SendSDU; longer SDUs (a DM1-segmented BNEP MTU is ~100
+// sduBatchMax bounds the fragments one SendSDU window batches, and with it
+// the SDU-shape power tables; longer SDUs (a DM1-segmented BNEP MTU is 100
 // fragments) batch in consecutive windows.
 const sduBatchMax = 128
 
@@ -360,7 +426,8 @@ const sduBatchMax = 128
 // a channel-state transition, or retransmissions after a located failure,
 // fall back to the per-attempt path. This turns the dominant workload case —
 // a multi-fragment SDU delivered cleanly inside a multi-minute good-state
-// sojourn — into one BER query, one memo hit and one RNG draw.
+// sojourn — into one BER query, one SDU-shape memo hit, one compare and one
+// RNG draw.
 func (t *Transmitter) SendSDU(pt core.PacketType, count, fullLen, lastLen int) SDUResult {
 	if count < 1 {
 		panic(fmt.Sprintf("baseband: SendSDU with %d fragments", count))
@@ -372,27 +439,21 @@ func (t *Transmitter) SendSDU(pt core.PacketType, count, fullLen, lastLen int) S
 	slots := pt.Slots()
 	stride := int64(slots + 1) // data slots plus the ACK/NAK return slot
 	start := t.slot
-	fullBits := AirBits(pt, fullLen)
-	lastBits := AirBits(pt, lastLen)
-	fullBPS := (fullBits + slots - 1) / slots
-	lastBPS := (lastBits + slots - 1) / slots
 
 	for frag := 0; frag < count; {
 		remaining := count - frag
 		windowEnd := t.slot + int64(remaining)*stride
 		ber, until := t.link.BERRun(t.slot, windowEnd)
-		// n fragments have all their data slots inside this channel state.
-		span := until - t.slot
-		n := 0
-		if span >= int64(slots) {
-			n = int((span-int64(slots))/stride) + 1
-			if n > remaining {
-				n = remaining
-			}
-			if n > sduBatchMax {
-				n = sduBatchMax
+		// n fragments have all their data slots inside this channel state; a
+		// run that reaches the window's end covers every remaining one.
+		n := remaining
+		if until < windowEnd {
+			n = 0
+			if span := until - t.slot; span >= int64(slots) {
+				n = int((span-int64(slots))/stride) + 1
 			}
 		}
+		n = min(n, sduBatchMax)
 		if n == 0 {
 			// The next fragment's data slots straddle a state transition:
 			// send it through the per-attempt path.
@@ -407,49 +468,36 @@ func (t *Transmitter) SendSDU(pt core.PacketType, count, fullLen, lastLen int) S
 			frag++
 			continue
 		}
-		// First-attempt survival probabilities of the batched fragments, in
-		// transmission order (identical factors and order on both paths).
-		// Only two distinct values occur — full fragments and the final
-		// one — so they are computed once per batch and the product runs
-		// over scalars.
-		pFull := t.batchFragOK(pt, fullBits, slots, fullBPS, ber)
-		pLast := pFull
-		if frag+n == count {
-			pLast = t.batchFragOK(pt, lastBits, slots, lastBPS, ber)
-		}
-		pAll := 1.0
-		for i := 0; i < n; i++ {
-			p := pFull
-			if frag+i == count-1 {
-				p = pLast
+		// j is the first batched fragment whose first attempt failed, or -1.
+		end := frag+n == count
+		j := -1
+		if t.cfg.SlowPath {
+			j = t.slowWindow(pt, n, end, fullLen, lastLen, ber)
+		} else {
+			e := t.shape(pt, fullLen, lastLen, ber)
+			e.grow(n)
+			pAll := e.pows[n]
+			if end {
+				pAll = e.pows[n-1] * e.pLast
 			}
-			t.pOKs[i] = p
-			pAll *= p
+			if u, failed := t.drawWindow(pAll); failed {
+				// Invert u on the prefix-failure CDF F_k = 1 - pows[k+1];
+				// only the window's final prefix involves pLast, and
+				// u < F_{n-1} is already known.
+				j = n - 1
+				for k := 1; k < n; k++ {
+					if u < 1-e.pows[k] {
+						j = k - 1
+						break
+					}
+				}
+			}
 		}
-		pFail := 1 - pAll
-		if pFail <= 0 {
+		if j < 0 {
 			// Every batched fragment delivers on its first attempt.
 			t.slot += int64(n) * stride
 			frag += n
 			continue
-		}
-		u := t.rng.Float64()
-		if u >= pFail {
-			t.slot += int64(n) * stride
-			frag += n
-			continue
-		}
-		// Some first attempt failed: invert the same u on the prefix-failure
-		// CDF F_j = 1 - Π_{i<=j} pOK_i to locate the first failing fragment
-		// (u < pFail = F_{n-1} guarantees a hit; F is non-decreasing).
-		prefix := 1.0
-		j := n - 1
-		for i := 0; i < n; i++ {
-			prefix *= t.pOKs[i]
-			if u < 1-prefix {
-				j = i
-				break
-			}
 		}
 		// Fragments before j delivered first-try; fragment j's first attempt
 		// consumed its stride and was corrupted.
@@ -473,10 +521,67 @@ func (t *Transmitter) SendSDU(pt core.PacketType, count, fullLen, lastLen int) S
 	return t.sduDone(Delivered, start)
 }
 
-// batchFragOK returns the first-attempt survival probability of one batched
-// fragment at constant BER: memoized on the fast path, recomputed slot by
-// slot (in the same order, yielding the same float) with cfg.SlowPath.
-func (t *Transmitter) batchFragOK(pt core.PacketType, airBits, slots, bitsPerSlot int, ber float64) float64 {
+// drawWindow decides the first attempts of a batched window that all
+// survive with probability pAll: failed reports whether some fragment
+// failed, and u is the deciding uniform, to be inverted on the
+// prefix-failure CDF. No draw is made when failure is impossible.
+func (t *Transmitter) drawWindow(pAll float64) (u float64, failed bool) {
+	pFail := 1 - pAll
+	if pFail <= 0 {
+		return 0, false
+	}
+	u = t.rng.Float64()
+	return u, u < pFail
+}
+
+// slowWindow is the memo-free reference for one batched window of n
+// fragments (cfg.SlowPath): both fragment probabilities are recomputed from
+// scratch, and the survival product and the CDF inversion run fragment by
+// fragment in transmission order. end marks a window that closes the SDU,
+// so its final fragment is the short one. It returns the index of the first
+// fragment whose first attempt failed, or -1 when all n survived.
+func (t *Transmitter) slowWindow(pt core.PacketType, n int, end bool, fullLen, lastLen int, ber float64) int {
+	pFull := t.fragOK(pt, fullLen, ber)
+	pLast := pFull
+	if end {
+		pLast = t.fragOK(pt, lastLen, ber)
+	}
+	pAll := 1.0
+	for i := 0; i < n; i++ {
+		p := pFull
+		if i == n-1 {
+			p = pLast
+		}
+		pAll *= p
+	}
+	u, failed := t.drawWindow(pAll)
+	if !failed {
+		return -1
+	}
+	// F_j = 1 - Π_{i<=j} pOK_i is non-decreasing and u < F_{n-1}, so the
+	// scan always lands.
+	prefix := 1.0
+	for i := 0; i < n; i++ {
+		p := pFull
+		if i == n-1 {
+			p = pLast
+		}
+		prefix *= p
+		if u < 1-prefix {
+			return i
+		}
+	}
+	return n - 1
+}
+
+// fragOK returns the first-attempt survival probability of one fragment of
+// payloadLen bytes at constant BER: memoized on the fast path, recomputed
+// slot by slot (in the same order, yielding the same float) with
+// cfg.SlowPath.
+func (t *Transmitter) fragOK(pt core.PacketType, payloadLen int, ber float64) float64 {
+	airBits := AirBits(pt, payloadLen)
+	slots := pt.Slots()
+	bitsPerSlot := (airBits + slots - 1) / slots
 	if !t.cfg.SlowPath {
 		return t.attemptOK(pt, airBits, slots, bitsPerSlot, ber)
 	}

@@ -439,8 +439,11 @@ func (s *Sink) handleScatterDone(d *district, key string, done *Done) {
 
 // checkScatterCompletion releases ranges whose final cursors are durable,
 // and seals the district partial once every piconet in [Lo, Hi) is folded
-// (plus the overlay, when this district owes it). Fin frames go out
-// synchronously BEFORE the done channel closes, same as the flat path.
+// (plus the overlay, when this district owes it) and every range that
+// opened a session is released. Fin frames go out synchronously BEFORE the
+// done channel closes, same as the flat path: btsink exits once every
+// keyspace completes, so completing on the last fold alone, ahead of the
+// agent's Done, could leave that agent redialling a closed listener.
 func (s *Sink) checkScatterCompletion(d *district) {
 	s.mu.Lock()
 	var fins []*sinkSession
@@ -457,7 +460,8 @@ func (s *Sink) checkScatterCompletion(d *district) {
 			fins = append(fins, sess)
 		}
 	}
-	complete := d.partial == nil && d.foldedN == d.cfg.Hi-d.cfg.Lo &&
+	complete := d.partial == nil && len(d.finished) == len(d.cursors) &&
+		d.foldedN == d.cfg.Hi-d.cfg.Lo &&
 		(!districtWantsOverlay(d.cfg) || d.overlay != nil)
 	if complete {
 		d.partial = &DistrictPartial{

@@ -160,12 +160,13 @@ func TestSegmentSDUProperties(t *testing.T) {
 			return true
 		}
 		pt := core.PacketTypes()[int(ptIdx)%6]
-		segs := SegmentSDU(int(sduLen), pt)
-		if len(segs) == 0 || !segs[0].Start {
+		plan := PlanSDU(int(sduLen), pt)
+		if plan.Count < 1 || !plan.Seg(0).Start {
 			return false
 		}
 		total := 0
-		for i, s := range segs {
+		for i := 0; i < plan.Count; i++ {
+			s := plan.Seg(i)
 			if i > 0 && s.Start {
 				return false
 			}
@@ -183,31 +184,21 @@ func TestSegmentSDUProperties(t *testing.T) {
 
 func TestSegmentSDUExactFit(t *testing.T) {
 	// 1691-byte BNEP MTU + 4 header = 1695 bytes over DH5 (339) = 5 packets.
-	segs := SegmentSDU(1691, core.PTDH5)
-	if len(segs) != 5 {
-		t.Errorf("BNEP MTU over DH5 = %d fragments, want 5", len(segs))
+	if n := PlanSDU(1691, core.PTDH5).Count; n != 5 {
+		t.Errorf("BNEP MTU over DH5 = %d fragments, want 5", n)
 	}
 	// Same SDU over DM1 (17B): ceil(1695/17) = 100 packets.
-	segs = SegmentSDU(1691, core.PTDM1)
-	if len(segs) != 100 {
-		t.Errorf("BNEP MTU over DM1 = %d fragments, want 100", len(segs))
+	if n := PlanSDU(1691, core.PTDM1).Count; n != 100 {
+		t.Errorf("BNEP MTU over DM1 = %d fragments, want 100", n)
 	}
-}
-
-func TestSegmentSDUPanicsOnZeroLen(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("want panic")
-		}
-	}()
-	SegmentSDU(0, core.PTDH1)
 }
 
 func TestReassemblerCleanStream(t *testing.T) {
 	var r Reassembler
 	for n := 1; n <= 2000; n += 97 {
-		for _, seg := range SegmentSDU(n, core.PTDH3) {
-			if err := r.Feed(seg, n); err != ErrNone {
+		plan := PlanSDU(n, core.PTDH3)
+		for i := 0; i < plan.Count; i++ {
+			if err := r.Feed(plan.Seg(i), n); err != ErrNone {
 				t.Fatalf("clean stream sdu=%d: %v", n, err)
 			}
 		}
@@ -235,8 +226,8 @@ func TestReassemblerContinuationFirst(t *testing.T) {
 
 func TestReassemblerStartMidSDU(t *testing.T) {
 	var r Reassembler
-	segs := SegmentSDU(400, core.PTDH1) // multiple fragments
-	if err := r.Feed(segs[0], 400); err != ErrNone {
+	plan := PlanSDU(400, core.PTDH1) // multiple fragments
+	if err := r.Feed(plan.Seg(0), 400); err != ErrNone {
 		t.Fatal(err)
 	}
 	// A fresh start before the SDU completes.

@@ -63,18 +63,6 @@ func (p SegPlan) Seg(i int) Segment {
 // Total reports the plan's total byte count (SDU plus L2CAP header).
 func (p SegPlan) Total() int { return (p.Count-1)*p.Budget + p.LastLen }
 
-// SegmentSDU splits an SDU into baseband fragments as a materialised slice.
-// It is a compatibility wrapper over PlanSDU for callers (mostly tests) that
-// want the fragments as values; the data plane iterates the plan directly.
-func SegmentSDU(sduLen int, pt core.PacketType) []Segment {
-	plan := PlanSDU(sduLen, pt)
-	segs := make([]Segment, plan.Count)
-	for i := range segs {
-		segs[i] = plan.Seg(i)
-	}
-	return segs
-}
-
 // ReassemblyError classifies framing-state violations.
 type ReassemblyError int
 

@@ -6,20 +6,18 @@ import (
 	"repro/internal/core"
 )
 
-// TestPlanSDUMatchesSegmentSDU pins the value-type plan to the materialised
-// slice API across packet types and SDU lengths.
-func TestPlanSDUMatchesSegmentSDU(t *testing.T) {
+// TestPlanSDUFragments pins Seg, Len and Total to one another across
+// packet types and SDU lengths: fragment 0 alone is the start, every length
+// equals its Seg's, and the lengths add up to the SDU plus its header.
+func TestPlanSDUFragments(t *testing.T) {
 	for _, pt := range core.PacketTypes() {
 		for _, n := range []int{1, 4, 13, 17, 100, 339, 800, 1500, 1691} {
 			plan := PlanSDU(n, pt)
-			segs := SegmentSDU(n, pt)
-			if plan.Count != len(segs) {
-				t.Fatalf("%v/%dB: plan count %d != %d segments", pt, n, plan.Count, len(segs))
-			}
 			total := 0
-			for i, seg := range segs {
-				if got := plan.Seg(i); got != seg {
-					t.Errorf("%v/%dB fragment %d: plan %+v != segment %+v", pt, n, i, got, seg)
+			for i := 0; i < plan.Count; i++ {
+				seg := plan.Seg(i)
+				if seg.Start != (i == 0) {
+					t.Errorf("%v/%dB fragment %d: Start %v", pt, n, i, seg.Start)
 				}
 				if plan.Len(i) != seg.Len {
 					t.Errorf("%v/%dB fragment %d: Len %d != %d", pt, n, i, plan.Len(i), seg.Len)
@@ -61,15 +59,6 @@ func TestSegPlanPanics(t *testing.T) {
 		}
 	}()
 	PlanSDU(0, core.PTDH1)
-}
-
-// BenchmarkSegmentSDU measures the compatibility wrapper (one slice
-// allocation per SDU).
-func BenchmarkSegmentSDU(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		segs := SegmentSDU(1500, core.PTDH5)
-		_ = segs
-	}
 }
 
 // BenchmarkSegPlan measures the zero-alloc plan iteration the data plane

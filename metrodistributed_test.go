@@ -1,7 +1,10 @@
 package btpan
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -348,4 +351,104 @@ func TestMetroDistributedSinkCrashRestore(t *testing.T) {
 		t.Errorf("sink-crash metro report differs from rollup:\n"+
 			"-- distributed --\n%s\n-- rollup --\n%s", got, ref)
 	}
+}
+
+// TestMetroDistrictCompletesAfterAgentDone pins district completion to the
+// agents' Done/Fin exchange. btsink exits once every district completes, so
+// a district that completed on its last fold, before its agent's Done
+// arrived, left the agent redialling a closed listener forever (the
+// intermittent scripts/chaos_metro.sh hang). A proxy holds every Done frame
+// back for less than the agents' stall timeout, so no Done is sent twice,
+// and the sink is closed the moment both districts complete, as btsink
+// does; each agent must still be released.
+func TestMetroDistrictCompletesAfterAgentDone(t *testing.T) {
+	cfg := metroConfig()
+	dcs, err := metroDistricts(cfg, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink, err := collector.NewSink(collector.SinkConfig{
+		Addr: "127.0.0.1:0", Districts: dcs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	proxy := delayDoneProxy(t, sink.Addr(), 300*time.Millisecond)
+
+	go func() {
+		for _, dc := range dcs {
+			if _, err := sink.WaitDistrict(dc.Key, time.Minute); err != nil {
+				return
+			}
+		}
+		sink.Close()
+	}()
+	errs := make(chan shardErr, len(dcs))
+	for _, dc := range dcs {
+		go func(dc collector.DistrictConfig) {
+			errs <- shardErr{dc.Key,
+				runMetroAgent(cfg, dc, proxy, 5*time.Second, collector.FaultConfig{}, -1)}
+		}(dc)
+	}
+	timeout := time.After(time.Minute)
+	for range dcs {
+		select {
+		case e := <-errs:
+			if e.err != nil {
+				t.Fatalf("district agent %s: %v", e.name, e.err)
+			}
+		case <-timeout:
+			t.Fatal("a district agent was never released: its district completed " +
+				"and the sink closed before the agent's Done")
+		}
+	}
+}
+
+// delayDoneProxy forwards loopback connections to addr, holding each
+// agent-to-sink Done frame (kind 5, PROTOCOL.md §1) for delay. It returns
+// the proxy's address; the listener closes with the test.
+func delayDoneProxy(t *testing.T, addr string, delay time.Duration) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			down, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			up, err := net.Dial("tcp", addr)
+			if err != nil {
+				down.Close()
+				continue
+			}
+			go func() {
+				io.Copy(down, up)
+				down.Close()
+			}()
+			go func() {
+				defer up.Close()
+				var hdr [5]byte
+				for {
+					if _, err := io.ReadFull(down, hdr[:]); err != nil {
+						return
+					}
+					body := make([]byte, binary.BigEndian.Uint32(hdr[:4])-1)
+					if _, err := io.ReadFull(down, body); err != nil {
+						return
+					}
+					if hdr[4] == 5 {
+						time.Sleep(delay)
+					}
+					if _, err := up.Write(append(hdr[:], body...)); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
 }

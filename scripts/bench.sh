@@ -13,6 +13,9 @@
 # sharded roll-up engine — PR 8; live_mb must stay flat across the ladder),
 # and the taxonomy overhead ratio (streaming day with the taxonomy/survival
 # accumulators on vs forced off — PR 10; budget: < 0.05).
+# The "layers" block holds per-layer ledger rows: baseband_sdu is ns/op and
+# allocs/op of the batched SDU path on a fixed five-fragment shape and on
+# the random workload's shape mix.
 # Usage: scripts/bench.sh [day-benchtime] [month-benchtime] [scale-benchtime]
 set -eu
 
@@ -31,7 +34,9 @@ smoke_secs="$(($(date +%s) - smoke_start))"
 # The metro smoke is the distributed scatternet pass (two district shards,
 # fault injection, agent + sink kill -9, byte-identical merge — PR 9).
 metro_start="$(date +%s)"
-./scripts/chaos_metro.sh >/dev/null
+# The script has hung now and then (ROADMAP); bound it as CI does so a hang
+# fails the run instead of stalling it.
+timeout 300 ./scripts/chaos_metro.sh >/dev/null
 metro_secs="$(($(date +%s) - metro_start))"
 
 day_out="$(go test -run '^$' -bench '^BenchmarkCampaignDay(Taxonomy|NoTaxonomy)?$' -benchtime "$day_benchtime" -benchmem . | tee /dev/stderr)"
@@ -42,11 +47,12 @@ scale_out="$(go test -run '^$' -bench '^BenchmarkScatternetDay(64|256|1024)$' -b
 # The agent pair is cheap per op; a fixed high count keeps the overhead
 # ratio stable against scheduler noise.
 agent_out="$(go test -run '^$' -bench '^BenchmarkAgentStreamDay' -benchtime 100x -benchmem ./internal/collector | tee /dev/stderr)"
+layer_out="$(go test -run '^$' -bench '^BenchmarkTransmitterSendSDU(Mix)?$' -benchmem ./internal/baseband | tee /dev/stderr)"
 
-printf '%s\n%s\n%s\n%s\n' "$day_out" "$month_out" "$scale_out" "$agent_out" | awk -v smoke="$smoke_secs" -v metro="$metro_secs" '
+printf '%s\n%s\n%s\n%s\n%s\n' "$day_out" "$month_out" "$scale_out" "$agent_out" "$layer_out" | awk -v smoke="$smoke_secs" -v metro="$metro_secs" '
 # Benchmark lines interleave custom metrics with the standard ones, so pick
 # values by their unit token instead of field position.
-/^Benchmark(Campaign|Scatternet|Agent)/ {
+/^Benchmark(Campaign|Scatternet|Agent|Transmitter)/ {
     name = $1; sub(/-[0-9]+$/, "", name)
     ns = bytes = allocs = live = items = outages = probes = ""
     for (i = 2; i <= NF; i++) {
@@ -69,6 +75,8 @@ printf '%s\n%s\n%s\n%s\n' "$day_out" "$month_out" "$scale_out" "$agent_out" | aw
     if (name == "BenchmarkScatternetDay64") { sc64_ns = ns; sc64_live = live; sc64_items = items; sc64_probes = probes }
     if (name == "BenchmarkScatternetDay256") { sc256_ns = ns; sc256_live = live; sc256_items = items; sc256_probes = probes }
     if (name == "BenchmarkScatternetDay1024") { sc1024_ns = ns; sc1024_live = live; sc1024_items = items; sc1024_probes = probes }
+    if (name == "BenchmarkTransmitterSendSDU") { sdu_ns = ns; sdu_a = allocs }
+    if (name == "BenchmarkTransmitterSendSDUMix") { mix_ns = ns; mix_a = allocs }
 }
 END {
     if (d_ns == "" || d_b == "" || d_a == "" || d_live == "" ||
@@ -79,7 +87,8 @@ END {
         sc256_ns == "" || sc256_live == "" || sc256_items == "" || sc256_probes == "" ||
         sc1024_ns == "" || sc1024_live == "" || sc1024_items == "" || sc1024_probes == "" ||
         tax_ns == "" || notax_ns == "" ||
-        ag_ns == "" || ags_ns == "") {
+        ag_ns == "" || ags_ns == "" ||
+        sdu_ns == "" || sdu_a == "" || mix_ns == "" || mix_a == "") {
         print "bench.sh: missing benchmark lines or metrics" > "/dev/stderr"
         exit 1
     }
@@ -121,7 +130,13 @@ END {
     printf "  \"agent_stream_day_spill_ns\": %s,\n", ags_ns
     printf "  \"agent_wal_overhead_ratio\": %.4f,\n", (ags_ns - ag_ns) / ag_ns
     printf "  \"distributed_smoke_seconds\": %s,\n", smoke
-    printf "  \"metro_smoke_seconds\": %s\n", metro
+    printf "  \"metro_smoke_seconds\": %s,\n", metro
+    printf "  \"layers\": {\n"
+    printf "    \"baseband_sdu\": [\n"
+    printf "      {\"benchmark\": \"BenchmarkTransmitterSendSDU\", \"ns_per_op\": %s, \"allocs_per_op\": %s},\n", sdu_ns, sdu_a
+    printf "      {\"benchmark\": \"BenchmarkTransmitterSendSDUMix\", \"ns_per_op\": %s, \"allocs_per_op\": %s}\n", mix_ns, mix_a
+    printf "    ]\n"
+    printf "  }\n"
     printf "}\n"
 }' >BENCH_campaign.json
 
