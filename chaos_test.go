@@ -132,9 +132,9 @@ func TestChaosAgentSinkKillStorm(t *testing.T) {
 	cpPath := filepath.Join(t.TempDir(), "sink.ckpt")
 	spill := t.TempDir()
 	mkSink := func(addr string) *collector.Sink {
-		s, err := collector.NewSink(collector.SinkConfig{
-			Addr: addr, Campaign: campaignID(cfg), Spec: testbed.CampaignStreamSpec(),
-			CheckpointPath: cpPath, CheckpointEvery: 4})
+		s, err := collector.NewSink(collector.SinkConfig{Addr: addr,
+			Keyspaces:       []collector.KeyspaceConfig{{Campaign: campaignID(cfg), Spec: testbed.CampaignStreamSpec(), CheckpointPath: cpPath}},
+			CheckpointEvery: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

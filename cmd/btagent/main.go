@@ -72,10 +72,12 @@
 // typed reject. The fault-injection knobs apply to kind-8 frames too.
 //
 //	-scatternet          run a scatternet district shard
-//	-piconet-range A:B   piconet range [A, B) this agent owns (required)
+//	-piconet-range A:B   piconet range [A, B) this agent owns (required;
+//	                     exactly its district's range= at the sink)
 //	-piconets P          scatternet piconet count (default 2)
 //	-bridges K           bridge count / random edge budget (default 1)
-//	-topology T          ring, star, mesh, random; empty = legacy ring
+//	-topology T          ring, star, mesh, random; empty pairs bridge b with
+//	                     piconets b and b+1 mod P
 //	-redundancy K        bridges per span (default 1)
 //	-hold S              bridge residency seconds per visit (default 10)
 //	-probe-sample F      relay-probe pair sampling fraction in (0, 1]
@@ -267,7 +269,7 @@ func parsePiconetRange(s string) (lo, hi int, err error) {
 // runScatternetShard runs one district shard of a distributed metro
 // campaign: builds the full campaign engine (so every piconet world derives
 // from the same seeds as the single-process run), then walks the owned
-// range through collector.RunScatterAgent, which ships each finished
+// range through a collector.ScatterAgent, which ships each finished
 // piconet's fold partial — and, on the range owning piconet 0 of a bridged
 // campaign, the overlay's pre-merged rollup partial — to the district sink.
 func runScatternetShard(cfg scatShardConfig) {
@@ -306,7 +308,7 @@ func runScatternetShard(cfg scatShardConfig) {
 	fmt.Fprintf(os.Stderr, "btagent: running scatternet shard [%d:%d) of %d piconets (seed %d, %v, scenario %q, overlay %v) -> %s\n",
 		lo, hi, camp.Piconets(), cfg.seed, cfg.duration, cfg.scenario, overlay, cfg.sink)
 	start := time.Now()
-	err = collector.RunScatterAgent(collector.ScatterAgentConfig{
+	agent, err := collector.NewScatterAgent(collector.ScatterAgentConfig{
 		Addr: cfg.sink, Keyspace: cfg.keyspace,
 		Campaign: collector.CampaignID{Seed: cfg.seed, Duration: cfg.duration,
 			Scenario: int(cfg.scenario)},
@@ -316,11 +318,17 @@ func runScatternetShard(cfg scatShardConfig) {
 		RetrySeed:  int64(cfg.seed ^ jitter.Sum64()),
 		Fault:      cfg.fault,
 	})
+	if err == nil {
+		err = agent.Run()
+	}
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "btagent: scatternet shard [%d:%d) complete in %v\n",
-		lo, hi, time.Since(start).Round(time.Millisecond))
+	sent, retrans := agent.Stats()
+	rejects, _ := agent.Rejects()
+	fmt.Fprintf(os.Stderr, "btagent: scatternet shard [%d:%d) complete in %v (%d frames sent, "+
+		"%d retransmissions, %d retryable rejects)\n",
+		lo, hi, time.Since(start).Round(time.Millisecond), sent, retrans, rejects)
 }
 
 // fatal prints the error and exits non-zero.

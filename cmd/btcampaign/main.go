@@ -18,8 +18,8 @@
 // with bridge nodes that time-share membership across piconets on a -hold
 // second residency schedule, relaying inter-piconet traffic through the
 // real stack path. The bridge→piconet membership map comes from -topology
-// (ring, star, mesh, or a seeded random connected graph; the default keeps
-// the legacy ring pairing of -bridges bridges), and -redundancy K deploys K
+// (ring, star, mesh, or a seeded random connected graph; the default pairs
+// -bridges bridges around the ring), and -redundancy K deploys K
 // bridges per span, charging a correlated outage only while all K are down.
 // It prints per-piconet tables plus the bridge-attributed failure-coupling
 // table, the delay-vs-relay-depth table from the multi-hop probe plane, and
@@ -69,12 +69,12 @@
 //	                 which flag recovers which failure
 //	-scatternet      run a multi-piconet scatternet campaign
 //	-piconets P      scatternet piconet count (default 2)
-//	-bridges K       scatternet bridge count for the legacy ring pairing
+//	-bridges K       scatternet bridge count for the default topology
 //	                 (bridge b serves b mod P, b+1 mod P) and the random
 //	                 topology's edge budget; ring/star/mesh topologies
 //	                 dictate their own bridge count (default 1)
-//	-topology T      membership map: ring, star, mesh or random; empty
-//	                 keeps the legacy -bridges ring pairing (default "")
+//	-topology T      membership map: ring, star, mesh or random (default
+//	                 "": the -bridges pairing above)
 //	-redundancy K    bridges per span; K >= 2 forms redundancy groups whose
 //	                 correlated outage needs all K down at once (default 1)
 //	-hold S          bridge residency seconds per piconet visit (default 10)
@@ -167,8 +167,8 @@ func parseCLI(args []string) (*cliConfig, error) {
 	ckptDir := fs.String("checkpoint-dir", "", "sweep mode: per-seed checkpoint directory (interrupted sweeps resume)")
 	scat := fs.Bool("scatternet", false, "run a multi-piconet scatternet campaign")
 	piconets := fs.Int("piconets", 2, "scatternet piconet count (with -scatternet)")
-	bridges := fs.Int("bridges", 1, "scatternet bridge count: legacy ring pairing / random edge budget (with -scatternet)")
-	topology := fs.String("topology", "", "scatternet membership map: ring, star, mesh or random (empty = legacy -bridges ring)")
+	bridges := fs.Int("bridges", 1, "scatternet bridge count: default pairing / random edge budget (with -scatternet)")
+	topology := fs.String("topology", "", "scatternet membership map: ring, star, mesh or random (empty = -bridges pairing)")
 	redundancy := fs.Int("redundancy", 1, "bridges per span; >= 2 forms redundancy groups (with -scatternet)")
 	hold := fs.Int("hold", 10, "bridge residency seconds per piconet visit (with -scatternet)")
 	shards := fs.Int("shards", 0, "scatternet piconet-plane worker shards (0 = GOMAXPROCS; results identical for any value)")

@@ -119,27 +119,11 @@ func main() {
 		return
 	}
 
-	parts := make([]*collector.Partial, 0, len(cli.paths))
-	for _, path := range cli.paths {
-		// Partials are trailer-guarded durable writes; a partial torn by a
-		// sink crash mid-export is rejected here rather than half-merged.
-		blob, err := collector.ReadFileDurable(path)
-		if err != nil {
-			fatal(err)
-		}
-		var p collector.Partial
-		if err := json.Unmarshal(blob, &p); err != nil {
-			fatal(fmt.Errorf("%s: %w", path, err))
-		}
-		if p.Campaign != campaign {
-			fatal(fmt.Errorf("%s: partial is from campaign seed %d, %v, scenario %d "+
-				"(flags say seed %d, %v, scenario %d)", path,
-				p.Campaign.Seed, p.Campaign.Duration, p.Campaign.Scenario,
-				campaign.Seed, campaign.Duration, campaign.Scenario))
-		}
-		parts = append(parts, &p)
+	parts, err := readPartials(cli.paths, campaign,
+		func(p *collector.Partial) collector.CampaignID { return p.Campaign })
+	if err != nil {
+		fatal(err)
 	}
-
 	rep, err := collector.MergePartials(testbed.CampaignStreamSpec(), parts)
 	if err != nil {
 		fatal(err)
@@ -165,23 +149,10 @@ func main() {
 // and prints it exactly as `btcampaign -scatternet -rollup -stream` does
 // (sans the banner line).
 func mergeDistricts(campaign collector.CampaignID, paths []string, taxonomy bool) {
-	parts := make([]*collector.DistrictPartial, 0, len(paths))
-	for _, path := range paths {
-		blob, err := collector.ReadFileDurable(path)
-		if err != nil {
-			fatal(err)
-		}
-		var p collector.DistrictPartial
-		if err := json.Unmarshal(blob, &p); err != nil {
-			fatal(fmt.Errorf("%s: %w", path, err))
-		}
-		if p.Campaign != campaign {
-			fatal(fmt.Errorf("%s: district partial is from campaign seed %d, %v, scenario %d "+
-				"(flags say seed %d, %v, scenario %d)", path,
-				p.Campaign.Seed, p.Campaign.Duration, p.Campaign.Scenario,
-				campaign.Seed, campaign.Duration, campaign.Scenario))
-		}
-		parts = append(parts, &p)
+	parts, err := readPartials(paths, campaign,
+		func(p *collector.DistrictPartial) collector.CampaignID { return p.Campaign })
+	if err != nil {
+		fatal(err)
 	}
 	roll, redundancy, err := collector.MergeDistricts(parts)
 	if err != nil {
@@ -206,6 +177,32 @@ func mergeDistricts(campaign collector.CampaignID, paths []string, taxonomy bool
 			fmt.Printf("\n%s", redundancy.RenderPartitionCandidates(partitionThresholdSeconds))
 		}
 	}
+}
+
+// readPartials reads one partial of type T per path — flat shard partials
+// or district partials. Partials are trailer-guarded durable writes, so one
+// torn by a sink crash mid-export is rejected here rather than half-merged;
+// each must also come from the campaign the flags name.
+func readPartials[T any](paths []string, campaign collector.CampaignID,
+	campaignOf func(*T) collector.CampaignID) ([]*T, error) {
+	parts := make([]*T, 0, len(paths))
+	for _, path := range paths {
+		blob, err := collector.ReadFileDurable(path)
+		if err != nil {
+			return nil, err
+		}
+		p := new(T)
+		if err := json.Unmarshal(blob, p); err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		if c := campaignOf(p); c != campaign {
+			return nil, fmt.Errorf("%s: partial is from campaign seed %d, %v, scenario %d "+
+				"(flags say seed %d, %v, scenario %d)", path, c.Seed, c.Duration, c.Scenario,
+				campaign.Seed, campaign.Duration, campaign.Scenario)
+		}
+		parts = append(parts, p)
+	}
+	return parts, nil
 }
 
 // fatal prints the error and exits non-zero.

@@ -1,15 +1,18 @@
 // Command btsink hosts the distributed collection plane's central
-// repository. In its original single-campaign mode it is the streaming
-// aggregator for one campaign, fed by btagent shard processes over TCP: it
-// applies sequenced batches exactly once, acknowledges durable progress,
-// and — once every declared shard has delivered all of its data and its
-// Done frame — prints the merged campaign report (Tables 2, 3, the Table 4
-// column and the §6 scalars) in exactly the format `btcampaign -stream`
-// prints for the same seeds, which is the bit-identity the multi-process
-// smoke test asserts.
+// repository: a multi-tenant service hosting campaign keyspaces, fed by
+// btagent shard processes over TCP. It applies sequenced batches exactly
+// once, acknowledges durable progress, and — once every declared shard of a
+// keyspace has delivered all of its data and its Done frame — exports the
+// keyspace's campaign report (Tables 2, 3, the Table 4 column and the §6
+// scalars) in exactly the format `btcampaign -stream` prints for the same
+// seeds, which is the bit-identity the multi-process smoke tests assert.
+// Data loss (sequence gaps, dropped records) fails a keyspace BEFORE any of
+// its exports is written.
 //
-// With repeated -campaign flags it is instead a long-lived multi-tenant
-// service hosting many concurrent campaigns, each in its own keyspace with
+// Without -campaign, -district or -serve, the -seed/-days/-scenario/
+// -checkpoint flags declare the default keyspace "" (where agents without a
+// -keyspace land) and its report goes to stdout. With repeated -campaign
+// flags it hosts many concurrent campaigns, each in its own keyspace with
 // its own checkpoint file, ingest quotas and completion state. A keyspace
 // may host only a subset of its campaign's testbeds — one shard of a
 // horizontally sharded deployment — in which case its completed state is
@@ -32,21 +35,27 @@
 //
 //	btsink [flags]
 //
-// Single-campaign flags (the default keyspace):
+// Default-keyspace flags (used when no -campaign, -district or -serve is
+// given):
 //
-//	-addr ADDR           TCP listen address (default 127.0.0.1:9310)
 //	-seed N              campaign seed (default 1); must match the agents'
 //	-days D              virtual campaign days 1..540 (default 4); must match
 //	-scenario 1..4       recovery regime (default 3); must match the agents'
 //	-checkpoint FILE     enable durable checkpoints at FILE (resumes from it
 //	                     when it already exists; empty disables durability)
+//
+// The default keyspace refuses -checkpoint-dir, -partial-dir and -report-dir.
+//
+// Shared flags:
+//
+//	-addr ADDR           TCP listen address (default 127.0.0.1:9310)
 //	-checkpoint-every N  batch frames between checkpoints (default 64)
 //	-timeout D           campaign completion timeout, e.g. 30m (default 0:
 //	                     wait forever)
-//	-taxonomy            append the failure-taxonomy / survival report to the
-//	                     final campaign report (single-campaign stdout and
-//	                     -report-dir exports), matching `btcampaign -taxonomy`
-//	                     byte for byte at the same seeds
+//	-taxonomy            append the failure-taxonomy / survival report to
+//	                     every campaign report (stdout and -report-dir
+//	                     exports), matching `btcampaign -taxonomy` byte for
+//	                     byte at the same seeds
 //
 // Multi-tenant flags:
 //
@@ -90,7 +99,8 @@
 //	                       scenario=1..4    recovery regime (default 3)
 //	                       piconets=P       scatternet piconet count (default 2)
 //	                       bridges=K        bridge count / edge budget (default 1)
-//	                       topology=T       ring, star, mesh, random (default "")
+//	                       topology=T       ring, star, mesh, random (default:
+//	                                        the bridges= ring pairing)
 //	                       redundancy=K     bridges per span (default 1)
 //	                       hold=S           bridge residency seconds (default 10)
 //	                       probe-sample=F   probe pair fraction in (0, 1]
@@ -99,6 +109,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -119,7 +130,8 @@ import (
 	"repro/internal/testbed"
 )
 
-// campaignFlag is one parsed -campaign SPEC.
+// campaignFlag is one parsed -campaign SPEC (or the default keyspace the
+// -seed/-days/-scenario/-checkpoint flags declare).
 type campaignFlag struct {
 	key          string
 	seed         uint64
@@ -128,6 +140,64 @@ type campaignFlag struct {
 	testbeds     []string
 	quotaBytes   int64
 	quotaBatches int
+	checkpoint   string // explicit checkpoint file, overriding -checkpoint-dir
+}
+
+// check range-checks the campaign identity every keyspace kind shares.
+func (cf *campaignFlag) check() error {
+	if cf.days < 1 || cf.days > 540 {
+		return fmt.Errorf("days %d out of range 1..540", cf.days)
+	}
+	if cf.scenario < 1 || cf.scenario > 4 {
+		return fmt.Errorf("scenario %d out of range 1..4", cf.scenario)
+	}
+	return nil
+}
+
+// setShared parses one of the key/seed/days/scenario fields -campaign and
+// -district specs share, reporting whether k was one of them.
+func (cf *campaignFlag) setShared(k, val string) (bool, error) {
+	var err error
+	switch k {
+	case "key":
+		cf.key = val
+	case "seed":
+		cf.seed, err = strconv.ParseUint(val, 10, 64)
+	case "days":
+		cf.days, err = strconv.Atoi(val)
+	case "scenario":
+		cf.scenario, err = strconv.Atoi(val)
+	default:
+		return false, nil
+	}
+	return true, err
+}
+
+// parseSpec walks one comma-separated key=value SPEC of flag name: the
+// shared fields go to cf, the rest to field. It returns the keys seen.
+func parseSpec(name, v string, cf *campaignFlag, field func(k, val string) (bool, error)) (map[string]bool, error) {
+	seen := make(map[string]bool)
+	for _, pair := range strings.Split(v, ",") {
+		k, val, ok := strings.Cut(pair, "=")
+		if !ok {
+			return nil, fmt.Errorf("-%s %q: %q is not key=value", name, v, pair)
+		}
+		known, err := cf.setShared(k, val)
+		if !known {
+			known, err = field(k, val)
+		}
+		if !known {
+			return nil, fmt.Errorf("-%s %q: unknown field %q", name, v, k)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("-%s %q: field %q: %v", name, v, k, err)
+		}
+		seen[k] = true
+	}
+	if err := cf.check(); err != nil {
+		return nil, fmt.Errorf("-%s %q: %v", name, v, err)
+	}
+	return seen, nil
 }
 
 // campaignFlags collects repeated -campaign values.
@@ -145,23 +215,9 @@ func (c *campaignFlags) String() string {
 // Set parses one -campaign SPEC (flag.Value).
 func (c *campaignFlags) Set(v string) error {
 	cf := campaignFlag{days: 4, scenario: int(btpan.ScenarioSIRAs)}
-	seenKey, seenSeed := false, false
-	for _, pair := range strings.Split(v, ",") {
-		k, val, ok := strings.Cut(pair, "=")
-		if !ok {
-			return fmt.Errorf("-campaign %q: %q is not key=value", v, pair)
-		}
+	seen, err := parseSpec("campaign", v, &cf, func(k, val string) (bool, error) {
 		var err error
 		switch k {
-		case "key":
-			cf.key, seenKey = val, true
-		case "seed":
-			cf.seed, err = strconv.ParseUint(val, 10, 64)
-			seenSeed = true
-		case "days":
-			cf.days, err = strconv.Atoi(val)
-		case "scenario":
-			cf.scenario, err = strconv.Atoi(val)
 		case "testbeds":
 			cf.testbeds = strings.Split(val, "+")
 		case "quota-bytes":
@@ -169,17 +225,15 @@ func (c *campaignFlags) Set(v string) error {
 		case "quota-batches":
 			cf.quotaBatches, err = strconv.Atoi(val)
 		default:
-			return fmt.Errorf("-campaign %q: unknown field %q", v, k)
+			return false, nil
 		}
-		if err != nil {
-			return fmt.Errorf("-campaign %q: field %q: %v", v, k, err)
-		}
+		return true, err
+	})
+	if err != nil {
+		return err
 	}
-	if !seenKey || !seenSeed {
+	if !seen["key"] || !seen["seed"] {
 		return fmt.Errorf("-campaign %q: key= and seed= are required", v)
-	}
-	if cf.days < 1 || cf.days > 540 {
-		return fmt.Errorf("-campaign %q: days %d out of range 1..540", v, cf.days)
 	}
 	*c = append(*c, cf)
 	return nil
@@ -187,10 +241,7 @@ func (c *campaignFlags) Set(v string) error {
 
 // districtFlag is one parsed -district SPEC.
 type districtFlag struct {
-	key         string
-	seed        uint64
-	days        int
-	scenario    int
+	campaignFlag
 	lo, hi      int
 	piconets    int
 	bridges     int
@@ -214,30 +265,15 @@ func (d *districtFlags) String() string {
 
 // Set parses one -district SPEC (flag.Value).
 func (d *districtFlags) Set(v string) error {
-	df := districtFlag{days: 4, scenario: int(btpan.ScenarioSIRAs),
+	df := districtFlag{campaignFlag: campaignFlag{days: 4, scenario: int(btpan.ScenarioSIRAs)},
 		piconets: 2, bridges: 1, redundancy: 1, hold: 10, probeSample: 1}
-	seenKey, seenSeed, seenRange := false, false, false
-	for _, pair := range strings.Split(v, ",") {
-		k, val, ok := strings.Cut(pair, "=")
-		if !ok {
-			return fmt.Errorf("-district %q: %q is not key=value", v, pair)
-		}
+	seen, err := parseSpec("district", v, &df.campaignFlag, func(k, val string) (bool, error) {
 		var err error
 		switch k {
-		case "key":
-			df.key, seenKey = val, true
-		case "seed":
-			df.seed, err = strconv.ParseUint(val, 10, 64)
-			seenSeed = true
-		case "days":
-			df.days, err = strconv.Atoi(val)
-		case "scenario":
-			df.scenario, err = strconv.Atoi(val)
 		case "range":
 			if _, serr := fmt.Sscanf(val, "%d:%d", &df.lo, &df.hi); serr != nil {
 				err = fmt.Errorf("want A:B (half-open)")
 			}
-			seenRange = true
 		case "piconets":
 			df.piconets, err = strconv.Atoi(val)
 		case "bridges":
@@ -251,20 +287,15 @@ func (d *districtFlags) Set(v string) error {
 		case "probe-sample":
 			df.probeSample, err = strconv.ParseFloat(val, 64)
 		default:
-			return fmt.Errorf("-district %q: unknown field %q", v, k)
+			return false, nil
 		}
-		if err != nil {
-			return fmt.Errorf("-district %q: field %q: %v", v, k, err)
-		}
+		return true, err
+	})
+	if err != nil {
+		return err
 	}
-	if !seenKey || !seenSeed || !seenRange {
+	if !seen["key"] || !seen["seed"] || !seen["range"] {
 		return fmt.Errorf("-district %q: key=, seed= and range= are required", v)
-	}
-	if df.days < 1 || df.days > 540 {
-		return fmt.Errorf("-district %q: days %d out of range 1..540", v, df.days)
-	}
-	if df.scenario < 1 || df.scenario > 4 {
-		return fmt.Errorf("-district %q: scenario %d out of range 1..4", v, df.scenario)
 	}
 	if df.lo < 0 || df.hi <= df.lo {
 		return fmt.Errorf("-district %q: range [%d:%d) is empty or negative", v, df.lo, df.hi)
@@ -330,94 +361,118 @@ func (cf *campaignFlag) keyspace(checkpointDir string) (collector.KeyspaceConfig
 		MaxBytes:     cf.quotaBytes,
 		MaxBatches:   cf.quotaBatches,
 	}
-	if checkpointDir != "" {
+	if cf.checkpoint != "" {
+		ks.CheckpointPath = cf.checkpoint
+	} else if checkpointDir != "" {
 		ks.CheckpointPath = filepath.Join(checkpointDir, cf.key+".ckpt")
 	}
 	return ks, nil
 }
 
-func main() {
-	addr := flag.String("addr", "127.0.0.1:9310", "TCP listen address")
-	seed := flag.Uint64("seed", 1, "campaign seed (must match the agents)")
-	days := flag.Int("days", 4, "virtual campaign days 1..540 (must match the agents)")
-	scenario := flag.Int("scenario", int(btpan.ScenarioSIRAs),
-		"recovery scenario 1..4 (must match the agents)")
-	checkpoint := flag.String("checkpoint", "", "checkpoint file (empty disables durability)")
-	every := flag.Int("checkpoint-every", 64, "batch frames between checkpoints")
-	timeout := flag.Duration("timeout", 0, "campaign completion timeout (0 = forever)")
-	taxonomy := flag.Bool("taxonomy", false,
+// cliConfig is the parsed, cross-validated command line.
+type cliConfig struct {
+	sink       collector.SinkConfig
+	campaigns  []campaignFlag
+	districts  []districtFlag
+	stdout     bool      // the default keyspace's report goes to out
+	out        io.Writer // os.Stdout; the CLI tests capture it
+	serve      bool
+	httpAddr   string
+	partialDir string
+	reportDir  string
+	timeout    time.Duration
+	taxonomy   bool
+}
+
+// parseCLI parses and validates the command line and builds the sink
+// configuration. Every validation returns an error instead of exiting so
+// the CLI tests can exercise it directly.
+func parseCLI(args []string) (*cliConfig, error) {
+	fs := flag.NewFlagSet("btsink", flag.ContinueOnError)
+	addr := fs.String("addr", "127.0.0.1:9310", "TCP listen address")
+	seed := fs.Uint64("seed", 1, "default keyspace: campaign seed (must match the agents)")
+	days := fs.Int("days", 4, "default keyspace: virtual campaign days 1..540 (must match the agents)")
+	scenario := fs.Int("scenario", int(btpan.ScenarioSIRAs),
+		"default keyspace: recovery scenario 1..4 (must match the agents)")
+	checkpoint := fs.String("checkpoint", "", "default keyspace: checkpoint file (empty disables durability)")
+	every := fs.Int("checkpoint-every", 64, "batch frames between checkpoints")
+	timeout := fs.Duration("timeout", 0, "campaign completion timeout (0 = forever)")
+	taxonomy := fs.Bool("taxonomy", false,
 		"append the failure-taxonomy / survival report to final campaign reports")
 	var campaigns campaignFlags
-	flag.Var(&campaigns, "campaign", "host one campaign keyspace (repeatable; see package doc)")
+	fs.Var(&campaigns, "campaign", "host one campaign keyspace (repeatable; see package doc)")
 	var districts districtFlags
-	flag.Var(&districts, "district", "host one scatternet district keyspace (repeatable; see package doc)")
-	serve := flag.Bool("serve", false, "always-on service mode (campaigns register over HTTP)")
-	checkpointDir := flag.String("checkpoint-dir", "", "per-keyspace checkpoint directory")
-	partialDir := flag.String("partial-dir", "", "write <key>.partial.json here on keyspace completion")
-	reportDir := flag.String("report-dir", "", "write <key>.report here when a full-campaign keyspace completes")
-	httpAddr := flag.String("http", "", "observability HTTP listen address (empty disables)")
-	memoryBudget := flag.Int("memory-budget", 0, "buffered record count above which acks are delayed (0 = off)")
-	flag.Parse()
-
-	multi := len(campaigns) > 0 || len(districts) > 0 || *serve
-	if *serve && *httpAddr == "" {
-		fatal(fmt.Errorf("-serve needs -http to accept campaign registrations"))
+	fs.Var(&districts, "district", "host one scatternet district keyspace (repeatable; see package doc)")
+	serve := fs.Bool("serve", false, "always-on service mode (campaigns register over HTTP)")
+	checkpointDir := fs.String("checkpoint-dir", "", "per-keyspace checkpoint directory")
+	partialDir := fs.String("partial-dir", "", "write <key>.partial.json here on keyspace completion")
+	reportDir := fs.String("report-dir", "", "write <key>.report here when a full-campaign keyspace completes")
+	httpAddr := fs.String("http", "", "observability HTTP listen address (empty disables)")
+	memoryBudget := fs.Int("memory-budget", 0, "buffered record count above which acks are delayed (0 = off)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-
-	cfg := collector.SinkConfig{
-		Addr:            *addr,
-		CheckpointEvery: *every,
-		MemoryBudget:    *memoryBudget,
-		AllowEmpty:      *serve,
-		SpecResolver: func(c collector.CampaignID, testbeds []string) (analysis.StreamSpec, error) {
-			if len(testbeds) == 0 {
-				return testbed.CampaignStreamSpec(), nil
-			}
-			return analysis.SubSpec(testbed.CampaignStreamSpec(), testbeds)
+	if *serve && *httpAddr == "" {
+		return nil, fmt.Errorf("-serve needs -http to accept campaign registrations")
+	}
+	cli := &cliConfig{
+		out:       os.Stdout,
+		campaigns: campaigns, districts: districts, serve: *serve, httpAddr: *httpAddr,
+		partialDir: *partialDir, reportDir: *reportDir, timeout: *timeout, taxonomy: *taxonomy,
+		sink: collector.SinkConfig{
+			Addr:            *addr,
+			CheckpointEvery: *every,
+			MemoryBudget:    *memoryBudget,
+			AllowEmpty:      *serve,
+			SpecResolver: func(c collector.CampaignID, testbeds []string) (analysis.StreamSpec, error) {
+				if len(testbeds) == 0 {
+					return testbed.CampaignStreamSpec(), nil
+				}
+				return analysis.SubSpec(testbed.CampaignStreamSpec(), testbeds)
+			},
 		},
 	}
-	var legacy btpan.CampaignConfig
-	if !multi {
-		if *days < 1 || *days > 540 {
-			fatal(fmt.Errorf("-days %d out of range 1..540", *days))
+	if len(campaigns) == 0 && len(districts) == 0 && !*serve {
+		if *checkpointDir != "" || *partialDir != "" || *reportDir != "" {
+			return nil, fmt.Errorf("-checkpoint-dir, -partial-dir and -report-dir need -campaign, -district or -serve " +
+				"(the default keyspace checkpoints at -checkpoint and reports on stdout)")
 		}
-		legacy = btpan.CampaignConfig{
-			Seed:      *seed,
-			Duration:  sim.Time(*days) * sim.Day,
-			Scenario:  btpan.Scenario(*scenario),
-			Streaming: true,
+		cf := campaignFlag{seed: *seed, days: *days, scenario: *scenario, checkpoint: *checkpoint}
+		if err := cf.check(); err != nil {
+			return nil, fmt.Errorf("-%v", err)
 		}
-		if err := legacy.Validate(); err != nil {
-			fatal(err)
-		}
-		cfg.Campaign = collector.CampaignID{Seed: *seed, Duration: legacy.Duration,
-			Scenario: *scenario}
-		cfg.Spec = testbed.CampaignStreamSpec()
-		cfg.CheckpointPath = *checkpoint
+		cli.campaigns, cli.stdout = []campaignFlag{cf}, true
 	}
-	for _, cf := range campaigns {
+	for _, cf := range cli.campaigns {
 		ks, err := cf.keyspace(*checkpointDir)
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
-		cfg.Keyspaces = append(cfg.Keyspaces, ks)
+		cli.sink.Keyspaces = append(cli.sink.Keyspaces, ks)
 	}
 	for i := range districts {
 		dc, err := districts[i].config(*checkpointDir)
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
-		cfg.Districts = append(cfg.Districts, dc)
+		cli.sink.Districts = append(cli.sink.Districts, dc)
 	}
+	return cli, nil
+}
 
-	sink, err := collector.NewSink(cfg)
+func main() {
+	cli, err := parseCLI(os.Args[1:])
 	if err != nil {
 		fatal(err)
 	}
-	if *httpAddr != "" {
-		ln, err := net.Listen("tcp", *httpAddr)
+	sink, err := collector.NewSink(cli.sink)
+	if err != nil {
+		fatal(err)
+	}
+	if cli.httpAddr != "" {
+		ln, err := net.Listen("tcp", cli.httpAddr)
 		if err != nil {
-			fatal(fmt.Errorf("http listen %s: %w", *httpAddr, err))
+			fatal(fmt.Errorf("http listen %s: %w", cli.httpAddr, err))
 		}
 		fmt.Fprintf(os.Stderr, "btsink: observability API on http://%s\n", ln.Addr())
 		go http.Serve(ln, sink.Handler())
@@ -440,33 +495,28 @@ func main() {
 		os.Exit(0)
 	}()
 
-	if !multi {
-		legacyMain(sink, legacy, *checkpoint, *timeout, *taxonomy)
-		return
-	}
-
 	fmt.Fprintf(os.Stderr, "btsink: listening on %s (%d campaigns, %d districts%s)\n",
-		sink.Addr(), len(campaigns), len(districts),
-		map[bool]string{true: ", serve mode", false: ""}[*serve])
+		sink.Addr(), len(cli.campaigns), len(cli.districts),
+		map[bool]string{true: ", serve mode", false: ""}[cli.serve])
 
 	// Every configured keyspace gets a completion watcher that exports its
-	// partial (and, for full-campaign keyspaces, its canonical report).
+	// partial and, for full-campaign keyspaces, its canonical report.
 	var wg sync.WaitGroup
-	failures := make(chan error, len(campaigns)+len(districts))
-	for _, cf := range campaigns {
+	failures := make(chan error, len(cli.campaigns)+len(cli.districts))
+	for _, cf := range cli.campaigns {
 		wg.Add(1)
 		go func(cf campaignFlag) {
 			defer wg.Done()
-			if err := watchKeyspace(sink, cf, *partialDir, *reportDir, *timeout, *taxonomy); err != nil {
+			if err := watchKeyspace(sink, cf, cli); err != nil {
 				failures <- fmt.Errorf("campaign %q: %w", cf.key, err)
 			}
 		}(cf)
 	}
-	for _, df := range districts {
+	for _, df := range cli.districts {
 		wg.Add(1)
 		go func(df districtFlag) {
 			defer wg.Done()
-			if err := watchDistrict(sink, df, *partialDir, *timeout); err != nil {
+			if err := watchDistrict(sink, df, cli.partialDir, cli.timeout); err != nil {
 				failures <- fmt.Errorf("district %q: %w", df.key, err)
 			}
 		}(df)
@@ -478,7 +528,7 @@ func main() {
 		failed = true
 		fmt.Fprintln(os.Stderr, "btsink:", err)
 	}
-	if *serve {
+	if cli.serve {
 		select {} // stay up for registered campaigns until a signal drains us
 	}
 	if err := sink.Close(); err != nil {
@@ -489,47 +539,64 @@ func main() {
 	}
 }
 
-// watchKeyspace waits for one keyspace's completion and writes its exports.
-func watchKeyspace(sink *collector.Sink, cf campaignFlag, partialDir, reportDir string,
-	timeout time.Duration, taxonomy bool) error {
-	p, err := sink.WaitPartial(cf.key, timeout)
+// watchKeyspace waits for one keyspace's completion, fails it on data loss
+// BEFORE anything is exported — a report implying completeness must never
+// precede the verdict that the data is incomplete — and then writes its
+// exports: the partial, and for a full-campaign keyspace the canonical
+// report (stdout for the default keyspace, -report-dir otherwise).
+func watchKeyspace(sink *collector.Sink, cf campaignFlag, cli *cliConfig) error {
+	rep, err := sink.WaitKeyspace(cf.key, cli.timeout)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "btsink: campaign %q complete (%d testbeds)\n",
-		cf.key, len(p.Shard.Testbeds))
-	if partialDir != "" {
+	applied, dups, rejected := sink.Stats()
+	fmt.Fprintf(os.Stderr, "btsink: campaign %q complete (%d testbeds; sink totals: %d batches applied, "+
+		"%d duplicates filtered, %d rejected)\n", cf.key, len(rep.Durations), applied, dups, rejected)
+	if rep.Agg.SeqGaps > 0 || rep.Agg.DroppedRecords > 0 {
+		return fmt.Errorf("data loss: %d sequence gaps, %d dropped records",
+			rep.Agg.SeqGaps, rep.Agg.DroppedRecords)
+	}
+	if cli.partialDir != "" {
+		p, err := sink.Partial(cf.key)
+		if err != nil {
+			return err
+		}
 		blob, err := json.Marshal(p)
 		if err != nil {
 			return err
 		}
-		path := filepath.Join(partialDir, cf.key+".partial.json")
-		if err := collector.WriteFileDurable(path, blob); err != nil {
+		if err := collector.WriteFileDurable(filepath.Join(cli.partialDir, cf.key+".partial.json"), blob); err != nil {
 			return err
 		}
 	}
-	if reportDir != "" && len(cf.testbeds) == 0 {
-		rep, err := sink.WaitKeyspace(cf.key, timeout)
-		if err != nil {
-			return err
-		}
-		ccfg := btpan.CampaignConfig{Seed: cf.seed, Duration: sim.Time(cf.days) * sim.Day,
-			Scenario: btpan.Scenario(cf.scenario), Streaming: true}
-		res, err := btpan.ResultFromAggregates(ccfg, rep.Agg, rep.Counters, rep.Durations)
-		if err != nil {
-			return err
-		}
-		f, err := os.Create(filepath.Join(reportDir, cf.key+".report"))
-		if err != nil {
-			return err
-		}
-		btpan.WriteReport(f, res)
-		if taxonomy {
-			btpan.WriteTaxonomyReport(f, res)
-		}
-		return f.Close()
+	if len(cf.testbeds) > 0 || (!cli.stdout && cli.reportDir == "") {
+		return nil
 	}
-	return nil
+	res, err := btpan.ResultFromAggregates(btpan.CampaignConfig{Seed: cf.seed,
+		Duration: sim.Time(cf.days) * sim.Day, Scenario: btpan.Scenario(cf.scenario), Streaming: true},
+		rep.Agg, rep.Counters, rep.Durations)
+	if err != nil {
+		return err
+	}
+	if cli.stdout {
+		writeReport(cli.out, res, cli.taxonomy)
+		return nil
+	}
+	f, err := os.Create(filepath.Join(cli.reportDir, cf.key+".report"))
+	if err != nil {
+		return err
+	}
+	writeReport(f, res, cli.taxonomy)
+	return f.Close()
+}
+
+// writeReport prints the canonical campaign report, with the taxonomy
+// appendix when asked for.
+func writeReport(w io.Writer, res *btpan.CampaignResult, taxonomy bool) {
+	btpan.WriteReport(w, res)
+	if taxonomy {
+		btpan.WriteTaxonomyReport(w, res)
+	}
 }
 
 // watchDistrict waits for one district's piconet range to fold completely
@@ -553,46 +620,6 @@ func watchDistrict(sink *collector.Sink, df districtFlag, partialDir string,
 		}
 	}
 	return nil
-}
-
-// legacyMain is the original single-campaign flow: wait for the default
-// keyspace, print the canonical report on stdout, exit.
-func legacyMain(sink *collector.Sink, cfg btpan.CampaignConfig, checkpoint string,
-	timeout time.Duration, taxonomy bool) {
-	resumed := ""
-	if checkpoint != "" {
-		if _, statErr := os.Stat(checkpoint); statErr == nil {
-			resumed = ", resumed from checkpoint"
-		}
-	}
-	fmt.Fprintf(os.Stderr, "btsink: listening on %s (seed %d, %v, scenario %q%s)\n",
-		sink.Addr(), cfg.Seed, cfg.Duration, cfg.Scenario, resumed)
-
-	start := time.Now()
-	rep, err := sink.Wait(timeout)
-	if err != nil {
-		sink.Close()
-		fatal(err)
-	}
-	res, err := btpan.ResultFromAggregates(cfg, rep.Agg, rep.Counters, rep.Durations)
-	if err != nil {
-		sink.Close()
-		fatal(err)
-	}
-	btpan.WriteReport(os.Stdout, res)
-	if taxonomy {
-		btpan.WriteTaxonomyReport(os.Stdout, res)
-	}
-	applied, dups, rejected := sink.Stats()
-	fmt.Fprintf(os.Stderr, "btsink: campaign complete in %v (%d batches applied, %d duplicates filtered, %d rejected)\n",
-		time.Since(start).Round(time.Millisecond), applied, dups, rejected)
-	if err := sink.Close(); err != nil {
-		fatal(err)
-	}
-	if rep.Agg.SeqGaps > 0 || rep.Agg.DroppedRecords > 0 {
-		fatal(fmt.Errorf("data loss: %d sequence gaps, %d dropped records",
-			rep.Agg.SeqGaps, rep.Agg.DroppedRecords))
-	}
 }
 
 // fatal prints the error and exits non-zero.

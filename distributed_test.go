@@ -49,7 +49,7 @@ func runShard(opts testbed.Options, campaign collector.CampaignID, addr string,
 	nodes = append(nodes, tb.NAP.Node)
 	agent, err := collector.NewAgent(collector.AgentConfig{
 		Addr: addr, Campaign: campaign, Testbed: opts.Name, Nodes: nodes, Fault: fault,
-		RetryEvery: 20 * time.Millisecond, StallTimeout: 150 * time.Millisecond,
+		RetryMin: 20 * time.Millisecond, StallTimeout: 150 * time.Millisecond,
 	})
 	if err != nil {
 		errs <- shardErr{opts.Name, err}
@@ -77,7 +77,7 @@ func distributedConfig() CampaignConfig {
 func assembleDistributed(t *testing.T, cfg CampaignConfig, sink *collector.Sink,
 	timeout time.Duration) *CampaignResult {
 	t.Helper()
-	rep, err := sink.Wait(timeout)
+	rep, err := sink.WaitKeyspace("", timeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +91,8 @@ func assembleDistributed(t *testing.T, cfg CampaignConfig, sink *collector.Sink,
 // runDistributed runs the full N-agent + sink campaign over loopback.
 func runDistributed(t *testing.T, cfg CampaignConfig, fault collector.FaultConfig) *CampaignResult {
 	t.Helper()
-	sink, err := collector.NewSink(collector.SinkConfig{
-		Addr: "127.0.0.1:0", Campaign: campaignID(cfg), Spec: testbed.CampaignStreamSpec()})
+	sink, err := collector.NewSink(collector.SinkConfig{Addr: "127.0.0.1:0",
+		Keyspaces: []collector.KeyspaceConfig{{Campaign: campaignID(cfg), Spec: testbed.CampaignStreamSpec()}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,9 +168,9 @@ func TestDistributedResume(t *testing.T) {
 	}
 
 	cpPath := filepath.Join(t.TempDir(), "sink.ckpt")
-	sink, err := collector.NewSink(collector.SinkConfig{
-		Addr: "127.0.0.1:0", Campaign: campaignID(cfg), Spec: testbed.CampaignStreamSpec(),
-		CheckpointPath: cpPath, CheckpointEvery: 8})
+	sink, err := collector.NewSink(collector.SinkConfig{Addr: "127.0.0.1:0",
+		Keyspaces:       []collector.KeyspaceConfig{{Campaign: campaignID(cfg), Spec: testbed.CampaignStreamSpec(), CheckpointPath: cpPath}},
+		CheckpointEvery: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,9 +195,9 @@ func TestDistributedResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sink2, err := collector.NewSink(collector.SinkConfig{
-		Addr: addr, Campaign: campaignID(cfg), Spec: testbed.CampaignStreamSpec(),
-		CheckpointPath: cpPath, CheckpointEvery: 8})
+	sink2, err := collector.NewSink(collector.SinkConfig{Addr: addr,
+		Keyspaces:       []collector.KeyspaceConfig{{Campaign: campaignID(cfg), Spec: testbed.CampaignStreamSpec(), CheckpointPath: cpPath}},
+		CheckpointEvery: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

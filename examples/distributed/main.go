@@ -28,8 +28,8 @@ func main() {
 
 	campaign := collector.CampaignID{Seed: cfg.Seed, Duration: cfg.Duration,
 		Scenario: int(cfg.Scenario)}
-	sink, err := collector.NewSink(collector.SinkConfig{
-		Addr: "127.0.0.1:0", Campaign: campaign, Spec: testbed.CampaignStreamSpec()})
+	sink, err := collector.NewSink(collector.SinkConfig{Addr: "127.0.0.1:0",
+		Keyspaces: []collector.KeyspaceConfig{{Campaign: campaign, Spec: testbed.CampaignStreamSpec()}}})
 	if err != nil {
 		fatal(err)
 	}
@@ -52,7 +52,7 @@ func main() {
 		}
 	}
 
-	rep, err := sink.Wait(2 * time.Minute)
+	rep, err := sink.WaitKeyspace("", 2*time.Minute)
 	if err != nil {
 		fatal(err)
 	}

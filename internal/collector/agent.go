@@ -2,7 +2,6 @@ package collector
 
 import (
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
@@ -34,28 +33,16 @@ import (
 // process resumes to a bit-identical campaign, the same way a sink kill
 // already does.
 type Agent struct {
-	cfg AgentConfig
-	inj *faultInjector
+	link // the shared session engine; its mu guards the fields below
+	cfg  AgentConfig
+	inj  *faultInjector
 
-	mu           sync.Mutex
-	streams      map[string]*agentStream
-	order        []string
-	wal          *wal        // nil without SpillDir
-	walQ         []walQueued // ingested but not yet encoded/spilled batches
-	connected    bool        // a session holds a live Resume handshake
-	done         *Done       // set by Finish; resent once per connection
-	err          error       // first fatal protocol error
-	lastProgress time.Time
-	sent         int // data frames handed to the fault injector
-	retransmits  int // frames sent again after an earlier send
-	rejects      int // retryable rejects absorbed (backed off, not fatal)
-	lastReject   *Reject
-
-	work      chan struct{}
-	closed    chan struct{}
-	fin       chan struct{}
-	closeOnce sync.Once
-	finOnce   sync.Once
+	streams   map[string]*agentStream
+	order     []string
+	wal       *wal        // nil without SpillDir
+	walQ      []walQueued // ingested but not yet encoded/spilled batches
+	connected bool        // a session holds a live Resume handshake
+	done      *Done       // set by Finish; resent once per connection
 	wg        sync.WaitGroup
 }
 
@@ -108,9 +95,6 @@ type AgentConfig struct {
 	// together does not hammer the sink in lockstep yet every run of a
 	// given agent is reproducible (default 1; wire the shard seed here).
 	RetrySeed uint64
-	// RetryEvery is the deprecated fixed reconnection cadence. When set and
-	// RetryMin is not, it seeds RetryMin for compatibility.
-	RetryEvery time.Duration
 	// HelloTimeout bounds the wait for the sink's Resume/Reject answer to
 	// the session Hello (default 5 s).
 	HelloTimeout time.Duration
@@ -164,21 +148,6 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.Addr == "" || cfg.Testbed == "" || len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("collector: agent needs an address, a testbed and nodes")
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
-	if cfg.RetryMin <= 0 {
-		cfg.RetryMin = cfg.RetryEvery // deprecated alias
-	}
-	if cfg.RetryMin <= 0 {
-		cfg.RetryMin = 100 * time.Millisecond
-	}
-	if cfg.RetryMax <= 0 {
-		cfg.RetryMax = 5 * time.Second
-	}
-	if cfg.RetryMax < cfg.RetryMin {
-		cfg.RetryMax = cfg.RetryMin
-	}
 	if cfg.RetrySeed == 0 {
 		cfg.RetrySeed = 1
 	}
@@ -195,10 +164,9 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		cfg:     cfg,
 		inj:     newFaultInjector(cfg.Fault),
 		streams: make(map[string]*agentStream, len(cfg.Nodes)),
-		work:    make(chan struct{}, 1),
-		closed:  make(chan struct{}),
-		fin:     make(chan struct{}),
 	}
+	a.init(cfg.Addr, retryPolicy{dial: cfg.DialTimeout, min: cfg.RetryMin, max: cfg.RetryMax,
+		seed: int64(cfg.RetrySeed)}, cfg.HelloTimeout, cfg.IOTimeout)
 	var replay map[string]*walStream
 	if cfg.SpillDir != "" {
 		// The spill log is keyed by keyspace-qualified shard name: agents
@@ -245,37 +213,6 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	a.wg.Add(1)
 	go a.run()
 	return a, nil
-}
-
-// signal nudges the writer without blocking.
-func (a *Agent) signal() {
-	select {
-	case a.work <- struct{}{}:
-	default:
-	}
-}
-
-// fatalLocked records the first unrecoverable error and stops the agent.
-// Caller holds mu.
-func (a *Agent) fatalLocked(err error) {
-	if a.err == nil {
-		a.err = err
-	}
-	a.closeOnce.Do(func() { close(a.closed) })
-}
-
-// fatal records the first unrecoverable protocol error and stops the agent.
-func (a *Agent) fatal(err error) {
-	a.mu.Lock()
-	a.fatalLocked(err)
-	a.mu.Unlock()
-}
-
-// Err reports the agent's fatal error, if any.
-func (a *Agent) Err() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.err
 }
 
 // Ingest accepts one drain of a node's logs — the testbed's streaming
@@ -426,14 +363,6 @@ func (a *Agent) Finish(counters map[string]*workload.CountersSnapshot, duration 
 	}
 }
 
-// Stats reports transport counters: data frames sent (before fault
-// injection) and frames that were retransmissions of an earlier send.
-func (a *Agent) Stats() (sent, retransmits int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.sent, a.retransmits
-}
-
 // Close stops the agent without waiting for acknowledgements (tests and
 // error paths; the normal shutdown is Finish). The spill log file is
 // closed but kept on disk — whatever it holds is exactly what a restart
@@ -466,94 +395,26 @@ func (a *Agent) Abort() {
 	a.mu.Unlock()
 }
 
-// backoff computes the delay before reconnection attempt n: capped
-// exponential growth from RetryMin to RetryMax, jittered over the upper
-// half of the window by the deterministic per-agent rng.
-func (a *Agent) backoff(rng *rand.Rand, attempt int) time.Duration {
-	d := a.cfg.RetryMin
-	for i := 0; i < attempt && d < a.cfg.RetryMax; i++ {
-		d *= 2
-	}
-	if d > a.cfg.RetryMax {
-		d = a.cfg.RetryMax
-	}
-	half := d / 2
-	if half <= 0 {
-		return d
-	}
-	return half + time.Duration(rng.Int63n(int64(half)+1))
-}
-
-// run is the connection loop: dial, session, reconnect — until closed or
-// finished. Failed attempts back off exponentially with seeded jitter; a
-// session that got as far as a Resume handshake resets the backoff.
+// run is the agent's connection loop (link.redial) around its sessions.
 func (a *Agent) run() {
 	defer a.wg.Done()
-	rng := rand.New(rand.NewSource(int64(a.cfg.RetrySeed)))
-	attempt := 0
-	for {
-		select {
-		case <-a.closed:
-			return
-		case <-a.fin:
-			return
-		default:
-		}
-		conn, err := net.DialTimeout("tcp", a.cfg.Addr, a.cfg.DialTimeout)
-		if err == nil {
-			resumed := a.session(conn)
-			conn.Close()
-			a.mu.Lock()
-			a.connected = false
-			a.mu.Unlock()
-			if resumed {
-				// The sink was alive and handshaking; reconnect eagerly.
-				attempt = 0
-				continue
-			}
-		}
-		delay := a.backoff(rng, attempt)
-		attempt++
-		select {
-		case <-a.closed:
-			return
-		case <-time.After(delay):
-		}
-	}
+	a.redial(a.session)
 }
 
 // session drives one connection: handshake, then ship until it breaks. It
 // reports whether the sink answered the handshake with Resume (backoff
 // reset).
 func (a *Agent) session(conn net.Conn) bool {
-	hello := Hello{Campaign: a.cfg.Campaign, Keyspace: a.cfg.Keyspace,
-		Testbed: a.cfg.Testbed, Nodes: a.order}
-	if err := writeControl(conn, frameHello, hello); err != nil {
+	res := a.handshake(conn, &Hello{Campaign: a.cfg.Campaign, Keyspace: a.cfg.Keyspace,
+		Testbed: a.cfg.Testbed, Nodes: a.order})
+	if res == nil || !a.applyResume(res) {
 		return false
 	}
-	conn.SetReadDeadline(time.Now().Add(a.cfg.HelloTimeout))
-	fr, err := ReadFrame(conn)
-	if err != nil {
-		return false
-	}
-	if fr.Kind == KindReject {
-		// Typed rejects split two worlds: a service condition (keyspace not
-		// registered yet, quota quarantine, draining sink) is absorbed —
-		// back off and retry, the condition is expected to clear — while a
-		// configuration error (campaign or shard mismatch) must fail
-		// loudly, not retry forever.
-		if !a.absorbReject(fr.Reject) {
-			a.fatal(fmt.Errorf("collector: sink refused session: %s", fr.Reject.Error()))
-		}
-		return false
-	}
-	if fr.Kind != KindResume {
-		return false
-	}
-	conn.SetReadDeadline(time.Time{})
-	if !a.applyResume(fr.Resume) {
-		return false
-	}
+	defer func() {
+		a.mu.Lock()
+		a.connected = false
+		a.mu.Unlock()
+	}()
 
 	readerDone := make(chan struct{})
 	a.wg.Add(1)
@@ -567,8 +428,8 @@ func (a *Agent) session(conn net.Conn) bool {
 		for _, e := range entries {
 			raw := e.raw
 			if raw == nil {
-				raw, err = encodeBatchFrame(e.b, a.cfg.Codec)
-				if err != nil {
+				var err error
+				if raw, err = encodeBatchFrame(e.b, a.cfg.Codec); err != nil {
 					a.fatal(err)
 					return true
 				}
@@ -584,17 +445,8 @@ func (a *Agent) session(conn net.Conn) bool {
 				}
 			}
 		}
-		if done != nil {
-			if h := a.inj.flush(); h != nil {
-				conn.SetWriteDeadline(time.Now().Add(a.cfg.IOTimeout))
-				if _, err := conn.Write(h); err != nil {
-					return true
-				}
-			}
-			conn.SetWriteDeadline(time.Now().Add(a.cfg.IOTimeout))
-			if err := writeControl(conn, frameDone, done); err != nil {
-				return true
-			}
+		if done != nil && a.sendDone(conn, a.inj, done) != nil {
+			return true
 		}
 		select {
 		case <-a.work:
@@ -610,36 +462,20 @@ func (a *Agent) session(conn net.Conn) bool {
 	}
 }
 
-// applyResume aligns the send state with the sink's acknowledged cursors.
-// A cursor behind what the sink already acknowledged means the sink lost
-// its durable state (restarted without its checkpoint): the buffered copies
-// of the acknowledged batches are gone, the campaign cannot be made whole,
-// and the agent fails loudly rather than shipping a silently truncated
-// stream.
+// applyResume aligns every stream's send state with the sink's
+// acknowledged cursors (link.resumeLocked stops the agent on a missing or
+// regressed cursor).
 func (a *Agent) applyResume(res *Resume) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	seen := make(map[string]bool, len(res.Cursors))
-	for _, c := range res.Cursors {
-		st, ok := a.streams[c.Node]
+	for _, node := range a.order {
+		st := a.streams[node]
+		seq, ok := a.resumeLocked(res, a.cfg.Testbed+"/"+node, node, st.acked)
 		if !ok {
-			continue // cursor for a stream this agent does not ship
-		}
-		seen[st.node] = true
-		if c.Seq < st.acked {
-			a.fatalLocked(fmt.Errorf("collector: sink resumed %s/%s at seq %d below acknowledged %d "+
-				"(checkpoint lost?)", a.cfg.Testbed, st.node, c.Seq, st.acked))
 			return false
 		}
-		a.pruneLocked(st, c.Seq)
+		a.pruneLocked(st, seq)
 		st.sentUpTo = st.acked
-	}
-	for _, st := range a.streams {
-		if !seen[st.node] {
-			a.fatalLocked(fmt.Errorf("collector: sink resume is missing stream %s/%s",
-				a.cfg.Testbed, st.node))
-			return false
-		}
 	}
 	a.connected = true
 	a.lastProgress = time.Now()
@@ -715,12 +551,7 @@ func (a *Agent) collect(doneSent *bool) ([]bufEntry, *Done) {
 		st := a.streams[node]
 		for seq := st.sentUpTo + 1; seq <= st.last; seq++ {
 			out = append(out, st.buf[int(seq-st.acked-1)])
-			a.sent++
-			if seq <= st.maxSent {
-				a.retransmits++
-			} else {
-				st.maxSent = seq
-			}
+			a.countSendLocked(seq, &st.maxSent)
 		}
 		st.sentUpTo = st.last
 	}
@@ -760,54 +591,12 @@ func (a *Agent) maybeStallReset() {
 func (a *Agent) reader(conn net.Conn, done chan struct{}) {
 	defer a.wg.Done()
 	defer close(done)
-	for {
-		fr, err := ReadFrame(conn)
-		if err != nil {
-			return
+	a.read(conn, func(ack *Ack) bool {
+		st, ok := a.streams[ack.Node]
+		if !ok || ack.Seq <= st.acked {
+			return false
 		}
-		switch fr.Kind {
-		case KindAck:
-			a.mu.Lock()
-			if st, ok := a.streams[fr.Ack.Node]; ok && fr.Ack.Seq > st.acked {
-				a.pruneLocked(st, fr.Ack.Seq)
-				a.lastProgress = time.Now()
-			}
-			a.mu.Unlock()
-		case KindFin:
-			a.finOnce.Do(func() { close(a.fin) })
-			return
-		case KindReject:
-			// A mid-session reject (the sink started draining, or this
-			// keyspace tripped its quota): same split as at the handshake.
-			if !a.absorbReject(fr.Reject) {
-				a.fatal(fmt.Errorf("collector: sink rejected session: %s", fr.Reject.Error()))
-			}
-			return
-		default:
-			return // protocol violation; reconnect
-		}
-	}
-}
-
-// absorbReject records a retryable reject (the agent backs off and retries)
-// and reports whether it was retryable; fatal rejects are the caller's to
-// escalate.
-func (a *Agent) absorbReject(rej *Reject) bool {
-	if !rej.Retryable() {
-		return false
-	}
-	a.mu.Lock()
-	a.rejects++
-	a.lastReject = rej
-	a.mu.Unlock()
-	return true
-}
-
-// Rejects reports how many retryable rejects the agent has absorbed (each
-// followed by backoff and retry) and the most recent one (nil if none) —
-// the observable trail of quota shedding and drains.
-func (a *Agent) Rejects() (count int, last *Reject) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.rejects, a.lastReject
+		a.pruneLocked(st, ack.Seq)
+		return true
+	})
 }

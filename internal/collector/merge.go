@@ -34,12 +34,12 @@ type Partial struct {
 // testbed subset entirely, or the merge would silently under-count.
 func (s *Sink) Partial(key string) (*Partial, error) {
 	s.mu.Lock()
-	t := s.tenants[key]
+	t := s.tenants[nsKey{key: key}]
 	if t == nil {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("collector: partial of unknown keyspace %q", key)
 	}
-	if t.agg == nil {
+	if !t.complete {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("collector: partial of incomplete keyspace %q (%d/%d testbeds finished)",
 			key, len(t.finished), len(t.cfg.Spec.Testbeds))

@@ -220,7 +220,8 @@ func TestRegisterLate(t *testing.T) {
 // TestDrainRejects checks graceful drain: live unfinished sessions get a
 // retryable draining Reject, and so does every new hello.
 func TestDrainRejects(t *testing.T) {
-	sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0", Spec: tpSpec()})
+	sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0",
+		Keyspaces: []KeyspaceConfig{{Spec: tpSpec()}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +439,8 @@ func TestResumeCursors(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0", Spec: tpSpec()})
+			sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0",
+				Keyspaces: []KeyspaceConfig{{Spec: tpSpec()}}})
 			if err != nil {
 				t.Fatal(err)
 			}

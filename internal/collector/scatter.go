@@ -1,12 +1,8 @@
 package collector
 
 import (
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
-	"math/rand"
 	"net"
 	"sort"
 	"time"
@@ -28,7 +24,10 @@ import (
 // deployment trace by total key — checkpoints after every applied partial,
 // and exports a trailer-sealed district partial when its range completes.
 // MergeDistricts then rebuilds the metro rollup bit-identically to the
-// single-process `btcampaign -scatternet -rollup -stream` run.
+// single-process `btcampaign -scatternet -rollup -stream` run. This file
+// holds only the payload: the session, Done/Fin, completion, checkpoint
+// bookkeeping and Wait are the campaign keyspace's (sink.go), and the
+// agent's connection loop and handshake are link.go's.
 
 // ScatterNet is the scatternet campaign identity beyond CampaignID: the
 // topology knobs that shape every piconet world and the probe plane. Agents
@@ -83,23 +82,16 @@ type DistrictConfig struct {
 	// ScenarioName labels the fold's Dependability column (must be the
 	// campaign's Scenario.String(); defaults to "scenario <N>").
 	ScenarioName string
-	// Lo, Hi bound the piconet range [Lo, Hi) this district accepts.
+	// Lo, Hi bound the piconet range [Lo, Hi) this district hosts; its one
+	// agent session must claim exactly this range.
 	Lo, Hi int
 	// CheckpointPath enables a durable checkpoint after every applied
 	// partial; empty runs the district in memory only.
 	CheckpointPath string
 }
 
-// districtWantsOverlay reports whether the district's range owes the
-// overlay partial: the range containing piconet 0, when the campaign has
-// bridges at all.
-func districtWantsOverlay(cfg DistrictConfig) bool {
-	return cfg.Lo == 0 && cfg.Net.Bridges > 0
-}
-
 // scatterCursor is one registered range's durable progress: the range
-// bounds (so restarts can police overlaps without re-hearing the Hello) and
-// the cumulative applied-and-checkpointed work-item cursor.
+// bounds and the cumulative applied-and-checkpointed work-item cursor.
 type scatterCursor struct {
 	Lo      int    `json:"lo"`
 	Hi      int    `json:"hi"`
@@ -107,27 +99,16 @@ type scatterCursor struct {
 	Seq     uint64 `json:"seq"`
 }
 
-// district is one scatternet district keyspace's private state.
+// district is a district keyspace's fold plane; the session bookkeeping
+// lives in the tenant that hosts it. Its one stream is the range key.
 type district struct {
 	cfg     DistrictConfig
 	fold    *analysis.ScatternetFold
 	folded  []bool // [Hi-Lo): piconet Lo+i folded
 	foldedN int
 	overlay *analysis.OverlayPartial
-
-	cursors  map[string]*scatterCursor // per range key
-	finals   map[string]uint64         // range key -> final work-item count from Done
-	finished map[string]bool
-	sessions map[string]*sinkSession // latest session per range key
-	partial  *DistrictPartial        // set at completion
-
-	applied     int // partials folded (first delivery)
-	duplicates  int // frames filtered as retransmitted duplicates
-	rejected    int // frames refused as protocol errors
-	ckptFails   int
-	lastCkptErr error
-
-	done chan struct{}
+	cursors map[string]*scatterCursor // per range key
+	partial *DistrictPartial          // set at completion
 }
 
 // districtCheckpoint is one district's on-disk state. The fold snapshot is
@@ -147,9 +128,16 @@ type districtCheckpoint struct {
 	Finals  map[string]uint64                `json:"finals,omitempty"`
 }
 
+// districtIdentity renders a district's identity for the checkpoint
+// mismatch error.
+func districtIdentity(key string, c CampaignID, net ScatterNet, lo, hi int) string {
+	return fmt.Sprintf("keyspace %q, seed %d, %v, scenario %d, piconets [%d:%d) of %+v",
+		key, c.Seed, c.Duration, c.Scenario, lo, hi, net)
+}
+
 // newDistrict builds one district keyspace, resuming from its checkpoint
 // file when it exists.
-func newDistrict(cfg DistrictConfig) (*district, error) {
+func newDistrict(cfg DistrictConfig) (*tenant, error) {
 	if cfg.Net.Piconets <= 0 {
 		return nil, fmt.Errorf("collector: district %q declares no piconets", cfg.Key)
 	}
@@ -160,157 +148,104 @@ func newDistrict(cfg DistrictConfig) (*district, error) {
 	if cfg.ScenarioName == "" {
 		cfg.ScenarioName = fmt.Sprintf("scenario %d", cfg.Campaign.Scenario)
 	}
-	d := &district{
-		cfg:      cfg,
-		folded:   make([]bool, cfg.Hi-cfg.Lo),
-		cursors:  make(map[string]*scatterCursor),
-		finals:   make(map[string]uint64),
-		finished: make(map[string]bool),
-		sessions: make(map[string]*sinkSession),
-		done:     make(chan struct{}),
+	d := &district{cfg: cfg, folded: make([]bool, cfg.Hi-cfg.Lo), cursors: make(map[string]*scatterCursor)}
+	t := newKeyspace(KeyspaceConfig{Key: cfg.Key, Campaign: cfg.Campaign,
+		ScenarioName: cfg.ScenarioName, CheckpointPath: cfg.CheckpointPath})
+	t.district = d
+	blob, err := t.readCheckpoint()
+	if err != nil {
+		return nil, err
 	}
-	if cfg.CheckpointPath != "" {
-		if blob, err := ReadFileDurable(cfg.CheckpointPath); err == nil {
-			var cp districtCheckpoint
-			if err := json.Unmarshal(blob, &cp); err != nil {
-				return nil, fmt.Errorf("collector: corrupt district checkpoint %s: %w", cfg.CheckpointPath, err)
+	if blob != nil {
+		var cp districtCheckpoint
+		if err := json.Unmarshal(blob, &cp); err != nil {
+			return nil, t.corrupt(err)
+		}
+		if cp.Campaign != cfg.Campaign || cp.Keyspace != cfg.Key ||
+			cp.Net != cfg.Net || cp.Lo != cfg.Lo || cp.Hi != cfg.Hi {
+			return nil, t.mismatch(districtIdentity(cp.Keyspace, cp.Campaign, cp.Net, cp.Lo, cp.Hi),
+				districtIdentity(cfg.Key, cfg.Campaign, cfg.Net, cfg.Lo, cfg.Hi))
+		}
+		if d.fold, err = analysis.RestoreScatternetFold(cp.Fold); err != nil {
+			return nil, t.corrupt(err)
+		}
+		if len(cp.Folded) != len(d.folded) {
+			return nil, t.corrupt(fmt.Errorf("folded bitmap covers %d piconets, range has %d",
+				len(cp.Folded), len(d.folded)))
+		}
+		d.overlay = cp.Overlay
+		for i, b := range cp.Folded {
+			if d.folded[i] = b; b {
+				d.foldedN++
 			}
-			if cp.Campaign != cfg.Campaign || cp.Keyspace != cfg.Key ||
-				cp.Net != cfg.Net || cp.Lo != cfg.Lo || cp.Hi != cfg.Hi {
-				return nil, fmt.Errorf("collector: checkpoint %s is from a different district "+
-					"(keyspace %q, seed %d, piconets [%d:%d) of %d; this district is %q, seed %d, "+
-					"piconets [%d:%d) of %d) — delete it to start over", cfg.CheckpointPath,
-					cp.Keyspace, cp.Campaign.Seed, cp.Lo, cp.Hi, cp.Net.Piconets,
-					cfg.Key, cfg.Campaign.Seed, cfg.Lo, cfg.Hi, cfg.Net.Piconets)
-			}
-			fold, err := analysis.RestoreScatternetFold(cp.Fold)
-			if err != nil {
-				return nil, fmt.Errorf("collector: restore district checkpoint %s: %w", cfg.CheckpointPath, err)
-			}
-			if len(cp.Folded) != cfg.Hi-cfg.Lo {
-				return nil, fmt.Errorf("collector: checkpoint %s folded bitmap covers %d piconets, range has %d",
-					cfg.CheckpointPath, len(cp.Folded), cfg.Hi-cfg.Lo)
-			}
-			d.fold = fold
-			copy(d.folded, cp.Folded)
-			for _, b := range cp.Folded {
-				if b {
-					d.foldedN++
-				}
-			}
-			d.overlay = cp.Overlay
-			for k, c := range cp.Cursors {
-				d.cursors[k] = c
-			}
-			for k, f := range cp.Finals {
-				d.finals[k] = f
-			}
-		} else if !errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("collector: read district checkpoint: %w", err)
+		}
+		for k, c := range cp.Cursors {
+			d.cursors[k] = c
+		}
+		for k, f := range cp.Finals {
+			t.finals[k] = []StreamCursor{{Node: k, Seq: f}}
 		}
 	}
 	if d.fold == nil {
 		d.fold = analysis.NewScatternetFold(cfg.ScenarioName)
 	}
-	return d, nil
+	return t, nil
 }
 
-// districtCheckpointLocked serializes one district's full state to its
-// checkpoint file (guard trailer, previous-good rotation, atomic rename).
-// Acknowledgements cover exactly what this writes: the cursor IS the
-// ackable position, advanced only after the checkpoint lands. Caller holds
-// mu.
-func (s *Sink) districtCheckpointLocked(d *district) error {
+// wantsOverlay reports whether the district's range owes the overlay
+// partial: the range containing piconet 0, when the campaign has bridges at
+// all.
+func (d *district) wantsOverlay() bool { return d.cfg.Lo == 0 && d.cfg.Net.Bridges > 0 }
+
+// checkpoint serializes the district's full state to its checkpoint file
+// (guard trailer, previous-good rotation, atomic rename). Acknowledgements
+// cover exactly what this writes: the cursor IS the ackable position,
+// advanced only after the checkpoint lands. Caller holds mu.
+func (d *district) checkpoint(t *tenant) error {
+	finals := make(map[string]uint64, len(t.finals))
+	for k, f := range t.finals {
+		finals[k] = f[0].Seq
+	}
 	blob, err := json.Marshal(&districtCheckpoint{
 		Campaign: d.cfg.Campaign, Keyspace: d.cfg.Key, Net: d.cfg.Net,
 		Lo: d.cfg.Lo, Hi: d.cfg.Hi,
 		Fold: d.fold.Snapshot(), Folded: d.folded, Overlay: d.overlay,
-		Cursors: d.cursors, Finals: d.finals,
+		Cursors: d.cursors, Finals: finals,
 	})
 	if err != nil {
 		return err
 	}
-	return WriteFileDurable(d.cfg.CheckpointPath, blob)
+	return WriteFileDurable(t.cfg.CheckpointPath, blob)
 }
 
-// serveScatter drives one district session (the Hello carried a Scatter
-// claim). Validation mirrors the flat path's typed rejects: service
-// conditions are retryable, configuration errors fatal.
-func (s *Sink) serveScatter(conn net.Conn, hello *Hello) {
+// admit runs the district's Hello checks after the shared ones: the
+// scatternet identity must match, the claimed range must be exactly the
+// district's (PROTOCOL §12), and the overlay flag must follow the piconet-0
+// convention. It returns the range key and its Resume cursor. Caller holds
+// mu.
+func (d *district) admit(hello *Hello) (string, *Resume, *Reject) {
 	sc := hello.Scatter
-	s.mu.Lock()
-	draining := s.draining
-	d := s.districts[hello.Keyspace]
-	s.mu.Unlock()
 	switch {
-	case draining:
-		s.rejectHello(conn, RejectDraining, "sink is draining; retry against its replacement")
-		return
-	case d == nil:
-		s.rejectHello(conn, RejectUnknownCampaign,
-			"no district registered under keyspace %q (yet)", hello.Keyspace)
-		return
-	case hello.Campaign != d.cfg.Campaign:
-		s.rejectHello(conn, RejectCampaignMismatch,
-			"campaign mismatch: agent runs seed %d, %v, scenario %d; district %q runs seed %d, %v, scenario %d",
-			hello.Campaign.Seed, hello.Campaign.Duration, hello.Campaign.Scenario,
-			hello.Keyspace, d.cfg.Campaign.Seed, d.cfg.Campaign.Duration, d.cfg.Campaign.Scenario)
-		return
 	case sc.Net != d.cfg.Net:
-		s.rejectHello(conn, RejectCampaignMismatch,
-			"scatternet mismatch: agent runs %+v; district %q runs %+v", sc.Net, hello.Keyspace, d.cfg.Net)
-		return
-	case sc.Lo < d.cfg.Lo || sc.Hi > d.cfg.Hi || sc.Lo >= sc.Hi:
-		s.rejectHello(conn, RejectUnknownShard,
-			"piconet range [%d:%d) outside district %q's [%d:%d)",
-			sc.Lo, sc.Hi, hello.Keyspace, d.cfg.Lo, d.cfg.Hi)
-		return
-	case sc.Overlay != (sc.Lo == 0 && d.cfg.Net.Bridges > 0):
-		s.rejectHello(conn, RejectUnknownShard,
+		return "", nil, &Reject{Code: RejectCampaignMismatch, Reason: fmt.Sprintf(
+			"scatternet mismatch: agent runs %+v; district %q runs %+v", sc.Net, hello.Keyspace, d.cfg.Net)}
+	case sc.Lo != d.cfg.Lo || sc.Hi != d.cfg.Hi:
+		return "", nil, &Reject{Code: RejectUnknownShard, Reason: fmt.Sprintf(
+			"piconet range [%d:%d) is not district %q's [%d:%d)",
+			sc.Lo, sc.Hi, hello.Keyspace, d.cfg.Lo, d.cfg.Hi)}
+	case sc.Overlay != d.wantsOverlay():
+		return "", nil, &Reject{Code: RejectUnknownShard, Reason: fmt.Sprintf(
 			"overlay ownership violation for range [%d:%d): the range starting at piconet 0 "+
 				"carries the overlay exactly when the campaign has bridges (%d configured)",
-			sc.Lo, sc.Hi, d.cfg.Net.Bridges)
-		return
+			sc.Lo, sc.Hi, d.cfg.Net.Bridges)}
 	}
 	key := scatterRangeKey(sc.Lo, sc.Hi)
-	s.mu.Lock()
-	for k, cur := range d.cursors {
-		if k != key && sc.Lo < cur.Hi && cur.Lo < sc.Hi {
-			s.mu.Unlock()
-			s.rejectHello(conn, RejectUnknownShard,
-				"piconet range [%d:%d) overlaps already-registered [%d:%d) in district %q",
-				sc.Lo, sc.Hi, cur.Lo, cur.Hi, hello.Keyspace)
-			return
-		}
-	}
 	cur := d.cursors[key]
 	if cur == nil {
 		cur = &scatterCursor{Lo: sc.Lo, Hi: sc.Hi, Overlay: sc.Overlay}
 		d.cursors[key] = cur
 	}
-	sess := &sinkSession{conn: conn, timeout: s.cfg.WriteTimeout}
-	d.sessions[key] = sess
-	res := Resume{Cursors: []StreamCursor{{Node: key, Seq: cur.Seq}}}
-	s.mu.Unlock()
-	if sess.send(frameResume, &res) != nil {
-		return
-	}
-	for {
-		fr, err := ReadFrame(conn)
-		if err != nil {
-			return
-		}
-		switch fr.Kind {
-		case KindScatter:
-			if !s.handleScatter(d, sess, key, fr.Scatter) {
-				return
-			}
-		case KindDone:
-			s.handleScatterDone(d, key, fr.Done)
-		default:
-			return // protocol violation
-		}
-	}
+	return key, &Resume{Cursors: []StreamCursor{{Node: key, Seq: cur.Seq}}}, nil
 }
 
 // handleScatter applies one kind-8 frame under stop-and-wait discipline:
@@ -318,18 +253,12 @@ func (s *Sink) serveScatter(conn net.Conn, hello *Hello) {
 // acknowledged); retransmissions re-acknowledge the cursor; frames from the
 // future (reorder injection) are ignored and recovered by the agent's stall
 // retransmission. It reports whether the session should continue.
-func (s *Sink) handleScatter(d *district, sess *sinkSession, key string, sb *ScatterBatch) bool {
-	if sb == nil {
-		return false
-	}
+func (s *Sink) handleScatter(t *tenant, sess *sinkSession, key string, sb *ScatterBatch) bool {
+	d := t.district
 	s.mu.Lock()
 	cur := d.cursors[key]
-	if cur == nil {
-		s.mu.Unlock()
-		return false
-	}
 	if sb.Seq <= cur.Seq {
-		d.duplicates++
+		t.duplicates++
 		ack := Ack{Node: key, Seq: cur.Seq}
 		s.mu.Unlock()
 		return sess.send(frameAck, &ack) == nil
@@ -367,116 +296,31 @@ func (s *Sink) handleScatter(d *district, sess *sinkSession, key string, sb *Sca
 		applyErr = fmt.Errorf("work item %d beyond range %s's %d items", sb.Seq, key, items)
 	}
 	if applyErr != nil {
-		d.rejected++
+		t.rejected++
 		s.mu.Unlock()
 		return false
 	}
-	d.applied++
+	t.applied++
 	// The cursor advances BEFORE the checkpoint so the durable state is
 	// self-consistent: the checkpoint that contains this partial's fold also
 	// says it was applied. Checkpointing the old cursor would make a restore
 	// re-request work the fold already holds — and an agent that saw the ack
-	// would correctly abort on the regressed resume cursor.
+	// would correctly abort on the regressed resume cursor. A failed
+	// checkpoint leaves the partial folded in memory but not durable: drop
+	// the session WITHOUT acknowledging — the next applied partial's
+	// full-state checkpoint covers this one too.
 	cur.Seq = sb.Seq
-	if d.cfg.CheckpointPath != "" {
-		if err := s.districtCheckpointLocked(d); err != nil {
-			// The partial is folded in memory (cursor advanced to match) but
-			// not durable: record the failure and drop the session WITHOUT
-			// acknowledging — the next applied partial's full-state
-			// checkpoint covers this one too.
-			d.ckptFails++
-			d.lastCkptErr = err
-			s.mu.Unlock()
-			return false
-		}
+	if t.cfg.CheckpointPath != "" && s.checkpointLocked(t) != nil {
+		s.mu.Unlock()
+		return false
 	}
 	ack := Ack{Node: key, Seq: cur.Seq}
 	s.mu.Unlock()
 	if sess.send(frameAck, &ack) != nil {
 		return false
 	}
-	s.checkScatterCompletion(d)
+	s.checkCompletion(t)
 	return true
-}
-
-// handleScatterDone records a range's final work-item count and releases
-// the agent with Fin once (and only once) the cursor covers it durably.
-func (s *Sink) handleScatterDone(d *district, key string, done *Done) {
-	if done == nil {
-		return
-	}
-	var final uint64
-	for _, c := range done.Final {
-		if c.Node == key {
-			final = c.Seq
-		}
-	}
-	if final == 0 {
-		return
-	}
-	s.mu.Lock()
-	if d.finished[key] {
-		// Re-sent Done after a reconnect: answer with Fin again.
-		sess := d.sessions[key]
-		s.mu.Unlock()
-		if sess != nil {
-			sess.send(frameFin, &Fin{})
-		}
-		return
-	}
-	d.finals[key] = final
-	if d.cfg.CheckpointPath != "" && d.partial == nil {
-		if err := s.districtCheckpointLocked(d); err != nil {
-			d.ckptFails++
-			d.lastCkptErr = err
-			s.mu.Unlock()
-			return
-		}
-	}
-	s.mu.Unlock()
-	s.checkScatterCompletion(d)
-}
-
-// checkScatterCompletion releases ranges whose final cursors are durable,
-// and seals the district partial once every piconet in [Lo, Hi) is folded
-// (plus the overlay, when this district owes it) and every range that
-// opened a session is released. Fin frames go out synchronously BEFORE the
-// done channel closes, same as the flat path: btsink exits once every
-// keyspace completes, so completing on the last fold alone, ahead of the
-// agent's Done, could leave that agent redialling a closed listener.
-func (s *Sink) checkScatterCompletion(d *district) {
-	s.mu.Lock()
-	var fins []*sinkSession
-	for key, final := range d.finals {
-		if d.finished[key] {
-			continue
-		}
-		cur := d.cursors[key]
-		if cur == nil || cur.Seq < final {
-			continue
-		}
-		d.finished[key] = true
-		if sess := d.sessions[key]; sess != nil {
-			fins = append(fins, sess)
-		}
-	}
-	complete := d.partial == nil && len(d.finished) == len(d.cursors) &&
-		d.foldedN == d.cfg.Hi-d.cfg.Lo &&
-		(!districtWantsOverlay(d.cfg) || d.overlay != nil)
-	if complete {
-		d.partial = &DistrictPartial{
-			Keyspace: d.cfg.Key, Campaign: d.cfg.Campaign, Net: d.cfg.Net,
-			Lo: d.cfg.Lo, Hi: d.cfg.Hi,
-			Fold: d.fold.Snapshot(), Overlay: d.overlay,
-		}
-	}
-	s.mu.Unlock()
-	for _, sess := range fins {
-		sess.send(frameFin, &Fin{})
-	}
-	if complete {
-		close(d.done)
-	}
 }
 
 // DistrictPartial is one completed district's contribution to the metro
@@ -494,42 +338,16 @@ type DistrictPartial struct {
 }
 
 // WaitDistrict blocks until the named district's piconet range has fully
-// folded, then returns its sealed partial. A zero timeout waits
-// indefinitely.
+// folded and its agent was released, then returns its sealed partial. A
+// zero timeout waits indefinitely.
 func (s *Sink) WaitDistrict(key string, timeout time.Duration) (*DistrictPartial, error) {
-	s.mu.Lock()
-	d := s.districts[key]
-	s.mu.Unlock()
-	if d == nil {
-		return nil, fmt.Errorf("collector: wait on unknown district %q", key)
-	}
-	var timeoutCh <-chan time.Time
-	if timeout > 0 {
-		timer := time.NewTimer(timeout)
-		defer timer.Stop()
-		timeoutCh = timer.C
-	}
-	select {
-	case <-d.done:
-	case <-timeoutCh:
-		s.mu.Lock()
-		foldedN, applied, dups, rejected := d.foldedN, d.applied, d.duplicates, d.rejected
-		overlayMissing := districtWantsOverlay(d.cfg) && d.overlay == nil
-		ckptFails, ckptErr := d.ckptFails, d.lastCkptErr
-		s.mu.Unlock()
-		msg := fmt.Sprintf("collector: district %q incomplete after %v (%d/%d piconets folded, %d applied, %d duplicates, %d rejected)",
-			key, timeout, foldedN, d.cfg.Hi-d.cfg.Lo, applied, dups, rejected)
-		if overlayMissing {
-			msg += "; overlay partial not received"
-		}
-		if ckptFails > 0 {
-			msg += fmt.Sprintf("; %d checkpoint write failures, last: %v", ckptFails, ckptErr)
-		}
-		return nil, fmt.Errorf("%s", msg)
+	t, err := s.wait(nsKey{district: true, key: key}, timeout)
+	if err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return d.partial, nil
+	return t.district.partial, nil
 }
 
 // MergeDistricts rebuilds the metro rollup from a completed campaign's
@@ -646,7 +464,8 @@ type ScatterAgentConfig struct {
 	Campaign CampaignID
 	// Net is the scatternet identity; must match the district's exactly.
 	Net ScatterNet
-	// Lo, Hi bound this agent's piconet range [Lo, Hi).
+	// Lo, Hi bound this agent's piconet range [Lo, Hi): the district's
+	// whole range.
 	Lo, Hi int
 	// Overlay marks this agent as the bridge-overlay owner; must be set
 	// exactly when Lo == 0 and the campaign has bridges.
@@ -666,8 +485,9 @@ type ScatterAgentConfig struct {
 	RetryMin  time.Duration
 	RetryMax  time.Duration
 	RetrySeed int64
-	// StallTimeout triggers retransmission of the outstanding work item
-	// when its acknowledgement does not arrive (default 5 s).
+	// StallTimeout triggers retransmission of the outstanding work item (or
+	// the Done) when its acknowledgement (or Fin) does not arrive, and
+	// bounds the handshake and each frame write (default 5 s).
 	StallTimeout time.Duration
 	// Fault injects deterministic faults into outgoing kind-8 data frames
 	// (control frames are never injected), exercising the retransmission
@@ -675,44 +495,37 @@ type ScatterAgentConfig struct {
 	Fault FaultConfig
 }
 
-// scatterFatal marks errors that must stop the agent rather than be
-// retried: typed fatal rejects, partial-computation failures, and a resume
-// cursor that regressed below what the sink once acknowledged.
-type scatterFatal struct{ err error }
+// ScatterAgent is one scatternet district agent: the shared session engine
+// (link) shipping fold partials stop-and-wait. Build it with
+// NewScatterAgent, drive it with Run, then read its transport counters.
+type ScatterAgent struct {
+	link  // its mu guards cursor and maxSent
+	cfg   ScatterAgentConfig
+	key   string
+	total uint64
+	inj   *faultInjector
 
-func (e *scatterFatal) Error() string { return e.err.Error() }
-func (e *scatterFatal) Unwrap() error { return e.err }
+	cursor    uint64 // work items acknowledged durable by the sink
+	maxSent   uint64 // highest work item ever sent (retransmit accounting)
+	cachedSeq uint64
+	cached    []byte // encoded kind-8 frame for cachedSeq
+}
 
-// RunScatterAgent runs one scatternet agent to completion: dial, handshake,
-// ship every work item stop-and-wait, Done, Fin. It reconnects with
-// jittered exponential backoff through sink restarts and transient rejects,
-// and returns nil only after the sink released the session with Fin.
-func RunScatterAgent(cfg ScatterAgentConfig) error {
+// NewScatterAgent validates the configuration and builds the agent.
+func NewScatterAgent(cfg ScatterAgentConfig) (*ScatterAgent, error) {
 	if cfg.Lo < 0 || cfg.Hi <= cfg.Lo {
-		return fmt.Errorf("collector: scatternet agent range [%d:%d) is empty", cfg.Lo, cfg.Hi)
+		return nil, fmt.Errorf("collector: scatternet agent range [%d:%d) is empty", cfg.Lo, cfg.Hi)
 	}
 	if cfg.RunPiconet == nil {
-		return fmt.Errorf("collector: scatternet agent without a RunPiconet callback")
+		return nil, fmt.Errorf("collector: scatternet agent without a RunPiconet callback")
 	}
 	if cfg.Overlay && cfg.RunOverlay == nil {
-		return fmt.Errorf("collector: overlay-owning scatternet agent without a RunOverlay callback")
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
-	if cfg.RetryMin <= 0 {
-		cfg.RetryMin = 100 * time.Millisecond
-	}
-	if cfg.RetryMax <= 0 {
-		cfg.RetryMax = 5 * time.Second
-	}
-	if cfg.RetryMax < cfg.RetryMin {
-		cfg.RetryMax = cfg.RetryMin
+		return nil, fmt.Errorf("collector: overlay-owning scatternet agent without a RunOverlay callback")
 	}
 	if cfg.StallTimeout <= 0 {
 		cfg.StallTimeout = 5 * time.Second
 	}
-	a := &scatterAgent{
+	a := &ScatterAgent{
 		cfg:   cfg,
 		key:   scatterRangeKey(cfg.Lo, cfg.Hi),
 		total: uint64(cfg.Hi - cfg.Lo),
@@ -721,180 +534,133 @@ func RunScatterAgent(cfg ScatterAgentConfig) error {
 	if cfg.Overlay {
 		a.total++
 	}
-	rng := rand.New(rand.NewSource(cfg.RetrySeed))
-	attempt := 0
-	for {
-		conn, err := net.DialTimeout("tcp", cfg.Addr, cfg.DialTimeout)
-		if err == nil {
-			done, resumed, serr := a.session(conn)
-			conn.Close()
-			if done {
-				return nil
-			}
-			var fatal *scatterFatal
-			if errors.As(serr, &fatal) {
-				return fatal.err
-			}
-			if resumed {
-				attempt = 0
-				continue
-			}
-		}
-		time.Sleep(scatterBackoff(cfg.RetryMin, cfg.RetryMax, rng, attempt))
-		attempt++
-	}
+	a.init(cfg.Addr, retryPolicy{dial: cfg.DialTimeout, min: cfg.RetryMin, max: cfg.RetryMax,
+		seed: cfg.RetrySeed}, cfg.StallTimeout, cfg.StallTimeout)
+	return a, nil
 }
 
-// scatterBackoff mirrors the flat agent's reconnect delay: capped
-// exponential growth jittered over the upper half of the window.
-func scatterBackoff(min, max time.Duration, rng *rand.Rand, attempt int) time.Duration {
-	d := min
-	for i := 0; i < attempt && d < max; i++ {
-		d *= 2
+// RunScatterAgent builds one scatternet agent and runs it to completion,
+// for callers that need no transport counters (the root package's
+// distributed metro tests). Everything else uses NewScatterAgent and Run.
+func RunScatterAgent(cfg ScatterAgentConfig) error {
+	a, err := NewScatterAgent(cfg)
+	if err != nil {
+		return err
 	}
-	if d > max {
-		d = max
-	}
-	half := d / 2
-	if half <= 0 {
-		return d
-	}
-	return half + time.Duration(rng.Int63n(int64(half)+1))
+	return a.Run()
 }
 
-// scatterAgent is RunScatterAgent's connection-spanning state: the
-// cumulative acknowledged cursor and the cached encoding of the one
-// outstanding work item (stop-and-wait ships at most one).
-type scatterAgent struct {
-	cfg   ScatterAgentConfig
-	key   string
-	total uint64
-	inj   *faultInjector
-
-	cursor    uint64 // work items acknowledged durable by the sink
-	cachedSeq uint64
-	cached    []byte // encoded kind-8 frame for cachedSeq
+// Run drives the agent to completion: dial, handshake, ship every work item
+// stop-and-wait, Done, Fin. It reconnects with jittered exponential backoff
+// through sink restarts and transient rejects, and returns nil only after
+// the sink released the session with Fin.
+func (a *ScatterAgent) Run() error {
+	a.redial(a.session)
+	select {
+	case <-a.fin:
+		return nil
+	default:
+		return a.Err()
+	}
 }
 
 // session drives one connection: handshake, ship the remaining work items
-// stop-and-wait, then Done/Fin. It reports (finished, resumed, error);
-// fatal errors are wrapped in scatterFatal.
-func (a *scatterAgent) session(conn net.Conn) (bool, bool, error) {
-	hello := Hello{Campaign: a.cfg.Campaign, Keyspace: a.cfg.Keyspace,
+// stop-and-wait, then Done until Fin. It reports whether the sink answered
+// with Resume (backoff reset).
+func (a *ScatterAgent) session(conn net.Conn) bool {
+	res := a.handshake(conn, &Hello{Campaign: a.cfg.Campaign, Keyspace: a.cfg.Keyspace,
 		Testbed: a.key, Scatter: &ScatterHello{
-			Net: a.cfg.Net, Lo: a.cfg.Lo, Hi: a.cfg.Hi, Overlay: a.cfg.Overlay}}
-	if err := writeControl(conn, frameHello, hello); err != nil {
-		return false, false, nil
+			Net: a.cfg.Net, Lo: a.cfg.Lo, Hi: a.cfg.Hi, Overlay: a.cfg.Overlay}})
+	if res == nil {
+		return false
 	}
-	conn.SetReadDeadline(time.Now().Add(a.cfg.StallTimeout))
-	fr, err := ReadFrame(conn)
-	if err != nil {
-		return false, false, nil
+	a.mu.Lock()
+	acked, ok := a.resumeLocked(res, a.key, a.key, a.cursor)
+	a.cursor = max(a.cursor, acked)
+	a.mu.Unlock()
+	if !ok {
+		return true
 	}
-	if fr.Kind == KindReject {
-		if fr.Reject.Retryable() {
-			return false, false, nil
-		}
-		return false, false, &scatterFatal{fmt.Errorf("collector: sink refused district session: %s", fr.Reject.Error())}
-	}
-	if fr.Kind != KindResume {
-		return false, false, nil
-	}
-	var acked uint64
-	for _, c := range fr.Resume.Cursors {
-		if c.Node == a.key {
-			acked = c.Seq
-		}
-	}
-	if acked < a.cursor {
-		return false, true, &scatterFatal{fmt.Errorf(
-			"collector: district sink lost durable state: resume cursor %d below acknowledged %d "+
-				"(restarted without its checkpoint?)", acked, a.cursor)}
-	}
-	a.cursor = acked
 
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		a.read(conn, func(ack *Ack) bool {
+			if ack.Node != a.key || ack.Seq <= a.cursor {
+				return false
+			}
+			a.cursor = ack.Seq
+			a.signal()
+			return true
+		})
+	}()
+	defer func() {
+		conn.Close()
+		<-readerDone
+	}()
+
+	stall := time.NewTimer(a.cfg.StallTimeout)
+	defer stall.Stop()
+	var inFlight uint64 // work item on the wire, awaiting its ack
+	doneSent := false
 	stalls := 0
-	for a.cursor < a.total {
-		seq := a.cursor + 1
-		if a.cachedSeq != seq {
-			frame, err := a.encodeItem(seq)
-			if err != nil {
-				return false, true, &scatterFatal{err}
-			}
-			a.cachedSeq, a.cached = seq, frame
-		}
-		frames, delay := a.inj.apply(a.cached)
-		if delay > 0 {
-			time.Sleep(delay)
-		}
-		for _, f := range frames {
-			if _, err := conn.Write(f); err != nil {
-				return false, true, nil
-			}
-		}
-		conn.SetReadDeadline(time.Now().Add(a.cfg.StallTimeout))
-		fr, err := ReadFrame(conn)
-		if err != nil {
-			var nerr net.Error
-			if errors.As(err, &nerr) && nerr.Timeout() {
-				// The frame (or its ack) was lost: retransmit. A few
-				// stalls in a row mean the connection is wedged —
-				// reconnect instead.
-				if stalls++; stalls >= 8 {
-					return false, true, nil
-				}
-				continue
-			}
-			return false, true, nil
-		}
-		stalls = 0
-		switch fr.Kind {
-		case KindAck:
-			if fr.Ack.Node == a.key && fr.Ack.Seq > a.cursor {
-				a.cursor = fr.Ack.Seq
-			}
-		case KindReject:
-			if fr.Reject.Retryable() {
-				return false, true, nil
-			}
-			return false, true, &scatterFatal{fmt.Errorf("collector: district sink rejected session: %s", fr.Reject.Error())}
-		default:
-			return false, true, nil
-		}
-	}
-	// Every work item is durable; a reorder-held frame is obsolete now.
-	a.inj.flush()
-	a.cachedSeq, a.cached = 0, nil
-	done := Done{Testbed: a.key, Duration: a.cfg.Campaign.Duration,
-		Final: []StreamCursor{{Node: a.key, Seq: a.total}}}
 	for {
-		if err := writeControl(conn, frameDone, &done); err != nil {
-			return false, true, nil
-		}
-		conn.SetReadDeadline(time.Now().Add(a.cfg.StallTimeout))
-		fr, err := ReadFrame(conn)
-		if err != nil {
-			var nerr net.Error
-			if errors.As(err, &nerr) && nerr.Timeout() {
-				if stalls++; stalls >= 8 {
-					return false, true, nil
+		a.mu.Lock()
+		cursor := a.cursor
+		a.mu.Unlock()
+		switch {
+		case cursor < a.total && inFlight <= cursor:
+			seq := cursor + 1
+			if a.cachedSeq != seq {
+				frame, err := a.encodeItem(seq)
+				if err != nil {
+					a.fatal(err)
+					return true
 				}
-				continue
+				a.cachedSeq, a.cached = seq, frame
 			}
-			return false, true, nil
+			a.mu.Lock()
+			a.countSendLocked(seq, &a.maxSent)
+			a.mu.Unlock()
+			frames, delay := a.inj.apply(a.cached)
+			if delay > 0 {
+				time.Sleep(delay)
+			}
+			for _, f := range frames {
+				conn.SetWriteDeadline(time.Now().Add(a.ioTimeout))
+				if _, err := conn.Write(f); err != nil {
+					return true
+				}
+			}
+			inFlight = seq
+			stall.Reset(a.cfg.StallTimeout)
+		case cursor == a.total && !doneSent:
+			// Every work item is durable: release the cached frame and
+			// declare the range done.
+			a.cachedSeq, a.cached = 0, nil
+			if a.sendDone(conn, a.inj, &Done{Testbed: a.key, Duration: a.cfg.Campaign.Duration,
+				Final: []StreamCursor{{Node: a.key, Seq: a.total}}}) != nil {
+				return true
+			}
+			doneSent = true
+			stall.Reset(a.cfg.StallTimeout)
 		}
-		switch fr.Kind {
-		case KindFin:
-			return true, true, nil
-		case KindAck:
-			// Stale ack still in flight; keep waiting for Fin.
-		case KindReject:
-			if fr.Reject.Retryable() {
-				return false, true, nil
+		select {
+		case <-a.work:
+			stalls = 0
+		case <-stall.C:
+			// The frame (or its ack, or the Fin) was lost: retransmit. A few
+			// stalls in a row mean the connection is wedged — reconnect.
+			if stalls++; stalls >= 8 {
+				return true
 			}
-			return false, true, &scatterFatal{fmt.Errorf("collector: district sink rejected session: %s", fr.Reject.Error())}
-		default:
-			return false, true, nil
+			inFlight, doneSent = 0, false
+		case <-readerDone:
+			return true
+		case <-a.fin:
+			return true
+		case <-a.closed:
+			return true
 		}
 	}
 }
@@ -902,7 +668,7 @@ func (a *scatterAgent) session(conn net.Conn) (bool, bool, error) {
 // encodeItem computes work item seq (running the piconet world or the
 // overlay) and renders its complete kind-8 frame, so the fault injector can
 // hold, duplicate or drop it whole.
-func (a *scatterAgent) encodeItem(seq uint64) ([]byte, error) {
+func (a *ScatterAgent) encodeItem(seq uint64) ([]byte, error) {
 	sb := ScatterBatch{Seq: seq}
 	if items := uint64(a.cfg.Hi - a.cfg.Lo); seq <= items {
 		p, err := a.cfg.RunPiconet(a.cfg.Lo + int(seq) - 1)
@@ -920,15 +686,5 @@ func (a *scatterAgent) encodeItem(seq uint64) ([]byte, error) {
 		}
 		sb.Overlay = ov
 	}
-	blob, err := json.Marshal(&sb)
-	if err != nil {
-		return nil, fmt.Errorf("collector: marshal scatter frame: %w", err)
-	}
-	if 1+len(blob) > maxBatchBytes {
-		return nil, fmt.Errorf("collector: scatter frame of %d bytes exceeds limit", 1+len(blob))
-	}
-	frame := make([]byte, 5, 5+len(blob))
-	binary.BigEndian.PutUint32(frame[:4], uint32(1+len(blob)))
-	frame[4] = frameScatter
-	return append(frame, blob...), nil
+	return jsonFrame(frameScatter, &sb)
 }

@@ -15,50 +15,55 @@ import (
 )
 
 // Sink is the distributed collection plane's repository process
-// (cmd/btsink): a multi-tenant service hosting one streaming aggregator per
-// campaign keyspace. It accepts agent sessions over TCP, routes each session
-// to its keyspace by the Hello handshake, applies sequenced batches exactly
-// once (duplicates from retransmission are filtered by sequence number), and
-// acknowledges durable progress.
+// (cmd/btsink): a multi-tenant service hosting many keyspaces. It accepts
+// agent sessions over TCP, routes each session to its keyspace by the Hello
+// handshake, applies sequenced work exactly once (duplicates from
+// retransmission are filtered by sequence number), and acknowledges durable
+// progress.
+//
+// One session engine serves two payloads. A campaign keyspace folds
+// watermarked record batches into a streaming aggregator (go-back-N on the
+// agent side); a scatternet district keyspace (scatter.go) folds per-piconet
+// fold partials (stop-and-wait). The Hello, the shared rejects, the Resume,
+// the Done/Fin release, completion, checkpoint bookkeeping, Wait and the
+// Drain/Close loops are the same code for both.
 //
 // Tenancy and robustness properties:
 //
-//   - Every keyspace has its own streamer, checkpoint file, completion state
-//     and transport counters: one campaign finishing, failing or flooding
-//     never touches its neighbors' state.
-//   - Admission control: per-keyspace byte/batch ingest quotas. A keyspace
-//     that exhausts its quota is quarantined — its sessions get a typed
-//     over-quota Reject, new hellos are refused, and the quarantine is
-//     persisted in the keyspace's checkpoint so a sink restart does not
-//     silently re-admit the offender. Requota lifts it.
+//   - Every keyspace has its own aggregation state, checkpoint file,
+//     completion state and transport counters: one campaign finishing,
+//     failing or flooding never touches its neighbors' state.
+//   - Admission control: per-keyspace byte/batch ingest quotas on campaign
+//     keyspaces. A keyspace that exhausts its quota is quarantined — its
+//     sessions get a typed over-quota Reject, new hellos are refused, and
+//     the quarantine is persisted in the keyspace's checkpoint so a sink
+//     restart does not silently re-admit the offender. Requota lifts it.
 //   - Backpressure: when the sink's total buffered record count exceeds the
 //     configured memory budget, acknowledgements are delayed. Acks gate the
 //     agents' send windows, so the fleet slows down instead of ballooning
 //     the sink's memory.
-//   - Graceful drain: Drain seals every tenant's checkpoint, notifies live
+//   - Graceful drain: Drain seals every keyspace's checkpoint, notifies live
 //     sessions with a retryable draining Reject, and refuses new hellos —
 //     agents back off and resume against the restarted (or replacement)
 //     sink with nothing lost.
 //
-// With a checkpoint path configured a tenant periodically serializes its
-// full live aggregation state — analysis.StreamerCheckpoint plus the
-// counters and completion bookkeeping — to disk with an atomic rename, and
-// acknowledges only checkpoint-covered batches. A killed sink restarted on
-// the same checkpoint files resumes exactly where the last checkpoints left
-// off; agents reconnect, learn the durable cursors from the Resume
-// handshake, retransmit the tail, and every campaign completes with tables
-// bit-identical to an uninterrupted run (pinned by TestDistributedResume and
-// the multi-tenant chaos tests).
+// With a checkpoint path configured a keyspace serializes its full live
+// aggregation state plus the session bookkeeping to disk with an atomic
+// rename, and acknowledges only checkpoint-covered work. A killed sink
+// restarted on the same checkpoint files resumes exactly where the last
+// checkpoints left off; agents reconnect, learn the durable cursors from the
+// Resume handshake, retransmit the tail, and every campaign completes with
+// tables bit-identical to an uninterrupted run (pinned by
+// TestDistributedResume, the multi-tenant chaos tests and the metro suite).
 type Sink struct {
 	cfg SinkConfig
 	ln  net.Listener
 
-	mu        sync.Mutex
-	tenants   map[string]*tenant
-	districts map[string]*district
-	conns     map[net.Conn]bool
-	draining  bool
-	closed    bool
+	mu       sync.Mutex
+	tenants  map[nsKey]*tenant
+	conns    map[net.Conn]bool
+	draining bool
+	closed   bool
 
 	delayedAcks    int // acks delayed by the memory-budget backpressure
 	hellosRejected int // hello handshakes answered with a Reject
@@ -66,34 +71,49 @@ type Sink struct {
 	wg sync.WaitGroup
 }
 
-// tenant is one campaign keyspace's private state.
-type tenant struct {
-	cfg KeyspaceConfig
-	str *analysis.Streamer
+// nsKey addresses a keyspace. Campaign keyspaces and districts are separate
+// namespaces: the Hello's Scatter field picks the district one.
+type nsKey struct {
+	district bool
+	key      string
+}
 
-	ackable   map[skey]StreamCursor // what sessions may acknowledge
+// tenant is one hosted keyspace: the plane-independent session bookkeeping,
+// then the payload plane's state — record streams, or (district non-nil) a
+// scatternet district's fold.
+type tenant struct {
+	// cfg is the keyspace's identity (Key, Campaign, ScenarioName,
+	// CheckpointPath); the record plane also reads its Spec and quotas.
+	cfg      KeyspaceConfig
+	district *district
+
+	// Done/Fin bookkeeping per stream: a campaign testbed, or a district's
+	// piconet range.
 	finals    map[string][]StreamCursor
 	counters  map[string]map[string]*workload.CountersSnapshot
 	durations map[string]sim.Time
 	finished  map[string]bool
-	sessions  map[string]*sinkSession // latest session per testbed
-	sinceCP   int
-	agg       *analysis.Aggregates // set at completion
-	trace     []analysis.DependEvent
+	sessions  map[string]*sinkSession // latest session per stream
+	complete  bool
 
-	applied     int // batches applied (first delivery)
-	duplicates  int // batch frames filtered as retransmitted duplicates
-	rejected    int // batch frames refused as protocol errors
+	applied     int // work items applied (first delivery)
+	duplicates  int // data frames filtered as retransmitted duplicates
+	rejected    int // data frames refused as protocol errors
 	ckptFails   int // checkpoint write failures (disk trouble, not protocol)
 	lastCkptErr error
 
+	done chan struct{}
+
+	// The record plane.
+	str           *analysis.Streamer
+	ackable       map[skey]StreamCursor // what sessions may acknowledge
+	sinceCP       int
+	agg           *analysis.Aggregates // set at completion
+	trace         []analysis.DependEvent
 	ingestBytes   int64 // data-frame wire bytes received (retransmissions included)
 	ingestBatches int   // data frames received
 	quarantined   bool  // over quota: shedding load until Requota
-
-	ckptBuf []byte // checkpoint encode buffer, reused until completion
-
-	done chan struct{}
+	ckptBuf       []byte
 }
 
 // KeyspaceConfig declares one campaign keyspace hosted by a Sink.
@@ -126,28 +146,16 @@ type KeyspaceConfig struct {
 	MaxBatches int
 }
 
-// SinkConfig configures a Sink. The Campaign/Spec/CheckpointPath trio is the
-// single-campaign shorthand: when Spec declares any testbeds, it becomes the
-// default ("") keyspace, which is how pre-multi-tenant deployments keep
-// working unchanged. Additional (or all) campaigns go in Keyspaces.
+// SinkConfig configures a Sink.
 type SinkConfig struct {
 	// Addr is the TCP listen address ("127.0.0.1:0" for an ephemeral port).
 	Addr string
-	// Campaign identifies the default keyspace's campaign (single-campaign
-	// shorthand; see KeyspaceConfig.Campaign).
-	Campaign CampaignID
-	// Spec declares the default keyspace's streams (single-campaign
-	// shorthand; see KeyspaceConfig.Spec).
-	Spec analysis.StreamSpec
-	// CheckpointPath is the default keyspace's checkpoint file (see
-	// KeyspaceConfig.CheckpointPath).
-	CheckpointPath string
-	// Keyspaces declares the hosted campaigns beyond (or instead of) the
-	// single-campaign shorthand fields.
+	// Keyspaces declares the hosted campaigns; the one keyed "" is the
+	// default keyspace agents without a -keyspace land in.
 	Keyspaces []KeyspaceConfig
 	// Districts declares the hosted scatternet district keyspaces: piconet
 	// ranges of metro campaigns whose agents ship fold partials (protocol
-	// §12) instead of record batches. Districts and flat keyspaces are
+	// §12) instead of record batches. Districts and campaign keyspaces are
 	// independent namespaces; a sink may host both at once.
 	Districts []DistrictConfig
 	// AllowEmpty lets the sink start with no keyspaces at all — the
@@ -155,7 +163,8 @@ type SinkConfig struct {
 	// Without it an empty configuration is a loud error.
 	AllowEmpty bool
 	// CheckpointEvery is the number of received batch frames between a
-	// keyspace's checkpoints (default 64; 1 checkpoints after every frame).
+	// campaign keyspace's checkpoints (default 64; 1 checkpoints after every
+	// frame). Districts checkpoint after every applied partial.
 	CheckpointEvery int
 	// MemoryBudget bounds the total buffered (not yet folded) record count
 	// across all keyspaces; above it acknowledgements are delayed by
@@ -198,10 +207,10 @@ func (s *sinkSession) send(kind byte, payload any) error {
 	return writeControl(s.conn, kind, payload)
 }
 
-// sinkCheckpoint is one keyspace's on-disk state: the campaign identity, the
-// full live aggregation state, and the session-protocol and admission
-// bookkeeping that must survive a crash. (Quota accounting is persisted so
-// a restart cannot silently re-admit a quarantined campaign.)
+// sinkCheckpoint is one campaign keyspace's on-disk state: the campaign
+// identity, the full live aggregation state, and the session-protocol and
+// admission bookkeeping that must survive a crash. (Quota accounting is
+// persisted so a restart cannot silently re-admit a quarantined campaign.)
 type sinkCheckpoint struct {
 	Campaign  CampaignID                                       `json:"campaign"`
 	Keyspace  string                                           `json:"keyspace,omitempty"`
@@ -239,40 +248,31 @@ func NewSink(cfg SinkConfig) (*Sink, error) {
 	if cfg.BackpressureDelay <= 0 {
 		cfg.BackpressureDelay = 2 * time.Millisecond
 	}
-	s := &Sink{
-		cfg:       cfg,
-		tenants:   make(map[string]*tenant),
-		districts: make(map[string]*district),
-		conns:     make(map[net.Conn]bool),
-	}
-	keyspaces := cfg.Keyspaces
-	if len(cfg.Spec.Testbeds) > 0 {
-		keyspaces = append([]KeyspaceConfig{{
-			Campaign: cfg.Campaign, Spec: cfg.Spec, CheckpointPath: cfg.CheckpointPath,
-		}}, keyspaces...)
-	}
-	if len(keyspaces) == 0 && len(cfg.Districts) == 0 && !cfg.AllowEmpty {
+	if len(cfg.Keyspaces) == 0 && len(cfg.Districts) == 0 && !cfg.AllowEmpty {
 		return nil, fmt.Errorf("collector: sink declares no keyspaces (set AllowEmpty for the always-on mode)")
 	}
-	for _, dc := range cfg.Districts {
-		d, err := newDistrict(dc)
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := s.districts[dc.Key]; dup {
-			return nil, fmt.Errorf("collector: duplicate district keyspace %q", dc.Key)
-		}
-		s.districts[dc.Key] = d
+	s := &Sink{
+		cfg:     cfg,
+		tenants: make(map[nsKey]*tenant),
+		conns:   make(map[net.Conn]bool),
 	}
-	for _, ks := range keyspaces {
-		t, err := s.newTenant(ks)
+	for _, dc := range cfg.Districts {
+		t, err := newDistrict(dc)
+		if err == nil {
+			err = s.addLocked(t)
+		}
 		if err != nil {
 			return nil, err
 		}
-		if _, dup := s.tenants[ks.Key]; dup {
-			return nil, fmt.Errorf("collector: duplicate keyspace %q", ks.Key)
+	}
+	for _, ks := range cfg.Keyspaces {
+		t, err := s.newTenant(ks)
+		if err == nil {
+			err = s.addLocked(t)
 		}
-		s.tenants[ks.Key] = t
+		if err != nil {
+			return nil, err
+		}
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
@@ -282,20 +282,15 @@ func NewSink(cfg SinkConfig) (*Sink, error) {
 	for _, t := range s.tenants {
 		s.checkCompletion(t) // a checkpoint taken after completion resumes complete
 	}
-	for _, d := range s.districts {
-		s.checkScatterCompletion(d)
-	}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
 }
 
-// newTenant builds one keyspace, resuming from its checkpoint file when it
-// exists.
-func (s *Sink) newTenant(ks KeyspaceConfig) (*tenant, error) {
-	t := &tenant{
-		cfg:       ks,
-		ackable:   make(map[skey]StreamCursor),
+// newKeyspace builds the plane-independent part of a keyspace.
+func newKeyspace(cfg KeyspaceConfig) *tenant {
+	return &tenant{
+		cfg:       cfg,
 		finals:    make(map[string][]StreamCursor),
 		counters:  make(map[string]map[string]*workload.CountersSnapshot),
 		durations: make(map[string]sim.Time),
@@ -303,44 +298,88 @@ func (s *Sink) newTenant(ks KeyspaceConfig) (*tenant, error) {
 		sessions:  make(map[string]*sinkSession),
 		done:      make(chan struct{}),
 	}
-	if ks.CheckpointPath != "" {
-		if blob, err := ReadFileDurable(ks.CheckpointPath); err == nil {
-			cp, err := decodeSinkCheckpoint(blob)
-			if err != nil {
-				return nil, fmt.Errorf("collector: corrupt sink checkpoint %s: %w", ks.CheckpointPath, err)
-			}
-			if cp.Campaign != ks.Campaign || cp.Keyspace != ks.Key {
-				return nil, fmt.Errorf("collector: checkpoint %s is from a different campaign "+
-					"(keyspace %q, seed %d, %v, scenario %d; this keyspace is %q, seed %d, %v, scenario %d) — "+
-					"delete it to start over", ks.CheckpointPath,
-					cp.Keyspace, cp.Campaign.Seed, cp.Campaign.Duration, cp.Campaign.Scenario,
-					ks.Key, ks.Campaign.Seed, ks.Campaign.Duration, ks.Campaign.Scenario)
-			}
-			str, err := analysis.RestoreStreamer(ks.Spec, cp.Streamer)
-			if err != nil {
-				return nil, fmt.Errorf("collector: restore sink checkpoint: %w", err)
-			}
-			t.str = str
-			for i := range cp.Streamer.Shards {
-				sh := &cp.Streamer.Shards[i]
-				t.ackable[skey{sh.Testbed, sh.Node}] = StreamCursor{
-					Node: sh.Node, Seq: sh.NextSeq - 1, Watermark: sh.Watermark}
-			}
-			for tb, final := range cp.Finals {
-				t.finals[tb] = final
-			}
-			for tb, m := range cp.Counters {
-				t.counters[tb] = m
-			}
-			for tb, d := range cp.Durations {
-				t.durations[tb] = d
-			}
-			t.ingestBytes = cp.IngestBytes
-			t.ingestBatches = cp.IngestBatches
-			t.quarantined = cp.Quarantined
-		} else if !errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("collector: read sink checkpoint: %w", err)
+}
+
+// id is the keyspace's namespace address.
+func (t *tenant) id() nsKey { return nsKey{district: t.district != nil, key: t.cfg.Key} }
+
+// kind names the keyspace's plane in metrics and messages.
+func (t *tenant) kind() string { return t.id().kind() }
+
+// kind names the namespace: "campaign" or "district".
+func (id nsKey) kind() string {
+	if id.district {
+		return "district"
+	}
+	return "campaign"
+}
+
+// readCheckpoint reads the keyspace's checkpoint file: nil when the
+// keyspace does not checkpoint or has not written one yet.
+func (t *tenant) readCheckpoint() ([]byte, error) {
+	path := t.cfg.CheckpointPath
+	if path == "" {
+		return nil, nil
+	}
+	blob, err := ReadFileDurable(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("collector: read %s checkpoint: %w", t.kind(), err)
+	}
+	return blob, nil
+}
+
+// corrupt wraps a failure to decode or install the keyspace's checkpoint.
+func (t *tenant) corrupt(err error) error {
+	return fmt.Errorf("collector: corrupt %s checkpoint %s: %w", t.kind(), t.cfg.CheckpointPath, err)
+}
+
+// mismatch refuses a checkpoint recorded under another identity — never
+// silently substituted. got and want render the two identities.
+func (t *tenant) mismatch(got, want string) error {
+	return fmt.Errorf("collector: checkpoint %s is from a different %s (%s; this %s is %s) — "+
+		"delete it to start over", t.cfg.CheckpointPath, t.kind(), got, t.kind(), want)
+}
+
+// campaignIdentity renders a campaign keyspace's identity for the
+// checkpoint mismatch error.
+func campaignIdentity(key string, c CampaignID) string {
+	return fmt.Sprintf("keyspace %q, seed %d, %v, scenario %d", key, c.Seed, c.Duration, c.Scenario)
+}
+
+// newTenant builds one campaign keyspace, resuming from its checkpoint file
+// when it exists.
+func (s *Sink) newTenant(ks KeyspaceConfig) (*tenant, error) {
+	t := newKeyspace(ks)
+	t.ackable = make(map[skey]StreamCursor)
+	blob, err := t.readCheckpoint()
+	if err != nil {
+		return nil, err
+	}
+	if blob != nil {
+		cp, err := decodeSinkCheckpoint(blob)
+		if err != nil {
+			return nil, t.corrupt(err)
 		}
+		if cp.Campaign != ks.Campaign || cp.Keyspace != ks.Key {
+			return nil, t.mismatch(campaignIdentity(cp.Keyspace, cp.Campaign), campaignIdentity(ks.Key, ks.Campaign))
+		}
+		if t.str, err = analysis.RestoreStreamer(ks.Spec, cp.Streamer); err != nil {
+			return nil, t.corrupt(err)
+		}
+		t.advanceAckable(cp.Streamer)
+		for tb, final := range cp.Finals {
+			t.finals[tb] = final
+		}
+		for tb, m := range cp.Counters {
+			t.counters[tb] = m
+		}
+		for tb, d := range cp.Durations {
+			t.durations[tb] = d
+		}
+		t.ingestBytes, t.ingestBatches, t.quarantined = cp.IngestBytes, cp.IngestBatches, cp.Quarantined
 	}
 	if t.str == nil {
 		str, err := analysis.NewStreamer(ks.Spec)
@@ -357,27 +396,32 @@ func (s *Sink) newTenant(ks KeyspaceConfig) (*tenant, error) {
 	return t, nil
 }
 
-// Register adds a keyspace to a running sink — the always-on service path,
-// where campaigns come and go while the sink stays up. Registering an
-// existing key, or registering on a draining sink, is an error.
+// addLocked hosts a built keyspace. Caller holds mu (or owns the sink
+// exclusively, as NewSink does).
+func (s *Sink) addLocked(t *tenant) error {
+	switch {
+	case s.closed:
+		return fmt.Errorf("collector: register %q on a closed sink", t.cfg.Key)
+	case s.draining:
+		return fmt.Errorf("collector: register %q on a draining sink", t.cfg.Key)
+	case s.tenants[t.id()] != nil:
+		return fmt.Errorf("collector: %s keyspace %q already registered", t.kind(), t.cfg.Key)
+	}
+	s.tenants[t.id()] = t
+	return nil
+}
+
+// Register adds a campaign keyspace to a running sink — the always-on
+// service path, where campaigns come and go while the sink stays up.
+// Registering an existing key, or registering on a draining sink, is an
+// error.
 func (s *Sink) Register(ks KeyspaceConfig) error {
 	t, err := s.newTenant(ks)
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
-	switch {
-	case s.closed:
-		err = fmt.Errorf("collector: register %q on a closed sink", ks.Key)
-	case s.draining:
-		err = fmt.Errorf("collector: register %q on a draining sink", ks.Key)
-	default:
-		if _, dup := s.tenants[ks.Key]; dup {
-			err = fmt.Errorf("collector: keyspace %q already registered", ks.Key)
-		} else {
-			s.tenants[ks.Key] = t
-		}
-	}
+	err = s.addLocked(t)
 	s.mu.Unlock()
 	if err == nil {
 		s.checkCompletion(t)
@@ -385,13 +429,14 @@ func (s *Sink) Register(ks KeyspaceConfig) error {
 	return err
 }
 
-// Requota replaces a keyspace's ingest quotas and lifts its quarantine (the
-// operator's load-shedding escape hatch). The accumulated ingest counters
-// stay — if they already exceed the new quota, the next frame re-trips it.
+// Requota replaces a campaign keyspace's ingest quotas and lifts its
+// quarantine (the operator's load-shedding escape hatch). The accumulated
+// ingest counters stay — if they already exceed the new quota, the next
+// frame re-trips it.
 func (s *Sink) Requota(key string, maxBytes int64, maxBatches int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t := s.tenants[key]
+	t := s.tenants[nsKey{key: key}]
 	if t == nil {
 		return fmt.Errorf("collector: requota of unknown keyspace %q", key)
 	}
@@ -403,9 +448,9 @@ func (s *Sink) Requota(key string, maxBytes int64, maxBatches int) error {
 // Addr reports the listening address.
 func (s *Sink) Addr() string { return s.ln.Addr().String() }
 
-// Stats reports transport counters summed over every keyspace: batches
-// applied for the first time, duplicate frames filtered, and frames rejected
-// as protocol errors.
+// Stats reports transport counters summed over every keyspace: work items
+// applied for the first time, duplicate frames filtered, and frames
+// rejected as protocol errors.
 func (s *Sink) Stats() (applied, duplicates, rejected int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -445,15 +490,9 @@ func (s *Sink) acceptLoop() {
 	}
 }
 
-// rejectHello refuses a handshake with a typed reason.
-func (s *Sink) rejectHello(conn net.Conn, code, format string, args ...any) {
-	s.mu.Lock()
-	s.hellosRejected++
-	s.mu.Unlock()
-	writeControl(conn, frameReject, &Reject{Code: code, Reason: fmt.Sprintf(format, args...)})
-}
-
-// serve drives one agent session.
+// serve drives one agent session of either plane: the Hello, the shared
+// typed rejects, the plane's own admission checks, the Resume, then data
+// and Done frames until the connection ends.
 func (s *Sink) serve(conn net.Conn) {
 	conn.SetReadDeadline(time.Now().Add(s.cfg.HelloTimeout))
 	fr, err := ReadFrame(conn)
@@ -462,55 +501,43 @@ func (s *Sink) serve(conn net.Conn) {
 	}
 	conn.SetReadDeadline(time.Time{})
 	hello := fr.Hello
-	if hello.Scatter != nil {
-		s.serveScatter(conn, hello)
-		return
-	}
-
+	id := nsKey{district: hello.Scatter != nil, key: hello.Keyspace}
+	var (
+		stream string
+		res    *Resume
+		rej    *Reject
+		sess   *sinkSession
+	)
 	s.mu.Lock()
-	draining := s.draining
-	t := s.tenants[hello.Keyspace]
-	var quarantined bool
-	if t != nil {
-		quarantined = t.quarantined
-	}
-	s.mu.Unlock()
-
+	t := s.tenants[id]
 	switch {
-	case draining:
-		s.rejectHello(conn, RejectDraining, "sink is draining; retry against its replacement")
-		return
+	case s.draining:
+		rej = &Reject{Code: RejectDraining, Reason: "sink is draining; retry against its replacement"}
 	case t == nil:
-		s.rejectHello(conn, RejectUnknownCampaign,
-			"no campaign registered under keyspace %q (yet)", hello.Keyspace)
-		return
-	case quarantined:
-		s.rejectHello(conn, RejectOverQuota,
-			"keyspace %q is quarantined over quota (%d bytes, %d batches ingested)",
-			hello.Keyspace, t.ingestBytes, t.ingestBatches)
-		return
+		rej = &Reject{Code: RejectUnknownCampaign, Reason: fmt.Sprintf(
+			"no %s registered under keyspace %q (yet)", id.kind(), hello.Keyspace)}
 	case hello.Campaign != t.cfg.Campaign:
-		s.rejectHello(conn, RejectCampaignMismatch,
-			"campaign mismatch: agent runs seed %d, %v, scenario %d; keyspace %q runs seed %d, %v, scenario %d",
-			hello.Campaign.Seed, hello.Campaign.Duration, hello.Campaign.Scenario,
-			hello.Keyspace, t.cfg.Campaign.Seed, t.cfg.Campaign.Duration, t.cfg.Campaign.Scenario)
-		return
+		rej = &Reject{Code: RejectCampaignMismatch, Reason: fmt.Sprintf(
+			"campaign mismatch: agent runs seed %d, %v, scenario %d; %s %q runs seed %d, %v, scenario %d",
+			hello.Campaign.Seed, hello.Campaign.Duration, hello.Campaign.Scenario, t.kind(),
+			hello.Keyspace, t.cfg.Campaign.Seed, t.cfg.Campaign.Duration, t.cfg.Campaign.Scenario)}
+	case t.district != nil:
+		stream, res, rej = t.district.admit(hello)
+	default:
+		stream, res, rej = t.admitRecords(hello)
 	}
-	spec := testbedSpec(&t.cfg.Spec, hello.Testbed)
-	if spec == nil || !nodesMatch(hello.Nodes, append(append([]string{}, spec.PANUs...), spec.NAP)) {
-		s.rejectHello(conn, RejectUnknownShard,
-			"unknown shard %q or node set not in keyspace %q's spec", hello.Testbed, hello.Keyspace)
-		return
-	}
-	sess := &sinkSession{conn: conn, timeout: s.cfg.WriteTimeout}
-	res := Resume{}
-	s.mu.Lock()
-	t.sessions[hello.Testbed] = sess
-	for _, node := range append(append([]string{}, spec.PANUs...), spec.NAP) {
-		res.Cursors = append(res.Cursors, t.ackable[skey{hello.Testbed, node}])
+	if rej != nil {
+		s.hellosRejected++
+	} else {
+		sess = &sinkSession{conn: conn, timeout: s.cfg.WriteTimeout}
+		t.sessions[stream] = sess
 	}
 	s.mu.Unlock()
-	if err := sess.send(frameResume, &res); err != nil {
+	if rej != nil {
+		writeControl(conn, frameReject, rej)
+		return
+	}
+	if sess.send(frameResume, res) != nil {
 		return
 	}
 
@@ -519,17 +546,45 @@ func (s *Sink) serve(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		switch fr.Kind {
-		case KindBatch:
+		switch {
+		case fr.Kind == KindDone:
+			s.handleDone(t, stream, fr.Done)
+		case fr.Kind == KindBatch && t.district == nil:
 			if !s.handleBatch(t, sess, fr.Batch, fr.WireBytes) {
 				return
 			}
-		case KindDone:
-			s.handleDone(t, fr.Done)
+		case fr.Kind == KindScatter && t.district != nil:
+			if !s.handleScatter(t, sess, stream, fr.Scatter) {
+				return
+			}
 		default:
 			return // protocol violation
 		}
 	}
+}
+
+// admitRecords runs the record plane's Hello checks — quota quarantine and
+// the shard's node set — and builds the Resume cursors. Caller holds mu.
+func (t *tenant) admitRecords(hello *Hello) (string, *Resume, *Reject) {
+	if t.quarantined {
+		return "", nil, &Reject{Code: RejectOverQuota, Reason: fmt.Sprintf(
+			"keyspace %q is quarantined over quota (%d bytes, %d batches ingested)",
+			hello.Keyspace, t.ingestBytes, t.ingestBatches)}
+	}
+	spec := testbedSpec(&t.cfg.Spec, hello.Testbed)
+	nodes := []string(nil)
+	if spec != nil {
+		nodes = append(append(nodes, spec.PANUs...), spec.NAP)
+	}
+	if spec == nil || !nodesMatch(hello.Nodes, nodes) {
+		return "", nil, &Reject{Code: RejectUnknownShard, Reason: fmt.Sprintf(
+			"unknown shard %q or node set not in keyspace %q's spec", hello.Testbed, hello.Keyspace)}
+	}
+	res := &Resume{}
+	for _, node := range nodes {
+		res.Cursors = append(res.Cursors, t.ackable[skey{hello.Testbed, node}])
+	}
+	return hello.Testbed, res, nil
 }
 
 // handleBatch applies one data frame to the session's keyspace and
@@ -552,10 +607,7 @@ func (s *Sink) handleBatch(t *tenant, sess *sinkSession, b *Batch, wireBytes int
 				// Make the quarantine durable immediately so a restarted
 				// sink keeps shedding this keyspace rather than re-admitting
 				// it with reset accounting.
-				if err := s.checkpointLocked(t); err != nil {
-					t.ckptFails++
-					t.lastCkptErr = err
-				}
+				s.checkpointLocked(t)
 			}
 		}
 		bytes, batches := t.ingestBytes, t.ingestBatches
@@ -565,7 +617,7 @@ func (s *Sink) handleBatch(t *tenant, sess *sinkSession, b *Batch, wireBytes int
 			t.cfg.Key, bytes, batches)})
 		return false
 	}
-	if t.finished[b.Testbed] || t.agg != nil {
+	if t.finished[b.Testbed] || t.complete {
 		// Late retransmission after completion: everything is durable
 		// already, just re-acknowledge.
 		cur := t.ackable[key]
@@ -593,17 +645,14 @@ func (s *Sink) handleBatch(t *tenant, sess *sinkSession, b *Batch, wireBytes int
 		if err == nil {
 			t.ackable[key] = StreamCursor{Node: b.Node, Seq: seq, Watermark: wm}
 		}
-	} else if t.sinceCP >= s.cfg.CheckpointEvery || donePending(t) {
+	} else if t.sinceCP >= s.cfg.CheckpointEvery || t.donePending() {
 		// Endgame: once a shard has declared Done, every further frame is a
 		// retransmission filling the last gaps — checkpoint eagerly so the
 		// final acknowledgements (and Fin) go out without waiting for the
-		// cadence to come around.
-		if err := s.checkpointLocked(t); err != nil {
-			// Disk trouble, not a peer error: record it where Wait's
-			// timeout diagnostics surface it, and drop the session so the
-			// agent keeps the unacknowledged batches for retransmission.
-			t.ckptFails++
-			t.lastCkptErr = err
+		// cadence to come around. A failed checkpoint is disk trouble, not a
+		// peer error: drop the session so the agent keeps the
+		// unacknowledged batches for retransmission.
+		if s.checkpointLocked(t) != nil {
 			s.mu.Unlock()
 			return false
 		}
@@ -639,7 +688,9 @@ func (s *Sink) PendingRecords() int {
 	s.mu.Lock()
 	streamers := make([]*analysis.Streamer, 0, len(s.tenants))
 	for _, t := range s.tenants {
-		streamers = append(streamers, t.str)
+		if t.str != nil {
+			streamers = append(streamers, t.str)
+		}
 	}
 	s.mu.Unlock()
 	n := 0
@@ -649,41 +700,58 @@ func (s *Sink) PendingRecords() int {
 	return n
 }
 
-// handleDone records a shard's completion claim: final cursors, counters,
-// duration. Completion is re-checked (and, when checkpointing, made durable
-// first).
-func (s *Sink) handleDone(t *tenant, d *Done) {
+// handleDone records a stream's completion claim — final cursors, counters,
+// duration — made durable first when checkpointing, then re-checks
+// completion. A Done re-sent after a reconnect is answered with Fin again.
+func (s *Sink) handleDone(t *tenant, stream string, d *Done) {
 	s.mu.Lock()
-	if t.finished[d.Testbed] {
-		// Re-sent Done after a reconnect: answer with Fin again.
-		sess := t.sessions[d.Testbed]
+	if t.finished[stream] {
+		sess := t.sessions[stream]
 		s.mu.Unlock()
 		if sess != nil {
 			sess.send(frameFin, &Fin{})
 		}
 		return
 	}
-	t.finals[d.Testbed] = d.Final
-	t.counters[d.Testbed] = d.Counters
-	t.durations[d.Testbed] = d.Duration
-	if t.cfg.CheckpointPath != "" {
-		if err := s.checkpointLocked(t); err != nil {
-			t.ckptFails++
-			t.lastCkptErr = err
-			s.mu.Unlock()
-			return
-		}
+	if t.district != nil && (len(d.Final) != 1 || d.Final[0].Node != stream || d.Final[0].Seq == 0) {
+		// A district's Done names exactly its range's final work-item count.
+		s.mu.Unlock()
+		return
+	}
+	t.finals[stream] = d.Final
+	t.counters[stream] = d.Counters
+	t.durations[stream] = d.Duration
+	if t.cfg.CheckpointPath != "" && s.checkpointLocked(t) != nil {
+		s.mu.Unlock()
+		return
 	}
 	s.mu.Unlock()
 	s.checkCompletion(t)
 }
 
-// checkpointLocked serializes one keyspace's full state to its checkpoint
-// file — binary payload (sinkcheckpoint.go) encoded into the tenant's
-// reused buffer, guard trailer appended in place, previous-good rotation
-// and atomic rename — then advances the acknowledgeable cursors to what the
-// checkpoint covers. Caller holds mu.
+// checkpointLocked writes the keyspace's checkpoint file — the record
+// plane's binary payload (sinkcheckpoint.go) or the district's JSON
+// document — and records a failure where Wait's timeout diagnostics and the
+// metrics surface it. Caller holds mu.
 func (s *Sink) checkpointLocked(t *tenant) error {
+	var err error
+	if t.district != nil {
+		err = t.district.checkpoint(t)
+	} else {
+		err = t.checkpointRecords()
+	}
+	if err != nil {
+		t.ckptFails++
+		t.lastCkptErr = err
+	}
+	return err
+}
+
+// checkpointRecords serializes a campaign keyspace's full state — binary
+// payload encoded into the tenant's reused buffer, guard trailer appended
+// in place, previous-good rotation and atomic rename — then advances the
+// acknowledgeable cursors to what the checkpoint covers. Caller holds mu.
+func (t *tenant) checkpointRecords() error {
 	cp, err := t.str.Checkpoint()
 	if err != nil {
 		return err
@@ -700,41 +768,71 @@ func (s *Sink) checkpointLocked(t *tenant) error {
 		return err
 	}
 	t.sinceCP = 0
+	t.advanceAckable(cp)
+	return nil
+}
+
+// advanceAckable moves the acknowledgeable cursors to what a streamer
+// checkpoint covers.
+func (t *tenant) advanceAckable(cp *analysis.StreamerCheckpoint) {
 	for i := range cp.Shards {
 		sh := &cp.Shards[i]
 		t.ackable[skey{sh.Testbed, sh.Node}] = StreamCursor{
 			Node: sh.Node, Seq: sh.NextSeq - 1, Watermark: sh.Watermark}
 	}
-	return nil
 }
 
-// donePending reports whether some shard of the keyspace has declared Done
+// donePending reports whether some stream of the keyspace has declared Done
 // but is not yet released. Caller holds mu.
-func donePending(t *tenant) bool {
-	for tb := range t.finals {
-		if !t.finished[tb] {
+func (t *tenant) donePending() bool {
+	for stream := range t.finals {
+		if !t.finished[stream] {
 			return true
 		}
 	}
 	return false
 }
 
-// checkCompletion marks the keyspace's testbeds whose final cursors are
-// fully acknowledgeable, releases their agents with Fin, and finalizes the
-// campaign once every declared testbed is complete. The Fin frames go out
-// synchronously BEFORE the done channel closes: WaitKeyspace returning (and
-// the Close that typically follows it) must never cut off the last agent's
-// release — the multi-process smoke caught exactly that race.
+// acked reports the durable cursor of one node of a stream. Caller holds mu.
+func (t *tenant) acked(stream, node string) uint64 {
+	if t.district == nil {
+		return t.ackable[skey{stream, node}].Seq
+	}
+	if cur := t.district.cursors[stream]; cur != nil {
+		return cur.Seq
+	}
+	return 0
+}
+
+// ready reports whether every declared stream is released and the plane's
+// own completion condition holds. Caller holds mu.
+func (t *tenant) ready() bool {
+	if d := t.district; d != nil {
+		// Completing on the last fold alone, ahead of the agent's Done,
+		// could leave that agent redialling a closed listener: btsink exits
+		// once every keyspace completes.
+		return len(t.finished) == len(d.cursors) && d.foldedN == d.cfg.Hi-d.cfg.Lo &&
+			(!d.wantsOverlay() || d.overlay != nil)
+	}
+	return len(t.finished) == len(t.cfg.Spec.Testbeds) && len(t.cfg.Spec.Testbeds) > 0
+}
+
+// checkCompletion releases the streams whose final cursors are fully
+// acknowledgeable with Fin, and finalizes the keyspace once every stream is
+// complete. The Fin frames go out synchronously BEFORE the done channel
+// closes: WaitKeyspace/WaitDistrict returning (and the Close that typically
+// follows it) must never cut off the last agent's release — the
+// multi-process smokes caught exactly that race on both planes.
 func (s *Sink) checkCompletion(t *tenant) {
 	s.mu.Lock()
 	var fins []*sinkSession
-	for tb, final := range t.finals {
-		if t.finished[tb] {
+	for stream, final := range t.finals {
+		if t.finished[stream] {
 			continue
 		}
 		covered := true
 		for _, c := range final {
-			if t.ackable[skey{tb, c.Node}].Seq < c.Seq {
+			if t.acked(stream, c.Node) < c.Seq {
 				covered = false
 				break
 			}
@@ -742,17 +840,22 @@ func (s *Sink) checkCompletion(t *tenant) {
 		if !covered {
 			continue
 		}
-		t.finished[tb] = true
-		if sess := t.sessions[tb]; sess != nil {
+		t.finished[stream] = true
+		if sess := t.sessions[stream]; sess != nil {
 			fins = append(fins, sess)
 		}
 	}
-	complete := t.agg == nil && len(t.finished) == len(t.cfg.Spec.Testbeds) &&
-		len(t.cfg.Spec.Testbeds) > 0
+	complete := !t.complete && t.ready()
 	if complete {
-		t.agg = t.str.Finalize()
-		t.trace = t.str.DependTrace()
-		t.ckptBuf = nil // no checkpoint follows completion
+		t.complete = true
+		if d := t.district; d != nil {
+			d.partial = &DistrictPartial{Keyspace: d.cfg.Key, Campaign: d.cfg.Campaign, Net: d.cfg.Net,
+				Lo: d.cfg.Lo, Hi: d.cfg.Hi, Fold: d.fold.Snapshot(), Overlay: d.overlay}
+		} else {
+			t.agg = t.str.Finalize()
+			t.trace = t.str.DependTrace()
+			t.ckptBuf = nil // no checkpoint follows completion
+		}
 	}
 	s.mu.Unlock()
 	for _, sess := range fins {
@@ -790,22 +893,15 @@ func nodesMatch(a, b []string) bool {
 	return len(set) == len(b)
 }
 
-// Wait blocks until the default keyspace's campaign has completed (all data
-// durable and Done received), then returns its finalized report. A zero
-// timeout waits indefinitely. Single-campaign deployments' entry point;
-// multi-tenant callers use WaitKeyspace.
-func (s *Sink) Wait(timeout time.Duration) (*SinkReport, error) {
-	return s.WaitKeyspace("", timeout)
-}
-
-// WaitKeyspace blocks until the named keyspace's campaign has completed,
-// then returns its finalized report. A zero timeout waits indefinitely.
-func (s *Sink) WaitKeyspace(key string, timeout time.Duration) (*SinkReport, error) {
+// wait blocks until the addressed keyspace completes. A zero timeout waits
+// indefinitely; on timeout the error carries the keyspace's progress and
+// checkpoint-failure diagnostics.
+func (s *Sink) wait(id nsKey, timeout time.Duration) (*tenant, error) {
 	s.mu.Lock()
-	t := s.tenants[key]
+	t := s.tenants[id]
 	s.mu.Unlock()
 	if t == nil {
-		return nil, fmt.Errorf("collector: wait on unknown keyspace %q", key)
+		return nil, fmt.Errorf("collector: wait on unknown %s %q", id.kind(), id.key)
 	}
 	var timeoutCh <-chan time.Time
 	if timeout > 0 {
@@ -815,21 +911,35 @@ func (s *Sink) WaitKeyspace(key string, timeout time.Duration) (*SinkReport, err
 	}
 	select {
 	case <-t.done:
+		return t, nil
 	case <-timeoutCh:
-		s.mu.Lock()
-		applied, dups, rejected := t.applied, t.duplicates, t.rejected
-		ckptFails, ckptErr := t.ckptFails, t.lastCkptErr
-		quarantined := t.quarantined
-		s.mu.Unlock()
-		msg := fmt.Sprintf("collector: campaign incomplete after %v (%d applied, %d duplicates, %d rejected)",
-			timeout, applied, dups, rejected)
-		if quarantined {
-			msg += "; keyspace is quarantined over quota"
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	progress, why := "", ""
+	switch d := t.district; {
+	case d != nil:
+		progress = fmt.Sprintf("%d/%d piconets folded, ", d.foldedN, d.cfg.Hi-d.cfg.Lo)
+		if d.wantsOverlay() && d.overlay == nil {
+			why = "; overlay partial not received"
 		}
-		if ckptFails > 0 {
-			msg += fmt.Sprintf("; %d checkpoint write failures, last: %v", ckptFails, ckptErr)
-		}
-		return nil, fmt.Errorf("%s", msg)
+	case t.quarantined:
+		why = "; keyspace is quarantined over quota"
+	}
+	if t.ckptFails > 0 {
+		why += fmt.Sprintf("; %d checkpoint write failures, last: %v", t.ckptFails, t.lastCkptErr)
+	}
+	return nil, fmt.Errorf("collector: %s %q incomplete after %v (%s%d applied, %d duplicates, %d rejected)%s",
+		t.kind(), id.key, timeout, progress, t.applied, t.duplicates, t.rejected, why)
+}
+
+// WaitKeyspace blocks until the named campaign keyspace has completed (all
+// data durable and every Done received), then returns its finalized report.
+// A zero timeout waits indefinitely.
+func (s *Sink) WaitKeyspace(key string, timeout time.Duration) (*SinkReport, error) {
+	t, err := s.wait(nsKey{key: key}, timeout)
+	if err != nil {
+		return nil, err
 	}
 	rep := &SinkReport{
 		Agg:       t.agg,
@@ -857,7 +967,7 @@ func (s *Sink) WaitKeyspace(key string, timeout time.Duration) (*SinkReport, err
 // Drain starts a graceful shutdown: every keyspace's checkpoint is sealed
 // (so acknowledgements cover exactly what survives), live sessions are told
 // to go away with a retryable draining Reject, and new hellos are refused.
-// Sessions whose shard already completed were already released with Fin.
+// Sessions whose stream already completed were already released with Fin.
 // The sink keeps listening — explicitly rejecting is kinder to a backing-off
 // fleet than a connection refused — until Close tears it down. Idempotent.
 func (s *Sink) Drain() error {
@@ -867,36 +977,11 @@ func (s *Sink) Drain() error {
 		return nil
 	}
 	s.draining = true
-	var firstErr error
+	firstErr := s.sealLocked()
 	var sessions []*sinkSession
 	for _, t := range s.tenants {
-		if t.cfg.CheckpointPath != "" && t.agg == nil {
-			if err := s.checkpointLocked(t); err != nil {
-				t.ckptFails++
-				t.lastCkptErr = err
-				if firstErr == nil {
-					firstErr = err
-				}
-			}
-		}
-		for tb, sess := range t.sessions {
-			if !t.finished[tb] {
-				sessions = append(sessions, sess)
-			}
-		}
-	}
-	for _, d := range s.districts {
-		if d.cfg.CheckpointPath != "" && d.partial == nil {
-			if err := s.districtCheckpointLocked(d); err != nil {
-				d.ckptFails++
-				d.lastCkptErr = err
-				if firstErr == nil {
-					firstErr = err
-				}
-			}
-		}
-		for key, sess := range d.sessions {
-			if !d.finished[key] {
+		for stream, sess := range t.sessions {
+			if !t.finished[stream] {
 				sessions = append(sessions, sess)
 			}
 		}
@@ -909,21 +994,27 @@ func (s *Sink) Drain() error {
 	return firstErr
 }
 
+// sealLocked takes a final checkpoint of every running keyspace that has a
+// checkpoint file, returning the first failure. Caller holds mu.
+func (s *Sink) sealLocked() error {
+	var firstErr error
+	for _, t := range s.tenants {
+		if t.cfg.CheckpointPath == "" || t.complete {
+			continue
+		}
+		if err := s.checkpointLocked(t); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
+}
+
 // Close shuts the sink down gracefully: a final checkpoint per running
 // keyspace (when configured) followed by teardown.
 func (s *Sink) Close() error {
 	s.mu.Lock()
 	if !s.closed {
-		for _, t := range s.tenants {
-			if t.cfg.CheckpointPath != "" && t.agg == nil {
-				_ = s.checkpointLocked(t)
-			}
-		}
-		for _, d := range s.districts {
-			if d.cfg.CheckpointPath != "" && d.partial == nil {
-				_ = s.districtCheckpointLocked(d)
-			}
-		}
+		s.sealLocked()
 	}
 	s.mu.Unlock()
 	return s.shutdown()
@@ -954,13 +1045,19 @@ func (s *Sink) shutdown() error {
 	return err
 }
 
-// KeyspaceMetrics is one keyspace's slice of the sink metrics.
+// KeyspaceMetrics is one keyspace's slice of the sink metrics. Kind is
+// "campaign" for record keyspaces and "district" for scatternet districts;
+// the testbed, quota and pending fields describe campaigns, the piconet
+// fields districts.
 type KeyspaceMetrics struct {
 	Key      string     `json:"key"`
+	Kind     string     `json:"kind"`
 	Campaign CampaignID `json:"campaign"`
 
 	Testbeds         int  `json:"testbeds"`
 	FinishedTestbeds int  `json:"finished_testbeds"`
+	Piconets         int  `json:"piconets,omitempty"`
+	FoldedPiconets   int  `json:"folded_piconets,omitempty"`
 	Complete         bool `json:"complete"`
 	Quarantined      bool `json:"quarantined"`
 
@@ -989,7 +1086,8 @@ type SinkMetrics struct {
 }
 
 // Metrics captures the sink's transport/ingest/durability counters, per
-// keyspace and globally (keyspaces sorted by key for stable output).
+// keyspace and globally (keyspaces sorted by key, then kind, for stable
+// output).
 func (s *Sink) Metrics() *SinkMetrics {
 	s.mu.Lock()
 	m := &SinkMetrics{
@@ -999,18 +1097,17 @@ func (s *Sink) Metrics() *SinkMetrics {
 		DelayedAcks:    s.delayedAcks,
 		HellosRejected: s.hellosRejected,
 	}
-	type pair struct {
-		t  *tenant
-		km KeyspaceMetrics
-	}
-	pairs := make([]pair, 0, len(s.tenants))
-	for key, t := range s.tenants {
-		pairs = append(pairs, pair{t: t, km: KeyspaceMetrics{
-			Key:              key,
+	// Pending counts take the streamers' shard locks: read them after
+	// releasing mu, so a metrics poll never holds up ingest.
+	strs := make([]*analysis.Streamer, 0, len(s.tenants))
+	for _, t := range s.tenants {
+		km := KeyspaceMetrics{
+			Key:              t.cfg.Key,
+			Kind:             t.kind(),
 			Campaign:         t.cfg.Campaign,
 			Testbeds:         len(t.cfg.Spec.Testbeds),
 			FinishedTestbeds: len(t.finished),
-			Complete:         t.agg != nil,
+			Complete:         t.complete,
 			Quarantined:      t.quarantined,
 			AppliedBatches:   t.applied,
 			DuplicateBatches: t.duplicates,
@@ -1021,16 +1118,23 @@ func (s *Sink) Metrics() *SinkMetrics {
 			QuotaBatches:     t.cfg.MaxBatches,
 
 			CheckpointFailures: t.ckptFails,
-		}})
+		}
+		if d := t.district; d != nil {
+			km.FinishedTestbeds = 0
+			km.Piconets, km.FoldedPiconets = d.cfg.Hi-d.cfg.Lo, d.foldedN
+		}
+		m.Keyspaces, strs = append(m.Keyspaces, km), append(strs, t.str)
 	}
 	s.mu.Unlock()
-	for i := range pairs {
-		pairs[i].km.PendingRecords = pairs[i].t.str.Pending()
-		m.PendingRecords += pairs[i].km.PendingRecords
+	for i, str := range strs {
+		if str != nil {
+			m.Keyspaces[i].PendingRecords = str.Pending()
+			m.PendingRecords += m.Keyspaces[i].PendingRecords
+		}
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].km.Key < pairs[j].km.Key })
-	for _, p := range pairs {
-		m.Keyspaces = append(m.Keyspaces, p.km)
-	}
+	sort.Slice(m.Keyspaces, func(i, j int) bool {
+		a, b := m.Keyspaces[i], m.Keyspaces[j]
+		return a.Key < b.Key || (a.Key == b.Key && a.Kind < b.Kind)
+	})
 	return m
 }

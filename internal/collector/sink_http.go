@@ -77,12 +77,12 @@ type RegisterRequest struct {
 // live fold-consistent snapshot before that).
 func (s *Sink) LiveTables(key string) (*LiveTables, error) {
 	s.mu.Lock()
-	t := s.tenants[key]
+	t := s.tenants[nsKey{key: key}]
 	if t == nil {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("collector: tables for unknown keyspace %q", key)
 	}
-	complete := t.agg != nil
+	complete := t.complete
 	scenario := t.cfg.ScenarioName
 	campaign := t.cfg.Campaign
 	var snap *analysis.AggregatesSnapshot
@@ -159,7 +159,7 @@ func (s *Sink) Handler() http.Handler {
 		if err != nil {
 			// Distinguish "not yet" (retry later) from "no such keyspace".
 			s.mu.Lock()
-			_, known := s.tenants[r.URL.Query().Get("keyspace")]
+			_, known := s.tenants[nsKey{key: r.URL.Query().Get("keyspace")}]
 			s.mu.Unlock()
 			code := http.StatusNotFound
 			if known {

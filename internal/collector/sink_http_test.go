@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -159,5 +161,80 @@ func TestSinkHTTP(t *testing.T) {
 	}
 	if code, _ := httpGet(t, srv.URL+"/readyz"); code != http.StatusServiceUnavailable {
 		t.Errorf("readyz after drain: %d, want 503", code)
+	}
+}
+
+// TestSinkHTTPDistrict checks that districts are first-class on the
+// metrics surface: /metricsz and /campaigns list a district next to a
+// campaign keyspace, with its kind, counters, piconets folded and
+// completion — here a district restored from the checkpoint fixture and
+// then released.
+func TestSinkHTTPDistrict(t *testing.T) {
+	sealed, err := os.ReadFile(districtFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "fixture.district.ckpt")
+	if err := os.WriteFile(path, sealed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dc := fixtureDistrict(path)
+	sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0",
+		Keyspaces: []KeyspaceConfig{{Key: "fixture", Campaign: dc.Campaign, Spec: tpSpec()}},
+		Districts: []DistrictConfig{dc}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	srv := httptest.NewServer(sink.Handler())
+	defer srv.Close()
+
+	district := func(url string, list func([]byte) ([]KeyspaceMetrics, error)) KeyspaceMetrics {
+		t.Helper()
+		code, body := httpGet(t, url)
+		kms, err := list([]byte(body))
+		if code != 200 || err != nil || len(kms) != 2 {
+			t.Fatalf("%s: %d %q", url, code, body)
+		}
+		if kms[0].Kind != "campaign" || kms[1].Kind != "district" || kms[1].Key != "fixture" {
+			t.Fatalf("%s lists %+v, want the campaign then the district", url, kms)
+		}
+		return kms[1]
+	}
+	metricsz := func(b []byte) ([]KeyspaceMetrics, error) {
+		var m SinkMetrics
+		err := json.Unmarshal(b, &m)
+		return m.Keyspaces, err
+	}
+	campaigns := func(b []byte) ([]KeyspaceMetrics, error) {
+		var kms []KeyspaceMetrics
+		err := json.Unmarshal(b, &kms)
+		return kms, err
+	}
+	for _, km := range []KeyspaceMetrics{
+		district(srv.URL+"/metricsz", metricsz), district(srv.URL+"/campaigns", campaigns),
+	} {
+		if km.Piconets != 2 || km.FoldedPiconets != 2 || km.Complete || km.CheckpointFailures != 0 {
+			t.Errorf("restored district metrics: %+v", km)
+		}
+	}
+
+	agent, err := NewScatterAgent(ScatterAgentConfig{Addr: sink.Addr(), Keyspace: dc.Key,
+		Campaign: dc.Campaign, Net: dc.Net, Lo: dc.Lo, Hi: dc.Hi, Overlay: true,
+		RunPiconet: func(int) (*analysis.PiconetPartial, error) { return nil, fmt.Errorf("no re-run") },
+		RunOverlay: func() (*analysis.OverlayPartial, error) { return nil, fmt.Errorf("no re-run") },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := agent.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sink.WaitDistrict(dc.Key, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	km := district(srv.URL+"/metricsz", metricsz)
+	if !km.Complete || km.AppliedBatches != 0 || km.DuplicateBatches != 0 || km.RejectedBatches != 0 {
+		t.Errorf("released district metrics: %+v", km)
 	}
 }

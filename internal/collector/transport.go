@@ -187,16 +187,26 @@ type Frame struct {
 	Scatter   *ScatterBatch
 }
 
-// writeControl frames and writes one control payload (kind byte + JSON).
-func writeControl(w io.Writer, kind byte, payload any) error {
+// jsonFrame renders one complete frame whose payload is JSON: every
+// control frame, and the kind-8 district partial.
+func jsonFrame(kind byte, payload any) ([]byte, error) {
 	blob, err := json.Marshal(payload)
 	if err != nil {
-		return fmt.Errorf("collector: marshal control frame %d: %w", kind, err)
+		return nil, fmt.Errorf("collector: marshal frame kind %d: %w", kind, err)
 	}
-	frame := make([]byte, 5, 5+len(blob))
-	binary.BigEndian.PutUint32(frame[:4], uint32(1+len(blob)))
-	frame[4] = kind
-	frame = append(frame, blob...)
+	if 1+len(blob) > maxBatchBytes {
+		return nil, fmt.Errorf("collector: frame kind %d of %d bytes exceeds limit", kind, 1+len(blob))
+	}
+	frame := binary.BigEndian.AppendUint32(make([]byte, 0, 5+len(blob)), uint32(1+len(blob)))
+	return append(append(frame, kind), blob...), nil
+}
+
+// writeControl frames and writes one control payload (kind byte + JSON).
+func writeControl(w io.Writer, kind byte, payload any) error {
+	frame, err := jsonFrame(kind, payload)
+	if err != nil {
+		return err
+	}
 	if _, err := w.Write(frame); err != nil {
 		return fmt.Errorf("collector: write control frame: %w", err)
 	}
@@ -248,46 +258,37 @@ func decodeFrame(kind byte, blob []byte) (*Frame, error) {
 		}
 		return &Frame{Kind: KindBatch, Batch: &b}, nil
 	case frameHello:
-		var h Hello
-		if err := json.Unmarshal(blob, &h); err != nil {
-			return nil, fmt.Errorf("collector: decode hello: %w", err)
-		}
-		return &Frame{Kind: KindHello, Hello: &h}, nil
+		fr := &Frame{Kind: KindHello}
+		return decodeJSON(fr, &fr.Hello, blob, "hello")
 	case frameResume:
-		var res Resume
-		if err := json.Unmarshal(blob, &res); err != nil {
-			return nil, fmt.Errorf("collector: decode resume: %w", err)
-		}
-		return &Frame{Kind: KindResume, Resume: &res}, nil
+		fr := &Frame{Kind: KindResume}
+		return decodeJSON(fr, &fr.Resume, blob, "resume")
 	case frameAck:
-		var a Ack
-		if err := json.Unmarshal(blob, &a); err != nil {
-			return nil, fmt.Errorf("collector: decode ack: %w", err)
-		}
-		return &Frame{Kind: KindAck, Ack: &a}, nil
+		fr := &Frame{Kind: KindAck}
+		return decodeJSON(fr, &fr.Ack, blob, "ack")
 	case frameDone:
-		var d Done
-		if err := json.Unmarshal(blob, &d); err != nil {
-			return nil, fmt.Errorf("collector: decode done: %w", err)
-		}
-		return &Frame{Kind: KindDone, Done: &d}, nil
+		fr := &Frame{Kind: KindDone}
+		return decodeJSON(fr, &fr.Done, blob, "done")
 	case frameFin:
 		return &Frame{Kind: KindFin}, nil
 	case frameReject:
-		var rej Reject
-		if err := json.Unmarshal(blob, &rej); err != nil {
-			return nil, fmt.Errorf("collector: decode reject: %w", err)
-		}
-		return &Frame{Kind: KindReject, Reject: &rej}, nil
+		fr := &Frame{Kind: KindReject}
+		return decodeJSON(fr, &fr.Reject, blob, "reject")
 	case frameScatter:
-		var sb ScatterBatch
-		if err := json.Unmarshal(blob, &sb); err != nil {
-			return nil, fmt.Errorf("collector: decode scatternet partial: %w", err)
-		}
-		return &Frame{Kind: KindScatter, Scatter: &sb}, nil
+		fr := &Frame{Kind: KindScatter}
+		return decodeJSON(fr, &fr.Scatter, blob, "scatternet partial")
 	default:
 		return nil, fmt.Errorf("collector: unknown frame kind %d", kind)
 	}
+}
+
+// decodeJSON decodes a JSON frame payload into a fresh *field of fr.
+func decodeJSON[T any](fr *Frame, field **T, blob []byte, what string) (*Frame, error) {
+	*field = new(T)
+	if err := json.Unmarshal(blob, *field); err != nil {
+		return nil, fmt.Errorf("collector: decode %s: %w", what, err)
+	}
+	return fr, nil
 }
 
 // encodeBatchFrame renders a complete data frame (length prefix + codec tag

@@ -139,7 +139,7 @@ func tpAgents(t *testing.T, addr string, batches []tpBatch, fault FaultConfig) [
 			Addr: addr, Testbed: tb.Name,
 			Nodes:        append(append([]string{}, tb.PANUs...), tb.NAP),
 			Fault:        fault,
-			RetryEvery:   20 * time.Millisecond,
+			RetryMin:     20 * time.Millisecond,
 			StallTimeout: 100 * time.Millisecond,
 		}
 		cfg.Fault.Seed = fault.Seed + uint64(i) // distinct decision sequences
@@ -172,7 +172,8 @@ func TestAgentSinkLoopback(t *testing.T) {
 	batches := tpBatches(24)
 	want := tpLocal(t, batches)
 
-	sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0", Spec: tpSpec()})
+	sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0",
+		Keyspaces: []KeyspaceConfig{{Spec: tpSpec()}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestAgentSinkLoopback(t *testing.T) {
 			a.Close()
 		}
 	}()
-	rep, err := sink.Wait(30 * time.Second)
+	rep, err := sink.WaitKeyspace("", 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,8 @@ func TestAgentSinkUnderFaults(t *testing.T) {
 	batches := tpBatches(24)
 	want := tpLocal(t, batches)
 
-	sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0", Spec: tpSpec()})
+	sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0",
+		Keyspaces: []KeyspaceConfig{{Spec: tpSpec()}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +219,7 @@ func TestAgentSinkUnderFaults(t *testing.T) {
 			a.Close()
 		}
 	}()
-	rep, err := sink.Wait(60 * time.Second)
+	rep, err := sink.WaitKeyspace("", 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,8 +249,9 @@ func TestSinkCheckpointResume(t *testing.T) {
 	want := tpLocal(t, batches)
 	cpPath := filepath.Join(t.TempDir(), "sink.ckpt")
 
-	sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0", Spec: tpSpec(),
-		CheckpointPath: cpPath, CheckpointEvery: 5})
+	sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0",
+		Keyspaces:       []KeyspaceConfig{{Spec: tpSpec(), CheckpointPath: cpPath}},
+		CheckpointEvery: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +263,7 @@ func TestSinkCheckpointResume(t *testing.T) {
 		a, err := NewAgent(AgentConfig{
 			Addr: addr, Testbed: tb.Name,
 			Nodes:        append(append([]string{}, tb.PANUs...), tb.NAP),
-			RetryEvery:   20 * time.Millisecond,
+			RetryMin:     20 * time.Millisecond,
 			StallTimeout: 100 * time.Millisecond,
 		})
 		if err != nil {
@@ -292,8 +295,9 @@ func TestSinkCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sink2, err := NewSink(SinkConfig{Addr: addr, Spec: tpSpec(),
-		CheckpointPath: cpPath, CheckpointEvery: 5})
+	sink2, err := NewSink(SinkConfig{Addr: addr,
+		Keyspaces:       []KeyspaceConfig{{Spec: tpSpec(), CheckpointPath: cpPath}},
+		CheckpointEvery: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +319,7 @@ func TestSinkCheckpointResume(t *testing.T) {
 			t.Fatalf("finish %s after resume: %v", tb.Name, err)
 		}
 	}
-	rep, err := sink2.Wait(30 * time.Second)
+	rep, err := sink2.WaitKeyspace("", 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +336,8 @@ func TestSinkCheckpointResume(t *testing.T) {
 // silent truncation is the one unrecoverable failure and has to be loud.
 func TestSinkLostCheckpointDetected(t *testing.T) {
 	batches := tpBatches(8)
-	sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0", Spec: tpSpec()})
+	sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0",
+		Keyspaces: []KeyspaceConfig{{Spec: tpSpec()}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +346,7 @@ func TestSinkLostCheckpointDetected(t *testing.T) {
 	a, err := NewAgent(AgentConfig{
 		Addr: addr, Testbed: "alpha",
 		Nodes:        append(append([]string{}, spec.Testbeds[0].PANUs...), spec.Testbeds[0].NAP),
-		RetryEvery:   20 * time.Millisecond,
+		RetryMin:     20 * time.Millisecond,
 		StallTimeout: 100 * time.Millisecond,
 	})
 	if err != nil {
@@ -372,7 +377,8 @@ func TestSinkLostCheckpointDetected(t *testing.T) {
 	sink.Abort()
 
 	// An amnesiac sink on the same port.
-	sink2, err := NewSink(SinkConfig{Addr: addr, Spec: tpSpec()})
+	sink2, err := NewSink(SinkConfig{Addr: addr,
+		Keyspaces: []KeyspaceConfig{{Spec: tpSpec()}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,19 +398,19 @@ func TestSinkLostCheckpointDetected(t *testing.T) {
 // forever. A stale checkpoint from a different campaign must likewise be
 // refused at sink startup.
 func TestCampaignMismatchRejected(t *testing.T) {
-	sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0", Spec: tpSpec(),
-		Campaign: CampaignID{Seed: 1, Duration: 24 * sim.Hour, Scenario: 3}})
+	sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0",
+		Keyspaces: []KeyspaceConfig{{Spec: tpSpec(), Campaign: CampaignID{Seed: 1, Duration: 24 * sim.Hour, Scenario: 3}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sink.Close()
 	spec := tpSpec()
 	a, err := NewAgent(AgentConfig{
-		Addr:       sink.Addr(),
-		Campaign:   CampaignID{Seed: 2, Duration: 24 * sim.Hour, Scenario: 3},
-		Testbed:    "alpha",
-		Nodes:      append(append([]string{}, spec.Testbeds[0].PANUs...), spec.Testbeds[0].NAP),
-		RetryEvery: 20 * time.Millisecond, StallTimeout: 100 * time.Millisecond,
+		Addr:     sink.Addr(),
+		Campaign: CampaignID{Seed: 2, Duration: 24 * sim.Hour, Scenario: 3},
+		Testbed:  "alpha",
+		Nodes:    append(append([]string{}, spec.Testbeds[0].PANUs...), spec.Testbeds[0].NAP),
+		RetryMin: 20 * time.Millisecond, StallTimeout: 100 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -421,18 +427,17 @@ func TestCampaignMismatchRejected(t *testing.T) {
 	// Checkpoint guard: a file recorded under campaign seed 1 must refuse
 	// to serve a sink configured for seed 2.
 	cpPath := filepath.Join(t.TempDir(), "sink.ckpt")
-	cp1, err := NewSink(SinkConfig{Addr: "127.0.0.1:0", Spec: tpSpec(),
-		Campaign:       CampaignID{Seed: 1, Duration: 24 * sim.Hour, Scenario: 3},
-		CheckpointPath: cpPath, CheckpointEvery: 1})
+	cp1, err := NewSink(SinkConfig{Addr: "127.0.0.1:0",
+		Keyspaces:       []KeyspaceConfig{{Spec: tpSpec(), Campaign: CampaignID{Seed: 1, Duration: 24 * sim.Hour, Scenario: 3}, CheckpointPath: cpPath}},
+		CheckpointEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := cp1.Close(); err != nil { // graceful close writes a checkpoint
 		t.Fatal(err)
 	}
-	if _, err := NewSink(SinkConfig{Addr: "127.0.0.1:0", Spec: tpSpec(),
-		Campaign:       CampaignID{Seed: 2, Duration: 24 * sim.Hour, Scenario: 3},
-		CheckpointPath: cpPath}); err == nil {
+	if _, err := NewSink(SinkConfig{Addr: "127.0.0.1:0",
+		Keyspaces: []KeyspaceConfig{{Spec: tpSpec(), Campaign: CampaignID{Seed: 2, Duration: 24 * sim.Hour, Scenario: 3}, CheckpointPath: cpPath}}}); err == nil {
 		t.Fatal("sink accepted a checkpoint from a different campaign")
 	}
 }

@@ -37,7 +37,8 @@ func benchAgentStreamDay(b *testing.B, spill bool) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0", Spec: tpSpec()})
+		sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0",
+			Keyspaces: []KeyspaceConfig{{Spec: tpSpec()}}})
 		if err != nil {
 			b.Fatal(err)
 		}

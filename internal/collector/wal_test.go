@@ -350,8 +350,9 @@ func TestDurableFileTornAtEveryByte(t *testing.T) {
 func TestSinkTornCheckpointFallsBack(t *testing.T) {
 	batches := tpBatches(24)
 	cpPath := filepath.Join(t.TempDir(), "sink.ckpt")
-	sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0", Spec: tpSpec(),
-		CheckpointPath: cpPath, CheckpointEvery: 3})
+	sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0",
+		Keyspaces:       []KeyspaceConfig{{Spec: tpSpec(), CheckpointPath: cpPath}},
+		CheckpointEvery: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +360,7 @@ func TestSinkTornCheckpointFallsBack(t *testing.T) {
 	for _, a := range agents {
 		a.Close()
 	}
-	if _, err := sink.Wait(30 * time.Second); err != nil {
+	if _, err := sink.WaitKeyspace("", 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	sink.Abort()
@@ -375,8 +376,9 @@ func TestSinkTornCheckpointFallsBack(t *testing.T) {
 		if err := os.WriteFile(cpPath, blob[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s2, err := NewSink(SinkConfig{Addr: "127.0.0.1:0", Spec: tpSpec(),
-			CheckpointPath: cpPath, CheckpointEvery: 3})
+		s2, err := NewSink(SinkConfig{Addr: "127.0.0.1:0",
+			Keyspaces:       []KeyspaceConfig{{Spec: tpSpec(), CheckpointPath: cpPath}},
+			CheckpointEvery: 3})
 		if err != nil {
 			t.Fatalf("cut %d: restart did not fall back to the previous checkpoint: %v", cut, err)
 		}
@@ -388,8 +390,9 @@ func TestSinkTornCheckpointFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	os.Remove(cpPath + PrevSuffix)
-	if _, err := NewSink(SinkConfig{Addr: "127.0.0.1:0", Spec: tpSpec(),
-		CheckpointPath: cpPath, CheckpointEvery: 3}); err == nil {
+	if _, err := NewSink(SinkConfig{Addr: "127.0.0.1:0",
+		Keyspaces:       []KeyspaceConfig{{Spec: tpSpec(), CheckpointPath: cpPath}},
+		CheckpointEvery: 3}); err == nil {
 		t.Fatal("sink started from a torn checkpoint with no fallback")
 	}
 }
@@ -442,8 +445,9 @@ func TestAgentSpillKillResume(t *testing.T) {
 	spill := t.TempDir()
 	cpPath := filepath.Join(t.TempDir(), "sink.ckpt")
 
-	sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0", Spec: tpSpec(),
-		CheckpointPath: cpPath, CheckpointEvery: 3})
+	sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0",
+		Keyspaces:       []KeyspaceConfig{{Spec: tpSpec(), CheckpointPath: cpPath}},
+		CheckpointEvery: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +493,7 @@ func TestAgentSpillKillResume(t *testing.T) {
 		}
 	}
 	tpFinish(t, agents)
-	rep, err := sink.Wait(30 * time.Second)
+	rep, err := sink.WaitKeyspace("", 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,8 +524,9 @@ func TestAgentSpillAckRaceReconnect(t *testing.T) {
 	spill := t.TempDir()
 	cpPath := filepath.Join(t.TempDir(), "sink.ckpt")
 	mkSink := func(addr string) *Sink {
-		s, err := NewSink(SinkConfig{Addr: addr, Spec: tpSpec(),
-			CheckpointPath: cpPath, CheckpointEvery: 2})
+		s, err := NewSink(SinkConfig{Addr: addr,
+			Keyspaces:       []KeyspaceConfig{{Spec: tpSpec(), CheckpointPath: cpPath}},
+			CheckpointEvery: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -559,7 +564,7 @@ func TestAgentSpillAckRaceReconnect(t *testing.T) {
 	}
 	defer sink.Close()
 	tpFinish(t, agents)
-	rep, err := sink.Wait(60 * time.Second)
+	rep, err := sink.WaitKeyspace("", 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ func rollupConfig() Config {
 		Seed:              9,
 		Duration:          2 * sim.Hour,
 		Scenario:          recovery.ScenarioSIRAs,
-		Piconets:          6,
 		Topology:          &topo,
 		HoldTime:          5 * sim.Second,
 		ProbePairFraction: 0.5,
@@ -139,7 +138,6 @@ func TestSamplingDoesNotPerturbDataPlane(t *testing.T) {
 			Seed:              3,
 			Duration:          2 * sim.Hour,
 			Scenario:          recovery.ScenarioSIRAs,
-			Piconets:          4,
 			Topology:          &topo,
 			HoldTime:          5 * sim.Second,
 			ProbePairFraction: fraction,

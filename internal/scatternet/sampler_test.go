@@ -186,7 +186,8 @@ func TestSamplePairsNaN(t *testing.T) {
 	if got := samplePairs(5, math.NaN(), 7); !reflect.DeepEqual(got, want) {
 		t.Errorf("samplePairs(5, NaN, 7) = %v, want the exhaustive set", got)
 	}
-	cfg := Config{Seed: 1, Duration: 3600e9, Scenario: 3, Piconets: 2, Bridges: 1,
+	topo := RingBridges(2, 1)
+	cfg := Config{Seed: 1, Duration: 3600e9, Scenario: 3, Topology: &topo,
 		ProbePairFraction: math.NaN()}
 	err := cfg.Validate()
 	if err == nil {

@@ -87,18 +87,8 @@ type Config struct {
 	Duration sim.Time
 	// Scenario selects the recovery regime for piconet nodes and bridges.
 	Scenario recovery.Scenario
-	// Piconets is the number of composed piconet campaigns (>= 1). When
-	// Topology is set it may be left zero (the topology dictates it);
-	// otherwise it must agree with Topology.Piconets.
-	Piconets int
-	// Bridges is the number of bridge nodes (0 disables the overlay;
-	// bridges need at least two piconets to connect). Without an explicit
-	// Topology, bridge b serves the legacy ring pair (b mod Piconets,
-	// (b+1) mod Piconets) — RingBridges(Piconets, Bridges) made implicit.
-	Bridges int
-	// Topology is the explicit bridge→piconet membership map. nil keeps
-	// the legacy ring composition above; a non-nil topology overrides
-	// Piconets/Bridges (which, when non-zero, must agree with it).
+	// Topology is the bridge→piconet membership map (required); it
+	// dictates the piconet and bridge counts.
 	Topology *Topology
 	// HoldTime is the bridge residency per piconet visit (default 10 s):
 	// at every multiple of HoldTime a bridge detaches from its current
@@ -183,15 +173,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// effectiveTopology resolves the campaign's membership map: the explicit
-// Topology when set, the legacy ring otherwise.
-func (c Config) effectiveTopology() Topology {
-	if c.Topology != nil {
-		return *c.Topology
-	}
-	return RingBridges(c.Piconets, c.Bridges)
-}
-
 // Validate reports configuration errors (on the defaulted view, so a zero
 // HoldTime is filled in, not rejected).
 func (c Config) Validate() error {
@@ -223,26 +204,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("scatternet: negative parallelism")
 	}
 	if c.Topology == nil {
-		switch {
-		case c.Piconets < 1:
-			return fmt.Errorf("scatternet: need at least one piconet, got %d", c.Piconets)
-		case c.Bridges < 0:
-			return fmt.Errorf("scatternet: negative bridge count")
-		case c.Bridges > 0 && c.Piconets < 2:
-			return fmt.Errorf("scatternet: %d bridge(s) need at least two piconets to connect", c.Bridges)
-		}
-		return nil
+		return fmt.Errorf("scatternet: no topology")
 	}
-	if err := c.Topology.Validate(); err != nil {
-		return err
-	}
-	if c.Piconets != 0 && c.Piconets != c.Topology.Piconets {
-		return fmt.Errorf("scatternet: Piconets %d disagrees with topology's %d", c.Piconets, c.Topology.Piconets)
-	}
-	if c.Bridges != 0 && c.Bridges != c.Topology.Bridges() {
-		return fmt.Errorf("scatternet: Bridges %d disagrees with topology's %d", c.Bridges, c.Topology.Bridges())
-	}
-	return nil
+	return c.Topology.Validate()
 }
 
 // PiconetSeed derives piconet p's campaign seed. Piconet 0 keeps the root
@@ -274,7 +238,7 @@ type Result struct {
 	// piconet finishes, which is what keeps live memory flat in Piconets).
 	Piconets []*Piconet
 	// Topology is the effective bridge→piconet membership map the campaign
-	// ran (the explicit one, or the legacy ring made explicit).
+	// ran.
 	Topology Topology
 	// Bridges is the bridge-attributed aggregate (empty table when the
 	// campaign had no bridges).
@@ -300,7 +264,7 @@ type Campaign struct {
 	overlay *overlay
 }
 
-// New assembles the scatternet: the effective topology and, when it deploys
+// New assembles the scatternet: the topology and, when it deploys
 // bridges, the overlay world with its bridge hosts and per-piconet NAP
 // anchors. Piconet worlds are NOT built here — each shard worker constructs
 // its piconets one at a time during Run (testbed.NewCampaign per piconet,
@@ -311,8 +275,7 @@ func New(cfg Config) (*Campaign, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	topo := cfg.effectiveTopology()
-	cfg.Piconets, cfg.Bridges = topo.Piconets, topo.Bridges()
+	topo := *cfg.Topology
 	c := &Campaign{cfg: cfg, topo: topo}
 	if topo.Bridges() > 0 {
 		c.overlay = newOverlay(cfg, topo)

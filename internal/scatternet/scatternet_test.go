@@ -10,12 +10,12 @@ import (
 
 // baseConfig returns a small two-piconet, one-bridge campaign config.
 func baseConfig() Config {
+	topo := RingBridges(2, 1)
 	return Config{
 		Seed:     3,
 		Duration: 2 * sim.Hour,
 		Scenario: recovery.ScenarioSIRAs,
-		Piconets: 2,
-		Bridges:  1,
+		Topology: &topo,
 		HoldTime: 5 * sim.Second,
 	}
 }
@@ -27,10 +27,6 @@ func TestValidate(t *testing.T) {
 		ok     bool
 	}{
 		{"base", func(c *Config) {}, true},
-		{"one piconet no bridges", func(c *Config) { c.Piconets, c.Bridges = 1, 0 }, true},
-		{"zero piconets", func(c *Config) { c.Piconets = 0 }, false},
-		{"bridge needs two piconets", func(c *Config) { c.Piconets = 1 }, false},
-		{"negative bridges", func(c *Config) { c.Bridges = -1 }, false},
 		{"no duration", func(c *Config) { c.Duration = 0 }, false},
 		{"bad scenario", func(c *Config) { c.Scenario = 9 }, false},
 		{"negative hold", func(c *Config) { c.HoldTime = -sim.Second }, false},
@@ -202,8 +198,7 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 // TestConfigTopologyCrossChecks pins the Config/Topology consistency rules:
-// a non-nil topology overrides Piconets/Bridges but rejects explicit values
-// that disagree with it, and an invalid membership map fails validation.
+// the topology is required and an invalid membership map fails validation.
 func TestConfigTopologyCrossChecks(t *testing.T) {
 	topo := Star(3)
 	cases := []struct {
@@ -211,10 +206,8 @@ func TestConfigTopologyCrossChecks(t *testing.T) {
 		mutate func(*Config)
 		ok     bool
 	}{
-		{"topology only", func(c *Config) { c.Piconets, c.Bridges, c.Topology = 0, 0, &topo }, true},
-		{"agreeing counts", func(c *Config) { c.Piconets, c.Bridges, c.Topology = 3, 2, &topo }, true},
-		{"piconet mismatch", func(c *Config) { c.Piconets, c.Topology = 4, &topo }, false},
-		{"bridge mismatch", func(c *Config) { c.Bridges, c.Piconets, c.Topology = 5, 3, &topo }, false},
+		{"topology", func(c *Config) { c.Topology = &topo }, true},
+		{"no topology", func(c *Config) { c.Topology = nil }, false},
 		{"invalid topology", func(c *Config) {
 			bad := Topology{Piconets: 2, Members: [][]int{{0, 0}}}
 			c.Topology = &bad
@@ -236,7 +229,6 @@ func TestConfigTopologyCrossChecks(t *testing.T) {
 func TestStarRelayDepths(t *testing.T) {
 	topo := Star(3)
 	cfg := baseConfig()
-	cfg.Piconets, cfg.Bridges = 0, 0
 	cfg.Topology = &topo
 	camp, err := New(cfg)
 	if err != nil {
@@ -273,7 +265,6 @@ func TestRedundancyGroupAccounting(t *testing.T) {
 	topo := RingBridges(2, 1).WithRedundancy(2)
 	cfg := baseConfig()
 	cfg.Duration = 6 * sim.Hour
-	cfg.Piconets, cfg.Bridges = 0, 0
 	cfg.Topology = &topo
 	camp, err := New(cfg)
 	if err != nil {
@@ -332,7 +323,6 @@ func TestRedundancyGroupAccounting(t *testing.T) {
 func TestWideBridgeMembership(t *testing.T) {
 	topo := Topology{Piconets: 3, Members: [][]int{{0, 1, 2}}}
 	cfg := baseConfig()
-	cfg.Piconets, cfg.Bridges = 0, 0
 	cfg.Topology = &topo
 	visited := map[int]bool{}
 	cfg.OnBridgeHop = func(_ string, _ sim.Time, piconet int) { visited[piconet] = true }

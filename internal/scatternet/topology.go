@@ -105,8 +105,9 @@ func (t Topology) Connected() bool {
 
 // RingBridges is PR 3's implicit ring made explicit: bridges bridge nodes,
 // bridge b serving the piconet pair (b mod piconets, (b+1) mod piconets).
-// It is the membership map behind the legacy Piconets/Bridges configuration,
-// kept bit-identical by the golden equivalence suite.
+// It is the membership map behind btpan's default (empty-Topology)
+// Piconets/Bridges configuration, kept bit-identical by the golden
+// equivalence suite.
 func RingBridges(piconets, bridges int) Topology {
 	t := Topology{Piconets: piconets}
 	if piconets < 1 {

@@ -15,6 +15,7 @@ func TestTopologyValidate(t *testing.T) {
 	}{
 		{"no piconets", Topology{}, false},
 		{"one piconet no bridges", Topology{Piconets: 1}, true},
+		{"bridge needs two piconets", Topology{Piconets: 1, Members: [][]int{{0}}}, false},
 		{"ring", Ring(4), true},
 		{"star", Star(4), true},
 		{"mesh", Mesh(4), true},

@@ -14,8 +14,8 @@ import (
 // sweep must not regenerate the graph once per seed in the hot loop).
 var randomTopologyBuilds atomic.Int64
 
-// Topology names for ScatternetConfig.Topology. The empty string keeps the
-// legacy ring-pair composition (bridge b serves b mod P, (b+1) mod P).
+// Topology names for ScatternetConfig.Topology. The empty string pairs
+// Bridges bridges around the ring (bridge b serves b mod P, (b+1) mod P).
 const (
 	// TopologyRing is the canonical ring: one bridge per ring edge.
 	TopologyRing = "ring"
@@ -39,14 +39,14 @@ type ScatternetConfig struct {
 	// Piconet 0 runs on the root seed unchanged; piconet p > 0 derives
 	// scatternet.PiconetSeed(Seed, p).
 	Piconets int
-	// Bridges is the number of bridge nodes. With the default (legacy ring)
+	// Bridges is the number of bridge nodes. With the default (empty)
 	// topology, bridge b serves the ring pair (b mod Piconets, (b+1) mod
 	// Piconets); with TopologyRandom it is the random graph's edge budget
 	// (>= Piconets-1). Ring/star/mesh topologies dictate their own bridge
 	// count and ignore it.
 	Bridges int
 	// Topology selects a built-in membership-map generator (TopologyRing,
-	// TopologyStar, TopologyMesh, TopologyRandom). Empty keeps the legacy
+	// TopologyStar, TopologyMesh, TopologyRandom). Empty selects the
 	// ring-pair composition driven by Piconets/Bridges.
 	Topology string
 	// Members is an explicit bridge→piconet membership map (Members[b]
@@ -79,20 +79,18 @@ type ScatternetConfig struct {
 	Rollup bool
 }
 
-// topology resolves the configured membership map (nil for the legacy ring).
+// topology resolves the configured membership map.
 func (c ScatternetConfig) topology() (*scatternet.Topology, error) {
 	var topo scatternet.Topology
 	switch {
 	case c.Members != nil:
 		topo = scatternet.Topology{Piconets: c.Piconets, Members: c.Members}
+	case c.Topology == "" && c.Bridges < 0:
+		return nil, fmt.Errorf("btpan: negative bridge count %d", c.Bridges)
+	case c.Topology == "" && c.Bridges > 0 && c.Piconets < 2:
+		return nil, fmt.Errorf("btpan: %d bridge(s) need at least two piconets to connect", c.Bridges)
 	case c.Topology == "":
-		if c.Redundancy > 1 && c.Piconets >= 1 && c.Bridges > 0 {
-			topo = scatternet.RingBridges(c.Piconets, c.Bridges)
-			break
-		}
-		// Pure legacy path — including degenerate counts, which the
-		// engine's legacy validation rejects with the specific messages.
-		return nil, nil
+		topo = scatternet.RingBridges(c.Piconets, c.Bridges)
 	case c.Topology == TopologyRing:
 		topo = scatternet.Ring(c.Piconets)
 	case c.Topology == TopologyStar:
@@ -124,8 +122,6 @@ func (c ScatternetConfig) internalConfig() (scatternet.Config, error) {
 		Seed:              c.Seed,
 		Duration:          c.Duration,
 		Scenario:          c.Scenario,
-		Piconets:          c.Piconets,
-		Bridges:           c.Bridges,
 		Topology:          topo,
 		HoldTime:          c.HoldTime,
 		RelayEvery:        c.RelayEvery,
@@ -135,11 +131,6 @@ func (c ScatternetConfig) internalConfig() (scatternet.Config, error) {
 		FlushEvery:        c.FlushEvery,
 		Rollup:            c.Rollup,
 		Parallelism:       c.Parallelism,
-	}
-	if topo != nil {
-		// The generated map dictates the piconet/bridge counts; the engine
-		// cross-checks only explicitly set fields.
-		cfg.Bridges = 0
 	}
 	return cfg, nil
 }

@@ -173,3 +173,24 @@ func TestScatternetConfigDegenerateCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestScatternetConfigBridgeCounts pins the default topology's two count
+// rejections at the btpan boundary: the ring pairing cannot place a
+// negative number of bridges, nor connect bridges with fewer than two
+// piconets.
+func TestScatternetConfigBridgeCounts(t *testing.T) {
+	base := CampaignConfig{Seed: 1, Duration: Day, Scenario: ScenarioSIRAs}
+	for _, tc := range []struct {
+		cfg  ScatternetConfig
+		want string
+	}{
+		{ScatternetConfig{CampaignConfig: base, Piconets: 3, Bridges: -1}, "negative bridge count"},
+		{ScatternetConfig{CampaignConfig: base, Piconets: 1, Bridges: 1}, "need at least two piconets"},
+	} {
+		err := tc.cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%d piconets, %d bridges: Validate() = %v, want an error containing %q",
+				tc.cfg.Piconets, tc.cfg.Bridges, err, tc.want)
+		}
+	}
+}
