@@ -24,11 +24,10 @@ func planSDU(pt core.PacketType, sduLen int) sduShapeArgs {
 }
 
 // TestSendSDUSteadyStateAllocFree proves the whole per-SDU data plane —
-// run-length BER queries, memoized attempt probabilities, SDU-shape power
-// tables, batched draws — performs zero heap allocations in steady state,
-// also while shapes rotate through more packet types and send/receive
-// sizes than the shape memo holds, so evicted entries must reuse their
-// table storage.
+// run-length BER queries, the survival memo and its power tables, batched
+// draws — performs zero heap allocations in steady state, also while
+// shapes rotate through five packet types and ten send/receive sizes,
+// once the memo has met each (packet type, BER).
 func TestSendSDUSteadyStateAllocFree(t *testing.T) {
 	tx := NewTransmitter(DefaultARQConfig(), noisyLink(1e-5, testRNG(31, 31)), testRNG(32, 32))
 	var cycle []sduShapeArgs
@@ -47,7 +46,7 @@ func TestSendSDUSteadyStateAllocFree(t *testing.T) {
 		next++
 		tx.SendSDU(s.pt, s.count, s.fullLen, s.lastLen)
 	}
-	// Warm the memo rings and grow every table to its longest window.
+	// Warm the memo and grow every table to its longest window.
 	for i := 0; i < 8*len(cycle); i++ {
 		send()
 	}

@@ -2,6 +2,7 @@ package baseband
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"repro/internal/core"
@@ -27,18 +28,23 @@ type ARQConfig struct {
 	// analytic fast path to agree with the bit-level model.
 	BurstContinue float64
 
-	// SlowPath disables the transmitter's probability memoization: every
-	// chunk and attempt probability is recomputed from scratch instead of
-	// served from the (pt, bits, BER)-keyed caches, and each batched SDU
-	// window runs the per-fragment product and CDF inversion scalar by
-	// scalar instead of reading the SDU-shape power table. Control flow —
-	// run-length BER queries, window splits and RNG draws included — is
-	// identical on both settings, and probabilities combine in the same
-	// order, so campaign outputs are bit-identical; the knob exists so the
-	// seed-equivalence test and TestSendSDUFastMatchesSlowPath can prove the
-	// memoization is sound. (The run-length API itself is pinned to
-	// per-slot queries by radio's TestBERRunMatchesSlotBER, and the batch
-	// draw to per-fragment sends by TestSendSDUMatchesPerFragmentSends.)
+	// SlowPath disables the transmitter's shortcuts: every fragment and
+	// attempt probability is recomputed from scratch instead of served
+	// from the (packet type, BER) survival memo, each batched SDU window
+	// runs the per-fragment product and CDF inversion scalar by scalar
+	// instead of reading the memo's power table, every BER query goes to
+	// the link instead of the cached channel-state span, and CleanRun
+	// reports no clean run, so a pipe sends every packet through the
+	// per-packet path instead of the run-length transfer kernel. Control
+	// flow — run-length BER queries, window splits and RNG draws included
+	// — is identical on both settings, and probabilities combine in the
+	// same order, so campaign outputs are bit-identical; the knob exists so
+	// the seed-equivalence test and TestSendSDUFastMatchesSlowPath can
+	// prove the shortcuts are sound. (The run-length API itself is pinned
+	// to per-slot queries by radio's TestBERRunMatchesSlotBER, the batch
+	// draw to per-fragment sends by TestSendSDUMatchesPerFragmentSends, and
+	// the transfer kernel to per-packet sends by stack's
+	// TestSendRunMatchesPerPacket.)
 	SlowPath bool
 }
 
@@ -110,164 +116,85 @@ type Transmitter struct {
 	rng  *rand.Rand
 	slot int64 // next free slot on the shared piconet clock
 
-	// cf memoizes chunkFailProb per (packet type, bits-in-slot, BER). The
-	// BER is part of the key, so entries never need explicit invalidation:
-	// a channel-state transition simply stops hitting them. An attempt
-	// touches at most two distinct bit counts (full slots plus the
-	// remainder slot), so a tiny ring with linear scan stays hot across
-	// the ~2.9M-slot good-state sojourns that dominate the campaign.
-	cf     [8]cfEntry
-	cfNext int
-	cfMRU  int
+	// The link's BER is runBER from the slot of its last BERRun query up
+	// to runUntil. Slots only advance and the transmitter is the link's
+	// only consumer, so the answer holds until the clock reaches runUntil.
+	runBER   float64
+	runUntil int64
 
-	// att memoizes whole-attempt survival probabilities per (packet type,
-	// air bits, BER) for attempts that fall entirely inside one channel
-	// state — the overwhelmingly common case. One hit replaces the
-	// per-slot chunk loop.
-	att     [8]attEntry
-	attNext int
-	attMRU  int
-
-	// shapes memoizes SendSDU's batched-window probabilities per SDU shape
-	// (packet type, full and last fragment lengths, BER). A workload cycle
-	// sends runs of same-sized SDUs, so the MRU entry answers almost every
-	// window; a ring of eight covers send/receive alternation across
-	// channel states.
-	shapes    [8]sduShape
-	shapeNext int
-	shapeMRU  int
+	// memos holds one first-attempt survival memo per packet type, for the
+	// BER the type was last sent at. A send at another BER (a new channel
+	// state) re-tags the entry and refills it lazily in its own storage, so
+	// a transmitter holds at most one table set per packet type.
+	memos [core.NumPacketTypes]okMemo
 }
 
-// sduShape is one memoized SDU shape: the first-attempt survival
-// probability of the final fragment and a prefix-power table of the full
-// fragments' survival probability pFull.
-type sduShape struct {
-	ber   float64
-	pLast float64
-	// pows[k] is the probability that k consecutive full fragments survive
-	// their first attempts: pows[0] = 1, pows[k] = pows[k-1] * pFull, built
-	// by sequential multiplication in transmission order — the same floats
-	// the SlowPath running product yields. It grows to the longest window
-	// seen (at most sduBatchMax+1 entries) and keeps its storage when the
-	// entry is evicted.
+// okMemo memoizes first-attempt fragment survival at one (packet type,
+// BER). Its tables are allocated when the type is first sent, so a
+// transmitter pays only for the packet types it meets.
+type okMemo struct {
+	ber float64
+	// ok[n] is the probability that a fragment of n payload bytes survives
+	// its first attempt, NaN until first asked for; it is filled by the
+	// same slot-order product the SlowPath computes, so it is that float.
+	ok []float64
+	// pows[k] is the probability that k consecutive full fragments of
+	// powsLen bytes survive their first attempts: pows[0] = 1, pows[k] =
+	// pows[k-1] * ok[powsLen], built by sequential multiplication in
+	// transmission order — the same floats the SlowPath running product
+	// yields. It grows to the longest window seen (at most sduBatchMax+1
+	// entries).
 	pows    []float64
-	fullLen int32
-	lastLen int32
+	powsLen int
 	pt      core.PacketType
-	valid   bool
 }
 
-// shape returns the memo entry for an SDU shape at the given BER, built on
-// a miss; only misses pay the air-bit and bits-per-slot arithmetic.
-func (t *Transmitter) shape(pt core.PacketType, fullLen, lastLen int, ber float64) *sduShape {
-	if e := &t.shapes[t.shapeMRU]; e.matches(pt, fullLen, lastLen, ber) {
-		return e
-	}
-	for i := range t.shapes {
-		if e := &t.shapes[i]; e.matches(pt, fullLen, lastLen, ber) {
-			t.shapeMRU = i
-			return e
+// memo returns the survival memo for (pt, ber), re-tagging the packet
+// type's entry when ber differs from the BER it holds.
+func (t *Transmitter) memo(pt core.PacketType, ber float64) *okMemo {
+	e := &t.memos[pt]
+	if e.ber != ber || e.ok == nil {
+		if e.ok == nil {
+			e.ok = make([]float64, pt.Payload()+1)
 		}
+		for i := range e.ok {
+			e.ok[i] = math.NaN()
+		}
+		e.ber, e.pt, e.powsLen = ber, pt, -1
 	}
-	e := &t.shapes[t.shapeNext]
-	*e = sduShape{
-		ber:     ber,
-		pLast:   t.fragOK(pt, lastLen, ber),
-		pows:    append(e.pows[:0], 1, t.fragOK(pt, fullLen, ber)),
-		fullLen: int32(fullLen),
-		lastLen: int32(lastLen),
-		pt:      pt,
-		valid:   true,
-	}
-	t.shapeMRU = t.shapeNext
-	t.shapeNext = (t.shapeNext + 1) % len(t.shapes)
 	return e
 }
 
-// matches reports whether e is a live entry for the shape at this BER.
-func (e *sduShape) matches(pt core.PacketType, fullLen, lastLen int, ber float64) bool {
-	return e.valid && e.ber == ber && e.fullLen == int32(fullLen) &&
-		e.lastLen == int32(lastLen) && e.pt == pt
+// fragOK returns the first-attempt survival of an n-byte fragment.
+func (e *okMemo) fragOK(t *Transmitter, n int) float64 {
+	p := e.ok[n]
+	if p != p { // NaN: not computed yet
+		p = t.scalarFragOK(e.pt, n, e.ber)
+		e.ok[n] = p
+	}
+	return p
 }
 
-// grow extends the power table through pows[n].
-func (e *sduShape) grow(n int) {
-	pFull := e.pows[1]
-	for len(e.pows) <= n {
+// powers returns the power table of fullLen-byte fragments, grown through
+// index n.
+func (e *okMemo) powers(t *Transmitter, fullLen, n int) []float64 {
+	if e.powsLen != fullLen {
+		e.pows = append(e.pows[:0], 1, e.fragOK(t, fullLen))
+		e.powsLen = fullLen
+	}
+	for pFull := e.pows[1]; len(e.pows) <= n; {
 		e.pows = append(e.pows, e.pows[len(e.pows)-1]*pFull)
 	}
+	return e.pows
 }
 
-// attEntry is one memoized attempt survival probability.
-type attEntry struct {
-	ber     float64
-	pOK     float64
-	airBits int32
-	pt      core.PacketType
-	valid   bool
-}
-
-// attemptOK returns the probability that an attempt of airBits on-air bits
-// survives every one of its slots at constant BER, memoized. The product is
-// accumulated slot by slot in the same order as the slow path, from the same
-// memoized chunkFailProb values, so the cached float is bit-identical to
-// what a per-slot computation yields.
-func (t *Transmitter) attemptOK(pt core.PacketType, airBits, slots, bitsPerSlot int, ber float64) float64 {
-	if e := &t.att[t.attMRU]; e.valid && e.pt == pt && e.airBits == int32(airBits) && e.ber == ber {
-		return e.pOK
+// berRun answers link.BERRun(from, to), from the cached span while from
+// lies before its end; with cfg.SlowPath every query goes to the link.
+func (t *Transmitter) berRun(from, to int64) (ber float64, until int64) {
+	if t.cfg.SlowPath || from >= t.runUntil {
+		t.runBER, t.runUntil = t.link.BERRun(from, math.MaxInt64)
 	}
-	for i := range t.att {
-		e := &t.att[i]
-		if e.valid && e.pt == pt && e.airBits == int32(airBits) && e.ber == ber {
-			t.attMRU = i
-			return e.pOK
-		}
-	}
-	pOK := 1.0
-	for s := 0; s < slots; s++ {
-		bits := bitsPerSlot
-		if rem := airBits - s*bitsPerSlot; rem < bits {
-			bits = rem
-		}
-		pOK *= 1 - t.chunkFail(pt, bits, ber)
-	}
-	t.att[t.attNext] = attEntry{ber: ber, pOK: pOK, airBits: int32(airBits), pt: pt, valid: true}
-	t.attMRU = t.attNext
-	t.attNext = (t.attNext + 1) % len(t.att)
-	return pOK
-}
-
-// cfEntry is one memoized chunk-failure probability.
-type cfEntry struct {
-	ber   float64
-	prob  float64
-	bits  int32
-	pt    core.PacketType
-	valid bool
-}
-
-// chunkFail returns chunkFailProb(pt, bits, ber), memoized. The cached value
-// is the exact float produced by chunkFailProb, so fast- and slow-path
-// campaigns stay bit-identical.
-func (t *Transmitter) chunkFail(pt core.PacketType, bits int, ber float64) float64 {
-	// Consecutive lookups repeat the previous key almost always (full
-	// fragments of one SDU share a bit count), so check the last hit
-	// before scanning the ring.
-	if e := &t.cf[t.cfMRU]; e.valid && e.pt == pt && e.bits == int32(bits) && e.ber == ber {
-		return e.prob
-	}
-	for i := range t.cf {
-		e := &t.cf[i]
-		if e.valid && e.pt == pt && e.bits == int32(bits) && e.ber == ber {
-			t.cfMRU = i
-			return e.prob
-		}
-	}
-	p := t.chunkFailProb(pt, bits, ber)
-	t.cf[t.cfNext] = cfEntry{ber: ber, prob: p, bits: int32(bits), pt: pt, valid: true}
-	t.cfMRU = t.cfNext
-	t.cfNext = (t.cfNext + 1) % len(t.cf)
-	return p
+	return t.runBER, min(t.runUntil, to)
 }
 
 // NewTransmitter builds a transmitter over link. Invalid configs panic
@@ -314,18 +241,17 @@ func (t *Transmitter) chunkFailProb(pt core.PacketType, bitsInSlot int, ber floa
 // attemptSurvival computes the probability that one attempt's data slots all
 // deliver their chunk of the payload intact, advancing the piconet clock
 // across them. The product runs slot by slot in transmission order; on the
-// fast path a whole-attempt memo (attemptOK) or the chunkFail memo supplies
-// the factors, with cfg.SlowPath every factor is recomputed from scratch —
-// both orderings and values are bit-identical.
-func (t *Transmitter) attemptSurvival(pt core.PacketType, airBits, slots, bitsPerSlot int) float64 {
+// fast path an attempt inside one channel state reads the survival memo
+// instead, which holds the same float.
+func (t *Transmitter) attemptSurvival(pt core.PacketType, payloadLen, airBits, slots, bitsPerSlot int) float64 {
 	pOK := 1.0
 	end := t.slot + int64(slots)
 	for s := 0; t.slot < end; {
-		ber, until := t.link.BERRun(t.slot, end)
+		ber, until := t.berRun(t.slot, end)
 		if !t.cfg.SlowPath && s == 0 && until >= end {
 			// The whole attempt sits in one channel state: one memoized
 			// probability covers it.
-			pOK = t.attemptOK(pt, airBits, slots, bitsPerSlot, ber)
+			pOK = t.memo(pt, ber).fragOK(t, payloadLen)
 			t.slot = end
 			break
 		}
@@ -334,11 +260,7 @@ func (t *Transmitter) attemptSurvival(pt core.PacketType, airBits, slots, bitsPe
 			if rem := airBits - s*bitsPerSlot; rem < bits {
 				bits = rem
 			}
-			if t.cfg.SlowPath {
-				pOK *= 1 - t.chunkFailProb(pt, bits, ber)
-			} else {
-				pOK *= 1 - t.chunkFail(pt, bits, ber)
-			}
+			pOK *= 1 - t.chunkFailProb(pt, bits, ber)
 			t.slot++
 		}
 	}
@@ -358,7 +280,7 @@ func (t *Transmitter) sendFragment(pt core.PacketType, payloadLen, attemptsDone 
 	attempts := attemptsDone
 	for {
 		attempts++
-		pOK := t.attemptSurvival(pt, airBits, slots, bitsPerSlot)
+		pOK := t.attemptSurvival(pt, payloadLen, airBits, slots, bitsPerSlot)
 		// One Bernoulli decides the attempt; inlined (instead of stats) to
 		// keep call overhead off the per-attempt path, with the same
 		// draw-skipping edge cases.
@@ -412,8 +334,8 @@ type SDUResult struct {
 }
 
 // sduBatchMax bounds the fragments one SendSDU window batches, and with it
-// the SDU-shape power tables; longer SDUs (a DM1-segmented BNEP MTU is 100
-// fragments) batch in consecutive windows.
+// the survival memo's power tables; longer SDUs (a DM1-segmented BNEP MTU
+// is 100 fragments) batch in consecutive windows.
 const sduBatchMax = 128
 
 // SendSDU transmits an SDU segmented into count fragments — full fragments
@@ -426,16 +348,10 @@ const sduBatchMax = 128
 // a channel-state transition, or retransmissions after a located failure,
 // fall back to the per-attempt path. This turns the dominant workload case —
 // a multi-fragment SDU delivered cleanly inside a multi-minute good-state
-// sojourn — into one BER query, one SDU-shape memo hit, one compare and one
-// RNG draw.
+// sojourn — into one cached BER span, two survival-memo loads, one compare
+// and one RNG draw.
 func (t *Transmitter) SendSDU(pt core.PacketType, count, fullLen, lastLen int) SDUResult {
-	if count < 1 {
-		panic(fmt.Sprintf("baseband: SendSDU with %d fragments", count))
-	}
-	if fullLen < 0 || fullLen > pt.Payload() || lastLen < 0 || lastLen > pt.Payload() {
-		panic(fmt.Sprintf("baseband: fragment lengths %d/%d out of range for %v",
-			fullLen, lastLen, pt))
-	}
+	checkShape(pt, count, fullLen, lastLen)
 	slots := pt.Slots()
 	stride := int64(slots + 1) // data slots plus the ACK/NAK return slot
 	start := t.slot
@@ -443,7 +359,7 @@ func (t *Transmitter) SendSDU(pt core.PacketType, count, fullLen, lastLen int) S
 	for frag := 0; frag < count; {
 		remaining := count - frag
 		windowEnd := t.slot + int64(remaining)*stride
-		ber, until := t.link.BERRun(t.slot, windowEnd)
+		ber, until := t.berRun(t.slot, windowEnd)
 		// n fragments have all their data slots inside this channel state; a
 		// run that reaches the window's end covers every remaining one.
 		n := remaining
@@ -474,11 +390,11 @@ func (t *Transmitter) SendSDU(pt core.PacketType, count, fullLen, lastLen int) S
 		if t.cfg.SlowPath {
 			j = t.slowWindow(pt, n, end, fullLen, lastLen, ber)
 		} else {
-			e := t.shape(pt, fullLen, lastLen, ber)
-			e.grow(n)
-			pAll := e.pows[n]
+			e := t.memo(pt, ber)
+			pows := e.powers(t, fullLen, n)
+			pAll := pows[n]
 			if end {
-				pAll = e.pows[n-1] * e.pLast
+				pAll = pows[n-1] * e.fragOK(t, lastLen)
 			}
 			if u, failed := t.drawWindow(pAll); failed {
 				// Invert u on the prefix-failure CDF F_k = 1 - pows[k+1];
@@ -486,7 +402,7 @@ func (t *Transmitter) SendSDU(pt core.PacketType, count, fullLen, lastLen int) S
 				// u < F_{n-1} is already known.
 				j = n - 1
 				for k := 1; k < n; k++ {
-					if u < 1-e.pows[k] {
+					if u < 1-pows[k] {
 						j = k - 1
 						break
 					}
@@ -521,6 +437,48 @@ func (t *Transmitter) SendSDU(pt core.PacketType, count, fullLen, lastLen int) S
 	return t.sduDone(Delivered, start)
 }
 
+// checkShape panics on an SDU shape no segmentation plan yields.
+func checkShape(pt core.PacketType, count, fullLen, lastLen int) {
+	if count < 1 {
+		panic(fmt.Sprintf("baseband: SDU with %d fragments", count))
+	}
+	if fullLen < 0 || fullLen > pt.Payload() || lastLen < 0 || lastLen > pt.Payload() {
+		panic(fmt.Sprintf("baseband: fragment lengths %d/%d out of range for %v",
+			fullLen, lastLen, pt))
+	}
+}
+
+// CleanRun prepares a run of back-to-back SDUs of one shape (as for
+// SendSDU) for the transfer kernel. It reports per, the slots one SDU takes
+// when every fragment delivers first time; fit, how many of the next max
+// such SDUs lie wholly inside the current channel state; and pFail, the
+// probability that such an SDU's first attempts do not all survive. Each of
+// those fit SDUs is sent by SendSDU as one batched window: one draw u on
+// the transmitter's stream, made only when pFail > 0, and the SDU takes
+// exactly per slots when u >= pFail. A caller that makes those draws
+// itself and advances the clock by per for each clean one leaves the
+// transmitter exactly where SendSDU would; the first SDU whose draw fails
+// must go to SendSDU with the draw given back. fit is 0 under
+// cfg.SlowPath, for SDUs longer than one window, and when the clock has
+// left the channel-state span of the last BER query, so the next SendSDU
+// makes the query that opens the next span.
+func (t *Transmitter) CleanRun(pt core.PacketType, count, fullLen, lastLen, max int) (fit int, per int64, pFail float64) {
+	checkShape(pt, count, fullLen, lastLen)
+	per = int64(count) * int64(pt.Slots()+1)
+	// Only the cached span is read: a BER query is a draw too (the link
+	// samples its sojourns when a query crosses them), and the next packet
+	// may fault before the per-packet path would query.
+	if t.cfg.SlowPath || count > sduBatchMax || max <= 0 || t.slot >= t.runUntil {
+		return 0, per, 0
+	}
+	if fit = int(min((t.runUntil-t.slot)/per, int64(max))); fit == 0 {
+		return 0, per, 0
+	}
+	e := t.memo(pt, t.runBER)
+	pAll := e.powers(t, fullLen, count-1)[count-1] * e.fragOK(t, lastLen)
+	return fit, per, 1 - pAll
+}
+
 // drawWindow decides the first attempts of a batched window that all
 // survive with probability pAll: failed reports whether some fragment
 // failed, and u is the deciding uniform, to be inverted on the
@@ -541,10 +499,10 @@ func (t *Transmitter) drawWindow(pAll float64) (u float64, failed bool) {
 // so its final fragment is the short one. It returns the index of the first
 // fragment whose first attempt failed, or -1 when all n survived.
 func (t *Transmitter) slowWindow(pt core.PacketType, n int, end bool, fullLen, lastLen int, ber float64) int {
-	pFull := t.fragOK(pt, fullLen, ber)
+	pFull := t.scalarFragOK(pt, fullLen, ber)
 	pLast := pFull
 	if end {
-		pLast = t.fragOK(pt, lastLen, ber)
+		pLast = t.scalarFragOK(pt, lastLen, ber)
 	}
 	pAll := 1.0
 	for i := 0; i < n; i++ {
@@ -574,17 +532,12 @@ func (t *Transmitter) slowWindow(pt core.PacketType, n int, end bool, fullLen, l
 	return n - 1
 }
 
-// fragOK returns the first-attempt survival probability of one fragment of
-// payloadLen bytes at constant BER: memoized on the fast path, recomputed
-// slot by slot (in the same order, yielding the same float) with
-// cfg.SlowPath.
-func (t *Transmitter) fragOK(pt core.PacketType, payloadLen int, ber float64) float64 {
+// scalarFragOK computes a fragment's first-attempt survival from scratch:
+// the product of its slots' chunk survival probabilities, in slot order.
+func (t *Transmitter) scalarFragOK(pt core.PacketType, payloadLen int, ber float64) float64 {
 	airBits := AirBits(pt, payloadLen)
 	slots := pt.Slots()
 	bitsPerSlot := (airBits + slots - 1) / slots
-	if !t.cfg.SlowPath {
-		return t.attemptOK(pt, airBits, slots, bitsPerSlot, ber)
-	}
 	p := 1.0
 	for s := 0; s < slots; s++ {
 		bits := bitsPerSlot

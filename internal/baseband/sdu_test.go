@@ -92,7 +92,7 @@ func TestSendSDUMatchesPerFragmentSends(t *testing.T) {
 
 // sduTwin drives a memoized transmitter and a SlowPath one over
 // identically seeded links and RNGs, so any divergence between the
-// SDU-shape memo and the scalar reference shows up as a different result,
+// survival memo and the scalar reference shows up as a different result,
 // slot or RNG position.
 type sduTwin struct {
 	fast, slow         *Transmitter
@@ -131,18 +131,23 @@ func (w *sduTwin) send(t *testing.T, gap int64, pt core.PacketType, count, fullL
 // for bit — then compares the final slot and the next draw of every RNG.
 func (w *sduTwin) check(t *testing.T) {
 	t.Helper()
-	for _, e := range w.fast.shapes {
-		if !e.valid {
+	for _, e := range w.fast.memos {
+		if e.ok == nil {
 			continue
 		}
-		pFull := w.slow.fragOK(e.pt, int(e.fullLen), e.ber)
-		if pLast := w.slow.fragOK(e.pt, int(e.lastLen), e.ber); e.pLast != pLast {
-			t.Fatalf("memo %v %d/%d B: pLast %v, scalar %v", e.pt, e.fullLen, e.lastLen, e.pLast, pLast)
+		for n, p := range e.ok {
+			if want := w.slow.scalarFragOK(e.pt, n, e.ber); p == p && p != want {
+				t.Fatalf("memo %v at BER %v: ok[%d] %v, scalar %v", e.pt, e.ber, n, p, want)
+			}
 		}
+		if e.powsLen < 0 {
+			continue
+		}
+		pFull := w.slow.scalarFragOK(e.pt, e.powsLen, e.ber)
 		prod := 1.0
 		for k, p := range e.pows {
 			if p != prod {
-				t.Fatalf("memo %v %d/%d B: pows[%d] %v, scalar product %v", e.pt, e.fullLen, e.lastLen, k, p, prod)
+				t.Fatalf("memo %v %d B: pows[%d] %v, scalar product %v", e.pt, e.powsLen, k, p, prod)
 			}
 			prod *= pFull
 		}
@@ -182,7 +187,7 @@ func sduChannels() map[string]radio.Config {
 	return map[string]radio.Config{"calm": calm, "flappy": flappy}
 }
 
-// TestSendSDUFastMatchesSlowPath pins the SDU-shape memo to the SlowPath
+// TestSendSDUFastMatchesSlowPath pins the survival memo to the SlowPath
 // scalar loop bit for bit: all six ACL types, every count from 1 to 300
 // (so long SDUs split at sduBatchMax), full and short fragment lengths,
 // shapes repeating and alternating as a workload cycle sends them, idle
@@ -245,4 +250,72 @@ func FuzzSendSDU(f *testing.F) {
 		}
 		w.check(t)
 	})
+}
+
+// TestCleanRunMatchesSendSDU pins CleanRun's contract to SendSDU. One
+// transmitter resolves every SDU CleanRun reports with its own window draw
+// on the transmitter's generator, given back when it fails, and sends
+// every other SDU through SendSDU; its twin sends every SDU through
+// SendSDU. Runs of random shapes (counts up to ~300, so long SDUs exceed
+// one window), idle gaps and both channels leave the twins on the same
+// slot after every run and on the same stream positions at the end.
+// CleanRun reports no run under SlowPath.
+func TestCleanRunMatchesSendSDU(t *testing.T) {
+	for chName, ch := range sduChannels() {
+		t.Run(chName, func(t *testing.T) {
+			src := sim.NewPCG(7, 1)
+			runLink, refLink := testRNG(7, 2), testRNG(7, 2)
+			run := NewTransmitter(DefaultARQConfig(), radio.NewLink(ch, runLink), rand.New(src))
+			ref := NewTransmitter(DefaultARQConfig(), radio.NewLink(ch, refLink), testRNG(7, 1))
+			drive := testRNG(9, 9)
+			clean := 0
+			for i := 0; i < 2000; i++ {
+				pt := core.PacketTypes()[drive.IntN(len(core.PacketTypes()))]
+				s := planSDU(pt, 1+drive.IntN(300*pt.Payload()))
+				n := 1 + drive.IntN(50)
+				gap := int64(drive.IntN(3)) * int64(drive.IntN(4096))
+				run.AdvanceTo(run.Slot() + gap)
+				ref.AdvanceTo(ref.Slot() + gap)
+				for k := 0; k < n; {
+					fit, per, pFail := run.CleanRun(s.pt, s.count, s.fullLen, s.lastLen, n-k)
+					for ; fit > 0; fit-- {
+						saved := *src
+						if pFail > 0 && src.Float64() < pFail {
+							*src = saved
+							break
+						}
+						run.AdvanceTo(run.Slot() + per)
+						k++
+						clean++
+					}
+					if k < n {
+						run.SendSDU(s.pt, s.count, s.fullLen, s.lastLen)
+						k++
+					}
+				}
+				for k := 0; k < n; k++ {
+					ref.SendSDU(s.pt, s.count, s.fullLen, s.lastLen)
+				}
+				if run.Slot() != ref.Slot() {
+					t.Fatalf("run %d (%v x%d, %d SDUs): slot %d, reference %d", i, s.pt, s.count, n, run.Slot(), ref.Slot())
+				}
+			}
+			if a, b := src.Uint64(), ref.rng.Uint64(); a != b {
+				t.Fatalf("next transmitter draw %#x, reference %#x", a, b)
+			}
+			if a, b := runLink.Uint64(), refLink.Uint64(); a != b {
+				t.Fatalf("next channel draw %#x, reference %#x", a, b)
+			}
+			if clean == 0 {
+				t.Fatal("CleanRun never reported a clean SDU")
+			}
+		})
+	}
+	slow := DefaultARQConfig()
+	slow.SlowPath = true
+	tx := NewTransmitter(slow, noisyLink(1e-5, testRNG(3, 3)), testRNG(4, 4))
+	tx.SendSDU(core.PTDH5, 5, 339, 120)
+	if fit, _, _ := tx.CleanRun(core.PTDH5, 5, 339, 120, 10); fit != 0 {
+		t.Fatalf("SlowPath CleanRun fit %d, want 0", fit)
+	}
 }

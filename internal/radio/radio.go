@@ -195,9 +195,12 @@ func (l *Link) SlotBER(slot int64) float64 {
 // millions of per-slot SlotBER queries with one query per channel state per
 // attempt, drawing exactly the same RNG sequence as per-slot queries would
 // (sojourns are sampled lazily at boundary crossings, which happen
-// identically however the query points are spaced). Unlike SlotBER it does
-// not advance the good/bad slot diagnostics counters, which remain per-slot
-// query counts.
+// identically however the query points are spaced). A query that jumps
+// several boundaries at once, as after an idle gap, samples every chain
+// sojourn before any interference burst, so the draw order does depend on
+// where such queries land: two data planes that must agree must query at
+// the same slots. Unlike SlotBER it does not advance the good/bad slot
+// diagnostics counters, which remain per-slot query counts.
 func (l *Link) BERRun(from, to int64) (ber float64, until int64) {
 	l.advance(from)
 	until = to

@@ -333,7 +333,7 @@ func (b *bridge) drain() {
 	q := b.queues[b.resident]
 	var dur sim.Time
 	for i, sdu := range q {
-		outcome, elapsed := b.pipe.SendPacket(core.PTDH5, b.cfg.RelayBytes)
+		_, outcome, elapsed := b.pipe.SendRun(core.PTDH5, b.cfg.RelayBytes, 1)
 		dur += elapsed
 		switch outcome {
 		case stack.PacketLost:

@@ -44,8 +44,9 @@
 // roll-up merges per-shard partials into one metro-wide report whose bytes
 // are shard-count invariant. The overlay deliberately stays a single world:
 // bridges share the NAP anchors and the connection-handle sequence, so
-// splitting it would change results — and it is O(bridges), not O(P²), so
-// it is never the scaling bottleneck.
+// splitting it would change results. It is O(bridges), not O(P²), but with
+// exhaustive probes it can outlast the piconet plane, so while it runs it
+// keeps one P to itself and the shard workers share the rest.
 package scatternet
 
 import (
@@ -134,12 +135,14 @@ type Config struct {
 	// in ascending order by one worker goroutine that lazily builds, runs
 	// and (in rollup mode) folds one piconet world at a time, while the
 	// bridge overlay — a single world by construction, bridges share NAP
-	// anchors — runs concurrently. 0 means GOMAXPROCS, capped at Piconets;
-	// 1 forces the fully sequential path (piconets in index order on the
-	// calling goroutine, then the overlay). Any value produces identical
-	// results: no state crosses a world boundary until everything has
-	// finished, and the roll-up's merge is shard-count invariant (pinned
-	// by the golden equivalence and merge-law suites).
+	// anchors — runs concurrently on a P of its own (at most
+	// GOMAXPROCS-1 workers run a piconet until the overlay is done). 0
+	// means GOMAXPROCS, capped at Piconets; 1 forces the fully sequential
+	// path (piconets in index order on the calling goroutine, then the
+	// overlay). Any value produces identical results: no state crosses a
+	// world boundary until everything has finished, and the roll-up's
+	// merge is shard-count invariant (pinned by the golden equivalence and
+	// merge-law suites).
 	Parallelism int
 
 	// MutateBridgeHost adjusts bridge host configurations before the
@@ -310,12 +313,13 @@ type shardState struct {
 // duration and gathers the results. Piconets are partitioned into
 // shardCount contiguous index ranges; each shard worker lazily builds, runs
 // and folds its piconets in ascending order while the overlay — one
-// independent world — runs concurrently. Every simulation owns its kernel,
-// RNG rig, hosts and logs, so no state crosses a world boundary until
-// everything has finished and the results are identical for any shard
-// count; Parallelism 1 degenerates to the fully sequential legacy path
-// (piconets in order on the calling goroutine, then the overlay), which the
-// golden equivalence suite pins byte-identical to the pre-shard engine.
+// independent world — runs concurrently with a P reserved for it. Every
+// simulation owns its kernel, RNG rig, hosts and logs, so no state crosses
+// a world boundary until everything has finished and the results are
+// identical for any shard count; Parallelism 1 degenerates to the fully
+// sequential legacy path (piconets in order on the calling goroutine, then
+// the overlay), which the golden equivalence suite pins byte-identical to
+// the pre-shard engine.
 func (c *Campaign) Run() (*Result, error) {
 	res := &Result{
 		Config:     c.cfg,
@@ -330,22 +334,38 @@ func (c *Campaign) Run() (*Result, error) {
 		return s * c.topo.Piconets / shards, (s + 1) * c.topo.Piconets / shards
 	}
 	if c.cfg.Parallelism == 1 {
-		states[0] = c.runShard(0, c.topo.Piconets)
+		states[0] = c.runShard(0, c.topo.Piconets, nil)
 		if c.overlay != nil {
 			c.overlay.Run(c.cfg.Duration)
 		}
 	} else {
+		// The overlay is one sequential world, so while it runs it keeps
+		// a P to itself and the shard workers take turns on the others,
+		// one gate token per piconet; once it is done they get every P.
+		// With more runnable goroutines than Ps, how long the overlay
+		// takes would hang on how the scheduler shares them.
+		gate := make(chan struct{}, shards)
+		running := shards
+		if c.overlay != nil {
+			running = max(1, min(shards, runtime.GOMAXPROCS(0)-1))
+		}
+		for i := 0; i < running; i++ {
+			gate <- struct{}{}
+		}
 		var wg sync.WaitGroup
 		for s := 0; s < shards; s++ {
 			wg.Add(1)
 			go func(s int) {
 				defer wg.Done()
 				lo, hi := bounds(s)
-				states[s] = c.runShard(lo, hi)
+				states[s] = c.runShard(lo, hi, gate)
 			}(s)
 		}
 		if c.overlay != nil {
 			c.overlay.Run(c.cfg.Duration)
+			for i := running; i < shards; i++ {
+				gate <- struct{}{}
+			}
 		}
 		wg.Wait()
 	}
@@ -373,17 +393,24 @@ func (c *Campaign) Run() (*Result, error) {
 	return res, nil
 }
 
-// runShard builds, runs and collects piconets [lo, hi) in ascending order.
+// runShard builds, runs and collects piconets [lo, hi) in ascending order,
+// holding a token from gate, when there is one, while it runs a piconet.
 // In rollup mode each finished piconet folds into the shard's partial and
 // is dropped immediately, so the shard's live state is one piconet world
 // plus O(1) fold accumulators regardless of its range size.
-func (c *Campaign) runShard(lo, hi int) shardState {
+func (c *Campaign) runShard(lo, hi int, gate chan struct{}) shardState {
 	var st shardState
 	if c.cfg.Rollup {
 		st.fold = analysis.NewScatternetFold(c.cfg.Scenario.String())
 	}
 	for p := lo; p < hi; p++ {
+		if gate != nil {
+			<-gate
+		}
 		pic, trace, err := c.runPiconet(p)
+		if gate != nil {
+			gate <- struct{}{}
+		}
 		if err != nil {
 			st.err = err
 			return st

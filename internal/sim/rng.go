@@ -16,13 +16,20 @@ type Rig struct {
 	seed uint64
 
 	mu      sync.Mutex
-	streams map[string]*rand.Rand
+	streams map[string]*stream
+}
+
+// stream is one named stream: the generator and the rand.Rand drawing from
+// it, in one allocation, so Stream and Source hand out views of one state.
+type stream struct {
+	src PCG
+	rng rand.Rand
 }
 
 // NewRig returns a rig rooted at seed. Equal seeds yield identical stream
 // families.
 func NewRig(seed uint64) *Rig {
-	return &Rig{seed: seed, streams: make(map[string]*rand.Rand)}
+	return &Rig{seed: seed, streams: make(map[string]*stream)}
 }
 
 // Seed reports the root seed.
@@ -31,7 +38,15 @@ func (r *Rig) Seed() uint64 { return r.seed }
 // Stream returns the RNG for name, creating it on first use. The stream is
 // seeded from a hash of (root seed, name), so the mapping is stable across
 // runs and processes.
-func (r *Rig) Stream(name string) *rand.Rand {
+func (r *Rig) Stream(name string) *rand.Rand { return &r.stream(name).rng }
+
+// Source returns the generator behind Stream(name): draws through either
+// advance the same state, so a caller may draw from the source directly
+// (and rewind it by copying its state) between draws through the Rand.
+func (r *Rig) Source(name string) *PCG { return &r.stream(name).src }
+
+// stream returns the named stream, creating it on first use.
+func (r *Rig) stream(name string) *stream {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if s, ok := r.streams[name]; ok {
@@ -44,10 +59,11 @@ func (r *Rig) Stream(name string) *rand.Rand {
 	}
 	h.Write(buf[:])
 	h.Write([]byte(name))
-	lo := h.Sum64()
+	seed1 := h.Sum64()
 	h.Write([]byte{0xA5}) // decorrelate the second PCG word
-	hi := h.Sum64()
-	s := rand.New(rand.NewPCG(lo, hi))
+	seed2 := h.Sum64()
+	s := &stream{src: PCG{hi: seed1, lo: seed2}}
+	s.rng = *rand.New(&s.src)
 	r.streams[name] = s
 	return s
 }

@@ -21,5 +21,8 @@ func (w *World) Rig() *Rig { return w.rig }
 // RNG returns the named deterministic random stream.
 func (w *World) RNG(name string) *rand.Rand { return w.rig.Stream(name) }
 
+// Source returns the generator behind RNG(name); both share one state.
+func (w *World) Source(name string) *PCG { return w.rig.Source(name) }
+
 // Seed reports the root seed of the world's rig.
 func (w *World) Seed() uint64 { return w.rig.Seed() }

@@ -84,6 +84,12 @@ type Host struct {
 	rng  *rand.Rand
 	sink hci.Sink
 
+	// l2capSrc and arqSrc are the generators behind the L2CAP mux's and
+	// the transmitter's streams, which the transfer kernel draws from
+	// directly; cleanPackets counts the packets it resolved.
+	l2capSrc, arqSrc *sim.PCG
+	cleanPackets     int64
+
 	// Reboot/restart bookkeeping for the SIRAs.
 	upSince sim.Time
 	reboots int
@@ -126,6 +132,7 @@ func NewHost(cfg Config, world *sim.World, node string, os OSInfo, distanceM flo
 			nextConnID, world.RNG("pan."+node), sink)
 		h.Link = radio.NewLink(cfg.Radio, world.RNG("radio."+node))
 		h.Tx = baseband.NewTransmitter(cfg.ARQ, h.Link, world.RNG("arq."+node))
+		h.l2capSrc, h.arqSrc = world.Source("l2cap."+node), world.Source("arq."+node)
 	}
 	return h
 }
@@ -217,37 +224,95 @@ func (p *Pipe) Sent() int { return p.sent }
 // LatentAt exposes the defect index for tests (-1 when absent).
 func (p *Pipe) LatentAt() int { return p.latentAt }
 
-// SendPacket carries one workload packet of size bytes using packet type pt.
-// It returns the outcome and the elapsed transfer time.
-func (p *Pipe) SendPacket(pt core.PacketType, size int) (PacketOutcome, sim.Time) {
-	if size <= 0 {
-		size = 1
+// CleanPackets reports how many packets the transfer kernel resolved on
+// this host's pipes, without the per-packet path.
+func (h *Host) CleanPackets() int64 { return h.cleanPackets }
+
+// SendRun carries up to n workload packets of size bytes, all of packet
+// type pt, back to back at the current instant. It stops after the first
+// packet that is not delivered and reports how many packets it carried
+// (that one included), that packet's outcome (PacketDelivered when all n
+// were), and the summed transfer time.
+//
+// Packets inside one channel state that neither fault in L2CAP nor lose a
+// fragment's first attempt all take the same path: one DataFault draw, one
+// batched-window draw and the same slot count. The transfer kernel resolves
+// a run of them as two threshold scans over the l2cap and arq generators
+// and stops at the first draw that would fail; that packet, with both
+// generators as they stood before it, goes to the per-packet path, which
+// draws the same values again. The kernel thus makes exactly the draws the
+// per-packet path would, in the same order, and leaves every stream, the
+// slot clock and the outcome where n per-packet sends would.
+func (p *Pipe) SendRun(pt core.PacketType, size, n int) (sent int, outcome PacketOutcome, elapsed sim.Time) {
+	size = max(1, min(size, bnep.MTU))
+	// Keep the shared piconet slot clock in step with virtual time, so
+	// fading states correlate with the campaign clock.
+	h := p.host
+	if nowSlot := int64(h.World.Now() / sim.Slot); nowSlot > h.Tx.Slot() {
+		h.Tx.AdvanceTo(nowSlot)
 	}
-	if size > bnep.MTU {
-		size = bnep.MTU
+	plan := l2cap.PlanSDU(size, pt)
+	for sent < n {
+		clean := n - sent
+		if p.latentAt >= 0 {
+			clean = min(clean, p.latentAt-p.sent)
+		}
+		fit, per, pFail := h.Tx.CleanRun(pt, plan.Count, plan.Budget, plan.LastLen, clean)
+		if k := cleanScan(h.l2capSrc, h.arqSrc, fit, h.cfg.L2CAP.DataFaultPerPacket, pFail); k > 0 {
+			h.Tx.AdvanceTo(h.Tx.Slot() + int64(k)*per)
+			h.cleanPackets += int64(k)
+			p.sent += k
+			sent += k
+			elapsed += sim.Time(int64(k)*per) * sim.Slot
+			if sent == n {
+				break
+			}
+		}
+		o, d := p.sendOne(pt, plan)
+		sent++
+		elapsed += d
+		if o != PacketDelivered {
+			return sent, o, elapsed
+		}
 	}
+	return sent, PacketDelivered, elapsed
+}
+
+// cleanScan draws, for up to fit packets, the L2CAP fault draw from l2 and
+// (when pFail > 0) the window draw from arq, and returns how many packets
+// passed both. Each packet's draws are committed only once both pass, so
+// the generators end just before the first failing packet's draws.
+func cleanScan(l2, arq *sim.PCG, fit int, faultP, pFail float64) int {
+	a, b := *l2, *arq
+	i := 0
+	for ; i < fit; i++ {
+		na, nb := a, b
+		if na.Float64() < faultP || pFail > 0 && nb.Float64() < pFail {
+			break
+		}
+		a, b = na, nb
+	}
+	*l2, *arq = a, b
+	return i
+}
+
+// sendOne carries one packet of the given segmentation plan through the
+// per-packet path: the latent defect, the L2CAP data-phase fault and the
+// batched ARQ.
+func (p *Pipe) sendOne(pt core.PacketType, plan l2cap.SegPlan) (PacketOutcome, sim.Time) {
+	p.sent++
 	// Latent setup defect: strikes once at its packet index, breaking the
 	// link state (manifests as a loss; the connection usually needs a
 	// reset afterwards — the workload handles that).
-	if p.latentAt >= 0 && p.sent >= p.latentAt {
+	if p.latentAt >= 0 && p.sent > p.latentAt {
 		p.latentAt = -1
-		p.sent++
 		return PacketLost, 30 * sim.Second // the workload's loss timeout
 	}
 	// L2CAP data-phase framing fault.
 	if p.host.L2CAP.DataFault() {
-		p.sent++
 		return PacketLost, 30 * sim.Second
 	}
-	// Keep the shared piconet slot clock in step with virtual time, so
-	// fading states correlate with the campaign clock.
-	nowSlot := int64(p.host.World.Now() / sim.Slot)
-	if nowSlot > p.host.Tx.Slot() {
-		p.host.Tx.AdvanceTo(nowSlot)
-	}
-	plan := l2cap.PlanSDU(size, pt)
 	res := p.host.Tx.SendSDU(pt, plan.Count, plan.Budget, plan.LastLen)
-	p.sent++
 	switch res.Outcome {
 	case baseband.Dropped:
 		return PacketLost, res.Elapsed + 30*sim.Second

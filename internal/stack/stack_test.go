@@ -38,7 +38,7 @@ type bed struct {
 	logs   []core.ErrorCode
 }
 
-func newBed(t *testing.T, mutate func(panu, nap *Config), osInfo OSInfo) *bed {
+func newBed(t testing.TB, mutate func(panu, nap *Config), osInfo OSInfo) *bed {
 	t.Helper()
 	b := &bed{world: sim.NewWorld(99)}
 	sink := func(code core.ErrorCode, op string) { b.logs = append(b.logs, code) }
@@ -65,7 +65,7 @@ func defaultOS() OSInfo {
 
 // connect establishes baseband + PAN, returning the connection and the time
 // PAN connect completed.
-func (b *bed) connect(t *testing.T) (*pan.Conn, sim.Time) {
+func (b *bed) connect(t testing.TB) (*pan.Conn, sim.Time) {
 	t.Helper()
 	hd, res := b.panu.HCI.CreateConnection("Giallo")
 	if res.Err != nil {
@@ -196,7 +196,7 @@ func TestPipeDeliversOnCleanChannel(t *testing.T) {
 	b.world.RunUntil(connectedAt + 5*sim.Second)
 	pipe := b.panu.OpenPipe(conn)
 	for i := 0; i < 50; i++ {
-		out, dur := pipe.SendPacket(core.PTDH5, 1691)
+		_, out, dur := pipe.SendRun(core.PTDH5, 1691, 1)
 		if out != PacketDelivered {
 			t.Fatalf("packet %d: %v", i, out)
 		}
@@ -222,7 +222,7 @@ func TestPipeLatentDefectStrikesEarly(t *testing.T) {
 	}
 	var lostAt = -1
 	for i := 0; i < 10000; i++ {
-		out, _ := pipe.SendPacket(core.PTDH1, 27)
+		_, out, _ := pipe.SendRun(core.PTDH1, 27, 1)
 		if out == PacketLost {
 			lostAt = i
 			break
@@ -240,7 +240,7 @@ func TestPipeL2CAPDataFault(t *testing.T) {
 	conn, connectedAt := b.connect(t)
 	b.world.RunUntil(connectedAt + 5*sim.Second)
 	pipe := b.panu.OpenPipe(conn)
-	out, _ := pipe.SendPacket(core.PTDH1, 27)
+	_, out, _ := pipe.SendRun(core.PTDH1, 27, 1)
 	if out != PacketLost {
 		t.Fatalf("outcome = %v, want lost", out)
 	}

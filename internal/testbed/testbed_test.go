@@ -159,3 +159,28 @@ func TestMergedResults(t *testing.T) {
 		}
 	}
 }
+
+// TestTransferKernelEngages shows the run-length transfer kernel carries
+// the workload: on a default random-workload day, at least 90 % of the
+// packets resolve inside clean runs, without the per-packet path.
+func TestTransferKernelEngages(t *testing.T) {
+	random, _ := CampaignOptions(1, recovery.ScenarioSIRAs, sim.Day)
+	tb, err := New(random)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.Run(sim.Day)
+	var packets, clean int64
+	for _, c := range tb.Results().Counters {
+		for _, n := range c.PacketsByType {
+			packets += n
+		}
+	}
+	for _, h := range tb.PANUs {
+		clean += h.CleanPackets()
+	}
+	if packets == 0 || float64(clean) < 0.9*float64(packets) {
+		t.Fatalf("%d of %d packets resolved in clean runs, want at least 90 %%", clean, packets)
+	}
+	t.Logf("%d of %d packets (%.2f %%) resolved in clean runs", clean, packets, 100*float64(clean)/float64(packets))
+}

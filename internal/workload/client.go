@@ -568,16 +568,15 @@ func (c *Client) transferLoop() {
 	}
 	var dur sim.Time
 	for c.sendLeft+c.recvLeft > 0 {
-		size := c.plan.sendSize
-		if c.sendLeft > 0 {
-			c.sendLeft--
-		} else {
-			size = c.plan.recvSize
-			c.recvLeft--
+		// One run per direction: the sends, then the receives.
+		size, left := c.plan.sendSize, &c.sendLeft
+		if c.sendLeft == 0 {
+			size, left = c.plan.recvSize, &c.recvLeft
 		}
-		c.counters.PacketsByType[c.plan.pkt]++
-		c.counters.BytesMoved += int64(size)
-		outcome, elapsed := c.pipe.SendPacket(c.plan.pkt, size)
+		sent, outcome, elapsed := c.pipe.SendRun(c.plan.pkt, size, *left)
+		*left -= sent
+		c.counters.PacketsByType[c.plan.pkt] += int64(sent)
+		c.counters.BytesMoved += int64(sent) * int64(size)
 		dur += elapsed
 		switch outcome {
 		case stack.PacketLost:

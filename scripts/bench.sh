@@ -15,7 +15,9 @@
 # accumulators on vs forced off — PR 10; budget: < 0.05).
 # The "layers" block holds per-layer ledger rows: baseband_sdu is ns/op and
 # allocs/op of the batched SDU path on a fixed five-fragment shape and on
-# the random workload's shape mix.
+# the random workload's shape mix; transfer_run is ns/op, ns/packet and
+# allocs/op of a 60-packet Pipe.SendRun through the run-length transfer
+# kernel.
 # Usage: scripts/bench.sh [day-benchtime] [month-benchtime] [scale-benchtime]
 set -eu
 
@@ -48,13 +50,14 @@ scale_out="$(go test -run '^$' -bench '^BenchmarkScatternetDay(64|256|1024)$' -b
 # ratio stable against scheduler noise.
 agent_out="$(go test -run '^$' -bench '^BenchmarkAgentStreamDay' -benchtime 100x -benchmem ./internal/collector | tee /dev/stderr)"
 layer_out="$(go test -run '^$' -bench '^BenchmarkTransmitterSendSDU(Mix)?$' -benchmem ./internal/baseband | tee /dev/stderr)"
+run_out="$(go test -run '^$' -bench '^BenchmarkPipeSendRun$' -benchmem ./internal/stack | tee /dev/stderr)"
 
-printf '%s\n%s\n%s\n%s\n%s\n' "$day_out" "$month_out" "$scale_out" "$agent_out" "$layer_out" | awk -v smoke="$smoke_secs" -v metro="$metro_secs" '
+printf '%s\n%s\n%s\n%s\n%s\n%s\n' "$day_out" "$month_out" "$scale_out" "$agent_out" "$layer_out" "$run_out" | awk -v smoke="$smoke_secs" -v metro="$metro_secs" '
 # Benchmark lines interleave custom metrics with the standard ones, so pick
 # values by their unit token instead of field position.
-/^Benchmark(Campaign|Scatternet|Agent|Transmitter)/ {
+/^Benchmark(Campaign|Scatternet|Agent|Transmitter|Pipe)/ {
     name = $1; sub(/-[0-9]+$/, "", name)
-    ns = bytes = allocs = live = items = outages = probes = ""
+    ns = bytes = allocs = live = items = outages = probes = per_packet = ""
     for (i = 2; i <= NF; i++) {
         if ($i == "ns/op") ns = $(i-1)
         if ($i == "B/op") bytes = $(i-1)
@@ -63,6 +66,7 @@ printf '%s\n%s\n%s\n%s\n%s\n' "$day_out" "$month_out" "$scale_out" "$agent_out" 
         if ($i == "items") items = $(i-1)
         if ($i == "corr-outages") outages = $(i-1)
         if ($i == "probes") probes = $(i-1)
+        if ($i == "ns/packet") per_packet = $(i-1)
     }
     if (name == "BenchmarkCampaignDay") { d_ns = ns; d_b = bytes; d_a = allocs; d_live = live }
     if (name == "BenchmarkCampaignDayTaxonomy") { tax_ns = ns }
@@ -77,6 +81,7 @@ printf '%s\n%s\n%s\n%s\n%s\n' "$day_out" "$month_out" "$scale_out" "$agent_out" 
     if (name == "BenchmarkScatternetDay1024") { sc1024_ns = ns; sc1024_live = live; sc1024_items = items; sc1024_probes = probes }
     if (name == "BenchmarkTransmitterSendSDU") { sdu_ns = ns; sdu_a = allocs }
     if (name == "BenchmarkTransmitterSendSDUMix") { mix_ns = ns; mix_a = allocs }
+    if (name == "BenchmarkPipeSendRun") { run_ns = ns; run_pp = per_packet; run_a = allocs }
 }
 END {
     if (d_ns == "" || d_b == "" || d_a == "" || d_live == "" ||
@@ -88,7 +93,8 @@ END {
         sc1024_ns == "" || sc1024_live == "" || sc1024_items == "" || sc1024_probes == "" ||
         tax_ns == "" || notax_ns == "" ||
         ag_ns == "" || ags_ns == "" ||
-        sdu_ns == "" || sdu_a == "" || mix_ns == "" || mix_a == "") {
+        sdu_ns == "" || sdu_a == "" || mix_ns == "" || mix_a == "" ||
+        run_ns == "" || run_pp == "" || run_a == "") {
         print "bench.sh: missing benchmark lines or metrics" > "/dev/stderr"
         exit 1
     }
@@ -135,6 +141,9 @@ END {
     printf "    \"baseband_sdu\": [\n"
     printf "      {\"benchmark\": \"BenchmarkTransmitterSendSDU\", \"ns_per_op\": %s, \"allocs_per_op\": %s},\n", sdu_ns, sdu_a
     printf "      {\"benchmark\": \"BenchmarkTransmitterSendSDUMix\", \"ns_per_op\": %s, \"allocs_per_op\": %s}\n", mix_ns, mix_a
+    printf "    ],\n"
+    printf "    \"transfer_run\": [\n"
+    printf "      {\"benchmark\": \"BenchmarkPipeSendRun\", \"ns_per_op\": %s, \"ns_per_packet\": %s, \"allocs_per_op\": %s}\n", run_ns, run_pp, run_a
     printf "    ]\n"
     printf "  }\n"
     printf "}\n"
