@@ -266,6 +266,14 @@ func parsePiconetRange(s string) (lo, hi int, err error) {
 	return lo, hi, nil
 }
 
+// check validates the scatternet-mode flags and returns the owned range.
+func (cfg scatShardConfig) check() (lo, hi int, err error) {
+	if err := btpan.CheckProbeSample(cfg.probeSample); err != nil {
+		return 0, 0, err
+	}
+	return parsePiconetRange(cfg.piconetRange)
+}
+
 // runScatternetShard runs one district shard of a distributed metro
 // campaign: builds the full campaign engine (so every piconet world derives
 // from the same seeds as the single-process run), then walks the owned
@@ -273,7 +281,7 @@ func parsePiconetRange(s string) (lo, hi int, err error) {
 // piconet's fold partial — and, on the range owning piconet 0 of a bridged
 // campaign, the overlay's pre-merged rollup partial — to the district sink.
 func runScatternetShard(cfg scatShardConfig) {
-	lo, hi, err := parsePiconetRange(cfg.piconetRange)
+	lo, hi, err := cfg.check()
 	if err != nil {
 		fatal(err)
 	}

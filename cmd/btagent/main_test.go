@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -38,6 +39,36 @@ func TestParsePiconetRange(t *testing.T) {
 			t.Errorf("parsePiconetRange(%q) = [%d:%d), want error containing %q", tc.in, lo, hi, tc.wantErr)
 		} else if !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("parsePiconetRange(%q) = %q, want error containing %q", tc.in, err, tc.wantErr)
+		}
+	}
+}
+
+// TestScatShardConfigCheck pins the scatternet-mode flag checks: a
+// -probe-sample outside (0, 1] or NaN is rejected with btcampaign's
+// message — a 0 used to reach the engine, which reads it as unset and runs
+// the exhaustive plane — and the range must parse.
+func TestScatShardConfigCheck(t *testing.T) {
+	cases := []struct {
+		sample  float64
+		rng     string
+		wantErr string // "" = must pass
+	}{
+		{sample: 1, rng: "0:4"},
+		{sample: 0.25, rng: "2:3"},
+		{sample: 0, rng: "0:4", wantErr: "-probe-sample 0 outside (0, 1]"},
+		{sample: -0.5, rng: "0:4", wantErr: "-probe-sample -0.5 outside (0, 1]"},
+		{sample: 1.5, rng: "0:4", wantErr: "-probe-sample 1.5 outside (0, 1]"},
+		{sample: math.NaN(), rng: "0:4", wantErr: "-probe-sample is NaN"},
+		{sample: 1, rng: "4:2", wantErr: "is empty or negative"},
+	}
+	for _, tc := range cases {
+		cfg := scatShardConfig{probeSample: tc.sample, piconetRange: tc.rng}
+		_, _, err := cfg.check()
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("probe-sample %v range %q: %v", tc.sample, tc.rng, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("probe-sample %v range %q = %v, want an error containing %q", tc.sample, tc.rng, err, tc.wantErr)
 		}
 	}
 }

@@ -103,7 +103,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"time"
@@ -200,11 +199,8 @@ func parseCLI(args []string) (*cliConfig, error) {
 			return nil, fmt.Errorf("-%s needs -scatternet (it configures the scatternet plane)", stray)
 		}
 	} else {
-		switch {
-		case math.IsNaN(*probeSample):
-			return nil, fmt.Errorf("-probe-sample is NaN; want a fraction in (0, 1] (1 = exhaustive)")
-		case *probeSample <= 0 || *probeSample > 1:
-			return nil, fmt.Errorf("-probe-sample %v outside (0, 1] (1 = exhaustive)", *probeSample)
+		if err := btpan.CheckProbeSample(*probeSample); err != nil {
+			return nil, err
 		}
 		if *jsonOut != "" || *ckptDir != "" {
 			return nil, fmt.Errorf("-json and -checkpoint-dir support classic sweeps only, not -scatternet")

@@ -285,7 +285,9 @@ func (d *districtFlags) Set(v string) error {
 		case "hold":
 			df.hold, err = strconv.Atoi(val)
 		case "probe-sample":
-			df.probeSample, err = strconv.ParseFloat(val, 64)
+			if df.probeSample, err = strconv.ParseFloat(val, 64); err == nil {
+				err = btpan.CheckProbeSample(df.probeSample)
+			}
 		default:
 			return false, nil
 		}

@@ -38,6 +38,11 @@ func TestParseCLIValidation(t *testing.T) {
 		{"district", []string{"-district", "key=d,seed=1,range=0:2"}, ""},
 		{"district scenario high", []string{"-district", "key=d,seed=1,range=0:2,scenario=5"}, "scenario 5 out of range 1..4"},
 		{"district empty range", []string{"-district", "key=d,seed=1,range=2:2"}, "empty or negative"},
+		{"district probe-sample", []string{"-district", "key=d,seed=1,range=0:2,probe-sample=0.5"}, ""},
+		{"district probe-sample zero", []string{"-district", "key=d,seed=1,range=0:2,probe-sample=0"}, "-probe-sample 0 outside (0, 1]"},
+		{"district probe-sample negative", []string{"-district", "key=d,seed=1,range=0:2,probe-sample=-0.5"}, "-probe-sample -0.5 outside (0, 1]"},
+		{"district probe-sample above one", []string{"-district", "key=d,seed=1,range=0:2,probe-sample=1.5"}, "-probe-sample 1.5 outside (0, 1]"},
+		{"district probe-sample NaN", []string{"-district", "key=d,seed=1,range=0:2,probe-sample=NaN"}, "-probe-sample is NaN"},
 		{"serve without http", []string{"-serve"}, "-serve needs -http"},
 	}
 	for _, tc := range cases {

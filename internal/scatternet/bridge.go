@@ -28,9 +28,20 @@ type overlay struct {
 	world   *sim.World
 	naps    []*stack.Host
 	bridges []*bridge
+	// outages[i] is bridge i's current outage: its bridge writes it, the
+	// probe walks read it.
+	outages []outage
 	groups  []*redundancyGroup
 	prober  *prober
 	connID  uint64
+}
+
+// outage is one bridge's most recent outage: the instant it ends (zero
+// before the first) and that instant's hold slot, until / HoldTime, so a
+// probe waiting it out needs no division.
+type outage struct {
+	until sim.Time
+	slot  int64
 }
 
 // newOverlay builds the overlay world for the given membership map: the NAP
@@ -48,6 +59,7 @@ func newOverlay(cfg Config, topo Topology) *overlay {
 			func(core.ErrorCode, string) {}))
 	}
 	panus := device.PANUs()
+	o.outages = make([]outage, len(topo.Members))
 	for i, members := range topo.Members {
 		spec := panus[i%len(panus)]
 		o.bridges = append(o.bridges, newBridge(cfg, o, i, spec, members))
@@ -135,7 +147,7 @@ type bridge struct {
 	down      bool
 	conn      *pan.Conn
 	pipe      *stack.Pipe
-	downUntil sim.Time
+	out       *outage // this bridge's entry in the overlay's outage table
 	busyUntil sim.Time
 	queues    [][]relaySDU
 
@@ -162,6 +174,7 @@ func newBridge(cfg Config, o *overlay, i int, spec device.Spec, serves []int) *b
 		rng:    o.world.RNG("bridge." + name),
 		serves: append([]int(nil), serves...),
 		acc:    analysis.NewBridgeAccum(name, spec.Name, serves),
+		out:    &o.outages[i],
 		queues: make([][]relaySDU, len(serves)),
 	}
 	// The transport RNG stream is named after the spec, so give the bridge
@@ -207,7 +220,7 @@ func (b *bridge) nextArrival(d int) sim.Time {
 func (b *bridge) arrive(d int) {
 	now := b.world.Now()
 	switch {
-	case now < b.downUntil:
+	case now < b.out.until:
 		b.acc.AddOutageDrop(b.serves[d])
 	case len(b.queues[d]) >= b.cfg.QueueCap:
 		b.acc.AddQueueDrop(b.serves[d])
@@ -230,7 +243,7 @@ func (b *bridge) arrive(d int) {
 func (b *bridge) hop() {
 	now := b.world.Now()
 	b.world.At(now+b.cfg.HoldTime, b.fnHop)
-	if now < b.downUntil {
+	if now < b.out.until {
 		return
 	}
 	next := residencyAt(now, b.cfg.HoldTime, len(b.serves))
@@ -250,13 +263,13 @@ func (b *bridge) hop() {
 // when a same-instant hop re-attaches the bridge first.
 func (b *bridge) rejoin() {
 	now := b.world.Now()
-	if b.down && now >= b.downUntil {
+	if b.down && now >= b.out.until {
 		b.down = false
 		if b.group != nil {
 			b.group.memberUp(b.groupIdx, now)
 		}
 	}
-	if b.attached || now < b.downUntil {
+	if b.attached || now < b.out.until {
 		return
 	}
 	b.attach(residencyAt(now, b.cfg.HoldTime, len(b.serves)))
@@ -320,7 +333,7 @@ func (b *bridge) attach(idx int) bool {
 // SDU is a bridge failure mid-relay: the remaining queue survives for the
 // next residency, but the bridge goes down for the recovery TTR.
 func (b *bridge) drain() {
-	if !b.attached || b.world.Now() < b.downUntil {
+	if !b.attached || b.world.Now() < b.out.until {
 		return
 	}
 	now := b.world.Now()
@@ -373,14 +386,15 @@ func (b *bridge) fail(f core.UserFailure) {
 	if !ok {
 		return
 	}
-	out := b.cascade.RunWithDepth(b.cfg.Scenario, depth)
-	b.downUntil = b.world.Now() + out.TTR
-	b.acc.AddOutage(f, out.TTR.Seconds())
+	ttr := b.cascade.RunWithDepth(b.cfg.Scenario, depth).TTR
+	b.out.until = b.world.Now() + ttr
+	b.out.slot = int64(b.out.until) / int64(b.cfg.HoldTime)
+	b.acc.AddOutage(f, ttr.Seconds())
 	if !b.down {
 		b.down = true
 		if b.group != nil {
 			b.group.memberDown(b.groupIdx, b.world.Now())
 		}
 	}
-	b.world.At(b.downUntil, b.fnRejoin)
+	b.world.At(b.out.until, b.fnRejoin)
 }

@@ -198,7 +198,7 @@ func (c Config) Validate() error {
 	case c.FlushEvery < 0:
 		return fmt.Errorf("scatternet: negative streaming flush interval")
 	case math.IsNaN(c.ProbePairFraction):
-		return fmt.Errorf("scatternet: probe pair fraction is NaN (want a fraction in (0, 1]; 1 = exhaustive)")
+		return fmt.Errorf("scatternet: probe pair fraction is NaN (want a fraction in [0, 1]; 0 = unset = exhaustive)")
 	case c.ProbePairFraction < 0 || c.ProbePairFraction > 1:
 		return fmt.Errorf("scatternet: probe pair fraction %v outside [0, 1]", c.ProbePairFraction)
 	case c.Rollup && !c.Streaming:

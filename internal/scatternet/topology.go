@@ -274,35 +274,72 @@ func (t Topology) Route(src, dst int) []Hop {
 // Not safe for concurrent use (the tree cache mutates lazily).
 type Router struct {
 	piconets int
-	neigh    [][]int       // sorted neighbor piconets per piconet
-	via      []map[int]int // lowest bridge serving each (u, v) edge
+	neigh    [][]int // sorted neighbor piconets per piconet
+	via      [][]int // via[u][i] is the lowest bridge serving (u, neigh[u][i])
 	trees    []*routeTree
 }
 
-// routeTree is one source piconet's BFS tree.
+// routeTree is one source piconet's BFS tree: prev[v] is the hop that
+// reaches v and depth[v] its hop count from the source.
 type routeTree struct {
-	prev []Hop
-	seen []bool
+	prev     []Hop
+	seen     []bool
+	depth    []int32
+	frontier []int
 }
 
 // NewRouter precomputes the topology's routing adjacency.
 func NewRouter(t Topology) *Router {
-	via := t.edgeMap()
+	edge := t.edgeMap()
 	r := &Router{
 		piconets: t.Piconets,
 		neigh:    make([][]int, t.Piconets),
-		via:      via,
+		via:      make([][]int, t.Piconets),
 		trees:    make([]*routeTree, t.Piconets),
 	}
-	for u := range via {
-		ns := make([]int, 0, len(via[u]))
-		for v := range via[u] {
+	for u := range edge {
+		ns := make([]int, 0, len(edge[u]))
+		for v := range edge[u] {
 			ns = append(ns, v)
 		}
 		sort.Ints(ns)
 		r.neigh[u] = ns
+		r.via[u] = make([]int, len(ns))
+		for i, v := range ns {
+			r.via[u][i] = edge[u][v]
+		}
 	}
 	return r
+}
+
+// newTree returns an empty tree sized for the router's topology.
+func (r *Router) newTree() *routeTree {
+	return &routeTree{
+		prev:  make([]Hop, r.piconets),
+		seen:  make([]bool, r.piconets),
+		depth: make([]int32, r.piconets),
+	}
+}
+
+// search fills t with src's BFS tree, reusing its storage.
+func (r *Router) search(src int, t *routeTree) {
+	clear(t.seen)
+	t.seen[src] = true
+	t.depth[src] = 0
+	// One queue holds every level in order; head walks it.
+	t.frontier = append(t.frontier[:0], src)
+	for head := 0; head < len(t.frontier); head++ {
+		u := t.frontier[head]
+		for i, v := range r.neigh[u] {
+			if t.seen[v] {
+				continue
+			}
+			t.seen[v] = true
+			t.prev[v] = Hop{Bridge: r.via[u][i], From: u, To: v}
+			t.depth[v] = t.depth[u] + 1
+			t.frontier = append(t.frontier, v)
+		}
+	}
 }
 
 // tree returns src's BFS tree, building it on first use.
@@ -310,23 +347,9 @@ func (r *Router) tree(src int) *routeTree {
 	if t := r.trees[src]; t != nil {
 		return t
 	}
-	t := &routeTree{prev: make([]Hop, r.piconets), seen: make([]bool, r.piconets)}
-	t.seen[src] = true
-	frontier := []int{src}
-	for len(frontier) > 0 {
-		var next []int
-		for _, u := range frontier {
-			for _, v := range r.neigh[u] {
-				if t.seen[v] {
-					continue
-				}
-				t.seen[v] = true
-				t.prev[v] = Hop{Bridge: r.via[u][v], From: u, To: v}
-				next = append(next, v)
-			}
-		}
-		frontier = next
-	}
+	t := r.newTree()
+	r.search(src, t)
+	t.frontier = nil
 	r.trees[src] = t
 	return t
 }
@@ -344,12 +367,9 @@ func (r *Router) Route(src, dst int) []Hop {
 	if !t.seen[dst] {
 		return nil
 	}
-	var path []Hop
-	for v := dst; v != src; v = t.prev[v].From {
-		path = append(path, t.prev[v])
-	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
+	path := make([]Hop, t.depth[dst])
+	for v, i := dst, len(path)-1; v != src; v, i = t.prev[v].From, i-1 {
+		path[i] = t.prev[v]
 	}
 	return path
 }

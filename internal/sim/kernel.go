@@ -11,12 +11,18 @@ import "fmt"
 // scheduling through Schedule/ScheduleAfter performs no heap allocations
 // (the campaign schedules ~1.6M events per virtual day).
 //
+// One EventSource may be attached beside the heap (Attach): a component
+// with many recurring events of its own keeps them in its own structure,
+// takes their sequence numbers from ReserveSeq, and Step merges its head
+// with the heap's by the same (instant, seq) key.
+//
 // The zero value is not usable; construct with NewKernel.
 type Kernel struct {
 	now     Time
 	cal     []calEntry // 4-ary min-heap ordered by (at, seq)
 	slab    []event    // event storage, indexed by calEntry.slot
 	free    []int32    // recycled slab slots
+	src     EventSource
 	seq     uint64
 	stopped bool
 	limit   Time
@@ -43,6 +49,35 @@ type calEntry struct {
 	slot int32
 }
 
+// EventSource is an ordered stream of events kept outside the kernel's
+// heap. Next reports the source's earliest pending event by its (instant,
+// seq) key, or ok == false when it has none; the seq must come from the
+// kernel's ReserveSeq, taken at the moment the equivalent Schedule call
+// would have run, so the merged order is the all-heap order. Fire delivers
+// that event: the kernel has already advanced Now to its instant and
+// counted it. The key Next reports must not change between Next and Fire.
+type EventSource interface {
+	Next() (at Time, seq uint64, ok bool)
+	Fire()
+}
+
+// Attach makes src deliver its events through Step, merged with the heap by
+// (instant, seq). A kernel takes at most one source; a second Attach panics.
+func (k *Kernel) Attach(src EventSource) {
+	if k.src != nil {
+		panic("sim: kernel already has an event source attached")
+	}
+	k.src = src
+}
+
+// ReserveSeq takes the next sequence number, as every schedule call does;
+// an attached source takes its events' seqs here.
+func (k *Kernel) ReserveSeq() uint64 {
+	k.seq++
+	return k.seq
+}
+
+// entryLess orders calendar entries by (instant, seq).
 func entryLess(a, b calEntry) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -61,8 +96,9 @@ func (k *Kernel) Now() Time { return k.now }
 // Executed reports how many events have been delivered so far.
 func (k *Kernel) Executed() uint64 { return k.executed }
 
-// Pending reports how many events are waiting in the calendar (including
-// cancelled entries not yet lazily discarded).
+// Pending reports how many events are waiting in the heap (including
+// cancelled entries not yet lazily discarded); an attached source's events
+// are not counted.
 func (k *Kernel) Pending() int { return len(k.cal) }
 
 // Timer is a handle to a scheduled event. Stop cancels delivery; a stopped
@@ -120,7 +156,7 @@ func (k *Kernel) schedule(at Time, fn func()) (int32, uint64) {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, k.now))
 	}
-	k.seq++
+	seq := k.ReserveSeq()
 	var slot int32
 	if n := len(k.free); n > 0 {
 		slot = k.free[n-1]
@@ -129,9 +165,9 @@ func (k *Kernel) schedule(at Time, fn func()) (int32, uint64) {
 		k.slab = append(k.slab, event{})
 		slot = int32(len(k.slab) - 1)
 	}
-	k.slab[slot] = event{at: at, seq: k.seq, fn: fn}
-	k.heapPush(calEntry{at: at, seq: k.seq, slot: slot})
-	return slot, k.seq
+	k.slab[slot] = event{at: at, seq: seq, fn: fn}
+	k.heapPush(calEntry{at: at, seq: seq, slot: slot})
+	return slot, seq
 }
 
 // Schedule places fn at instant at without returning a cancellation handle.
@@ -187,7 +223,9 @@ func (k *Kernel) Every(period Time, fn func()) *Timer {
 }
 
 // Step delivers the next event, if any, advancing the clock to its instant.
-// It reports whether an event was delivered.
+// It reports whether an event was delivered. With a source attached, the
+// next event is whichever of the heap's live top and the source's head has
+// the smaller (instant, seq).
 func (k *Kernel) Step() bool {
 	for len(k.cal) > 0 {
 		top := k.cal[0]
@@ -200,6 +238,11 @@ func (k *Kernel) Step() bool {
 			ev.fn = nil
 			k.free = append(k.free, top.slot)
 			continue
+		}
+		if k.src != nil {
+			if at, seq, ok := k.src.Next(); ok && (at < top.at || at == top.at && seq < top.seq) {
+				return k.fire(at)
+			}
 		}
 		if top.at > k.limit {
 			// Past the horizon: leave the entry in place and report
@@ -216,7 +259,24 @@ func (k *Kernel) Step() bool {
 		fn()
 		return true
 	}
+	if k.src != nil {
+		if at, _, ok := k.src.Next(); ok {
+			return k.fire(at)
+		}
+	}
 	return false
+}
+
+// fire delivers the attached source's head event at instant at, unless it
+// lies past the horizon.
+func (k *Kernel) fire(at Time) bool {
+	if at > k.limit {
+		return false
+	}
+	k.now = at
+	k.executed++
+	k.src.Fire()
+	return true
 }
 
 // Run delivers events until the calendar is empty or Stop is called.

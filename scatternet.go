@@ -2,6 +2,7 @@ package btpan
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/analysis"
@@ -171,6 +172,20 @@ type ScatternetResult struct {
 	// empty in this mode — the per-piconet results were folded and dropped
 	// to keep memory flat.
 	Rollup *analysis.ScatternetRollup
+}
+
+// CheckProbeSample reports why f is not a valid -probe-sample value. The
+// command lines take a fraction in (0, 1], 1 being the exhaustive plane;
+// ScatternetConfig reads 0 as unset, which is also exhaustive, so a 0 must
+// be rejected before it gets there rather than silently run every pair.
+func CheckProbeSample(f float64) error {
+	switch {
+	case math.IsNaN(f):
+		return fmt.Errorf("-probe-sample is NaN; want a fraction in (0, 1] (1 = exhaustive)")
+	case f <= 0 || f > 1:
+		return fmt.Errorf("-probe-sample %v outside (0, 1] (1 = exhaustive)", f)
+	}
+	return nil
 }
 
 // NewScatternetCampaign validates the config and builds the underlying

@@ -17,7 +17,11 @@
 # allocs/op of the batched SDU path on a fixed five-fragment shape and on
 # the random workload's shape mix; transfer_run is ns/op, ns/packet and
 # allocs/op of a 60-packet Pipe.SendRun through the run-length transfer
-# kernel.
+# kernel; probe_walk is ns/walk and allocs/op of one relay probe (calendar
+# pop and re-arm, walk, record) on the 64-piconet ring; kernel_schedule is
+# one schedule + deliver round trip through the event kernel's heap; and
+# overlay_day is the 64-piconet ring's bridge overlay alone for one virtual
+# day with exhaustive probes, in s/day and wall ns per probe.
 # Usage: scripts/bench.sh [day-benchtime] [month-benchtime] [scale-benchtime]
 set -eu
 
@@ -51,13 +55,15 @@ scale_out="$(go test -run '^$' -bench '^BenchmarkScatternetDay(64|256|1024)$' -b
 agent_out="$(go test -run '^$' -bench '^BenchmarkAgentStreamDay' -benchtime 100x -benchmem ./internal/collector | tee /dev/stderr)"
 layer_out="$(go test -run '^$' -bench '^BenchmarkTransmitterSendSDU(Mix)?$' -benchmem ./internal/baseband | tee /dev/stderr)"
 run_out="$(go test -run '^$' -bench '^BenchmarkPipeSendRun$' -benchmem ./internal/stack | tee /dev/stderr)"
+probe_out="$(go test -run '^$' -bench '^Benchmark(ProbeWalk|OverlayDay)$' -benchmem ./internal/scatternet | tee /dev/stderr)"
+kernel_out="$(go test -run '^$' -bench '^BenchmarkKernelSchedule$' -benchmem ./internal/sim | tee /dev/stderr)"
 
-printf '%s\n%s\n%s\n%s\n%s\n%s\n' "$day_out" "$month_out" "$scale_out" "$agent_out" "$layer_out" "$run_out" | awk -v smoke="$smoke_secs" -v metro="$metro_secs" '
+printf '%s\n%s\n%s\n%s\n%s\n%s\n%s\n%s\n' "$day_out" "$month_out" "$scale_out" "$agent_out" "$layer_out" "$run_out" "$probe_out" "$kernel_out" | awk -v smoke="$smoke_secs" -v metro="$metro_secs" '
 # Benchmark lines interleave custom metrics with the standard ones, so pick
 # values by their unit token instead of field position.
-/^Benchmark(Campaign|Scatternet|Agent|Transmitter|Pipe)/ {
+/^Benchmark(Campaign|Scatternet|Agent|Transmitter|Pipe|ProbeWalk|OverlayDay|KernelSchedule)/ {
     name = $1; sub(/-[0-9]+$/, "", name)
-    ns = bytes = allocs = live = items = outages = probes = per_packet = ""
+    ns = bytes = allocs = live = items = outages = probes = per_packet = per_walk = per_day = per_probe = ""
     for (i = 2; i <= NF; i++) {
         if ($i == "ns/op") ns = $(i-1)
         if ($i == "B/op") bytes = $(i-1)
@@ -67,6 +73,9 @@ printf '%s\n%s\n%s\n%s\n%s\n%s\n' "$day_out" "$month_out" "$scale_out" "$agent_o
         if ($i == "corr-outages") outages = $(i-1)
         if ($i == "probes") probes = $(i-1)
         if ($i == "ns/packet") per_packet = $(i-1)
+        if ($i == "ns/walk") per_walk = $(i-1)
+        if ($i == "s/day") per_day = $(i-1)
+        if ($i == "ns/probe") per_probe = $(i-1)
     }
     if (name == "BenchmarkCampaignDay") { d_ns = ns; d_b = bytes; d_a = allocs; d_live = live }
     if (name == "BenchmarkCampaignDayTaxonomy") { tax_ns = ns }
@@ -82,6 +91,9 @@ printf '%s\n%s\n%s\n%s\n%s\n%s\n' "$day_out" "$month_out" "$scale_out" "$agent_o
     if (name == "BenchmarkTransmitterSendSDU") { sdu_ns = ns; sdu_a = allocs }
     if (name == "BenchmarkTransmitterSendSDUMix") { mix_ns = ns; mix_a = allocs }
     if (name == "BenchmarkPipeSendRun") { run_ns = ns; run_pp = per_packet; run_a = allocs }
+    if (name == "BenchmarkProbeWalk") { walk_ns = ns; walk_pw = per_walk; walk_a = allocs }
+    if (name == "BenchmarkKernelSchedule") { kern_ns = ns; kern_a = allocs }
+    if (name == "BenchmarkOverlayDay") { ov_day = per_day; ov_pp = per_probe; ov_a = allocs }
 }
 END {
     if (d_ns == "" || d_b == "" || d_a == "" || d_live == "" ||
@@ -94,7 +106,9 @@ END {
         tax_ns == "" || notax_ns == "" ||
         ag_ns == "" || ags_ns == "" ||
         sdu_ns == "" || sdu_a == "" || mix_ns == "" || mix_a == "" ||
-        run_ns == "" || run_pp == "" || run_a == "") {
+        run_ns == "" || run_pp == "" || run_a == "" ||
+        walk_ns == "" || walk_pw == "" || walk_a == "" || kern_ns == "" || kern_a == "" ||
+        ov_day == "" || ov_pp == "" || ov_a == "") {
         print "bench.sh: missing benchmark lines or metrics" > "/dev/stderr"
         exit 1
     }
@@ -144,6 +158,15 @@ END {
     printf "    ],\n"
     printf "    \"transfer_run\": [\n"
     printf "      {\"benchmark\": \"BenchmarkPipeSendRun\", \"ns_per_op\": %s, \"ns_per_packet\": %s, \"allocs_per_op\": %s}\n", run_ns, run_pp, run_a
+    printf "    ],\n"
+    printf "    \"probe_walk\": [\n"
+    printf "      {\"benchmark\": \"BenchmarkProbeWalk\", \"ns_per_op\": %s, \"ns_per_walk\": %s, \"allocs_per_op\": %s}\n", walk_ns, walk_pw, walk_a
+    printf "    ],\n"
+    printf "    \"kernel_schedule\": [\n"
+    printf "      {\"benchmark\": \"BenchmarkKernelSchedule\", \"ns_per_op\": %s, \"allocs_per_op\": %s}\n", kern_ns, kern_a
+    printf "    ],\n"
+    printf "    \"overlay_day\": [\n"
+    printf "      {\"benchmark\": \"BenchmarkOverlayDay\", \"s_per_day\": %s, \"ns_per_probe\": %s, \"allocs_per_op\": %s}\n", ov_day, ov_pp, ov_a
     printf "    ]\n"
     printf "  }\n"
     printf "}\n"
