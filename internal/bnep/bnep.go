@@ -165,11 +165,17 @@ func (c Config) Validate() error {
 // Interface is the bnep0 virtual network interface. It exists once the BNEP
 // channel is up, but is only usable for socket binds after the OS hotplug
 // mechanism has configured it (Configured == true) — the T_C/T_H race.
+//
+// The Service reuses one Interface value for every connection; Gen tells
+// the connections apart. Anything that acts on the interface later (the
+// hotplug daemon's events) records the Gen it was issued for and leaves the
+// interface alone once Gen has moved on.
 type Interface struct {
 	Name       string
 	CreatedAt  sim.Time
 	Configured bool
 	Channel    *l2cap.Channel
+	Gen        uint64 // 1 for the first interface created, then 2, ...
 }
 
 // Result reports a BNEP operation.
@@ -186,7 +192,10 @@ type Service struct {
 	sink  hci.Sink
 	clock func() sim.Time
 
-	iface *Interface // at most one bnep interface per PANU in the testbeds
+	// iface is the bnep0 interface, reused across connections (at most one
+	// exists per PANU in the testbeds); up reports whether it exists now.
+	iface Interface
+	up    bool
 
 	moduleMissing, occupied, addFailed int
 }
@@ -208,7 +217,12 @@ func (s *Service) Stats() (moduleMissing, occupied, addFailed int) {
 }
 
 // Interface returns the current bnep0 interface, or nil.
-func (s *Service) Interface() *Interface { return s.iface }
+func (s *Service) Interface() *Interface {
+	if !s.up {
+		return nil
+	}
+	return &s.iface
+}
 
 // fail logs and wraps a BNEP error.
 func (s *Service) fail(code core.ErrorCode, op string) Result {
@@ -228,7 +242,8 @@ func (s *Service) fail(code core.ErrorCode, op string) Result {
 
 // CreateChannel builds the bnep0 interface over an open L2CAP channel. On
 // success the interface exists but is NOT configured: the OS hotplug layer
-// flips Configured after its own delay (stack.Hotplug drives that).
+// flips Configured after its own delay (stack.Hotplug drives that). The
+// returned interface is the Service's one reused value under a new Gen.
 func (s *Service) CreateChannel(ch *l2cap.Channel) (*Interface, Result) {
 	if ch == nil || ch.State != l2cap.StateOpen {
 		return nil, s.fail(core.CodeBNEPAddFailed, "bnep.create")
@@ -241,19 +256,21 @@ func (s *Service) CreateChannel(ch *l2cap.Channel) (*Interface, Result) {
 	case u < s.cfg.ModuleMissingProb+s.cfg.OccupiedProb+s.cfg.AddFailedProb:
 		return nil, s.fail(core.CodeBNEPAddFailed, "bnep.create")
 	}
-	s.iface = &Interface{
+	s.iface = Interface{
 		Name:      "bnep0",
 		CreatedAt: s.clock(),
 		Channel:   ch,
+		Gen:       s.iface.Gen + 1,
 	}
-	return s.iface, Result{Dur: s.cfg.SetupTime}
+	s.up = true
+	return &s.iface, Result{Dur: s.cfg.SetupTime}
 }
 
 // DestroyChannel tears the interface down (disconnect or connection reset).
 func (s *Service) DestroyChannel() {
-	s.iface = nil
+	s.up = false
 }
 
 // Occupied reports whether a bnep interface currently exists; attempting a
 // new PAN connection while it does is the "bnep occupied" condition.
-func (s *Service) Occupied() bool { return s.iface != nil }
+func (s *Service) Occupied() bool { return s.up }

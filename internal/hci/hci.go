@@ -17,6 +17,7 @@ package hci
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -28,6 +29,10 @@ type Handle uint16
 
 // InvalidHandle is the zero, never-allocated handle.
 const InvalidHandle Handle = 0
+
+// maxHandles is the number of allocatable handles: every uint16 but
+// InvalidHandle.
+const maxHandles = 1<<16 - 1
 
 // Config parameterises the HCI host's timing and fault behaviour.
 type Config struct {
@@ -104,8 +109,12 @@ type Host struct {
 	clock func() sim.Time
 	sink  Sink
 
+	// live is the set of live connection handles, sorted ascending.
+	// Handles are issued in increasing order between wraps, so a new
+	// handle is almost always appended; a Disconnect that times out leaks
+	// its handle, which stays live until Reset.
 	nextHandle Handle
-	handles    map[Handle]string // handle -> peer
+	live       []Handle
 	busyUntil  sim.Time
 
 	// Counters for tests and diagnostics.
@@ -120,10 +129,7 @@ func NewHost(cfg Config, node string, tr transport.Transport, clock func() sim.T
 	if tr == nil || clock == nil {
 		panic("hci: nil transport or clock")
 	}
-	return &Host{
-		cfg: cfg, node: node, tr: tr, rng: rng, clock: clock, sink: sink,
-		handles: make(map[Handle]string),
-	}
+	return &Host{cfg: cfg, node: node, tr: tr, rng: rng, clock: clock, sink: sink}
 }
 
 // Node reports the host name.
@@ -148,18 +154,31 @@ func (h *Host) SetBusy(until sim.Time) {
 
 // ValidHandle reports whether the handle currently names a connection.
 func (h *Host) ValidHandle(hd Handle) bool {
-	_, ok := h.handles[hd]
+	_, ok := slices.BinarySearch(h.live, hd)
 	return ok
 }
 
-// Peer reports the remote node for a handle.
-func (h *Host) Peer(hd Handle) (string, bool) {
-	p, ok := h.handles[hd]
-	return p, ok
-}
-
 // OpenHandles reports the number of live connection handles.
-func (h *Host) OpenHandles() int { return len(h.handles) }
+func (h *Host) OpenHandles() int { return len(h.live) }
+
+// allocHandle issues the next connection handle and marks it live. The
+// counter wraps after 0xFFFF; it then skips InvalidHandle and every handle
+// that is still live, so a handle names at most one connection.
+func (h *Host) allocHandle() Handle {
+	if len(h.live) == maxHandles {
+		panic("hci: connection handles exhausted")
+	}
+	for {
+		h.nextHandle++
+		if h.nextHandle == InvalidHandle {
+			continue
+		}
+		if i, ok := slices.BinarySearch(h.live, h.nextHandle); !ok {
+			h.live = slices.Insert(h.live, i, h.nextHandle)
+			return h.nextHandle
+		}
+	}
+}
 
 // fail raises and logs a SimError.
 func (h *Host) fail(code core.ErrorCode, op string, dur sim.Time) Result {
@@ -226,10 +245,7 @@ func (h *Host) CreateConnection(peer string) (Handle, Result) {
 		return InvalidHandle, Result{Dur: lat, Err: err}
 	}
 	h.SetBusy(h.clock() + h.cfg.ConnSetupTime)
-	h.nextHandle++
-	hd := h.nextHandle
-	h.handles[hd] = peer
-	return hd, Result{Dur: lat + h.cfg.ConnSetupTime}
+	return h.allocHandle(), Result{Dur: lat + h.cfg.ConnSetupTime}
 }
 
 // AcceptConnection is the responder side of connection setup.
@@ -239,22 +255,20 @@ func (h *Host) AcceptConnection(peer string) (Handle, Result) {
 		return InvalidHandle, Result{Dur: lat, Err: err}
 	}
 	h.SetBusy(h.clock() + h.cfg.ConnSetupTime)
-	h.nextHandle++
-	hd := h.nextHandle
-	h.handles[hd] = peer
-	return hd, Result{Dur: lat}
+	return h.allocHandle(), Result{Dur: lat}
 }
 
 // Disconnect tears down a connection handle.
 func (h *Host) Disconnect(hd Handle) Result {
-	if !h.ValidHandle(hd) {
+	i, ok := slices.BinarySearch(h.live, hd)
+	if !ok {
 		return h.fail(core.CodeHCIInvalidHandle, "hci.disconnect", h.cfg.BaseLatency)
 	}
 	lat, err := h.submit("hci.disconnect", 6)
 	if err != nil {
 		return Result{Dur: lat, Err: err}
 	}
-	delete(h.handles, hd)
+	h.live = slices.Delete(h.live, i, i+1)
 	return Result{Dur: lat}
 }
 
@@ -288,6 +302,6 @@ func (h *Host) CommandOnHandle(op string, hd Handle, size int) Result {
 // Reset drops all connection state (the HCI_Reset command), used by the
 // "BT stack reset" SIRA.
 func (h *Host) Reset() {
-	h.handles = make(map[Handle]string)
+	h.live = h.live[:0]
 	h.busyUntil = 0
 }

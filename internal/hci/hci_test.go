@@ -3,6 +3,7 @@ package hci
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -60,9 +61,6 @@ func TestConnectionLifecycle(t *testing.T) {
 	}
 	if hd == InvalidHandle || !f.host.ValidHandle(hd) {
 		t.Fatal("no valid handle allocated")
-	}
-	if peer, ok := f.host.Peer(hd); !ok || peer != "Giallo" {
-		t.Errorf("Peer = %q/%v", peer, ok)
 	}
 	if f.host.OpenHandles() != 1 {
 		t.Errorf("OpenHandles = %d", f.host.OpenHandles())
@@ -223,5 +221,162 @@ func TestStatsCountTimeouts(t *testing.T) {
 	f.host.Inquiry()
 	if to, _ := f.host.Stats(); to != 1 {
 		t.Errorf("timeouts = %d, want 1", to)
+	}
+}
+
+func TestHandleWrapSkipsZeroAndLiveHandles(t *testing.T) {
+	f := newFixture(t, nil)
+	// Five handles stay live throughout, as a Disconnect that timed out
+	// leaves them.
+	leaked := map[Handle]bool{}
+	for range 5 {
+		hd, _ := f.host.CreateConnection("Giallo")
+		leaked[hd] = true
+	}
+	wraps := 0
+	prev := Handle(5)
+	for i := 0; i < 2*(1<<16); i++ {
+		hd, res := f.host.CreateConnection("Giallo")
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		if hd == InvalidHandle || leaked[hd] {
+			t.Fatalf("allocation %d issued handle %d (invalid or still live)", i, hd)
+		}
+		if hd < prev {
+			wraps++
+		}
+		prev = hd
+		if res := f.host.Disconnect(hd); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		f.now += 10 * sim.Second
+	}
+	if wraps < 2 {
+		t.Errorf("handle counter wrapped %d times, want at least 2", wraps)
+	}
+	if got := f.host.OpenHandles(); got != len(leaked) {
+		t.Errorf("OpenHandles = %d, want %d", got, len(leaked))
+	}
+	for hd := range leaked {
+		if !f.host.ValidHandle(hd) {
+			t.Errorf("leaked handle %d no longer live", hd)
+		}
+	}
+}
+
+func TestResetDoesNotAllocate(t *testing.T) {
+	f := newFixture(t, nil)
+	allocs := testing.AllocsPerRun(100, func() {
+		for range 8 {
+			f.host.CreateConnection("Giallo")
+		}
+		f.host.Reset()
+	})
+	if allocs != 0 {
+		t.Errorf("create + Reset allocates %v per run, want 0", allocs)
+	}
+}
+
+// FuzzHandleTable holds the host's live-handle set to a reference
+// map[Handle]bool under create, accept, disconnect, failed-disconnect,
+// leak-burst, counter-jump and reset sequences. The reference issues
+// handles the way the host must: counting up, wrapping past 0xFFFF, and
+// skipping InvalidHandle and every still-live handle.
+func FuzzHandleTable(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
+	f.Add([]byte{5, 200, 6, 255, 0, 0, 3, 9, 2, 1, 1, 0})
+	f.Add([]byte{5, 255, 5, 255, 6, 254, 0, 1, 3, 0, 2, 4, 0, 6, 255, 5, 40, 1, 7, 0})
+	f.Fuzz(fuzzBody)
+}
+
+func fuzzBody(t *testing.T, ops []byte) {
+	{
+		fx := newFixture(t, func(c *Config) { c.TimeoutProbBusy = 1 })
+		h := fx.host
+		ref := map[Handle]bool{}
+		var next Handle
+		issue := func() Handle {
+			for {
+				next++
+				if next != InvalidHandle && !ref[next] {
+					ref[next] = true
+					return next
+				}
+			}
+		}
+		// pick names a live handle (by rank in the reference) or, for a
+		// zero selector, a handle that may not be live.
+		pick := func(sel byte) Handle {
+			if sel == 0 || len(ref) == 0 {
+				return Handle(sel) * 257
+			}
+			live := make([]Handle, 0, len(ref))
+			for hd := range ref {
+				live = append(live, hd)
+			}
+			slices.Sort(live)
+			return live[int(sel)%len(live)]
+		}
+		for i := 0; i+1 < len(ops); i += 2 {
+			fx.now += 10 * sim.Second // leave any busy window
+			op, arg := ops[i]%8, ops[i+1]
+			switch op {
+			case 0, 1:
+				var hd Handle
+				var res Result
+				if op == 0 {
+					hd, res = h.CreateConnection("Giallo")
+				} else {
+					hd, res = h.AcceptConnection("Verde")
+				}
+				if want := issue(); res.Err != nil || hd != want {
+					t.Fatalf("op %d: issued %d (%v), want %d", i, hd, res.Err, want)
+				}
+			case 2, 3:
+				hd := pick(arg)
+				res := h.Disconnect(hd)
+				if res.Err == nil != ref[hd] {
+					t.Fatalf("op %d: Disconnect(%d) = %v, live %v", i, hd, res.Err, ref[hd])
+				}
+				delete(ref, hd)
+			case 4:
+				// A Disconnect that times out leaks its handle.
+				hd := pick(arg)
+				h.SetBusy(fx.now + sim.Second)
+				if res := h.Disconnect(hd); res.Err == nil {
+					t.Fatalf("op %d: Disconnect(%d) on a busy controller succeeded", i, hd)
+				}
+			case 5:
+				// Leak a burst of handles, keeping the table well short of
+				// exhausting the handle space.
+				for range min(int(arg), 2048-len(ref)) {
+					fx.now += 10 * sim.Second
+					hd, _ := h.CreateConnection("Giallo")
+					if want := issue(); hd != want {
+						t.Fatalf("op %d: burst issued %d, want %d", i, hd, want)
+					}
+				}
+			case 6:
+				// Jump the counter as if arg*256 short-lived connections
+				// had come and gone, to reach the wrap quickly.
+				h.nextHandle += Handle(arg) << 8
+				next += Handle(arg) << 8
+			case 7:
+				h.Reset()
+				clear(ref)
+			}
+			if got := h.OpenHandles(); got != len(ref) {
+				t.Fatalf("op %d: OpenHandles = %d, reference %d", i, got, len(ref))
+			}
+			for hd := range ref {
+				if !h.ValidHandle(hd) {
+					t.Fatalf("op %d: handle %d live in the reference, not in the host", i, hd)
+				}
+			}
+			if h.ValidHandle(InvalidHandle) {
+				t.Fatalf("op %d: InvalidHandle is live", i)
+			}
+		}
 	}
 }

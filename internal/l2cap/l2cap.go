@@ -31,6 +31,10 @@ const HeaderLen = 4
 // DefaultMTU is the default signalling MTU; BNEP negotiates 1691.
 const DefaultMTU = 672
 
+// FirstDynamicCID is the lowest dynamically allocated channel identifier;
+// the CIDs below it are reserved for fixed channels.
+const FirstDynamicCID uint16 = 0x0040
+
 // Config parameterises the L2CAP layer.
 type Config struct {
 	// MTU is the negotiated maximum SDU payload.
@@ -100,13 +104,18 @@ func (s ChannelState) String() string {
 	}
 }
 
-// Channel is one connection-oriented L2CAP channel.
+// Channel is one connection-oriented L2CAP channel. Callers hold it by
+// value; the Mux keeps no per-channel state beyond a count.
 type Channel struct {
 	LocalCID  uint16
 	RemoteCID uint16
 	PSM       uint16
 	Handle    hci.Handle
 	State     ChannelState
+
+	// epoch is the Mux reset epoch the channel was opened in: a Reset
+	// already dropped a channel of an earlier epoch from the count.
+	epoch uint32
 }
 
 // Result reports an L2CAP operation.
@@ -123,8 +132,9 @@ type Mux struct {
 	rng  *rand.Rand
 	sink hci.Sink
 
-	nextCID  uint16
-	channels map[uint16]*Channel
+	nextCID uint16
+	open    int    // channels opened in this epoch and not yet closed
+	epoch   uint32 // bumped by Reset
 
 	unexpectedFrames int
 }
@@ -139,8 +149,7 @@ func NewMux(cfg Config, node string, h *hci.Host, rng *rand.Rand, sink hci.Sink)
 	}
 	return &Mux{
 		cfg: cfg, node: node, hci: h, rng: rng, sink: sink,
-		nextCID:  0x0040, // dynamic CIDs start at 0x0040 per spec
-		channels: make(map[uint16]*Channel),
+		nextCID: FirstDynamicCID,
 	}
 }
 
@@ -148,7 +157,7 @@ func NewMux(cfg Config, node string, h *hci.Host, rng *rand.Rand, sink hci.Sink)
 func (m *Mux) MTU() int { return m.cfg.MTU }
 
 // OpenChannels reports the number of non-closed channels.
-func (m *Mux) OpenChannels() int { return len(m.channels) }
+func (m *Mux) OpenChannels() int { return m.open }
 
 // UnexpectedFrames reports the count of framing-state violations observed.
 func (m *Mux) UnexpectedFrames() int { return m.unexpectedFrames }
@@ -163,36 +172,40 @@ func (m *Mux) raiseUnexpected(op string, dur sim.Time) Result {
 }
 
 // Connect runs the connect + configure signalling toward psm over an HCI
-// handle. HCI-level failures (busy timeouts, stale handles) propagate, which
-// is the paper's dominant cause of "Connect failed".
-func (m *Mux) Connect(hd hci.Handle, psm uint16) (*Channel, Result) {
+// handle and returns the open channel. HCI-level failures (busy timeouts,
+// stale handles) propagate, which is the paper's dominant cause of
+// "Connect failed"; a failed connect returns a closed zero Channel.
+func (m *Mux) Connect(hd hci.Handle, psm uint16) (Channel, Result) {
 	var total sim.Time
 	// Connect request/response + two config exchanges: four signalling PDUs.
-	for i, op := range []string{
+	for _, op := range []string{
 		"l2cap.connect_req", "l2cap.connect_rsp",
 		"l2cap.config_req", "l2cap.config_rsp",
 	} {
 		res := m.hci.CommandOnHandle(op, hd, m.cfg.SignalSize)
 		total += res.Dur
 		if res.Err != nil {
-			return nil, Result{Dur: total, Err: res.Err}
+			return Channel{}, Result{Dur: total, Err: res.Err}
 		}
 		// A mangled signalling frame can violate the peer's state machine.
 		if m.rng.Float64() < m.cfg.UnexpectedFrameProb {
-			r := m.raiseUnexpected(op, total)
-			return nil, r
+			return Channel{}, m.raiseUnexpected(op, total)
 		}
-		_ = i
 	}
-	ch := &Channel{
+	ch := Channel{
 		LocalCID:  m.nextCID,
 		RemoteCID: m.nextCID + 0x1000, // peer's dynamic CID (simulated)
 		PSM:       psm,
 		Handle:    hd,
 		State:     StateOpen,
+		epoch:     m.epoch,
 	}
-	m.nextCID++
-	m.channels[ch.LocalCID] = ch
+	// The CID counter wraps past 0xFFFF back to the dynamic range, never
+	// into the reserved fixed-channel CIDs.
+	if m.nextCID++; m.nextCID == 0 {
+		m.nextCID = FirstDynamicCID
+	}
+	m.open++
 	return ch, Result{Dur: total}
 }
 
@@ -211,13 +224,18 @@ func (m *Mux) Disconnect(ch *Channel) Result {
 		}
 	}
 	ch.State = StateClosed
-	delete(m.channels, ch.LocalCID)
+	if ch.epoch == m.epoch {
+		m.open--
+	}
 	return Result{Dur: total}
 }
 
 // Reset drops all channel state (part of the "BT stack reset" SIRA).
+// Channels opened before it no longer count as open, even while a caller
+// still holds them in StateOpen.
 func (m *Mux) Reset() {
-	m.channels = make(map[uint16]*Channel)
+	m.open = 0
+	m.epoch++
 }
 
 // DataFault samples whether a data-phase framing violation hits this packet

@@ -49,7 +49,7 @@ func (f *fixture) connect(t *testing.T) (*Channel, hci.Handle) {
 	if cres.Err != nil {
 		t.Fatalf("l2cap connect: %v", cres.Err)
 	}
-	return ch, hd
+	return &ch, hd
 }
 
 func TestDefaultConfigValid(t *testing.T) {
@@ -90,8 +90,8 @@ func TestConnectPropagatesHCIFailure(t *testing.T) {
 	f := newFixture(t, nil)
 	// Stale handle: HCI invalid-handle must surface through Connect.
 	ch, res := f.mux.Connect(hci.Handle(999), PSMSDP)
-	if ch != nil {
-		t.Fatal("channel allocated despite failure")
+	if ch.State != StateClosed {
+		t.Fatal("channel opened despite failure")
 	}
 	var se *core.SimError
 	if !errors.As(res.Err, &se) || se.Code != core.CodeHCIInvalidHandle {
@@ -140,6 +140,52 @@ func TestReset(t *testing.T) {
 	f.mux.Reset()
 	if f.mux.OpenChannels() != 0 {
 		t.Error("reset should drop channels")
+	}
+}
+
+func TestResetForgetsOpenChannels(t *testing.T) {
+	f := newFixture(t, nil)
+	stale, hd := f.connect(t)
+	f.mux.Reset()
+	ch, res := f.mux.Connect(hd, PSMSDP)
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	// Closing a channel that a Reset already dropped must not discount the
+	// channel opened after it.
+	f.mux.Disconnect(stale)
+	if got := f.mux.OpenChannels(); got != 1 {
+		t.Errorf("OpenChannels = %d after closing a pre-reset channel, want 1", got)
+	}
+	f.mux.Disconnect(&ch)
+	if got := f.mux.OpenChannels(); got != 0 {
+		t.Errorf("OpenChannels = %d, want 0", got)
+	}
+}
+
+func TestCIDWrapSkipsReservedRange(t *testing.T) {
+	f := newFixture(t, nil)
+	_, hd := f.connect(t)
+	// One channel stays open throughout; drive the counter twice around.
+	seen := 0
+	for i := 0; i < 2*(1<<16); i++ {
+		ch, res := f.mux.Connect(hd, PSMSDP)
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		if ch.LocalCID < FirstDynamicCID {
+			t.Fatalf("allocation %d: CID %#04x in the reserved range", i, ch.LocalCID)
+		}
+		if ch.LocalCID == FirstDynamicCID {
+			seen++
+		}
+		f.mux.Disconnect(&ch)
+	}
+	if seen < 2 {
+		t.Errorf("counter restarted at %#04x %d times, want at least 2", FirstDynamicCID, seen)
+	}
+	if got := f.mux.OpenChannels(); got != 1 {
+		t.Errorf("OpenChannels = %d, want 1", got)
 	}
 }
 

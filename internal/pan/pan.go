@@ -131,13 +131,15 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Conn is an established PAN connection from a PANU to a NAP.
+// Conn is an established PAN connection from a PANU to a NAP. The caller
+// owns it and hands it to PANU.Connect, which resets it in place, so a
+// client that holds one connection at a time reuses one Conn value.
 type Conn struct {
 	ID        uint64 // global connection identifier (for log correlation)
 	Handle    hci.Handle
 	NAPHandle hci.Handle
-	Channel   *l2cap.Channel
-	Iface     *bnep.Interface
+	Channel   l2cap.Channel   // the BNEP channel
+	Iface     *bnep.Interface // the PANU's bnep0 over Channel
 	// MasterIsNAP reports whether the role switch has completed, leaving
 	// the NAP as piconet master.
 	MasterIsNAP bool
@@ -152,7 +154,10 @@ type NAP struct {
 	HCI *hci.Host
 	SDP *sdp.Server
 
-	slots map[uint64]string // conn ID -> peer
+	// slots[:active] hold the connection IDs of the admitted PANUs, in no
+	// particular order.
+	slots  [MaxSlaves]uint64
+	active int
 
 	rejected int
 }
@@ -162,13 +167,13 @@ func NewNAP(node string, h *hci.Host, s *sdp.Server) *NAP {
 	if h == nil || s == nil {
 		panic("pan: NAP needs HCI and SDP")
 	}
-	n := &NAP{Node: node, HCI: h, SDP: s, slots: make(map[uint64]string)}
+	n := &NAP{Node: node, HCI: h, SDP: s}
 	s.Register(sdp.Record{Class: sdp.UUIDNAP, PSM: l2cap.PSMBNEP, Name: "Network Access Point"})
 	return n
 }
 
 // ActiveSlaves reports the number of connected PANUs.
-func (n *NAP) ActiveSlaves() int { return len(n.slots) }
+func (n *NAP) ActiveSlaves() int { return n.active }
 
 // Rejected reports the count of slot-exhaustion rejections.
 func (n *NAP) Rejected() int { return n.rejected }
@@ -177,7 +182,7 @@ func (n *NAP) Rejected() int { return n.rejected }
 // busy timeouts log on the NAP's system log — the "From NAP" columns of
 // Table 2).
 func (n *NAP) accept(connID uint64, peer string) (hci.Handle, error) {
-	if len(n.slots) >= MaxSlaves {
+	if n.active == MaxSlaves {
 		n.rejected++
 		return hci.InvalidHandle, core.NewSimError(core.CodeHCICommandTimeout, "nap.slots_full", n.Node)
 	}
@@ -185,16 +190,21 @@ func (n *NAP) accept(connID uint64, peer string) (hci.Handle, error) {
 	if res.Err != nil {
 		return hci.InvalidHandle, res.Err
 	}
-	n.slots[connID] = peer
+	n.slots[n.active] = connID
+	n.active++
 	return hd, nil
 }
 
-// release frees the slot for a connection.
+// release frees the slot for a connection. Releasing an unknown connection
+// is harmless: teardown can race reset.
 func (n *NAP) release(connID uint64) {
-	if _, ok := n.slots[connID]; ok {
-		delete(n.slots, connID)
+	for i := range n.active {
+		if n.slots[i] == connID {
+			n.active--
+			n.slots[i] = n.slots[n.active]
+			return
+		}
 	}
-	// Releasing an unknown connection is harmless: teardown can race reset.
 }
 
 // PANU is the client side of the profile for one node.
@@ -226,27 +236,32 @@ func NewPANU(cfg Config, node string, h *hci.Host, mux *l2cap.Mux, b *bnep.Servi
 }
 
 // Connect runs the PAN connection procedure toward nap over an established
-// baseband link (HCI handle hd). freshSDP reports whether the workload
-// performed the SDP search this cycle; connecting from a cached record is
-// where nearly all PAN-connect failures come from.
-func (p *PANU) Connect(hd hci.Handle, nap *NAP, freshSDP bool) (*Conn, Result) {
+// baseband link (HCI handle hd), building the connection in conn, which it
+// resets first. freshSDP reports whether the workload performed the SDP
+// search this cycle; connecting from a cached record is where nearly all
+// PAN-connect failures come from. On failure conn is left closed.
+func (p *PANU) Connect(hd hci.Handle, nap *NAP, freshSDP bool, conn *Conn) Result {
 	// Link-level admission at the NAP first: the master answers the page
 	// and accepts the connection. A busy NAP controller times the accept
 	// out, which the paper classifies as an L2CAP-establishment failure
 	// ("Connect failed", with the HCI evidence in the NAP's system log).
 	*p.nextConnID++
 	id := *p.nextConnID
+	*conn = Conn{ID: id, Handle: hd}
 	napHd, err := nap.accept(id, p.node)
 	if err != nil {
-		return nil, Result{Stage: StageL2CAP, Err: err}
+		return Result{Stage: StageL2CAP, Err: err}
 	}
+	conn.NAPHandle = napHd
 
-	ch, lres := p.mux.Connect(hd, l2cap.PSMBNEP)
+	var lres l2cap.Result
+	conn.Channel, lres = p.mux.Connect(hd, l2cap.PSMBNEP)
 	if lres.Err != nil {
 		nap.release(id)
 		nap.HCI.Disconnect(napHd)
-		return nil, Result{Dur: lres.Dur, Stage: StageL2CAP, Err: lres.Err}
+		return Result{Dur: lres.Dur, Stage: StageL2CAP, Err: lres.Err}
 	}
+	ch := &conn.Channel
 	total := lres.Dur
 
 	// BNEP setup validates the connection against the NAP's live service
@@ -264,7 +279,7 @@ func (p *PANU) Connect(hd hci.Handle, nap *NAP, freshSDP bool) (*Conn, Result) {
 		p.mux.Disconnect(ch)
 		nap.release(id)
 		nap.HCI.Disconnect(napHd)
-		return nil, Result{Dur: total, Stage: StagePAN,
+		return Result{Dur: total, Stage: StagePAN,
 			Err: core.NewSimError(core.CodeSDPServiceMissing, "pan.connect", p.node)}
 	}
 
@@ -274,11 +289,11 @@ func (p *PANU) Connect(hd hci.Handle, nap *NAP, freshSDP bool) (*Conn, Result) {
 		p.mux.Disconnect(ch)
 		nap.release(id)
 		nap.HCI.Disconnect(napHd)
-		return nil, Result{Dur: total, Stage: StagePAN, Err: bres.Err}
+		return Result{Dur: total, Stage: StagePAN, Err: bres.Err}
 	}
-
-	return &Conn{ID: id, Handle: hd, NAPHandle: napHd, Channel: ch,
-		Iface: iface, Open: true}, Result{Dur: total, Stage: StageNone}
+	conn.Iface = iface
+	conn.Open = true
+	return Result{Dur: total, Stage: StageNone}
 }
 
 // SwitchRole performs the master/slave switch so the NAP becomes piconet
@@ -361,7 +376,7 @@ func (p *PANU) Abort(conn *Conn, nap *NAP) {
 	}
 	conn.Open = false
 	p.bnep.DestroyChannel()
-	if conn.Channel != nil && conn.Channel.State == l2cap.StateOpen {
+	if conn.Channel.State == l2cap.StateOpen {
 		conn.Channel.State = l2cap.StateClosed
 	}
 	p.mux.Reset()
@@ -382,7 +397,7 @@ func (p *PANU) Disconnect(conn *Conn, nap *NAP) Result {
 	}
 	conn.Open = false
 	p.bnep.DestroyChannel()
-	res := p.mux.Disconnect(conn.Channel)
+	res := p.mux.Disconnect(&conn.Channel)
 	hres := p.hci.Disconnect(conn.Handle)
 	nap.release(conn.ID)
 	nap.HCI.Disconnect(conn.NAPHandle)

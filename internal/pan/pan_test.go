@@ -93,6 +93,20 @@ func (f *fixture) baseband(t *testing.T) hci.Handle {
 	return hd
 }
 
+// connect runs PANU.Connect into a fresh Conn and returns it, or nil when
+// the connect failed.
+func (f *fixture) connect(hd hci.Handle, freshSDP bool) (*Conn, Result) {
+	conn := new(Conn)
+	res := f.panu.Connect(hd, f.nap, freshSDP, conn)
+	if res.Err != nil {
+		if conn.Open {
+			panic("failed connect left the Conn open")
+		}
+		return nil, res
+	}
+	return conn, res
+}
+
 func TestDefaultConfigValid(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatal(err)
@@ -106,7 +120,7 @@ func TestDefaultConfigValid(t *testing.T) {
 
 func TestConnectHappyPath(t *testing.T) {
 	f := newFixture(t, fixtureOpts{})
-	conn, res := f.panu.Connect(f.baseband(t), f.nap, true)
+	conn, res := f.connect(f.baseband(t), true)
 	if res.Err != nil {
 		t.Fatalf("connect: %v (stage %v)", res.Err, res.Stage)
 	}
@@ -140,7 +154,7 @@ func TestConnectHappyPath(t *testing.T) {
 func TestConnectL2CAPStageFailure(t *testing.T) {
 	f := newFixture(t, fixtureOpts{})
 	// Dead handle: the failure must classify as the L2CAP stage.
-	conn, res := f.panu.Connect(hci.Handle(555), f.nap, true)
+	conn, res := f.connect(hci.Handle(555), true)
 	if conn != nil || res.Err == nil {
 		t.Fatal("expected failure")
 	}
@@ -151,7 +165,7 @@ func TestConnectL2CAPStageFailure(t *testing.T) {
 
 func TestConnectStaleCacheFailure(t *testing.T) {
 	f := newFixture(t, fixtureOpts{pan: func(c *Config) { c.StaleCacheFailProb = 1 }})
-	conn, res := f.panu.Connect(f.baseband(t), f.nap, false) // SDP skipped
+	conn, res := f.connect(f.baseband(t), false) // SDP skipped
 	if conn != nil || res.Err == nil {
 		t.Fatal("expected stale-cache failure")
 	}
@@ -167,7 +181,7 @@ func TestConnectStaleCacheFailure(t *testing.T) {
 		t.Errorf("NAP logs = %v", f.napLogs)
 	}
 	// With a fresh search the same connection succeeds.
-	conn, res = f.panu.Connect(f.baseband(t), f.nap, true)
+	conn, res = f.connect(f.baseband(t), true)
 	if res.Err != nil {
 		t.Fatalf("fresh connect failed: %v", res.Err)
 	}
@@ -178,7 +192,7 @@ func TestConnectStaleCacheFailure(t *testing.T) {
 
 func TestConnectBNEPStageFailure(t *testing.T) {
 	f := newFixture(t, fixtureOpts{bnep: func(c *bnep.Config) { c.ModuleMissingProb = 1 }})
-	conn, res := f.panu.Connect(f.baseband(t), f.nap, true)
+	conn, res := f.connect(f.baseband(t), true)
 	if conn != nil {
 		t.Fatal("conn allocated despite BNEP failure")
 	}
@@ -198,7 +212,7 @@ func TestNAPSlotExhaustion(t *testing.T) {
 	f := newFixture(t, fixtureOpts{})
 	conns := make([]*Conn, 0, MaxSlaves)
 	for i := 0; i < MaxSlaves; i++ {
-		conn, res := f.panu.Connect(f.baseband(t), f.nap, true)
+		conn, res := f.connect(f.baseband(t), true)
 		if res.Err != nil {
 			t.Fatalf("connect %d: %v", i, res.Err)
 		}
@@ -210,7 +224,7 @@ func TestNAPSlotExhaustion(t *testing.T) {
 	if f.nap.ActiveSlaves() != MaxSlaves {
 		t.Fatalf("ActiveSlaves = %d", f.nap.ActiveSlaves())
 	}
-	conn, res := f.panu.Connect(f.baseband(t), f.nap, true)
+	conn, res := f.connect(f.baseband(t), true)
 	if conn != nil || res.Err == nil {
 		t.Fatal("8th slave admitted")
 	}
@@ -225,7 +239,7 @@ func TestNAPSlotExhaustion(t *testing.T) {
 
 func TestSwitchRoleRequestLegFailure(t *testing.T) {
 	f := newFixture(t, fixtureOpts{pan: func(c *Config) { c.SwitchReqExtraTimeout = 1 }})
-	conn, res := f.panu.Connect(f.baseband(t), f.nap, true)
+	conn, res := f.connect(f.baseband(t), true)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -254,7 +268,7 @@ func TestSwitchRoleCommandLegFailures(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			f := newFixture(t, fixtureOpts{pan: tt.mutate})
-			conn, res := f.panu.Connect(f.baseband(t), f.nap, true)
+			conn, res := f.connect(f.baseband(t), true)
 			if res.Err != nil {
 				t.Fatal(res.Err)
 			}
@@ -275,7 +289,7 @@ func TestSwitchRoleOnClosedConn(t *testing.T) {
 	if res := f.panu.SwitchRole(nil, f.nap); res.Err == nil {
 		t.Error("switch on nil conn should fail")
 	}
-	conn, _ := f.panu.Connect(f.baseband(t), f.nap, true)
+	conn, _ := f.connect(f.baseband(t), true)
 	f.panu.Disconnect(conn, f.nap)
 	if res := f.panu.SwitchRole(conn, f.nap); res.Err == nil {
 		t.Error("switch on closed conn should fail")
@@ -284,7 +298,7 @@ func TestSwitchRoleOnClosedConn(t *testing.T) {
 
 func TestDisconnectIdempotent(t *testing.T) {
 	f := newFixture(t, fixtureOpts{})
-	conn, _ := f.panu.Connect(f.baseband(t), f.nap, true)
+	conn, _ := f.connect(f.baseband(t), true)
 	f.panu.Disconnect(conn, f.nap)
 	// Second disconnect is a no-op, not a crash.
 	if res := f.panu.Disconnect(conn, f.nap); res.Err != nil {
@@ -296,7 +310,7 @@ func TestConnIDsAreUnique(t *testing.T) {
 	f := newFixture(t, fixtureOpts{})
 	seen := map[uint64]bool{}
 	for i := 0; i < 5; i++ {
-		conn, res := f.panu.Connect(f.baseband(t), f.nap, true)
+		conn, res := f.connect(f.baseband(t), true)
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
@@ -305,6 +319,33 @@ func TestConnIDsAreUnique(t *testing.T) {
 		}
 		seen[conn.ID] = true
 		f.panu.Disconnect(conn, f.nap)
+	}
+}
+
+func TestConnectResetsConnInPlace(t *testing.T) {
+	f := newFixture(t, fixtureOpts{})
+	var conn Conn
+	for i := 0; i < 3; i++ {
+		if res := f.panu.Connect(f.baseband(t), f.nap, true, &conn); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		if !conn.Open || conn.MasterIsNAP || conn.Channel.State != l2cap.StateOpen {
+			t.Fatalf("connect %d: conn = %+v", i, conn)
+		}
+		if i > 0 && conn.Iface != f.panu.bnep.Interface() {
+			t.Fatalf("connect %d: Iface is not the service's interface", i)
+		}
+		if res := f.panu.SwitchRole(&conn, f.nap); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		f.panu.Disconnect(&conn, f.nap)
+		if f.nap.ActiveSlaves() != 0 || f.panu.mux.OpenChannels() != 0 {
+			t.Fatalf("disconnect %d left a slot or a channel behind", i)
+		}
+	}
+	// A failed connect leaves the reused Conn closed.
+	if res := f.panu.Connect(hci.Handle(555), f.nap, true, &conn); res.Err == nil || conn.Open {
+		t.Fatalf("connect on a dead handle: %v, open %v", res.Err, conn.Open)
 	}
 }
 

@@ -142,11 +142,15 @@ type bridge struct {
 	naps    []*stack.Host
 	acc     *analysis.BridgeAccum
 
-	resident  int
-	attached  bool
-	down      bool
+	resident int
+	attached bool
+	down     bool
+	// conn and pipe point at connVal and pipeVal while attached and are
+	// nil otherwise: every attachment reuses the same two values.
 	conn      *pan.Conn
 	pipe      *stack.Pipe
+	connVal   pan.Conn
+	pipeVal   stack.Pipe
 	out       *outage // this bridge's entry in the overlay's outage table
 	busyUntil sim.Time
 	queues    [][]relaySDU
@@ -298,7 +302,7 @@ func (b *bridge) attach(idx int) bool {
 		b.fail(core.UFConnectFailed)
 		return false
 	}
-	conn, pres := b.host.PANU.Connect(hd, nap.NAP, true)
+	pres := b.host.PANU.Connect(hd, nap.NAP, true, &b.connVal)
 	dur += pres.Dur
 	if pres.Err != nil {
 		if pres.Stage == pan.StageL2CAP {
@@ -308,8 +312,8 @@ func (b *bridge) attach(idx int) bool {
 		}
 		return false
 	}
-	b.conn = conn
-	sres := b.host.PANU.SwitchRole(conn, nap.NAP)
+	b.conn = &b.connVal
+	sres := b.host.PANU.SwitchRole(b.conn, nap.NAP)
 	dur += sres.Dur
 	if sres.Err != nil {
 		if pan.RequestLegFailed(sres.Err) {
@@ -319,7 +323,8 @@ func (b *bridge) attach(idx int) bool {
 		}
 		return false
 	}
-	b.pipe = b.host.OpenPipe(conn)
+	b.pipeVal = b.host.OpenPipe(b.conn)
+	b.pipe = &b.pipeVal
 	b.attached = true
 	b.busyUntil = b.world.Now() + dur
 	b.acc.AddHop()

@@ -18,6 +18,7 @@ package sdp
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/hci"
@@ -86,7 +87,8 @@ type Server struct {
 	sink hci.Sink
 
 	nextHandle uint32
-	records    map[uint32]*Record
+	records    []Record // in registration order
+	hits       []Record // the last search's matches, reused across searches
 
 	refused, timedOut, missed int
 }
@@ -99,7 +101,6 @@ func NewServer(cfg ServerConfig, node string, rng *rand.Rand, sink hci.Sink) *Se
 	return &Server{
 		cfg: cfg, node: node, rng: rng, sink: sink,
 		nextHandle: 0x10000,
-		records:    make(map[uint32]*Record),
 	}
 }
 
@@ -107,12 +108,14 @@ func NewServer(cfg ServerConfig, node string, rng *rand.Rand, sink hci.Sink) *Se
 func (s *Server) Register(r Record) uint32 {
 	s.nextHandle++
 	r.Handle = s.nextHandle
-	s.records[r.Handle] = &r
+	s.records = append(s.records, r)
 	return r.Handle
 }
 
 // Unregister removes a record.
-func (s *Server) Unregister(handle uint32) { delete(s.records, handle) }
+func (s *Server) Unregister(handle uint32) {
+	s.records = slices.DeleteFunc(s.records, func(r Record) bool { return r.Handle == handle })
+}
 
 // Records reports the number of registered records.
 func (s *Server) Records() int { return len(s.records) }
@@ -136,6 +139,8 @@ const (
 )
 
 // handleSearch runs the daemon side of one search, with fault injection.
+// The matches come back in registration order, in a buffer the next search
+// overwrites.
 func (s *Server) handleSearch(class uint16) ([]Record, outcome) {
 	switch u := s.rng.Float64(); {
 	case u < s.cfg.RefuseProb:
@@ -151,12 +156,13 @@ func (s *Server) handleSearch(class uint16) ([]Record, outcome) {
 		}
 		return nil, timedOut
 	}
-	var hits []Record
+	hits := s.hits[:0]
 	for _, r := range s.records {
 		if r.Class == class {
-			hits = append(hits, *r)
+			hits = append(hits, r)
 		}
 	}
+	s.hits = hits
 	if len(hits) > 0 && s.rng.Float64() < s.cfg.MissProb {
 		s.missed++
 		if s.sink != nil {
@@ -200,7 +206,8 @@ type Result struct {
 }
 
 // Search connects to the server's SDP daemon over hd and asks for records of
-// the given service class.
+// the given service class. The records come back in registration order and
+// stay valid until the server's next search.
 //
 // Error semantics, mapped to the paper's user failures by the workload:
 //   - transport/L2CAP/HCI errors or daemon refusal/timeout → the search
@@ -222,7 +229,7 @@ func (c *Client) Search(hd hci.Handle, server *Server, class uint16) ([]Record, 
 		if c.sink != nil {
 			c.sink(core.CodeSDPConnectionRefused, "sdp.search")
 		}
-		c.mux.Disconnect(ch)
+		c.mux.Disconnect(&ch)
 		return nil, Result{Dur: total,
 			Err: core.NewSimError(core.CodeSDPConnectionRefused, "sdp.search", c.node)}
 	case timedOut:
@@ -231,12 +238,12 @@ func (c *Client) Search(hd hci.Handle, server *Server, class uint16) ([]Record, 
 		if c.sink != nil {
 			c.sink(core.CodeSDPTimeout, "sdp.search")
 		}
-		c.mux.Disconnect(ch)
+		c.mux.Disconnect(&ch)
 		return nil, Result{Dur: total,
 			Err: core.NewSimError(core.CodeSDPTimeout, "sdp.search", c.node)}
 	}
 
-	dres := c.mux.Disconnect(ch)
+	dres := c.mux.Disconnect(&ch)
 	total += dres.Dur
 	return hits, Result{Dur: total}
 }

@@ -92,6 +92,24 @@ func TestRegisterAndSearch(t *testing.T) {
 	}
 }
 
+func TestSearchReturnsRegistrationOrder(t *testing.T) {
+	f := newFixture(t, nil)
+	first := f.server.Register(Record{Class: UUIDNAP, PSM: l2cap.PSMBNEP, Name: "first"})
+	f.server.Register(Record{Class: UUIDGN, PSM: l2cap.PSMBNEP, Name: "group"})
+	second := f.server.Register(Record{Class: UUIDNAP, PSM: l2cap.PSMBNEP, Name: "second"})
+	third := f.server.Register(Record{Class: UUIDNAP, PSM: l2cap.PSMBNEP, Name: "third"})
+	f.server.Unregister(second)
+	for range 3 {
+		hits, res := f.client.Search(f.handle(t), f.server, UUIDNAP)
+		if res.Err != nil {
+			t.Fatalf("search: %v", res.Err)
+		}
+		if len(hits) != 2 || hits[0].Handle != first || hits[1].Handle != third {
+			t.Fatalf("hits = %+v, want records %#x then %#x", hits, first, third)
+		}
+	}
+}
+
 func TestSearchNoService(t *testing.T) {
 	f := newFixture(t, nil)
 	hits, res := f.client.Search(f.handle(t), f.server, UUIDNAP)

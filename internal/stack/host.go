@@ -165,6 +165,7 @@ func (h *Host) Reboot() sim.Time {
 
 // Pipe is the data plane of one PAN connection: it applies the connection's
 // latent-defect state, L2CAP data-phase faults, segmentation, and the ARQ.
+// OpenPipe returns it by value, for the caller to keep beside its Conn.
 type Pipe struct {
 	Conn *pan.Conn
 	host *Host
@@ -201,11 +202,11 @@ func (o PacketOutcome) String() string {
 
 // OpenPipe wraps a fresh PAN connection with its data-plane state, sampling
 // the latent-defect lottery for this connection.
-func (h *Host) OpenPipe(conn *pan.Conn) *Pipe {
+func (h *Host) OpenPipe(conn *pan.Conn) Pipe {
 	if h.Tx == nil {
 		panic("stack: OpenPipe on a non-PANU host")
 	}
-	p := &Pipe{Conn: conn, host: h, latentAt: -1}
+	p := Pipe{Conn: conn, host: h, latentAt: -1}
 	if h.cfg.LatentDefectProb > 0 && h.rng.Float64() < h.cfg.LatentDefectProb {
 		// Geometric packet index with the configured mean: young
 		// connections carry their setup defects into the first packets.
@@ -336,24 +337,24 @@ type Socket struct {
 //   - after T_C but before the hotplug configuration completes → the
 //     interface is missing or unconfigured (BNEP module evidence; if the
 //     hotplug event was lost the HAL timeout will land in the log too).
-func (h *Host) Bind(conn *pan.Conn, connectedAt sim.Time) (*Socket, error) {
+func (h *Host) Bind(conn *pan.Conn, connectedAt sim.Time) (Socket, error) {
 	now := h.World.Now()
 	if conn == nil || conn.Iface == nil {
-		return nil, core.NewSimError(core.CodeBNEPModuleMissing, "socket.bind", h.Node)
+		return Socket{}, core.NewSimError(core.CodeBNEPModuleMissing, "socket.bind", h.Node)
 	}
 	if now < connectedAt+h.cfg.TCWindow {
 		if h.sink != nil {
 			h.sink(core.CodeHCIInvalidHandle, "socket.bind")
 		}
-		return nil, core.NewSimError(core.CodeHCIInvalidHandle, "socket.bind", h.Node)
+		return Socket{}, core.NewSimError(core.CodeHCIInvalidHandle, "socket.bind", h.Node)
 	}
 	if !conn.Iface.Configured {
 		if h.sink != nil {
 			h.sink(core.CodeBNEPModuleMissing, "socket.bind")
 		}
-		return nil, core.NewSimError(core.CodeBNEPModuleMissing, "socket.bind", h.Node)
+		return Socket{}, core.NewSimError(core.CodeBNEPModuleMissing, "socket.bind", h.Node)
 	}
-	return &Socket{Bound: true, iface: conn.Iface}, nil
+	return Socket{Bound: true, iface: conn.Iface}, nil
 }
 
 // WaitForBind is the masking strategy for "Bind failed": it reports the

@@ -106,8 +106,76 @@ type Hotplug struct {
 	rng    *rand.Rand
 	sink   hci.Sink
 
-	timeouts  int
+	timeouts int
+	// lostIface and lostGen name the interface generation whose event was
+	// lost and not yet kicked (lostIface nil: none).
 	lostIface *bnep.Interface
+	lostGen   uint64
+
+	free []*hotplugEvent // fired events, for reuse
+}
+
+// eventKind is what a scheduled hotplug event does when it fires.
+type eventKind uint8
+
+// Event kinds.
+const (
+	configureEvent  eventKind = iota // configure the interface
+	halTimeoutEvent                  // log the HAL timeout of a lost event
+)
+
+// hotplugEvent is one scheduled daemon action on an interface, for the
+// interface generation it was issued for. The BNEP service reuses one
+// Interface value across connections, so an event outliving its connection
+// must find the generation moved on and leave the new connection's
+// interface alone. Events are pre-bound and recycled through the daemon's
+// free list, so scheduling one allocates nothing once the list is warm.
+type hotplugEvent struct {
+	h     *Hotplug
+	kind  eventKind
+	iface *bnep.Interface
+	gen   uint64
+	fire  func()
+}
+
+// schedule places an event of the given kind for generation gen of iface,
+// d after the current instant.
+func (h *Hotplug) schedule(d sim.Time, kind eventKind, iface *bnep.Interface, gen uint64) {
+	var e *hotplugEvent
+	if n := len(h.free); n > 0 {
+		e = h.free[n-1]
+		h.free = h.free[:n-1]
+	} else {
+		e = &hotplugEvent{h: h}
+		e.fire = e.run
+	}
+	e.kind, e.iface, e.gen = kind, iface, gen
+	h.world.ScheduleAfter(d, e.fire)
+}
+
+// run fires the event and returns it to the free list.
+func (e *hotplugEvent) run() {
+	h, kind, iface, gen := e.h, e.kind, e.iface, e.gen
+	e.iface = nil
+	h.free = append(h.free, e)
+	current := iface.Gen == gen
+	switch kind {
+	case configureEvent:
+		if current {
+			iface.Configured = true
+		}
+	case halTimeoutEvent:
+		// Only log while this generation's event is still lost: a Kick
+		// clears lostIface, a later loss moves lostGen on, and an
+		// interface of this generation may have been configured since. A
+		// teardown does not stop the log.
+		if h.lostIface != nil && h.lostGen == gen && (!current || !iface.Configured) {
+			h.timeouts++
+			if h.sink != nil {
+				h.sink(core.CodeHotplugTimeout, "hotplug.wait_event")
+			}
+		}
+	}
 }
 
 // NewHotplug builds the daemon for a host.
@@ -149,38 +217,25 @@ func (h *Hotplug) OnCreated(iface *bnep.Interface) {
 	if h.defect {
 		switch u := h.rng.Float64(); {
 		case u < h.cfg.DefectLossProb:
-			h.lostIface = iface
-			h.world.After(h.cfg.HALTimeout, func() {
-				// Only log if the interface is still waiting (a Kick or a
-				// teardown may have intervened).
-				if h.lostIface == iface && !iface.Configured {
-					h.timeouts++
-					if h.sink != nil {
-						h.sink(core.CodeHotplugTimeout, "hotplug.wait_event")
-					}
-				}
-			})
+			h.lostIface, h.lostGen = iface, iface.Gen
+			h.schedule(h.cfg.HALTimeout, halTimeoutEvent, iface, iface.Gen)
 			return
 		case u < h.cfg.DefectLossProb+h.cfg.DefectExtendProb:
 			late = true
 		}
 	}
-	h.world.After(h.delay(late), func() {
-		iface.Configured = true
-	})
+	h.schedule(h.delay(late), configureEvent, iface, iface.Gen)
 }
 
 // Kick retries configuration of a lost interface (the masking strategy's
 // instrumented hotplug notification path). It reports whether a retry was
 // actually pending.
 func (h *Hotplug) Kick() bool {
-	if h.lostIface == nil || h.lostIface.Configured {
+	iface, gen := h.lostIface, h.lostGen
+	if iface == nil || iface.Gen == gen && iface.Configured {
 		return false
 	}
-	iface := h.lostIface
 	h.lostIface = nil
-	h.world.After(h.cfg.ConfigDelay, func() {
-		iface.Configured = true
-	})
+	h.schedule(h.cfg.ConfigDelay, configureEvent, iface, gen)
 	return true
 }

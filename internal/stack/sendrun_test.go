@@ -51,7 +51,8 @@ func (b *bed) openPipe(t testing.TB) *Pipe {
 	t.Helper()
 	conn, connectedAt := b.connect(t)
 	b.world.RunUntil(connectedAt + 5*sim.Second)
-	return b.panu.OpenPipe(conn)
+	p := b.panu.OpenPipe(conn)
+	return &p
 }
 
 // send idles both worlds for gap, then sends n packets on each and fails

@@ -72,8 +72,8 @@ func (b *bed) connect(t testing.TB) (*pan.Conn, sim.Time) {
 		t.Fatalf("baseband: %v", res.Err)
 	}
 	b.world.RunUntil(b.world.Now() + 10*sim.Second)
-	conn, cres := b.panu.PANU.Connect(hd, b.nap.NAP, true)
-	if cres.Err != nil {
+	conn := new(pan.Conn)
+	if cres := b.panu.PANU.Connect(hd, b.nap.NAP, true, conn); cres.Err != nil {
 		t.Fatalf("pan connect: %v", cres.Err)
 	}
 	b.panu.Hotplug.OnCreated(conn.Iface)
@@ -139,7 +139,7 @@ func TestBindSucceedsAfterHotplug(t *testing.T) {
 	if err != nil {
 		t.Fatalf("bind after T_C+T_H: %v", err)
 	}
-	if sock == nil || !sock.Bound {
+	if !sock.Bound {
 		t.Fatal("no bound socket")
 	}
 }

@@ -128,13 +128,18 @@ var appMix = []struct {
 	{core.AppStreaming, 0.16},
 }
 
+// appWeights is appMix's weight column, in the same order.
+var appWeights = func() []float64 {
+	w := make([]float64, len(appMix))
+	for i, m := range appMix {
+		w[i] = m.weight
+	}
+	return w
+}()
+
 // RandomApp draws an application according to the workload mix.
 func RandomApp(rng *rand.Rand) core.AppKind {
-	weights := make([]float64, len(appMix))
-	for i, m := range appMix {
-		weights[i] = m.weight
-	}
-	return appMix[stats.WeightedChoice(rng, weights)].app
+	return appMix[stats.WeightedChoice(rng, appWeights)].app
 }
 
 // MeanBytes estimates the expected per-cycle volume for an app by Monte

@@ -46,9 +46,14 @@ type Client struct {
 	stopped bool
 
 	// Connection state (persists across consecutive realistic cycles).
+	// conn and pipe point at connVal and pipeVal while a connection is up
+	// and are nil otherwise: the client reuses one Conn and one Pipe value
+	// for every connection it makes.
 	hd          hci.Handle
 	conn        *pan.Conn
 	pipe        *stack.Pipe
+	connVal     pan.Conn
+	pipeVal     stack.Pipe
 	connectedAt sim.Time
 	cyclesLeft  int
 	cycleIdx    int
@@ -59,6 +64,10 @@ type Client struct {
 
 	lastFailureAt sim.Time
 	plan          cyclePlan
+
+	// maskSDP is the masking counterfactual's stream, looked up on the
+	// first forced search.
+	maskSDP *rand.Rand
 
 	// lastPhaseFail[p] is the instant of this node's previous failure in
 	// protocol phase p (-1 before the first) — the O(1) windowed-recurrence
@@ -441,7 +450,10 @@ func (c *Client) sdpPhase() {
 		if maskForced {
 			// Would the cache have failed us? Count the counterfactual.
 			p := c.host.Config().PAN.StaleCacheFailProb
-			if stats.Bernoulli(c.world.RNG("mask.sdp."+c.host.Node), p) {
+			if c.maskSDP == nil {
+				c.maskSDP = c.world.RNG("mask.sdp." + c.host.Node)
+			}
+			if stats.Bernoulli(c.maskSDP, p) {
 				c.masked(core.UFPANConnectFailed)
 			}
 		}
@@ -457,7 +469,7 @@ func (c *Client) connectPhase() {
 	if c.stopped {
 		return
 	}
-	conn, res := c.host.PANU.Connect(c.hd, c.napHost.NAP, c.freshSDP)
+	res := c.host.PANU.Connect(c.hd, c.napHost.NAP, c.freshSDP, &c.connVal)
 	if res.Err != nil {
 		if res.Stage == pan.StageL2CAP {
 			c.failTransient(core.UFConnectFailed, c.fnConnectPhase)
@@ -466,10 +478,10 @@ func (c *Client) connectPhase() {
 		}
 		return
 	}
-	c.conn = conn
+	c.conn = &c.connVal
 	c.connectedAt = c.world.Now() + res.Dur
 	c.counters.Connections++
-	c.host.Hotplug.OnCreated(conn.Iface)
+	c.host.Hotplug.OnCreated(c.conn.Iface)
 	dur := res.Dur
 
 	// Master/slave switch, with the masking retry when enabled.
@@ -504,7 +516,8 @@ func (c *Client) connectPhase() {
 		return
 	}
 
-	c.pipe = c.host.OpenPipe(c.conn)
+	c.pipeVal = c.host.OpenPipe(c.conn)
+	c.pipe = &c.pipeVal
 	if c.cfg.Kind == core.WLRealistic {
 		c.cyclesLeft = 1 + c.rng.IntN(c.cfg.MaxCycles)
 	} else {

@@ -21,7 +21,7 @@ type pair struct {
 	connID  uint64
 }
 
-func newPair(t *testing.T, seed uint64, panuName string, mutate func(*stack.Config)) *pair {
+func newPair(t testing.TB, seed uint64, panuName string, mutate func(*stack.Config)) *pair {
 	t.Helper()
 	p := &pair{world: sim.NewWorld(seed)}
 	p.testLog = logging.NewTestLog(panuName)

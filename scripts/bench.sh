@@ -13,6 +13,10 @@
 # sharded roll-up engine — PR 8; live_mb must stay flat across the ladder),
 # and the taxonomy overhead ratio (streaming day with the taxonomy/survival
 # accumulators on vs forced off — PR 10; budget: < 0.05).
+# Both budgeted ratios are the median of ratio_runs (9) alternated pairs
+# of runs — the order of the pair flips every run — with the ratios'
+# quartiles recorded beside each median, so one noisy run cannot move the
+# verdict and the spread shows whether a budget miss is resolvable at all.
 # The "layers" block holds per-layer ledger rows: baseband_sdu is ns/op and
 # allocs/op of the batched SDU path on a fixed five-fragment shape and on
 # the random workload's shape mix; transfer_run is ns/op, ns/packet and
@@ -22,6 +26,12 @@
 # one schedule + deliver round trip through the event kernel's heap; and
 # overlay_day is the 64-piconet ring's bridge overlay alone for one virtual
 # day with exhaustive probes, in s/day and wall ns per probe.
+# connection_cycle is one BlueTest cycle on a fresh connection of a
+# fault-free PANU–NAP pair (inquiry, SDP, PAN connect, role switch, bind,
+# transfer, disconnect); transmitter_send is one single-packet DH5 ARQ send;
+# seg_plan is one 1500-byte SDU's segmentation plan walk; and
+# sink_checkpoint is one sink checkpoint of a keyspace holding ~1.2k
+# pending records.
 # Usage: scripts/bench.sh [day-benchtime] [month-benchtime] [scale-benchtime]
 set -eu
 
@@ -29,6 +39,40 @@ cd "$(dirname "$0")/.."
 day_benchtime="${1:-5x}"
 month_benchtime="${2:-1x}"
 scale_benchtime="${3:-1x}"
+ratio_runs=9
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
+# pair_runs DIR BINARY BENCH_A BENCH_B BENCHTIME prints one "ns_a ns_b"
+# line per run for ratio_runs alternated runs of the two benchmarks in the
+# compiled test binary, run from DIR.
+pair_runs() {
+    i=1
+    while [ "$i" -le "$ratio_runs" ]; do
+        if [ $((i % 2)) -eq 1 ]; then order="$3 $4"; else order="$4 $3"; fi
+        for bench in $order; do
+            (cd "$1" && "$2" -test.run '^$' -test.bench "^$bench\$" -test.benchtime "$5") |
+                awk -v b="$bench" '$1 ~ "^"b"(-[0-9]+)?$" { for (i = 2; i <= NF; i++) if ($i == "ns/op") print b, $(i-1) }'
+        done
+        i=$((i + 1))
+    done | awk -v a="$3" '$1 == a { na[++n] = $2 } $1 != a { nb[++m] = $2 }
+        END { for (i = 1; i <= n; i++) print na[i], nb[i] }'
+}
+
+# ratio_stats reads "ns_a ns_b" lines and prints the medians of ns_a and
+# ns_b, then the median, first and third quartile of (ns_a - ns_b) / ns_b;
+# quantiles interpolate linearly between order statistics.
+ratio_stats() {
+    awk '
+    function sort(v, n,   i, j, t) { for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j-1] > v[j]; j--) { t = v[j]; v[j] = v[j-1]; v[j-1] = t } }
+    function q(v, n, p,   pos, lo) { pos = (n - 1) * p; lo = int(pos); return lo + 1 < n ? v[lo+1] + (pos - lo) * (v[lo+2] - v[lo+1]) : v[n] }
+    { n++; a[n] = $1; b[n] = $2; r[n] = ($1 - $2) / $2 }
+    END {
+        if (n == 0) exit 1
+        sort(a, n); sort(b, n); sort(r, n)
+        printf "%.0f %.0f %.4f %.4f %.4f\n", q(a, n, 0.5), q(b, n, 0.5), q(r, n, 0.5), q(r, n, 0.25), q(r, n, 0.75)
+    }'
+}
 
 # Warm the build cache first so the smoke's internal go-build steps are
 # cache hits and the timed value measures the collection plane, not the
@@ -45,23 +89,32 @@ metro_start="$(date +%s)"
 timeout 300 ./scripts/chaos_metro.sh >/dev/null
 metro_secs="$(($(date +%s) - metro_start))"
 
-day_out="$(go test -run '^$' -bench '^BenchmarkCampaignDay(Taxonomy|NoTaxonomy)?$' -benchtime "$day_benchtime" -benchmem . | tee /dev/stderr)"
+day_out="$(go test -run '^$' -bench '^BenchmarkCampaignDay$' -benchtime "$day_benchtime" -benchmem . | tee /dev/stderr)"
+go test -c -o "$tmp/root.test" .
+go test -c -o "$tmp/collector.test" ./internal/collector
+tax_stats="$(pair_runs . "$tmp/root.test" BenchmarkCampaignDayTaxonomy BenchmarkCampaignDayNoTaxonomy "$day_benchtime" | ratio_stats)"
+echo "taxonomy pair (median ns on, median ns off, ratio median, q1, q3): $tax_stats" >&2
 month_out="$(go test -run '^$' -bench '^Benchmark(CampaignMonth(Retained)?|ScatternetDay)$' -benchtime "$month_benchtime" -benchmem . | tee /dev/stderr)"
 # The scaling ladder runs at 1x by default: the city rung is a whole
 # 1024-piconet virtual day per iteration.
 scale_out="$(go test -run '^$' -bench '^BenchmarkScatternetDay(64|256|1024)$' -benchtime "$scale_benchtime" -benchmem -timeout 60m . | tee /dev/stderr)"
 # The agent pair is cheap per op; a fixed high count keeps the overhead
 # ratio stable against scheduler noise.
-agent_out="$(go test -run '^$' -bench '^BenchmarkAgentStreamDay' -benchtime 100x -benchmem ./internal/collector | tee /dev/stderr)"
-layer_out="$(go test -run '^$' -bench '^BenchmarkTransmitterSendSDU(Mix)?$' -benchmem ./internal/baseband | tee /dev/stderr)"
+agent_stats="$(pair_runs internal/collector "$tmp/collector.test" BenchmarkAgentStreamDaySpill BenchmarkAgentStreamDay 100x | ratio_stats)"
+echo "agent pair (median ns spill, median ns memory, ratio median, q1, q3): $agent_stats" >&2
+layer_out="$(go test -run '^$' -bench '^BenchmarkTransmitterSend(SDU|SDUMix)?$' -benchmem ./internal/baseband | tee /dev/stderr)"
+seg_out="$(go test -run '^$' -bench '^BenchmarkSegPlan$' -benchmem ./internal/l2cap | tee /dev/stderr)"
+ckpt_out="$(go test -run '^$' -bench '^BenchmarkSinkCheckpoint$' -benchmem ./internal/collector | tee /dev/stderr)"
+cycle_out="$(go test -run '^$' -bench '^BenchmarkConnectionCycle$' -benchmem ./internal/workload | tee /dev/stderr)"
 run_out="$(go test -run '^$' -bench '^BenchmarkPipeSendRun$' -benchmem ./internal/stack | tee /dev/stderr)"
 probe_out="$(go test -run '^$' -bench '^Benchmark(ProbeWalk|OverlayDay)$' -benchmem ./internal/scatternet | tee /dev/stderr)"
 kernel_out="$(go test -run '^$' -bench '^BenchmarkKernelSchedule$' -benchmem ./internal/sim | tee /dev/stderr)"
 
-printf '%s\n%s\n%s\n%s\n%s\n%s\n%s\n%s\n' "$day_out" "$month_out" "$scale_out" "$agent_out" "$layer_out" "$run_out" "$probe_out" "$kernel_out" | awk -v smoke="$smoke_secs" -v metro="$metro_secs" '
+printf '%s\n' "$day_out" "$month_out" "$scale_out" "$layer_out" "$seg_out" "$ckpt_out" "$cycle_out" "$run_out" "$probe_out" "$kernel_out" |
+    awk -v smoke="$smoke_secs" -v metro="$metro_secs" -v tax="$tax_stats" -v agent="$agent_stats" -v runs="$ratio_runs" '
 # Benchmark lines interleave custom metrics with the standard ones, so pick
 # values by their unit token instead of field position.
-/^Benchmark(Campaign|Scatternet|Agent|Transmitter|Pipe|ProbeWalk|OverlayDay|KernelSchedule)/ {
+/^Benchmark(Campaign|Scatternet|Transmitter|SegPlan|SinkCheckpoint|ConnectionCycle|Pipe|ProbeWalk|OverlayDay|KernelSchedule)/ {
     name = $1; sub(/-[0-9]+$/, "", name)
     ns = bytes = allocs = live = items = outages = probes = per_packet = per_walk = per_day = per_probe = ""
     for (i = 2; i <= NF; i++) {
@@ -78,16 +131,16 @@ printf '%s\n%s\n%s\n%s\n%s\n%s\n%s\n%s\n' "$day_out" "$month_out" "$scale_out" "
         if ($i == "ns/probe") per_probe = $(i-1)
     }
     if (name == "BenchmarkCampaignDay") { d_ns = ns; d_b = bytes; d_a = allocs; d_live = live }
-    if (name == "BenchmarkCampaignDayTaxonomy") { tax_ns = ns }
-    if (name == "BenchmarkCampaignDayNoTaxonomy") { notax_ns = ns }
     if (name == "BenchmarkCampaignMonth") { m_ns = ns; m_b = bytes; m_a = allocs; m_live = live; m_items = items }
     if (name == "BenchmarkCampaignMonthRetained") { r_live = live }
     if (name == "BenchmarkScatternetDay") { s_ns = ns; s_b = bytes; s_a = allocs; s_live = live; s_items = items; s_out = outages }
-    if (name == "BenchmarkAgentStreamDay") { ag_ns = ns }
-    if (name == "BenchmarkAgentStreamDaySpill") { ags_ns = ns }
     if (name == "BenchmarkScatternetDay64") { sc64_ns = ns; sc64_live = live; sc64_items = items; sc64_probes = probes }
     if (name == "BenchmarkScatternetDay256") { sc256_ns = ns; sc256_live = live; sc256_items = items; sc256_probes = probes }
     if (name == "BenchmarkScatternetDay1024") { sc1024_ns = ns; sc1024_live = live; sc1024_items = items; sc1024_probes = probes }
+    if (name == "BenchmarkTransmitterSend") { send_ns = ns; send_a = allocs }
+    if (name == "BenchmarkSegPlan") { seg_ns = ns; seg_a = allocs }
+    if (name == "BenchmarkSinkCheckpoint") { ck_ns = ns; ck_a = allocs }
+    if (name == "BenchmarkConnectionCycle") { cyc_ns = ns; cyc_a = allocs }
     if (name == "BenchmarkTransmitterSendSDU") { sdu_ns = ns; sdu_a = allocs }
     if (name == "BenchmarkTransmitterSendSDUMix") { mix_ns = ns; mix_a = allocs }
     if (name == "BenchmarkPipeSendRun") { run_ns = ns; run_pp = per_packet; run_a = allocs }
@@ -96,6 +149,7 @@ printf '%s\n%s\n%s\n%s\n%s\n%s\n%s\n%s\n' "$day_out" "$month_out" "$scale_out" "
     if (name == "BenchmarkOverlayDay") { ov_day = per_day; ov_pp = per_probe; ov_a = allocs }
 }
 END {
+    split(tax, t, " "); split(agent, g, " ")
     if (d_ns == "" || d_b == "" || d_a == "" || d_live == "" ||
         m_ns == "" || m_b == "" || m_a == "" || m_live == "" ||
         m_items == "" || r_live == "" ||
@@ -103,8 +157,9 @@ END {
         sc64_ns == "" || sc64_live == "" || sc64_items == "" || sc64_probes == "" ||
         sc256_ns == "" || sc256_live == "" || sc256_items == "" || sc256_probes == "" ||
         sc1024_ns == "" || sc1024_live == "" || sc1024_items == "" || sc1024_probes == "" ||
-        tax_ns == "" || notax_ns == "" ||
-        ag_ns == "" || ags_ns == "" ||
+        t[5] == "" || g[5] == "" ||
+        send_ns == "" || send_a == "" || seg_ns == "" || seg_a == "" ||
+        ck_ns == "" || ck_a == "" || cyc_ns == "" || cyc_a == "" ||
         sdu_ns == "" || sdu_a == "" || mix_ns == "" || mix_a == "" ||
         run_ns == "" || run_pp == "" || run_a == "" ||
         walk_ns == "" || walk_pw == "" || walk_a == "" || kern_ns == "" || kern_a == "" ||
@@ -143,15 +198,30 @@ END {
     printf "    {\"piconets\": 256, \"ns_per_op\": %s, \"live_mb\": %s, \"items\": %s, \"probes\": %s},\n", sc256_ns, sc256_live, sc256_items, sc256_probes
     printf "    {\"piconets\": 1024, \"ns_per_op\": %s, \"live_mb\": %s, \"items\": %s, \"probes\": %s}\n", sc1024_ns, sc1024_live, sc1024_items, sc1024_probes
     printf "  ],\n"
-    printf "  \"campaign_day_taxonomy_ns\": %s,\n", tax_ns
-    printf "  \"campaign_day_no_taxonomy_ns\": %s,\n", notax_ns
-    printf "  \"taxonomy_overhead_ratio\": %.4f,\n", (tax_ns - notax_ns) / notax_ns
-    printf "  \"agent_stream_day_ns\": %s,\n", ag_ns
-    printf "  \"agent_stream_day_spill_ns\": %s,\n", ags_ns
-    printf "  \"agent_wal_overhead_ratio\": %.4f,\n", (ags_ns - ag_ns) / ag_ns
+    printf "  \"ratio_runs\": %s,\n", runs
+    printf "  \"campaign_day_taxonomy_ns\": %s,\n", t[1]
+    printf "  \"campaign_day_no_taxonomy_ns\": %s,\n", t[2]
+    printf "  \"taxonomy_overhead_ratio\": %s,\n", t[3]
+    printf "  \"taxonomy_overhead_ratio_quartiles\": [%s, %s],\n", t[4], t[5]
+    printf "  \"agent_stream_day_ns\": %s,\n", g[2]
+    printf "  \"agent_stream_day_spill_ns\": %s,\n", g[1]
+    printf "  \"agent_wal_overhead_ratio\": %s,\n", g[3]
+    printf "  \"agent_wal_overhead_ratio_quartiles\": [%s, %s],\n", g[4], g[5]
     printf "  \"distributed_smoke_seconds\": %s,\n", smoke
     printf "  \"metro_smoke_seconds\": %s,\n", metro
     printf "  \"layers\": {\n"
+    printf "    \"connection_cycle\": [\n"
+    printf "      {\"benchmark\": \"BenchmarkConnectionCycle\", \"ns_per_op\": %s, \"allocs_per_op\": %s}\n", cyc_ns, cyc_a
+    printf "    ],\n"
+    printf "    \"transmitter_send\": [\n"
+    printf "      {\"benchmark\": \"BenchmarkTransmitterSend\", \"ns_per_op\": %s, \"allocs_per_op\": %s}\n", send_ns, send_a
+    printf "    ],\n"
+    printf "    \"seg_plan\": [\n"
+    printf "      {\"benchmark\": \"BenchmarkSegPlan\", \"ns_per_op\": %s, \"allocs_per_op\": %s}\n", seg_ns, seg_a
+    printf "    ],\n"
+    printf "    \"sink_checkpoint\": [\n"
+    printf "      {\"benchmark\": \"BenchmarkSinkCheckpoint\", \"ns_per_op\": %s, \"allocs_per_op\": %s}\n", ck_ns, ck_a
+    printf "    ],\n"
     printf "    \"baseband_sdu\": [\n"
     printf "      {\"benchmark\": \"BenchmarkTransmitterSendSDU\", \"ns_per_op\": %s, \"allocs_per_op\": %s},\n", sdu_ns, sdu_a
     printf "      {\"benchmark\": \"BenchmarkTransmitterSendSDUMix\", \"ns_per_op\": %s, \"allocs_per_op\": %s}\n", mix_ns, mix_a
