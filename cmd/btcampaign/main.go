@@ -2,14 +2,15 @@
 // simulated testbeds — the paper's single-piconet pair by default, or a
 // bridged multi-piconet scatternet with -scatternet.
 //
-// Single-seed mode mirrors the paper's infrastructure: each node's
-// LogAnalyzer daemon extracts and filters its Test/System logs and ships
-// them over TCP (compact binary frames by default, -codec json for
-// debugging) to a central repository; the repository contents are written to
-// JSON-line files for later analysis with btanalyze. With -stream the
-// campaign instead folds records into running aggregates as they are
-// collected — O(1) memory in campaign length — and prints the paper tables
-// directly, which is what makes month-scale runs (-days 30..540) cheap.
+// Single-seed mode keeps every record and writes them to JSON-line files
+// for later analysis with btanalyze, after the paper's LogAnalyzer filter
+// (collector.DefaultFilter) has collapsed each node's repeated system
+// entries. The collection wire itself — per-testbed agents shipping to a
+// central sink with acknowledgements, resume and crash recovery — is
+// btagent/btsink. With -stream the campaign instead folds records into
+// running aggregates as they are collected — O(1) memory in campaign
+// length — and prints the paper tables directly, which is what makes
+// month-scale runs (-days 30..540) cheap.
 //
 // Multi-seed mode (-seeds N) runs a sweep on a bounded worker pool and
 // reports every table as mean ± 95 % confidence interval over the seeds.
@@ -25,7 +26,7 @@
 // table, the delay-vs-relay-depth table from the multi-hop probe plane, and
 // the redundancy table (measured all-down time against the independent
 // 1-out-of-K model); piconet tables aggregate in O(1) memory with -stream
-// exactly like single-piconet campaigns (the repository shipping path is
+// exactly like single-piconet campaigns (the -out record files are
 // single-piconet only).
 //
 // City scale (-piconets 1000) wants three more knobs: -shards S partitions
@@ -50,8 +51,7 @@
 //	-scenario 1..4   recovery regime: 1=reboot only, 2=app restart+reboot,
 //	                 3=SIRAs, 4=SIRAs+masking (default 3)
 //	-out DIR         output directory for the single-seed retained
-//	                 single-piconet repository files (default campaign-data)
-//	-codec C         collection wire codec: binary or json (default binary)
+//	                 single-piconet record files (default campaign-data)
 //	-stream          fold records into running aggregates (O(1) memory)
 //	                 instead of retaining them
 //	-seeds N         sweep seed count; N > 1 enables sweep mode with 95% CIs
@@ -122,7 +122,6 @@ type cliConfig struct {
 	duration sim.Time
 	scenario btpan.Scenario
 	out      string
-	codec    collector.Codec
 	stream   bool
 	seeds    int
 	workers  int
@@ -158,7 +157,6 @@ func parseCLI(args []string) (*cliConfig, error) {
 	scenario := fs.Int("scenario", int(btpan.ScenarioSIRAs),
 		"recovery scenario: 1=reboot only, 2=app restart+reboot, 3=SIRAs, 4=SIRAs+masking")
 	out := fs.String("out", "campaign-data", "output directory (single-seed retained mode)")
-	codecName := fs.String("codec", "binary", "collection wire codec: binary or json")
 	stream := fs.Bool("stream", false, "streaming aggregation: fold records instead of retaining them")
 	seeds := fs.Int("seeds", 1, "number of sweep seeds (>1 enables sweep mode with 95% CIs)")
 	workers := fs.Int("workers", 0, "sweep worker pool size (0 = NumCPU/2)")
@@ -183,10 +181,6 @@ func parseCLI(args []string) (*cliConfig, error) {
 	}
 	if *scenario < 1 || *scenario > 4 {
 		return nil, fmt.Errorf("-scenario %d out of range 1..4", *scenario)
-	}
-	codec, err := collector.ParseCodec(*codecName)
-	if err != nil {
-		return nil, err
 	}
 	if !*scat {
 		var stray string
@@ -222,7 +216,7 @@ func parseCLI(args []string) (*cliConfig, error) {
 	return &cliConfig{
 		seed: *seed, duration: sim.Time(*days) * sim.Day,
 		scenario: btpan.Scenario(*scenario),
-		out:      *out, codec: codec, stream: *stream,
+		out:      *out, stream: *stream,
 		seeds: *seeds, workers: *workers, jsonOut: *jsonOut, ckptDir: *ckptDir,
 		scat: *scat, taxonomy: *taxonomy,
 		topo: scatTopology{piconets: *piconets, bridges: *bridges,
@@ -279,7 +273,12 @@ func main() {
 	u, s, tot := res.DataItems()
 	fmt.Printf("collected %d user reports + %d system entries = %d items\n", u, s, tot)
 
-	shipAndPersist(res, cfg.codec, cfg.out)
+	reports, entries, err := writeRetained(res, cfg.out)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("kept %d reports / %d entries after the LogAnalyzer filter -> %s/{user,system}.jsonl\n",
+		reports, entries, cfg.out)
 	d := res.Dependability()
 	fmt.Printf("MTTF %.2f s, MTTR %.2f s, availability %.3f, coverage %.1f%%\n",
 		d.MTTF, d.MTTR, d.Availability, d.CoveragePct)
@@ -505,64 +504,35 @@ func writeSweepJSON(path string, cfg btpan.SweepConfig, res *btpan.SweepResult,
 	return os.WriteFile(path, append(blob, '\n'), 0o644)
 }
 
-// shipAndPersist pushes the retained campaign through the real collection
-// path — one LogAnalyzer per node, a central repository over loopback TCP —
-// and writes the repository contents to JSON-line files.
-func shipAndPersist(res *btpan.CampaignResult, codec collector.Codec, out string) {
-	repo, err := collector.NewRepository("127.0.0.1:0")
-	if err != nil {
-		fatal(err)
-	}
-	defer repo.Close()
-
-	shippedBatches := 0
-	ship := func(tb *testbed.Results) {
-		flush := func(node string, reports []core.UserReport, entries []core.SystemEntry) {
-			test := logging.NewTestLog(node)
-			for _, r := range reports {
-				test.Append(r)
-			}
-			sys := logging.NewSystemLog(node)
-			for _, e := range entries {
-				sys.Append(e)
-			}
-			a := collector.NewLogAnalyzer(node, tb.Name, test, sys, repo.Addr(), collector.DefaultFilter())
-			a.Codec = codec
-			if err := a.FlushOnce(); err != nil {
-				fatal(err)
-			}
-			shippedBatches += a.Shipped()
+// writeRetained writes the retained campaign's records to out as JSON-line
+// files: every user report, and the system entries that pass the paper's
+// LogAnalyzer filter. The filter runs on each (testbed, node) log on its
+// own — node names repeat across the two testbeds, and its dedup key is
+// only (node, code) — before both testbeds' records are sorted together.
+// The sort is stable by (time, node), so the node order here cannot show:
+// a tie is either within one node's log or across testbeds, random first.
+func writeRetained(res *btpan.CampaignResult, out string) (reports, entries int, err error) {
+	filter := collector.DefaultFilter()
+	var rs []core.UserReport
+	var es []core.SystemEntry
+	for _, tb := range []*testbed.Results{res.Random, res.Realistic} {
+		rs = append(rs, tb.Reports...)
+		for _, log := range tb.PerNodeEntries {
+			es = append(es, filter.FilterSystem(log)...)
 		}
-		for node, reports := range tb.PerNodeReports {
-			flush(node, reports, tb.PerNodeEntries[node])
-		}
-		// The NAP has no Test Log, only a System Log.
-		flush(tb.NAPNode, nil, tb.PerNodeEntries[tb.NAPNode])
 	}
-	ship(res.Random)
-	ship(res.Realistic)
-	// Batches land asynchronously; rendezvous before reading the store, or
-	// the tail batch of the last node can still be in flight.
-	if !repo.WaitForBatches(shippedBatches, 10*time.Second) {
-		fatal(fmt.Errorf("repository received fewer batches than shipped (%d expected)", shippedBatches))
-	}
-
+	logging.SortUserReports(rs)
+	logging.SortSystemEntries(es)
 	if err := os.MkdirAll(out, 0o755); err != nil {
-		fatal(err)
+		return 0, 0, err
 	}
-	reports := repo.Reports()
-	entries := repo.Entries()
-	logging.SortUserReports(reports)
-	logging.SortSystemEntries(entries)
-
-	if err := writeReports(filepath.Join(out, "user.jsonl"), reports); err != nil {
-		fatal(err)
+	if err := writeReports(filepath.Join(out, "user.jsonl"), rs); err != nil {
+		return 0, 0, err
 	}
-	if err := writeEntries(filepath.Join(out, "system.jsonl"), entries); err != nil {
-		fatal(err)
+	if err := writeEntries(filepath.Join(out, "system.jsonl"), es); err != nil {
+		return 0, 0, err
 	}
-	fmt.Printf("repository stored %d reports / %d entries (%s codec) -> %s/{user,system}.jsonl\n",
-		len(reports), len(entries), codec, out)
+	return len(rs), len(es), nil
 }
 
 func writeReports(path string, reports []core.UserReport) error {

@@ -1,8 +1,18 @@
 package main
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	btpan "repro"
+	"repro/internal/core"
+	"repro/internal/logging"
+	"repro/internal/sim"
+	"repro/internal/testbed"
 )
 
 // The CLI validation table: every rejected command line names the offending
@@ -21,7 +31,7 @@ func TestParseCLIValidation(t *testing.T) {
 		{"days high", []string{"-days", "541"}, "-days 541 out of range"},
 		{"scenario low", []string{"-scenario", "0"}, "-scenario 0 out of range 1..4"},
 		{"scenario high", []string{"-scenario", "5"}, "-scenario 5 out of range 1..4"},
-		{"bad codec", []string{"-codec", "xml"}, "xml"},
+		{"codec refused", []string{"-codec", "json"}, "flag provided but not defined: -codec"},
 
 		// Bugfix 1: -probe-sample domain validation at the flag boundary.
 		{"probe-sample zero", []string{"-scatternet", "-probe-sample", "0"},
@@ -80,5 +90,77 @@ func TestParseCLIValidation(t *testing.T) {
 				t.Fatalf("parseCLI(%q) = %q, want error containing %q", tc.args, err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// fileSHA256 hashes one output file.
+func fileSHA256(t *testing.T, path string) string {
+	t.Helper()
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(blob))
+}
+
+// TestWriteRetainedBytes pins the -out files of a seed-1, 1-day, scenario-3
+// campaign: the record counts after the filter and the sha256 of both
+// JSON-line files.
+func TestWriteRetainedBytes(t *testing.T) {
+	res, err := btpan.RunCampaign(btpan.CampaignConfig{Seed: 1, Duration: sim.Day,
+		Scenario: btpan.ScenarioSIRAs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	reports, entries, err := writeRetained(res, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reports != 174 || entries != 235 {
+		t.Errorf("kept %d reports / %d entries, want 174 / 235", reports, entries)
+	}
+	for name, want := range map[string]string{
+		"user.jsonl":   "c441c3b200dedc2bd0b988befb01a7a71250c442edc38df1420c5a38a6ff06e2",
+		"system.jsonl": "7bf151e148af8c85897938a930bd08727bfd46c7f3449c0d79df35378355667f",
+	} {
+		if got := fileSHA256(t, filepath.Join(dir, name)); got != want {
+			t.Errorf("%s sha256 %s, want %s", name, got, want)
+		}
+	}
+}
+
+// TestWriteRetainedFiltersPerTestbed: node names repeat across the two
+// testbeds and the filter's dedup key is only (node, code), so the filter
+// must run on each testbed's log of a node on its own. Verde logs the same
+// code 1 s apart in each testbed; both entries are kept.
+func TestWriteRetainedFiltersPerTestbed(t *testing.T) {
+	verde := func(name string, at sim.Time) *testbed.Results {
+		return &testbed.Results{Name: name, PerNodeEntries: map[string][]core.SystemEntry{
+			"Verde": {{At: at, Testbed: name, Node: "Verde", Source: core.SrcHCI,
+				Code: core.CodeHCICommandTimeout}},
+		}}
+	}
+	res := &btpan.CampaignResult{Random: verde("random", sim.Second),
+		Realistic: verde("realistic", 2*sim.Second)}
+	dir := t.TempDir()
+	_, entries, err := writeRetained(res, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if entries != 2 {
+		t.Fatalf("kept %d entries, want 2 (one per testbed)", entries)
+	}
+	f, err := os.Open(filepath.Join(dir, "system.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := logging.ReadSystemEntries(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].Testbed != "random" || got[1].Testbed != "realistic" {
+		t.Errorf("system.jsonl holds %+v, want the random then the realistic entry", got)
 	}
 }

@@ -1,9 +1,10 @@
-// Campaign: the full collection pipeline, end to end — two 7-node testbeds
-// under their workloads, per-node LogAnalyzer daemons filtering and shipping
-// failure data over TCP (compact binary frames) to a central repository that
-// folds the records into running aggregates as they arrive (exactly the
-// paper's §3 infrastructure, scaled for month-long campaigns), followed by a
-// multi-seed sweep that puts 95 % confidence intervals on Table 2.
+// Campaign: one streaming campaign end to end — two 7-node testbeds under
+// their workloads, every node's records folded into the running aggregates
+// behind the paper's tables as they are collected — followed by a
+// multi-seed sweep that puts 95 % confidence intervals on Table 2. The
+// collection wire (per-testbed agents shipping to a central sink with
+// acknowledgements, resume and crash recovery) runs in examples/distributed
+// and as the btagent/btsink daemons.
 //
 // Usage: campaign [-days D] [-seeds N]
 package main
@@ -11,15 +12,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"time"
 
 	btpan "repro"
-	"repro/internal/analysis"
-	"repro/internal/collector"
 	"repro/internal/core"
-	"repro/internal/logging"
 	"repro/internal/sim"
-	"repro/internal/testbed"
 )
 
 func main() {
@@ -28,70 +24,27 @@ func main() {
 	flag.Parse()
 	duration := sim.Time(*days) * btpan.Day
 
-	fmt.Printf("1. running both testbeds for %d virtual day(s)...\n", *days)
+	fmt.Printf("1. running both testbeds for %d virtual day(s), folding records as they stream off the nodes...\n", *days)
 	res, err := btpan.RunCampaign(btpan.CampaignConfig{
-		Seed:     11,
-		Duration: duration,
-		Scenario: btpan.ScenarioSIRAs,
+		Seed:      11,
+		Duration:  duration,
+		Scenario:  btpan.ScenarioSIRAs,
+		Streaming: true,
 	})
 	if err != nil {
 		panic(err)
 	}
 	u, s, _ := res.DataItems()
-	fmt.Printf("   %d user reports, %d system entries on the nodes' local logs\n", u, s)
+	fmt.Printf("   %d user reports, %d system entries folded\n", u, s)
 
-	fmt.Println("2. starting the central repository (TCP, streaming aggregation)...")
-	repo, err := collector.NewStreamingRepository("127.0.0.1:0", streamSpec(res))
-	if err != nil {
-		panic(err)
-	}
-	defer repo.Close()
-	fmt.Printf("   listening on %s\n", repo.Addr())
-
-	fmt.Println("3. each node's LogAnalyzer extracts, filters, ships binary frames...")
-	analyzers := 0
-	for _, tb := range []*testbed.Results{res.Random, res.Realistic} {
-		for node := range tb.PerNodeEntries {
-			test := logging.NewTestLog(node)
-			for _, r := range tb.PerNodeReports[node] {
-				test.Append(r)
-			}
-			sys := logging.NewSystemLog(node)
-			for _, e := range tb.PerNodeEntries[node] {
-				sys.Append(e)
-			}
-			a := collector.NewLogAnalyzer(node, tb.Name, test, sys,
-				repo.Addr(), collector.DefaultFilter())
-			if err := a.FlushOnce(); err != nil {
-				panic(err)
-			}
-			// An empty extraction ships no batch; count what actually went
-			// out, or the rendezvous below would wait for ghosts.
-			analyzers += a.Shipped()
-		}
-	}
-	// Rendezvous with the asynchronous receive side (no sleep polling: the
-	// repository signals as batches land and wakes waiters on close).
-	if !repo.WaitForBatches(analyzers, 5*time.Second) {
-		panic("repository did not receive every batch")
-	}
-	if n := repo.Rejected(); n > 0 {
-		panic(fmt.Sprintf("repository rejected %d batches", n))
-	}
-	gotReports, gotEntries, batches := repo.Stats()
-	fmt.Printf("   %d daemons shipped %d batches: repository folded %d reports / %d entries\n",
-		analyzers, batches, gotReports, gotEntries)
-
-	fmt.Println("4. the paper tables come straight from the folded aggregates...")
-	agg := repo.Aggregates()
-	t2 := agg.Table2()
+	fmt.Println("2. the paper tables come straight from the folded aggregates...")
 	fmt.Printf("   HCI share of user failures: %.1f%% (paper: 49.9%%)\n",
-		t2.SourceShare(core.SrcHCI))
-	d := agg.Dependability(btpan.ScenarioSIRAs.String())
+		res.Table2().SourceShare(core.SrcHCI))
+	d := res.Dependability()
 	fmt.Printf("   MTTF %.2f s, MTTR %.2f s, availability %.3f\n",
 		d.MTTF, d.MTTR, d.Availability)
 
-	fmt.Printf("5. sweeping %d seeds for confidence intervals on Table 2...\n", *seeds)
+	fmt.Printf("3. sweeping %d seeds for confidence intervals on Table 2...\n", *seeds)
 	sweep, err := btpan.Sweep(btpan.SweepConfig{
 		BaseSeed: 100, Seeds: *seeds, Duration: duration,
 		Scenario: btpan.ScenarioSIRAs,
@@ -101,23 +54,6 @@ func main() {
 	}
 	fmt.Println()
 	fmt.Print(sweep.Table2CI().Render())
-	fmt.Println("\ndone — see cmd/btcampaign for month-scale runs (-days 30..540).")
-}
-
-// streamSpec declares the campaign's streams to the repository: node names
-// repeat across the two testbeds, so each (testbed, node) pair is its own
-// shard.
-func streamSpec(res *btpan.CampaignResult) analysis.StreamSpec {
-	spec := analysis.StreamSpec{}
-	for _, tb := range []struct {
-		r    *testbed.Results
-		kind core.WorkloadKind
-	}{{res.Random, core.WLRandom}, {res.Realistic, core.WLRealistic}} {
-		entry := analysis.TestbedSpec{Name: tb.r.Name, Kind: tb.kind, NAP: tb.r.NAPNode}
-		for node := range tb.r.PerNodeReports {
-			entry.PANUs = append(entry.PANUs, node)
-		}
-		spec.Testbeds = append(spec.Testbeds, entry)
-	}
-	return spec
+	fmt.Println("\ndone — see cmd/btcampaign for month-scale runs (-days 30..540), and")
+	fmt.Println("examples/distributed or btagent/btsink for the collection wire.")
 }

@@ -1,17 +1,14 @@
 package btpan
 
 // End-to-end integration: campaign -> JSONL persistence -> read-back ->
-// identical analysis results (the cmd/btcampaign + cmd/btanalyze path), and
-// campaign -> TCP collection -> repository -> analysis (the paper's
-// distributed pipeline).
+// identical analysis results (the cmd/btcampaign + cmd/btanalyze path). The
+// distributed pipeline (agents -> sink over TCP) is distributed_test.go.
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/coalesce"
-	"repro/internal/collector"
 	"repro/internal/core"
 	"repro/internal/logging"
 )
@@ -88,61 +85,6 @@ func TestPersistenceRoundTripPreservesAnalysis(t *testing.T) {
 		if fromDisk.Counts[k] != v {
 			t.Fatalf("cell %+v diverged: %d vs %d", k, v, fromDisk.Counts[k])
 		}
-	}
-}
-
-// TestTCPCollectionPipeline ships a campaign through per-node LogAnalyzers
-// to a repository over loopback TCP and checks nothing significant is lost.
-func TestTCPCollectionPipeline(t *testing.T) {
-	res := testCampaign(t)
-	repo, err := collector.NewRepository("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer repo.Close()
-
-	analyzers := 0
-	wantReports := 0
-	ship := func(name string, perNodeReports map[string][]core.UserReport,
-		perNodeEntries map[string][]core.SystemEntry) {
-		for node := range perNodeEntries {
-			test := logging.NewTestLog(node)
-			for _, r := range perNodeReports[node] {
-				test.Append(r)
-				wantReports++
-			}
-			sys := logging.NewSystemLog(node)
-			for _, e := range perNodeEntries[node] {
-				sys.Append(e)
-			}
-			a := collector.NewLogAnalyzer(node, name, test, sys, repo.Addr(),
-				collector.Filter{}) // no dedup: exact counts
-			if err := a.FlushOnce(); err != nil {
-				t.Fatal(err)
-			}
-			analyzers++
-		}
-	}
-	ship("random", res.Random.PerNodeReports, res.Random.PerNodeEntries)
-	ship("realistic", res.Realistic.PerNodeReports, res.Realistic.PerNodeEntries)
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		gotReports, _, batches := repo.Stats()
-		if batches >= analyzers && gotReports == wantReports {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("repository drained %d reports / %d batches, want %d/%d",
-				gotReports, batches, wantReports, analyzers)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	_, sysEntries, _ := res.DataItems()
-	_, gotEntries, _ := repo.Stats()
-	if gotEntries != sysEntries {
-		t.Errorf("system entries: shipped %d, repository has %d", sysEntries, gotEntries)
 	}
 }
 

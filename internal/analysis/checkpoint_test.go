@@ -127,12 +127,14 @@ func synthBatches(hours int) []synthBatch {
 	return out
 }
 
-// feed ingests batches in order, failing the test on any ingest error.
+// feed delivers each batch once, in order, failing the test on any ingest
+// error or a batch the streamer does not accept.
 func feed(t *testing.T, s *Streamer, batches []synthBatch) {
 	t.Helper()
 	for _, b := range batches {
-		if err := s.IngestSeq(b.testbed, b.node, b.reports, b.entries, b.watermark, b.seq); err != nil {
-			t.Fatalf("ingest %s/%s seq %d: %v", b.testbed, b.node, b.seq, err)
+		ok, err := s.OfferSeq(b.testbed, b.node, b.reports, b.entries, b.watermark, b.seq)
+		if err != nil || !ok {
+			t.Fatalf("ingest %s/%s seq %d: accepted %v, %v", b.testbed, b.node, b.seq, ok, err)
 		}
 	}
 }

@@ -9,7 +9,7 @@
 //   - Retained: the Build* functions (BuildTable2, BuildTable3,
 //     BuildDependability, BuildScalars, the Fig* builders) operate on plain
 //     record slices / workload counters, so they analyse live campaign
-//     results, repository contents, or log files read back from disk.
+//     results or log files read back from disk (btcampaign -out).
 //   - Streaming: a Streamer (NewStreamer with a StreamSpec naming every
 //     testbed/node stream) folds records into running Aggregates as they
 //     arrive — per-node shards with their own locks, per-shard watermarks,

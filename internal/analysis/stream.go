@@ -24,7 +24,7 @@ import (
 // Correctness hinges on ordering: the TTF/TTR Welford accumulation and the
 // per-PANU coalescence are order-sensitive, and records arrive on
 // independent shards (one per node, either from an in-process testbed drain
-// or from a repository TCP connection). Each shard carries a watermark ("all
+// or from a sink's agent sessions). Each shard carries a watermark ("all
 // of this node's data up to virtual time W has been delivered"); whenever
 // the minimum watermark over all shards advances, the events below it are
 // globally sorted by (time, testbed rank, node) — the exact tie order of the
@@ -292,38 +292,24 @@ func NewStreamer(spec StreamSpec) (*Streamer, error) {
 // this node up to that virtual time has now been delivered. Folding happens
 // opportunistically once every declared shard's watermark has passed the
 // current fold point. Ingest trusts the caller to deliver batches in send
-// order (the in-process testbed drain does); transports that can reorder
-// batches — one TCP connection per flush — must use IngestSeq.
+// order (the in-process testbed drain does); transports that can reorder or
+// repeat batches must use OfferSeq.
 func (s *Streamer) Ingest(testbed, node string, reports []core.UserReport,
 	entries []core.SystemEntry, watermark sim.Time) error {
-	return s.IngestSeq(testbed, node, reports, entries, watermark, 0)
-}
-
-// IngestSeq is Ingest for sequenced senders: batches carry the sender's
-// 1-based sequence number and are applied strictly in that order, parking
-// early arrivals until the gap fills. This is what keeps the fold correct
-// when consecutive flushes of one node race each other across separate
-// connections. seq 0 bypasses sequencing.
-func (s *Streamer) IngestSeq(testbed, node string, reports []core.UserReport,
-	entries []core.SystemEntry, watermark sim.Time, seq uint64) error {
-	_, err := s.ingestSeq(testbed, node, reports, entries, watermark, seq, false)
+	_, err := s.OfferSeq(testbed, node, reports, entries, watermark, 0)
 	return err
 }
 
-// OfferSeq is IngestSeq for at-least-once transports: a batch whose sequence
+// OfferSeq is Ingest for sequenced, at-least-once transports: batches carry
+// the sender's 1-based sequence number and are applied strictly in that
+// order, parking early arrivals until the gap fills. A batch whose sequence
 // number was already applied or is already parked is a duplicate — the
 // normal consequence of retransmitting after a lost acknowledgement — and is
 // ignored rather than treated as a peer error. It reports whether the batch
-// was accepted (applied or parked); a duplicate returns (false, nil).
+// was accepted (applied or parked); a duplicate returns (false, nil). seq 0
+// bypasses sequencing.
 func (s *Streamer) OfferSeq(testbed, node string, reports []core.UserReport,
 	entries []core.SystemEntry, watermark sim.Time, seq uint64) (bool, error) {
-	return s.ingestSeq(testbed, node, reports, entries, watermark, seq, true)
-}
-
-// ingestSeq implements IngestSeq/OfferSeq; tolerant selects the duplicate
-// policy.
-func (s *Streamer) ingestSeq(testbed, node string, reports []core.UserReport,
-	entries []core.SystemEntry, watermark sim.Time, seq uint64, tolerant bool) (bool, error) {
 	sh, ok := s.shards[shardKey{testbed, node}]
 	if !ok {
 		return false, fmt.Errorf("analysis: ingest for undeclared stream %s/%s", testbed, node)
@@ -339,10 +325,6 @@ func (s *Streamer) ingestSeq(testbed, node string, reports []core.UserReport,
 		err = s.applyLocked(sh, reports, entries, watermark)
 	case seq < sh.nextSeq:
 		accepted = false
-		if !tolerant {
-			err = fmt.Errorf("analysis: stream %s/%s replayed batch seq %d (next is %d)",
-				testbed, node, seq, sh.nextSeq)
-		}
 	case seq > sh.nextSeq:
 		if len(sh.parked) >= maxParkedBatches {
 			accepted = false
@@ -355,9 +337,6 @@ func (s *Streamer) ingestSeq(testbed, node string, reports []core.UserReport,
 		}
 		if _, dup := sh.parked[seq]; dup {
 			accepted = false
-			if !tolerant {
-				err = fmt.Errorf("analysis: stream %s/%s replayed parked batch seq %d", testbed, node, seq)
-			}
 			break
 		}
 		sh.parked[seq] = parkedBatch{reports: reports, entries: entries, watermark: watermark}
@@ -402,7 +381,7 @@ func (s *Streamer) Cursor(testbed, node string) (seq uint64, watermark sim.Time,
 // in time (distinct sources behind one stream): reordering above the fold
 // horizon is repaired by re-sorting the pending queue, while records at or
 // below an already-folded instant are unmergeable (their fold slot is gone)
-// and rejected as an error, which the repository treats as a peer failure.
+// and rejected as an error, which the sink counts as a rejected frame.
 func (s *Streamer) applyLocked(sh *shard, reports []core.UserReport,
 	entries []core.SystemEntry, watermark sim.Time) error {
 	minAt, sortedBatch := sim.Never, true

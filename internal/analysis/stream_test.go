@@ -285,34 +285,44 @@ func TestStreamerReorderTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := seqd.IngestSeq("x", "n", nil, nil, sim.Hour, 1); err != nil {
-		t.Fatal(err) // NAP shard ready: only "a"'s watermark gates the fold
+	if ok, err := seqd.OfferSeq("x", "n", nil, nil, sim.Hour, 1); err != nil || !ok {
+		t.Fatal(ok, err) // NAP shard ready: only "a"'s watermark gates the fold
 	}
-	if err := seqd.IngestSeq("x", "a",
-		[]core.UserReport{mk(20 * sim.Second), mk(30 * sim.Second)}, nil, sim.Hour, 2); err != nil {
-		t.Fatal(err)
+	if ok, err := seqd.OfferSeq("x", "a",
+		[]core.UserReport{mk(20 * sim.Second), mk(30 * sim.Second)}, nil, sim.Hour, 2); err != nil || !ok {
+		t.Fatal(ok, err)
 	}
 	if seqd.Pending() == 0 {
 		t.Fatal("out-of-sequence batch was applied instead of parked")
 	}
-	if err := seqd.IngestSeq("x", "a",
-		[]core.UserReport{mk(10 * sim.Second)}, nil, 30*sim.Second, 1); err != nil {
-		t.Fatal(err)
+	if ok, err := seqd.OfferSeq("x", "a",
+		[]core.UserReport{mk(10 * sim.Second)}, nil, 30*sim.Second, 1); err != nil || !ok {
+		t.Fatal(ok, err)
 	}
 	if got := seqd.Finalize().Dependability("s"); !reflect.DeepEqual(got, want) {
 		t.Errorf("sequenced reordered ingest diverges:\n got %+v\nwant %+v", got, want)
 	}
 
-	// A replayed sequence number is rejected.
+	// A replayed sequence number — applied or parked — is a duplicate:
+	// ignored, not applied twice, and not a peer error.
 	replay, err := NewStreamer(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := replay.IngestSeq("x", "a", nil, nil, sim.Second, 1); err != nil {
-		t.Fatal(err)
+	if ok, err := replay.OfferSeq("x", "a", []core.UserReport{mk(10 * sim.Second)}, nil, sim.Second, 1); err != nil || !ok {
+		t.Fatal(ok, err)
 	}
-	if err := replay.IngestSeq("x", "a", nil, nil, sim.Second, 1); err == nil {
-		t.Error("replayed batch seq accepted")
+	if ok, err := replay.OfferSeq("x", "a", []core.UserReport{mk(10 * sim.Second)}, nil, sim.Second, 1); err != nil || ok {
+		t.Errorf("replayed batch seq: OfferSeq = (%v, %v), want (false, nil)", ok, err)
+	}
+	if ok, err := replay.OfferSeq("x", "a", nil, nil, sim.Minute, 3); err != nil || !ok {
+		t.Fatal(ok, err)
+	}
+	if ok, err := replay.OfferSeq("x", "a", nil, nil, sim.Minute, 3); err != nil || ok {
+		t.Errorf("replayed parked seq: OfferSeq = (%v, %v), want (false, nil)", ok, err)
+	}
+	if got := replay.Finalize().Reports; got != 1 {
+		t.Errorf("replay folded %d reports, want 1", got)
 	}
 
 	// A lost batch (unfilled sequence gap) does not take its successors
@@ -321,12 +331,12 @@ func TestStreamerReorderTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := gap.IngestSeq("x", "a", []core.UserReport{mk(10 * sim.Second)}, nil, 15*sim.Second, 1); err != nil {
-		t.Fatal(err)
+	if ok, err := gap.OfferSeq("x", "a", []core.UserReport{mk(10 * sim.Second)}, nil, 15*sim.Second, 1); err != nil || !ok {
+		t.Fatal(ok, err)
 	}
 	// seq 2 is lost in transit; seq 3 parks.
-	if err := gap.IngestSeq("x", "a", []core.UserReport{mk(40 * sim.Second)}, nil, sim.Minute, 3); err != nil {
-		t.Fatal(err)
+	if ok, err := gap.OfferSeq("x", "a", []core.UserReport{mk(40 * sim.Second)}, nil, sim.Minute, 3); err != nil || !ok {
+		t.Fatal(ok, err)
 	}
 	gapAgg := gap.Finalize()
 	if gapAgg.SeqGaps != 1 {

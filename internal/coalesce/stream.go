@@ -25,7 +25,7 @@ import (
 //
 // State is therefore bounded by the event rate times the radius — O(1) in
 // campaign duration — which is what lets month-scale campaigns stream
-// through a repository in constant memory.
+// through a sink in constant memory.
 type StreamRelator struct {
 	ev      *Evidence
 	napNode string

@@ -35,7 +35,6 @@ import (
 type Agent struct {
 	link // the shared session engine; its mu guards the fields below
 	cfg  AgentConfig
-	inj  *faultInjector
 
 	streams   map[string]*agentStream
 	order     []string
@@ -162,11 +161,10 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	}
 	a := &Agent{
 		cfg:     cfg,
-		inj:     newFaultInjector(cfg.Fault),
 		streams: make(map[string]*agentStream, len(cfg.Nodes)),
 	}
 	a.init(cfg.Addr, retryPolicy{dial: cfg.DialTimeout, min: cfg.RetryMin, max: cfg.RetryMax,
-		seed: int64(cfg.RetrySeed)}, cfg.HelloTimeout, cfg.IOTimeout)
+		seed: int64(cfg.RetrySeed)}, cfg.HelloTimeout, cfg.IOTimeout, cfg.Fault)
 	var replay map[string]*walStream
 	if cfg.SpillDir != "" {
 		// The spill log is keyed by keyspace-qualified shard name: agents
@@ -434,18 +432,11 @@ func (a *Agent) session(conn net.Conn) bool {
 					return true
 				}
 			}
-			outs, delay := a.inj.apply(raw)
-			if delay > 0 {
-				time.Sleep(delay)
-			}
-			for _, o := range outs {
-				conn.SetWriteDeadline(time.Now().Add(a.cfg.IOTimeout))
-				if _, err := conn.Write(o); err != nil {
-					return true
-				}
+			if a.send(conn, raw) != nil {
+				return true
 			}
 		}
-		if done != nil && a.sendDone(conn, a.inj, done) != nil {
+		if done != nil && a.sendDone(conn, done) != nil {
 			return true
 		}
 		select {

@@ -6,14 +6,9 @@ import (
 	"math"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/analysis"
-	"repro/internal/coalesce"
 	"repro/internal/core"
-	"repro/internal/logging"
 	"repro/internal/sim"
 )
 
@@ -257,7 +252,7 @@ func TestBinaryCodecCompact(t *testing.T) {
 
 // TestBinaryCodecRejectsCorruption flips every byte of a valid binary frame
 // body and requires a clean error (or a decode, never a panic) — the
-// repository faces the network.
+// sink faces the network.
 func TestBinaryCodecRejectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteBatchCodec(&buf, fullBatch(), CodecBinary); err != nil {
@@ -306,174 +301,5 @@ func TestParseCodec(t *testing.T) {
 	}
 	if _, err := ParseCodec("xml"); err == nil {
 		t.Error("unknown codec accepted")
-	}
-}
-
-// shipNode flushes one node's data to the repository at addr.
-func shipNode(t *testing.T, addr, testbed, node string, codec Codec,
-	reports []core.UserReport, entries []core.SystemEntry, watermark sim.Time) {
-	t.Helper()
-	test := logging.NewTestLog(node)
-	for _, r := range reports {
-		test.Append(r)
-	}
-	sys := logging.NewSystemLog(node)
-	for _, e := range entries {
-		sys.Append(e)
-	}
-	a := NewLogAnalyzer(node, testbed, test, sys, addr, Filter{})
-	a.Codec = codec
-	a.Clock = func() sim.Time { return watermark }
-	if err := a.FlushOnce(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestStreamingRepositoryMatchesRetained ships the same two-testbed dataset
-// to a retained repository and to a streaming repository (one with the
-// binary codec, one with JSON) and requires identical analysis outputs:
-// the streaming repository's folded Table 2/3 and dependability column
-// equal the ones computed from the retained repository's raw records.
-func TestStreamingRepositoryMatchesRetained(t *testing.T) {
-	spec := analysis.StreamSpec{Testbeds: []analysis.TestbedSpec{
-		{Name: "random", Kind: core.WLRandom, NAP: "Giallo", PANUs: []string{"Verde", "Win"}},
-		{Name: "realistic", Kind: core.WLRealistic, NAP: "Giallo", PANUs: []string{"Verde", "Win"}},
-	}}
-	// A small deterministic dataset with cross-node evidence.
-	mkData := func(tb string) (map[string][]core.UserReport, map[string][]core.SystemEntry) {
-		reports := map[string][]core.UserReport{}
-		entries := map[string][]core.SystemEntry{}
-		for ni, node := range []string{"Verde", "Win"} {
-			for i := 0; i < 40; i++ {
-				at := sim.Time(i*200+ni*7) * sim.Second
-				reports[node] = append(reports[node], core.UserReport{
-					At: at, Testbed: tb, Node: node, Failure: core.UFConnectFailed,
-					Workload: core.WLRandom, DistanceM: 5,
-					Recovered: true, Recovery: core.RABTConnectionReset, TTR: 20 * sim.Second,
-				})
-				entries[node] = append(entries[node], core.SystemEntry{
-					At: at + 4*sim.Second, Testbed: tb, Node: node,
-					Source: core.SrcHCI, Code: core.CodeHCICommandTimeout,
-				})
-			}
-		}
-		for i := 0; i < 40; i++ {
-			entries["Giallo"] = append(entries["Giallo"], core.SystemEntry{
-				At: sim.Time(i*200+11) * sim.Second, Testbed: tb, Node: "Giallo",
-				Source: core.SrcBNEP, Code: core.CodeBNEPAddFailed,
-			})
-		}
-		return reports, entries
-	}
-
-	retained, err := NewRepository("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer retained.Close()
-	streaming, err := NewStreamingRepository("127.0.0.1:0", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer streaming.Close()
-	if !streaming.Streaming() || retained.Streaming() {
-		t.Fatal("mode flags wrong")
-	}
-
-	batches := 0
-	for _, tb := range []string{"random", "realistic"} {
-		reports, entries := mkData(tb)
-		for _, node := range []string{"Verde", "Win", "Giallo"} {
-			codec := CodecBinary
-			if node == "Win" {
-				codec = CodecJSON // mixed codecs on one repository
-			}
-			shipNode(t, retained.Addr(), tb, node, codec, reports[node], entries[node], 10*sim.Hour)
-			shipNode(t, streaming.Addr(), tb, node, codec, reports[node], entries[node], 10*sim.Hour)
-			batches++
-		}
-	}
-	if !retained.WaitForBatches(batches, 5*time.Second) ||
-		!streaming.WaitForBatches(batches, 5*time.Second) {
-		t.Fatal("batches did not all arrive")
-	}
-
-	// Retained path: rebuild per-node views and run the retained builders.
-	perR := map[string]map[string][]core.UserReport{"random": {}, "realistic": {}}
-	perE := map[string]map[string][]core.SystemEntry{"random": {}, "realistic": {}}
-	for _, r := range retained.Reports() {
-		perR[r.Testbed][r.Node] = append(perR[r.Testbed][r.Node], r)
-	}
-	for _, e := range retained.Entries() {
-		perE[e.Testbed][e.Node] = append(perE[e.Testbed][e.Node], e)
-	}
-	ev := coalesce.NewEvidence()
-	var all []core.UserReport
-	for _, tb := range []string{"random", "realistic"} {
-		for node, rs := range perR[tb] {
-			logging.SortUserReports(rs)
-			perR[tb][node] = rs
-		}
-		for node, es := range perE[tb] {
-			logging.SortSystemEntries(es)
-			perE[tb][node] = es
-		}
-		analysis.BuildEvidence(ev, perR[tb], perE[tb], "Giallo", coalesce.PaperWindow)
-		var tbAll []core.UserReport
-		for _, rs := range perR[tb] {
-			tbAll = append(tbAll, rs...)
-		}
-		logging.SortUserReports(tbAll)
-		all = append(all, tbAll...)
-	}
-	wantT2 := analysis.BuildTable2(ev)
-	wantT3 := analysis.BuildTable3(all)
-
-	agg := streaming.Aggregates()
-	if agg == nil {
-		t.Fatal("streaming repository returned no aggregates")
-	}
-	if !reflect.DeepEqual(agg.Table2(), wantT2) {
-		t.Error("streaming repository Table 2 diverges from retained")
-	}
-	if !reflect.DeepEqual(agg.Table3(), wantT3) {
-		t.Error("streaming repository Table 3 diverges from retained")
-	}
-	gu, ge, _ := agg.DataItems()
-	ru, re, _ := retained.Stats()
-	if gu != ru || ge != re {
-		t.Errorf("item counts diverge: streaming %d/%d, retained %d/%d", gu, ge, ru, re)
-	}
-	if retained.Reports() == nil || streaming.Reports() != nil {
-		t.Error("record retention mode mixed up")
-	}
-}
-
-// TestWaitForBatchesWakesOnClose pins the teardown-latency fix: a waiter
-// blocked on an unreached target returns as soon as the repository closes,
-// not after the timeout.
-func TestWaitForBatchesWakesOnClose(t *testing.T) {
-	repo, err := NewRepository("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	start := time.Now()
-	var got bool
-	go func() {
-		defer wg.Done()
-		got = repo.WaitForBatches(1, 30*time.Second)
-	}()
-	time.Sleep(20 * time.Millisecond)
-	if err := repo.Close(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if got {
-		t.Error("WaitForBatches reported success with no batches")
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("waiter took %v to notice Close", elapsed)
 	}
 }

@@ -5,10 +5,8 @@ import (
 	"io"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/logging"
 	"repro/internal/sim"
 )
 
@@ -98,128 +96,5 @@ func TestFilterSlidingWindowSuppressesThrash(t *testing.T) {
 	out := f.FilterSystem(in)
 	if len(out) != 1 {
 		t.Errorf("thrash collapsed to %d entries, want 1", len(out))
-	}
-}
-
-func TestRepositoryCollectsFromAnalyzers(t *testing.T) {
-	repo, err := NewRepository("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer repo.Close()
-
-	test := logging.NewTestLog("Verde")
-	sys := logging.NewSystemLog("Verde")
-	test.Append(core.UserReport{At: sim.Second, Node: "Verde", Failure: core.UFConnectFailed})
-	sys.Append(core.SystemEntry{At: sim.Second, Node: "Verde",
-		Source: core.SrcHCI, Code: core.CodeHCICommandTimeout})
-	sys.Append(core.SystemEntry{At: sim.Second + sim.Millisecond, Node: "Verde",
-		Source: core.SrcHCI, Code: core.CodeHCICommandTimeout}) // dup: filtered
-
-	a := NewLogAnalyzer("Verde", "random", test, sys, repo.Addr(), DefaultFilter())
-	if err := a.FlushOnce(); err != nil {
-		t.Fatal(err)
-	}
-	if a.Shipped() != 1 {
-		t.Errorf("Shipped = %d", a.Shipped())
-	}
-
-	// The repository receives asynchronously; poll briefly.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		r, e, _ := repo.Stats()
-		if r == 1 && e == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("repository has %d/%d records, want 1/1", r, e)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if repo.Reports()[0].Failure != core.UFConnectFailed {
-		t.Error("wrong report stored")
-	}
-	if repo.Entries()[0].Code != core.CodeHCICommandTimeout {
-		t.Error("wrong entry stored")
-	}
-
-	// Logs were drained by the flush.
-	if test.Len() != 0 || sys.Len() != 0 {
-		t.Error("flush should drain the logs")
-	}
-	// An empty flush ships nothing.
-	if err := a.FlushOnce(); err != nil {
-		t.Fatal(err)
-	}
-	if a.Shipped() != 1 {
-		t.Error("empty flush should not ship")
-	}
-}
-
-func TestAnalyzerRetainsDataWhenRepositoryDown(t *testing.T) {
-	test := logging.NewTestLog("Verde")
-	sys := logging.NewSystemLog("Verde")
-	test.Append(core.UserReport{At: sim.Second, Node: "Verde", Failure: core.UFBindFailed})
-
-	a := NewLogAnalyzer("Verde", "random", test, sys, "127.0.0.1:1", DefaultFilter())
-	if err := a.FlushOnce(); err == nil {
-		t.Fatal("flush to a dead repository should fail")
-	}
-	if test.Len() != 1 {
-		t.Error("failed flush must put the data back for retry")
-	}
-}
-
-func TestRepositoryCloseIdempotent(t *testing.T) {
-	repo, err := NewRepository("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := repo.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := repo.Close(); err != nil {
-		t.Errorf("second close: %v", err)
-	}
-}
-
-func TestRepositoryMultipleAnalyzers(t *testing.T) {
-	repo, err := NewRepository("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer repo.Close()
-
-	const nodes = 6
-	done := make(chan error, nodes)
-	for i := 0; i < nodes; i++ {
-		node := string(rune('A' + i))
-		go func() {
-			test := logging.NewTestLog(node)
-			sys := logging.NewSystemLog(node)
-			for j := 0; j < 50; j++ {
-				test.Append(core.UserReport{At: sim.Time(j) * sim.Second,
-					Node: node, Failure: core.UFPacketLoss})
-			}
-			a := NewLogAnalyzer(node, "random", test, sys, repo.Addr(), DefaultFilter())
-			done <- a.FlushOnce()
-		}()
-	}
-	for i := 0; i < nodes; i++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		r, _, b := repo.Stats()
-		if r == nodes*50 && b == nodes {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("repository has %d reports / %d batches, want %d/%d",
-				r, b, nodes*50, nodes)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // surface a hostile or corrupted peer reaches over TCP. The decoder must
 // never panic, never hang, and never allocate absurdly off a garbage length
 // field; and whatever it does accept must re-encode and re-decode to the
-// same records (the round-trip law that keeps the streaming repository's
+// same records (the round-trip law that keeps the sink's streaming
 // fold exact).
 //
 // The seed corpus is real frames: the full-field batch of the codec suite,

@@ -10,16 +10,17 @@ import (
 
 // link is the agent-side session engine both planes share: the dial/backoff
 // loop, the Hello/Resume handshake with its regression abort, the reader
-// that applies acknowledgements and the Fin release, the Done send, typed
-// reject handling and the transport counters. A plane — the flat Agent
-// shipping record batches go-back-N, or the ScatterAgent shipping fold
-// partials stop-and-wait — embeds it and supplies its Hello, its cursors
-// and its send loop.
+// that applies acknowledgements and the Fin release, the fault-injected
+// frame write, the Done send, typed reject handling and the transport
+// counters. A plane — the flat Agent shipping record batches go-back-N, or
+// the ScatterAgent shipping fold partials stop-and-wait — embeds it and
+// supplies its Hello, its cursors and its stall policy.
 type link struct {
 	addr         string
 	retry        retryPolicy
-	helloTimeout time.Duration // wait for the sink's answer to Hello
-	ioTimeout    time.Duration // per-frame write deadline
+	helloTimeout time.Duration  // wait for the sink's answer to Hello
+	ioTimeout    time.Duration  // per-frame write deadline
+	inj          *faultInjector // nil without fault injection; session goroutine only
 
 	mu           sync.Mutex // guards the link's fields and the plane's send state
 	err          error      // first fatal error
@@ -45,8 +46,9 @@ type retryPolicy struct {
 }
 
 // init fills the link's shared defaults — 2 s dial timeout, 100 ms..5 s
-// backoff with the cap never below the floor — and makes its channels.
-func (l *link) init(addr string, retry retryPolicy, helloTimeout, ioTimeout time.Duration) {
+// backoff with the cap never below the floor — builds the fault injector
+// and makes its channels.
+func (l *link) init(addr string, retry retryPolicy, helloTimeout, ioTimeout time.Duration, fault FaultConfig) {
 	if retry.dial <= 0 {
 		retry.dial = 2 * time.Second
 	}
@@ -60,6 +62,7 @@ func (l *link) init(addr string, retry retryPolicy, helloTimeout, ioTimeout time
 		retry.max = retry.min
 	}
 	l.addr, l.retry, l.helloTimeout, l.ioTimeout = addr, retry, helloTimeout, ioTimeout
+	l.inj = newFaultInjector(fault)
 	l.work = make(chan struct{}, 1)
 	l.closed = make(chan struct{})
 	l.fin = make(chan struct{})
@@ -269,16 +272,38 @@ func (l *link) read(conn net.Conn, ack func(*Ack) bool) {
 	}
 }
 
-// sendDone ships the Done frame. Control frames are never fault-injected,
-// so a data frame the injector still holds back goes out first rather than
-// trailing the Done.
-func (l *link) sendDone(conn net.Conn, inj *faultInjector, done *Done) error {
-	if h := inj.flush(); h != nil {
+// send hands one encoded data frame to the fault injector and writes what
+// it lets through, after any delay it imposes. This is the one place either
+// plane puts a data frame on the wire.
+func (l *link) send(conn net.Conn, frame []byte) error {
+	frames, delay := l.inj.apply(frame)
+	if delay > 0 {
+		time.Sleep(delay)
+	}
+	return l.write(conn, frames...)
+}
+
+// write puts frames on the wire in order, each under its own write deadline.
+func (l *link) write(conn net.Conn, frames ...[]byte) error {
+	for _, f := range frames {
 		conn.SetWriteDeadline(time.Now().Add(l.ioTimeout))
-		if _, err := conn.Write(h); err != nil {
+		if _, err := conn.Write(f); err != nil {
 			return err
 		}
 	}
-	conn.SetWriteDeadline(time.Now().Add(l.ioTimeout))
-	return writeControl(conn, frameDone, done)
+	return nil
+}
+
+// sendDone ships the Done frame. Control frames are never fault-injected,
+// so a data frame the injector still holds back goes out first rather than
+// trailing the Done.
+func (l *link) sendDone(conn net.Conn, done *Done) error {
+	frame, err := jsonFrame(frameDone, done)
+	if err != nil {
+		return err
+	}
+	if h := l.inj.flush(); h != nil {
+		return l.write(conn, h, frame)
+	}
+	return l.write(conn, frame)
 }

@@ -1,39 +1,36 @@
 // Package collector implements the paper's collection infrastructure: a
 // LogAnalyzer daemon per BT node that periodically (i) extracts failure data
 // from the node's Test Log and System Log, (ii) filters it so only
-// significant data travels, and (iii) ships it to a central repository,
-// plus the repository server itself.
+// significant data travels, and (iii) ships it to a central repository.
+// Here the daemon is the Agent (one per testbed shard), the repository is
+// the Sink, and the significance filter is Filter.
 //
 // Transport is TCP with length-prefixed frames, so the pieces run as real
-// daemons (see cmd/btcampaign and examples/campaign) and are exercised over
-// loopback in tests. The default wire encoding is a compact binary format
-// (varints, per-batch string interning, pooled buffers — marshalling cost
-// and frame size are what bound month-scale campaigns); JSON remains
-// available as a debug/compatibility codec, selected per frame by a codec
-// tag, and a cross-codec equivalence test pins that both decode to the same
-// records.
+// daemons (cmd/btagent and cmd/btsink) and are exercised over loopback in
+// tests. The default wire encoding is a compact binary format (varints,
+// per-batch string interning, pooled buffers — marshalling cost and frame
+// size are what bound month-scale campaigns); JSON remains available as a
+// debug/compatibility codec, selected per frame by a codec tag, and a
+// cross-codec equivalence test pins that both decode to the same records.
 //
-// The repository runs on either collection plane: retained
-// (NewRepository — every record kept, for raw-record analysis) or
-// streaming (NewStreamingRepository — batches fold into the running
-// analysis.Aggregates as they arrive, with batch watermarks and 1-based
-// sequence numbers keeping the fold order exact across reordered
-// connections, so repository memory is bounded by the senders' flush
-// cadence rather than the campaign length). Batches lost in transit are
-// surfaced, never swallowed: rejected batches count in
-// Repository.Rejected and unfilled sequence gaps in Aggregates.SeqGaps.
+// The sink folds batches into the running analysis.Aggregates as they
+// arrive, with batch watermarks and 1-based per-stream sequence numbers
+// keeping the fold order exact across retransmissions and reconnects, so
+// sink memory is bounded by the agents' flush cadence rather than the
+// campaign length. Batches lost in transit are surfaced, never swallowed:
+// rejected frames count in Sink.Stats and unfilled sequence gaps in
+// Aggregates.SeqGaps.
 //
-// The distributed collection plane (Agent, Sink and the control-frame
-// session protocol in transport.go; cmd/btagent and cmd/btsink wrap them
-// as daemons) runs the same machinery across real OS processes with
-// at-least-once delivery: per-stream sequence cursors, cumulative
-// acknowledgements, reconnect-and-resume handshakes, go-back-N
-// retransmission, seeded fault injection for measuring the plane under an
-// adversarial network, and durable sink checkpoints for crash recovery.
-// The wire format — frame layout, codec tag/kind byte, varint/zigzag
-// encoding, string interning, watermark/sequence semantics, the resume
-// handshake and the loss-accounting rules — is specified normatively in
-// PROTOCOL.md at the repository root; OPERATIONS.md documents deployments.
+// The session protocol (Agent, Sink and the control frames in
+// transport.go) gives at-least-once delivery across real OS processes:
+// per-stream sequence cursors, cumulative acknowledgements,
+// reconnect-and-resume handshakes, go-back-N retransmission, seeded fault
+// injection for measuring the plane under an adversarial network, and
+// durable sink checkpoints for crash recovery. The wire format — frame
+// layout, codec tag/kind byte, varint/zigzag encoding, string interning,
+// watermark/sequence semantics, the resume handshake and the
+// loss-accounting rules — is specified normatively in PROTOCOL.md at the
+// repository root; OPERATIONS.md documents deployments.
 package collector
 
 import (
@@ -48,20 +45,20 @@ import (
 	"repro/internal/sim"
 )
 
-// Batch is one shipment from a LogAnalyzer to the repository.
+// Batch is one shipment of a node's records from an agent to the sink.
 type Batch struct {
 	Node    string             `json:"node"`
 	Testbed string             `json:"testbed"`
 	Reports []core.UserReport  `json:"reports,omitempty"`
 	Entries []core.SystemEntry `json:"entries,omitempty"`
 	// Watermark is the sender's promise that every record of this node up
-	// to that virtual instant has now been shipped; a streaming repository
-	// folds records once every node's watermark has passed them.
+	// to that virtual instant has now been shipped; the sink folds records
+	// once every node's watermark has passed them.
 	Watermark sim.Time `json:"watermark,omitempty"`
-	// Seq numbers a sender's batches from 1: each flush rides its own TCP
-	// connection, so consecutive batches can arrive reordered, and the
-	// streaming repository uses the sequence to apply them in send order
-	// (0 disables sequencing for hand-built batches).
+	// Seq numbers a stream's batches from 1: retransmission and fault
+	// injection can deliver a batch twice or out of order, and the sink
+	// uses the sequence to apply each batch once, in send order (0
+	// disables sequencing for hand-built batches).
 	Seq uint64 `json:"seq,omitempty"`
 }
 
@@ -100,7 +97,7 @@ func ParseCodec(s string) (Codec, error) {
 	}
 }
 
-// maxBatchBytes bounds a wire batch (guards the repository against garbage
+// maxBatchBytes bounds a wire batch (guards the sink against garbage
 // or runaway peers).
 const maxBatchBytes = 64 << 20
 

@@ -503,7 +503,6 @@ type ScatterAgent struct {
 	cfg   ScatterAgentConfig
 	key   string
 	total uint64
-	inj   *faultInjector
 
 	cursor    uint64 // work items acknowledged durable by the sink
 	maxSent   uint64 // highest work item ever sent (retransmit accounting)
@@ -529,13 +528,12 @@ func NewScatterAgent(cfg ScatterAgentConfig) (*ScatterAgent, error) {
 		cfg:   cfg,
 		key:   scatterRangeKey(cfg.Lo, cfg.Hi),
 		total: uint64(cfg.Hi - cfg.Lo),
-		inj:   newFaultInjector(cfg.Fault),
 	}
 	if cfg.Overlay {
 		a.total++
 	}
 	a.init(cfg.Addr, retryPolicy{dial: cfg.DialTimeout, min: cfg.RetryMin, max: cfg.RetryMax,
-		seed: cfg.RetrySeed}, cfg.StallTimeout, cfg.StallTimeout)
+		seed: cfg.RetrySeed}, cfg.StallTimeout, cfg.StallTimeout, cfg.Fault)
 	return a, nil
 }
 
@@ -622,15 +620,8 @@ func (a *ScatterAgent) session(conn net.Conn) bool {
 			a.mu.Lock()
 			a.countSendLocked(seq, &a.maxSent)
 			a.mu.Unlock()
-			frames, delay := a.inj.apply(a.cached)
-			if delay > 0 {
-				time.Sleep(delay)
-			}
-			for _, f := range frames {
-				conn.SetWriteDeadline(time.Now().Add(a.ioTimeout))
-				if _, err := conn.Write(f); err != nil {
-					return true
-				}
+			if a.send(conn, a.cached) != nil {
+				return true
 			}
 			inFlight = seq
 			stall.Reset(a.cfg.StallTimeout)
@@ -638,7 +629,7 @@ func (a *ScatterAgent) session(conn net.Conn) bool {
 			// Every work item is durable: release the cached frame and
 			// declare the range done.
 			a.cachedSeq, a.cached = 0, nil
-			if a.sendDone(conn, a.inj, &Done{Testbed: a.key, Duration: a.cfg.Campaign.Duration,
+			if a.sendDone(conn, &Done{Testbed: a.key, Duration: a.cfg.Campaign.Duration,
 				Final: []StreamCursor{{Node: a.key, Seq: a.total}}}) != nil {
 				return true
 			}
