@@ -64,7 +64,7 @@ func BenchmarkAblationMaskingStrategies(b *testing.B) {
 // (collapse), diluting e.g. the PAN-connect<-SDP relationship.
 func BenchmarkAblationCoalescenceWindow(b *testing.B) {
 	res := benchCampaign(b)
-	radii := []sim.Time{2 * Second, coalesce.RelateRadius, 120 * Second, coalesce.PaperWindow}
+	radii := []sim.Time{2 * sim.Second, coalesce.RelateRadius, 120 * sim.Second, coalesce.PaperWindow}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, radius := range radii {
@@ -133,7 +133,7 @@ func BenchmarkAblationRedundantPiconets(b *testing.B) {
 	var dep *analysis.RedundantDeployment
 	var err error
 	for i := 0; i < b.N; i++ {
-		dep, err = RedundantPiconets(41, 3*Day, 2*Second)
+		dep, err = RedundantPiconets(41, 3*Day, 2*sim.Second)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -40,17 +40,14 @@ type Scenario = recovery.Scenario
 // Recovery scenarios.
 const (
 	ScenarioRebootOnly   = recovery.ScenarioRebootOnly
-	ScenarioAppReboot    = recovery.ScenarioAppReboot
 	ScenarioSIRAs        = recovery.ScenarioSIRAs
 	ScenarioSIRAsMasking = recovery.ScenarioSIRAsMasking
 )
 
 // Duration helpers re-exported for campaign configuration.
 const (
-	Second = sim.Second
-	Minute = sim.Minute
-	Hour   = sim.Hour
-	Day    = sim.Day
+	Hour = sim.Hour
+	Day  = sim.Day
 )
 
 // CampaignConfig configures one two-testbed campaign.

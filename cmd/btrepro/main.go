@@ -5,7 +5,9 @@
 //
 //	btrepro [-seed N] [-days D] [-quick] [-only ID]
 //
-// IDs: table2, table3, table4, fig2, fig3a, fig3b, fig3c, fig4, scalars.
+// IDs: table2, table3, table4, fig2, fig3a, fig3b, fig3c, fig4, scalars,
+// redundant (the closing recommendation: two overlapped piconets with a
+// 2 s failover).
 // Without -only, everything runs. -quick shrinks the observation windows for
 // a fast smoke run.
 package main
@@ -18,7 +20,6 @@ import (
 
 	btpan "repro"
 	"repro/internal/analysis"
-	"repro/internal/coalesce"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -28,7 +29,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "campaign seed")
 	days := flag.Int("days", 8, "virtual campaign days per scenario")
 	quick := flag.Bool("quick", false, "fast smoke run (shorter windows)")
-	only := flag.String("only", "", "run a single experiment (table2, table3, table4, fig2, fig3a, fig3b, fig3c, fig4, scalars)")
+	only := flag.String("only", "", "run a single experiment (table2, table3, table4, fig2, fig3a, fig3b, fig3c, fig4, scalars, redundant)")
 	flag.Parse()
 
 	dur := sim.Time(*days) * sim.Day
@@ -147,7 +148,15 @@ func main() {
 		fmt.Printf("window: %v of paper-scale operation (paper: 18 months, 356,551 items)\n", dur)
 	}
 
-	_ = coalesce.PaperWindow
+	if want("redundant") {
+		fmt.Println("== Redundant piconets: two overlapped SIRAs+masking piconets, 2 s failover ==")
+		dep, err := btpan.RedundantPiconets(*seed, dur, 2*sim.Second)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Print(dep.Render())
+		fmt.Println("paper: redundant, overlapped piconets for critical deployments, beyond SIRAs and masking")
+	}
 }
 
 // sampleCurve prints every 12th point of the sensitivity curve so the knee

@@ -11,6 +11,7 @@ import (
 	"repro/internal/coalesce"
 	"repro/internal/core"
 	"repro/internal/logging"
+	"repro/internal/sim"
 )
 
 // TestPersistenceRoundTripPreservesAnalysis writes a campaign's records to
@@ -119,7 +120,7 @@ func TestTable4ColumnsOrdered(t *testing.T) {
 // TestRedundantPiconetsExtension checks the paper's future-work proposal
 // yields a strictly better deployment.
 func TestRedundantPiconetsExtension(t *testing.T) {
-	dep, err := RedundantPiconets(7, 18*Hour, 2*Second)
+	dep, err := RedundantPiconets(7, 18*Hour, 2*sim.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -270,19 +270,6 @@ type StreamerCheckpoint struct {
 	Trace []DependEvent `json:"trace,omitempty"`
 }
 
-// AppliedSeq reports the checkpoint's contiguous applied sequence number for
-// one stream (0 when the stream has no checkpointed batches). This — not the
-// live Streamer's cursor — is what a checkpointing sink may acknowledge:
-// batches applied after the snapshot are not yet durable.
-func (cp *StreamerCheckpoint) AppliedSeq(testbed, node string) uint64 {
-	for i := range cp.Shards {
-		if cp.Shards[i].Testbed == testbed && cp.Shards[i].Node == node {
-			return cp.Shards[i].NextSeq - 1
-		}
-	}
-	return 0
-}
-
 // AggSnapshot captures just the folded aggregates of a (possibly live)
 // streamer, consistently with any concurrent folding — the cheap snapshot
 // behind mid-campaign observability (live Table 2/3/4 over HTTP), as
@@ -350,7 +337,7 @@ func (s *Streamer) Checkpoint() (*StreamerCheckpoint, error) {
 // RestoreStreamer rebuilds a live Streamer from a checkpoint. The spec must
 // be the same one the checkpointed streamer was built with (stream
 // membership is validated; window/radius come from the snapshot). Senders
-// then resume each stream from the checkpoint's AppliedSeq + 1.
+// then resume each stream from its shard's NextSeq.
 func RestoreStreamer(spec StreamSpec, cp *StreamerCheckpoint) (*Streamer, error) {
 	if cp == nil || cp.Agg == nil {
 		return nil, fmt.Errorf("analysis: empty streamer checkpoint")

@@ -59,35 +59,6 @@ func (d *DependabilityCI) Render() string {
 	return b.String()
 }
 
-// Table4CI is the four-scenario dependability comparison with CIs.
-type Table4CI struct {
-	Columns []*DependabilityCI
-}
-
-// Render formats the table in the paper's row layout.
-func (t *Table4CI) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-16s", "")
-	for _, c := range t.Columns {
-		fmt.Fprintf(&b, "%26s", c.Scenario)
-	}
-	b.WriteString("\n")
-	row := func(label string, get func(*DependabilityCI) string) {
-		fmt.Fprintf(&b, "%-16s", label)
-		for _, c := range t.Columns {
-			fmt.Fprintf(&b, "%26s", get(c))
-		}
-		b.WriteString("\n")
-	}
-	row("MTTF (s)", func(d *DependabilityCI) string { return d.MTTF.Format("%.2f") })
-	row("MTTR (s)", func(d *DependabilityCI) string { return d.MTTR.Format("%.2f") })
-	row("Availability", func(d *DependabilityCI) string { return d.Availability.Format("%.4f") })
-	row("% Coverage", func(d *DependabilityCI) string { return d.CoveragePct.Format("%.2f") })
-	row("% Masking", func(d *DependabilityCI) string { return d.MaskingPct.Format("%.2f") })
-	row("failures", func(d *DependabilityCI) string { return d.Failures.Format("%.0f") })
-	return b.String()
-}
-
 // Table2CI is the error-failure relationship table with CIs on the combined
 // (local + NAP) shares.
 type Table2CI struct {

@@ -21,7 +21,7 @@
 //     figure count maps) are shared by both planes.
 //
 // Multi-seed sweeps summarize per-seed tables into confidence-interval
-// views (Table2CI, Table3CI, DependabilityCI, ScalarsCI, Table4CI): every
+// views (Table2CI, Table3CI, DependabilityCI, ScalarsCI): every
 // cell becomes a mean ± 95 % CI estimate over the seeds.
 //
 // Scatternet campaigns add two aggregate families on top of the

@@ -34,17 +34,12 @@ func NewRelayDepthAccum() *RelayDepthAccum {
 	return &RelayDepthAccum{ByDepth: make(map[int]*stats.Summary)}
 }
 
-// AddProbe records one routed probe: a relay over depth bridges that took
-// delaySeconds end to end.
-func (a *RelayDepthAccum) AddProbe(depth int, delaySeconds float64) {
-	a.Depth(depth).Add(delaySeconds)
-}
-
 // Depth returns the delay summary of the given route depth, adding an empty
-// one on first use. A caller that records many probes at one depth may hold
-// the summary and Add to it directly; that is exactly AddProbe, minus the
-// map lookup. The summary must get its first Add before the table renders,
-// or the empty row shows up in it.
+// one on first use. A routed probe over depth bridges that took d seconds
+// end to end is recorded as Depth(depth).Add(d); a caller that records
+// many probes at one depth may hold the summary to skip the map lookup.
+// The summary must get its first Add before the table renders, or the
+// empty row shows up in it.
 func (a *RelayDepthAccum) Depth(depth int) *stats.Summary {
 	s := a.ByDepth[depth]
 	if s == nil {

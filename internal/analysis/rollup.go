@@ -107,9 +107,6 @@ func (f *ScatternetFold) Merge(o *ScatternetFold) error {
 	return nil
 }
 
-// Piconets reports how many piconets have been folded so far.
-func (f *ScatternetFold) Piconets() int { return len(f.rows) }
-
 // Finalize sorts the deployment trace into campaign order, re-derives the
 // deployment-wide Table 4 accumulator from it (exactly the MergeAggregates
 // idiom), and returns the metro aggregates plus the per-piconet overview in

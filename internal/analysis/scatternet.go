@@ -248,15 +248,6 @@ func (t *BridgeTable) TotalDowntimeSeconds() float64 {
 	return s
 }
 
-// TotalRelayed sums delivered relay SDUs over all bridges.
-func (t *BridgeTable) TotalRelayed() int {
-	n := 0
-	for _, r := range t.Rows {
-		n += r.Relayed
-	}
-	return n
-}
-
 // PiconetCoupling aggregates what piconet p suffered from every bridge that
 // serves it: correlated outages, downtime, and relay SDUs lost to outages.
 func (t *BridgeTable) PiconetCoupling(p int) (outages int, downtimeSeconds float64, droppedInOutage int) {

@@ -196,7 +196,10 @@ func (a *Aggregates) Fig3c() []Bar { return Fig3cFromCounts(a.AppLoss) }
 func (a *Aggregates) Fig4() []Fig4Row { return Fig4FromCounts(a.PerHost) }
 
 // Fig3bBars renders the connection-age histogram at its accumulation
-// binning.
+// binning. No report prints it (Figure 3b comes from the fixed-workload
+// experiment); the cross-plane suites compare it.
+//
+// Test seam: TestStreamingEquivalence and TestAggregatesSnapshotRoundTrip.
 func (a *Aggregates) Fig3bBars() []Bar {
 	shares := a.ConnAge.Shares()
 	bars := make([]Bar, len(shares))

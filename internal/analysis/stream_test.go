@@ -45,7 +45,7 @@ func genCampaign(n int) *synthCampaign {
 				// testbeds are common, exercising the fold's tie order.
 				at += sim.Time(next(241)) * sim.Second
 				if next(3) == 0 {
-					f := core.UserFailures()[next(core.NumUserFailures)]
+					f := core.UserFailures()[next(len(core.UserFailures()))]
 					r := core.UserReport{
 						At: at, Testbed: tb.Name, Node: node, Failure: f,
 						Workload:  tb.Kind,
@@ -63,7 +63,7 @@ func genCampaign(n int) *synthCampaign {
 					}
 					c.reports[key] = append(c.reports[key], r)
 				} else {
-					src := core.SysSources()[next(core.NumSysSources)]
+					src := core.SysSources()[next(len(core.SysSources()))]
 					c.entries[key] = append(c.entries[key], core.SystemEntry{
 						At: at, Testbed: tb.Name, Node: node, Source: src,
 					})
@@ -80,7 +80,7 @@ func genCampaign(n int) *synthCampaign {
 			at += sim.Time(next(241)) * sim.Second
 			c.entries[key] = append(c.entries[key], core.SystemEntry{
 				At: at, Testbed: tb.Name, Node: tb.NAP,
-				Source: core.SysSources()[next(core.NumSysSources)],
+				Source: core.SysSources()[next(len(core.SysSources()))],
 			})
 			if at > c.horizon {
 				c.horizon = at

@@ -105,17 +105,6 @@ func (t *Table3) ExpensiveShare(f core.UserFailure) float64 {
 	return sum
 }
 
-// MeanSeverity reports the mean severity (ordinal of the clearing SIRA)
-// for a failure type.
-func (t *Table3) MeanSeverity(f core.UserFailure) float64 {
-	row := t.Rows[f]
-	mean := 0.0
-	for i, pct := range row {
-		mean += float64(i+1) * pct / 100
-	}
-	return mean
-}
-
 // Render formats the table in the paper's layout.
 func (t *Table3) Render() string {
 	var b strings.Builder

@@ -307,10 +307,6 @@ func (s *SurvivalAccum) MeanUptimeSeconds() float64 {
 	return s.UptimeSum.Seconds() / float64(s.UptimeN)
 }
 
-// Interarrival exposes the failure-interarrival histogram (the event
-// bins).
-func (s *SurvivalAccum) Interarrival() *stats.Histogram { return s.Uptimes }
-
 // SurvivalPoint is one bin of the Kaplan-Meier curve.
 type SurvivalPoint struct {
 	UpToSeconds float64 // bin upper edge (uptime <= this)

@@ -23,9 +23,11 @@ type ARQConfig struct {
 	// DSN 2005), which is why the paper sees data corruption at all.
 	CRCEscape float64
 
-	// BurstContinue is the intra-burst bit-error clustering density; it must
-	// match radio.CodewordErrors' continuation probability (0.3) for the
-	// analytic fast path to agree with the bit-level model.
+	// BurstContinue is the intra-burst bit-error clustering density: given
+	// one bit error in a codeword, the next bit errors too with this
+	// probability (0.3, the classic intra-burst density), so a DMx codeword
+	// that takes any error fails its single-error-correcting FEC with
+	// probability BurstContinue.
 	BurstContinue float64
 
 	// SlowPath disables the transmitter's shortcuts: every fragment and
@@ -318,7 +320,11 @@ func (t *Transmitter) sendFragment(pt core.PacketType, payloadLen, attemptsDone 
 // Each attempt draws one Bernoulli against the probability that any slot's
 // chunk of the payload is corrupted (1 - Π over slots of the chunk survival
 // probabilities), instead of one draw per slot — the same corruption
-// distribution for a fraction of the RNG and BER-query work.
+// distribution for a fraction of the RNG and BER-query work. The data plane
+// sends through SendSDU and CleanRun; Send is the single-fragment
+// reference they must reproduce.
+//
+// Test oracle: TestSendSDUMatchesPerFragmentSends.
 func (t *Transmitter) Send(pt core.PacketType, payloadLen int) TxResult {
 	if payloadLen < 0 || payloadLen > pt.Payload() {
 		panic(fmt.Sprintf("baseband: payload %dB out of range for %v", payloadLen, pt))

@@ -25,72 +25,6 @@ func noisyLink(ber float64, rng *rand.Rand) *radio.Link {
 	return radio.NewLink(cfg, rng)
 }
 
-func TestPacketBuildRejectsOversizedPayload(t *testing.T) {
-	if _, err := Build(1, 1, core.PTDM1, false, make([]byte, 18)); err == nil {
-		t.Error("DM1 with 18B payload should fail")
-	}
-	if _, err := Build(1, 1, core.PTDM1, false, make([]byte, 17)); err != nil {
-		t.Errorf("DM1 with 17B payload: %v", err)
-	}
-}
-
-func TestTypeCodesRoundTrip(t *testing.T) {
-	for _, pt := range core.PacketTypes() {
-		c, err := TypeCode(pt)
-		if err != nil {
-			t.Fatalf("TypeCode(%v): %v", pt, err)
-		}
-		back, err := PacketTypeFromCode(c)
-		if err != nil || back != pt {
-			t.Errorf("code %#x -> %v, %v; want %v", c, back, err, pt)
-		}
-	}
-	if _, err := TypeCode(core.PTUnknown); err == nil {
-		t.Error("TypeCode(unknown) should fail")
-	}
-	if _, err := PacketTypeFromCode(0x0); err == nil {
-		t.Error("PacketTypeFromCode(0) should fail")
-	}
-}
-
-func TestPacketMarshalUnmarshalClean(t *testing.T) {
-	for _, pt := range core.PacketTypes() {
-		payload := make([]byte, pt.Payload())
-		for i := range payload {
-			payload[i] = byte(i * 7)
-		}
-		p, err := Build(0xDEAD, 2, pt, true, payload)
-		if err != nil {
-			t.Fatalf("Build(%v): %v", pt, err)
-		}
-		air, nbits := p.Marshal(0)
-		got, crcOK, corrected, failed := Unmarshal(pt, 0, air, nbits, len(payload))
-		if !crcOK {
-			t.Errorf("%v: CRC failed on clean channel", pt)
-		}
-		if corrected != 0 || failed != 0 {
-			t.Errorf("%v: FEC activity on clean channel (%d/%d)", pt, corrected, failed)
-		}
-		if string(got) != string(payload) {
-			t.Errorf("%v: payload mismatch", pt)
-		}
-	}
-}
-
-func TestPacketCorruptionDetectedByCRC(t *testing.T) {
-	payload := []byte("hello bluetooth world......")[:27]
-	p, err := Build(1, 1, core.PTDH1, false, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	air, nbits := p.Marshal(0)
-	air[3] ^= 0xFF // burst of 8 flipped bits
-	_, crcOK, _, _ := Unmarshal(core.PTDH1, 0, air, nbits, len(payload))
-	if crcOK {
-		t.Error("8-bit burst passed CRC")
-	}
-}
-
 func TestAirBits(t *testing.T) {
 	// DH1: (27+2)*8 = 232 bits uncoded.
 	if got := AirBits(core.PTDH1, 27); got != 232 {

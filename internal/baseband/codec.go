@@ -1,15 +1,17 @@
 // Package baseband implements the Bluetooth 1.1 baseband data plane used by
-// the reproduction: ACL packet framing for the six data packet types
-// (DM1/DH1/DM3/DH3/DM5/DH5), the CRC-16 payload check, the 8-bit header
-// error check (HEC), the shortened Hamming(15,10) 2/3-rate FEC that protects
-// DMx payloads, and the ARQ transmitter whose retransmission flush limit is
-// the paper's source of "Packet loss" failures.
+// the reproduction: the on-air size of the six ACL data packet types
+// (DM1/DH1/DM3/DH3/DM5/DH5, with the 2/3-rate FEC expansion of DMx
+// payloads), the CRC-16 payload check, and the ARQ transmitter whose
+// retransmission flush limit is the paper's source of "Packet loss"
+// failures.
 //
-// The bit-exact codecs (CRC16, HEC8, Hamming) are real implementations,
-// exercised by property tests. The ARQ transmitter uses them for framing and
-// an analytically equivalent per-slot error model for speed, so campaigns
-// covering months of virtual time stay fast.
+// The transmitter never builds bit-exact frames: it decides each attempt
+// with an analytically equivalent per-slot error model, so campaigns
+// covering months of virtual time stay fast. CRC16 is a real
+// implementation; the BCSP transport frames with it.
 package baseband
+
+import "repro/internal/core"
 
 // crcPoly is the CCITT generator x^16 + x^12 + x^5 + 1 used by the Bluetooth
 // baseband payload CRC.
@@ -33,149 +35,15 @@ func CRC16(init uint16, data []byte) uint16 {
 	return crc
 }
 
-// hecPoly is the header-error-check generator x^8+x^7+x^5+x^2+x+1 (0x1A7
-// with the leading term), used over the 10 header bits.
-const hecPoly uint16 = 0x1A7
-
-// HEC8 computes the 8-bit header error check over the 10-bit header value,
-// seeded with the UAP.
-func HEC8(uap uint8, header10 uint16) uint8 {
-	// Process the 10 header bits MSB-first through the LFSR seeded with uap.
-	reg := uint16(uap)
-	for i := 9; i >= 0; i-- {
-		bit := (header10 >> uint(i)) & 1
-		msb := (reg >> 7) & 1
-		reg = (reg << 1) & 0xFF
-		if msb^bit == 1 {
-			reg ^= uint16(hecPoly & 0xFF)
-		}
+// AirBits reports the number of on-air payload bits for a packet of
+// payloadLen user bytes of the given type (payload + CRC, FEC-expanded for
+// DMx: each 10 information bits travel as a 15-bit codeword). It drives
+// the per-slot exposure computation in the ARQ model.
+func AirBits(pt core.PacketType, payloadLen int) int {
+	bits := (payloadLen + 2) * 8
+	if pt.FEC() {
+		ncw := (bits + 9) / 10
+		return ncw * 15
 	}
-	return uint8(reg)
-}
-
-// hammingGen is the generator polynomial of the Bluetooth 2/3-rate FEC,
-// g(D) = (D+1)(D^4+D+1) = D^5 + D^4 + D^2 + 1, i.e. bits 110101.
-const hammingGen uint16 = 0b110101
-
-// HammingEncode encodes 10 information bits (low bits of info) into a 15-bit
-// codeword: info shifted up 5, plus the remainder of polynomial division by
-// g(D). The code corrects any single bit error in the codeword.
-func HammingEncode(info uint16) uint16 {
-	info &= 0x3FF
-	reg := info << 5
-	for i := 14; i >= 5; i-- {
-		if reg&(1<<uint(i)) != 0 {
-			reg ^= hammingGen << uint(i-5)
-		}
-	}
-	return info<<5 | reg&0x1F
-}
-
-// hammingSyndromes maps syndrome value to the single-bit error position.
-// Built lazily at init; the code is short enough that the full table is 32
-// entries.
-var hammingSyndromes [32]int8
-
-func init() {
-	for i := range hammingSyndromes {
-		hammingSyndromes[i] = -1
-	}
-	hammingSyndromes[0] = 15 // syndrome 0: no error (position sentinel)
-	for pos := 0; pos < 15; pos++ {
-		cw := uint16(1) << uint(pos)
-		s := hammingSyndrome(cw)
-		hammingSyndromes[s] = int8(pos)
-	}
-}
-
-// hammingSyndrome computes the 5-bit syndrome of a 15-bit word.
-func hammingSyndrome(cw uint16) uint16 {
-	reg := cw
-	for i := 14; i >= 5; i-- {
-		if reg&(1<<uint(i)) != 0 {
-			reg ^= hammingGen << uint(i-5)
-		}
-	}
-	return reg & 0x1F
-}
-
-// HammingDecode decodes a 15-bit codeword. It returns the 10 information
-// bits, whether a single-bit error was corrected, and whether decoding
-// failed (an uncorrectable pattern was detected). Two-bit errors either
-// report detected=false with silently miscorrected data — exactly the
-// weakness under burst errors the paper observes — or map to an unused
-// syndrome and report failure.
-func HammingDecode(cw uint16) (info uint16, corrected, failed bool) {
-	cw &= 0x7FFF
-	s := hammingSyndrome(cw)
-	if s == 0 {
-		return cw >> 5, false, false
-	}
-	pos := hammingSyndromes[s]
-	if pos < 0 {
-		return cw >> 5, false, true
-	}
-	cw ^= 1 << uint(pos)
-	return cw >> 5, true, false
-}
-
-// FECEncode expands data with the (15,10) code: each 10-bit group becomes a
-// 15-bit codeword. The result is returned as a packed bit slice (LSB first
-// within each byte) together with the number of valid bits.
-func FECEncode(data []byte) (coded []byte, nbits int) {
-	bits := len(data) * 8
-	ncw := (bits + 9) / 10
-	nbits = ncw * 15
-	coded = make([]byte, (nbits+7)/8)
-	for i := 0; i < ncw; i++ {
-		var info uint16
-		for j := 0; j < 10; j++ {
-			bit := i*10 + j
-			if bit < bits && data[bit/8]&(1<<uint(bit%8)) != 0 {
-				info |= 1 << uint(j)
-			}
-		}
-		cw := HammingEncode(info)
-		for j := 0; j < 15; j++ {
-			if cw&(1<<uint(j)) != 0 {
-				out := i*15 + j
-				coded[out/8] |= 1 << uint(out%8)
-			}
-		}
-	}
-	return coded, nbits
-}
-
-// FECDecode reverses FECEncode, correcting single-bit errors per codeword.
-// It reports the number of corrected codewords and the number of codewords
-// with detected-uncorrectable patterns.
-func FECDecode(coded []byte, nbits, outLen int) (data []byte, correctedCW, failedCW int) {
-	data = make([]byte, outLen)
-	ncw := nbits / 15
-	for i := 0; i < ncw; i++ {
-		var cw uint16
-		for j := 0; j < 15; j++ {
-			bit := i*15 + j
-			if bit < len(coded)*8 && coded[bit/8]&(1<<uint(bit%8)) != 0 {
-				cw |= 1 << uint(j)
-			}
-		}
-		info, corr, fail := HammingDecode(cw)
-		if corr {
-			correctedCW++
-		}
-		if fail {
-			failedCW++
-		}
-		for j := 0; j < 10; j++ {
-			bit := i*10 + j
-			if bit >= outLen*8 {
-				break
-			}
-			if info&(1<<uint(j)) != 0 {
-				data[bit/8] |= 1 << uint(bit%8)
-			}
-		}
-	}
-	return data, correctedCW, failedCW
+	return bits
 }

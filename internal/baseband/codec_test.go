@@ -1,10 +1,6 @@
 package baseband
 
-import (
-	"math/rand/v2"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestCRC16KnownVectors(t *testing.T) {
 	// CRC-16/XMODEM (same polynomial, zero init) classic check value.
@@ -36,128 +32,16 @@ func TestCRC16InitMatters(t *testing.T) {
 	}
 }
 
-func TestHEC8DetectsHeaderCorruption(t *testing.T) {
-	h := Header{LTAddr: 5, Type: 0xA, ARQN: true}
-	enc := h.Encode(0x47)
-	if _, err := DecodeHeader(enc, 0x47); err != nil {
-		t.Fatalf("clean header rejected: %v", err)
-	}
-	for bit := 0; bit < 18; bit++ {
-		if _, err := DecodeHeader(enc^(1<<uint(bit)), 0x47); err == nil {
-			t.Errorf("corrupted header bit %d accepted", bit)
+// TestPacketCorruptionDetectedByCRC flips an 8-bit burst at every byte of a
+// full DH1 payload: the CRC-16 detects every burst up to 16 bits long.
+func TestPacketCorruptionDetectedByCRC(t *testing.T) {
+	payload := []byte("hello bluetooth world......")[:27]
+	want := CRC16(0, payload)
+	for i := range payload {
+		mut := append([]byte(nil), payload...)
+		mut[i] ^= 0xFF
+		if CRC16(0, mut) == want {
+			t.Errorf("8-bit burst at byte %d passed CRC", i)
 		}
-	}
-	if _, err := DecodeHeader(enc, 0x48); err == nil {
-		t.Error("wrong UAP accepted")
-	}
-}
-
-func TestHeaderRoundTrip(t *testing.T) {
-	prop := func(lt, typ uint8, flow, arqn, seqn bool) bool {
-		h := Header{LTAddr: lt & 7, Type: typ & 0xF, Flow: flow, ARQN: arqn, SEQN: seqn}
-		got, err := DecodeHeader(h.Encode(0), 0)
-		return err == nil && got == h
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHammingRoundTrip(t *testing.T) {
-	for info := uint16(0); info < 1024; info++ {
-		cw := HammingEncode(info)
-		if cw>>5 != info {
-			t.Fatalf("systematic property violated for %#x", info)
-		}
-		got, corrected, failed := HammingDecode(cw)
-		if got != info || corrected || failed {
-			t.Fatalf("clean decode of %#x: got %#x corrected=%v failed=%v",
-				info, got, corrected, failed)
-		}
-	}
-}
-
-func TestHammingCorrectsAllSingleBitErrors(t *testing.T) {
-	for info := uint16(0); info < 1024; info += 37 {
-		cw := HammingEncode(info)
-		for pos := 0; pos < 15; pos++ {
-			got, corrected, failed := HammingDecode(cw ^ 1<<uint(pos))
-			if failed {
-				t.Fatalf("info %#x pos %d: decode failed", info, pos)
-			}
-			if !corrected {
-				t.Fatalf("info %#x pos %d: no correction reported", info, pos)
-			}
-			if got != info {
-				t.Fatalf("info %#x pos %d: decoded %#x", info, pos, got)
-			}
-		}
-	}
-}
-
-func TestHammingDoubleErrorsNotSilentlyCorrect(t *testing.T) {
-	// A distance-3 code cannot correct 2 errors: every double error must
-	// either be flagged failed or miscorrect to a wrong word — it must
-	// never return the true word while claiming a clean decode.
-	info := uint16(0x2AB)
-	cw := HammingEncode(info)
-	for a := 0; a < 15; a++ {
-		for b := a + 1; b < 15; b++ {
-			got, corrected, failed := HammingDecode(cw ^ 1<<uint(a) ^ 1<<uint(b))
-			if !failed && !corrected {
-				t.Fatalf("double error (%d,%d) decoded as clean", a, b)
-			}
-			if !failed && got == info {
-				t.Fatalf("double error (%d,%d) silently corrected", a, b)
-			}
-		}
-	}
-}
-
-func TestFECEncodeDecodeRoundTrip(t *testing.T) {
-	prop := func(data []byte) bool {
-		if len(data) > 400 {
-			data = data[:400]
-		}
-		coded, nbits := FECEncode(data)
-		out, corrected, failed := FECDecode(coded, nbits, len(data))
-		if corrected != 0 || failed != 0 {
-			return false
-		}
-		return string(out) == string(data)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFECCorrectsScatteredErrors(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 6))
-	data := make([]byte, 121) // DM3 payload
-	for i := range data {
-		data[i] = byte(rng.UintN(256))
-	}
-	coded, nbits := FECEncode(data)
-	// Flip one bit in each of the first 10 codewords.
-	for i := 0; i < 10; i++ {
-		bit := i*15 + int(rng.UintN(15))
-		coded[bit/8] ^= 1 << uint(bit%8)
-	}
-	out, corrected, failed := FECDecode(coded, nbits, len(data))
-	if failed != 0 {
-		t.Fatalf("scattered single errors reported %d failures", failed)
-	}
-	if corrected != 10 {
-		t.Errorf("corrected %d codewords, want 10", corrected)
-	}
-	if string(out) != string(data) {
-		t.Error("data corrupted despite correction")
-	}
-}
-
-func TestFECExpansionRatio(t *testing.T) {
-	_, nbits := FECEncode(make([]byte, 10)) // 80 bits -> 8 codewords
-	if nbits != 8*15 {
-		t.Errorf("FEC bits = %d, want 120", nbits)
 	}
 }

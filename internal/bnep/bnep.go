@@ -8,7 +8,6 @@
 package bnep
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
 
@@ -21,110 +20,6 @@ import (
 // MTU is the BNEP maximum transfer unit (the paper fixes L_S = L_R to this
 // value, 1691 bytes, in the Figure 3b experiment).
 const MTU = 1691
-
-// Packet types of the BNEP header.
-const (
-	TypeGeneralEthernet    uint8 = 0x00
-	TypeControl            uint8 = 0x01
-	TypeCompressedEthernet uint8 = 0x02
-	TypeCompressedSrcOnly  uint8 = 0x03
-	TypeCompressedDstOnly  uint8 = 0x04
-)
-
-// EthernetHeaderLen is the uncompressed BNEP general-Ethernet header length:
-// type byte + dst MAC + src MAC + EtherType.
-const EthernetHeaderLen = 1 + 6 + 6 + 2
-
-// Frame is one BNEP-encapsulated Ethernet frame.
-type Frame struct {
-	Type      uint8
-	Dst, Src  [6]byte
-	EtherType uint16
-	Payload   []byte
-}
-
-// Marshal serialises a frame. Compressed types omit the elided addresses,
-// exactly as on the wire.
-func (f Frame) Marshal() ([]byte, error) {
-	if len(f.Payload) > MTU {
-		return nil, fmt.Errorf("bnep: payload %dB exceeds MTU %d", len(f.Payload), MTU)
-	}
-	out := make([]byte, 0, EthernetHeaderLen+len(f.Payload))
-	out = append(out, f.Type)
-	switch f.Type {
-	case TypeGeneralEthernet:
-		out = append(out, f.Dst[:]...)
-		out = append(out, f.Src[:]...)
-	case TypeCompressedEthernet:
-		// Both addresses elided (known from the connection).
-	case TypeCompressedSrcOnly:
-		out = append(out, f.Src[:]...)
-	case TypeCompressedDstOnly:
-		out = append(out, f.Dst[:]...)
-	case TypeControl:
-		// Control frames carry no Ethernet addressing.
-	default:
-		return nil, fmt.Errorf("bnep: unknown packet type %#x", f.Type)
-	}
-	if f.Type != TypeControl {
-		var et [2]byte
-		binary.BigEndian.PutUint16(et[:], f.EtherType)
-		out = append(out, et[:]...)
-	}
-	out = append(out, f.Payload...)
-	return out, nil
-}
-
-// Unmarshal parses a frame produced by Marshal.
-func Unmarshal(wire []byte) (Frame, error) {
-	if len(wire) < 1 {
-		return Frame{}, fmt.Errorf("bnep: empty frame")
-	}
-	f := Frame{Type: wire[0]}
-	rest := wire[1:]
-	take := func(n int) ([]byte, error) {
-		if len(rest) < n {
-			return nil, fmt.Errorf("bnep: truncated frame")
-		}
-		out := rest[:n]
-		rest = rest[n:]
-		return out, nil
-	}
-	var err error
-	var b []byte
-	switch f.Type {
-	case TypeGeneralEthernet:
-		if b, err = take(6); err != nil {
-			return Frame{}, err
-		}
-		copy(f.Dst[:], b)
-		if b, err = take(6); err != nil {
-			return Frame{}, err
-		}
-		copy(f.Src[:], b)
-	case TypeCompressedEthernet, TypeControl:
-	case TypeCompressedSrcOnly:
-		if b, err = take(6); err != nil {
-			return Frame{}, err
-		}
-		copy(f.Src[:], b)
-	case TypeCompressedDstOnly:
-		if b, err = take(6); err != nil {
-			return Frame{}, err
-		}
-		copy(f.Dst[:], b)
-	default:
-		return Frame{}, fmt.Errorf("bnep: unknown packet type %#x", f.Type)
-	}
-	if f.Type != TypeControl {
-		if b, err = take(2); err != nil {
-			return Frame{}, err
-		}
-		f.EtherType = binary.BigEndian.Uint16(b)
-	}
-	f.Payload = append([]byte(nil), rest...)
-	return f, nil
-}
 
 // Config parameterises the BNEP service's fault behaviour.
 type Config struct {
@@ -196,8 +91,6 @@ type Service struct {
 	// exists per PANU in the testbeds); up reports whether it exists now.
 	iface Interface
 	up    bool
-
-	moduleMissing, occupied, addFailed int
 }
 
 // NewService builds the BNEP layer.
@@ -211,29 +104,8 @@ func NewService(cfg Config, node string, clock func() sim.Time, rng *rand.Rand, 
 	return &Service{cfg: cfg, node: node, clock: clock, rng: rng, sink: sink}
 }
 
-// Stats reports fault counters.
-func (s *Service) Stats() (moduleMissing, occupied, addFailed int) {
-	return s.moduleMissing, s.occupied, s.addFailed
-}
-
-// Interface returns the current bnep0 interface, or nil.
-func (s *Service) Interface() *Interface {
-	if !s.up {
-		return nil
-	}
-	return &s.iface
-}
-
 // fail logs and wraps a BNEP error.
 func (s *Service) fail(code core.ErrorCode, op string) Result {
-	switch code {
-	case core.CodeBNEPModuleMissing:
-		s.moduleMissing++
-	case core.CodeBNEPOccupied:
-		s.occupied++
-	case core.CodeBNEPAddFailed:
-		s.addFailed++
-	}
 	if s.sink != nil {
 		s.sink(code, op)
 	}
@@ -266,11 +138,23 @@ func (s *Service) CreateChannel(ch *l2cap.Channel) (*Interface, Result) {
 	return &s.iface, Result{Dur: s.cfg.SetupTime}
 }
 
-// DestroyChannel tears the interface down (disconnect or connection reset).
-func (s *Service) DestroyChannel() {
-	s.up = false
+// Interface returns the current bnep0 interface, or nil.
+//
+// Test seam: pan's TestConnectResetsConnInPlace.
+func (s *Service) Interface() *Interface {
+	if !s.up {
+		return nil
+	}
+	return &s.iface
 }
 
 // Occupied reports whether a bnep interface currently exists; attempting a
 // new PAN connection while it does is the "bnep occupied" condition.
+//
+// Test seam: stack's TestResetStackClearsState.
 func (s *Service) Occupied() bool { return s.up }
+
+// DestroyChannel tears the interface down (disconnect or connection reset).
+func (s *Service) DestroyChannel() {
+	s.up = false
+}

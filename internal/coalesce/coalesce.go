@@ -14,7 +14,7 @@
 // fragment (truncations), after it unrelated errors merge (collapses).
 //
 // The pipeline exists in two forms: the retained functions above
-// (Merge → Tuples → Relate/RelateWithRadius) over complete logs, and
+// (Merge → Tuples → RelateWithRadius) over complete logs, and
 // StreamRelator, which extracts the same Evidence incrementally from an
 // event stream while holding only O(event rate × radius) state — the
 // streaming plane's evidence path, valid whenever radius ≤ window (the
@@ -186,17 +186,13 @@ func NewEvidence() *Evidence {
 // below the paper's (e.g. PAN connect <- SDP 96.5 %).
 const RelateRadius = 30 * sim.Second
 
-// Relate extracts error-failure evidence from tuples for one PANU: system
-// entries logged by napNode count as NAP-side evidence, everything else as
-// local. Within a tuple, an entry is evidence for a failure when it lies
-// within RelateRadius of it. The results accumulate into ev (pass a fresh
-// Evidence or reuse one across nodes to aggregate a whole testbed).
-func Relate(ev *Evidence, tuples []Tuple, napNode string) {
-	RelateWithRadius(ev, tuples, napNode, RelateRadius)
-}
-
-// RelateWithRadius is Relate with an explicit adjacency radius, for
-// sensitivity/ablation studies of the evidence-extraction rule.
+// RelateWithRadius extracts error-failure evidence from tuples for one
+// PANU: system entries logged by napNode count as NAP-side evidence,
+// everything else as local. Within a tuple, an entry is evidence for a
+// failure when it lies within radius of it (the paper's rule is
+// RelateRadius; other radii are for sensitivity/ablation studies). The
+// results accumulate into ev (pass a fresh Evidence or reuse one across
+// nodes to aggregate a whole testbed).
 func RelateWithRadius(ev *Evidence, tuples []Tuple, napNode string, radius sim.Time) {
 	for i := range tuples {
 		t := &tuples[i]

@@ -137,7 +137,7 @@ func TestRelateCountsEvidence(t *testing.T) {
 	events := Merge(reports, sys)
 	tuples := Tuples(events, PaperWindow)
 	ev := NewEvidence()
-	Relate(ev, tuples, "Giallo")
+	RelateWithRadius(ev, tuples, "Giallo", RelateRadius)
 
 	if ev.TotalFailures != 2 {
 		t.Fatalf("TotalFailures = %d", ev.TotalFailures)
@@ -164,7 +164,7 @@ func TestRelateAccumulatesAcrossCalls(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		reports := []core.UserReport{userEvent(sim.Time(i)*sim.Hour, "Miseno", core.UFPacketLoss)}
 		sys := []core.SystemEntry{sysEvent(sim.Time(i)*sim.Hour+sim.Second, "Miseno", core.CodeBCSPMissing)}
-		Relate(ev, Tuples(Merge(reports, sys), PaperWindow), "Giallo")
+		RelateWithRadius(ev, Tuples(Merge(reports, sys), PaperWindow), "Giallo", RelateRadius)
 	}
 	key := EvidenceKey{Failure: core.UFPacketLoss, Source: core.SrcBCSP, Locality: Local}
 	if ev.Counts[key] != 3 {

@@ -55,7 +55,7 @@ type recentEntry struct {
 
 // NewStreamRelator builds a streaming relator for one PANU stream,
 // accumulating into ev (share one Evidence across nodes and testbeds to
-// aggregate a campaign, exactly like the retained Relate). Entries logged by
+// aggregate a campaign, exactly like the retained RelateWithRadius). Entries logged by
 // napNode count as NAP-side evidence. radius must not exceed window — the
 // precondition of the streaming/retained equivalence (the retained
 // RelateWithRadius remains available for radius ablations beyond it).

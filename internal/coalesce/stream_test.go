@@ -28,15 +28,15 @@ func genStream(n int) []Event {
 		at += sim.Time(next(601)) * sim.Second
 		switch next(4) {
 		case 0:
-			f := core.UserFailures()[next(core.NumUserFailures)]
+			f := core.UserFailures()[next(len(core.UserFailures()))]
 			out = append(out, Event{At: at, Node: node, IsUser: true,
 				User: core.UserReport{At: at, Node: node, Failure: f}})
 		case 1:
-			src := core.SysSources()[next(core.NumSysSources)]
+			src := core.SysSources()[next(len(core.SysSources()))]
 			out = append(out, Event{At: at, Node: nap,
 				Sys: core.SystemEntry{At: at, Node: nap, Source: src}})
 		default:
-			src := core.SysSources()[next(core.NumSysSources)]
+			src := core.SysSources()[next(len(core.SysSources()))]
 			out = append(out, Event{At: at, Node: node,
 				Sys: core.SystemEntry{At: at, Node: node, Source: src}})
 		}

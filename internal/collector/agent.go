@@ -382,6 +382,8 @@ func (a *Agent) Close() {
 // network state AND unflushed spill appends are abandoned — only what the
 // spill log already holds survives into the next incarnation, which must
 // regenerate the rest from its deterministic re-run.
+//
+// Test seam: TestChaosAgentSinkKillStorm and TestAgentSpillKillResume.
 func (a *Agent) Abort() {
 	a.closeOnce.Do(func() { close(a.closed) })
 	a.wg.Wait()

@@ -68,7 +68,10 @@ func (s *Sink) Partial(key string) (*Partial, error) {
 }
 
 // WaitPartial blocks until the keyspace completes, then exports its shard
-// partial. A zero timeout waits indefinitely.
+// partial. A zero timeout waits indefinitely. The binaries wait with
+// WaitKeyspace and write the partial at drain time instead.
+//
+// Test seam: TestMultiTenantShardedChaos and TestShardedPartialsMerge.
 func (s *Sink) WaitPartial(key string, timeout time.Duration) (*Partial, error) {
 	if _, err := s.WaitKeyspace(key, timeout); err != nil {
 		return nil, err

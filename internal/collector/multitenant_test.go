@@ -2,6 +2,7 @@ package collector
 
 import (
 	"net"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -120,28 +121,44 @@ func TestMultiTenantIsolation(t *testing.T) {
 	}
 }
 
-// TestQuotaQuarantineAndRequota drives one keyspace over its batch quota
-// while a neighbor runs clean: the offender is quarantined with typed
-// over-quota rejects and the neighbor's tables stay bit-identical; lifting
-// the quota lets the quarantined campaign complete losslessly (the agents
-// kept everything unacknowledged).
-func TestQuotaQuarantineAndRequota(t *testing.T) {
+// TestQuotaQuarantineLiftedByRestart drives one keyspace over its batch
+// quota while a neighbor runs clean: the offender is quarantined with typed
+// over-quota rejects and the neighbor's tables stay bit-identical. The
+// quarantine is checkpointed when it trips. A restart with the same quota
+// keeps shedding; a restart with a larger quota lifts it, and the
+// quarantined campaign completes with the tables of a clean run (the
+// agents kept everything unacknowledged).
+func TestQuotaQuarantineLiftedByRestart(t *testing.T) {
 	batches := tpBatches(24)
 	want := tpLocal(t, batches)
 	campHog := CampaignID{Seed: 3, Duration: 24 * sim.Hour, Scenario: 1}
 	campGood := CampaignID{Seed: 4, Duration: 24 * sim.Hour, Scenario: 1}
+	ckpt := filepath.Join(t.TempDir(), "hog.ckpt")
+	hogKS := func(maxBatches int) KeyspaceConfig {
+		return KeyspaceConfig{Key: "hog", Campaign: campHog, Spec: tpSpec(),
+			MaxBatches: maxBatches, CheckpointPath: ckpt}
+	}
+	quarantined := func(s *Sink) bool {
+		for _, km := range s.Metrics().Keyspaces {
+			if km.Key == "hog" {
+				return km.Quarantined
+			}
+		}
+		t.Fatal("hog keyspace missing from metrics")
+		return false
+	}
 
 	sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0", Keyspaces: []KeyspaceConfig{
-		{Key: "hog", Campaign: campHog, Spec: tpSpec(), MaxBatches: 30},
+		hogKS(30),
 		{Key: "good", Campaign: campGood, Spec: tpSpec()},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sink.Close()
+	addr := sink.Addr()
 
-	hog := ksAgents(t, sink.Addr(), "hog", campHog, batches)
-	good := ksAgents(t, sink.Addr(), "good", campGood, batches)
+	hog := ksAgents(t, addr, "hog", campHog, batches)
+	good := ksAgents(t, addr, "good", campGood, batches)
 
 	// The neighbor completes untouched while the hog is being shed.
 	finishKSAgents(t, good, 30*time.Second)
@@ -154,10 +171,8 @@ func TestQuotaQuarantineAndRequota(t *testing.T) {
 	}
 
 	waitUntil(t, 10*time.Second, "hog quarantine + typed rejects", func() bool {
-		for _, km := range sink.Metrics().Keyspaces {
-			if km.Key == "hog" && !km.Quarantined {
-				return false
-			}
+		if !quarantined(sink) {
+			return false
 		}
 		n, last := hog[0].Rejects()
 		m, lastB := hog[1].Rejects()
@@ -169,18 +184,38 @@ func TestQuotaQuarantineAndRequota(t *testing.T) {
 		}
 		return last != nil && last.Code == RejectOverQuota
 	})
-
-	// Operator lifts the quota; the campaign completes with nothing lost.
-	if err := sink.Requota("hog", 0, 0); err != nil {
+	if err := sink.Abort(); err != nil {
 		t.Fatal(err)
 	}
+
+	// Same quota: the restored counters still exceed it.
+	same, err := NewSink(SinkConfig{Addr: addr, Keyspaces: []KeyspaceConfig{hogKS(30)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !quarantined(same) {
+		t.Error("a restart with the same quota re-admitted the quarantined keyspace")
+	}
+	if err := same.Abort(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Larger quota: the quarantine lifts and nothing was lost.
+	larger, err := NewSink(SinkConfig{Addr: addr, Keyspaces: []KeyspaceConfig{hogKS(1 << 20)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer larger.Close()
+	if quarantined(larger) {
+		t.Fatal("a restart with a larger quota kept the keyspace quarantined")
+	}
 	finishKSAgents(t, hog, 30*time.Second)
-	rep, err = sink.WaitKeyspace("hog", 30*time.Second)
+	rep, err = larger.WaitKeyspace("hog", 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := rep.Agg.Snapshot(); !reflect.DeepEqual(got, want) {
-		t.Error("quarantined campaign lost or corrupted data across the shed/requota cycle")
+		t.Error("quarantined campaign lost or corrupted data across the shed and restart")
 	}
 }
 

@@ -537,17 +537,6 @@ func NewScatterAgent(cfg ScatterAgentConfig) (*ScatterAgent, error) {
 	return a, nil
 }
 
-// RunScatterAgent builds one scatternet agent and runs it to completion,
-// for callers that need no transport counters (the root package's
-// distributed metro tests). Everything else uses NewScatterAgent and Run.
-func RunScatterAgent(cfg ScatterAgentConfig) error {
-	a, err := NewScatterAgent(cfg)
-	if err != nil {
-		return err
-	}
-	return a.Run()
-}
-
 // Run drives the agent to completion: dial, handshake, ship every work item
 // stop-and-wait, Done, Fin. It reconnects with jittered exponential backoff
 // through sink restarts and transient rejects, and returns nil only after

@@ -37,7 +37,8 @@ import (
 //     keyspaces. A keyspace that exhausts its quota is quarantined — its
 //     sessions get a typed over-quota Reject, new hellos are refused, and
 //     the quarantine is persisted in the keyspace's checkpoint so a sink
-//     restart does not silently re-admit the offender. Requota lifts it.
+//     restart does not silently re-admit the offender. Restarting with
+//     quotas the restored counters no longer exceed lifts it.
 //   - Backpressure: when the sink's total buffered record count exceeds the
 //     configured memory budget, acknowledgements are delayed. Acks gate the
 //     agents' send windows, so the fleet slows down instead of ballooning
@@ -112,7 +113,7 @@ type tenant struct {
 	trace         []analysis.DependEvent
 	ingestBytes   int64 // data-frame wire bytes received (retransmissions included)
 	ingestBatches int   // data frames received
-	quarantined   bool  // over quota: shedding load until Requota
+	quarantined   bool  // over quota: shedding load until a restart raises the quota
 	ckptBuf       []byte
 }
 
@@ -379,7 +380,11 @@ func (s *Sink) newTenant(ks KeyspaceConfig) (*tenant, error) {
 		for tb, d := range cp.Durations {
 			t.durations[tb] = d
 		}
-		t.ingestBytes, t.ingestBatches, t.quarantined = cp.IngestBytes, cp.IngestBatches, cp.Quarantined
+		// A quarantine outlives the restart only while the restored
+		// counters still exceed the quotas the sink now runs with, so
+		// restarting with a larger quota lifts it.
+		t.ingestBytes, t.ingestBatches = cp.IngestBytes, cp.IngestBatches
+		t.quarantined = cp.Quarantined && t.overQuota()
 	}
 	if t.str == nil {
 		str, err := analysis.NewStreamer(ks.Spec)
@@ -429,20 +434,11 @@ func (s *Sink) Register(ks KeyspaceConfig) error {
 	return err
 }
 
-// Requota replaces a campaign keyspace's ingest quotas and lifts its
-// quarantine (the operator's load-shedding escape hatch). The accumulated
-// ingest counters stay — if they already exceed the new quota, the next
-// frame re-trips it.
-func (s *Sink) Requota(key string, maxBytes int64, maxBatches int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := s.tenants[nsKey{key: key}]
-	if t == nil {
-		return fmt.Errorf("collector: requota of unknown keyspace %q", key)
-	}
-	t.cfg.MaxBytes, t.cfg.MaxBatches = maxBytes, maxBatches
-	t.quarantined = false
-	return nil
+// overQuota reports whether the keyspace's ingest counters exceed its
+// configured quotas.
+func (t *tenant) overQuota() bool {
+	return t.cfg.MaxBytes > 0 && t.ingestBytes > t.cfg.MaxBytes ||
+		t.cfg.MaxBatches > 0 && t.ingestBatches > t.cfg.MaxBatches
 }
 
 // Addr reports the listening address.
@@ -598,9 +594,7 @@ func (s *Sink) handleBatch(t *tenant, sess *sinkSession, b *Batch, wireBytes int
 	// makes the shared sink do, not its unique payload.
 	t.ingestBytes += int64(wireBytes)
 	t.ingestBatches++
-	if t.quarantined ||
-		(t.cfg.MaxBytes > 0 && t.ingestBytes > t.cfg.MaxBytes) ||
-		(t.cfg.MaxBatches > 0 && t.ingestBatches > t.cfg.MaxBatches) {
+	if t.quarantined || t.overQuota() {
 		if !t.quarantined {
 			t.quarantined = true
 			if t.cfg.CheckpointPath != "" {
@@ -1022,6 +1016,9 @@ func (s *Sink) Close() error {
 
 // Abort kills the sink without a final checkpoint — the test double for
 // SIGKILL: only state already checkpointed survives into a restart.
+//
+// Test seam: TestDistributedResume, TestMultiTenantShardedChaos and
+// TestMetroDistributedSinkCrashRestore.
 func (s *Sink) Abort() error { return s.shutdown() }
 
 // shutdown closes the listener and every live connection, then waits.

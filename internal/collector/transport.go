@@ -344,8 +344,6 @@ type faultInjector struct {
 	cfg  FaultConfig
 	rng  *rand.Rand
 	held []byte // frame held back by a reorder decision
-
-	dropped, duplicated, reordered, delayed int
 }
 
 // newFaultInjector builds the injector (nil when the config is inactive).
@@ -363,15 +361,12 @@ func (f *faultInjector) apply(frame []byte) (out [][]byte, delay time.Duration) 
 		return [][]byte{frame}, 0
 	}
 	if f.cfg.DelayRate > 0 && f.rng.Float64() < f.cfg.DelayRate {
-		f.delayed++
 		delay = f.cfg.Delay
 	}
 	if f.cfg.Drop > 0 && f.rng.Float64() < f.cfg.Drop {
-		f.dropped++
 		return nil, delay
 	}
 	if f.cfg.Duplicate > 0 && f.rng.Float64() < f.cfg.Duplicate {
-		f.duplicated++
 		out = append(out, frame)
 	}
 	if f.held != nil {
@@ -381,7 +376,6 @@ func (f *faultInjector) apply(frame []byte) (out [][]byte, delay time.Duration) 
 		return out, delay
 	}
 	if f.cfg.Reorder > 0 && f.rng.Float64() < f.cfg.Reorder {
-		f.reordered++
 		f.held = frame
 		return out, delay
 	}

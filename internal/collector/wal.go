@@ -455,6 +455,8 @@ func (w *wal) close() {
 // abort closes the log file WITHOUT flushing pending records — the
 // in-process double of kill -9, which loses whatever had not reached the
 // page cache yet.
+//
+// Test seam: Agent.Abort, for TestAgentSpillKillResume.
 func (w *wal) abort() {
 	if w.f != nil {
 		w.pending = nil

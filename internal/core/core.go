@@ -9,11 +9,7 @@
 // the coalescence/analysis pipeline turns them into the paper's tables.
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "fmt"
 
 // UserFailure enumerates the user-level failure types of Table 1 (left
 // side): the failure as it manifests to a real user of a PANU device.
@@ -52,9 +48,6 @@ func UserFailures() []UserFailure {
 	return out
 }
 
-// NumUserFailures is the number of user-level failure types.
-const NumUserFailures = int(numUserFailures) - 1
-
 var userFailureNames = map[UserFailure]string{
 	UFUnknown:                 "Unknown",
 	UFInquiryScanFailed:       "Inquiry/scan failed",
@@ -78,57 +71,9 @@ func (f UserFailure) String() string {
 }
 
 // Valid reports whether f is a defined failure type (not UFUnknown).
+//
+// Test oracle: testbed's TestReportsCarryFullContext.
 func (f UserFailure) Valid() bool { return f > UFUnknown && f < numUserFailures }
-
-// Group classifies the failure by utilisation phase, per Table 1.
-func (f UserFailure) Group() FailureGroup {
-	switch f {
-	case UFInquiryScanFailed, UFNAPNotFound, UFSDPSearchFailed:
-		return GroupSearch
-	case UFConnectFailed, UFPANConnectFailed, UFBindFailed,
-		UFSwitchRoleRequestFailed, UFSwitchRoleCommandFailed:
-		return GroupConnect
-	case UFPacketLoss, UFDataMismatch:
-		return GroupDataTransfer
-	default:
-		return GroupUnknown
-	}
-}
-
-// ParseUserFailure maps a paper-style failure name back to its type.
-func ParseUserFailure(s string) (UserFailure, error) {
-	for f, name := range userFailureNames {
-		if name == s && f != UFUnknown {
-			return f, nil
-		}
-	}
-	return UFUnknown, fmt.Errorf("core: unknown user failure %q", s)
-}
-
-// FailureGroup is the utilisation phase in which a user failure manifests.
-type FailureGroup int
-
-// Failure groups, per Table 1.
-const (
-	GroupUnknown      FailureGroup = iota
-	GroupSearch                    // searching for devices and services
-	GroupConnect                   // connecting
-	GroupDataTransfer              // transferring data
-)
-
-// String names the group as in the paper.
-func (g FailureGroup) String() string {
-	switch g {
-	case GroupSearch:
-		return "Search"
-	case GroupConnect:
-		return "Connect"
-	case GroupDataTransfer:
-		return "Data Transfer"
-	default:
-		return fmt.Sprintf("FailureGroup(%d)", int(g))
-	}
-}
 
 // FailurePhase is the protocol phase a user-level failure struck, the
 // finer-grained classification production failure-data pipelines layer on
@@ -178,9 +123,6 @@ func (p FailurePhase) String() string {
 	}
 	return fmt.Sprintf("FailurePhase(%d)", int(p))
 }
-
-// Valid reports whether p is a defined phase (not PhaseUnknown).
-func (p FailurePhase) Valid() bool { return p > PhaseUnknown && p < numFailurePhases }
 
 // Phase classifies the failure by the protocol phase it struck. The mapping
 // refines Table 1's groups: the Search group splits into discovery (inquiry)
@@ -240,9 +182,6 @@ func (v TransienceVerdict) String() string {
 	}
 }
 
-// Valid reports whether v is a defined verdict (not VerdictUnknown).
-func (v TransienceVerdict) Valid() bool { return v > VerdictUnknown && v < numTransienceVerdicts }
-
 // SysSource enumerates the system-level failure locations of Table 1 (right
 // side): the component that signalled the failure.
 type SysSource int
@@ -268,9 +207,6 @@ func SysSources() []SysSource {
 	return []SysSource{SrcHCI, SrcL2CAP, SrcSDP, SrcBCSP, SrcBNEP, SrcUSB, SrcHotplug}
 }
 
-// NumSysSources is the number of system-level failure sources.
-const NumSysSources = int(numSysSources) - 1
-
 var sysSourceNames = map[SysSource]string{
 	SrcUnknown: "UNKNOWN",
 	SrcHCI:     "HCI",
@@ -291,28 +227,9 @@ func (s SysSource) String() string {
 }
 
 // Valid reports whether s is a defined source.
+//
+// Test oracle: testbed's TestSystemEntriesAttributable.
 func (s SysSource) Valid() bool { return s > SrcUnknown && s < numSysSources }
-
-// BTStackRelated reports whether the source belongs to the BT software stack
-// (as opposed to OS/drivers), per Table 1's location grouping.
-func (s SysSource) BTStackRelated() bool {
-	switch s {
-	case SrcHCI, SrcL2CAP, SrcSDP, SrcBNEP, SrcBCSP:
-		return true
-	default:
-		return false
-	}
-}
-
-// ParseSysSource maps a source name back to its value.
-func ParseSysSource(name string) (SysSource, error) {
-	for s, n := range sysSourceNames {
-		if n == name && s != SrcUnknown {
-			return s, nil
-		}
-	}
-	return SrcUnknown, fmt.Errorf("core: unknown system source %q", name)
-}
 
 // ErrorCode refines a SysSource into the specific observed error of Table 1.
 type ErrorCode int
@@ -436,13 +353,3 @@ func (e *SimError) Error() string {
 func NewSimError(code ErrorCode, op, node string) *SimError {
 	return &SimError{Code: code, Op: op, Node: node}
 }
-
-// At is the timestamped base of both record types.
-type At struct {
-	// T is the virtual instant of the record.
-	T sim.Time
-}
-
-// Wall renders the record's instant as a wall-clock timestamp anchored at
-// the campaign epoch.
-func (a At) Wall() string { return sim.Wall(a.T).Format("2006-01-02 15:04:05.000") }

@@ -100,6 +100,8 @@ func PacketTypes() []PacketType {
 }
 
 // Valid reports whether p names one of the six ACL data packet types.
+//
+// Test oracle: workload's TestClientReportsPacketLoss.
 func (p PacketType) Valid() bool { return p > PTUnknown && p < numPacketTypes }
 
 // String names the packet type.
@@ -260,10 +262,6 @@ type UserReport struct {
 	Verdict TransienceVerdict `json:"verdict,omitempty"` // windowed-recurrence transience verdict
 }
 
-// Severity reports the failure severity: the ordinal of the SIRA that
-// cleared the failure (0 when unrecovered or unattempted).
-func (r *UserReport) Severity() int { return int(r.Recovery) }
-
 // SystemEntry is one system-level failure entry, as registered by system
 // software in the OS system log ("Low Level Data" in the paper). System
 // entries act as errors for user-level failures.
@@ -279,13 +277,4 @@ type SystemEntry struct {
 	// ConnID links the entry to a PAN connection instance when the
 	// component knows it (0 otherwise).
 	ConnID uint64 `json:"conn_id,omitempty"`
-}
-
-// Message renders the entry the way a syslog line would read.
-func (e *SystemEntry) Message() string {
-	d := e.Detail
-	if d == "" {
-		d = e.Code.Message()
-	}
-	return fmt.Sprintf("%s: %s", e.Source, d)
 }

@@ -130,6 +130,8 @@ func PANUs() []Spec {
 }
 
 // ByName looks a machine up in the catalogue.
+//
+// Test seam: workload's newPair, which builds every client test's devices.
 func ByName(name string) (Spec, error) {
 	for _, s := range Catalog() {
 		if s.Name == name {

@@ -132,14 +132,6 @@ func NewHost(cfg Config, node string, tr transport.Transport, clock func() sim.T
 	return &Host{cfg: cfg, node: node, tr: tr, rng: rng, clock: clock, sink: sink}
 }
 
-// Node reports the host name.
-func (h *Host) Node() string { return h.node }
-
-// Stats reports fault counters.
-func (h *Host) Stats() (timeouts, invalidHandles int) {
-	return h.timeouts, h.invalidHandles
-}
-
 // Busy reports whether the controller is mid-procedure at the current time.
 func (h *Host) Busy() bool { return h.clock() < h.busyUntil }
 
@@ -159,6 +151,8 @@ func (h *Host) ValidHandle(hd Handle) bool {
 }
 
 // OpenHandles reports the number of live connection handles.
+//
+// Test seam: stack's TestResetStackClearsState.
 func (h *Host) OpenHandles() int { return len(h.live) }
 
 // allocHandle issues the next connection handle and marks it live. The

@@ -28,9 +28,6 @@ const (
 // HeaderLen is the basic-mode L2CAP header: 2 bytes length + 2 bytes CID.
 const HeaderLen = 4
 
-// DefaultMTU is the default signalling MTU; BNEP negotiates 1691.
-const DefaultMTU = 672
-
 // FirstDynamicCID is the lowest dynamically allocated channel identifier;
 // the CIDs below it are reserved for fixed channels.
 const FirstDynamicCID uint16 = 0x0040
@@ -153,14 +150,11 @@ func NewMux(cfg Config, node string, h *hci.Host, rng *rand.Rand, sink hci.Sink)
 	}
 }
 
-// MTU reports the configured MTU.
-func (m *Mux) MTU() int { return m.cfg.MTU }
-
 // OpenChannels reports the number of non-closed channels.
+//
+// Test seam: stack's TestResetStackClearsState and pan's
+// TestConnectResetsConnInPlace.
 func (m *Mux) OpenChannels() int { return m.open }
-
-// UnexpectedFrames reports the count of framing-state violations observed.
-func (m *Mux) UnexpectedFrames() int { return m.unexpectedFrames }
 
 // raiseUnexpected logs and returns the unexpected-frame error.
 func (m *Mux) raiseUnexpected(op string, dur sim.Time) Result {

@@ -207,19 +207,16 @@ func TestSegmentSDUProperties(t *testing.T) {
 		}
 		pt := core.PacketTypes()[int(ptIdx)%6]
 		plan := PlanSDU(int(sduLen), pt)
-		if plan.Count < 1 || !plan.Seg(0).Start {
+		if plan.Count < 1 {
 			return false
 		}
 		total := 0
 		for i := 0; i < plan.Count; i++ {
-			s := plan.Seg(i)
-			if i > 0 && s.Start {
+			n := plan.Len(i)
+			if n <= 0 || n > pt.Payload() {
 				return false
 			}
-			if s.Len <= 0 || s.Len > pt.Payload() {
-				return false
-			}
-			total += s.Len
+			total += n
 		}
 		return total == int(sduLen)+HeaderLen
 	}
@@ -236,68 +233,6 @@ func TestSegmentSDUExactFit(t *testing.T) {
 	// Same SDU over DM1 (17B): ceil(1695/17) = 100 packets.
 	if n := PlanSDU(1691, core.PTDM1).Count; n != 100 {
 		t.Errorf("BNEP MTU over DM1 = %d fragments, want 100", n)
-	}
-}
-
-func TestReassemblerCleanStream(t *testing.T) {
-	var r Reassembler
-	for n := 1; n <= 2000; n += 97 {
-		plan := PlanSDU(n, core.PTDH3)
-		for i := 0; i < plan.Count; i++ {
-			if err := r.Feed(plan.Seg(i), n); err != ErrNone {
-				t.Fatalf("clean stream sdu=%d: %v", n, err)
-			}
-		}
-	}
-	if r.Violations() != 0 {
-		t.Errorf("violations = %d", r.Violations())
-	}
-	if r.Complete() == 0 {
-		t.Error("no SDUs completed")
-	}
-	if r.InProgress() {
-		t.Error("stream should end on an SDU boundary")
-	}
-}
-
-func TestReassemblerContinuationFirst(t *testing.T) {
-	var r Reassembler
-	if err := r.Feed(Segment{Start: false, Len: 10}, 100); err != ErrContinuationFirst {
-		t.Fatalf("got %v, want continuation-without-start", err)
-	}
-	if r.Violations() != 1 {
-		t.Errorf("violations = %d", r.Violations())
-	}
-}
-
-func TestReassemblerStartMidSDU(t *testing.T) {
-	var r Reassembler
-	plan := PlanSDU(400, core.PTDH1) // multiple fragments
-	if err := r.Feed(plan.Seg(0), 400); err != ErrNone {
-		t.Fatal(err)
-	}
-	// A fresh start before the SDU completes.
-	if err := r.Feed(Segment{Start: true, Len: 27}, 400); err != ErrStartMidSDU {
-		t.Fatalf("got %v, want start-mid-sdu", err)
-	}
-	// The reassembler resynchronises on the new SDU.
-	if !r.InProgress() {
-		t.Error("should be mid-SDU after resync")
-	}
-}
-
-func TestReassemblerOverflow(t *testing.T) {
-	var r Reassembler
-	if err := r.Feed(Segment{Start: true, Len: 20}, 10); err != ErrOverflow {
-		t.Fatalf("got %v, want overflow", err)
-	}
-}
-
-func TestReassemblerErrorStrings(t *testing.T) {
-	for _, e := range []ReassemblyError{ErrNone, ErrContinuationFirst, ErrStartMidSDU, ErrOverflow} {
-		if e.String() == "" {
-			t.Errorf("empty string for %d", int(e))
-		}
 	}
 }
 

@@ -6,29 +6,22 @@ import (
 	"repro/internal/core"
 )
 
-// TestPlanSDUFragments pins Seg, Len and Total to one another across
-// packet types and SDU lengths: fragment 0 alone is the start, every length
-// equals its Seg's, and the lengths add up to the SDU plus its header.
+// TestPlanSDUFragments pins the plan across packet types and SDU lengths:
+// every fragment but the last carries the full budget, and the lengths add
+// up to the SDU plus its header.
 func TestPlanSDUFragments(t *testing.T) {
 	for _, pt := range core.PacketTypes() {
 		for _, n := range []int{1, 4, 13, 17, 100, 339, 800, 1500, 1691} {
 			plan := PlanSDU(n, pt)
 			total := 0
 			for i := 0; i < plan.Count; i++ {
-				seg := plan.Seg(i)
-				if seg.Start != (i == 0) {
-					t.Errorf("%v/%dB fragment %d: Start %v", pt, n, i, seg.Start)
+				if l := plan.Len(i); i < plan.Count-1 && l != pt.Payload() {
+					t.Errorf("%v/%dB fragment %d: Len %d, want the full budget %d", pt, n, i, l, pt.Payload())
 				}
-				if plan.Len(i) != seg.Len {
-					t.Errorf("%v/%dB fragment %d: Len %d != %d", pt, n, i, plan.Len(i), seg.Len)
-				}
-				total += seg.Len
+				total += plan.Len(i)
 			}
-			if plan.Total() != total {
-				t.Errorf("%v/%dB: Total %d != %d", pt, n, plan.Total(), total)
-			}
-			if plan.Total() != n+HeaderLen {
-				t.Errorf("%v/%dB: Total %d != SDU+header %d", pt, n, plan.Total(), n+HeaderLen)
+			if total != n+HeaderLen {
+				t.Errorf("%v/%dB: lengths add to %d, want SDU+header %d", pt, n, total, n+HeaderLen)
 			}
 		}
 	}

@@ -30,9 +30,6 @@ type TestLog struct {
 // NewTestLog creates the Test Log for a node.
 func NewTestLog(node string) *TestLog { return &TestLog{node: node} }
 
-// Node reports the owning node.
-func (l *TestLog) Node() string { return l.node }
-
 // Append records one user-level failure report.
 func (l *TestLog) Append(r core.UserReport) {
 	l.mu.Lock()
@@ -41,6 +38,8 @@ func (l *TestLog) Append(r core.UserReport) {
 }
 
 // Len reports the number of records.
+//
+// Test seam: workload's TestClientRunsCleanCycles.
 func (l *TestLog) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -76,9 +75,6 @@ type SystemLog struct {
 // NewSystemLog creates the System Log for a node.
 func NewSystemLog(node string) *SystemLog { return &SystemLog{node: node} }
 
-// Node reports the owning node.
-func (l *SystemLog) Node() string { return l.node }
-
 // Append records one system-level entry.
 func (l *SystemLog) Append(e core.SystemEntry) {
 	l.mu.Lock()
@@ -87,6 +83,8 @@ func (l *SystemLog) Append(e core.SystemEntry) {
 }
 
 // Len reports the number of entries.
+//
+// Test seam: workload's TestDefaultFaultsProduceFailures.
 func (l *SystemLog) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()

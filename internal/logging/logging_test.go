@@ -31,9 +31,6 @@ func sampleEntries() []core.SystemEntry {
 
 func TestTestLogAppendSnapshotDrain(t *testing.T) {
 	l := NewTestLog("Verde")
-	if l.Node() != "Verde" {
-		t.Error("wrong node")
-	}
 	for _, r := range sampleReports() {
 		l.Append(r)
 	}

@@ -173,10 +173,9 @@ func NewNAP(node string, h *hci.Host, s *sdp.Server) *NAP {
 }
 
 // ActiveSlaves reports the number of connected PANUs.
+//
+// Test seam: testbed's TestNAPSlaveBoundInvariant.
 func (n *NAP) ActiveSlaves() int { return n.active }
-
-// Rejected reports the count of slot-exhaustion rejections.
-func (n *NAP) Rejected() int { return n.rejected }
 
 // accept runs the NAP-side admission: slot check plus the HCI accept (whose
 // busy timeouts log on the NAP's system log — the "From NAP" columns of

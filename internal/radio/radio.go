@@ -112,9 +112,6 @@ func NewLink(cfg Config, rng *rand.Rand) *Link {
 	return l
 }
 
-// Config returns the link's configuration.
-func (l *Link) Config() Config { return l.cfg }
-
 func (l *Link) sampleSojourn(bad bool) int64 {
 	mean := l.cfg.MeanGoodDur
 	if bad {
@@ -166,7 +163,10 @@ func (l *Link) advance(slot int64) {
 }
 
 // SlotBER reports the per-bit error probability in effect during the given
-// baseband slot.
+// baseband slot. The data plane queries BERRun instead; SlotBER is the
+// per-slot definition that BERRun must reproduce.
+//
+// Test oracle: TestBERRunMatchesSlotBER.
 func (l *Link) SlotBER(slot int64) float64 {
 	l.advance(slot)
 	ber := l.cfg.BERGood
@@ -227,51 +227,7 @@ func (l *Link) BERRun(from, to int64) (ber float64, until int64) {
 	return ber, until
 }
 
-// Bad reports whether the chain was in the bad state at the last query.
-func (l *Link) Bad() bool { return l.bad }
-
 // Stats reports slot-state counters for diagnostics.
 func (l *Link) Stats() (good, bad, bursts int64) {
 	return l.goodSlots, l.badSlots, l.bursts
-}
-
-// CodewordErrors draws the number of bit errors hitting a codeword of n bits
-// transmitted in a slot with the given BER. Within a slot, errors cluster:
-// conditional on the first error, further errors in the same codeword are
-// drawn at an elevated rate. This reproduces the "correlated errors from bit
-// to bit" that the paper (citing Paulitsch et al.) blames for CRC escapes.
-func CodewordErrors(rng *rand.Rand, n int, ber float64) int {
-	if ber <= 0 || n <= 0 {
-		return 0
-	}
-	// First error: probability 1-(1-ber)^n, sampled directly.
-	pAny := 1 - pow1m(ber, n)
-	if rng.Float64() >= pAny {
-		return 0
-	}
-	// Burst continuation: each subsequent bit errors with probability
-	// clustered around 0.3, the classic intra-burst density.
-	errors := 1
-	for i := 1; i < n; i++ {
-		if rng.Float64() < 0.3 {
-			errors++
-		} else {
-			break
-		}
-	}
-	return errors
-}
-
-// pow1m computes (1-p)^n without math.Pow in the hot path.
-func pow1m(p float64, n int) float64 {
-	out := 1.0
-	base := 1 - p
-	for n > 0 {
-		if n&1 == 1 {
-			out *= base
-		}
-		base *= base
-		n >>= 1
-	}
-	return out
 }

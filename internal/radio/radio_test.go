@@ -157,46 +157,3 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
-
-func TestCodewordErrors(t *testing.T) {
-	r := testRNG()
-	if CodewordErrors(r, 15, 0) != 0 {
-		t.Error("zero BER should give zero errors")
-	}
-	if CodewordErrors(r, 0, 0.5) != 0 {
-		t.Error("zero-length codeword should give zero errors")
-	}
-	// High BER: errors should frequently exceed 1 (bursts), which is what
-	// defeats single-error-correcting Hamming codes.
-	multi, any := 0, 0
-	for i := 0; i < 20000; i++ {
-		e := CodewordErrors(r, 15, 0.05)
-		if e > 0 {
-			any++
-		}
-		if e > 1 {
-			multi++
-		}
-		if e > 15 {
-			t.Fatalf("more errors (%d) than bits", e)
-		}
-	}
-	if any == 0 {
-		t.Fatal("no errors at 5% BER")
-	}
-	if frac := float64(multi) / float64(any); frac < 0.15 {
-		t.Errorf("multi-bit fraction %v too low for a burst channel", frac)
-	}
-}
-
-func TestPow1m(t *testing.T) {
-	for _, tt := range []struct {
-		p float64
-		n int
-	}{{0.01, 15}, {0.5, 3}, {0, 10}, {1, 4}} {
-		want := math.Pow(1-tt.p, float64(tt.n))
-		if got := pow1m(tt.p, tt.n); math.Abs(got-want) > 1e-12 {
-			t.Errorf("pow1m(%v,%d) = %v, want %v", tt.p, tt.n, got, want)
-		}
-	}
-}

@@ -59,12 +59,6 @@ func (s Scenario) String() string {
 // Masked reports whether the scenario applies the error-masking strategies.
 func (s Scenario) Masked() bool { return s == ScenarioSIRAsMasking }
 
-// Automated reports whether the scenario runs the SIRA cascade (as opposed
-// to emulating manual user recovery).
-func (s Scenario) Automated() bool {
-	return s == ScenarioSIRAs || s == ScenarioSIRAsMasking
-}
-
 // depthWeights is the Table 3 effectiveness matrix: for each user failure,
 // the probability (in %) that each SIRA is the one that clears it. Rows sum
 // to 100. Data mismatch has no recovery defined (the workload does not run
@@ -80,13 +74,6 @@ var depthWeights = map[core.UserFailure][core.NumRecoveryActions]float64{
 	core.UFSwitchRoleRequestFailed: {0.0, 17.5, 48.2, 14.0, 2.0, 17.3, 1.0},
 	core.UFSwitchRoleCommandFailed: {0.0, 46.4, 20.4, 28.4, 2.0, 2.4, 0.4},
 	core.UFPacketLoss:              {5.9, 63.7, 25.8, 3.3, 0.5, 0.7, 0.1},
-}
-
-// DepthWeights exposes (a copy of) the effectiveness row for a failure type
-// and whether a cascade applies to it at all.
-func DepthWeights(f core.UserFailure) ([core.NumRecoveryActions]float64, bool) {
-	w, ok := depthWeights[f]
-	return w, ok
 }
 
 // SampleDepth draws the persistence depth for a failure. The second return
@@ -193,9 +180,6 @@ func NewCascade(host *stack.Host, rng *rand.Rand) *Cascade {
 	return &Cascade{host: host, timing: NewTiming(host.OS, rng), rng: rng}
 }
 
-// Timing exposes the duration model (for the dependability analysis).
-func (c *Cascade) Timing() *Timing { return c.timing }
-
 // applySideEffects performs the state changes of an action.
 func (c *Cascade) applySideEffects(a core.RecoveryAction) {
 	switch a {
@@ -210,17 +194,6 @@ func (c *Cascade) applySideEffects(a core.RecoveryAction) {
 	case core.RASystemReboot, core.RAMultiSystemReboot:
 		c.host.Reboot()
 	}
-}
-
-// Run executes the scenario's recovery policy for a failure of type f whose
-// persistence depth is sampled internally. For data mismatch (no recovery
-// defined) it returns an unrecovered outcome with zero TTR.
-func (c *Cascade) Run(scenario Scenario, f core.UserFailure) Outcome {
-	depth, ok := SampleDepth(f, c.rng)
-	if !ok {
-		return Outcome{Action: core.RANone, Recovered: false}
-	}
-	return c.RunWithDepth(scenario, depth)
 }
 
 // RunWithDepth executes the policy against a known persistence depth.
@@ -335,9 +308,6 @@ func AllMasking() Masking {
 	return Masking{SDPBeforeConnect: true, BindWait: true,
 		RetrySwitchRole: true, RetryNAPNotFound: true, RetryTransient: true}
 }
-
-// NoMasking returns the empty strategy set.
-func NoMasking() Masking { return Masking{} }
 
 // MaskRetries is the paper's retry count for the masking strategies.
 const MaskRetries = 2

@@ -206,8 +206,8 @@ func newBridge(cfg Config, o *overlay, i int, spec device.Spec, serves []int) *b
 // page their NAPs in lockstep), the hold-time rotation, and the relay
 // traffic arrival processes.
 func (b *bridge) start() {
-	b.world.At(sim.Time(b.rng.Int64N(int64(sim.Second))), b.fnRejoin)
-	b.world.At(b.cfg.HoldTime, b.fnHop)
+	b.world.Schedule(sim.Time(b.rng.Int64N(int64(sim.Second))), b.fnRejoin)
+	b.world.Schedule(b.cfg.HoldTime, b.fnHop)
 	for d := range b.serves {
 		b.world.ScheduleAfter(b.nextArrival(d), b.fnArrive[d])
 	}
@@ -246,7 +246,7 @@ func (b *bridge) arrive(d int) {
 // down skips the boundary (it rejoins when recovery completes).
 func (b *bridge) hop() {
 	now := b.world.Now()
-	b.world.At(now+b.cfg.HoldTime, b.fnHop)
+	b.world.Schedule(now+b.cfg.HoldTime, b.fnHop)
 	if now < b.out.until {
 		return
 	}
@@ -345,7 +345,7 @@ func (b *bridge) drain() {
 	if now < b.busyUntil {
 		// The link is still carrying an earlier transfer; try again when
 		// it frees up instead of overlapping transmissions.
-		b.world.At(b.busyUntil, b.fnDrain)
+		b.world.Schedule(b.busyUntil, b.fnDrain)
 		return
 	}
 	q := b.queues[b.resident]
@@ -401,5 +401,5 @@ func (b *bridge) fail(f core.UserFailure) {
 			b.group.memberDown(b.groupIdx, b.world.Now())
 		}
 	}
-	b.world.At(b.out.until, b.fnRejoin)
+	b.world.Schedule(b.out.until, b.fnRejoin)
 }

@@ -74,8 +74,3 @@ func (c *Campaign) BridgeCount() int { return c.topo.Bridges() }
 // ScenarioName reports the campaign's recovery-scenario label (the
 // Dependability column name district folds are built with).
 func (c *Campaign) ScenarioName() string { return c.cfg.Scenario.String() }
-
-// ProbeFraction exposes the report normalization of the pair-sampling
-// fraction (0, the unset default, means exhaustive — fraction 1); the
-// distributed merge tier must render with exactly this value.
-func ProbeFraction(f float64) float64 { return probeFraction(f) }

@@ -555,7 +555,7 @@ func TestProbeTiesBridgeFailure(t *testing.T) {
 	for _, failFirst := range []bool{true, false} {
 		label := fmt.Sprintf("fail first %v", failFirst)
 		fail := func(o *overlay) {
-			o.world.At(at, func() { o.bridges[0].fail(core.UFPacketLoss) })
+			o.world.Schedule(at, func() { o.bridges[0].fail(core.UFPacketLoss) })
 		}
 		// Calendar plane: arm flow 0 by hand.
 		calendar := newOverlay(cfg, topo)
@@ -573,7 +573,7 @@ func TestProbeTiesBridgeFailure(t *testing.T) {
 		if failFirst {
 			fail(evo)
 		}
-		evo.world.At(at, ev.flows[0].fn)
+		evo.world.Schedule(at, ev.flows[0].fn)
 		if !failFirst {
 			fail(evo)
 		}

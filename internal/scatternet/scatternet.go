@@ -271,7 +271,7 @@ type Campaign struct {
 // bridges, the overlay world with its bridge hosts and per-piconet NAP
 // anchors. Piconet worlds are NOT built here — each shard worker constructs
 // its piconets one at a time during Run (testbed.NewCampaign per piconet,
-// arena-backed by the slab event kernel), so a 10³-piconet campaign never
+// each on its own allocation-free event kernel), so a 10³-piconet campaign never
 // holds more than Parallelism piconet worlds live at once.
 func New(cfg Config) (*Campaign, error) {
 	cfg = cfg.withDefaults()

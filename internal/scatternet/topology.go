@@ -80,6 +80,8 @@ func (t Topology) edgeMap() []map[int]int {
 // Connected reports whether every piconet can reach every other over the
 // bridge graph (a bridge links all the piconets it serves pairwise). A
 // single-piconet topology is trivially connected.
+//
+// Test seam: the root TestScatternetSweepSharedRandomTopology.
 func (t Topology) Connected() bool {
 	if t.Piconets <= 1 {
 		return true
@@ -251,17 +253,6 @@ type Hop struct {
 	From, To int
 }
 
-// Route computes a minimum-hop relay path from piconet src to piconet dst
-// over the bridge graph, deterministically (BFS visiting piconets in
-// ascending order, lowest bridge index per edge). It returns nil when dst is
-// unreachable and an empty non-nil slice when src == dst. One-shot
-// convenience over NewRouter — a caller routing many pairs of the same
-// topology should hold a Router, which amortizes the adjacency build and
-// the per-source BFS across queries.
-func (t Topology) Route(src, dst int) []Hop {
-	return NewRouter(t).Route(src, dst)
-}
-
 // Router answers minimum-hop route queries over one topology. It builds the
 // bridge-graph adjacency (sorted neighbor lists, lowest bridge per edge)
 // once and caches one BFS tree per queried source piconet, so routing k
@@ -356,6 +347,9 @@ func (r *Router) tree(src int) *routeTree {
 
 // Route reports the minimum-hop path from src to dst with Topology.Route's
 // exact semantics: nil when unreachable, empty non-nil when src == dst.
+//
+// Test seam: TestRouterMatchesRoute and the event-per-probe plane of
+// relayprobe_test.go.
 func (r *Router) Route(src, dst int) []Hop {
 	if src < 0 || src >= r.piconets || dst < 0 || dst >= r.piconets {
 		return nil
@@ -372,21 +366,4 @@ func (r *Router) Route(src, dst int) []Hop {
 		path[i] = t.prev[v]
 	}
 	return path
-}
-
-// Spans renders each bridge's membership for display ("0,1" style), aligned
-// with Members.
-func (t Topology) Spans() []string {
-	out := make([]string, len(t.Members))
-	for b, members := range t.Members {
-		s := ""
-		for i, p := range members {
-			if i > 0 {
-				s += ","
-			}
-			s += fmt.Sprint(p)
-		}
-		out[b] = s
-	}
-	return out
 }

@@ -18,7 +18,6 @@ package sdp
 import (
 	"fmt"
 	"math/rand/v2"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/hci"
@@ -26,20 +25,15 @@ import (
 	"repro/internal/sim"
 )
 
-// Well-known PAN service class UUIDs.
-const (
-	UUIDPANU uint16 = 0x1115
-	UUIDNAP  uint16 = 0x1116
-	UUIDGN   uint16 = 0x1117
-)
+// UUIDNAP is the PAN Network Access Point service class UUID.
+const UUIDNAP uint16 = 0x1116
 
 // Record is one SDP service record.
 type Record struct {
-	Handle  uint32 // service record handle
-	Class   uint16 // service class UUID
-	PSM     uint16 // protocol descriptor: L2CAP PSM to reach the service
-	Name    string
-	Version uint16
+	Handle uint32 // service record handle
+	Class  uint16 // service class UUID
+	PSM    uint16 // protocol descriptor: L2CAP PSM to reach the service
+	Name   string
 }
 
 // ServerConfig parameterises the daemon's fault behaviour.
@@ -112,21 +106,10 @@ func (s *Server) Register(r Record) uint32 {
 	return r.Handle
 }
 
-// Unregister removes a record.
-func (s *Server) Unregister(handle uint32) {
-	s.records = slices.DeleteFunc(s.records, func(r Record) bool { return r.Handle == handle })
-}
-
 // Records reports the number of registered records.
+//
+// Test seam: stack's TestHostAssembly.
 func (s *Server) Records() int { return len(s.records) }
-
-// Node reports the daemon's host.
-func (s *Server) Node() string { return s.node }
-
-// Stats reports fault counters.
-func (s *Server) Stats() (refused, timedOut, missed int) {
-	return s.refused, s.timedOut, s.missed
-}
 
 // outcome is the daemon's response classification.
 type outcome int

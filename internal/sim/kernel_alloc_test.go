@@ -2,14 +2,14 @@ package sim
 
 import "testing"
 
-// TestKernelScheduleSteadyStateAllocFree proves that once the calendar,
-// slab, and free-list have reached their working capacity, a schedule +
-// deliver round trip through the no-handle API performs zero heap
-// allocations (the campaign schedules ~1.6M events per virtual day).
+// TestKernelScheduleSteadyStateAllocFree proves that once the calendar has
+// reached its working capacity, a schedule + deliver round trip performs
+// zero heap allocations (the campaign schedules ~1.6M events per virtual
+// day).
 func TestKernelScheduleSteadyStateAllocFree(t *testing.T) {
 	k := NewKernel()
 	fn := func() {}
-	// Prime the slab, calendar and free-list capacities.
+	// Prime the calendar capacity.
 	for i := 0; i < 256; i++ {
 		k.ScheduleAfter(Time(i+1)*Millisecond, fn)
 	}
@@ -21,47 +21,6 @@ func TestKernelScheduleSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state schedule+deliver allocates %.1f objects per run, want 0", allocs)
-	}
-}
-
-// TestScheduleDeliversLikeAt pins the no-handle API to the Timer-returning
-// one: same ordering, same clock behavior.
-func TestScheduleDeliversLikeAt(t *testing.T) {
-	k := NewKernel()
-	var order []int
-	k.Schedule(2*Second, func() { order = append(order, 2) })
-	k.At(1*Second, func() { order = append(order, 1) })
-	k.ScheduleAfter(3*Second, func() { order = append(order, 3) })
-	k.Run()
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Errorf("delivery order = %v, want [1 2 3]", order)
-	}
-	if k.Now() != 3*Second {
-		t.Errorf("Now() = %v, want 3s", k.Now())
-	}
-}
-
-// TestTimerSlotReuseDoesNotResurrect checks the slab generation guard: a
-// Timer whose event was delivered must stay inactive even after its slab
-// slot is recycled for a new event.
-func TestTimerSlotReuseDoesNotResurrect(t *testing.T) {
-	k := NewKernel()
-	tm := k.After(Millisecond, func() {})
-	k.Run()
-	if tm.Active() {
-		t.Fatal("delivered timer still active")
-	}
-	// Recycle the slot with a fresh schedule.
-	k.ScheduleAfter(Millisecond, func() {})
-	if tm.Active() {
-		t.Error("stale timer resurrected by slot reuse")
-	}
-	if tm.Stop() {
-		t.Error("stale timer Stop cancelled a foreign event")
-	}
-	k.Run()
-	if k.Executed() != 2 {
-		t.Errorf("executed %d events, want 2", k.Executed())
 	}
 }
 

@@ -55,17 +55,15 @@ type delivery struct {
 // kernelScript drives a kernel through a seeded random event script. Every
 // delivered event draws its actions from its own stream, keyed by its id,
 // so two kernels that deliver the same ids in the same order perform the
-// same actions: schedule children (some at the current instant, some
-// cancellable), cancel an earlier cancellable timer, or Stop the run. With
-// a source attached, a child that is never cancelled goes through the
-// source, with a reserved seq, whenever its own draw says so.
+// same actions: schedule children, some at the current instant. With a
+// source attached, a child goes through the source, with a reserved seq,
+// whenever its own draw says so.
 type kernelScript struct {
 	k      *Kernel
 	src    *queueSource // nil: every event goes through the heap
 	seed   uint64
 	nextID int
 	limit  int
-	timers []*Timer
 	log    []delivery
 }
 
@@ -80,21 +78,18 @@ func newKernelScript(seed uint64, viaSource bool) *kernelScript {
 	return s
 }
 
-// spawn schedules a new event d after now; cancellable events keep a
-// Timer, and the rest may go through the source.
-func (s *kernelScript) spawn(d Time, cancellable, viaSource bool) {
+// spawn schedules a new event d after now, through the source when
+// viaSource is set and one is attached.
+func (s *kernelScript) spawn(d Time, viaSource bool) {
 	if s.nextID >= s.limit {
 		return
 	}
 	id := s.nextID
 	s.nextID++
 	fn := func() { s.deliver(id) }
-	switch {
-	case cancellable:
-		s.timers = append(s.timers, s.k.After(d, fn))
-	case viaSource && s.src != nil:
+	if viaSource && s.src != nil {
 		s.src.evs = append(s.src.evs, sourceEvent{at: s.k.Now() + d, seq: s.k.ReserveSeq(), id: id})
-	default:
+	} else {
 		s.k.ScheduleAfter(d, fn)
 	}
 }
@@ -113,23 +108,16 @@ func (s *kernelScript) deliver(id int) {
 		default:
 			d = Time(rng.Int64N(int64(Second)))
 		}
-		s.spawn(d, rng.IntN(5) == 0, rng.IntN(2) == 0)
-	}
-	if len(s.timers) > 0 && rng.IntN(6) == 0 {
-		s.timers[rng.IntN(len(s.timers))].Stop()
-	}
-	if rng.IntN(40) == 0 {
-		s.k.Stop()
+		s.spawn(d, rng.IntN(2) == 0)
 	}
 }
 
-// run seeds the script's first events and drives it to exhaustion through
-// RunUntil horizons and, once past the last horizon, repeated Runs (a
-// callback's Stop ends each one early).
+// run seeds the script's first events and drives it through RunUntil
+// horizons, then Steps it to exhaustion.
 func (s *kernelScript) run() {
 	rng := rand.New(rand.NewPCG(s.seed, 0xfeed))
 	for i := 0; i < 8; i++ {
-		s.spawn(Time(rng.Int64N(int64(Second))), i%3 == 0, i%2 == 0)
+		s.spawn(Time(rng.Int64N(int64(Second))), i%2 == 0)
 	}
 	horizon := Time(0)
 	for i := 0; i < 6; i++ {
@@ -137,23 +125,17 @@ func (s *kernelScript) run() {
 		s.k.RunUntil(horizon)
 		s.log = append(s.log, delivery{id: -1, now: s.k.Now(), executed: s.k.Executed()})
 	}
-	for before := uint64(0); ; {
-		s.k.Run()
-		s.log = append(s.log, delivery{id: -2, now: s.k.Now(), executed: s.k.Executed()})
-		if s.k.Executed() == before {
-			return
-		}
-		before = s.k.Executed()
+	for s.k.Step() {
 	}
+	s.log = append(s.log, delivery{id: -2, now: s.k.Now(), executed: s.k.Executed()})
 }
 
 // TestKernelSourceMatchesHeap holds Step's merge of an attached source
 // with the heap to the all-heap kernel: a seeded script sends a random
 // subset of its events through a source with reserved seqs, and the
-// delivery order, Now at each delivery and at every horizon and Stop, and
-// Executed must all equal those of the same script run through the heap
-// alone — across same-instant ties, cancelled timers, Stop from a callback
-// and RunUntil horizons.
+// delivery order, Now at each delivery and at every horizon, and Executed
+// must all equal those of the same script run through the heap alone —
+// across same-instant ties and RunUntil horizons.
 func TestKernelSourceMatchesHeap(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		heap := newKernelScript(seed, false)
@@ -172,8 +154,8 @@ func TestKernelSourceMatchesHeap(t *testing.T) {
 		if heap.nextID < 100 {
 			t.Fatalf("seed %d: script ran only %d events", seed, heap.nextID)
 		}
-		if merged.k.Pending() != 0 || len(merged.src.evs) != 0 {
-			t.Fatalf("seed %d: events left after the last Run", seed)
+		if len(merged.k.cal) != 0 || len(merged.src.evs) != 0 {
+			t.Fatalf("seed %d: events left after the last Step", seed)
 		}
 	}
 }
@@ -191,7 +173,7 @@ func TestKernelSourceAttachTwicePanics(t *testing.T) {
 }
 
 // TestKernelSourceHorizon checks that a source event past a RunUntil
-// horizon stays pending, and that Pending counts only the heap.
+// horizon stays pending outside the heap.
 func TestKernelSourceHorizon(t *testing.T) {
 	k := NewKernel()
 	var fired []string
@@ -199,9 +181,9 @@ func TestKernelSourceHorizon(t *testing.T) {
 	src.fire = func(id int) { fired = append(fired, fmt.Sprint("src", id)) }
 	k.Attach(src)
 	src.evs = append(src.evs, sourceEvent{at: 2 * Second, seq: k.ReserveSeq(), id: 0})
-	k.At(Second, func() { fired = append(fired, "heap") })
-	if k.Pending() != 1 {
-		t.Fatalf("Pending() = %d, want the heap's 1", k.Pending())
+	k.Schedule(Second, func() { fired = append(fired, "heap") })
+	if len(k.cal) != 1 {
+		t.Fatalf("heap holds %d events, want 1", len(k.cal))
 	}
 	k.RunUntil(Second + Second/2)
 	if len(fired) != 1 || fired[0] != "heap" || k.Now() != Second+Second/2 {

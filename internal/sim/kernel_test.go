@@ -45,28 +45,19 @@ func TestSlots(t *testing.T) {
 	}
 }
 
-func TestWallRoundTrip(t *testing.T) {
-	at := 42 * Day
-	ts := Wall(at)
-	back, err := ParseWall(ts)
-	if err != nil {
-		t.Fatalf("ParseWall: %v", err)
-	}
-	if back != at {
-		t.Errorf("round trip = %v, want %v", back, at)
-	}
-	if _, err := ParseWall(Epoch.Add(-time.Hour)); err == nil {
-		t.Error("ParseWall before epoch: want error")
+// drain delivers every scheduled event.
+func drain(k *Kernel) {
+	for k.Step() {
 	}
 }
 
 func TestKernelOrdering(t *testing.T) {
 	k := NewKernel()
 	var order []int
-	k.At(30*Second, func() { order = append(order, 3) })
-	k.At(10*Second, func() { order = append(order, 1) })
-	k.At(20*Second, func() { order = append(order, 2) })
-	k.Run()
+	k.Schedule(30*Second, func() { order = append(order, 3) })
+	k.Schedule(10*Second, func() { order = append(order, 1) })
+	k.ScheduleAfter(20*Second, func() { order = append(order, 2) })
+	drain(k)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Errorf("delivery order = %v, want [1 2 3]", order)
 	}
@@ -79,10 +70,9 @@ func TestKernelTieBreakBySchedulingOrder(t *testing.T) {
 	k := NewKernel()
 	var order []int
 	for i := 0; i < 10; i++ {
-		i := i
-		k.At(Second, func() { order = append(order, i) })
+		k.Schedule(Second, func() { order = append(order, i) })
 	}
-	k.Run()
+	drain(k)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("tie-broken order = %v, want ascending", order)
@@ -90,46 +80,37 @@ func TestKernelTieBreakBySchedulingOrder(t *testing.T) {
 	}
 }
 
-func TestKernelCancel(t *testing.T) {
-	k := NewKernel()
-	fired := false
-	tm := k.After(Second, func() { fired = true })
-	if !tm.Active() {
-		t.Fatal("timer should be active before Run")
-	}
-	if !tm.Stop() {
-		t.Fatal("Stop should report cancellation")
-	}
-	if tm.Stop() {
-		t.Fatal("second Stop should report false")
-	}
-	k.Run()
-	if fired {
-		t.Error("cancelled timer fired")
-	}
-}
-
+// TestKernelSchedulePastPanics covers every rejected schedule: an instant
+// before now, a negative delay, a nil callback and a horizon before now.
 func TestKernelSchedulePastPanics(t *testing.T) {
 	k := NewKernel()
-	k.At(Second, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("scheduling in the past should panic")
-			}
+	k.Schedule(Second, func() {})
+	k.RunUntil(Second)
+	for name, f := range map[string]func(){
+		"past":             func() { k.Schedule(0, func() {}) },
+		"negative delay":   func() { k.ScheduleAfter(-1, func() {}) },
+		"nil callback":     func() { k.Schedule(2*Second, nil) },
+		"horizon past now": func() { k.RunUntil(0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: want a panic", name)
+				}
+			}()
+			f()
 		}()
-		k.At(0, func() {})
-	})
-	k.Run()
+	}
 }
 
 func TestKernelNestedScheduling(t *testing.T) {
 	k := NewKernel()
 	var hits []Time
-	k.After(Second, func() {
+	k.ScheduleAfter(Second, func() {
 		hits = append(hits, k.Now())
-		k.After(Second, func() { hits = append(hits, k.Now()) })
+		k.ScheduleAfter(Second, func() { hits = append(hits, k.Now()) })
 	})
-	k.Run()
+	drain(k)
 	if len(hits) != 2 || hits[0] != Second || hits[1] != 2*Second {
 		t.Errorf("hits = %v, want [1s 2s]", hits)
 	}
@@ -140,7 +121,7 @@ func TestKernelRunUntil(t *testing.T) {
 	var fired []Time
 	for i := 1; i <= 5; i++ {
 		at := Time(i) * Second
-		k.At(at, func() { fired = append(fired, at) })
+		k.Schedule(at, func() { fired = append(fired, at) })
 	}
 	k.RunUntil(3 * Second)
 	if len(fired) != 3 {
@@ -158,70 +139,6 @@ func TestKernelRunUntil(t *testing.T) {
 	}
 }
 
-func TestKernelStopFromCallback(t *testing.T) {
-	k := NewKernel()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		k.At(Time(i)*Second, func() {
-			count++
-			if count == 4 {
-				k.Stop()
-			}
-		})
-	}
-	k.Run()
-	if count != 4 {
-		t.Errorf("count = %d, want 4 (stopped mid-run)", count)
-	}
-	// Resume drains the rest.
-	k.Run()
-	if count != 10 {
-		t.Errorf("count after resume = %d, want 10", count)
-	}
-}
-
-func TestKernelEvery(t *testing.T) {
-	k := NewKernel()
-	var ticks []Time
-	var tm *Timer
-	tm = k.Every(Second, func() {
-		ticks = append(ticks, k.Now())
-		if len(ticks) == 3 {
-			tm.Stop()
-		}
-	})
-	k.RunUntil(10 * Second)
-	if len(ticks) != 3 {
-		t.Fatalf("ticks = %v, want 3 entries", ticks)
-	}
-	for i, at := range ticks {
-		if want := Time(i+1) * Second; at != want {
-			t.Errorf("tick %d at %v, want %v", i, at, want)
-		}
-	}
-}
-
-func TestKernelEveryPanicsOnZeroPeriod(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Every(0) should panic")
-		}
-	}()
-	NewKernel().Every(0, func() {})
-}
-
-func TestTimerWhen(t *testing.T) {
-	k := NewKernel()
-	tm := k.After(5*Second, func() {})
-	if tm.When() != 5*Second {
-		t.Errorf("When() = %v, want 5s", tm.When())
-	}
-	tm.Stop()
-	if tm.When() != Never {
-		t.Errorf("When() after Stop = %v, want Never", tm.When())
-	}
-}
-
 // TestKernelHeapProperty drives the calendar with random schedules and
 // verifies delivery is globally time-ordered.
 func TestKernelHeapProperty(t *testing.T) {
@@ -230,9 +147,9 @@ func TestKernelHeapProperty(t *testing.T) {
 		var seen []Time
 		for _, d := range delays {
 			at := Time(d) * Millisecond
-			k.At(at, func() { seen = append(seen, at) })
+			k.Schedule(at, func() { seen = append(seen, at) })
 		}
-		k.Run()
+		drain(k)
 		for i := 1; i < len(seen); i++ {
 			if seen[i] < seen[i-1] {
 				return false
@@ -281,41 +198,15 @@ func TestRigStreamIdentity(t *testing.T) {
 	}
 }
 
-func TestRigForkIndependence(t *testing.T) {
-	rig := NewRig(9)
-	f1 := rig.Fork("testbed-1").Stream("s")
-	f2 := rig.Fork("testbed-2").Stream("s")
-	equal := 0
-	for i := 0; i < 64; i++ {
-		if f1.Uint64() == f2.Uint64() {
-			equal++
-		}
-	}
-	if equal > 2 {
-		t.Errorf("forked rigs coincided %d/64 times", equal)
-	}
-}
-
-func TestRigForkDeterminism(t *testing.T) {
-	a := NewRig(9).Fork("tb").Stream("s").Uint64()
-	b := NewRig(9).Fork("tb").Stream("s").Uint64()
-	if a != b {
-		t.Error("fork determinism violated")
-	}
-}
-
 func TestWorld(t *testing.T) {
 	w := NewWorld(13)
-	if w.Seed() != 13 {
-		t.Errorf("Seed() = %d, want 13", w.Seed())
-	}
 	var r *rand.Rand = w.RNG("x")
 	if r == nil {
 		t.Fatal("RNG returned nil")
 	}
 	fired := false
-	w.After(Second, func() { fired = true })
-	w.Run()
+	w.ScheduleAfter(Second, func() { fired = true })
+	w.RunUntil(Second)
 	if !fired {
 		t.Error("world kernel did not deliver event")
 	}

@@ -16,6 +16,8 @@ type PCG struct {
 
 // NewPCG returns a PCG seeded with the state words (seed1, seed2), as
 // rand.NewPCG does.
+//
+// Test seam: TestPCGMatchesStdlib and baseband's TestCleanRunMatchesSendSDU.
 func NewPCG(seed1, seed2 uint64) *PCG {
 	return &PCG{hi: seed1, lo: seed2}
 }

@@ -63,7 +63,7 @@ func TestRNGAndSourceShareOneStream(t *testing.T) {
 	if a, b := other.Uint64(), wantOther.Uint64(); a != b {
 		t.Fatalf("another stream moved: %#x, want %#x", a, b)
 	}
-	if got := len(mixed.Rig().StreamNames()); got != 2 {
+	if got := len(mixed.rig.StreamNames()); got != 2 {
 		t.Fatalf("rig holds %d streams, want 2", got)
 	}
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"hash/fnv"
 	"math/rand/v2"
-	"sort"
 	"sync"
 )
 
@@ -31,9 +30,6 @@ type stream struct {
 func NewRig(seed uint64) *Rig {
 	return &Rig{seed: seed, streams: make(map[string]*stream)}
 }
-
-// Seed reports the root seed.
-func (r *Rig) Seed() uint64 { return r.seed }
 
 // Stream returns the RNG for name, creating it on first use. The stream is
 // seeded from a hash of (root seed, name), so the mapping is stable across
@@ -66,31 +62,4 @@ func (r *Rig) stream(name string) *stream {
 	s.rng = *rand.New(&s.src)
 	r.streams[name] = s
 	return s
-}
-
-// StreamNames reports the names of the streams created so far, sorted, for
-// diagnostics and tests.
-func (r *Rig) StreamNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.streams))
-	for n := range r.streams {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Fork derives a child rig whose streams are independent of the parent's.
-// It is used to give each testbed its own randomness family.
-func (r *Rig) Fork(name string) *Rig {
-	h := fnv.New64a()
-	var buf [8]byte
-	for i := range buf {
-		buf[i] = byte(r.seed >> (8 * i))
-	}
-	h.Write(buf[:])
-	h.Write([]byte("fork:"))
-	h.Write([]byte(name))
-	return NewRig(h.Sum64())
 }

@@ -1,16 +1,13 @@
 // Package sim provides the discrete-event simulation kernel on which the
-// whole btpan reproduction runs: a virtual clock, an event calendar, timers,
-// and deterministic named random-number streams.
+// whole btpan reproduction runs: a virtual clock, an event calendar, and
+// deterministic named random-number streams.
 //
 // All other packages express durations in sim.Time (virtual nanoseconds) and
 // never consult the wall clock, which makes campaigns bit-reproducible for a
 // given seed and lets 18 months of simulated operation run in seconds.
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Time is a virtual instant, measured in nanoseconds since the start of the
 // simulation. It is also used for durations (differences of instants), which
@@ -54,28 +51,7 @@ func (t Time) String() string {
 	return t.Duration().String()
 }
 
-// FromDuration converts a time.Duration to a sim.Time duration.
-func FromDuration(d time.Duration) Time { return Time(d) }
-
 // Seconds builds a Time from a floating-point number of seconds. It is the
 // inverse of Time.Seconds and is used by calibration tables that express
 // recovery durations in seconds.
 func Seconds(s float64) Time { return Time(s * float64(Second)) }
-
-// Epoch is the wall-clock anchor used to render virtual instants as
-// timestamps in logs. The paper's campaign started in June 2004; anchoring
-// there makes generated logs read like the originals.
-var Epoch = time.Date(2004, time.June, 1, 0, 0, 0, 0, time.UTC)
-
-// Wall renders a virtual instant as a wall-clock timestamp.
-func Wall(t Time) time.Time { return Epoch.Add(t.Duration()) }
-
-// ParseWall converts a wall-clock timestamp back into a virtual instant.
-// It returns an error when ts predates the epoch.
-func ParseWall(ts time.Time) (Time, error) {
-	d := ts.Sub(Epoch)
-	if d < 0 {
-		return 0, fmt.Errorf("sim: timestamp %v predates epoch %v", ts, Epoch)
-	}
-	return Time(d), nil
-}

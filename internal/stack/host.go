@@ -140,10 +140,10 @@ func NewHost(cfg Config, world *sim.World, node string, os OSInfo, distanceM flo
 // Config returns the host's configuration.
 func (h *Host) Config() Config { return h.cfg }
 
-// Uptime reports the time since the last (re)boot.
-func (h *Host) Uptime() sim.Time { return h.World.Now() - h.upSince }
-
 // Reboots reports how many reboots the host has performed.
+//
+// Test seam: recovery's TestCascadeSideEffects and testbed's
+// TestHardwareReplacementReboots.
 func (h *Host) Reboots() int { return h.reboots }
 
 // ResetStack clears BT stack state (the "BT stack reset" SIRA): HCI handles,
@@ -222,11 +222,10 @@ func (h *Host) OpenPipe(conn *pan.Conn) Pipe {
 // Sent reports how many packets this pipe has carried.
 func (p *Pipe) Sent() int { return p.sent }
 
-// LatentAt exposes the defect index for tests (-1 when absent).
-func (p *Pipe) LatentAt() int { return p.latentAt }
-
 // CleanPackets reports how many packets the transfer kernel resolved on
 // this host's pipes, without the per-packet path.
+//
+// Test seam: testbed's TestTransferKernelEngages.
 func (h *Host) CleanPackets() int64 { return h.cleanPackets }
 
 // SendRun carries up to n workload packets of size bytes, all of packet

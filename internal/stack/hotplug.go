@@ -189,9 +189,6 @@ func NewHotplug(cfg HotplugConfig, world *sim.World, node string, defect bool, r
 	return &Hotplug{cfg: cfg, world: world, node: node, defect: defect, rng: rng, sink: sink}
 }
 
-// Timeouts reports the count of HAL timeouts logged.
-func (h *Hotplug) Timeouts() int { return h.timeouts }
-
 // delay reports the configuration delay, late reports whether the defect
 // manifested as a late event this time.
 func (h *Hotplug) delay(late bool) sim.Time {

@@ -23,11 +23,6 @@ import (
 	"math/rand/v2"
 )
 
-// Sampler draws float64 variates from some distribution.
-type Sampler interface {
-	Sample(r *rand.Rand) float64
-}
-
 // Pareto is the (Type I) Pareto distribution with scale xm > 0 and shape
 // alpha > 0. The paper models user passive off time as Pareto with shape
 // 1.5, following Crovella–Bestavros.
@@ -36,20 +31,10 @@ type Pareto struct {
 	Alpha float64
 }
 
-var _ Sampler = Pareto{}
-
 // Sample draws a Pareto variate by inversion.
 func (p Pareto) Sample(r *rand.Rand) float64 {
 	u := 1 - r.Float64() // in (0, 1]
 	return p.Xm / math.Pow(u, 1/p.Alpha)
-}
-
-// Mean returns the distribution mean, or +Inf when alpha <= 1.
-func (p Pareto) Mean() float64 {
-	if p.Alpha <= 1 {
-		return math.Inf(1)
-	}
-	return p.Alpha * p.Xm / (p.Alpha - 1)
 }
 
 // BoundedPareto is a Pareto truncated to [L, H], the standard model for
@@ -58,8 +43,6 @@ type BoundedPareto struct {
 	L, H  float64
 	Alpha float64
 }
-
-var _ Sampler = BoundedPareto{}
 
 // Sample draws by inversion of the truncated CDF.
 func (p BoundedPareto) Sample(r *rand.Rand) float64 {
@@ -75,23 +58,9 @@ type Uniform struct {
 	Lo, Hi float64
 }
 
-var _ Sampler = Uniform{}
-
 // Sample draws a uniform variate.
 func (u Uniform) Sample(r *rand.Rand) float64 {
 	return u.Lo + r.Float64()*(u.Hi-u.Lo)
-}
-
-// Exponential is the exponential distribution with the given Mean.
-type Exponential struct {
-	Mean float64
-}
-
-var _ Sampler = Exponential{}
-
-// Sample draws an exponential variate.
-func (e Exponential) Sample(r *rand.Rand) float64 {
-	return r.ExpFloat64() * e.Mean
 }
 
 // LogNormal is the log-normal distribution parameterised by the mean Mu and
@@ -99,8 +68,6 @@ func (e Exponential) Sample(r *rand.Rand) float64 {
 type LogNormal struct {
 	Mu, Sigma float64
 }
-
-var _ Sampler = LogNormal{}
 
 // Sample draws a log-normal variate.
 func (l LogNormal) Sample(r *rand.Rand) float64 {
@@ -115,11 +82,6 @@ type Binomial struct {
 	P float64
 }
 
-var _ Sampler = Binomial{}
-
-// Sample draws a binomial variate (as a float64, to satisfy Sampler).
-func (b Binomial) Sample(r *rand.Rand) float64 { return float64(b.SampleInt(r)) }
-
 // SampleInt draws a binomial variate by direct simulation; N is small
 // everywhere we use it (N=5 for packet types), so this is both exact and
 // fast enough.
@@ -129,33 +91,6 @@ func (b Binomial) SampleInt(r *rand.Rand) int {
 		if r.Float64() < b.P {
 			k++
 		}
-	}
-	return k
-}
-
-// Poisson draws from a Poisson distribution with the given mean Lambda,
-// used for interference burst arrivals.
-type Poisson struct {
-	Lambda float64
-}
-
-var _ Sampler = Poisson{}
-
-// Sample draws a Poisson variate (Knuth's method; Lambda is modest in all
-// our uses).
-func (p Poisson) Sample(r *rand.Rand) float64 { return float64(p.SampleInt(r)) }
-
-// SampleInt draws a Poisson variate as an int.
-func (p Poisson) SampleInt(r *rand.Rand) int {
-	if p.Lambda <= 0 {
-		return 0
-	}
-	limit := math.Exp(-p.Lambda)
-	k := 0
-	prod := r.Float64()
-	for prod > limit {
-		k++
-		prod *= r.Float64()
 	}
 	return k
 }

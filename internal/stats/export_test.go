@@ -1,0 +1,42 @@
+package stats
+
+import (
+	"math"
+	"sort"
+)
+
+// Mean returns the distribution mean, or +Inf when alpha <= 1.
+func (p Pareto) Mean() float64 {
+	if p.Alpha <= 1 {
+		return math.Inf(1)
+	}
+	return p.Alpha * p.Xm / (p.Alpha - 1)
+}
+
+// N reports the number of recorded observations.
+func (h *Histogram) N() int { return h.n }
+
+// Percentile returns the p-th percentile (0..100) of xs by linear
+// interpolation, without modifying xs.
+func Percentile(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sorted := make([]float64, len(xs))
+	copy(sorted, xs)
+	sort.Float64s(sorted)
+	if p <= 0 {
+		return sorted[0]
+	}
+	if p >= 100 {
+		return sorted[len(sorted)-1]
+	}
+	rank := p / 100 * float64(len(sorted)-1)
+	lo := int(math.Floor(rank))
+	hi := int(math.Ceil(rank))
+	if lo == hi {
+		return sorted[lo]
+	}
+	frac := rank - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}

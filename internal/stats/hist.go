@@ -3,8 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 )
 
 // Histogram buckets observations into fixed-width bins over [Lo, Hi); values
@@ -36,9 +34,6 @@ func (h *Histogram) Add(x float64) {
 	h.bins[i]++
 	h.n++
 }
-
-// N reports the number of recorded observations.
-func (h *Histogram) N() int { return h.n }
 
 // Merge folds another histogram into h, as if all of o's observations had
 // been Added to h. Both histograms must share the same binning; per-shard
@@ -77,27 +72,6 @@ func (h *Histogram) Shares() []float64 {
 func (h *Histogram) BinLabel(i int) string {
 	w := (h.Hi - h.Lo) / float64(len(h.bins))
 	return fmt.Sprintf("[%.0f,%.0f)", h.Lo+float64(i)*w, h.Lo+float64(i+1)*w)
-}
-
-// Render draws a horizontal-bar text chart of the bin shares, width columns
-// wide at the longest bar.
-func (h *Histogram) Render(width int) string {
-	shares := h.Shares()
-	maxShare := 0.0
-	for _, s := range shares {
-		if s > maxShare {
-			maxShare = s
-		}
-	}
-	var b strings.Builder
-	for i, s := range shares {
-		bar := 0
-		if maxShare > 0 {
-			bar = int(math.Round(s / maxShare * float64(width)))
-		}
-		fmt.Fprintf(&b, "%-14s %6.2f%% %s\n", h.BinLabel(i), s, strings.Repeat("#", bar))
-	}
-	return b.String()
 }
 
 // Curve is a sampled monotone-x function y = f(x), used by the coalescence
@@ -157,6 +131,9 @@ func (c *Curve) Knee() (x float64, idx int) {
 
 // Decreasing reports whether the curve's y values are non-increasing, an
 // invariant of the tuple-count-versus-window curve that tests assert.
+//
+// Test seam: coalesce's TestSensitivityCurveShapeAndKnee and the root
+// TestSensitivityCurveShape.
 func (c *Curve) Decreasing() bool {
 	for i := 1; i < len(c.Y); i++ {
 		if c.Y[i] > c.Y[i-1] {
@@ -164,12 +141,4 @@ func (c *Curve) Decreasing() bool {
 		}
 	}
 	return true
-}
-
-// SortedCopy returns xs sorted ascending without modifying the input.
-func SortedCopy(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	copy(out, xs)
-	sort.Float64s(out)
-	return out
 }

@@ -80,18 +80,6 @@ func TestUniformRangeAndMean(t *testing.T) {
 	}
 }
 
-func TestExponentialMean(t *testing.T) {
-	r := testRNG()
-	e := Exponential{Mean: 42}
-	var s Summary
-	for i := 0; i < 200000; i++ {
-		s.Add(e.Sample(r))
-	}
-	if got := s.Mean(); math.Abs(got-42)/42 > 0.03 {
-		t.Errorf("Exponential mean = %v, want ~42", got)
-	}
-}
-
 func TestLogNormalMedian(t *testing.T) {
 	r := testRNG()
 	l := LogNormal{Mu: math.Log(100), Sigma: 0.5}
@@ -121,21 +109,6 @@ func TestBinomialMoments(t *testing.T) {
 	}
 	if got := s.Var(); math.Abs(got-1.25) > 0.05 {
 		t.Errorf("Binomial var = %v, want ~1.25", got)
-	}
-}
-
-func TestPoissonMean(t *testing.T) {
-	r := testRNG()
-	p := Poisson{Lambda: 3.5}
-	var s Summary
-	for i := 0; i < 100000; i++ {
-		s.Add(p.Sample(r))
-	}
-	if got := s.Mean(); math.Abs(got-3.5) > 0.1 {
-		t.Errorf("Poisson mean = %v, want ~3.5", got)
-	}
-	if z := (Poisson{Lambda: 0}).SampleInt(r); z != 0 {
-		t.Errorf("Poisson(0) = %d, want 0", z)
 	}
 }
 
@@ -318,9 +291,6 @@ func TestHistogram(t *testing.T) {
 	if h.BinLabel(0) != "[0,2)" {
 		t.Errorf("BinLabel(0) = %q", h.BinLabel(0))
 	}
-	if r := h.Render(20); len(r) == 0 {
-		t.Error("Render produced nothing")
-	}
 }
 
 func TestHistogramPanicsOnBadSpec(t *testing.T) {
@@ -382,15 +352,4 @@ func TestCurveAppendPanicsOnNonIncreasingX(t *testing.T) {
 	var c Curve
 	c.Append(1, 1)
 	c.Append(1, 2)
-}
-
-func TestSortedCopy(t *testing.T) {
-	in := []float64{3, 1, 2}
-	out := SortedCopy(in)
-	if out[0] != 1 || out[2] != 3 {
-		t.Errorf("SortedCopy = %v", out)
-	}
-	if in[0] != 3 {
-		t.Error("SortedCopy mutated input")
-	}
 }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 )
 
 // Summary accumulates running statistics over a stream of observations using
@@ -90,43 +89,6 @@ func (s *Summary) Merge(o Summary) {
 	if o.max > s.max {
 		s.max = o.max
 	}
-}
-
-// Percentile returns the p-th percentile (0..100) of xs by linear
-// interpolation, without modifying xs.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Mean computes the arithmetic mean of xs (0 when empty).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }
 
 // Normalize scales xs so it sums to 100, returning percentage shares.

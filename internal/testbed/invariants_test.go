@@ -23,13 +23,20 @@ func TestNAPSlaveBoundInvariant(t *testing.T) {
 	for _, c := range tb.Clients {
 		c.Start()
 	}
-	violations := 0
-	tb.World.Every(10*sim.Second, func() {
+	probes, violations := 0, 0
+	var probe func()
+	probe = func() {
+		probes++
 		if tb.NAP.NAP.ActiveSlaves() > pan.MaxSlaves {
 			violations++
 		}
-	})
+		tb.World.ScheduleAfter(10*sim.Second, probe)
+	}
+	tb.World.ScheduleAfter(10*sim.Second, probe)
 	tb.World.RunUntil(6 * sim.Hour)
+	if probes != 6*360 {
+		t.Errorf("probed %d times, want %d", probes, 6*360)
+	}
 	if violations > 0 {
 		t.Errorf("slave bound violated %d times", violations)
 	}

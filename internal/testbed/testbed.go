@@ -141,7 +141,7 @@ func (tb *Testbed) Run(duration sim.Time) {
 		c.Start()
 	}
 	if at := tb.opts.ReplaceHardwareAt; at > 0 && at < duration {
-		tb.World.At(at, tb.replaceHardware)
+		tb.World.Schedule(at, tb.replaceHardware)
 	}
 	tb.World.RunUntil(duration)
 }
@@ -189,9 +189,9 @@ func (tb *Testbed) StreamTo(s Ingestor, every sim.Time) {
 	var tick func()
 	tick = func() {
 		tb.drainTo(s)
-		tb.World.At(tb.World.Now()+every, tick)
+		tb.World.ScheduleAfter(every, tick)
 	}
-	tb.World.At(every, tick)
+	tb.World.Schedule(every, tick)
 }
 
 // FinishStream ships whatever the logs still hold after the horizon.
@@ -395,33 +395,4 @@ func (c *Campaign) RunStreamingSequential(duration, flushEvery sim.Time, s Inges
 	c.Realistic.Run(duration)
 	c.Realistic.FinishStream(s)
 	return c.Random.Results(), c.Realistic.Results()
-}
-
-// MergedResults combines both testbeds' data (the paper's failure model and
-// Table 2/3 use data from both).
-func MergedResults(a, b *Results) *Results {
-	out := &Results{
-		Name:           a.Name + "+" + b.Name,
-		Duration:       a.Duration + b.Duration,
-		NAPNode:        a.NAPNode,
-		PerNodeReports: make(map[string][]core.UserReport),
-		PerNodeEntries: make(map[string][]core.SystemEntry),
-		Counters:       make(map[string]*workload.Counters),
-	}
-	for _, r := range []*Results{a, b} {
-		out.Reports = append(out.Reports, r.Reports...)
-		out.Entries = append(out.Entries, r.Entries...)
-		for k, v := range r.PerNodeReports {
-			out.PerNodeReports[r.Name+"/"+k] = v
-		}
-		for k, v := range r.PerNodeEntries {
-			out.PerNodeEntries[r.Name+"/"+k] = v
-		}
-		for k, v := range r.Counters {
-			out.Counters[r.Name+"/"+k] = v
-		}
-	}
-	logging.SortUserReports(out.Reports)
-	logging.SortSystemEntries(out.Entries)
-	return out
 }

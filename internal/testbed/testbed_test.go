@@ -140,26 +140,6 @@ func TestCampaignDeterminism(t *testing.T) {
 	}
 }
 
-func TestMergedResults(t *testing.T) {
-	c, err := NewCampaign(7, recovery.ScenarioSIRAs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	randRes, realRes := c.Run(2 * sim.Hour)
-	merged := MergedResults(randRes, realRes)
-	if len(merged.Reports) != len(randRes.Reports)+len(realRes.Reports) {
-		t.Error("merged reports lost records")
-	}
-	if len(merged.PerNodeReports) != len(randRes.PerNodeReports)+len(realRes.PerNodeReports) {
-		t.Error("merged per-node views lost nodes")
-	}
-	for i := 1; i < len(merged.Reports); i++ {
-		if merged.Reports[i].At < merged.Reports[i-1].At {
-			t.Fatal("merged reports not sorted")
-		}
-	}
-}
-
 // TestTransferKernelEngages shows the run-length transfer kernel carries
 // the workload: on a default random-workload day, at least 90 % of the
 // packets resolve inside clean runs, without the per-packet path.

@@ -24,9 +24,9 @@ import (
 // Common Internet PDU sizes (Fraleigh et al.): pure-ACK, old default MSS,
 // and Ethernet-MSS data segments.
 const (
-	PDUAck   = 40
-	PDUSmall = 576
-	PDUData  = 1460
+	PDUAck = 40
+
+	PDUData = 1460
 )
 
 // Plan is the sampled transfer plan for one realistic-workload cycle.
@@ -140,14 +140,4 @@ var appWeights = func() []float64 {
 // RandomApp draws an application according to the workload mix.
 func RandomApp(rng *rand.Rand) core.AppKind {
 	return appMix[stats.WeightedChoice(rng, appWeights)].app
-}
-
-// MeanBytes estimates the expected per-cycle volume for an app by Monte
-// Carlo; used by tests to assert the Figure 3c volume ordering.
-func MeanBytes(app core.AppKind, rng *rand.Rand, samples int) float64 {
-	var s stats.Summary
-	for i := 0; i < samples; i++ {
-		s.Add(float64(Sample(app, rng, 1).Bytes))
-	}
-	return s.Mean()
 }

@@ -22,11 +22,7 @@ import (
 // BCSP protocol channel identifiers (the "parallel information flows" the
 // paper mentions BCSP multiplexes over a single UART).
 const (
-	ChanAck     = 0x0
-	ChanLinkEst = 0x1
-	ChanHCICmd  = 0x5
-	ChanHCIACL  = 0x6
-	ChanHCISCO  = 0x7
+	ChanHCICmd = 0x5
 )
 
 // Frame is one BCSP datagram.
@@ -194,9 +190,7 @@ func (e LinkEvent) String() string {
 // classification events feed the system log ("Out of order or missing BCSP
 // packets").
 type Receiver struct {
-	expect    uint8
-	delivered [][]byte
-	events    []LinkEvent
+	expect uint8
 }
 
 // Accept processes one wire frame and returns the event classification.
@@ -217,18 +211,5 @@ func (r *Receiver) Accept(wire []byte) LinkEvent {
 			ev = EvOutOfOrder
 		}
 	}
-	if ev == EvDelivered && err == nil {
-		r.delivered = append(r.delivered, f.Payload)
-	}
-	r.events = append(r.events, ev)
 	return ev
 }
-
-// Expected reports the next expected reliable sequence number.
-func (r *Receiver) Expected() uint8 { return r.expect }
-
-// Delivered returns the in-order reliable payload sequence so far.
-func (r *Receiver) Delivered() [][]byte { return r.delivered }
-
-// Events returns the classification history.
-func (r *Receiver) Events() []LinkEvent { return r.events }

@@ -80,9 +80,6 @@ func NewBCSPSim(cfg BCSPConfig, node string, rng *rand.Rand) *BCSPSim {
 // Kind reports KindBCSP.
 func (b *BCSPSim) Kind() Kind { return KindBCSP }
 
-// Faults reports the fault counters, for tests.
-func (b *BCSPSim) Faults() (reorders, losses int) { return b.reorders, b.losses }
-
 // Deliver carries one HCI message over the BCSP reliable channel.
 func (b *BCSPSim) Deliver(size int) Result {
 	// BCSP adds 4 header + 2 CRC bytes plus SLIP overhead (~3%).

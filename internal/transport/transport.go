@@ -137,9 +137,6 @@ func NewUSB(cfg USBConfig, node string, clock func() sim.Time, rng *rand.Rand) *
 // Kind reports KindUSB.
 func (u *USB) Kind() Kind { return KindUSB }
 
-// Stalls reports how many stall episodes have begun, for tests.
-func (u *USB) Stalls() int { return u.stalls }
-
 // Deliver carries one message unless the device is stalled.
 func (u *USB) Deliver(size int) Result {
 	now := u.clock()

@@ -142,9 +142,6 @@ func (c *Client) Start() {
 	c.world.ScheduleAfter(offset, c.fnCycleStart)
 }
 
-// Stop halts the client after the current phase.
-func (c *Client) Stop() { c.stopped = true }
-
 // at schedules the next phase after d.
 func (c *Client) at(d sim.Time, fn func()) {
 	if d < 0 {

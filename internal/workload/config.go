@@ -160,6 +160,8 @@ func NewCounters() *Counters {
 }
 
 // TotalFailures sums reported failures.
+//
+// Test seam: the root BenchmarkAblationMaskingStrategies.
 func (c *Counters) TotalFailures() int {
 	n := 0
 	for _, v := range c.Failures {
@@ -169,6 +171,8 @@ func (c *Counters) TotalFailures() int {
 }
 
 // TotalMasked sums masked events.
+//
+// Test seam: the root BenchmarkAblationMaskingStrategies.
 func (c *Counters) TotalMasked() int {
 	n := 0
 	for _, v := range c.Masked {

@@ -146,7 +146,7 @@ func runMetroAgent(cfg ScatternetConfig, dc collector.DistrictConfig, addr strin
 			return camp.PiconetPartial(p)
 		}
 	}
-	return collector.RunScatterAgent(collector.ScatterAgentConfig{
+	agent, err := collector.NewScatterAgent(collector.ScatterAgentConfig{
 		Addr:         addr,
 		Keyspace:     dc.Key,
 		Campaign:     dc.Campaign,
@@ -162,6 +162,10 @@ func runMetroAgent(cfg ScatternetConfig, dc collector.DistrictConfig, addr strin
 		StallTimeout: stall,
 		Fault:        fault,
 	})
+	if err != nil {
+		return err
+	}
+	return agent.Run()
 }
 
 // collectMetro waits for every district partial and merges the metro report.

@@ -240,9 +240,6 @@ func RunScatternet(cfg ScatternetConfig) (*ScatternetResult, error) {
 	return out, nil
 }
 
-// Piconet returns piconet p's campaign result.
-func (r *ScatternetResult) Piconet(p int) *CampaignResult { return r.Piconets[p] }
-
 // Overview lines up every piconet's dataset sizes and dependability column.
 // In rollup mode the per-piconet results were folded and dropped, so the
 // overview comes from the roll-up instead.

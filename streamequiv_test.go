@@ -118,7 +118,7 @@ func TestStreamingEquivalence(t *testing.T) {
 // identical outputs (tuple and radius state carries across drain
 // boundaries).
 func TestStreamingFlushCadenceIrrelevant(t *testing.T) {
-	fine := runEquiv(t, true, 1, 10*Minute)
+	fine := runEquiv(t, true, 1, 10*sim.Minute)
 	coarse := runEquiv(t, true, 1, 12*Hour)
 	compareOutputs(t, "10min vs 12h flush", fine, coarse)
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/analysis"
-	"repro/internal/recovery"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -352,24 +351,4 @@ func (s *SweepResult) RedundancyCI() *analysis.RedundancyCI {
 		tables[i] = r.Redundancy
 	}
 	return analysis.BuildRedundancyCI(tables)
-}
-
-// SweepTable4 runs one sweep per recovery scenario (same seeds and
-// duration) and assembles the four-column dependability comparison with
-// confidence intervals — the paper's Table 4 with error bars.
-func SweepTable4(cfg SweepConfig) (*analysis.Table4CI, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	t4 := &analysis.Table4CI{}
-	for _, sc := range recovery.Scenarios() {
-		scCfg := cfg
-		scCfg.Scenario = sc
-		res, err := Sweep(scCfg)
-		if err != nil {
-			return nil, err
-		}
-		t4.Columns = append(t4.Columns, res.DependabilityCI())
-	}
-	return t4, nil
 }
