@@ -46,17 +46,21 @@
 //	-flush S         virtual seconds between log drains (default 3600)
 //	-codec C         data frame codec: binary or json (default binary)
 //	-timeout D       how long Finish waits for the sink's completion
-//	                 confirmation, e.g. 5m (default 10m; 0 waits forever)
+//	                 confirmation, e.g. 5m (default 10m; 0 waits forever;
+//	                 negative is rejected)
 //	-spill-dir DIR   write-ahead spill log directory; restart with the same
 //	                 directory to resume after a crash (empty disables)
 //	-spill-budget N  max bytes of unacknowledged spill before the agent
-//	                 fails loudly (default 0: unbounded)
+//	                 fails loudly (default 0: unbounded; negative is rejected)
 //	-drop P          fault injection: P(drop) per data frame (default 0)
 //	-dup P           fault injection: P(duplicate) per data frame (default 0)
 //	-reorder P       fault injection: P(swap with next frame) (default 0)
 //	-delay D         fault injection: delay imposed on a delay decision
+//	                 (default 0; negative is rejected)
 //	-delay-rate P    fault injection: P(delay) per data frame (default 0)
 //	-fault-seed N    fault injection decision seed (default 1)
+//
+// Each fault probability must lie in [0, 1]; NaN is rejected.
 //
 // Scatternet mode (-scatternet) turns the agent into one district shard of
 // a distributed metro campaign: it owns the contiguous piconet range
@@ -144,6 +148,9 @@ func main() {
 		Seed: *faultSeed, Drop: *drop, Duplicate: *dup, Reorder: *reorder,
 		Delay: *delay, DelayRate: *delayRate,
 	}
+	if err := checkLimits(fault, *timeout); err != nil {
+		fatal(err)
+	}
 
 	if *scat {
 		if *spillDir != "" {
@@ -214,6 +221,16 @@ func main() {
 	sent, retrans := agent.Stats()
 	fmt.Fprintf(os.Stderr, "btagent: %s shard complete in %v (%d frames sent, %d retransmissions)\n",
 		opts.Name, time.Since(start).Round(time.Millisecond), sent, retrans)
+}
+
+// checkLimits rejects fault-injection knobs out of range and a negative
+// -timeout instead of reading them as off or forever. NewAgent rejects a
+// negative -spill-budget.
+func checkLimits(fault collector.FaultConfig, timeout time.Duration) error {
+	if timeout < 0 {
+		return fmt.Errorf("-timeout %v is negative (0 waits forever)", timeout)
+	}
+	return fault.Validate()
 }
 
 // runShard drives the simulation with the uplink armed. The testbed's

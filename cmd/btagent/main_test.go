@@ -4,6 +4,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/collector"
 )
 
 // TestParsePiconetRange pins the -piconet-range grammar: half-open A:B with
@@ -69,6 +72,38 @@ func TestScatShardConfigCheck(t *testing.T) {
 			t.Errorf("probe-sample %v range %q: %v", tc.sample, tc.rng, err)
 		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
 			t.Errorf("probe-sample %v range %q = %v, want an error containing %q", tc.sample, tc.rng, err, tc.wantErr)
+		}
+	}
+}
+
+// TestCheckLimits pins the range checks of the flags both modes share: a
+// fault probability outside [0, 1] or NaN, a negative -delay or -timeout
+// is rejected with a message naming the flag, where it used to read as off
+// or forever. (collector's TestAgentConfigLimits covers -spill-budget.)
+func TestCheckLimits(t *testing.T) {
+	cases := []struct {
+		fault   collector.FaultConfig
+		timeout time.Duration
+		wantErr string // "" = must pass
+	}{
+		{},
+		{fault: collector.FaultConfig{Drop: 1, Duplicate: 0.5, Reorder: 0.1, DelayRate: 1, Delay: time.Second},
+			timeout: time.Minute},
+		{fault: collector.FaultConfig{Drop: math.NaN()}, wantErr: "-drop NaN outside [0, 1]"},
+		{fault: collector.FaultConfig{Drop: 1.5}, wantErr: "-drop 1.5 outside [0, 1]"},
+		{fault: collector.FaultConfig{Duplicate: -0.1}, wantErr: "-dup -0.1 outside [0, 1]"},
+		{fault: collector.FaultConfig{Reorder: 2}, wantErr: "-reorder 2 outside [0, 1]"},
+		{fault: collector.FaultConfig{DelayRate: math.NaN()}, wantErr: "-delay-rate NaN outside [0, 1]"},
+		{fault: collector.FaultConfig{Delay: -time.Second}, wantErr: "-delay -1s is negative"},
+		{timeout: -time.Second, wantErr: "-timeout -1s is negative"},
+	}
+	for _, tc := range cases {
+		err := checkLimits(tc.fault, tc.timeout)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%+v timeout %v: %v", tc.fault, tc.timeout, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%+v timeout %v = %v, want an error containing %q", tc.fault, tc.timeout, err, tc.wantErr)
 		}
 	}
 }

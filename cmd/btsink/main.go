@@ -49,9 +49,10 @@
 // Shared flags:
 //
 //	-addr ADDR           TCP listen address (default 127.0.0.1:9310)
-//	-checkpoint-every N  batch frames between checkpoints (default 64)
+//	-checkpoint-every N  batch frames between checkpoints, at least 1
+//	                     (default 64)
 //	-timeout D           campaign completion timeout, e.g. 30m (default 0:
-//	                     wait forever)
+//	                     wait forever; negative is rejected)
 //	-taxonomy            append the failure-taxonomy / survival report to
 //	                     every campaign report (stdout and -report-dir
 //	                     exports), matching `btcampaign -taxonomy` byte for
@@ -80,7 +81,8 @@
 //	-http ADDR           serve the observability API (/healthz, /readyz,
 //	                     /metricsz, /campaigns, live tables) on ADDR
 //	-memory-budget N     delay acks while more than N records are buffered
-//	                     across all keyspaces (0 = no backpressure)
+//	                     across all keyspaces (0 = no backpressure;
+//	                     negative is rejected)
 //
 // Scatternet district flags (the distributed metro plane):
 //
@@ -416,6 +418,14 @@ func parseCLI(args []string) (*cliConfig, error) {
 	}
 	if *serve && *httpAddr == "" {
 		return nil, fmt.Errorf("-serve needs -http to accept campaign registrations")
+	}
+	switch {
+	case *every < 1:
+		return nil, fmt.Errorf("-checkpoint-every %d must be at least 1", *every)
+	case *memoryBudget < 0:
+		return nil, fmt.Errorf("-memory-budget %d is negative (0 is no backpressure)", *memoryBudget)
+	case *timeout < 0:
+		return nil, fmt.Errorf("-timeout %v is negative (0 waits forever)", *timeout)
 	}
 	cli := &cliConfig{
 		out:       os.Stdout,

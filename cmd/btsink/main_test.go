@@ -44,6 +44,10 @@ func TestParseCLIValidation(t *testing.T) {
 		{"district probe-sample above one", []string{"-district", "key=d,seed=1,range=0:2,probe-sample=1.5"}, "-probe-sample 1.5 outside (0, 1]"},
 		{"district probe-sample NaN", []string{"-district", "key=d,seed=1,range=0:2,probe-sample=NaN"}, "-probe-sample is NaN"},
 		{"serve without http", []string{"-serve"}, "-serve needs -http"},
+		{"checkpoint-every zero", []string{"-checkpoint-every", "0"}, "-checkpoint-every 0 must be at least 1"},
+		{"checkpoint-every negative", []string{"-checkpoint-every", "-3"}, "-checkpoint-every -3 must be at least 1"},
+		{"memory-budget negative", []string{"-memory-budget", "-1"}, "-memory-budget -1 is negative"},
+		{"timeout negative", []string{"-timeout", "-1s"}, "-timeout -1s is negative"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

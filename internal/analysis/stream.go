@@ -69,9 +69,8 @@ type shardKey struct{ testbed, node string }
 // lock, so concurrent connections never contend on a global lock; the fold
 // path steals the pending prefix below the watermark.
 type shard struct {
-	key   shardKey
-	rank  int
-	isNAP bool
+	key  shardKey
+	rank int
 
 	mu      sync.Mutex
 	reports []core.UserReport
@@ -274,7 +273,7 @@ func NewStreamer(spec StreamSpec) (*Streamer, error) {
 			if _, dup := s.shards[key]; dup {
 				return nil, fmt.Errorf("analysis: duplicate stream %s/%s", tb.Name, node)
 			}
-			sh := &shard{key: key, rank: rank, isNAP: node == tb.NAP, nextSeq: 1}
+			sh := &shard{key: key, rank: rank, nextSeq: 1}
 			s.shards[key] = sh
 			s.all = append(s.all, sh)
 			if node != tb.NAP {

@@ -147,6 +147,12 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.Addr == "" || cfg.Testbed == "" || len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("collector: agent needs an address, a testbed and nodes")
 	}
+	if cfg.SpillBudget < 0 {
+		return nil, fmt.Errorf("-spill-budget %d is negative (0 is unbounded)", cfg.SpillBudget)
+	}
+	if err := cfg.Fault.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.RetrySeed == 0 {
 		cfg.RetrySeed = 1
 	}

@@ -117,27 +117,10 @@ func WriteBatch(w io.Writer, b *Batch) error {
 func WriteBatchCodec(w io.Writer, b *Batch, codec Codec) error {
 	bufp := bufPool.Get().(*[]byte)
 	defer bufPool.Put(bufp)
-	frame := (*bufp)[:0]
-	frame = append(frame, 0, 0, 0, 0, byte(codec)) // header backfilled below
-
-	var err error
-	switch codec {
-	case CodecBinary:
-		frame = appendBinaryBatch(frame, b)
-	case CodecJSON:
-		var blob []byte
-		if blob, err = json.Marshal(b); err != nil {
-			return fmt.Errorf("collector: marshal batch: %w", err)
-		}
-		frame = append(frame, blob...)
-	default:
-		return fmt.Errorf("collector: unknown codec %d", codec)
+	frame, err := appendBatchFrame((*bufp)[:0], b, codec)
+	if err != nil {
+		return err
 	}
-	n := len(frame) - 4 // codec byte + payload
-	if n > maxBatchBytes {
-		return fmt.Errorf("collector: batch of %d bytes exceeds limit", n)
-	}
-	binary.BigEndian.PutUint32(frame[:4], uint32(n))
 	if _, err := w.Write(frame); err != nil {
 		return fmt.Errorf("collector: write frame: %w", err)
 	}
@@ -145,34 +128,75 @@ func WriteBatchCodec(w io.Writer, b *Batch, codec Codec) error {
 	return nil
 }
 
+// appendBatchFrame appends one complete data frame (length prefix + codec
+// tag + payload) to frame.
+func appendBatchFrame(frame []byte, b *Batch, codec Codec) ([]byte, error) {
+	start := len(frame)
+	frame = append(frame, 0, 0, 0, 0, byte(codec)) // length backfilled below
+	switch codec {
+	case CodecBinary:
+		frame = appendBinaryBatch(frame, b)
+	case CodecJSON:
+		blob, err := json.Marshal(b)
+		if err != nil {
+			return nil, fmt.Errorf("collector: marshal batch: %w", err)
+		}
+		frame = append(frame, blob...)
+	default:
+		return nil, fmt.Errorf("collector: unknown codec %d", codec)
+	}
+	n := len(frame) - start - 4 // codec byte + payload
+	if n > maxBatchBytes {
+		return nil, fmt.Errorf("collector: batch of %d bytes exceeds limit", n)
+	}
+	binary.BigEndian.PutUint32(frame[start:], uint32(n))
+	return frame, nil
+}
+
 // ReadBatch reads one framed batch, dispatching on its codec tag. io.EOF is
 // returned unchanged when the stream ends cleanly between frames.
 func ReadBatch(r io.Reader) (*Batch, error) {
+	bufp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bufp)
+	kind, blob, err := readEnvelope(r, bufp)
+	if err != nil {
+		return nil, err
+	}
+	return decodeBatch(Codec(kind), blob)
+}
+
+// readEnvelope reads one frame's length prefix, kind byte and body. The
+// body is read into *buf, grown as needed, so it is valid only until the
+// buffer's next use; both decoders copy what they keep. io.EOF is returned
+// unchanged when the stream ends cleanly between frames.
+func readEnvelope(r io.Reader, buf *[]byte) (kind byte, body []byte, err error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 		if err == io.EOF {
-			return nil, io.EOF
+			return 0, nil, io.EOF
 		}
-		return nil, fmt.Errorf("collector: read frame header: %w", err)
+		return 0, nil, fmt.Errorf("collector: read frame header: %w", err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
+	n := int(binary.BigEndian.Uint32(hdr[:4]))
 	if n == 0 || n > maxBatchBytes {
-		return nil, fmt.Errorf("collector: implausible frame length %d", n)
+		return 0, nil, fmt.Errorf("collector: implausible frame length %d", n)
 	}
 	if _, err := io.ReadFull(r, hdr[4:5]); err != nil {
-		return nil, fmt.Errorf("collector: read codec tag: %w", err)
+		return 0, nil, fmt.Errorf("collector: read frame kind: %w", err)
 	}
-	bufp := bufPool.Get().(*[]byte)
-	defer bufPool.Put(bufp)
-	if cap(*bufp) < int(n)-1 {
-		*bufp = make([]byte, 0, int(n)-1)
+	if cap(*buf) < n-1 {
+		*buf = make([]byte, 0, n-1)
 	}
-	blob := (*bufp)[:int(n)-1]
-	if _, err := io.ReadFull(r, blob); err != nil {
-		return nil, fmt.Errorf("collector: read frame body: %w", err)
+	body = (*buf)[:n-1]
+	if _, err := io.ReadFull(r, body); err != nil {
+		return 0, nil, fmt.Errorf("collector: read frame body: %w", err)
 	}
-	defer func() { *bufp = blob[:0] }()
-	switch Codec(hdr[4]) {
+	return hdr[4], body, nil
+}
+
+// decodeBatch decodes one data frame body by its codec tag.
+func decodeBatch(codec Codec, blob []byte) (*Batch, error) {
+	switch codec {
 	case CodecBinary:
 		return decodeBinaryBatch(blob)
 	case CodecJSON:
@@ -182,7 +206,7 @@ func ReadBatch(r io.Reader) (*Batch, error) {
 		}
 		return &b, nil
 	default:
-		return nil, fmt.Errorf("collector: unknown frame codec %d", hdr[4])
+		return nil, fmt.Errorf("collector: unknown frame codec %d", codec)
 	}
 }
 

@@ -521,6 +521,9 @@ func NewScatterAgent(cfg ScatterAgentConfig) (*ScatterAgent, error) {
 	if cfg.Overlay && cfg.RunOverlay == nil {
 		return nil, fmt.Errorf("collector: overlay-owning scatternet agent without a RunOverlay callback")
 	}
+	if err := cfg.Fault.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.StallTimeout <= 0 {
 		cfg.StallTimeout = 5 * time.Second
 	}

@@ -216,47 +216,29 @@ func writeControl(w io.Writer, kind byte, payload any) error {
 // ReadFrame reads one frame of any kind, dispatching on the kind byte. io.EOF
 // is returned unchanged when the stream ends cleanly between frames.
 func ReadFrame(r io.Reader) (*Frame, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("collector: read frame header: %w", err)
-	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n == 0 || n > maxBatchBytes {
-		return nil, fmt.Errorf("collector: implausible frame length %d", n)
-	}
-	if _, err := io.ReadFull(r, hdr[4:5]); err != nil {
-		return nil, fmt.Errorf("collector: read frame kind: %w", err)
-	}
-	blob := make([]byte, int(n)-1)
-	if _, err := io.ReadFull(r, blob); err != nil {
-		return nil, fmt.Errorf("collector: read frame body: %w", err)
-	}
-	fr, err := decodeFrame(hdr[4], blob)
+	bufp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bufp)
+	kind, blob, err := readEnvelope(r, bufp)
 	if err != nil {
 		return nil, err
 	}
-	fr.WireBytes = 4 + int(n)
+	fr, err := decodeFrame(kind, blob)
+	if err != nil {
+		return nil, err
+	}
+	fr.WireBytes = 5 + len(blob)
 	return fr, nil
 }
 
 // decodeFrame decodes one frame body by kind byte.
 func decodeFrame(kind byte, blob []byte) (*Frame, error) {
 	switch kind {
-	case byte(CodecBinary):
-		b, err := decodeBinaryBatch(blob)
+	case byte(CodecBinary), byte(CodecJSON):
+		b, err := decodeBatch(Codec(kind), blob)
 		if err != nil {
 			return nil, err
 		}
 		return &Frame{Kind: KindBatch, Batch: b}, nil
-	case byte(CodecJSON):
-		var b Batch
-		if err := json.Unmarshal(blob, &b); err != nil {
-			return nil, fmt.Errorf("collector: decode batch: %w", err)
-		}
-		return &Frame{Kind: KindBatch, Batch: &b}, nil
 	case frameHello:
 		fr := &Frame{Kind: KindHello}
 		return decodeJSON(fr, &fr.Hello, blob, "hello")
@@ -295,26 +277,7 @@ func decodeJSON[T any](fr *Frame, field **T, blob []byte, what string) (*Frame, 
 // + payload) into a fresh buffer, so the fault injector can hold, duplicate
 // or drop whole frames.
 func encodeBatchFrame(b *Batch, codec Codec) ([]byte, error) {
-	frame := make([]byte, 5, 4096)
-	frame[4] = byte(codec)
-	switch codec {
-	case CodecBinary:
-		frame = appendBinaryBatch(frame, b)
-	case CodecJSON:
-		blob, err := json.Marshal(b)
-		if err != nil {
-			return nil, fmt.Errorf("collector: marshal batch: %w", err)
-		}
-		frame = append(frame, blob...)
-	default:
-		return nil, fmt.Errorf("collector: unknown codec %d", codec)
-	}
-	n := len(frame) - 4
-	if n > maxBatchBytes {
-		return nil, fmt.Errorf("collector: batch of %d bytes exceeds limit", n)
-	}
-	binary.BigEndian.PutUint32(frame[:4], uint32(n))
-	return frame, nil
+	return appendBatchFrame(make([]byte, 0, 4096), b, codec)
 }
 
 // FaultConfig injects deterministic, seeded faults into an agent's outgoing
@@ -332,6 +295,23 @@ type FaultConfig struct {
 	Reorder   float64       // P(frame swaps with the next data frame)
 	DelayRate float64       // P(frame is delayed by Delay before sending)
 	Delay     time.Duration // wall-clock delay applied on a delay decision
+}
+
+// Validate rejects a probability outside [0, 1], NaN included, and a
+// negative delay. Each error names the btagent flag that sets the field.
+func (c FaultConfig) Validate() error {
+	for _, p := range []struct {
+		flag string
+		v    float64
+	}{{"-drop", c.Drop}, {"-dup", c.Duplicate}, {"-reorder", c.Reorder}, {"-delay-rate", c.DelayRate}} {
+		if !(p.v >= 0 && p.v <= 1) {
+			return fmt.Errorf("%s %v outside [0, 1]", p.flag, p.v)
+		}
+	}
+	if c.Delay < 0 {
+		return fmt.Errorf("-delay %v is negative", c.Delay)
+	}
+	return nil
 }
 
 // Active reports whether any fault injection is configured.

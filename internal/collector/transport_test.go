@@ -466,3 +466,22 @@ func TestFaultInjectorDeterministic(t *testing.T) {
 		t.Error("inactive fault config built an injector")
 	}
 }
+
+// TestAgentConfigLimits pins that both agents refuse an out-of-range fault
+// config and the flat agent a negative spill budget, naming the flag.
+func TestAgentConfigLimits(t *testing.T) {
+	bad := FaultConfig{Reorder: 1.5}
+	if _, err := NewAgent(AgentConfig{Addr: "x", Testbed: "tb", Nodes: []string{"n"}, Fault: bad}); err == nil ||
+		err.Error() != "-reorder 1.5 outside [0, 1]" {
+		t.Errorf("NewAgent with reorder 1.5: %v", err)
+	}
+	if _, err := NewAgent(AgentConfig{Addr: "x", Testbed: "tb", Nodes: []string{"n"}, SpillBudget: -1}); err == nil ||
+		err.Error() != "-spill-budget -1 is negative (0 is unbounded)" {
+		t.Errorf("NewAgent with spill budget -1: %v", err)
+	}
+	run := func(int) (*analysis.PiconetPartial, error) { return nil, nil }
+	if _, err := NewScatterAgent(ScatterAgentConfig{Addr: "x", Lo: 0, Hi: 1, RunPiconet: run,
+		Fault: FaultConfig{Delay: -time.Second}}); err == nil || err.Error() != "-delay -1s is negative" {
+		t.Errorf("NewScatterAgent with delay -1s: %v", err)
+	}
+}

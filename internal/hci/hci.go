@@ -116,9 +116,6 @@ type Host struct {
 	nextHandle Handle
 	live       []Handle
 	busyUntil  sim.Time
-
-	// Counters for tests and diagnostics.
-	timeouts, invalidHandles int
 }
 
 // NewHost builds the HCI layer. sink may be nil (errors still returned).
@@ -178,12 +175,6 @@ func (h *Host) allocHandle() Handle {
 func (h *Host) fail(code core.ErrorCode, op string, dur sim.Time) Result {
 	if h.sink != nil {
 		h.sink(code, op)
-	}
-	switch code {
-	case core.CodeHCICommandTimeout:
-		h.timeouts++
-	case core.CodeHCIInvalidHandle:
-		h.invalidHandles++
 	}
 	return Result{Dur: dur, Err: core.NewSimError(code, op, h.node)}
 }

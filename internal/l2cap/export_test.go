@@ -13,6 +13,3 @@ func (p SegPlan) Len(i int) int {
 	}
 	return p.Budget
 }
-
-// UnexpectedFrames reports the count of framing-state violations observed.
-func (m *Mux) UnexpectedFrames() int { return m.unexpectedFrames }

@@ -132,8 +132,6 @@ type Mux struct {
 	nextCID uint16
 	open    int    // channels opened in this epoch and not yet closed
 	epoch   uint32 // bumped by Reset
-
-	unexpectedFrames int
 }
 
 // NewMux builds the L2CAP layer over an HCI host.
@@ -158,7 +156,6 @@ func (m *Mux) OpenChannels() int { return m.open }
 
 // raiseUnexpected logs and returns the unexpected-frame error.
 func (m *Mux) raiseUnexpected(op string, dur sim.Time) Result {
-	m.unexpectedFrames++
 	if m.sink != nil {
 		m.sink(core.CodeL2CAPUnexpectedFrame, op)
 	}

@@ -23,12 +23,11 @@ import (
 // TestLog is a node's user-level failure log.
 type TestLog struct {
 	mu      sync.Mutex
-	node    string
 	reports []core.UserReport
 }
 
 // NewTestLog creates the Test Log for a node.
-func NewTestLog(node string) *TestLog { return &TestLog{node: node} }
+func NewTestLog() *TestLog { return &TestLog{} }
 
 // Append records one user-level failure report.
 func (l *TestLog) Append(r core.UserReport) {

@@ -30,7 +30,7 @@ func sampleEntries() []core.SystemEntry {
 }
 
 func TestTestLogAppendSnapshotDrain(t *testing.T) {
-	l := NewTestLog("Verde")
+	l := NewTestLog()
 	for _, r := range sampleReports() {
 		l.Append(r)
 	}

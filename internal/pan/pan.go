@@ -158,8 +158,6 @@ type NAP struct {
 	// particular order.
 	slots  [MaxSlaves]uint64
 	active int
-
-	rejected int
 }
 
 // NewNAP builds the NAP role for a node and registers its service record.
@@ -182,7 +180,6 @@ func (n *NAP) ActiveSlaves() int { return n.active }
 // Table 2).
 func (n *NAP) accept(connID uint64, peer string) (hci.Handle, error) {
 	if n.active == MaxSlaves {
-		n.rejected++
 		return hci.InvalidHandle, core.NewSimError(core.CodeHCICommandTimeout, "nap.slots_full", n.Node)
 	}
 	hd, res := n.HCI.AcceptConnection(peer)

@@ -68,7 +68,7 @@ func newFixture(t *testing.T, opts fixtureOpts) *fixture {
 
 	scfg := sdp.DefaultServerConfig()
 	scfg.RefuseProb, scfg.TimeoutProb, scfg.MissProb = 0, 0, 0
-	server := sdp.NewServer(scfg, "Giallo", rand.New(rand.NewPCG(39, 40)), napSink)
+	server := sdp.NewServer(scfg, rand.New(rand.NewPCG(39, 40)), napSink)
 	f.nap = NewNAP("Giallo", napHost, server)
 
 	pcfg := DefaultConfig()
@@ -228,8 +228,9 @@ func TestNAPSlotExhaustion(t *testing.T) {
 	if conn != nil || res.Err == nil {
 		t.Fatal("8th slave admitted")
 	}
-	if f.nap.Rejected() != 1 {
-		t.Errorf("Rejected = %d", f.nap.Rejected())
+	var se *core.SimError
+	if !errors.As(res.Err, &se) || se.Code != core.CodeHCICommandTimeout || se.Op != "nap.slots_full" {
+		t.Errorf("8th slave: want a nap.slots_full timeout, got %v", res.Err)
 	}
 	f.panu.Disconnect(conns[0], f.nap)
 	if f.nap.ActiveSlaves() != MaxSlaves-1 {

@@ -169,7 +169,6 @@ type Outcome struct {
 type Cascade struct {
 	host   *stack.Host
 	timing *Timing
-	rng    *rand.Rand
 }
 
 // NewCascade builds the recovery engine for a host.
@@ -177,7 +176,7 @@ func NewCascade(host *stack.Host, rng *rand.Rand) *Cascade {
 	if host == nil {
 		panic("recovery: nil host")
 	}
-	return &Cascade{host: host, timing: NewTiming(host.OS, rng), rng: rng}
+	return &Cascade{host: host, timing: NewTiming(host.OS, rng)}
 }
 
 // applySideEffects performs the state changes of an action.

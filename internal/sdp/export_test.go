@@ -7,10 +7,5 @@ func (s *Server) Unregister(handle uint32) {
 	s.records = slices.DeleteFunc(s.records, func(r Record) bool { return r.Handle == handle })
 }
 
-// Stats reports fault counters.
-func (s *Server) Stats() (refused, timedOut, missed int) {
-	return s.refused, s.timedOut, s.missed
-}
-
 // UUIDGN is the PAN Group Network service class UUID.
 const UUIDGN uint16 = 0x1117

@@ -76,24 +76,21 @@ func (c ServerConfig) Validate() error {
 // Server is the SDP daemon of one node (in the testbeds, the NAP's).
 type Server struct {
 	cfg  ServerConfig
-	node string
 	rng  *rand.Rand
 	sink hci.Sink
 
 	nextHandle uint32
 	records    []Record // in registration order
 	hits       []Record // the last search's matches, reused across searches
-
-	refused, timedOut, missed int
 }
 
 // NewServer builds an SDP daemon.
-func NewServer(cfg ServerConfig, node string, rng *rand.Rand, sink hci.Sink) *Server {
+func NewServer(cfg ServerConfig, rng *rand.Rand, sink hci.Sink) *Server {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	return &Server{
-		cfg: cfg, node: node, rng: rng, sink: sink,
+		cfg: cfg, rng: rng, sink: sink,
 		nextHandle: 0x10000,
 	}
 }
@@ -127,13 +124,11 @@ const (
 func (s *Server) handleSearch(class uint16) ([]Record, outcome) {
 	switch u := s.rng.Float64(); {
 	case u < s.cfg.RefuseProb:
-		s.refused++
 		if s.sink != nil {
 			s.sink(core.CodeSDPConnectionRefused, "sdp.handle_search")
 		}
 		return nil, refused
 	case u < s.cfg.RefuseProb+s.cfg.TimeoutProb:
-		s.timedOut++
 		if s.sink != nil {
 			s.sink(core.CodeSDPTimeout, "sdp.handle_search")
 		}
@@ -147,7 +142,6 @@ func (s *Server) handleSearch(class uint16) ([]Record, outcome) {
 	}
 	s.hits = hits
 	if len(hits) > 0 && s.rng.Float64() < s.cfg.MissProb {
-		s.missed++
 		if s.sink != nil {
 			s.sink(core.CodeSDPServiceMissing, "sdp.handle_search")
 		}
@@ -161,7 +155,6 @@ func (s *Server) handleSearch(class uint16) ([]Record, outcome) {
 // (NAP-side) system log. It is how nearly all "PAN connect failed" failures
 // leave their SDP evidence in Table 2.
 func (s *Server) LogStaleRecord() {
-	s.missed++
 	if s.sink != nil {
 		s.sink(core.CodeSDPServiceMissing, "sdp.stale_record")
 	}

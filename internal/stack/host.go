@@ -90,8 +90,7 @@ type Host struct {
 	l2capSrc, arqSrc *sim.PCG
 	cleanPackets     int64
 
-	// Reboot/restart bookkeeping for the SIRAs.
-	upSince sim.Time
+	// Reboot bookkeeping for the SIRAs.
 	reboots int
 }
 
@@ -122,10 +121,10 @@ func NewHost(cfg Config, world *sim.World, node string, os OSInfo, distanceM flo
 	h.HCI = hci.NewHost(cfg.HCI, node, tr, clock, world.RNG("hci."+node), sink)
 	h.L2CAP = l2cap.NewMux(cfg.L2CAP, node, h.HCI, world.RNG("l2cap."+node), sink)
 	h.BNEP = bnep.NewService(cfg.BNEP, node, clock, world.RNG("bnep."+node), sink)
-	h.Hotplug = NewHotplug(cfg.Hotplug, world, node, os.HALDefect, world.RNG("hotplug."+node), sink)
+	h.Hotplug = NewHotplug(cfg.Hotplug, world, os.HALDefect, world.RNG("hotplug."+node), sink)
 	h.SDPClient = sdp.NewClient(node, h.L2CAP, sink)
 	if isNAP {
-		h.SDPServer = sdp.NewServer(cfg.SDP, node, world.RNG("sdp."+node), sink)
+		h.SDPServer = sdp.NewServer(cfg.SDP, world.RNG("sdp."+node), sink)
 		h.NAP = pan.NewNAP(node, h.HCI, h.SDPServer)
 	} else {
 		h.PANU = pan.NewPANU(cfg.PAN, node, h.HCI, h.L2CAP, h.BNEP,
@@ -159,7 +158,6 @@ func (h *Host) ResetStack() {
 func (h *Host) Reboot() sim.Time {
 	h.ResetStack()
 	h.reboots++
-	h.upSince = h.World.Now() + h.OS.BootTime
 	return h.OS.BootTime
 }
 
@@ -322,12 +320,6 @@ func (p *Pipe) sendOne(pt core.PacketType, plan l2cap.SegPlan) (PacketOutcome, s
 	return PacketDelivered, res.Elapsed
 }
 
-// Socket is the IP socket layer entry point for the bind race.
-type Socket struct {
-	Bound bool
-	iface *bnep.Interface
-}
-
 // Bind attempts to bind an IP socket to the connection's BNEP interface at
 // the current instant. The failure legs mirror the paper's analysis:
 //
@@ -336,24 +328,24 @@ type Socket struct {
 //   - after T_C but before the hotplug configuration completes → the
 //     interface is missing or unconfigured (BNEP module evidence; if the
 //     hotplug event was lost the HAL timeout will land in the log too).
-func (h *Host) Bind(conn *pan.Conn, connectedAt sim.Time) (Socket, error) {
+func (h *Host) Bind(conn *pan.Conn, connectedAt sim.Time) error {
 	now := h.World.Now()
 	if conn == nil || conn.Iface == nil {
-		return Socket{}, core.NewSimError(core.CodeBNEPModuleMissing, "socket.bind", h.Node)
+		return core.NewSimError(core.CodeBNEPModuleMissing, "socket.bind", h.Node)
 	}
 	if now < connectedAt+h.cfg.TCWindow {
 		if h.sink != nil {
 			h.sink(core.CodeHCIInvalidHandle, "socket.bind")
 		}
-		return Socket{}, core.NewSimError(core.CodeHCIInvalidHandle, "socket.bind", h.Node)
+		return core.NewSimError(core.CodeHCIInvalidHandle, "socket.bind", h.Node)
 	}
 	if !conn.Iface.Configured {
 		if h.sink != nil {
 			h.sink(core.CodeBNEPModuleMissing, "socket.bind")
 		}
-		return Socket{}, core.NewSimError(core.CodeBNEPModuleMissing, "socket.bind", h.Node)
+		return core.NewSimError(core.CodeBNEPModuleMissing, "socket.bind", h.Node)
 	}
-	return Socket{Bound: true, iface: conn.Iface}, nil
+	return nil
 }
 
 // WaitForBind is the masking strategy for "Bind failed": it reports the

@@ -101,12 +101,10 @@ func (c HotplugConfig) Validate() error {
 type Hotplug struct {
 	cfg    HotplugConfig
 	world  *sim.World
-	node   string
 	defect bool
 	rng    *rand.Rand
 	sink   hci.Sink
 
-	timeouts int
 	// lostIface and lostGen name the interface generation whose event was
 	// lost and not yet kicked (lostIface nil: none).
 	lostIface *bnep.Interface
@@ -170,7 +168,6 @@ func (e *hotplugEvent) run() {
 		// interface of this generation may have been configured since. A
 		// teardown does not stop the log.
 		if h.lostIface != nil && h.lostGen == gen && (!current || !iface.Configured) {
-			h.timeouts++
 			if h.sink != nil {
 				h.sink(core.CodeHotplugTimeout, "hotplug.wait_event")
 			}
@@ -179,14 +176,14 @@ func (e *hotplugEvent) run() {
 }
 
 // NewHotplug builds the daemon for a host.
-func NewHotplug(cfg HotplugConfig, world *sim.World, node string, defect bool, rng *rand.Rand, sink hci.Sink) *Hotplug {
+func NewHotplug(cfg HotplugConfig, world *sim.World, defect bool, rng *rand.Rand, sink hci.Sink) *Hotplug {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	if world == nil {
 		panic("stack: nil world")
 	}
-	return &Hotplug{cfg: cfg, world: world, node: node, defect: defect, rng: rng, sink: sink}
+	return &Hotplug{cfg: cfg, world: world, defect: defect, rng: rng, sink: sink}
 }
 
 // delay reports the configuration delay, late reports whether the defect

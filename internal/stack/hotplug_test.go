@@ -3,6 +3,7 @@ package stack
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/hci"
 	"repro/internal/pan"
 	"repro/internal/sim"
@@ -72,11 +73,11 @@ func TestHotplugStaleHALTimeoutLeavesNextInterface(t *testing.T) {
 		b.world.RunUntil(start + 2*sim.Second)
 		b.open(t, hds[1], &conn) // B's HAL timeout at start+12 s
 		b.world.RunUntil(start + 11*sim.Second)
-		if got := b.panu.Hotplug.Timeouts(); got != 0 {
+		if got := b.count(core.CodeHotplugTimeout); got != 0 {
 			t.Fatalf("connection A's HAL timeout logged against connection B's lost event (%d timeouts)", got)
 		}
 		b.world.RunUntil(start + 13*sim.Second)
-		if got := b.panu.Hotplug.Timeouts(); got != 1 {
+		if got := b.count(core.CodeHotplugTimeout); got != 1 {
 			t.Fatalf("%d HAL timeouts, want connection B's one", got)
 		}
 		if conn.Iface.Configured {
@@ -99,7 +100,7 @@ func TestHotplugStaleHALTimeoutLeavesNextInterface(t *testing.T) {
 		// A's event stays lost after its teardown, so its timeout logs,
 		// whatever state B's interface is in.
 		b.world.RunUntil(start + 11*sim.Second)
-		if got := b.panu.Hotplug.Timeouts(); got != 1 {
+		if got := b.count(core.CodeHotplugTimeout); got != 1 {
 			t.Fatalf("%d HAL timeouts, want connection A's one", got)
 		}
 		if !conn.Iface.Configured {

@@ -58,6 +58,17 @@ func newBed(t testing.TB, mutate func(panu, nap *Config), osInfo OSInfo) *bed {
 	return b
 }
 
+// count reports how many entries with code the hosts have logged.
+func (b *bed) count(code core.ErrorCode) int {
+	n := 0
+	for _, c := range b.logs {
+		if c == code {
+			n++
+		}
+	}
+	return n
+}
+
 func defaultOS() OSInfo {
 	return OSInfo{Family: "Linux", Distribution: "Mandrake",
 		BootTime: 90 * sim.Second, AppRestartTime: 8 * sim.Second}
@@ -104,7 +115,7 @@ func TestBindRaceBeforeTC(t *testing.T) {
 	b := newBed(t, nil, defaultOS())
 	conn, connectedAt := b.connect(t)
 	// Bind immediately: inside the T_C window.
-	_, err := b.panu.Bind(conn, connectedAt)
+	err := b.panu.Bind(conn, connectedAt)
 	var se *core.SimError
 	if !errors.As(err, &se) || se.Code != core.CodeHCIInvalidHandle {
 		t.Fatalf("bind before T_C: %v, want HCI invalid handle", err)
@@ -124,7 +135,7 @@ func TestBindRaceBeforeTH(t *testing.T) {
 	conn, connectedAt := b.connect(t)
 	// Advance past T_C but not past the defective T_H.
 	b.world.RunUntil(connectedAt + b.panu.cfg.TCWindow + 50*sim.Millisecond)
-	_, err := b.panu.Bind(conn, connectedAt)
+	err := b.panu.Bind(conn, connectedAt)
 	var se *core.SimError
 	if !errors.As(err, &se) || se.Code != core.CodeBNEPModuleMissing {
 		t.Fatalf("bind before T_H: %v, want BNEP module missing", err)
@@ -135,12 +146,8 @@ func TestBindSucceedsAfterHotplug(t *testing.T) {
 	b := newBed(t, nil, defaultOS())
 	conn, connectedAt := b.connect(t)
 	b.world.RunUntil(connectedAt + 5*sim.Second)
-	sock, err := b.panu.Bind(conn, connectedAt)
-	if err != nil {
+	if err := b.panu.Bind(conn, connectedAt); err != nil {
 		t.Fatalf("bind after T_C+T_H: %v", err)
-	}
-	if !sock.Bound {
-		t.Fatal("no bound socket")
 	}
 }
 
@@ -154,7 +161,7 @@ func TestBindMaskingWaitsOutTheRace(t *testing.T) {
 		t.Fatal("masking should require a wait right after connect")
 	}
 	b.world.RunUntil(b.world.Now() + wait)
-	if _, err := b.panu.Bind(conn, connectedAt); err != nil {
+	if err := b.panu.Bind(conn, connectedAt); err != nil {
 		t.Fatalf("masked bind still failed: %v", err)
 	}
 }
@@ -170,22 +177,13 @@ func TestHotplugLostEventLogsHALTimeout(t *testing.T) {
 	if conn.Iface.Configured {
 		t.Fatal("lost event should leave interface unconfigured")
 	}
-	if b.panu.Hotplug.Timeouts() != 1 {
-		t.Errorf("HAL timeouts = %d, want 1", b.panu.Hotplug.Timeouts())
-	}
-	found := false
-	for _, c := range b.logs {
-		if c == core.CodeHotplugTimeout {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("HAL timeout not in system log")
+	if n := b.count(core.CodeHotplugTimeout); n != 1 {
+		t.Errorf("system log holds %d HAL timeouts, want 1", n)
 	}
 	// Masking kicks the daemon and recovers.
 	wait := b.panu.WaitForBind(conn, connectedAt)
 	b.world.RunUntil(b.world.Now() + wait)
-	if _, err := b.panu.Bind(conn, connectedAt); err != nil {
+	if err := b.panu.Bind(conn, connectedAt); err != nil {
 		t.Fatalf("kick did not recover: %v", err)
 	}
 }
@@ -268,10 +266,6 @@ func TestReboot(t *testing.T) {
 	if b.panu.Reboots() != 1 {
 		t.Errorf("Reboots = %d", b.panu.Reboots())
 	}
-	b.world.RunUntil(b.world.Now() + dur + sim.Second)
-	if b.panu.Uptime() > 2*sim.Second {
-		t.Errorf("uptime = %v after fresh boot", b.panu.Uptime())
-	}
 }
 
 func TestDefaultHostConfigValidates(t *testing.T) {
@@ -317,7 +311,7 @@ func TestHotplugConfigValidate(t *testing.T) {
 
 func TestBindNilConn(t *testing.T) {
 	b := newBed(t, nil, defaultOS())
-	if _, err := b.panu.Bind(nil, 0); err == nil {
+	if err := b.panu.Bind(nil, 0); err == nil {
 		t.Error("bind(nil) should fail")
 	}
 }

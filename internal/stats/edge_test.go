@@ -166,8 +166,8 @@ func TestHistogramMergeEmptyShards(t *testing.T) {
 
 	h := full()
 	h.Merge(NewHistogram(0, 10, 5)) // empty, same binning
-	if h.N() != 6 {
-		t.Fatalf("merge with empty shard changed N: %d", h.N())
+	if observations(h) != 6 {
+		t.Fatalf("merge with empty shard changed N: %d", observations(h))
 	}
 	for i, c := range h.Counts() {
 		if c != want[i] {
@@ -177,8 +177,8 @@ func TestHistogramMergeEmptyShards(t *testing.T) {
 
 	empty := NewHistogram(0, 10, 5)
 	empty.Merge(full())
-	if empty.N() != 6 {
-		t.Fatalf("empty.Merge(full) N = %d, want 6", empty.N())
+	if observations(empty) != 6 {
+		t.Fatalf("empty.Merge(full) N = %d, want 6", observations(empty))
 	}
 	for i, c := range empty.Counts() {
 		if c != want[i] {
@@ -189,7 +189,7 @@ func TestHistogramMergeEmptyShards(t *testing.T) {
 	// nil shard: the guard must make it a no-op, not a panic.
 	h2 := full()
 	h2.Merge(nil)
-	if h2.N() != 6 {
-		t.Errorf("Merge(nil) changed N: %d", h2.N())
+	if observations(h2) != 6 {
+		t.Errorf("Merge(nil) changed N: %d", observations(h2))
 	}
 }

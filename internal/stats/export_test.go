@@ -13,9 +13,6 @@ func (p Pareto) Mean() float64 {
 	return p.Alpha * p.Xm / (p.Alpha - 1)
 }
 
-// N reports the number of recorded observations.
-func (h *Histogram) N() int { return h.n }
-
 // Percentile returns the p-th percentile (0..100) of xs by linear
 // interpolation, without modifying xs.
 func Percentile(xs []float64, p float64) float64 {

@@ -11,7 +11,6 @@ import (
 type Histogram struct {
 	Lo, Hi float64
 	bins   []int
-	n      int
 }
 
 // NewHistogram creates a histogram with nbins equal-width bins over [lo, hi).
@@ -32,7 +31,6 @@ func (h *Histogram) Add(x float64) {
 		i = len(h.bins) - 1
 	}
 	h.bins[i]++
-	h.n++
 }
 
 // Merge folds another histogram into h, as if all of o's observations had
@@ -49,7 +47,6 @@ func (h *Histogram) Merge(o *Histogram) {
 	for i, c := range o.bins {
 		h.bins[i] += c
 	}
-	h.n += o.n
 }
 
 // Counts returns a copy of the per-bin counts.

@@ -114,8 +114,8 @@ func TestHistogramMergeMatchesSingleStream(t *testing.T) {
 	for _, s := range shards {
 		merged.Merge(s)
 	}
-	if merged.N() != single.N() {
-		t.Fatalf("merged N = %d, single N = %d", merged.N(), single.N())
+	if observations(merged) != observations(single) {
+		t.Fatalf("merged N = %d, single N = %d", observations(merged), observations(single))
 	}
 	mc, sc := merged.Counts(), single.Counts()
 	for i := range mc {

@@ -56,7 +56,6 @@ func RestoreHistogram(snap HistogramSnapshot) (*Histogram, error) {
 			return nil, fmt.Errorf("stats: negative bin count %d in histogram snapshot", c)
 		}
 		h.bins[i] = c
-		h.n += c
 	}
 	return h, nil
 }

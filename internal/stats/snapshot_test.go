@@ -90,8 +90,8 @@ func TestHistogramSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	resumed.Merge(second)
-	if resumed.N() != whole.N() {
-		t.Fatalf("resumed histogram count %d, want %d", resumed.N(), whole.N())
+	if observations(resumed) != observations(whole) {
+		t.Fatalf("resumed histogram count %d, want %d", observations(resumed), observations(whole))
 	}
 	rc, wc := resumed.Counts(), whole.Counts()
 	for i := range wc {

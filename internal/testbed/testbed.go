@@ -103,7 +103,7 @@ func New(opts Options) (*Testbed, error) {
 			continue
 		}
 		tb.PANUs = append(tb.PANUs, host)
-		tb.TestLogs[spec.Name] = logging.NewTestLog(spec.Name)
+		tb.TestLogs[spec.Name] = logging.NewTestLog()
 	}
 	if tb.NAP == nil {
 		return nil, fmt.Errorf("testbed: catalogue has no NAP")

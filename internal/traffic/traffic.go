@@ -41,10 +41,6 @@ type Plan struct {
 
 	// SendFrac is the uplink share of Bytes.
 	SendFrac float64
-
-	// Paced marks isochronous traffic (streaming): the sender paces packets
-	// instead of saturating the link.
-	Paced bool
 }
 
 // Packets reports the downlink/uplink packet counts implied by the plan.
@@ -103,7 +99,6 @@ func Sample(app core.AppKind, rng *rand.Rand, scale float64) Plan {
 		p.Bytes = int(dur * rate)
 		p.SendPDU, p.RecvPDU = PDUAck, PDUData
 		p.SendFrac = 0.02
-		p.Paced = true
 	default:
 		panic(fmt.Sprintf("traffic: no model for app %v", app))
 	}

@@ -34,16 +34,6 @@ func TestSampleAllApps(t *testing.T) {
 	}
 }
 
-func TestOnlyStreamingIsPaced(t *testing.T) {
-	r := testRNG()
-	for _, app := range core.Apps() {
-		p := Sample(app, r, 1)
-		if p.Paced != (app == core.AppStreaming) {
-			t.Errorf("%v: paced = %v", app, p.Paced)
-		}
-	}
-}
-
 func TestVolumeOrderingMatchesFigure3c(t *testing.T) {
 	r := testRNG()
 	const n = 30000

@@ -62,9 +62,7 @@ type BCSPSim struct {
 	node string
 	rng  *rand.Rand
 
-	seq      uint8
-	reorders int
-	losses   int
+	seq uint8
 }
 
 var _ Transport = (*BCSPSim)(nil)
@@ -89,7 +87,6 @@ func (b *BCSPSim) Deliver(size int) Result {
 	u := b.rng.Float64()
 	switch {
 	case u < b.cfg.ReorderProb:
-		b.reorders++
 		ev := b.replayFault(true)
 		if ev != EvOutOfOrder {
 			// The real receiver must classify a swap as out-of-order;
@@ -104,7 +101,6 @@ func (b *BCSPSim) Deliver(size int) Result {
 			Err:     core.NewSimError(core.CodeBCSPOutOfOrder, "bcsp.deliver", b.node),
 		}
 	case u < b.cfg.ReorderProb+b.cfg.MissingProb:
-		b.losses++
 		if b.rng.Float64() < b.cfg.RecoverProb {
 			return Result{Latency: lat + b.cfg.RetransmitDelay}
 		}

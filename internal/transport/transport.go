@@ -120,7 +120,6 @@ type USB struct {
 	rng        *rand.Rand
 	node       string
 	stallUntil sim.Time
-	stalls     int
 }
 
 var _ Transport = (*USB)(nil)
@@ -147,7 +146,6 @@ func (u *USB) Deliver(size int) Result {
 		}
 	}
 	if u.cfg.StallProb > 0 && u.rng.Float64() < u.cfg.StallProb {
-		u.stalls++
 		u.stallUntil = now + u.cfg.StallDuration
 		return Result{
 			Latency: sim.Millisecond,

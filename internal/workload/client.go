@@ -27,7 +27,6 @@ type cyclePlan struct {
 
 	sendN, recvN       int
 	sendSize, recvSize int
-	paced              bool
 }
 
 // Client is one BlueTest client instance, running on a PANU host.
@@ -43,7 +42,6 @@ type Client struct {
 	counters *Counters
 
 	running bool
-	stopped bool
 
 	// Connection state (persists across consecutive realistic cycles).
 	// conn and pipe point at connVal and pipeVal while a connection is up
@@ -60,10 +58,7 @@ type Client struct {
 	idleBefore  sim.Time
 	reusedIdle  bool
 	freshSDP    bool
-	cycleFailed bool
-
-	lastFailureAt sim.Time
-	plan          cyclePlan
+	plan        cyclePlan
 
 	// maskSDP is the masking counterfactual's stream, looked up on the
 	// first forced search.
@@ -173,7 +168,6 @@ func (c *Client) samplePlan() cyclePlan {
 		plan := traffic.Sample(p.app, c.rng, c.cfg.VolumeScale)
 		p.sendN, p.recvN = plan.Packets()
 		p.sendSize, p.recvSize = plan.SendPDU, plan.RecvPDU
-		p.paced = plan.Paced
 	case core.WLFixed:
 		p.pkt = core.PTDH5
 		p.sendN = c.cfg.FixedN / 2
@@ -236,8 +230,6 @@ func (c *Client) file(f core.UserFailure, out recovery.Outcome) {
 	rep.Phase, rep.Verdict = c.classify(f)
 	c.testLog.Append(rep)
 	c.counters.Failures[f]++
-	c.cycleFailed = true
-	c.lastFailureAt = c.world.Now()
 }
 
 // RecurrenceWindow is the windowed-recurrence horizon of the transience
@@ -347,11 +339,7 @@ func (c *Client) offTime() sim.Time {
 // cycleStart begins a BlueTest cycle: on a live (reused) connection it goes
 // straight to the transfer; otherwise it walks the full utilisation chain.
 func (c *Client) cycleStart() {
-	if c.stopped {
-		return
-	}
 	c.counters.Cycles++
-	c.cycleFailed = false
 	c.plan = c.samplePlan()
 
 	if c.conn != nil && c.cyclesLeft > 0 {
@@ -382,9 +370,6 @@ func (c *Client) cycleStart() {
 // paging window (a real application waits for the connection-complete event
 // before issuing L2CAP traffic).
 func (c *Client) searchPhase() {
-	if c.stopped {
-		return
-	}
 	hd, res := c.host.HCI.CreateConnection(c.napHost.Node)
 	if res.Err != nil {
 		// The baseband link itself failed: the user sees a connect failure.
@@ -398,9 +383,6 @@ func (c *Client) searchPhase() {
 // sdpPhase runs the SDP search when the SDP flag (or the always-search
 // masking strategy) calls for it.
 func (c *Client) sdpPhase() {
-	if c.stopped {
-		return
-	}
 	var dur sim.Time
 	doSearch := c.plan.sdp
 	maskForced := false
@@ -463,9 +445,6 @@ var errNAPNotFound = errors.New("workload: NAP not found")
 
 // connectPhase runs the PAN connection and the role switch.
 func (c *Client) connectPhase() {
-	if c.stopped {
-		return
-	}
 	res := c.host.PANU.Connect(c.hd, c.napHost.NAP, c.freshSDP, &c.connVal)
 	if res.Err != nil {
 		if res.Stage == pan.StageL2CAP {
@@ -525,9 +504,6 @@ func (c *Client) connectPhase() {
 
 // bindPhase binds the IP socket, racing T_C and T_H unless masked.
 func (c *Client) bindPhase() {
-	if c.stopped {
-		return
-	}
 	if c.cfg.Masking.BindWait {
 		// Peek: would the natural bind have failed right now?
 		wouldFail := c.conn == nil || c.conn.Iface == nil ||
@@ -545,10 +521,7 @@ func (c *Client) bindPhase() {
 
 // bindDo performs the actual bind.
 func (c *Client) bindDo() {
-	if c.stopped {
-		return
-	}
-	if _, err := c.host.Bind(c.conn, c.connectedAt); err != nil {
+	if err := c.host.Bind(c.conn, c.connectedAt); err != nil {
 		out := c.report(core.UFBindFailed)
 		c.failAndRestart(out)
 		return
@@ -566,9 +539,6 @@ func (c *Client) transferPhase() {
 // re-entrant: a masked packet loss pauses here and resumes after the
 // masking retry wait with the remaining counts intact.
 func (c *Client) transferLoop() {
-	if c.stopped {
-		return
-	}
 	if c.pipe == nil || c.conn == nil || !c.conn.Open {
 		// The connection evaporated between cycles (e.g. a reset from a
 		// prior failure): rebuild on the next cycle.
@@ -633,9 +603,6 @@ func (c *Client) recordIdleOutcome(failed bool) {
 // disconnectPhase closes the cycle: either keep the connection for the next
 // consecutive cycle or disconnect and go passive.
 func (c *Client) disconnectPhase() {
-	if c.stopped {
-		return
-	}
 	c.cyclesLeft--
 	off := c.offTime()
 	c.idleBefore = off

@@ -24,7 +24,7 @@ type pair struct {
 func newPair(t testing.TB, seed uint64, panuName string, mutate func(*stack.Config)) *pair {
 	t.Helper()
 	p := &pair{world: sim.NewWorld(seed)}
-	p.testLog = logging.NewTestLog(panuName)
+	p.testLog = logging.NewTestLog()
 	p.sysLog = logging.NewSystemLog(panuName)
 	clock := func() sim.Time { return p.world.Now() }
 
@@ -338,19 +338,5 @@ func TestDefaultFaultsProduceFailures(t *testing.T) {
 	}
 	if p.sysLog.Len() == 0 {
 		t.Error("no system-level entries logged")
-	}
-}
-
-func TestStopHaltsClient(t *testing.T) {
-	p := newPair(t, 111, "Verde", quiet)
-	client := NewClient(DefaultRandom("random", recovery.ScenarioSIRAs),
-		p.world, p.panu, p.nap, p.testLog)
-	client.Start()
-	p.world.RunUntil(20 * sim.Minute)
-	cycles := client.Counters().Cycles
-	client.Stop()
-	p.world.RunUntil(2 * sim.Hour)
-	if got := client.Counters().Cycles; got > cycles+1 {
-		t.Errorf("client kept cycling after Stop: %d -> %d", cycles, got)
 	}
 }

@@ -1,5 +1,6 @@
-// Command testonly lists production declarations that only tests reach.
-// It type-checks the non-test files of one or more Go modules with the
+// Command testonly lists production declarations that only tests reach,
+// and struct fields production does not both write and read. It
+// type-checks the non-test files of one or more Go modules with the
 // standard library alone (go/parser, go/types, and go/importer over the
 // export data `go list -export` writes), then walks references from the
 // roots:
@@ -21,6 +22,18 @@
 // seam:", followed by the test that needs it, is kept deliberately and
 // not listed.
 //
+// An unexported struct field is live only if non-test code both writes
+// and reads it. A write is `x.f = v`, `x.f op= v`, `x.f++`, a keyed
+// struct literal `T{f: v}`, or a positional literal, which writes every
+// field. A use that changes a value through the field (`x.f[k]++`,
+// `x.f.g = v`, `&x.f`, `x.f.M()`) both reads and writes it; a read that
+// only feeds the field itself (`x.n += o.n`) does not count; hashing a
+// struct as a map key or comparing structs reads every field; any other
+// use reads it. Reads in annotated declarations count, reads in _test.go
+// files do not, and embedded fields are skipped. Each other field is
+// listed as `file:line Type.field (never read)` or `(never written)`; a
+// "Test seam:" line in the field's own doc comment keeps it.
+//
 // Usage:
 //
 //	go run ./scripts/testonly [moduledir ...]
@@ -41,6 +54,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -50,7 +64,7 @@ func main() {
 	if len(dirs) == 0 {
 		dirs = []string{".", "bench"}
 	}
-	found, err := unreachable(dirs)
+	found, err := dead(dirs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "testonly:", err)
 		os.Exit(2)
@@ -59,7 +73,7 @@ func main() {
 		fmt.Println(f)
 	}
 	if len(found) > 0 {
-		fmt.Fprintf(os.Stderr, "testonly: %d declaration(s) only tests reach\n", len(found))
+		fmt.Fprintf(os.Stderr, "testonly: %d dead declaration(s) or field(s)\n", len(found))
 		os.Exit(1)
 	}
 }
@@ -121,19 +135,36 @@ type decl struct {
 	annotated bool
 }
 
-// graph holds the declarations and the interfaces a method may be called
-// through.
+// field is one unexported, named struct field of a module type.
+type field struct {
+	pos  token.Position
+	name string
+	// kept marks a "Test seam:" line in the field's own doc comment.
+	kept bool
+}
+
+// What non-test code does with a field.
+const (
+	fieldRead uint8 = 1 << iota
+	fieldWritten
+)
+
+// graph holds the declarations, the fields and what is done with them,
+// and the interfaces a method may be called through.
 type graph struct {
-	decls map[types.Object]*decl
+	decls  map[types.Object]*decl
+	fields map[*types.Var]*field
+	access map[*types.Var]uint8
 	// initRefs are the declarations package-level var initialisers name.
 	initRefs []types.Object
 	// ifaces indexes interfaces by the names of the methods they declare.
 	ifaces map[string][]*types.Interface
 }
 
-// unreachable type-checks the modules in dirs and returns the sorted
-// `file:line name` list of declarations no root reaches.
-func unreachable(dirs []string) ([]string, error) {
+// dead type-checks the modules in dirs and returns the sorted `file:line`
+// list of declarations no root reaches and of fields never read or never
+// written.
+func dead(dirs []string) ([]string, error) {
 	pkgs, err := listPackages(dirs)
 	if err != nil {
 		return nil, err
@@ -159,7 +190,12 @@ func unreachable(dirs []string) ([]string, error) {
 		}
 		return stdImporter.Import(path)
 	})
-	g := &graph{decls: map[types.Object]*decl{}, ifaces: map[string][]*types.Interface{}}
+	g := &graph{
+		decls:  map[types.Object]*decl{},
+		fields: map[*types.Var]*field{},
+		access: map[*types.Var]uint8{},
+		ifaces: map[string][]*types.Interface{},
+	}
 	g.addInterface(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
 	root, err := filepath.Abs(dirs[0])
 	if err != nil {
@@ -190,6 +226,7 @@ func unreachable(dirs []string) ([]string, error) {
 		checked[p.ImportPath] = pkg
 		for _, f := range files {
 			g.addFile(fset, root, pkg, info, f)
+			g.addFields(fset, root, info, f)
 		}
 		for _, tv := range info.Types {
 			if it, ok := tv.Type.Underlying().(*types.Interface); ok && tv.IsType() {
@@ -258,11 +295,7 @@ func (g *graph) addFile(fset *token.FileSet, root string, pkg *types.Package, in
 		if obj == nil || id.Name == "_" {
 			return nil
 		}
-		pos := fset.Position(id.Pos())
-		if rel, err := filepath.Rel(root, pos.Filename); err == nil {
-			pos.Filename = filepath.ToSlash(rel)
-		}
-		d := &decl{obj: obj, pos: pos, name: name, refs: refs(n), annotated: annotated(doc)}
+		d := &decl{obj: obj, pos: position(fset, root, id.Pos()), name: name, refs: refs(n), annotated: annotated(doc)}
 		d.root = d.annotated
 		g.decls[obj] = d
 		return d
@@ -314,6 +347,150 @@ func (g *graph) addFile(fset *token.FileSet, root string, pkg *types.Package, in
 			}
 		}
 	}
+}
+
+// position returns where p is, with the file named relative to root.
+func position(fset *token.FileSet, root string, p token.Pos) token.Position {
+	pos := fset.Position(p)
+	if rel, err := filepath.Rel(root, pos.Filename); err == nil {
+		pos.Filename = filepath.ToSlash(rel)
+	}
+	return pos
+}
+
+// addFields records the unexported named fields of the struct types one
+// file declares, and what the file's code does with each field it uses.
+func (g *graph) addFields(fset *token.FileSet, root string, info *types.Info, f *ast.File) {
+	var stack []ast.Node
+	ast.Inspect(f, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		stack = append(stack, n)
+		switch n := n.(type) {
+		case *ast.TypeSpec:
+			if st, ok := n.Type.(*ast.StructType); ok {
+				for _, fl := range st.Fields.List {
+					for _, id := range fl.Names {
+						if v, ok := info.Defs[id].(*types.Var); ok && !id.IsExported() && id.Name != "_" {
+							g.fields[v] = &field{pos: position(fset, root, id.Pos()),
+								name: n.Name.Name + "." + id.Name, kept: annotated(fl.Doc)}
+						}
+					}
+				}
+			}
+		case *ast.CompositeLit:
+			st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+			if ok && len(n.Elts) > 0 {
+				if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+					for i := 0; i < st.NumFields(); i++ {
+						g.access[st.Field(i).Origin()] |= fieldWritten
+					}
+				}
+			}
+		case *ast.MapType:
+			// Hashing a struct key reads every field.
+			if m, ok := info.Types[n].Type.(*types.Map); ok {
+				g.readAll(m.Key())
+			}
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				g.readAll(info.Types[n.X].Type)
+			}
+		case *ast.Ident:
+			if v, ok := info.Uses[n].(*types.Var); ok && v.IsField() {
+				g.access[v.Origin()] |= fieldAccess(info, stack)
+			}
+		}
+		return true
+	})
+}
+
+// readAll marks every field of a struct type read.
+func (g *graph) readAll(t types.Type) {
+	if st, ok := t.Underlying().(*types.Struct); ok {
+		for i := 0; i < st.NumFields(); i++ {
+			g.access[st.Field(i).Origin()] |= fieldRead
+		}
+	}
+}
+
+// fieldAccess classifies the field use at the top of stack, the path of
+// nodes from the file down to the field's identifier.
+func fieldAccess(info *types.Info, stack []ast.Node) uint8 {
+	i := len(stack) - 2
+	id := stack[i+1]
+	if kv, ok := stack[i].(*ast.KeyValueExpr); ok && kv.Key == id {
+		return fieldWritten
+	}
+	sel, ok := stack[i].(*ast.SelectorExpr)
+	if !ok || sel.Sel != id {
+		return fieldRead
+	}
+	// Climb the operand chain the field heads (x.f[k].g, *x.f, x.f.M).
+	var cur ast.Expr = sel
+	through := false
+climb:
+	for i--; ; i-- {
+		switch p := stack[i].(type) {
+		case *ast.ParenExpr:
+			cur = p
+			continue
+		case *ast.SelectorExpr:
+			if p.X == cur {
+				if _, method := info.Uses[p.Sel].(*types.Func); method {
+					return fieldRead | fieldWritten
+				}
+				cur, through = p, true
+				continue
+			}
+		case *ast.IndexExpr:
+			if p.X == cur {
+				cur, through = p, true
+				continue
+			}
+		case *ast.StarExpr:
+			if p.X == cur {
+				cur, through = p, true
+				continue
+			}
+		}
+		break climb
+	}
+	written := false
+	switch p := stack[i].(type) {
+	case *ast.AssignStmt:
+		written = slices.Contains(p.Lhs, cur)
+	case *ast.IncDecStmt:
+		written = true
+	case *ast.RangeStmt:
+		written = p.Key == cur || p.Value == cur
+	case *ast.UnaryExpr:
+		if p.Op == token.AND {
+			return fieldRead | fieldWritten
+		}
+	}
+	switch {
+	case written && through:
+		return fieldRead | fieldWritten
+	case written:
+		return fieldWritten
+	}
+	// A read that only feeds the field itself (x.n += o.n,
+	// x.s = append(x.s, v)) is no read.
+	for ; i > 0; i-- {
+		switch p := stack[i].(type) {
+		case *ast.AssignStmt:
+			if s, ok := p.Lhs[0].(*ast.SelectorExpr); ok && len(p.Lhs) == 1 && info.Uses[s.Sel] == info.Uses[sel.Sel] {
+				return 0
+			}
+			return fieldRead
+		case ast.Stmt, *ast.FuncLit:
+			return fieldRead
+		}
+	}
+	return fieldRead
 }
 
 // usesIota reports whether a const group's values count with iota.
@@ -398,7 +575,7 @@ func recvName(t ast.Expr) string {
 }
 
 // report walks the reference graph from the roots and lists every
-// declaration left unmarked.
+// declaration left unmarked and every field never read or never written.
 func (g *graph) report() []string {
 	live := map[types.Object]bool{}
 	var work []types.Object
@@ -428,22 +605,35 @@ func (g *graph) report() []string {
 			}
 		}
 	}
-	var dead []*decl
+	type finding struct {
+		pos  token.Position
+		text string
+	}
+	var found []finding
 	for obj, d := range g.decls {
 		if !live[obj] && !d.annotated {
-			dead = append(dead, d)
+			found = append(found, finding{d.pos, d.name})
 		}
 	}
-	sort.Slice(dead, func(i, j int) bool {
-		a, b := dead[i].pos, dead[j].pos
+	for v, f := range g.fields {
+		switch a := g.access[v]; {
+		case f.kept:
+		case a&fieldRead == 0:
+			found = append(found, finding{f.pos, f.name + " (never read)"})
+		case a&fieldWritten == 0:
+			found = append(found, finding{f.pos, f.name + " (never written)"})
+		}
+	}
+	sort.Slice(found, func(i, j int) bool {
+		a, b := found[i].pos, found[j].pos
 		if a.Filename != b.Filename {
 			return a.Filename < b.Filename
 		}
 		return a.Offset < b.Offset
 	})
-	out := make([]string, len(dead))
-	for i, d := range dead {
-		out[i] = fmt.Sprintf("%s:%d %s", d.pos.Filename, d.pos.Line, d.name)
+	out := make([]string, len(found))
+	for i, f := range found {
+		out[i] = fmt.Sprintf("%s:%d %s", f.pos.Filename, f.pos.Line, f.text)
 	}
 	return out
 }

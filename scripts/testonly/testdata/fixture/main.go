@@ -24,5 +24,5 @@ func main() {
 	var l level
 	flag.Var(&l, "level", "verbosity")
 	flag.Parse()
-	fmt.Println(lib.Direct(), lib.Second)
+	fmt.Println(lib.Direct(), lib.Second, lib.NewFields().Use(1))
 }
