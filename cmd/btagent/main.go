@@ -23,9 +23,9 @@
 //
 // Failure records carry their taxonomy tags (protocol phase + transience
 // verdict) from the moment the workload emits them, so the agent needs no
-// flag for the taxonomy plane: the binary codec (v2) and the JSON codec both
-// ship the tags, and the sink's accumulators see exactly what a
-// single-process campaign sees.
+// flag for the taxonomy plane: the binary batch encoding ships the tags,
+// and the sink's accumulators see exactly what a single-process campaign
+// sees.
 //
 // Usage:
 //
@@ -44,7 +44,6 @@
 //	-days D          virtual campaign days 1..540 (default 4); must match
 //	-scenario 1..4   recovery regime (default 3); must match the sink's
 //	-flush S         virtual seconds between log drains (default 3600)
-//	-codec C         data frame codec: binary or json (default binary)
 //	-timeout D       how long Finish waits for the sink's completion
 //	                 confirmation, e.g. 5m (default 10m; 0 waits forever;
 //	                 negative is rejected)
@@ -60,7 +59,9 @@
 //	-delay-rate P    fault injection: P(delay) per data frame (default 0)
 //	-fault-seed N    fault injection decision seed (default 1)
 //
-// Each fault probability must lie in [0, 1]; NaN is rejected.
+// Each fault probability must lie in [0, 1]; NaN is rejected. -testbed,
+// -flush, -timeout, -spill-dir and -spill-budget configure the testbed
+// shard only and are rejected with -scatternet.
 //
 // Scatternet mode (-scatternet) turns the agent into one district shard of
 // a distributed metro campaign: it owns the contiguous piconet range
@@ -73,7 +74,9 @@
 // bridge overlay and ships its pre-merged rollup partial last. The topology
 // flags (-piconets -bridges -topology -redundancy -hold -probe-sample) must
 // match the sink's district declaration exactly; a mismatch is a fatal
-// typed reject. The fault-injection knobs apply to kind-8 frames too.
+// typed reject. The fault-injection knobs apply to kind-8 frames too. The
+// flags listed after -scatternet below need it; without it each is
+// rejected.
 //
 //	-scatternet          run a scatternet district shard
 //	-piconet-range A:B   piconet range [A, B) this agent owns (required;
@@ -101,81 +104,137 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
-	sinkAddr := flag.String("sink", "127.0.0.1:9310", "sink address")
-	keyspace := flag.String("keyspace", "", "campaign keyspace on a multi-tenant sink")
-	shard := flag.String("testbed", "", "testbed shard: random or realistic")
-	seed := flag.Uint64("seed", 1, "campaign seed (must match the sink)")
-	days := flag.Int("days", 4, "virtual campaign days 1..540 (must match the sink)")
-	scenario := flag.Int("scenario", int(btpan.ScenarioSIRAs),
+// cliConfig is the parsed and validated command line.
+type cliConfig struct {
+	sink, keyspace string
+	seed           uint64
+	duration       sim.Time
+	scenario       btpan.Scenario
+	fault          collector.FaultConfig
+	// The testbed shard's settings, unused with -scatternet.
+	testbed     string
+	flush       sim.Time
+	timeout     time.Duration
+	spillDir    string
+	spillBudget int64
+	// scat is the scatternet district shard's settings; nil runs a testbed
+	// shard.
+	scat *scatShardConfig
+}
+
+// flatOnlyFlags configure the testbed shard. A scatternet shard keeps no
+// spill log (its piconet worlds are deterministic and re-run past the
+// sink's resume cursor) and waits for no completion confirmation, so each
+// would be silently ignored with -scatternet.
+var flatOnlyFlags = map[string]bool{
+	"testbed": true, "flush": true, "timeout": true, "spill-dir": true, "spill-budget": true,
+}
+
+// scatOnlyFlags configure the scatternet district shard and would be
+// silently ignored by a testbed shard.
+var scatOnlyFlags = map[string]bool{
+	"piconet-range": true, "piconets": true, "bridges": true, "topology": true,
+	"redundancy": true, "hold": true, "probe-sample": true,
+}
+
+// parseCLI parses and cross-validates the command line. A flag the chosen
+// mode ignores is an error, never a silent no-op.
+func parseCLI(args []string) (*cliConfig, error) {
+	fs := flag.NewFlagSet("btagent", flag.ContinueOnError)
+	sinkAddr := fs.String("sink", "127.0.0.1:9310", "sink address")
+	keyspace := fs.String("keyspace", "", "campaign keyspace on a multi-tenant sink")
+	shard := fs.String("testbed", "", "testbed shard: random or realistic")
+	seed := fs.Uint64("seed", 1, "campaign seed (must match the sink)")
+	days := fs.Int("days", 4, "virtual campaign days 1..540 (must match the sink)")
+	scenario := fs.Int("scenario", int(btpan.ScenarioSIRAs),
 		"recovery scenario 1..4 (must match the sink)")
-	flush := flag.Int("flush", 3600, "virtual seconds between log drains")
-	codecName := flag.String("codec", "binary", "data frame codec: binary or json")
-	timeout := flag.Duration("timeout", 10*time.Minute, "completion confirmation timeout (0 = forever)")
-	spillDir := flag.String("spill-dir", "", "write-ahead spill log directory (empty disables crash tolerance)")
-	spillBudget := flag.Int64("spill-budget", 0, "max bytes of unacknowledged spill (0 = unbounded)")
-	drop := flag.Float64("drop", 0, "fault injection: drop probability per data frame")
-	dup := flag.Float64("dup", 0, "fault injection: duplicate probability per data frame")
-	reorder := flag.Float64("reorder", 0, "fault injection: reorder probability per data frame")
-	delay := flag.Duration("delay", 0, "fault injection: delay imposed on a delay decision")
-	delayRate := flag.Float64("delay-rate", 0, "fault injection: delay probability per data frame")
-	faultSeed := flag.Uint64("fault-seed", 1, "fault injection decision seed")
-	scat := flag.Bool("scatternet", false, "run a scatternet district shard")
-	piconetRange := flag.String("piconet-range", "", "piconet range A:B owned by this shard (with -scatternet)")
-	piconets := flag.Int("piconets", 2, "scatternet piconet count (with -scatternet)")
-	bridges := flag.Int("bridges", 1, "scatternet bridge count / random edge budget (with -scatternet)")
-	topology := flag.String("topology", "", "scatternet membership map: ring, star, mesh or random (with -scatternet)")
-	redundancy := flag.Int("redundancy", 1, "bridges per span (with -scatternet)")
-	hold := flag.Int("hold", 10, "bridge residency seconds per piconet visit (with -scatternet)")
-	probeSample := flag.Float64("probe-sample", 1, "relay-probe pair sampling fraction in (0, 1] (with -scatternet)")
-	flag.Parse()
+	flush := fs.Int("flush", 3600, "virtual seconds between log drains")
+	timeout := fs.Duration("timeout", 10*time.Minute, "completion confirmation timeout (0 = forever)")
+	spillDir := fs.String("spill-dir", "", "write-ahead spill log directory (empty disables crash tolerance)")
+	spillBudget := fs.Int64("spill-budget", 0, "max bytes of unacknowledged spill (0 = unbounded)")
+	drop := fs.Float64("drop", 0, "fault injection: drop probability per data frame")
+	dup := fs.Float64("dup", 0, "fault injection: duplicate probability per data frame")
+	reorder := fs.Float64("reorder", 0, "fault injection: reorder probability per data frame")
+	delay := fs.Duration("delay", 0, "fault injection: delay imposed on a delay decision")
+	delayRate := fs.Float64("delay-rate", 0, "fault injection: delay probability per data frame")
+	faultSeed := fs.Uint64("fault-seed", 1, "fault injection decision seed")
+	scat := fs.Bool("scatternet", false, "run a scatternet district shard")
+	piconetRange := fs.String("piconet-range", "", "piconet range A:B owned by this shard (with -scatternet)")
+	piconets := fs.Int("piconets", 2, "scatternet piconet count (with -scatternet)")
+	bridges := fs.Int("bridges", 1, "scatternet bridge count / random edge budget (with -scatternet)")
+	topology := fs.String("topology", "", "scatternet membership map: ring, star, mesh or random (with -scatternet)")
+	redundancy := fs.Int("redundancy", 1, "bridges per span (with -scatternet)")
+	hold := fs.Int("hold", 10, "bridge residency seconds per piconet visit (with -scatternet)")
+	probeSample := fs.Float64("probe-sample", 1, "relay-probe pair sampling fraction in (0, 1] (with -scatternet)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
 
 	if *days < 1 || *days > 540 {
-		fatal(fmt.Errorf("-days %d out of range 1..540", *days))
+		return nil, fmt.Errorf("-days %d out of range 1..540", *days)
 	}
 	if *scenario < 1 || *scenario > 4 {
-		fatal(fmt.Errorf("-scenario %d out of range 1..4", *scenario))
+		return nil, fmt.Errorf("-scenario %d out of range 1..4", *scenario)
+	}
+	var stray string
+	fs.Visit(func(f *flag.Flag) {
+		if stray == "" && (*scat && flatOnlyFlags[f.Name] || !*scat && scatOnlyFlags[f.Name]) {
+			stray = f.Name
+		}
+	})
+	switch {
+	case stray != "" && *scat:
+		return nil, fmt.Errorf("-%s does not apply with -scatternet (it configures the testbed shard)", stray)
+	case stray != "":
+		return nil, fmt.Errorf("-%s needs -scatternet (it configures the scatternet district shard)", stray)
+	}
+	cfg := &cliConfig{
+		sink: *sinkAddr, keyspace: *keyspace, seed: *seed,
+		duration: sim.Time(*days) * sim.Day, scenario: btpan.Scenario(*scenario),
+		fault: collector.FaultConfig{
+			Seed: *faultSeed, Drop: *drop, Duplicate: *dup, Reorder: *reorder,
+			Delay: *delay, DelayRate: *delayRate,
+		},
+		testbed: *shard, flush: sim.Time(*flush) * sim.Second, timeout: *timeout,
+		spillDir: *spillDir, spillBudget: *spillBudget,
+	}
+	if err := checkLimits(cfg.fault, cfg.timeout); err != nil {
+		return nil, err
+	}
+	if *scat {
+		sc := &scatShardConfig{piconetRange: *piconetRange,
+			piconets: *piconets, bridges: *bridges, topology: *topology,
+			redundancy: *redundancy, hold: sim.Time(*hold) * sim.Second,
+			probeSample: *probeSample}
+		var err error
+		if sc.lo, sc.hi, err = sc.check(); err != nil {
+			return nil, err
+		}
+		cfg.scat = sc
+		return cfg, nil
 	}
 	if *flush < 1 {
-		fatal(fmt.Errorf("-flush %d must be at least one virtual second", *flush))
+		return nil, fmt.Errorf("-flush %d must be at least one virtual second", *flush)
 	}
-	codec, err := collector.ParseCodec(*codecName)
+	if *shard != "random" && *shard != "realistic" {
+		return nil, fmt.Errorf("-testbed %q: want random or realistic", *shard)
+	}
+	return cfg, nil
+}
+
+func main() {
+	cfg, err := parseCLI(os.Args[1:])
 	if err != nil {
 		fatal(err)
 	}
-	duration := sim.Time(*days) * sim.Day
-	fault := collector.FaultConfig{
-		Seed: *faultSeed, Drop: *drop, Duplicate: *dup, Reorder: *reorder,
-		Delay: *delay, DelayRate: *delayRate,
-	}
-	if err := checkLimits(fault, *timeout); err != nil {
-		fatal(err)
-	}
-
-	if *scat {
-		if *spillDir != "" {
-			fatal(fmt.Errorf("-spill-dir is the flat agent's WAL; scatternet shards need none " +
-				"(piconet worlds are deterministic and re-run past the sink's resume cursor)"))
-		}
-		runScatternetShard(scatShardConfig{
-			sink: *sinkAddr, keyspace: *keyspace, seed: *seed, duration: duration,
-			scenario: btpan.Scenario(*scenario), piconetRange: *piconetRange,
-			piconets: *piconets, bridges: *bridges, topology: *topology,
-			redundancy: *redundancy, hold: sim.Time(*hold) * sim.Second,
-			probeSample: *probeSample, fault: fault,
-		})
+	if cfg.scat != nil {
+		runScatternetShard(cfg)
 		return
 	}
 
-	randomOpts, realisticOpts := testbed.CampaignOptions(*seed, btpan.Scenario(*scenario), duration)
-	var opts testbed.Options
-	switch *shard {
-	case "random":
-		opts = randomOpts
-	case "realistic":
+	opts, realisticOpts := testbed.CampaignOptions(cfg.seed, cfg.scenario, cfg.duration)
+	if cfg.testbed == "realistic" {
 		opts = realisticOpts
-	default:
-		fatal(fmt.Errorf("-testbed %q: want random or realistic", *shard))
 	}
 	tb, err := testbed.New(opts)
 	if err != nil {
@@ -192,22 +251,22 @@ func main() {
 	jitter := fnv.New64a()
 	jitter.Write([]byte(opts.Name))
 	agent, err := collector.NewAgent(collector.AgentConfig{
-		Addr: *sinkAddr, Keyspace: *keyspace,
-		Campaign: collector.CampaignID{Seed: *seed, Duration: duration,
-			Scenario: *scenario},
-		Testbed: opts.Name, Nodes: nodes, Codec: codec,
-		SpillDir: *spillDir, SpillBudget: *spillBudget,
-		RetrySeed: *seed ^ jitter.Sum64(),
-		Fault:     fault,
+		Addr: cfg.sink, Keyspace: cfg.keyspace,
+		Campaign: collector.CampaignID{Seed: cfg.seed, Duration: cfg.duration,
+			Scenario: int(cfg.scenario)},
+		Testbed: opts.Name, Nodes: nodes,
+		SpillDir: cfg.spillDir, SpillBudget: cfg.spillBudget,
+		RetrySeed: cfg.seed ^ jitter.Sum64(),
+		Fault:     cfg.fault,
 	})
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "btagent: running %s shard (seed %d, %v, scenario %q) -> %s\n",
-		opts.Name, *seed, duration, btpan.Scenario(*scenario), *sinkAddr)
+		opts.Name, cfg.seed, cfg.duration, cfg.scenario, cfg.sink)
 
 	start := time.Now()
-	if err := runShard(tb, agent, duration, sim.Time(*flush)*sim.Second); err != nil {
+	if err := runShard(tb, agent, cfg.duration, cfg.flush); err != nil {
 		fatal(err)
 	}
 	res := tb.Results()
@@ -215,7 +274,7 @@ func main() {
 	for node, c := range res.Counters {
 		counters[node] = c.Snapshot()
 	}
-	if err := agent.Finish(counters, duration, *timeout); err != nil {
+	if err := agent.Finish(counters, cfg.duration, cfg.timeout); err != nil {
 		fatal(err)
 	}
 	sent, retrans := agent.Stats()
@@ -255,18 +314,14 @@ func runShard(tb *testbed.Testbed, agent *collector.Agent, duration, flush sim.T
 
 // scatShardConfig bundles the scatternet-mode command line.
 type scatShardConfig struct {
-	sink, keyspace string
-	seed           uint64
-	duration       sim.Time
-	scenario       btpan.Scenario
-	piconetRange   string
-	piconets       int
-	bridges        int
-	topology       string
-	redundancy     int
-	hold           sim.Time
-	probeSample    float64
-	fault          collector.FaultConfig
+	piconetRange string
+	lo, hi       int // the owned range, parsed from piconetRange by check
+	piconets     int
+	bridges      int
+	topology     string
+	redundancy   int
+	hold         sim.Time
+	probeSample  float64
 }
 
 // parsePiconetRange parses "A:B" into the half-open range [A, B).
@@ -297,34 +352,31 @@ func (cfg scatShardConfig) check() (lo, hi int, err error) {
 // range through a collector.ScatterAgent, which ships each finished
 // piconet's fold partial — and, on the range owning piconet 0 of a bridged
 // campaign, the overlay's pre-merged rollup partial — to the district sink.
-func runScatternetShard(cfg scatShardConfig) {
-	lo, hi, err := cfg.check()
-	if err != nil {
-		fatal(err)
-	}
+func runScatternetShard(cfg *cliConfig) {
+	sc, lo, hi := cfg.scat, cfg.scat.lo, cfg.scat.hi
 	scfg := btpan.ScatternetConfig{
 		CampaignConfig: btpan.CampaignConfig{
 			Seed: cfg.seed, Duration: cfg.duration, Scenario: cfg.scenario,
 			Streaming: true,
 		},
-		Piconets: cfg.piconets, Bridges: cfg.bridges,
-		Topology: cfg.topology, Redundancy: cfg.redundancy, HoldTime: cfg.hold,
-		ProbeSample: cfg.probeSample, Rollup: true,
+		Piconets: sc.piconets, Bridges: sc.bridges,
+		Topology: sc.topology, Redundancy: sc.redundancy, HoldTime: sc.hold,
+		ProbeSample: sc.probeSample, Rollup: true,
 	}
 	camp, err := btpan.NewScatternetCampaign(scfg)
 	if err != nil {
 		fatal(err)
 	}
 	if hi > camp.Piconets() {
-		fatal(fmt.Errorf("-piconet-range %s outside the campaign's [0:%d)", cfg.piconetRange, camp.Piconets()))
+		fatal(fmt.Errorf("-piconet-range %s outside the campaign's [0:%d)", sc.piconetRange, camp.Piconets()))
 	}
 	// The overlay rides with the range owning piconet 0 — the convention
 	// both the district sink and the merge tier enforce.
 	overlay := lo == 0 && camp.BridgeCount() > 0
 	net := collector.ScatterNet{
 		Piconets: camp.Piconets(), Bridges: camp.BridgeCount(),
-		Topology: cfg.topology, Redundancy: cfg.redundancy,
-		Hold: cfg.hold, ProbeSample: cfg.probeSample,
+		Topology: sc.topology, Redundancy: sc.redundancy,
+		Hold: sc.hold, ProbeSample: sc.probeSample,
 	}
 	// Decorrelate the reconnection jitter of this campaign's shards: same
 	// campaign seed, different range, different backoff schedule.

@@ -2,12 +2,76 @@ package main
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/collector"
 )
+
+// TestParseCLIValidation pins the mode checks of the command line: a flag
+// the chosen mode would ignore is rejected with a message naming it, the
+// retired -codec flag is unknown, and the command lines the scripts run
+// still parse.
+func TestParseCLIValidation(t *testing.T) {
+	cases := []struct {
+		name    string
+		args    []string
+		wantErr string // "" = must parse
+	}{
+		{"codec refused", []string{"-testbed", "random", "-codec", "json"},
+			"flag provided but not defined: -codec"},
+
+		// Testbed-shard flags with -scatternet.
+		{"scatternet testbed", []string{"-scatternet", "-piconet-range", "0:2", "-testbed", "random"},
+			"-testbed does not apply with -scatternet"},
+		{"scatternet flush", []string{"-scatternet", "-piconet-range", "0:2", "-flush", "60"},
+			"-flush does not apply with -scatternet"},
+		{"scatternet timeout", []string{"-scatternet", "-piconet-range", "0:2", "-timeout", "1m"},
+			"-timeout does not apply with -scatternet"},
+		{"scatternet spill-dir", []string{"-scatternet", "-piconet-range", "0:2", "-spill-dir", "spill"},
+			"-spill-dir does not apply with -scatternet"},
+		{"scatternet spill-budget", []string{"-scatternet", "-piconet-range", "0:2", "-spill-budget", "4096"},
+			"-spill-budget does not apply with -scatternet"},
+
+		// Scatternet flags on a testbed shard.
+		{"stray piconet-range", []string{"-testbed", "random", "-piconet-range", "0:2"},
+			"-piconet-range needs -scatternet"},
+		{"stray piconets", []string{"-testbed", "random", "-piconets", "4"}, "-piconets needs -scatternet"},
+		{"stray bridges", []string{"-testbed", "random", "-bridges", "2"}, "-bridges needs -scatternet"},
+		{"stray topology", []string{"-testbed", "random", "-topology", "ring"}, "-topology needs -scatternet"},
+		{"stray redundancy", []string{"-testbed", "random", "-redundancy", "2"}, "-redundancy needs -scatternet"},
+		{"stray hold", []string{"-testbed", "random", "-hold", "20"}, "-hold needs -scatternet"},
+		{"stray probe-sample", []string{"-testbed", "random", "-probe-sample", "0.5"},
+			"-probe-sample needs -scatternet"},
+
+		// The command lines of scripts/chaos_distributed.sh and
+		// scripts/chaos_metro.sh.
+		{"testbed shard", []string{"-sink", "127.0.0.1:1", "-testbed", "random", "-seed", "7", "-days", "2",
+			"-spill-dir", "spill", "-drop", "0.05", "-dup", "0.05", "-reorder", "0.1", "-fault-seed", "5"}, ""},
+		{"district shard", []string{"-sink", "127.0.0.1:1", "-keyspace", "metro0", "-scatternet",
+			"-piconet-range", "0:2", "-piconets", "4", "-topology", "ring", "-probe-sample", "0.5",
+			"-seed", "5", "-days", "1", "-drop", "0.05", "-dup", "0.05", "-reorder", "0.1", "-fault-seed", "70"}, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, err := parseCLI(tc.args)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("parseCLI(%q) = %v, want success", tc.args, err)
+				}
+				if (cfg.scat != nil) != slices.Contains(tc.args, "-scatternet") {
+					t.Fatalf("parseCLI(%q) chose the wrong mode", tc.args)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("parseCLI(%q) = %v, want an error containing %q", tc.args, err, tc.wantErr)
+			}
+		})
+	}
+}
 
 // TestParsePiconetRange pins the -piconet-range grammar: half-open A:B with
 // A >= 0 and B > A; everything else is rejected with a message naming the

@@ -79,8 +79,9 @@
 //	                 correlated outage needs all K down at once (default 1)
 //	-hold S          bridge residency seconds per piconet visit (default 10)
 //	-shards S        scatternet piconet-plane worker shards; 0 = GOMAXPROCS
-//	                 capped at the piconet count, 1 = fully sequential —
-//	                 results identical for any value (default 0)
+//	                 capped at the piconet count, 1 = one worker beside
+//	                 the overlay — results identical for any value
+//	                 (default 0)
 //	-probe-sample F  relay-probe pair sampling fraction in (0, 1]; keeps
 //	                 each ordered piconet pair with seeded probability F.
 //	                 1 probes every pair exhaustively (default 1)

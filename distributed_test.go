@@ -34,10 +34,10 @@ func campaignID(cfg CampaignConfig) collector.CampaignID {
 
 // runShard runs one testbed shard against the sink at addr, exactly as
 // cmd/btagent does: build the testbed from the campaign options, stream its
-// drains through a collector.Agent shipping codec frames, then Finish with
-// the counters.
+// drains through a collector.Agent shipping binary batch frames, then
+// Finish with the counters.
 func runShard(opts testbed.Options, campaign collector.CampaignID, addr string,
-	duration, flush sim.Time, codec collector.Codec, fault collector.FaultConfig, errs chan<- shardErr) {
+	duration, flush sim.Time, fault collector.FaultConfig, errs chan<- shardErr) {
 	tb, err := testbed.New(opts)
 	if err != nil {
 		errs <- shardErr{opts.Name, err}
@@ -49,7 +49,7 @@ func runShard(opts testbed.Options, campaign collector.CampaignID, addr string,
 	}
 	nodes = append(nodes, tb.NAP.Node)
 	agent, err := collector.NewAgent(collector.AgentConfig{
-		Addr: addr, Campaign: campaign, Testbed: opts.Name, Nodes: nodes, Codec: codec, Fault: fault,
+		Addr: addr, Campaign: campaign, Testbed: opts.Name, Nodes: nodes, Fault: fault,
 		RetryMin: 20 * time.Millisecond, StallTimeout: 150 * time.Millisecond,
 	})
 	if err != nil {
@@ -89,10 +89,8 @@ func assembleDistributed(t *testing.T, cfg CampaignConfig, sink *collector.Sink,
 	return res
 }
 
-// runDistributed runs the full N-agent + sink campaign over loopback; the
-// realistic shard ships realisticCodec frames, the random shard binary ones.
-func runDistributed(t *testing.T, cfg CampaignConfig, realisticCodec collector.Codec,
-	fault collector.FaultConfig) *CampaignResult {
+// runDistributed runs the full N-agent + sink campaign over loopback.
+func runDistributed(t *testing.T, cfg CampaignConfig, fault collector.FaultConfig) *CampaignResult {
 	t.Helper()
 	sink, err := collector.NewSink(collector.SinkConfig{Addr: "127.0.0.1:0",
 		Keyspaces: []collector.KeyspaceConfig{{Campaign: campaignID(cfg), Spec: testbed.CampaignStreamSpec()}}})
@@ -106,10 +104,8 @@ func runDistributed(t *testing.T, cfg CampaignConfig, realisticCodec collector.C
 	if faultB.Active() {
 		faultB.Seed = fault.Seed + 1 // distinct decision sequences per shard
 	}
-	go runShard(randomOpts, campaignID(cfg), sink.Addr(), cfg.Duration, sim.Hour,
-		collector.CodecBinary, fault, errs)
-	go runShard(realisticOpts, campaignID(cfg), sink.Addr(), cfg.Duration, sim.Hour,
-		realisticCodec, faultB, errs)
+	go runShard(randomOpts, campaignID(cfg), sink.Addr(), cfg.Duration, sim.Hour, fault, errs)
+	go runShard(realisticOpts, campaignID(cfg), sink.Addr(), cfg.Duration, sim.Hour, faultB, errs)
 	for i := 0; i < 2; i++ {
 		if e := <-errs; e.err != nil {
 			t.Fatalf("shard %s: %v", e.name, e.err)
@@ -132,15 +128,13 @@ func TestCampaignStreamSpecMatchesCampaign(t *testing.T) {
 
 // TestDistributedMatchesStreaming: 2 agents + 1 sink over loopback, clean
 // network, equals the single-process streaming campaign digit for digit.
-// The realistic agent ships JSON frames and the random one binary frames,
-// so the sink folds both codecs in one campaign.
 func TestDistributedMatchesStreaming(t *testing.T) {
 	cfg := distributedConfig()
 	want, err := RunCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := runDistributed(t, cfg, collector.CodecJSON, collector.FaultConfig{})
+	got := runDistributed(t, cfg, collector.FaultConfig{})
 	compareOutputs(t, "distributed", want, got)
 }
 
@@ -154,7 +148,7 @@ func TestDistributedUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	fault := collector.FaultConfig{Seed: 17, Drop: 0.1, Duplicate: 0.1, Reorder: 0.15}
-	got := runDistributed(t, cfg, collector.CodecBinary, fault)
+	got := runDistributed(t, cfg, fault)
 	compareOutputs(t, "distributed+faults", want, got)
 	if got.Agg.SeqGaps != 0 || got.Agg.DroppedRecords != 0 {
 		t.Errorf("injected loss leaked into the aggregates: %d gaps, %d dropped",
@@ -184,7 +178,7 @@ func TestDistributedResume(t *testing.T) {
 	addr := sink.Addr()
 	randomOpts, realisticOpts := testbed.CampaignOptions(cfg.Seed, cfg.Scenario, cfg.Duration)
 	errs := make(chan shardErr, 2)
-	go runShard(randomOpts, campaignID(cfg), addr, cfg.Duration, sim.Hour, collector.CodecBinary, collector.FaultConfig{}, errs)
+	go runShard(randomOpts, campaignID(cfg), addr, cfg.Duration, sim.Hour, collector.FaultConfig{}, errs)
 
 	// Kill the sink once it has demonstrably checkpointed mid-stream.
 	deadline := time.Now().Add(60 * time.Second)
@@ -209,7 +203,7 @@ func TestDistributedResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sink2.Close()
-	go runShard(realisticOpts, campaignID(cfg), addr, cfg.Duration, sim.Hour, collector.CodecBinary, collector.FaultConfig{}, errs)
+	go runShard(realisticOpts, campaignID(cfg), addr, cfg.Duration, sim.Hour, collector.FaultConfig{}, errs)
 	for i := 0; i < 2; i++ {
 		if e := <-errs; e.err != nil {
 			t.Fatalf("shard %s: %v", e.name, e.err)

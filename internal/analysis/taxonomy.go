@@ -158,7 +158,7 @@ func (t *TaxonomyAccum) Table(duration sim.Time) *TaxonomyTable {
 			Recovered: t.Recovered[p],
 		}
 		if p == core.PhaseUnknown && row.Failures == 0 && row.Masked == 0 {
-			continue // only legacy (codec v1) data lands here
+			continue // only untagged records land here
 		}
 		if row.Failures > 0 && t.Nodes > 0 {
 			row.MTBF = duration.Seconds() * float64(t.Nodes) / float64(row.Failures)

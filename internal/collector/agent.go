@@ -63,8 +63,6 @@ type AgentConfig struct {
 	// spec for this testbed).
 	Testbed string
 	Nodes   []string
-	// Codec selects the data frame encoding (zero value: binary).
-	Codec Codec
 	// Fault optionally injects deterministic loss/duplication/reordering/
 	// delay into outgoing data frames (see FaultConfig).
 	Fault FaultConfig
@@ -299,7 +297,7 @@ func (a *Agent) flushWALLocked() error {
 			continue // pruned before it was ever flushed (cannot happen for sent frames)
 		}
 		e := &st.buf[int(q.seq-st.acked-1)]
-		raw, err := encodeBatchFrame(e.b, a.cfg.Codec)
+		raw, err := encodeBatchFrame(e.b)
 		if err != nil {
 			return err
 		}
@@ -435,7 +433,7 @@ func (a *Agent) session(conn net.Conn) bool {
 			raw := e.raw
 			if raw == nil {
 				var err error
-				if raw, err = encodeBatchFrame(e.b, a.cfg.Codec); err != nil {
+				if raw, err = encodeBatchFrame(e.b); err != nil {
 					a.fatal(err)
 					return true
 				}

@@ -3,7 +3,7 @@ package collector
 import (
 	"bytes"
 	"encoding/binary"
-	"math"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -43,145 +43,80 @@ func fullBatch() *Batch {
 	}
 }
 
-// TestCrossCodecEquivalence is the codec acceptance test: the same batch
-// written with the binary codec and with the JSON debug codec decodes to
-// deep-equal records, and each codec round-trips bit-exactly.
+// TestCrossCodecEquivalence is the codec acceptance test: a batch that
+// exercises every record field round-trips through the binary frame
+// bit-exactly.
 func TestCrossCodecEquivalence(t *testing.T) {
 	in := fullBatch()
-	var binBuf, jsonBuf bytes.Buffer
-	if err := WriteBatchCodec(&binBuf, in, CodecBinary); err != nil {
+	var buf bytes.Buffer
+	if err := WriteBatch(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteBatchCodec(&jsonBuf, in, CodecJSON); err != nil {
-		t.Fatal(err)
-	}
-	fromBin, err := ReadBatch(&binBuf)
+	got, err := ReadBatch(&buf)
 	if err != nil {
 		t.Fatalf("binary decode: %v", err)
 	}
-	fromJSON, err := ReadBatch(&jsonBuf)
-	if err != nil {
-		t.Fatalf("json decode: %v", err)
-	}
-	if !reflect.DeepEqual(fromBin, in) {
-		t.Errorf("binary round trip diverges:\n got %+v\nwant %+v", fromBin, in)
-	}
-	if !reflect.DeepEqual(fromJSON, in) {
-		t.Errorf("json round trip diverges:\n got %+v\nwant %+v", fromJSON, in)
-	}
-	if !reflect.DeepEqual(fromBin, fromJSON) {
-		t.Error("binary and json decodes disagree")
+	if !reflect.DeepEqual(got, in) {
+		t.Errorf("binary round trip diverges:\n got %+v\nwant %+v", got, in)
 	}
 }
 
-// encodeV1Frame hand-builds a version-1 binary frame for b: the pre-taxonomy
-// wire layout, byte for byte — the version tag says 1 and no taxonomy byte
-// follows TTR. This is what every agent built before PR 10 puts on the wire.
-func encodeV1Frame(b *Batch) []byte {
-	tab := &stringTable{index: make(map[string]uint64, 8)}
-	tab.intern(b.Node)
-	tab.intern(b.Testbed)
-	for i := range b.Reports {
-		tab.intern(b.Reports[i].Testbed)
-		tab.intern(b.Reports[i].Node)
+// jsonBatchFrame renders b as a kind-1 frame with a JSON payload: the data
+// frame of the retired JSON codec, which every reader must now refuse.
+func jsonBatchFrame(t testing.TB, b *Batch) []byte {
+	t.Helper()
+	frame, err := jsonFrame(1, b)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range b.Entries {
-		tab.intern(b.Entries[i].Testbed)
-		tab.intern(b.Entries[i].Node)
-		tab.intern(b.Entries[i].Detail)
-	}
-	frame := []byte{0, 0, 0, 0, byte(CodecBinary)}
-	frame = binary.AppendUvarint(frame, legacyBinaryVersion)
-	frame = binary.AppendUvarint(frame, uint64(len(tab.list)))
-	for _, s := range tab.list {
-		frame = binary.AppendUvarint(frame, uint64(len(s)))
-		frame = append(frame, s...)
-	}
-	frame = binary.AppendUvarint(frame, tab.intern(b.Node))
-	frame = binary.AppendUvarint(frame, tab.intern(b.Testbed))
-	frame = binary.AppendVarint(frame, int64(b.Watermark))
-	frame = binary.AppendUvarint(frame, b.Seq)
-	frame = binary.AppendUvarint(frame, uint64(len(b.Reports)))
-	for i := range b.Reports {
-		r := &b.Reports[i]
-		frame = binary.AppendVarint(frame, int64(r.At))
-		frame = binary.AppendUvarint(frame, tab.intern(r.Testbed))
-		frame = binary.AppendUvarint(frame, tab.intern(r.Node))
-		frame = binary.AppendVarint(frame, int64(r.Failure))
-		frame = binary.AppendVarint(frame, int64(r.Workload))
-		frame = binary.AppendVarint(frame, int64(r.App))
-		frame = binary.AppendVarint(frame, int64(r.Packet))
-		frame = binary.AppendVarint(frame, int64(r.SentPkts))
-		frame = binary.AppendVarint(frame, int64(r.RecvdPkts))
-		frame = binary.AppendVarint(frame, int64(r.CycleIdx))
-		var flags byte
-		if r.SDPFlag {
-			flags |= 1
-		}
-		if r.ScanFlag {
-			flags |= 2
-		}
-		if r.Masked {
-			flags |= 4
-		}
-		if r.Recovered {
-			flags |= 8
-		}
-		frame = append(frame, flags)
-		frame = binary.LittleEndian.AppendUint64(frame, math.Float64bits(r.DistanceM))
-		frame = binary.AppendVarint(frame, int64(r.IdleBefore))
-		frame = binary.AppendUvarint(frame, r.ConnID)
-		frame = binary.AppendVarint(frame, int64(r.Recovery))
-		frame = binary.AppendVarint(frame, int64(r.TTR))
-	}
-	frame = binary.AppendUvarint(frame, uint64(len(b.Entries)))
-	for i := range b.Entries {
-		e := &b.Entries[i]
-		frame = binary.AppendVarint(frame, int64(e.At))
-		frame = binary.AppendUvarint(frame, tab.intern(e.Testbed))
-		frame = binary.AppendUvarint(frame, tab.intern(e.Node))
-		frame = binary.AppendVarint(frame, int64(e.Source))
-		frame = binary.AppendVarint(frame, int64(e.Code))
-		frame = binary.AppendUvarint(frame, tab.intern(e.Detail))
-		frame = binary.AppendUvarint(frame, e.ConnID)
-	}
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
 	return frame
 }
 
-// TestBinaryCodecV1CrossVersion pins the cross-version contract: a
-// version-1 frame (a pre-taxonomy agent) decodes losslessly, with both
-// taxonomy tags at their zero values — never an error, never garbage tags.
-func TestBinaryCodecV1CrossVersion(t *testing.T) {
-	in := fullBatch()
-	got, err := ReadBatch(bytes.NewReader(encodeV1Frame(in)))
-	if err != nil {
-		t.Fatalf("v1 frame rejected: %v", err)
-	}
-	want := fullBatch()
-	for i := range want.Reports {
-		want.Reports[i].Phase = core.PhaseUnknown
-		want.Reports[i].Verdict = core.VerdictUnknown
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("v1 decode diverges:\n got %+v\nwant %+v", got, want)
-	}
-	// And the re-encoded (v2) frame round-trips the same records.
+// v1BatchFrame is b's binary frame with its version varint set to 1, the
+// pre-taxonomy layout that is no longer decoded.
+func v1BatchFrame(t testing.TB, b *Batch) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteBatchCodec(&buf, got, CodecBinary); err != nil {
+	if err := WriteBatch(&buf, b); err != nil {
 		t.Fatal(err)
 	}
-	again, err := ReadBatch(&buf)
-	if err != nil {
-		t.Fatal(err)
+	frame := buf.Bytes()
+	frame[5] = 1 // the version varint follows the length prefix and kind byte
+	return frame
+}
+
+// TestRetiredEncodingsRejected pins that the retired data encodings fail
+// loudly at both readers: a kind-1 (JSON) frame is an unknown frame kind,
+// and a binary batch of version 1 is an unsupported version.
+func TestRetiredEncodingsRejected(t *testing.T) {
+	readBatch := func(frame []byte) error {
+		_, err := ReadBatch(bytes.NewReader(frame))
+		return err
 	}
-	if !reflect.DeepEqual(again, want) {
-		t.Error("v1 -> v2 re-encode round trip diverges")
+	readFrame := func(frame []byte) error {
+		_, err := ReadFrame(bytes.NewReader(frame))
+		return err
+	}
+	cases := []struct {
+		name    string
+		frame   []byte
+		read    func([]byte) error
+		wantErr string
+	}{
+		{"json frame via ReadBatch", jsonBatchFrame(t, fullBatch()), readBatch, "unknown frame kind 1"},
+		{"json frame via ReadFrame", jsonBatchFrame(t, fullBatch()), readFrame, "unknown frame kind 1"},
+		{"v1 batch via ReadBatch", v1BatchFrame(t, fullBatch()), readBatch, "unsupported binary batch version 1"},
+		{"v1 batch via ReadFrame", v1BatchFrame(t, fullBatch()), readFrame, "unsupported binary batch version 1"},
+	}
+	for _, tc := range cases {
+		if err := tc.read(tc.frame); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.wantErr)
+		}
 	}
 }
 
 // TestBinaryCodecRejectsCorruptTaxonomy pins the loud-rejection contract:
-// a v2 frame whose taxonomy byte encodes an out-of-range phase or verdict
+// a frame whose taxonomy byte encodes an out-of-range phase or verdict
 // must fail the decode with a diagnostic, never clamp silently.
 func TestBinaryCodecRejectsCorruptTaxonomy(t *testing.T) {
 	in := &Batch{Node: "Verde", Testbed: "random",
@@ -191,7 +126,7 @@ func TestBinaryCodecRejectsCorruptTaxonomy(t *testing.T) {
 			Phase:   core.PhaseOpen, Verdict: core.VerdictTransient,
 		}}}
 	var buf bytes.Buffer
-	if err := WriteBatchCodec(&buf, in, CodecBinary); err != nil {
+	if err := WriteBatch(&buf, in); err != nil {
 		t.Fatal(err)
 	}
 	frame := buf.Bytes()
@@ -217,8 +152,8 @@ func TestBinaryCodecRejectsCorruptTaxonomy(t *testing.T) {
 	}
 }
 
-// TestBinaryCodecCompact pins the point of the rewrite: the binary frame is
-// several times smaller than the JSON frame for a realistic batch.
+// TestBinaryCodecCompact pins the point of the binary encoding: its frame
+// is several times smaller than encoding/json of the same realistic batch.
 func TestBinaryCodecCompact(t *testing.T) {
 	in := &Batch{Node: "Verde", Testbed: "random"}
 	for i := 0; i < 200; i++ {
@@ -235,19 +170,19 @@ func TestBinaryCodecCompact(t *testing.T) {
 			Detail: "command timeout (hci_cmd)",
 		})
 	}
-	var binBuf, jsonBuf bytes.Buffer
-	if err := WriteBatchCodec(&binBuf, in, CodecBinary); err != nil {
+	var binBuf bytes.Buffer
+	if err := WriteBatch(&binBuf, in); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteBatchCodec(&jsonBuf, in, CodecJSON); err != nil {
+	blob, err := json.Marshal(in)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if binBuf.Len()*4 > jsonBuf.Len() {
-		t.Errorf("binary frame %d B, json frame %d B — want at least 4x smaller",
-			binBuf.Len(), jsonBuf.Len())
+	if binBuf.Len()*4 > len(blob) {
+		t.Errorf("binary frame %d B, json %d B — want at least 4x smaller", binBuf.Len(), len(blob))
 	}
 	t.Logf("200+200-record batch: binary %d B, json %d B (%.1fx)",
-		binBuf.Len(), jsonBuf.Len(), float64(jsonBuf.Len())/float64(binBuf.Len()))
+		binBuf.Len(), len(blob), float64(len(blob))/float64(binBuf.Len()))
 }
 
 // TestBinaryCodecRejectsCorruption flips every byte of a valid binary frame
@@ -255,11 +190,11 @@ func TestBinaryCodecCompact(t *testing.T) {
 // sink faces the network.
 func TestBinaryCodecRejectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteBatchCodec(&buf, fullBatch(), CodecBinary); err != nil {
+	if err := WriteBatch(&buf, fullBatch()); err != nil {
 		t.Fatal(err)
 	}
 	frame := buf.Bytes()
-	for i := 5; i < len(frame); i++ { // skip length+codec header
+	for i := 5; i < len(frame); i++ { // skip length+kind header
 		mut := append([]byte{}, frame...)
 		mut[i] ^= 0xFF
 		func() {
@@ -288,18 +223,5 @@ func TestBinaryCodecRejectsHugeStringLength(t *testing.T) {
 	blob = binary.AppendUvarint(blob, 1<<63) // its length
 	if _, err := decodeBinaryBatch(blob); err == nil {
 		t.Fatal("string length 2^63 decoded without error")
-	}
-}
-
-// TestParseCodec pins the flag surface.
-func TestParseCodec(t *testing.T) {
-	for s, want := range map[string]Codec{"": CodecBinary, "binary": CodecBinary, "json": CodecJSON} {
-		got, err := ParseCodec(s)
-		if err != nil || got != want {
-			t.Errorf("ParseCodec(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseCodec("xml"); err == nil {
-		t.Error("unknown codec accepted")
 	}
 }

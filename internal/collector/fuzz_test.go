@@ -18,8 +18,11 @@ import (
 // fold exact).
 //
 // The seed corpus is real frames: the full-field batch of the codec suite,
-// a minimal empty batch, and a watermark-only heartbeat, each in both wire
-// codecs, plus truncations and tag corruptions of them.
+// a minimal empty batch, and a watermark-only heartbeat, plus truncations
+// and kind-byte corruptions of them. Each batch also goes in as the
+// retired encodings would have framed it — a kind-1 JSON frame (with its
+// truncation and kind corruption) and a version-1 binary frame — which
+// the reader must reject without a panic.
 func FuzzDecode(f *testing.F) {
 	seeds := []*Batch{
 		fullBatch(),
@@ -30,33 +33,29 @@ func FuzzDecode(f *testing.F) {
 		}},
 	}
 	for _, b := range seeds {
-		for _, codec := range []Codec{CodecBinary, CodecJSON} {
-			var buf bytes.Buffer
-			if err := WriteBatchCodec(&buf, b, codec); err != nil {
-				f.Fatal(err)
-			}
-			frame := buf.Bytes()
+		var buf bytes.Buffer
+		if err := WriteBatch(&buf, b); err != nil {
+			f.Fatal(err)
+		}
+		for _, frame := range [][]byte{buf.Bytes(), jsonBatchFrame(f, b)} {
 			f.Add(frame)
-			// Truncated and tag-corrupted variants steer the fuzzer into
+			// Truncated and kind-corrupted variants steer the fuzzer into
 			// the decoder's error paths from the first generation on.
 			f.Add(frame[:len(frame)/2])
 			mangled := append([]byte(nil), frame...)
 			mangled[4] ^= 0xFF
 			f.Add(mangled)
 		}
-		// The pre-taxonomy wire format: version-1 frames must keep decoding
-		// (tags zeroed), so the fuzzer starts from both codec versions.
-		f.Add(encodeV1Frame(b))
+		f.Add(v1BatchFrame(f, b))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := ReadBatch(bytes.NewReader(data))
 		if err != nil {
 			return // rejected garbage is the expected outcome
 		}
-		// Accepted frames must satisfy the round-trip law under the
-		// canonical binary codec.
+		// Accepted frames must satisfy the round-trip law.
 		var buf bytes.Buffer
-		if err := WriteBatchCodec(&buf, b, CodecBinary); err != nil {
+		if err := WriteBatch(&buf, b); err != nil {
 			t.Fatalf("re-encode of accepted batch failed: %v", err)
 		}
 		again, err := ReadBatch(&buf)
@@ -69,8 +68,8 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// batchEqual compares decoded batches, treating empty and nil record slices
-// as equal (the JSON codec's omitempty drops empty slices, the binary codec
+// batchEqual compares batches, treating empty and nil record slices as
+// equal (a hand-built batch may carry empty slices, the binary decoder
 // never materializes them).
 func batchEqual(a, b *Batch) bool {
 	if a.Node != b.Node || a.Testbed != b.Testbed ||
@@ -223,21 +222,25 @@ func TestFuzzControlSeedCorpusRoundTrips(t *testing.T) {
 // directly, so the round-trip law is enforced on every `go test` run even
 // without -fuzz.
 func TestFuzzSeedCorpusRoundTrips(t *testing.T) {
-	for _, codec := range []Codec{CodecBinary, CodecJSON} {
-		var buf bytes.Buffer
-		in := fullBatch()
-		if err := WriteBatchCodec(&buf, in, codec); err != nil {
-			t.Fatal(err)
-		}
-		out, err := ReadBatch(&buf)
-		if err != nil {
-			t.Fatalf("%v decode: %v", codec, err)
-		}
-		if !batchEqual(in, out) {
-			t.Errorf("%v: decoded batch diverges from input", codec)
-		}
-		if !reflect.DeepEqual(in.Reports, out.Reports) || !reflect.DeepEqual(in.Entries, out.Entries) {
-			t.Errorf("%v: record slices diverge", codec)
+	var buf bytes.Buffer
+	in := fullBatch()
+	if err := WriteBatch(&buf, in); err != nil {
+		t.Fatal(err)
+	}
+	out, err := ReadBatch(&buf)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if !batchEqual(in, out) {
+		t.Error("decoded batch diverges from input")
+	}
+	if !reflect.DeepEqual(in.Reports, out.Reports) || !reflect.DeepEqual(in.Entries, out.Entries) {
+		t.Error("record slices diverge")
+	}
+	// The retired encodings are rejected, not decoded.
+	for _, frame := range [][]byte{jsonBatchFrame(t, in), v1BatchFrame(t, in)} {
+		if _, err := ReadBatch(bytes.NewReader(frame)); err == nil {
+			t.Errorf("retired frame %x... decoded", frame[:6])
 		}
 	}
 	// The reader must also cleanly reject an empty stream and a bare header.

@@ -7,11 +7,9 @@
 //
 // Transport is TCP with length-prefixed frames, so the pieces run as real
 // daemons (cmd/btagent and cmd/btsink) and are exercised over loopback in
-// tests. The default wire encoding is a compact binary format (varints,
+// tests. Record batches travel in one compact binary encoding (varints,
 // per-batch string interning, pooled buffers — marshalling cost and frame
-// size are what bound month-scale campaigns); JSON remains available as a
-// debug/compatibility codec, selected per frame by a codec tag, and a
-// cross-codec equivalence test pins that both decode to the same records.
+// size are what bound month-scale campaigns).
 //
 // The sink folds batches into the running analysis.Aggregates as they
 // arrive, with batch watermarks and 1-based per-stream sequence numbers
@@ -27,7 +25,7 @@
 // reconnect-and-resume handshakes, go-back-N retransmission, seeded fault
 // injection for measuring the plane under an adversarial network, and
 // durable sink checkpoints for crash recovery. The wire format — frame
-// layout, codec tag/kind byte, varint/zigzag encoding, string interning,
+// layout, kind byte, varint/zigzag encoding, string interning,
 // watermark/sequence semantics, the resume handshake and the
 // loss-accounting rules — is specified normatively in PROTOCOL.md at the
 // repository root; OPERATIONS.md documents deployments.
@@ -35,7 +33,6 @@ package collector
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -62,41 +59,6 @@ type Batch struct {
 	Seq uint64 `json:"seq,omitempty"`
 }
 
-// Codec selects the wire encoding of a frame's payload.
-type Codec byte
-
-// Wire codecs. The zero value is the production binary encoding, so codec
-// fields default to it; JSON stays available for debugging with external
-// tools and as a compatibility escape hatch.
-const (
-	CodecBinary Codec = 0
-	CodecJSON   Codec = 1
-)
-
-// String names the codec.
-func (c Codec) String() string {
-	switch c {
-	case CodecBinary:
-		return "binary"
-	case CodecJSON:
-		return "json"
-	default:
-		return fmt.Sprintf("Codec(%d)", byte(c))
-	}
-}
-
-// ParseCodec maps a flag value to a codec.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "binary", "":
-		return CodecBinary, nil
-	case "json":
-		return CodecJSON, nil
-	default:
-		return 0, fmt.Errorf("collector: unknown codec %q (want binary or json)", s)
-	}
-}
-
 // maxBatchBytes bounds a wire batch (guards the sink against garbage
 // or runaway peers).
 const maxBatchBytes = 64 << 20
@@ -106,18 +68,13 @@ const maxBatchBytes = 64 << 20
 // collection plane's profile.
 var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
-// WriteBatch frames and writes one batch with the default (binary) codec.
+// WriteBatch frames and writes one batch: a 4-byte big-endian length
+// prefix, the data frame kind byte, and the binary payload. The whole frame
+// goes out in one Write from a pooled buffer.
 func WriteBatch(w io.Writer, b *Batch) error {
-	return WriteBatchCodec(w, b, CodecBinary)
-}
-
-// WriteBatchCodec frames and writes one batch: a 4-byte big-endian length
-// prefix, a codec tag byte, and the payload. The whole frame goes out in
-// one Write from a pooled buffer.
-func WriteBatchCodec(w io.Writer, b *Batch, codec Codec) error {
 	bufp := bufPool.Get().(*[]byte)
 	defer bufPool.Put(bufp)
-	frame, err := appendBatchFrame((*bufp)[:0], b, codec)
+	frame, err := appendBatchFrame((*bufp)[:0], b)
 	if err != nil {
 		return err
 	}
@@ -128,24 +85,13 @@ func WriteBatchCodec(w io.Writer, b *Batch, codec Codec) error {
 	return nil
 }
 
-// appendBatchFrame appends one complete data frame (length prefix + codec
-// tag + payload) to frame.
-func appendBatchFrame(frame []byte, b *Batch, codec Codec) ([]byte, error) {
+// appendBatchFrame appends one complete data frame (length prefix + kind
+// byte + payload) to frame.
+func appendBatchFrame(frame []byte, b *Batch) ([]byte, error) {
 	start := len(frame)
-	frame = append(frame, 0, 0, 0, 0, byte(codec)) // length backfilled below
-	switch codec {
-	case CodecBinary:
-		frame = appendBinaryBatch(frame, b)
-	case CodecJSON:
-		blob, err := json.Marshal(b)
-		if err != nil {
-			return nil, fmt.Errorf("collector: marshal batch: %w", err)
-		}
-		frame = append(frame, blob...)
-	default:
-		return nil, fmt.Errorf("collector: unknown codec %d", codec)
-	}
-	n := len(frame) - start - 4 // codec byte + payload
+	frame = append(frame, 0, 0, 0, 0, frameBatch) // length backfilled below
+	frame = appendBinaryBatch(frame, b)
+	n := len(frame) - start - 4 // kind byte + payload
 	if n > maxBatchBytes {
 		return nil, fmt.Errorf("collector: batch of %d bytes exceeds limit", n)
 	}
@@ -153,8 +99,8 @@ func appendBatchFrame(frame []byte, b *Batch, codec Codec) ([]byte, error) {
 	return frame, nil
 }
 
-// ReadBatch reads one framed batch, dispatching on its codec tag. io.EOF is
-// returned unchanged when the stream ends cleanly between frames.
+// ReadBatch reads one data frame. io.EOF is returned unchanged when the
+// stream ends cleanly between frames; any other frame kind is an error.
 func ReadBatch(r io.Reader) (*Batch, error) {
 	bufp := bufPool.Get().(*[]byte)
 	defer bufPool.Put(bufp)
@@ -162,12 +108,15 @@ func ReadBatch(r io.Reader) (*Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeBatch(Codec(kind), blob)
+	if kind != frameBatch {
+		return nil, fmt.Errorf("collector: unknown frame kind %d", kind)
+	}
+	return decodeBinaryBatch(blob)
 }
 
 // readEnvelope reads one frame's length prefix, kind byte and body. The
 // body is read into *buf, grown as needed, so it is valid only until the
-// buffer's next use; both decoders copy what they keep. io.EOF is returned
+// buffer's next use; the decoders copy what they keep. io.EOF is returned
 // unchanged when the stream ends cleanly between frames.
 func readEnvelope(r io.Reader, buf *[]byte) (kind byte, body []byte, err error) {
 	var hdr [5]byte
@@ -194,22 +143,6 @@ func readEnvelope(r io.Reader, buf *[]byte) (kind byte, body []byte, err error) 
 	return hdr[4], body, nil
 }
 
-// decodeBatch decodes one data frame body by its codec tag.
-func decodeBatch(codec Codec, blob []byte) (*Batch, error) {
-	switch codec {
-	case CodecBinary:
-		return decodeBinaryBatch(blob)
-	case CodecJSON:
-		var b Batch
-		if err := json.Unmarshal(blob, &b); err != nil {
-			return nil, fmt.Errorf("collector: decode batch: %w", err)
-		}
-		return &b, nil
-	default:
-		return nil, fmt.Errorf("collector: unknown frame codec %d", codec)
-	}
-}
-
 // The binary payload layout (version 2):
 //
 //	uvarint  version
@@ -222,17 +155,13 @@ func decodeBatch(codec Codec, blob []byte) (*Batch, error) {
 //
 // All integers are varints (signed ones zigzag-encoded); strings are
 // interned per batch, which collapses the node/testbed names and repeated
-// daemon messages that dominate JSON frames.
+// daemon messages to one small index each.
 //
-// Version 2 (PR 10) appends one taxonomy byte per report after TTR: the
-// protocol phase in bits 0–3 and the transience verdict in bits 4–5.
-// Version 1 frames — produced before the taxonomy plane existed — decode
-// losslessly with both tags left at their zero values; out-of-range phase
-// or verdict bits in a v2 frame are rejected loudly, never clamped.
-const (
-	binaryVersion       = 2
-	legacyBinaryVersion = 1
-)
+// Each report ends with one taxonomy byte after TTR: the protocol phase in
+// bits 0–3 and the transience verdict in bits 4–5. Out-of-range phase or
+// verdict bits are rejected loudly, never clamped; any version other than
+// 2 is refused.
+const binaryVersion = 2
 
 // stringTable interns strings in first-appearance order during encoding.
 type stringTable struct {
@@ -437,7 +366,7 @@ func (r *binReader) str(table []string, what string) string {
 func decodeBinaryBatch(blob []byte) (*Batch, error) {
 	r := &binReader{b: blob}
 	v := r.uvarint("version")
-	if r.err == nil && v != binaryVersion && v != legacyBinaryVersion {
+	if r.err == nil && v != binaryVersion {
 		return nil, fmt.Errorf("collector: unsupported binary batch version %d", v)
 	}
 	nstr := r.uvarint("string table length")
@@ -490,15 +419,13 @@ func decodeBinaryBatch(blob []byte) (*Batch, error) {
 		rec.ConnID = r.uvarint("conn id")
 		rec.Recovery = core.RecoveryAction(r.varint("recovery"))
 		rec.TTR = sim.Time(r.varint("ttr"))
-		if v >= binaryVersion {
-			tax := r.byte("taxonomy")
-			rec.Phase = core.FailurePhase(tax & 0x0F)
-			rec.Verdict = core.TransienceVerdict(tax >> 4)
-			if r.err == nil && (int(rec.Phase) > core.NumFailurePhases ||
-				int(rec.Verdict) > core.NumTransienceVerdicts) {
-				return nil, fmt.Errorf("collector: corrupt taxonomy byte 0x%02x (phase %d, verdict %d) in binary batch",
-					tax, rec.Phase, rec.Verdict)
-			}
+		tax := r.byte("taxonomy")
+		rec.Phase = core.FailurePhase(tax & 0x0F)
+		rec.Verdict = core.TransienceVerdict(tax >> 4)
+		if r.err == nil && (int(rec.Phase) > core.NumFailurePhases ||
+			int(rec.Verdict) > core.NumTransienceVerdicts) {
+			return nil, fmt.Errorf("collector: corrupt taxonomy byte 0x%02x (phase %d, verdict %d) in binary batch",
+				tax, rec.Phase, rec.Verdict)
 		}
 		if r.err == nil {
 			b.Reports = append(b.Reports, rec)

@@ -7,7 +7,6 @@ import (
 	"fmt"
 
 	"repro/internal/analysis"
-	"repro/internal/core"
 )
 
 // The sink checkpoint payload (PROTOCOL.md §9). Almost all of a live
@@ -24,9 +23,7 @@ import (
 //	  uint32 BE length, then a binary batch payload carrying Seq and Watermark
 //
 // The records reuse the wire codec, so they cost what they cost on the
-// wire instead of ~250 B of JSON each. A payload that starts with '{' is a
-// checkpoint written before this layout existed; it decodes as the legacy
-// JSON document. Nothing writes that form any more.
+// wire instead of ~250 B of JSON each.
 
 // sinkCheckpointMagic opens a binary sink checkpoint payload; the last byte
 // is the layout version.
@@ -78,24 +75,10 @@ func appendCheckpointBatch(buf []byte, b *Batch) []byte {
 	return buf
 }
 
-// decodeSinkCheckpoint decodes a checkpoint payload in either layout. Any
-// truncated, corrupt or inconsistent section is an error.
+// decodeSinkCheckpoint decodes a checkpoint payload. Any truncated,
+// corrupt or inconsistent section is an error.
 func decodeSinkCheckpoint(payload []byte) (*sinkCheckpoint, error) {
 	var cp sinkCheckpoint
-	if len(payload) > 0 && payload[0] == '{' {
-		if err := json.Unmarshal(payload, &cp); err != nil {
-			return nil, err
-		}
-		if cp.Streamer == nil {
-			return nil, fmt.Errorf("checkpoint has no streamer state")
-		}
-		for i := range cp.Streamer.Shards {
-			if err := checkLegacyShard(&cp.Streamer.Shards[i]); err != nil {
-				return nil, err
-			}
-		}
-		return &cp, nil
-	}
 	if !bytes.HasPrefix(payload, sinkCheckpointMagic[:4]) {
 		return nil, fmt.Errorf("not a sink checkpoint (unknown payload prefix)")
 	}
@@ -171,32 +154,4 @@ func readCheckpointBatch(r *binReader, sh *analysis.ShardCheckpoint, what string
 		return nil, fmt.Errorf("%s of shard %s/%s is labelled %s/%s", what, sh.Testbed, sh.Node, b.Testbed, b.Node)
 	}
 	return b, nil
-}
-
-// checkLegacyShard holds a legacy JSON shard to what the binary decoder
-// enforces — the wire codec's taxonomy tag ranges (§3) and ascending
-// parked sequence numbers — so every checkpoint that decodes re-encodes.
-func checkLegacyShard(sh *analysis.ShardCheckpoint) error {
-	check := func(rs []core.UserReport) error {
-		for i := range rs {
-			if int(rs[i].Phase) < 0 || int(rs[i].Phase) > core.NumFailurePhases ||
-				int(rs[i].Verdict) < 0 || int(rs[i].Verdict) > core.NumTransienceVerdicts {
-				return fmt.Errorf("shard %s/%s holds a report with corrupt taxonomy (phase %d, verdict %d)",
-					sh.Testbed, sh.Node, rs[i].Phase, rs[i].Verdict)
-			}
-		}
-		return nil
-	}
-	if err := check(sh.Reports); err != nil {
-		return err
-	}
-	for i := range sh.Parked {
-		if i > 0 && sh.Parked[i].Seq <= sh.Parked[i-1].Seq {
-			return fmt.Errorf("parked batches of shard %s/%s out of sequence order", sh.Testbed, sh.Node)
-		}
-		if err := check(sh.Parked[i].Reports); err != nil {
-			return err
-		}
-	}
-	return nil
 }

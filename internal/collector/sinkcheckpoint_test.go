@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -256,55 +257,43 @@ func TestSinkCheckpointBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// legacyCheckpoint is a sealed sink checkpoint of the scenario written in
-// the JSON layout that predates the binary one.
-const legacyCheckpoint = "testdata/sink_checkpoint_json.ckpt"
+// ckptJSONPayload renders the tenant's checkpoint as one JSON document,
+// the layout that predates the binary one and is no longer read.
+func ckptJSONPayload(t testing.TB, ten *tenant) []byte {
+	t.Helper()
+	cp, err := ten.str.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(&sinkCheckpoint{Campaign: ten.cfg.Campaign, Keyspace: ten.cfg.Key,
+		Streamer: cp, Finals: ten.finals, Counters: ten.counters, Durations: ten.durations,
+		IngestBytes: ten.ingestBytes, IngestBatches: ten.ingestBatches})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
 
-// TestSinkCheckpointLegacyJSON restores a checkpoint written in the JSON
-// layout, as a sink upgraded mid-campaign finds on disk, finishes the
-// campaign byte-identical to the uninterrupted run, and checks that the
-// next checkpoint it writes is binary.
-func TestSinkCheckpointLegacyJSON(t *testing.T) {
-	sealed, err := os.ReadFile(legacyCheckpoint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "sink.ckpt")
-	if err := os.WriteFile(path, sealed, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if p := readPayload(t, path); p[0] != '{' {
-		t.Fatalf("%s is not a JSON checkpoint", legacyCheckpoint)
-	}
+// TestSinkCheckpointRejectsJSONLayout restarts a keyspace on an intact,
+// sealed checkpoint in the retired JSON layout: the restore must fail with
+// an error naming the file, never resume from it or start over fresh.
+func TestSinkCheckpointRejectsJSONLayout(t *testing.T) {
 	s := &Sink{cfg: SinkConfig{CheckpointEvery: 64}}
+	path := filepath.Join(t.TempDir(), "sink.ckpt")
+	if err := WriteFileDurable(path, ckptJSONPayload(t, ckptLiveTenant(t, s, ""))); err != nil {
+		t.Fatal(err)
+	}
 	ten, err := s.newTenant(ckptKeyspace(path))
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		t.Fatal("keyspace restored from a JSON-layout checkpoint")
 	}
-	want := &tenant{finals: map[string][]StreamCursor{}, counters: map[string]map[string]*workload.CountersSnapshot{},
-		durations: map[string]sim.Time{}}
-	ckptTenantState(want)
-	for _, ten := range []*tenant{ten, want} {
-		normEmpty(reflect.ValueOf(&ten.counters))
+	if ten != nil {
+		t.Error("a refused checkpoint still produced a keyspace")
 	}
-	if !reflect.DeepEqual(ten.finals, want.finals) || !reflect.DeepEqual(ten.counters, want.counters) ||
-		!reflect.DeepEqual(ten.durations, want.durations) || ten.ingestBytes != want.ingestBytes {
-		t.Fatalf("legacy checkpoint bookkeeping lost on restore")
-	}
-	_, after := ckptOrder()
-	ckptOffer(t, ten.str, after[:len(after)/2])
-	if err := s.checkpointLocked(ten); err != nil {
-		t.Fatal(err)
-	}
-	if p := readPayload(t, path); !bytes.HasPrefix(p, sinkCheckpointMagic[:]) {
-		t.Fatalf("checkpoint after a legacy restore opens with %q, want the binary magic", p[:5])
-	}
-	if p := readPayload(t, path+PrevSuffix); p[0] != '{' {
-		t.Fatalf("the rotated previous-good file is no longer the legacy JSON checkpoint")
-	}
-	ckptOffer(t, ten.str, after[len(after)/2:])
-	if got, want := ckptReport(t, ten.str), ckptUninterrupted(t); !bytes.Equal(got, want) {
-		t.Errorf("report after a legacy restore differs from the uninterrupted run")
+	for _, want := range []string{"corrupt", path, "not a sink checkpoint"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not contain %q", err, want)
+		}
 	}
 }
 
@@ -414,9 +403,10 @@ func ckptSectionBounds(t testing.TB, payload []byte) []int {
 // what a restarting sink reads from a disk it cannot trust beyond the
 // guard trailer. Decoding must never panic, every failure must be an
 // error, and accepted payloads must satisfy the fixed-point law. The seed
-// corpus is the scenario's checkpoint in both layouts, truncated at every
-// section boundary (one byte either side too), plus an empty-queue
-// checkpoint taken before any batch.
+// corpus is the scenario's checkpoint, truncated at every section boundary
+// (one byte either side too), an empty-queue checkpoint taken before any
+// batch, and the scenario in the retired JSON layout, which must be
+// rejected.
 func FuzzSinkCheckpoint(f *testing.F) {
 	s := &Sink{cfg: SinkConfig{CheckpointEvery: 64}}
 	fresh, err := s.newTenant(ckptKeyspace(""))
@@ -433,14 +423,7 @@ func FuzzSinkCheckpoint(f *testing.F) {
 			}
 		}
 	}
-	sealed, err := os.ReadFile(legacyCheckpoint)
-	if err != nil {
-		f.Fatal(err)
-	}
-	legacy, err := unsealDurable(sealed)
-	if err != nil {
-		f.Fatal(err)
-	}
+	legacy := ckptJSONPayload(f, ckptLiveTenant(f, s, ""))
 	f.Add(legacy)
 	f.Add(legacy[:len(legacy)/2])
 	f.Fuzz(checkCheckpointFixedPoint)

@@ -13,21 +13,22 @@ import (
 )
 
 // The distributed collection plane's wire protocol, specified normatively in
-// PROTOCOL.md. Every frame shares the batch frame layout — a 4-byte
-// big-endian length prefix covering a kind byte plus payload — and the kind
-// byte space extends the data codec tags (0 binary, 1 JSON) with control
+// PROTOCOL.md. Every frame is a 4-byte big-endian length prefix covering a
+// kind byte plus payload. Kind 0 carries a record batch in the binary
+// encoding and kind 8 a district partial (§12); the others are control
 // frames that carry the session protocol: an agent opens with Hello, the
 // sink answers with Resume (the per-stream acknowledged cursors the agent
-// must resume from), data batches flow as ordinary batch frames, the sink
+// must resume from), data batches flow as kind-0 frames, the sink
 // acknowledges durable progress with Ack, the agent announces shard
 // completion with Done (final cursors + workload counters), and the sink
 // releases it with Fin once everything is durable.
 
-// Frame kinds beyond the data codec tags. Control payloads are JSON: they
-// are rare (one Hello/Resume/Done/Fin per session, one small Ack per applied
-// batch), and a debuggable handshake beats saving bytes there — the hot
-// path, record batches, stays on the binary codec.
+// Frame kinds. Kind 1 is unassigned and rejected like any unknown kind.
+// Control payloads are JSON: they are rare (one Hello/Resume/Done/Fin per
+// session, one small Ack per applied batch), and a debuggable handshake
+// beats saving bytes there — the hot path, record batches, stays binary.
 const (
+	frameBatch   byte = 0
 	frameHello   byte = 2
 	frameResume  byte = 3
 	frameAck     byte = 4
@@ -233,8 +234,8 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 // decodeFrame decodes one frame body by kind byte.
 func decodeFrame(kind byte, blob []byte) (*Frame, error) {
 	switch kind {
-	case byte(CodecBinary), byte(CodecJSON):
-		b, err := decodeBatch(Codec(kind), blob)
+	case frameBatch:
+		b, err := decodeBinaryBatch(blob)
 		if err != nil {
 			return nil, err
 		}
@@ -273,11 +274,11 @@ func decodeJSON[T any](fr *Frame, field **T, blob []byte, what string) (*Frame, 
 	return fr, nil
 }
 
-// encodeBatchFrame renders a complete data frame (length prefix + codec tag
-// + payload) into a fresh buffer, so the fault injector can hold, duplicate
-// or drop whole frames.
-func encodeBatchFrame(b *Batch, codec Codec) ([]byte, error) {
-	return appendBatchFrame(make([]byte, 0, 4096), b, codec)
+// encodeBatchFrame renders a complete data frame (length prefix + kind
+// byte + payload) into a fresh buffer, so the fault injector can hold,
+// duplicate or drop whole frames.
+func encodeBatchFrame(b *Batch) ([]byte, error) {
+	return appendBatchFrame(make([]byte, 0, 4096), b)
 }
 
 // FaultConfig injects deterministic, seeded faults into an agent's outgoing

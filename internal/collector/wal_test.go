@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"encoding/json"
 	"errors"
 	"io/fs"
 	"os"
@@ -23,7 +24,7 @@ import (
 func walTestFrame(t *testing.T, node string, seq uint64) []byte {
 	t.Helper()
 	raw, err := encodeBatchFrame(&Batch{Node: node, Testbed: "alpha",
-		Watermark: sim.Time(seq) * sim.Hour, Seq: seq}, CodecBinary)
+		Watermark: sim.Time(seq) * sim.Hour, Seq: seq})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,6 +110,45 @@ func TestWALReplayTornTail(t *testing.T) {
 	st := streams["a1"]
 	if st == nil || st.last != 3 || st.acked != 1 || len(st.frames) != 2 {
 		t.Fatalf("full replay diverged: %+v", st)
+	}
+}
+
+// TestWALReplayStopsAtJSONFrame: a spill log holding a kind-1 frame of the
+// retired JSON codec replays only the frames before it, and the log is cut
+// back there like a torn tail, so the shard's re-run regenerates the rest.
+func TestWALReplayStopsAtJSONFrame(t *testing.T) {
+	campaign := CampaignID{Seed: 3, Duration: 24 * sim.Hour, Scenario: 3}
+	dir := t.TempDir()
+	w, _, err := openWAL(dir, "alpha", campaign, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	json3 := jsonBatchFrame(t, &Batch{Node: "a1", Testbed: "alpha", Watermark: 3 * sim.Hour, Seq: 3})
+	for _, raw := range [][]byte{walTestFrame(t, "a1", 1), walTestFrame(t, "a1", 2), json3, walTestFrame(t, "a1", 4)} {
+		if err := w.appendFrame(raw, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.close()
+	_, streams, err := openWAL(dir, "alpha", campaign, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := streams["a1"]; st == nil || st.last != 2 || len(st.frames) != 2 {
+		t.Fatalf("replay past a kind-1 frame: %+v", st)
+	}
+	fi, err := os.Stat(walPath(dir, "alpha"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := json.Marshal(&walHeader{Campaign: campaign, Testbed: "alpha"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := walRecordSize(len(hdr)) + walRecordSize(len(walTestFrame(t, "a1", 1))) +
+		walRecordSize(len(walTestFrame(t, "a1", 2)))
+	if fi.Size() != want {
+		t.Fatalf("log is %d bytes after replay, want %d (cut before the kind-1 frame)", fi.Size(), want)
 	}
 }
 

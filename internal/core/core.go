@@ -79,8 +79,8 @@ func (f UserFailure) Valid() bool { return f > UFUnknown && f < numUserFailures 
 // finer-grained classification production failure-data pipelines layer on
 // top of Table 1's three utilisation groups: device discovery, service
 // probing (SDP), link/connection opening, data sending, and established-
-// session management. PhaseUnknown is the zero value carried by records
-// produced before the taxonomy plane existed (binary codec v1 frames).
+// session management. PhaseUnknown is the zero value, carried by a record
+// that was never tagged.
 type FailurePhase int
 
 // Protocol phases, in pipeline order.

@@ -257,7 +257,7 @@ type UserReport struct {
 
 	// Taxonomy tags, assigned once when the report is created (workload
 	// tagging) so every aggregation plane sees the same classification.
-	// Both are zero on records from pre-taxonomy producers (codec v1).
+	// Both are zero on a record that was never tagged.
 	Phase   FailurePhase      `json:"phase,omitempty"`   // protocol phase the failure struck
 	Verdict TransienceVerdict `json:"verdict,omitempty"` // windowed-recurrence transience verdict
 }

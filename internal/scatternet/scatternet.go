@@ -137,12 +137,11 @@ type Config struct {
 	// bridge overlay — a single world by construction, bridges share NAP
 	// anchors — runs concurrently on a P of its own (at most
 	// GOMAXPROCS-1 workers run a piconet until the overlay is done). 0
-	// means GOMAXPROCS, capped at Piconets; 1 forces the fully sequential
-	// path (piconets in index order on the calling goroutine, then the
-	// overlay). Any value produces identical results: no state crosses a
-	// world boundary until everything has finished, and the roll-up's
-	// merge is shard-count invariant (pinned by the golden equivalence and
-	// merge-law suites).
+	// means GOMAXPROCS, capped at Piconets; 1 runs every piconet in index
+	// order on one worker. Any value produces identical results: no state
+	// crosses a world boundary until everything has finished, and the
+	// roll-up's merge is shard-count invariant (pinned by the golden
+	// equivalence and merge-law suites).
 	Parallelism int
 
 	// MutateBridgeHost adjusts bridge host configurations before the
@@ -316,10 +315,7 @@ type shardState struct {
 // independent world — runs concurrently with a P reserved for it. Every
 // simulation owns its kernel, RNG rig, hosts and logs, so no state crosses
 // a world boundary until everything has finished and the results are
-// identical for any shard count; Parallelism 1 degenerates to the fully
-// sequential legacy path (piconets in order on the calling goroutine, then
-// the overlay), which the golden equivalence suite pins byte-identical to
-// the pre-shard engine.
+// identical for any shard count.
 func (c *Campaign) Run() (*Result, error) {
 	res := &Result{
 		Config:     c.cfg,
@@ -333,42 +329,35 @@ func (c *Campaign) Run() (*Result, error) {
 	bounds := func(s int) (lo, hi int) {
 		return s * c.topo.Piconets / shards, (s + 1) * c.topo.Piconets / shards
 	}
-	if c.cfg.Parallelism == 1 {
-		states[0] = c.runShard(0, c.topo.Piconets, nil)
-		if c.overlay != nil {
-			c.overlay.Run(c.cfg.Duration)
-		}
-	} else {
-		// The overlay is one sequential world, so while it runs it keeps
-		// a P to itself and the shard workers take turns on the others,
-		// one gate token per piconet; once it is done they get every P.
-		// With more runnable goroutines than Ps, how long the overlay
-		// takes would hang on how the scheduler shares them.
-		gate := make(chan struct{}, shards)
-		running := shards
-		if c.overlay != nil {
-			running = max(1, min(shards, runtime.GOMAXPROCS(0)-1))
-		}
-		for i := 0; i < running; i++ {
+	// The overlay is one sequential world, so while it runs it keeps a P
+	// to itself and the shard workers take turns on the others, one gate
+	// token per piconet; once it is done they get every P. With more
+	// runnable goroutines than Ps, how long the overlay takes would hang
+	// on how the scheduler shares them.
+	gate := make(chan struct{}, shards)
+	running := shards
+	if c.overlay != nil {
+		running = max(1, min(shards, runtime.GOMAXPROCS(0)-1))
+	}
+	for i := 0; i < running; i++ {
+		gate <- struct{}{}
+	}
+	var wg sync.WaitGroup
+	for s := 0; s < shards; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			lo, hi := bounds(s)
+			states[s] = c.runShard(lo, hi, gate)
+		}(s)
+	}
+	if c.overlay != nil {
+		c.overlay.Run(c.cfg.Duration)
+		for i := running; i < shards; i++ {
 			gate <- struct{}{}
 		}
-		var wg sync.WaitGroup
-		for s := 0; s < shards; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				lo, hi := bounds(s)
-				states[s] = c.runShard(lo, hi, gate)
-			}(s)
-		}
-		if c.overlay != nil {
-			c.overlay.Run(c.cfg.Duration)
-			for i := running; i < shards; i++ {
-				gate <- struct{}{}
-			}
-		}
-		wg.Wait()
 	}
+	wg.Wait()
 	for _, st := range states {
 		if st.err != nil {
 			return nil, st.err
@@ -394,7 +383,7 @@ func (c *Campaign) Run() (*Result, error) {
 }
 
 // runShard builds, runs and collects piconets [lo, hi) in ascending order,
-// holding a token from gate, when there is one, while it runs a piconet.
+// holding a token from gate while it runs a piconet.
 // In rollup mode each finished piconet folds into the shard's partial and
 // is dropped immediately, so the shard's live state is one piconet world
 // plus O(1) fold accumulators regardless of its range size.
@@ -404,13 +393,9 @@ func (c *Campaign) runShard(lo, hi int, gate chan struct{}) shardState {
 		st.fold = analysis.NewScatternetFold(c.cfg.Scenario.String())
 	}
 	for p := lo; p < hi; p++ {
-		if gate != nil {
-			<-gate
-		}
+		<-gate
 		pic, trace, err := c.runPiconet(p)
-		if gate != nil {
-			gate <- struct{}{}
-		}
+		gate <- struct{}{}
 		if err != nil {
 			st.err = err
 			return st

@@ -205,7 +205,7 @@ func NewScatternetCampaign(cfg ScatternetConfig) (*scatternet.Campaign, error) {
 // bridge overlay carries relayed inter-piconet traffic through the real
 // stack path, failing through the standard recovery cascade. Piconets and
 // the overlay are independent simulations, so they run concurrently with
-// bit-identical results to a sequential pass (Parallelism: 1 to force one).
+// bit-identical results for any Parallelism.
 func RunScatternet(cfg ScatternetConfig) (*ScatternetResult, error) {
 	engineCfg, err := cfg.internalConfig()
 	if err != nil {

@@ -31,9 +31,6 @@ type SweepConfig struct {
 	// FlushEvery is the streaming drain cadence (default one virtual
 	// hour).
 	FlushEvery sim.Time
-	// Retained switches the per-seed campaigns to the record-retaining
-	// plane (debugging / raw-record analysis; memory grows with duration).
-	Retained bool
 	// CheckpointDir, when set, persists every completed seed's aggregates
 	// (plus counters) as one JSON file in the directory and skips seeds
 	// whose file already exists on a later run — an interrupted month-scale
@@ -42,7 +39,7 @@ type SweepConfig struct {
 	// aggregate code paths). Files carry the collector's torn-write guard
 	// trailer: a sweep killed mid-write leaves a detectably-torn file that
 	// the next run rejects in favor of the rotated previous copy (or simply
-	// recomputes the seed). Streaming, non-scatternet sweeps only.
+	// recomputes the seed). Non-scatternet sweeps only.
 	CheckpointDir string
 	// Piconets/Bridges/Topology/Redundancy/HoldTime switch the sweep to
 	// scatternet campaigns: when any of them is set, every seed runs a
@@ -84,7 +81,7 @@ func (c SweepConfig) scatternetConfig(i int) ScatternetConfig {
 			Seed:       c.BaseSeed + uint64(i),
 			Duration:   c.Duration,
 			Scenario:   c.Scenario,
-			Streaming:  !c.Retained,
+			Streaming:  true,
 			FlushEvery: c.FlushEvery,
 		},
 		Piconets:   c.Piconets,
@@ -139,9 +136,8 @@ func (c SweepConfig) Validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("btpan: negative sweep worker count")
 	}
-	if c.CheckpointDir != "" && (c.Retained || c.Scatternet()) {
-		return fmt.Errorf("btpan: sweep checkpointing needs the streaming plane " +
-			"(no -retained) and is not supported for scatternet sweeps")
+	if c.CheckpointDir != "" && c.Scatternet() {
+		return fmt.Errorf("btpan: sweep checkpointing is not supported for scatternet sweeps")
 	}
 	if c.Scatternet() {
 		return c.scatternetConfig(0).Validate()
@@ -205,7 +201,7 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 					Seed:       cfg.BaseSeed + uint64(i),
 					Duration:   cfg.Duration,
 					Scenario:   cfg.Scenario,
-					Streaming:  !cfg.Retained,
+					Streaming:  true,
 					FlushEvery: cfg.FlushEvery,
 				}
 				if cfg.CheckpointDir != "" {

@@ -98,12 +98,7 @@ func TestSweepCheckpointGuards(t *testing.T) {
 		t.Error("sweep accepted a corrupt checkpoint")
 	}
 
-	// Checkpointing without the streaming plane is a config error.
-	bad := cfg
-	bad.Retained = true
-	if err := bad.Validate(); err == nil {
-		t.Error("retained sweep with checkpoint dir validated")
-	}
+	// Checkpointing a scatternet sweep is a config error.
 	scat := cfg
 	scat.Piconets = 2
 	if err := scat.Validate(); err == nil {
