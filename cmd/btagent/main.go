@@ -61,7 +61,8 @@
 //
 // Each fault probability must lie in [0, 1]; NaN is rejected. -testbed,
 // -flush, -timeout, -spill-dir and -spill-budget configure the testbed
-// shard only and are rejected with -scatternet.
+// shard only: with -scatternet each is rejected with a one-line error
+// naming it.
 //
 // Scatternet mode (-scatternet) turns the agent into one district shard of
 // a distributed metro campaign: it owns the contiguous piconet range
@@ -76,18 +77,22 @@
 // match the sink's district declaration exactly; a mismatch is a fatal
 // typed reject. The fault-injection knobs apply to kind-8 frames too. The
 // flags listed after -scatternet below need it; without it each is
-// rejected.
+// rejected with a one-line error naming it. A value the engine would read
+// as unset (a -hold, -redundancy or -piconets below 1, a -probe-sample
+// outside (0, 1]) is rejected too, never replaced by the default.
 //
 //	-scatternet          run a scatternet district shard
 //	-piconet-range A:B   piconet range [A, B) this agent owns (required;
 //	                     exactly its district's range= at the sink)
-//	-piconets P          scatternet piconet count (default 2)
+//	-piconets P          scatternet piconet count, at least 1 (default 2)
 //	-bridges K           bridge count / random edge budget (default 1)
 //	-topology T          ring, star, mesh, random; empty pairs bridge b with
 //	                     piconets b and b+1 mod P
-//	-redundancy K        bridges per span (default 1)
-//	-hold S              bridge residency seconds per visit (default 10)
+//	-redundancy K        bridges per span, at least 1 (default 1)
+//	-hold S              bridge residency seconds per visit, at least 1
+//	                     (default 10)
 //	-probe-sample F      relay-probe pair sampling fraction in (0, 1]
+//	                     (default 1)
 package main
 
 import (
@@ -97,7 +102,7 @@ import (
 	"os"
 	"time"
 
-	btpan "repro"
+	"repro/cmd/internal/cli"
 	"repro/internal/collector"
 	"repro/internal/sim"
 	"repro/internal/testbed"
@@ -107,117 +112,74 @@ import (
 // cliConfig is the parsed and validated command line.
 type cliConfig struct {
 	sink, keyspace string
-	seed           uint64
-	duration       sim.Time
-	scenario       btpan.Scenario
+	id             cli.Campaign
 	fault          collector.FaultConfig
 	// The testbed shard's settings, unused with -scatternet.
 	testbed     string
-	flush       sim.Time
+	flush       int
 	timeout     time.Duration
 	spillDir    string
 	spillBudget int64
-	// scat is the scatternet district shard's settings; nil runs a testbed
-	// shard.
-	scat *scatShardConfig
-}
-
-// flatOnlyFlags configure the testbed shard. A scatternet shard keeps no
-// spill log (its piconet worlds are deterministic and re-run past the
-// sink's resume cursor) and waits for no completion confirmation, so each
-// would be silently ignored with -scatternet.
-var flatOnlyFlags = map[string]bool{
-	"testbed": true, "flush": true, "timeout": true, "spill-dir": true, "spill-budget": true,
-}
-
-// scatOnlyFlags configure the scatternet district shard and would be
-// silently ignored by a testbed shard.
-var scatOnlyFlags = map[string]bool{
-	"piconet-range": true, "piconets": true, "bridges": true, "topology": true,
-	"redundancy": true, "hold": true, "probe-sample": true,
+	// The scatternet district shard's settings, unused without it.
+	scat  bool
+	rng   cli.Range
+	shape cli.Shape
 }
 
 // parseCLI parses and cross-validates the command line. A flag the chosen
 // mode ignores is an error, never a silent no-op.
 func parseCLI(args []string) (*cliConfig, error) {
 	fs := flag.NewFlagSet("btagent", flag.ContinueOnError)
-	sinkAddr := fs.String("sink", "127.0.0.1:9310", "sink address")
-	keyspace := fs.String("keyspace", "", "campaign keyspace on a multi-tenant sink")
-	shard := fs.String("testbed", "", "testbed shard: random or realistic")
-	seed := fs.Uint64("seed", 1, "campaign seed (must match the sink)")
-	days := fs.Int("days", 4, "virtual campaign days 1..540 (must match the sink)")
-	scenario := fs.Int("scenario", int(btpan.ScenarioSIRAs),
-		"recovery scenario 1..4 (must match the sink)")
-	flush := fs.Int("flush", 3600, "virtual seconds between log drains")
-	timeout := fs.Duration("timeout", 10*time.Minute, "completion confirmation timeout (0 = forever)")
-	spillDir := fs.String("spill-dir", "", "write-ahead spill log directory (empty disables crash tolerance)")
-	spillBudget := fs.Int64("spill-budget", 0, "max bytes of unacknowledged spill (0 = unbounded)")
-	drop := fs.Float64("drop", 0, "fault injection: drop probability per data frame")
-	dup := fs.Float64("dup", 0, "fault injection: duplicate probability per data frame")
-	reorder := fs.Float64("reorder", 0, "fault injection: reorder probability per data frame")
-	delay := fs.Duration("delay", 0, "fault injection: delay imposed on a delay decision")
-	delayRate := fs.Float64("delay-rate", 0, "fault injection: delay probability per data frame")
-	faultSeed := fs.Uint64("fault-seed", 1, "fault injection decision seed")
-	scat := fs.Bool("scatternet", false, "run a scatternet district shard")
-	piconetRange := fs.String("piconet-range", "", "piconet range A:B owned by this shard (with -scatternet)")
-	piconets := fs.Int("piconets", 2, "scatternet piconet count (with -scatternet)")
-	bridges := fs.Int("bridges", 1, "scatternet bridge count / random edge budget (with -scatternet)")
-	topology := fs.String("topology", "", "scatternet membership map: ring, star, mesh or random (with -scatternet)")
-	redundancy := fs.Int("redundancy", 1, "bridges per span (with -scatternet)")
-	hold := fs.Int("hold", 10, "bridge residency seconds per piconet visit (with -scatternet)")
-	probeSample := fs.Float64("probe-sample", 1, "relay-probe pair sampling fraction in (0, 1] (with -scatternet)")
+	cfg := &cliConfig{}
+	fs.StringVar(&cfg.sink, "sink", "127.0.0.1:9310", "sink address")
+	fs.StringVar(&cfg.keyspace, "keyspace", "", "campaign keyspace on a multi-tenant sink")
+	fs.StringVar(&cfg.testbed, "testbed", "", "testbed shard: random or realistic")
+	cfg.id.Register(fs)
+	fs.IntVar(&cfg.flush, "flush", 3600, "virtual seconds between log drains")
+	fs.DurationVar(&cfg.timeout, "timeout", 10*time.Minute, "completion confirmation timeout (0 = forever)")
+	fs.StringVar(&cfg.spillDir, "spill-dir", "", "write-ahead spill log directory (empty disables crash tolerance)")
+	fs.Int64Var(&cfg.spillBudget, "spill-budget", 0, "max bytes of unacknowledged spill (0 = unbounded)")
+	fs.Float64Var(&cfg.fault.Drop, "drop", 0, "fault injection: drop probability per data frame")
+	fs.Float64Var(&cfg.fault.Duplicate, "dup", 0, "fault injection: duplicate probability per data frame")
+	fs.Float64Var(&cfg.fault.Reorder, "reorder", 0, "fault injection: reorder probability per data frame")
+	fs.DurationVar(&cfg.fault.Delay, "delay", 0, "fault injection: delay imposed on a delay decision")
+	fs.Float64Var(&cfg.fault.DelayRate, "delay-rate", 0, "fault injection: delay probability per data frame")
+	fs.Uint64Var(&cfg.fault.Seed, "fault-seed", 1, "fault injection decision seed")
+	fs.BoolVar(&cfg.scat, "scatternet", false, "run a scatternet district shard")
+	fs.Var(&cfg.rng, "piconet-range", "piconet range A:B owned by this shard (with -scatternet)")
+	cfg.shape.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
 
-	if *days < 1 || *days > 540 {
-		return nil, fmt.Errorf("-days %d out of range 1..540", *days)
+	testbedShard := cli.Req{OK: !cfg.scat, Why: "does not apply with -scatternet (it configures the testbed shard)"}
+	district := cli.Req{OK: cfg.scat, Why: "needs -scatternet (it configures the scatternet district shard)"}
+	modes := cli.Modes{}
+	for _, name := range []string{"testbed", "flush", "timeout", "spill-dir", "spill-budget"} {
+		modes.Need(name, testbedShard)
 	}
-	if *scenario < 1 || *scenario > 4 {
-		return nil, fmt.Errorf("-scenario %d out of range 1..4", *scenario)
+	modes.Need("piconet-range", district)
+	modes.NeedShape(district)
+	if err := modes.Check(fs); err != nil {
+		return nil, err
 	}
-	var stray string
-	fs.Visit(func(f *flag.Flag) {
-		if stray == "" && (*scat && flatOnlyFlags[f.Name] || !*scat && scatOnlyFlags[f.Name]) {
-			stray = f.Name
-		}
-	})
-	switch {
-	case stray != "" && *scat:
-		return nil, fmt.Errorf("-%s does not apply with -scatternet (it configures the testbed shard)", stray)
-	case stray != "":
-		return nil, fmt.Errorf("-%s needs -scatternet (it configures the scatternet district shard)", stray)
-	}
-	cfg := &cliConfig{
-		sink: *sinkAddr, keyspace: *keyspace, seed: *seed,
-		duration: sim.Time(*days) * sim.Day, scenario: btpan.Scenario(*scenario),
-		fault: collector.FaultConfig{
-			Seed: *faultSeed, Drop: *drop, Duplicate: *dup, Reorder: *reorder,
-			Delay: *delay, DelayRate: *delayRate,
-		},
-		testbed: *shard, flush: sim.Time(*flush) * sim.Second, timeout: *timeout,
-		spillDir: *spillDir, spillBudget: *spillBudget,
+	if err := cfg.id.Check(); err != nil {
+		return nil, err
 	}
 	if err := checkLimits(cfg.fault, cfg.timeout); err != nil {
 		return nil, err
 	}
-	if *scat {
-		sc := &scatShardConfig{piconetRange: *piconetRange,
-			piconets: *piconets, bridges: *bridges, topology: *topology,
-			redundancy: *redundancy, hold: sim.Time(*hold) * sim.Second,
-			probeSample: *probeSample}
-		var err error
-		if sc.lo, sc.hi, err = sc.check(); err != nil {
-			return nil, err
+	if cfg.scat {
+		if cfg.rng.Hi == 0 {
+			return nil, fmt.Errorf("-piconet-range is required with -scatternet (e.g. 0:4)")
 		}
-		cfg.scat = sc
-		return cfg, nil
+		return cfg, cfg.shape.Check()
 	}
-	if *flush < 1 {
-		return nil, fmt.Errorf("-flush %d must be at least one virtual second", *flush)
+	if cfg.flush < 1 {
+		return nil, fmt.Errorf("-flush %d must be at least one virtual second", cfg.flush)
 	}
-	if *shard != "random" && *shard != "realistic" {
-		return nil, fmt.Errorf("-testbed %q: want random or realistic", *shard)
+	if cfg.testbed != "random" && cfg.testbed != "realistic" {
+		return nil, fmt.Errorf("-testbed %q: want random or realistic", cfg.testbed)
 	}
 	return cfg, nil
 }
@@ -227,12 +189,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if cfg.scat != nil {
+	if cfg.scat {
 		runScatternetShard(cfg)
 		return
 	}
 
-	opts, realisticOpts := testbed.CampaignOptions(cfg.seed, cfg.scenario, cfg.duration)
+	id := cfg.id.Config()
+	opts, realisticOpts := testbed.CampaignOptions(id.Seed, id.Scenario, id.Duration)
 	if cfg.testbed == "realistic" {
 		opts = realisticOpts
 	}
@@ -252,21 +215,20 @@ func main() {
 	jitter.Write([]byte(opts.Name))
 	agent, err := collector.NewAgent(collector.AgentConfig{
 		Addr: cfg.sink, Keyspace: cfg.keyspace,
-		Campaign: collector.CampaignID{Seed: cfg.seed, Duration: cfg.duration,
-			Scenario: int(cfg.scenario)},
-		Testbed: opts.Name, Nodes: nodes,
+		Campaign: cfg.id.ID(),
+		Testbed:  opts.Name, Nodes: nodes,
 		SpillDir: cfg.spillDir, SpillBudget: cfg.spillBudget,
-		RetrySeed: cfg.seed ^ jitter.Sum64(),
+		RetrySeed: id.Seed ^ jitter.Sum64(),
 		Fault:     cfg.fault,
 	})
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "btagent: running %s shard (seed %d, %v, scenario %q) -> %s\n",
-		opts.Name, cfg.seed, cfg.duration, cfg.scenario, cfg.sink)
+		opts.Name, id.Seed, id.Duration, id.Scenario, cfg.sink)
 
 	start := time.Now()
-	if err := runShard(tb, agent, cfg.duration, cfg.flush); err != nil {
+	if err := runShard(tb, agent, id.Duration, sim.Time(cfg.flush)*sim.Second); err != nil {
 		fatal(err)
 	}
 	res := tb.Results()
@@ -274,7 +236,7 @@ func main() {
 	for node, c := range res.Counters {
 		counters[node] = c.Snapshot()
 	}
-	if err := agent.Finish(counters, cfg.duration, cfg.timeout); err != nil {
+	if err := agent.Finish(counters, id.Duration, cfg.timeout); err != nil {
 		fatal(err)
 	}
 	sent, retrans := agent.Stats()
@@ -312,40 +274,6 @@ func runShard(tb *testbed.Testbed, agent *collector.Agent, duration, flush sim.T
 	return nil
 }
 
-// scatShardConfig bundles the scatternet-mode command line.
-type scatShardConfig struct {
-	piconetRange string
-	lo, hi       int // the owned range, parsed from piconetRange by check
-	piconets     int
-	bridges      int
-	topology     string
-	redundancy   int
-	hold         sim.Time
-	probeSample  float64
-}
-
-// parsePiconetRange parses "A:B" into the half-open range [A, B).
-func parsePiconetRange(s string) (lo, hi int, err error) {
-	if s == "" {
-		return 0, 0, fmt.Errorf("-piconet-range is required with -scatternet (e.g. 0:4)")
-	}
-	if _, err := fmt.Sscanf(s, "%d:%d", &lo, &hi); err != nil {
-		return 0, 0, fmt.Errorf("-piconet-range %q: want A:B (half-open, e.g. 0:4)", s)
-	}
-	if lo < 0 || hi <= lo {
-		return 0, 0, fmt.Errorf("-piconet-range %q is empty or negative", s)
-	}
-	return lo, hi, nil
-}
-
-// check validates the scatternet-mode flags and returns the owned range.
-func (cfg scatShardConfig) check() (lo, hi int, err error) {
-	if err := btpan.CheckProbeSample(cfg.probeSample); err != nil {
-		return 0, 0, err
-	}
-	return parsePiconetRange(cfg.piconetRange)
-}
-
 // runScatternetShard runs one district shard of a distributed metro
 // campaign: builds the full campaign engine (so every piconet world derives
 // from the same seeds as the single-process run), then walks the owned
@@ -353,46 +281,29 @@ func (cfg scatShardConfig) check() (lo, hi int, err error) {
 // piconet's fold partial — and, on the range owning piconet 0 of a bridged
 // campaign, the overlay's pre-merged rollup partial — to the district sink.
 func runScatternetShard(cfg *cliConfig) {
-	sc, lo, hi := cfg.scat, cfg.scat.lo, cfg.scat.hi
-	scfg := btpan.ScatternetConfig{
-		CampaignConfig: btpan.CampaignConfig{
-			Seed: cfg.seed, Duration: cfg.duration, Scenario: cfg.scenario,
-			Streaming: true,
-		},
-		Piconets: sc.piconets, Bridges: sc.bridges,
-		Topology: sc.topology, Redundancy: sc.redundancy, HoldTime: sc.hold,
-		ProbeSample: sc.probeSample, Rollup: true,
-	}
-	camp, err := btpan.NewScatternetCampaign(scfg)
+	lo, hi := cfg.rng.Lo, cfg.rng.Hi
+	camp, net, err := cfg.shape.District(cfg.id, cfg.rng)
 	if err != nil {
 		fatal(err)
 	}
-	if hi > camp.Piconets() {
-		fatal(fmt.Errorf("-piconet-range %s outside the campaign's [0:%d)", sc.piconetRange, camp.Piconets()))
-	}
+	id := cfg.id.Config()
 	// The overlay rides with the range owning piconet 0 — the convention
 	// both the district sink and the merge tier enforce.
 	overlay := lo == 0 && camp.BridgeCount() > 0
-	net := collector.ScatterNet{
-		Piconets: camp.Piconets(), Bridges: camp.BridgeCount(),
-		Topology: sc.topology, Redundancy: sc.redundancy,
-		Hold: sc.hold, ProbeSample: sc.probeSample,
-	}
 	// Decorrelate the reconnection jitter of this campaign's shards: same
 	// campaign seed, different range, different backoff schedule.
 	jitter := fnv.New64a()
 	fmt.Fprintf(jitter, "%d:%d", lo, hi)
 	fmt.Fprintf(os.Stderr, "btagent: running scatternet shard [%d:%d) of %d piconets (seed %d, %v, scenario %q, overlay %v) -> %s\n",
-		lo, hi, camp.Piconets(), cfg.seed, cfg.duration, cfg.scenario, overlay, cfg.sink)
+		lo, hi, camp.Piconets(), id.Seed, id.Duration, id.Scenario, overlay, cfg.sink)
 	start := time.Now()
 	agent, err := collector.NewScatterAgent(collector.ScatterAgentConfig{
 		Addr: cfg.sink, Keyspace: cfg.keyspace,
-		Campaign: collector.CampaignID{Seed: cfg.seed, Duration: cfg.duration,
-			Scenario: int(cfg.scenario)},
-		Net: net, Lo: lo, Hi: hi, Overlay: overlay,
+		Campaign: cfg.id.ID(),
+		Net:      net, Lo: lo, Hi: hi, Overlay: overlay,
 		RunPiconet: camp.PiconetPartial,
 		RunOverlay: camp.RunOverlay,
-		RetrySeed:  int64(cfg.seed ^ jitter.Sum64()),
+		RetrySeed:  int64(id.Seed ^ jitter.Sum64()),
 		Fault:      cfg.fault,
 	})
 	if err == nil {

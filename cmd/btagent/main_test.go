@@ -46,6 +46,18 @@ func TestParseCLIValidation(t *testing.T) {
 		{"stray probe-sample", []string{"-testbed", "random", "-probe-sample", "0.5"},
 			"-probe-sample needs -scatternet"},
 
+		// Values the engine would read as unset, and the range grammar.
+		{"hold zero", []string{"-scatternet", "-piconet-range", "0:2", "-hold", "0"},
+			"-hold 0 must be at least 1"},
+		{"redundancy zero", []string{"-scatternet", "-piconet-range", "0:2", "-redundancy", "0"},
+			"-redundancy 0 must be at least 1"},
+		{"probe-sample zero", []string{"-scatternet", "-piconet-range", "0:4", "-probe-sample", "0"},
+			"-probe-sample 0 outside (0, 1]"},
+		{"range missing", []string{"-scatternet"}, "-piconet-range is required"},
+		{"range empty", []string{"-scatternet", "-piconet-range", ""}, "want A:B"},
+		{"range reversed", []string{"-scatternet", "-piconet-range", "4:2"},
+			`invalid value "4:2" for flag -piconet-range: "4:2" is empty or negative`},
+
 		// The command lines of scripts/chaos_distributed.sh and
 		// scripts/chaos_metro.sh.
 		{"testbed shard", []string{"-sink", "127.0.0.1:1", "-testbed", "random", "-seed", "7", "-days", "2",
@@ -53,6 +65,30 @@ func TestParseCLIValidation(t *testing.T) {
 		{"district shard", []string{"-sink", "127.0.0.1:1", "-keyspace", "metro0", "-scatternet",
 			"-piconet-range", "0:2", "-piconets", "4", "-topology", "ring", "-probe-sample", "0.5",
 			"-seed", "5", "-days", "1", "-drop", "0.05", "-dup", "0.05", "-reorder", "0.1", "-fault-seed", "70"}, ""},
+
+		// Every other btagent command line of README.md, OPERATIONS.md and
+		// scripts/*.sh, script variables at their defaults.
+		{"readme realistic", []string{"-sink", "127.0.0.1:9310", "-testbed", "realistic", "-seed", "1", "-days", "4"}, ""},
+		{"operations spill", []string{"-sink", "127.0.0.1:9310", "-testbed", "random", "-seed", "1", "-days", "4",
+			"-spill-dir", "/tmp/bt/spill-random"}, ""},
+		{"operations faults", []string{"-sink", "127.0.0.1:9310", "-testbed", "random", "-seed", "1", "-days", "4",
+			"-drop", "0.1", "-dup", "0.1", "-reorder", "0.15", "-fault-seed", "5"}, ""},
+		{"operations keyspace", []string{"-sink", "127.0.0.1:9311", "-keyspace", "prod", "-testbed", "realistic",
+			"-seed", "7", "-days", "30"}, ""},
+		{"operations district", []string{"-sink", "127.0.0.1:9322", "-keyspace", "metro1", "-scatternet",
+			"-piconet-range", "2:4", "-piconets", "4", "-topology", "ring", "-seed", "5", "-days", "7"}, ""},
+		{"chaos_metro district 1", []string{"-sink", "127.0.0.1:1", "-keyspace", "metro1", "-scatternet",
+			"-piconet-range", "2:4", "-piconets", "4", "-topology", "ring", "-probe-sample", "0.5",
+			"-seed", "5", "-days", "7", "-drop", "0.05", "-dup", "0.05", "-reorder", "0.1", "-fault-seed", "71"}, ""},
+		{"chaos_distributed realistic", []string{"-sink", "127.0.0.1:1", "-testbed", "realistic", "-seed", "1",
+			"-days", "2", "-spill-dir", "spill", "-drop", "0.05", "-dup", "0.05", "-reorder", "0.1", "-fault-seed", "6"}, ""},
+		{"chaos_multitenant faults", []string{"-sink", "127.0.0.1:1", "-keyspace", "alpha", "-testbed", "random",
+			"-seed", "7", "-days", "2", "-drop", "0.05", "-dup", "0.05", "-reorder", "0.1", "-fault-seed", "50"}, ""},
+		{"chaos_multitenant hog", []string{"-sink", "127.0.0.1:1", "-keyspace", "hog", "-testbed", "random",
+			"-seed", "13", "-days", "2", "-timeout", "15s"}, ""},
+		{"smoke clean", []string{"-sink", "127.0.0.1:1", "-testbed", "realistic", "-seed", "1", "-days", "1"}, ""},
+		{"smoke faults", []string{"-sink", "127.0.0.1:1", "-testbed", "realistic", "-seed", "1", "-days", "1",
+			"-drop", "0.1", "-dup", "0.1", "-reorder", "0.15", "-fault-seed", "6"}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -61,7 +97,7 @@ func TestParseCLIValidation(t *testing.T) {
 				if err != nil {
 					t.Fatalf("parseCLI(%q) = %v, want success", tc.args, err)
 				}
-				if (cfg.scat != nil) != slices.Contains(tc.args, "-scatternet") {
+				if cfg.scat != slices.Contains(tc.args, "-scatternet") {
 					t.Fatalf("parseCLI(%q) chose the wrong mode", tc.args)
 				}
 				return
@@ -70,73 +106,6 @@ func TestParseCLIValidation(t *testing.T) {
 				t.Fatalf("parseCLI(%q) = %v, want an error containing %q", tc.args, err, tc.wantErr)
 			}
 		})
-	}
-}
-
-// TestParsePiconetRange pins the -piconet-range grammar: half-open A:B with
-// A >= 0 and B > A; everything else is rejected with a message naming the
-// flag.
-func TestParsePiconetRange(t *testing.T) {
-	cases := []struct {
-		in      string
-		lo, hi  int
-		wantErr string // "" = must parse
-	}{
-		{in: "0:4", lo: 0, hi: 4},
-		{in: "2:3", lo: 2, hi: 3},
-		{in: "10:64", lo: 10, hi: 64},
-		{in: "", wantErr: "-piconet-range is required"},
-		{in: "4", wantErr: "want A:B"},
-		{in: "a:b", wantErr: "want A:B"},
-		{in: "4:2", wantErr: "is empty or negative"},
-		{in: "3:3", wantErr: "is empty or negative"},
-		{in: "-1:2", wantErr: "is empty or negative"},
-	}
-	for _, tc := range cases {
-		lo, hi, err := parsePiconetRange(tc.in)
-		if tc.wantErr == "" {
-			if err != nil {
-				t.Errorf("parsePiconetRange(%q) = %v, want [%d:%d)", tc.in, err, tc.lo, tc.hi)
-			} else if lo != tc.lo || hi != tc.hi {
-				t.Errorf("parsePiconetRange(%q) = [%d:%d), want [%d:%d)", tc.in, lo, hi, tc.lo, tc.hi)
-			}
-			continue
-		}
-		if err == nil {
-			t.Errorf("parsePiconetRange(%q) = [%d:%d), want error containing %q", tc.in, lo, hi, tc.wantErr)
-		} else if !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("parsePiconetRange(%q) = %q, want error containing %q", tc.in, err, tc.wantErr)
-		}
-	}
-}
-
-// TestScatShardConfigCheck pins the scatternet-mode flag checks: a
-// -probe-sample outside (0, 1] or NaN is rejected with btcampaign's
-// message — a 0 used to reach the engine, which reads it as unset and runs
-// the exhaustive plane — and the range must parse.
-func TestScatShardConfigCheck(t *testing.T) {
-	cases := []struct {
-		sample  float64
-		rng     string
-		wantErr string // "" = must pass
-	}{
-		{sample: 1, rng: "0:4"},
-		{sample: 0.25, rng: "2:3"},
-		{sample: 0, rng: "0:4", wantErr: "-probe-sample 0 outside (0, 1]"},
-		{sample: -0.5, rng: "0:4", wantErr: "-probe-sample -0.5 outside (0, 1]"},
-		{sample: 1.5, rng: "0:4", wantErr: "-probe-sample 1.5 outside (0, 1]"},
-		{sample: math.NaN(), rng: "0:4", wantErr: "-probe-sample is NaN"},
-		{sample: 1, rng: "4:2", wantErr: "is empty or negative"},
-	}
-	for _, tc := range cases {
-		cfg := scatShardConfig{probeSample: tc.sample, piconetRange: tc.rng}
-		_, _, err := cfg.check()
-		switch {
-		case tc.wantErr == "" && err != nil:
-			t.Errorf("probe-sample %v range %q: %v", tc.sample, tc.rng, err)
-		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
-			t.Errorf("probe-sample %v range %q = %v, want an error containing %q", tc.sample, tc.rng, err, tc.wantErr)
-		}
 	}
 }
 

@@ -68,23 +68,26 @@
 //	                 two compose, and OPERATIONS.md's crash matrix says
 //	                 which flag recovers which failure
 //	-scatternet      run a multi-piconet scatternet campaign
-//	-piconets P      scatternet piconet count (default 2)
+//	-piconets P      scatternet piconet count, at least 1 (default 2)
 //	-bridges K       scatternet bridge count for the default topology
 //	                 (bridge b serves b mod P, b+1 mod P) and the random
 //	                 topology's edge budget; ring/star/mesh topologies
 //	                 dictate their own bridge count (default 1)
 //	-topology T      membership map: ring, star, mesh or random (default
 //	                 "": the -bridges pairing above)
-//	-redundancy K    bridges per span; K >= 2 forms redundancy groups whose
-//	                 correlated outage needs all K down at once (default 1)
-//	-hold S          bridge residency seconds per piconet visit (default 10)
-//	-shards S        scatternet piconet-plane worker shards; 0 = GOMAXPROCS
-//	                 capped at the piconet count, 1 = one worker beside
-//	                 the overlay — results identical for any value
-//	                 (default 0)
-//	-probe-sample F  relay-probe pair sampling fraction in (0, 1]; keeps
-//	                 each ordered piconet pair with seeded probability F.
-//	                 1 probes every pair exhaustively (default 1)
+//	-redundancy K    bridges per span, at least 1; K >= 2 forms redundancy
+//	                 groups whose correlated outage needs all K down at
+//	                 once (default 1)
+//	-hold S          bridge residency seconds per piconet visit, at least 1
+//	                 (default 10)
+//	-shards S        single-seed scatternet campaigns: piconet-plane worker
+//	                 shards; 0 = GOMAXPROCS capped at the piconet count,
+//	                 1 = one worker beside the overlay — results identical
+//	                 for any value (default 0)
+//	-probe-sample F  single-seed scatternet campaigns: relay-probe pair
+//	                 sampling fraction in (0, 1]; keeps each ordered
+//	                 piconet pair with seeded probability F. 1 probes every
+//	                 pair exhaustively (default 1)
 //	-rollup          with -scatternet -stream: fold piconets into one
 //	                 hierarchical metro-wide report (live memory flat in
 //	                 -piconets) instead of per-piconet tables
@@ -95,9 +98,18 @@
 //	                 failure-interarrival histogram; sweeps print the
 //	                 taxonomy CI summary, scatternet roll-ups add the
 //	                 partition-candidate spans (all K bridges of a span
-//	                 down >= 30 s at once). Rendering only: the underlying
-//	                 accumulators always run, so the flag cannot change
-//	                 any other table
+//	                 down >= 30 s at once). A single-seed scatternet
+//	                 campaign needs -rollup for it. Rendering only: the
+//	                 underlying accumulators always run, so the flag cannot
+//	                 change any other table
+//
+// A flag the chosen mode does not read is rejected with a one-line error
+// naming it, never ignored: -out needs a flat, single-seed campaign without
+// -stream; -workers needs a sweep; -json and -checkpoint-dir need a flat
+// sweep; the six shape flags (-piconets -bridges -topology -redundancy
+// -hold -probe-sample) need -scatternet; -shards, -probe-sample and
+// -rollup need a single-seed scatternet campaign, and -rollup also needs
+// -stream. Every other flag applies in every mode.
 package main
 
 import (
@@ -109,6 +121,8 @@ import (
 	"time"
 
 	btpan "repro"
+	"repro/cmd/internal/cli"
+	"repro/internal/analysis"
 	"repro/internal/collector"
 	"repro/internal/core"
 	"repro/internal/logging"
@@ -119,9 +133,8 @@ import (
 
 // cliConfig is the parsed and validated command line.
 type cliConfig struct {
-	seed     uint64
-	duration sim.Time
-	scenario btpan.Scenario
+	id       cli.Campaign
+	shape    cli.Shape
 	out      string
 	stream   bool
 	seeds    int
@@ -129,23 +142,9 @@ type cliConfig struct {
 	jsonOut  string
 	ckptDir  string
 	scat     bool
+	shards   int
+	rollup   bool
 	taxonomy bool
-	topo     scatTopology
-}
-
-// partitionThresholdSeconds is the -taxonomy report's partition-candidate
-// threshold: a span qualifies when all its bridges were simultaneously
-// down for at least this long (tests sweep other thresholds through the
-// library API).
-const partitionThresholdSeconds = 30
-
-// scatOnlyFlags are meaningful only with -scatternet; setting one on a flat
-// campaign is a configuration error (the flag would be silently ignored,
-// and a silently ignored -probe-sample or -rollup is exactly the kind of
-// misconfiguration that produces a report nobody meant to run).
-var scatOnlyFlags = map[string]bool{
-	"probe-sample": true, "rollup": true, "hold": true, "piconets": true,
-	"bridges": true, "topology": true, "redundancy": true,
 }
 
 // parseCLI parses and cross-validates the command line. Every validation
@@ -153,78 +152,51 @@ var scatOnlyFlags = map[string]bool{
 // exercise it directly.
 func parseCLI(args []string) (*cliConfig, error) {
 	fs := flag.NewFlagSet("btcampaign", flag.ContinueOnError)
-	seed := fs.Uint64("seed", 1, "campaign seed (sweeps use seed..seed+seeds-1)")
-	days := fs.Int("days", 4, "virtual campaign days (1..540; 30+ is month scale)")
-	scenario := fs.Int("scenario", int(btpan.ScenarioSIRAs),
-		"recovery scenario: 1=reboot only, 2=app restart+reboot, 3=SIRAs, 4=SIRAs+masking")
-	out := fs.String("out", "campaign-data", "output directory (single-seed retained mode)")
-	stream := fs.Bool("stream", false, "streaming aggregation: fold records instead of retaining them")
-	seeds := fs.Int("seeds", 1, "number of sweep seeds (>1 enables sweep mode with 95% CIs)")
-	workers := fs.Int("workers", 0, "sweep worker pool size (0 = NumCPU/2)")
-	jsonOut := fs.String("json", "", "sweep mode: also write the CI tables as JSON to this file")
-	ckptDir := fs.String("checkpoint-dir", "", "sweep mode: per-seed checkpoint directory (interrupted sweeps resume)")
-	scat := fs.Bool("scatternet", false, "run a multi-piconet scatternet campaign")
-	piconets := fs.Int("piconets", 2, "scatternet piconet count (with -scatternet)")
-	bridges := fs.Int("bridges", 1, "scatternet bridge count: default pairing / random edge budget (with -scatternet)")
-	topology := fs.String("topology", "", "scatternet membership map: ring, star, mesh or random (empty = -bridges pairing)")
-	redundancy := fs.Int("redundancy", 1, "bridges per span; >= 2 forms redundancy groups (with -scatternet)")
-	hold := fs.Int("hold", 10, "bridge residency seconds per piconet visit (with -scatternet)")
-	shards := fs.Int("shards", 0, "scatternet piconet-plane worker shards (0 = GOMAXPROCS; results identical for any value)")
-	probeSample := fs.Float64("probe-sample", 1, "relay-probe pair sampling fraction in (0, 1]; 1 = exhaustive")
-	rollup := fs.Bool("rollup", false, "scatternet streaming mode: one hierarchical metro-wide report, memory flat in -piconets")
-	taxonomy := fs.Bool("taxonomy", false, "append the failure-taxonomy / survival report (per-phase split, Kaplan-Meier uptime curve, interarrival histogram)")
+	cfg := &cliConfig{}
+	cfg.id.Register(fs)
+	cfg.shape.Register(fs)
+	fs.StringVar(&cfg.out, "out", "campaign-data", "output directory (single-seed retained mode)")
+	fs.BoolVar(&cfg.stream, "stream", false, "streaming aggregation: fold records instead of retaining them")
+	fs.IntVar(&cfg.seeds, "seeds", 1, "number of sweep seeds (>1 enables sweep mode with 95% CIs)")
+	fs.IntVar(&cfg.workers, "workers", 0, "sweep worker pool size (0 = NumCPU/2)")
+	fs.StringVar(&cfg.jsonOut, "json", "", "flat sweeps: also write the CI tables as JSON to this file")
+	fs.StringVar(&cfg.ckptDir, "checkpoint-dir", "", "flat sweeps: per-seed checkpoint directory (interrupted sweeps resume)")
+	fs.BoolVar(&cfg.scat, "scatternet", false, "run a multi-piconet scatternet campaign")
+	fs.IntVar(&cfg.shards, "shards", 0, "single-seed scatternet: piconet-plane worker shards (0 = GOMAXPROCS; results identical for any value)")
+	fs.BoolVar(&cfg.rollup, "rollup", false, "single-seed scatternet with -stream: one hierarchical metro-wide report, memory flat in -piconets")
+	fs.BoolVar(&cfg.taxonomy, "taxonomy", false, "append the failure-taxonomy / survival report (per-phase split, Kaplan-Meier uptime curve, interarrival histogram)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
 
-	if *days < 1 || *days > 540 {
-		return nil, fmt.Errorf("-days %d out of range 1..540 (the paper's campaign was 540 days)", *days)
+	sweep := cfg.seeds > 1
+	scatternet := cli.Req{OK: cfg.scat, Why: "needs -scatternet (it configures the scatternet plane)"}
+	flat := cli.Req{OK: !cfg.scat, Why: "does not apply with -scatternet (it configures the single-piconet campaign)"}
+	single := cli.Req{OK: !sweep, Why: "needs a single-seed campaign (-seeds 1)"}
+	multi := cli.Req{OK: sweep, Why: "needs sweep mode (-seeds > 1)"}
+	modes := cli.Modes{}
+	modes.Need("out", flat, single,
+		cli.Req{OK: !cfg.stream, Why: "does not apply with -stream (streaming campaigns retain no records)"})
+	modes.Need("workers", multi)
+	modes.Need("json", flat, multi)
+	modes.Need("checkpoint-dir", flat, multi)
+	modes.NeedShape(scatternet)
+	modes.Need("shards", scatternet, single)
+	modes.Need("probe-sample", scatternet, single)
+	modes.Need("rollup", scatternet, single,
+		cli.Req{OK: cfg.stream, Why: "requires -stream (the roll-up folds streaming aggregates)"})
+	modes.Need("taxonomy", cli.Req{OK: !cfg.scat || sweep || cfg.rollup,
+		Why: "with -scatternet needs -rollup (the deployment-wide taxonomy folds the roll-up aggregates)"})
+	if err := modes.Check(fs); err != nil {
+		return nil, err
 	}
-	if *scenario < 1 || *scenario > 4 {
-		return nil, fmt.Errorf("-scenario %d out of range 1..4", *scenario)
+	if err := cfg.id.Check(); err != nil {
+		return nil, err
 	}
-	if !*scat {
-		var stray string
-		fs.Visit(func(f *flag.Flag) {
-			if stray == "" && scatOnlyFlags[f.Name] {
-				stray = f.Name
-			}
-		})
-		if stray != "" {
-			return nil, fmt.Errorf("-%s needs -scatternet (it configures the scatternet plane)", stray)
-		}
-	} else {
-		if err := btpan.CheckProbeSample(*probeSample); err != nil {
-			return nil, err
-		}
-		if *jsonOut != "" || *ckptDir != "" {
-			return nil, fmt.Errorf("-json and -checkpoint-dir support classic sweeps only, not -scatternet")
-		}
-		if *seeds > 1 && *rollup {
-			return nil, fmt.Errorf("-rollup is a single-campaign report; sweeps aggregate across seeds already")
-		}
-		if *seeds <= 1 && *rollup && !*stream {
-			return nil, fmt.Errorf("-rollup requires -stream (the roll-up folds streaming aggregates)")
-		}
+	if err := cfg.shape.Check(); err != nil {
+		return nil, err
 	}
-	if !*scat && *seeds <= 1 && (*jsonOut != "" || *ckptDir != "") {
-		return nil, fmt.Errorf("-json and -checkpoint-dir need sweep mode (-seeds > 1)")
-	}
-	if *taxonomy && *scat && *seeds <= 1 && !*rollup {
-		return nil, fmt.Errorf("-taxonomy with -scatternet needs -rollup (the deployment-wide taxonomy folds the roll-up aggregates)")
-	}
-
-	return &cliConfig{
-		seed: *seed, duration: sim.Time(*days) * sim.Day,
-		scenario: btpan.Scenario(*scenario),
-		out:      *out, stream: *stream,
-		seeds: *seeds, workers: *workers, jsonOut: *jsonOut, ckptDir: *ckptDir,
-		scat: *scat, taxonomy: *taxonomy,
-		topo: scatTopology{piconets: *piconets, bridges: *bridges,
-			name: *topology, redundancy: *redundancy,
-			hold:   sim.Time(*hold) * sim.Second,
-			shards: *shards, probeSample: *probeSample, rollup: *rollup},
-	}, nil
+	return cfg, nil
 }
 
 func main() {
@@ -235,24 +207,20 @@ func main() {
 
 	if cfg.scat {
 		if cfg.seeds > 1 {
-			runScatternetSweep(cfg.seed, cfg.seeds, cfg.duration, cfg.scenario, cfg.workers, cfg.topo, cfg.taxonomy)
+			runScatternetSweep(cfg)
 			return
 		}
-		runScatternet(cfg.seed, cfg.duration, cfg.scenario, cfg.topo, cfg.stream, cfg.taxonomy)
+		runScatternet(cfg)
 		return
 	}
 
 	if cfg.seeds > 1 {
-		runSweep(cfg.seed, cfg.seeds, cfg.duration, cfg.scenario, cfg.workers, cfg.jsonOut, cfg.ckptDir, cfg.taxonomy)
+		runSweep(cfg)
 		return
 	}
 
-	campaign := btpan.CampaignConfig{
-		Seed:      cfg.seed,
-		Duration:  cfg.duration,
-		Scenario:  cfg.scenario,
-		Streaming: cfg.stream,
-	}
+	campaign := cfg.id.Config()
+	campaign.Streaming = cfg.stream
 	fmt.Printf("running %v campaign (scenario %q, seed %d, %s)...\n",
 		campaign.Duration, campaign.Scenario, campaign.Seed, mode(cfg.stream))
 	res, err := btpan.RunCampaign(campaign)
@@ -288,6 +256,7 @@ func main() {
 	}
 }
 
+// mode names the aggregation plane for campaign banners.
 func mode(stream bool) string {
 	if stream {
 		return "streaming aggregation"
@@ -295,61 +264,26 @@ func mode(stream bool) string {
 	return "retained records"
 }
 
-// scatTopology bundles the CLI's scatternet topology and scale knobs.
-type scatTopology struct {
-	piconets, bridges, redundancy int
-	name                          string
-	hold                          sim.Time
-	shards                        int
-	probeSample                   float64
-	rollup                        bool
-}
-
-// describe renders the topology knobs for campaign banners.
-func (t scatTopology) describe() string {
-	name := t.name
-	if name == "" {
-		name = fmt.Sprintf("legacy ring, %d bridge(s)", t.bridges)
-	}
-	if t.redundancy > 1 {
-		name += fmt.Sprintf(", %d-redundant", t.redundancy)
-	}
-	return fmt.Sprintf("%d piconets, %s topology", t.piconets, name)
-}
-
 // runScatternet runs one scatternet campaign and prints the per-piconet
 // tables plus the bridge-attributed coupling, relay-depth and redundancy
-// tables.
-func runScatternet(seed uint64, duration sim.Time, scenario btpan.Scenario,
-	topo scatTopology, stream, taxonomy bool) {
+// tables, or with -rollup the metro report.
+func runScatternet(cfg *cliConfig) {
+	sc := cfg.shape.Config(cfg.id)
+	sc.Streaming, sc.Parallelism, sc.Rollup = cfg.stream, cfg.shards, cfg.rollup
 	fmt.Printf("running %v scatternet campaign (%s, hold %v, scenario %q, seed %d, %s)...\n",
-		duration, topo.describe(), topo.hold, scenario, seed, mode(stream))
-	res, err := btpan.RunScatternet(btpan.ScatternetConfig{
-		CampaignConfig: btpan.CampaignConfig{
-			Seed: seed, Duration: duration, Scenario: scenario, Streaming: stream,
-			Parallelism: topo.shards,
-		},
-		Piconets: topo.piconets, Bridges: topo.bridges,
-		Topology: topo.name, Redundancy: topo.redundancy, HoldTime: topo.hold,
-		ProbeSample: topo.probeSample, Rollup: topo.rollup,
-	})
+		sc.Duration, cfg.shape, sc.HoldTime, sc.Scenario, sc.Seed, mode(cfg.stream))
+	res, err := btpan.RunScatternet(sc)
 	if err != nil {
 		fatal(err)
 	}
 	if res.Rollup != nil {
 		// The hierarchical metro report replaces the per-piconet spread: the
 		// whole deployment in one pass, memory flat in the piconet count.
-		fmt.Printf("\n%s", res.Rollup.Render())
+		var redundancy *analysis.RedundancyTable
 		if res.Topology.Bridges() > 0 {
-			fmt.Printf("\nRedundancy groups (outage charged only when a whole span is down)\n%s",
-				res.Redundancy.Render())
+			redundancy = res.Redundancy
 		}
-		if taxonomy {
-			fmt.Printf("\n%s", res.Rollup.RenderTaxonomy(duration))
-			if res.Topology.Bridges() > 0 {
-				fmt.Printf("\n%s", res.Redundancy.RenderPartitionCandidates(partitionThresholdSeconds))
-			}
-		}
+		btpan.WriteMetroReport(os.Stdout, res.Rollup, redundancy, sc.Duration, cfg.taxonomy)
 		return
 	}
 	fmt.Printf("\nPiconet overview\n%s", res.Overview().Render())
@@ -370,15 +304,15 @@ func runScatternet(seed uint64, duration sim.Time, scenario btpan.Scenario,
 // runScatternetSweep sweeps scatternet campaigns over seeds and prints the
 // piconet tables with CIs plus the coupling, relay-depth and redundancy
 // estimates.
-func runScatternetSweep(baseSeed uint64, seeds int, duration sim.Time,
-	scenario btpan.Scenario, workers int, topo scatTopology, taxonomy bool) {
+func runScatternetSweep(cfg *cliConfig) {
+	sc := cfg.shape.Config(cfg.id)
 	fmt.Printf("sweeping %d seeds x %v scatternet (%s, scenario %q, %d workers)...\n",
-		seeds, duration, topo.describe(), scenario, workers)
+		cfg.seeds, sc.Duration, cfg.shape, sc.Scenario, cfg.workers)
 	start := time.Now()
 	res, err := btpan.Sweep(btpan.SweepConfig{
-		BaseSeed: baseSeed, Seeds: seeds, Duration: duration, Scenario: scenario,
-		Workers: workers, Piconets: topo.piconets, Bridges: topo.bridges,
-		Topology: topo.name, Redundancy: topo.redundancy, HoldTime: topo.hold,
+		BaseSeed: sc.Seed, Seeds: cfg.seeds, Duration: sc.Duration, Scenario: sc.Scenario,
+		Workers: cfg.workers, Piconets: sc.Piconets, Bridges: sc.Bridges,
+		Topology: sc.Topology, Redundancy: sc.Redundancy, HoldTime: sc.HoldTime,
 	})
 	if err != nil {
 		fatal(err)
@@ -392,24 +326,24 @@ func runScatternetSweep(baseSeed uint64, seeds int, duration sim.Time,
 	fmt.Printf("Redundancy (mean ± 95%% CI per seed)\n%s\n", res.RedundancyCI().Render())
 	fmt.Printf("correlated piconet outages per seed: %s\n", res.CorrelatedOutagesCI().Format("%.1f"))
 	fmt.Printf("bridge downtime per seed (s):        %s\n", res.BridgeDowntimeCI().Format("%.1f"))
-	if taxonomy {
+	if cfg.taxonomy {
 		fmt.Printf("\nTaxonomy (piconet 0, mean ± 95%% CI)\n%s", res.TaxonomyCI().Render())
 	}
 }
 
 // runSweep runs the multi-seed sweep and prints every table with 95 % CIs.
-// jsonOut optionally writes the machine-readable CI summary (the input of
-// docs/CONVERGENCE.md); ckptDir makes the sweep resumable per seed.
-func runSweep(baseSeed uint64, seeds int, duration sim.Time, scenario btpan.Scenario,
-	workers int, jsonOut, ckptDir string, taxonomy bool) {
+// -json optionally writes the machine-readable CI summary (the input of
+// docs/CONVERGENCE.md); -checkpoint-dir makes the sweep resumable per seed.
+func runSweep(cfg *cliConfig) {
+	id := cfg.id.Config()
 	fmt.Printf("sweeping %d seeds x %v (scenario %q, %d workers)...\n",
-		seeds, duration, scenario, workers)
+		cfg.seeds, id.Duration, id.Scenario, cfg.workers)
 	start := time.Now()
-	cfg := btpan.SweepConfig{
-		BaseSeed: baseSeed, Seeds: seeds, Duration: duration,
-		Scenario: scenario, Workers: workers, CheckpointDir: ckptDir,
+	sweep := btpan.SweepConfig{
+		BaseSeed: id.Seed, Seeds: cfg.seeds, Duration: id.Duration,
+		Scenario: id.Scenario, Workers: cfg.workers, CheckpointDir: cfg.ckptDir,
 	}
-	res, err := btpan.Sweep(cfg)
+	res, err := btpan.Sweep(sweep)
 	if err != nil {
 		fatal(err)
 	}
@@ -422,14 +356,14 @@ func runSweep(baseSeed uint64, seeds int, duration sim.Time, scenario btpan.Scen
 	fmt.Printf("Table 2 (error-failure relationship, mean ± 95%% CI)\n%s\n", res.Table2CI().Render())
 	fmt.Printf("Table 3 (SIRA effectiveness, mean ± 95%% CI)\n%s\n", res.Table3CI().Render())
 	fmt.Printf("Table 4 column (dependability, mean ± 95%% CI)\n%s", res.DependabilityCI().Render())
-	if taxonomy {
+	if cfg.taxonomy {
 		fmt.Printf("\nTaxonomy (mean ± 95%% CI)\n%s", res.TaxonomyCI().Render())
 	}
-	if jsonOut != "" {
-		if err := writeSweepJSON(jsonOut, cfg, res, elapsed); err != nil {
+	if cfg.jsonOut != "" {
+		if err := writeSweepJSON(cfg.jsonOut, sweep, res, elapsed); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("\nwrote CI summary -> %s\n", jsonOut)
+		fmt.Printf("\nwrote CI summary -> %s\n", cfg.jsonOut)
 	}
 }
 
@@ -536,6 +470,7 @@ func writeRetained(res *btpan.CampaignResult, out string) (reports, entries int,
 	return len(rs), len(es), nil
 }
 
+// writeReports writes reports to path as JSON lines.
 func writeReports(path string, reports []core.UserReport) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -545,6 +480,7 @@ func writeReports(path string, reports []core.UserReport) error {
 	return logging.WriteUserReports(f, reports)
 }
 
+// writeEntries writes entries to path as JSON lines.
 func writeEntries(path string, entries []core.SystemEntry) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -554,6 +490,7 @@ func writeEntries(path string, entries []core.SystemEntry) error {
 	return logging.WriteSystemEntries(f, entries)
 }
 
+// fatal prints the error and exits non-zero.
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "btcampaign:", err)
 	os.Exit(1)

@@ -59,17 +59,66 @@ func TestParseCLIValidation(t *testing.T) {
 
 		// Rollup cross-checks at the flag boundary.
 		{"rollup sweep", []string{"-scatternet", "-rollup", "-stream", "-seeds", "3"},
-			"-rollup is a single-campaign report"},
+			"-rollup needs a single-seed campaign"},
 		{"rollup without stream", []string{"-scatternet", "-rollup"},
 			"-rollup requires -stream"},
 		{"rollup ok", []string{"-scatternet", "-rollup", "-stream"}, ""},
 
 		{"scatternet sweep json", []string{"-scatternet", "-seeds", "3", "-json", "x.json"},
-			"-json and -checkpoint-dir support classic sweeps only"},
+			"-json does not apply with -scatternet"},
 		{"json without sweep", []string{"-json", "x.json"},
-			"-json and -checkpoint-dir need sweep mode"},
+			"-json needs sweep mode"},
 		{"scatternet topology ok",
 			[]string{"-scatternet", "-topology", "ring", "-piconets", "6", "-stream"}, ""},
+
+		// Each flag is read only by the modes of the mode table.
+		{"stray shards", []string{"-shards", "3", "-stream"}, "-shards needs -scatternet"},
+		{"sweep probe-sample", []string{"-scatternet", "-seeds", "2", "-probe-sample", "0.5"},
+			"-probe-sample needs a single-seed campaign"},
+		{"sweep shards", []string{"-scatternet", "-seeds", "2", "-shards", "2"},
+			"-shards needs a single-seed campaign"},
+		{"stream out", []string{"-stream", "-out", "d"}, "-out does not apply with -stream"},
+		{"sweep out", []string{"-seeds", "2", "-out", "d"}, "-out needs a single-seed campaign"},
+		{"scatternet out", []string{"-scatternet", "-out", "d"}, "-out does not apply with -scatternet"},
+		{"workers without sweep", []string{"-workers", "2"}, "-workers needs sweep mode"},
+		{"scatternet sweep checkpoint-dir", []string{"-scatternet", "-seeds", "3", "-checkpoint-dir", "c"},
+			"-checkpoint-dir does not apply with -scatternet"},
+		{"checkpoint-dir without sweep", []string{"-checkpoint-dir", "c"},
+			"-checkpoint-dir needs sweep mode"},
+		{"scatternet taxonomy", []string{"-scatternet", "-taxonomy"},
+			"-taxonomy with -scatternet needs -rollup"},
+		{"scatternet rollup taxonomy", []string{"-scatternet", "-rollup", "-stream", "-taxonomy"}, ""},
+		{"scatternet sweep taxonomy", []string{"-scatternet", "-seeds", "2", "-taxonomy"}, ""},
+		{"scatternet sweep stream", []string{"-scatternet", "-seeds", "2", "-stream", "-workers", "2"}, ""},
+
+		// Values the engine would read as unset and replace with a default.
+		{"hold zero", []string{"-scatternet", "-hold", "0"}, "-hold 0 must be at least 1"},
+		{"redundancy zero", []string{"-scatternet", "-redundancy", "0"}, "-redundancy 0 must be at least 1"},
+		{"redundancy negative", []string{"-scatternet", "-redundancy", "-3"}, "-redundancy -3 must be at least 1"},
+		{"piconets zero", []string{"-scatternet", "-piconets", "0"}, "-piconets 0 must be at least 1"},
+
+		// Every btcampaign command line of README.md, OPERATIONS.md,
+		// docs/CONVERGENCE.md and scripts/*.sh, script variables at their
+		// defaults.
+		{"readme retained", []string{"-days", "4"}, ""},
+		{"readme month", []string{"-days", "90", "-stream"}, ""},
+		{"readme sweep", []string{"-days", "30", "-seeds", "10", "-stream"}, ""},
+		{"readme checkpointed sweep", []string{"-days", "540", "-seeds", "8", "-checkpoint-dir", "ckpt",
+			"-json", "out.json"}, ""},
+		{"readme bridges", []string{"-scatternet", "-piconets", "4", "-bridges", "3", "-days", "30", "-stream"}, ""},
+		{"readme mesh", []string{"-scatternet", "-piconets", "5", "-topology", "mesh", "-days", "7", "-stream"}, ""},
+		{"readme redundant star", []string{"-scatternet", "-piconets", "4", "-topology", "star",
+			"-redundancy", "2", "-days", "7", "-stream"}, ""},
+		{"readme random sweep", []string{"-scatternet", "-piconets", "4", "-topology", "random",
+			"-bridges", "6", "-seeds", "8", "-days", "7"}, ""},
+		{"operations reference", []string{"-seed", "1", "-days", "4", "-stream"}, ""},
+		{"operations metro", []string{"-seed", "5", "-days", "7", "-scatternet", "-topology", "ring",
+			"-piconets", "4", "-stream", "-rollup"}, ""},
+		{"convergence sweep", []string{"-days", "15", "-seeds", "5", "-workers", "1", "-seed", "1",
+			"-json", "docs/convergence/sweep-15d.json", "-checkpoint-dir", "/tmp/ckpt-15"}, ""},
+		{"chaos_metro reference", []string{"-seed", "5", "-days", "7", "-scatternet", "-topology", "ring",
+			"-piconets", "4", "-probe-sample", "0.5", "-stream", "-rollup"}, ""},
+		{"smoke reference", []string{"-seed", "1", "-days", "1", "-stream"}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

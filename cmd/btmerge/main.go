@@ -36,6 +36,11 @@
 //	-taxonomy        append the failure-taxonomy / survival report, matching
 //	                 `btcampaign -taxonomy` (or -scatternet -rollup -taxonomy)
 //	                 byte for byte at the same seeds
+//
+// Every flag applies to both the flat and the -scatternet merge. A district
+// partial carries its scatternet shape (-hold, -redundancy and the rest as
+// its btsink -district SPEC gave them), so btmerge takes no shape flags; it
+// checks that the partials agree on it.
 package main
 
 import (
@@ -45,81 +50,55 @@ import (
 	"os"
 
 	btpan "repro"
+	"repro/cmd/internal/cli"
 	"repro/internal/collector"
-	"repro/internal/sim"
 	"repro/internal/testbed"
 )
 
 // cliConfig is the parsed, cross-validated command line.
 type cliConfig struct {
-	cfg      btpan.CampaignConfig
-	campaign collector.CampaignID
+	id       cli.Campaign
 	scat     bool
 	taxonomy bool
 	paths    []string
 }
-
-// partitionThresholdSeconds is the -taxonomy metro report's
-// partition-candidate threshold; it must match btcampaign's so the merged
-// report stays byte-diffable.
-const partitionThresholdSeconds = 30
 
 // parseCLI parses and validates the command line. Every validation returns
 // an error instead of exiting so the table-driven CLI tests can exercise it
 // directly.
 func parseCLI(args []string) (*cliConfig, error) {
 	fs := flag.NewFlagSet("btmerge", flag.ContinueOnError)
-	seed := fs.Uint64("seed", 1, "campaign seed (must match the partials)")
-	days := fs.Int("days", 4, "virtual campaign days 1..540 (must match the partials)")
-	scenario := fs.Int("scenario", int(btpan.ScenarioSIRAs),
-		"recovery scenario 1..4 (must match the partials)")
-	scat := fs.Bool("scatternet", false, "merge scatternet district partials into the metro report")
-	taxonomy := fs.Bool("taxonomy", false,
+	c := &cliConfig{}
+	c.id.Register(fs)
+	fs.BoolVar(&c.scat, "scatternet", false, "merge scatternet district partials into the metro report")
+	fs.BoolVar(&c.taxonomy, "taxonomy", false,
 		"append the failure-taxonomy / survival report to the merged output")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-
-	if *days < 1 || *days > 540 {
-		return nil, fmt.Errorf("-days %d out of range 1..540", *days)
-	}
-	if *scenario < 1 || *scenario > 4 {
-		return nil, fmt.Errorf("-scenario %d out of range 1..4", *scenario)
+	if err := c.id.Check(); err != nil {
+		return nil, err
 	}
 	if fs.NArg() == 0 {
 		return nil, fmt.Errorf("no partial files given (usage: btmerge [flags] PARTIAL.json...)")
 	}
-	cfg := btpan.CampaignConfig{
-		Seed:      *seed,
-		Duration:  sim.Time(*days) * sim.Day,
-		Scenario:  btpan.Scenario(*scenario),
-		Streaming: true,
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &cliConfig{
-		cfg:      cfg,
-		campaign: collector.CampaignID{Seed: *seed, Duration: cfg.Duration, Scenario: *scenario},
-		scat:     *scat,
-		taxonomy: *taxonomy,
-		paths:    fs.Args(),
-	}, nil
+	c.paths = fs.Args()
+	return c, nil
 }
 
 func main() {
-	cli, err := parseCLI(os.Args[1:])
+	c, err := parseCLI(os.Args[1:])
 	if err != nil {
 		fatal(err)
 	}
-	cfg, campaign := cli.cfg, cli.campaign
+	campaign := c.id.ID()
 
-	if cli.scat {
-		mergeDistricts(campaign, cli.paths, cli.taxonomy)
+	if c.scat {
+		mergeDistricts(campaign, c.paths, c.taxonomy)
 		return
 	}
 
-	parts, err := readPartials(cli.paths, campaign,
+	parts, err := readPartials(c.paths, campaign,
 		func(p *collector.Partial) collector.CampaignID { return p.Campaign })
 	if err != nil {
 		fatal(err)
@@ -135,12 +114,14 @@ func main() {
 		fatal(fmt.Errorf("data loss: %d sequence gaps, %d dropped records",
 			rep.Agg.SeqGaps, rep.Agg.DroppedRecords))
 	}
+	cfg := c.id.Config()
+	cfg.Streaming = true
 	res, err := btpan.ResultFromAggregates(cfg, rep.Agg, rep.Counters, rep.Durations)
 	if err != nil {
 		fatal(err)
 	}
 	btpan.WriteReport(os.Stdout, res)
-	if cli.taxonomy {
+	if c.taxonomy {
 		btpan.WriteTaxonomyReport(os.Stdout, res)
 	}
 }
@@ -164,19 +145,7 @@ func mergeDistricts(campaign collector.CampaignID, paths []string, taxonomy bool
 		fatal(fmt.Errorf("data loss: %d sequence gaps, %d dropped records",
 			roll.Agg.SeqGaps, roll.Agg.DroppedRecords))
 	}
-	fmt.Printf("\n%s", roll.Render())
-	// The redundancy table exists exactly when the campaign had bridges —
-	// the same condition btcampaign's rollup printer uses.
-	if redundancy != nil {
-		fmt.Printf("\nRedundancy groups (outage charged only when a whole span is down)\n%s",
-			redundancy.Render())
-	}
-	if taxonomy {
-		fmt.Printf("\n%s", roll.RenderTaxonomy(campaign.Duration))
-		if redundancy != nil {
-			fmt.Printf("\n%s", redundancy.RenderPartitionCandidates(partitionThresholdSeconds))
-		}
-	}
+	btpan.WriteMetroReport(os.Stdout, roll, redundancy, campaign.Duration, taxonomy)
 }
 
 // readPartials reads one partial of type T per path — flat shard partials

@@ -22,6 +22,16 @@ func TestParseCLIValidation(t *testing.T) {
 		{"scenario high", []string{"-scenario", "5", "a.json"}, "-scenario 5 out of range 1..4"},
 		{"no files", nil, "no partial files given"},
 		{"no files scatternet", []string{"-scatternet"}, "no partial files given"},
+
+		// Every btmerge command line of OPERATIONS.md and scripts/*.sh,
+		// script variables at their defaults.
+		{"operations flat", []string{"-seed", "7", "-days", "30",
+			"/tmp/bt/part0/prod.partial.json", "/tmp/bt/part1/prod.partial.json"}, ""},
+		{"operations scatternet", []string{"-seed", "5", "-days", "7", "-scatternet",
+			"/tmp/bt/part0/metro0.district.json", "/tmp/bt/part1/metro1.district.json"}, ""},
+		{"chaos_multitenant", []string{"-seed", "7", "-days", "2", "part0/alpha.partial.json",
+			"part1/alpha.partial.json"}, ""},
+		{"taxonomy", []string{"-taxonomy", "-scatternet", "d0.json"}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

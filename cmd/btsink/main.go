@@ -44,7 +44,10 @@
 //	-checkpoint FILE     enable durable checkpoints at FILE (resumes from it
 //	                     when it already exists; empty disables durability)
 //
-// The default keyspace refuses -checkpoint-dir, -partial-dir and -report-dir.
+// With -campaign, -district or -serve these four flags are rejected with a
+// one-line error naming the flag (the SPEC fields and -checkpoint-dir
+// describe those keyspaces), and the default keyspace rejects
+// -checkpoint-dir, -partial-dir and -report-dir the same way.
 //
 // Shared flags:
 //
@@ -99,13 +102,22 @@
 //	                       range=A:B        piconet range [A, B) (required)
 //	                       days=D           virtual days 1..540 (default 4)
 //	                       scenario=1..4    recovery regime (default 3)
-//	                       piconets=P       scatternet piconet count (default 2)
+//	                       piconets=P       scatternet piconet count, at
+//	                                        least 1 (default 2)
 //	                       bridges=K        bridge count / edge budget (default 1)
 //	                       topology=T       ring, star, mesh, random (default:
 //	                                        the bridges= ring pairing)
-//	                       redundancy=K     bridges per span (default 1)
-//	                       hold=S           bridge residency seconds (default 10)
+//	                       redundancy=K     bridges per span, at least 1
+//	                                        (default 1)
+//	                       hold=S           bridge residency seconds, at
+//	                                        least 1 (default 10)
 //	                       probe-sample=F   probe pair fraction in (0, 1]
+//	                                        (default 1)
+//
+// A SPEC field parses exactly like the btagent/btcampaign flag of the same
+// name: a value out of range is rejected with a one-line error naming the
+// field, never clamped to the default, so an agent and its district cannot
+// agree on a shape only because both were clamped.
 package main
 
 import (
@@ -117,7 +129,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -126,9 +137,9 @@ import (
 	"flag"
 
 	btpan "repro"
+	"repro/cmd/internal/cli"
 	"repro/internal/analysis"
 	"repro/internal/collector"
-	"repro/internal/sim"
 	"repro/internal/testbed"
 )
 
@@ -136,70 +147,11 @@ import (
 // -seed/-days/-scenario/-checkpoint flags declare).
 type campaignFlag struct {
 	key          string
-	seed         uint64
-	days         int
-	scenario     int
+	id           cli.Campaign
 	testbeds     []string
 	quotaBytes   int64
 	quotaBatches int
 	checkpoint   string // explicit checkpoint file, overriding -checkpoint-dir
-}
-
-// check range-checks the campaign identity every keyspace kind shares.
-func (cf *campaignFlag) check() error {
-	if cf.days < 1 || cf.days > 540 {
-		return fmt.Errorf("days %d out of range 1..540", cf.days)
-	}
-	if cf.scenario < 1 || cf.scenario > 4 {
-		return fmt.Errorf("scenario %d out of range 1..4", cf.scenario)
-	}
-	return nil
-}
-
-// setShared parses one of the key/seed/days/scenario fields -campaign and
-// -district specs share, reporting whether k was one of them.
-func (cf *campaignFlag) setShared(k, val string) (bool, error) {
-	var err error
-	switch k {
-	case "key":
-		cf.key = val
-	case "seed":
-		cf.seed, err = strconv.ParseUint(val, 10, 64)
-	case "days":
-		cf.days, err = strconv.Atoi(val)
-	case "scenario":
-		cf.scenario, err = strconv.Atoi(val)
-	default:
-		return false, nil
-	}
-	return true, err
-}
-
-// parseSpec walks one comma-separated key=value SPEC of flag name: the
-// shared fields go to cf, the rest to field. It returns the keys seen.
-func parseSpec(name, v string, cf *campaignFlag, field func(k, val string) (bool, error)) (map[string]bool, error) {
-	seen := make(map[string]bool)
-	for _, pair := range strings.Split(v, ",") {
-		k, val, ok := strings.Cut(pair, "=")
-		if !ok {
-			return nil, fmt.Errorf("-%s %q: %q is not key=value", name, v, pair)
-		}
-		known, err := cf.setShared(k, val)
-		if !known {
-			known, err = field(k, val)
-		}
-		if !known {
-			return nil, fmt.Errorf("-%s %q: unknown field %q", name, v, k)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("-%s %q: field %q: %v", name, v, k, err)
-		}
-		seen[k] = true
-	}
-	if err := cf.check(); err != nil {
-		return nil, fmt.Errorf("-%s %q: %v", name, v, err)
-	}
-	return seen, nil
 }
 
 // campaignFlags collects repeated -campaign values.
@@ -216,26 +168,22 @@ func (c *campaignFlags) String() string {
 
 // Set parses one -campaign SPEC (flag.Value).
 func (c *campaignFlags) Set(v string) error {
-	cf := campaignFlag{days: 4, scenario: int(btpan.ScenarioSIRAs)}
-	seen, err := parseSpec("campaign", v, &cf, func(k, val string) (bool, error) {
-		var err error
-		switch k {
-		case "testbeds":
-			cf.testbeds = strings.Split(val, "+")
-		case "quota-bytes":
-			cf.quotaBytes, err = strconv.ParseInt(val, 10, 64)
-		case "quota-batches":
-			cf.quotaBatches, err = strconv.Atoi(val)
-		default:
-			return false, nil
-		}
-		return true, err
+	var cf campaignFlag
+	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
+	fs.StringVar(&cf.key, "key", "", "keyspace name")
+	cf.id.Register(fs)
+	fs.Func("testbeds", "testbed subset, A+B", func(s string) error {
+		cf.testbeds = strings.Split(s, "+")
+		return nil
 	})
-	if err != nil {
-		return err
+	fs.Int64Var(&cf.quotaBytes, "quota-bytes", 0, "ingest byte quota (0 = unlimited)")
+	fs.IntVar(&cf.quotaBatches, "quota-batches", 0, "ingest batch quota (0 = unlimited)")
+	err := cli.SetSpec(fs, v, "key", "seed")
+	if err == nil {
+		err = cf.id.Check()
 	}
-	if !seen["key"] || !seen["seed"] {
-		return fmt.Errorf("-campaign %q: key= and seed= are required", v)
+	if err != nil {
+		return fmt.Errorf("-campaign %q: %v", v, err)
 	}
 	*c = append(*c, cf)
 	return nil
@@ -243,14 +191,10 @@ func (c *campaignFlags) Set(v string) error {
 
 // districtFlag is one parsed -district SPEC.
 type districtFlag struct {
-	campaignFlag
-	lo, hi      int
-	piconets    int
-	bridges     int
-	topology    string
-	redundancy  int
-	hold        int
-	probeSample float64
+	key   string
+	id    cli.Campaign
+	rng   cli.Range
+	shape cli.Shape
 }
 
 // districtFlags collects repeated -district values.
@@ -267,42 +211,21 @@ func (d *districtFlags) String() string {
 
 // Set parses one -district SPEC (flag.Value).
 func (d *districtFlags) Set(v string) error {
-	df := districtFlag{campaignFlag: campaignFlag{days: 4, scenario: int(btpan.ScenarioSIRAs)},
-		piconets: 2, bridges: 1, redundancy: 1, hold: 10, probeSample: 1}
-	seen, err := parseSpec("district", v, &df.campaignFlag, func(k, val string) (bool, error) {
-		var err error
-		switch k {
-		case "range":
-			if _, serr := fmt.Sscanf(val, "%d:%d", &df.lo, &df.hi); serr != nil {
-				err = fmt.Errorf("want A:B (half-open)")
-			}
-		case "piconets":
-			df.piconets, err = strconv.Atoi(val)
-		case "bridges":
-			df.bridges, err = strconv.Atoi(val)
-		case "topology":
-			df.topology = val
-		case "redundancy":
-			df.redundancy, err = strconv.Atoi(val)
-		case "hold":
-			df.hold, err = strconv.Atoi(val)
-		case "probe-sample":
-			if df.probeSample, err = strconv.ParseFloat(val, 64); err == nil {
-				err = btpan.CheckProbeSample(df.probeSample)
-			}
-		default:
-			return false, nil
-		}
-		return true, err
-	})
+	var df districtFlag
+	fs := flag.NewFlagSet("district", flag.ContinueOnError)
+	fs.StringVar(&df.key, "key", "", "keyspace name")
+	df.id.Register(fs)
+	fs.Var(&df.rng, "range", "piconet range A:B")
+	df.shape.Register(fs)
+	err := cli.SetSpec(fs, v, "key", "seed", "range")
+	if err == nil {
+		err = df.id.Check()
+	}
+	if err == nil {
+		err = df.shape.Check()
+	}
 	if err != nil {
-		return err
-	}
-	if !seen["key"] || !seen["seed"] || !seen["range"] {
-		return fmt.Errorf("-district %q: key=, seed= and range= are required", v)
-	}
-	if df.lo < 0 || df.hi <= df.lo {
-		return fmt.Errorf("-district %q: range [%d:%d) is empty or negative", v, df.lo, df.hi)
+		return fmt.Errorf("-district %q: %v", v, err)
 	}
 	*d = append(*d, df)
 	return nil
@@ -313,33 +236,16 @@ func (d *districtFlags) Set(v string) error {
 // so the effective piconet/bridge counts agree by construction when the
 // flags agree.
 func (df *districtFlag) config(checkpointDir string) (collector.DistrictConfig, error) {
-	duration := sim.Time(df.days) * sim.Day
-	hold := sim.Time(df.hold) * sim.Second
-	camp, err := btpan.NewScatternetCampaign(btpan.ScatternetConfig{
-		CampaignConfig: btpan.CampaignConfig{Seed: df.seed, Duration: duration,
-			Scenario: btpan.Scenario(df.scenario), Streaming: true},
-		Piconets: df.piconets, Bridges: df.bridges,
-		Topology: df.topology, Redundancy: df.redundancy, HoldTime: hold,
-		ProbeSample: df.probeSample, Rollup: true,
-	})
+	camp, net, err := df.shape.District(df.id, df.rng)
 	if err != nil {
 		return collector.DistrictConfig{}, fmt.Errorf("district %q: %w", df.key, err)
 	}
-	if df.hi > camp.Piconets() {
-		return collector.DistrictConfig{}, fmt.Errorf("district %q: range [%d:%d) outside the campaign's [0:%d)",
-			df.key, df.lo, df.hi, camp.Piconets())
-	}
 	dc := collector.DistrictConfig{
-		Key: df.key,
-		Campaign: collector.CampaignID{Seed: df.seed, Duration: duration,
-			Scenario: df.scenario},
-		Net: collector.ScatterNet{
-			Piconets: camp.Piconets(), Bridges: camp.BridgeCount(),
-			Topology: df.topology, Redundancy: df.redundancy,
-			Hold: hold, ProbeSample: df.probeSample,
-		},
+		Key:          df.key,
+		Campaign:     df.id.ID(),
+		Net:          net,
 		ScenarioName: camp.ScenarioName(),
-		Lo:           df.lo, Hi: df.hi,
+		Lo:           df.rng.Lo, Hi: df.rng.Hi,
 	}
 	if checkpointDir != "" {
 		dc.CheckpointPath = filepath.Join(checkpointDir, df.key+".district.ckpt")
@@ -357,11 +263,10 @@ func (cf *campaignFlag) keyspace(checkpointDir string) (collector.KeyspaceConfig
 		}
 	}
 	ks := collector.KeyspaceConfig{
-		Key: cf.key,
-		Campaign: collector.CampaignID{Seed: cf.seed,
-			Duration: sim.Time(cf.days) * sim.Day, Scenario: cf.scenario},
+		Key:          cf.key,
+		Campaign:     cf.id.ID(),
 		Spec:         spec,
-		ScenarioName: fmt.Sprint(btpan.Scenario(cf.scenario)),
+		ScenarioName: fmt.Sprint(btpan.Scenario(cf.id.Scenario)),
 		MaxBytes:     cf.quotaBytes,
 		MaxBatches:   cf.quotaBatches,
 	}
@@ -394,10 +299,8 @@ type cliConfig struct {
 func parseCLI(args []string) (*cliConfig, error) {
 	fs := flag.NewFlagSet("btsink", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:9310", "TCP listen address")
-	seed := fs.Uint64("seed", 1, "default keyspace: campaign seed (must match the agents)")
-	days := fs.Int("days", 4, "default keyspace: virtual campaign days 1..540 (must match the agents)")
-	scenario := fs.Int("scenario", int(btpan.ScenarioSIRAs),
-		"default keyspace: recovery scenario 1..4 (must match the agents)")
+	var shared cli.Campaign
+	shared.Register(fs)
 	checkpoint := fs.String("checkpoint", "", "default keyspace: checkpoint file (empty disables durability)")
 	every := fs.Int("checkpoint-every", 64, "batch frames between checkpoints")
 	timeout := fs.Duration("timeout", 0, "campaign completion timeout (0 = forever)")
@@ -416,6 +319,20 @@ func parseCLI(args []string) (*cliConfig, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
+	defaultKeyspace := len(campaigns) == 0 && len(districts) == 0 && !*serve
+	modes := cli.Modes{}
+	for _, name := range []string{"seed", "days", "scenario", "checkpoint"} {
+		modes.Need(name, cli.Req{OK: defaultKeyspace,
+			Why: "configures the default keyspace only; it does not apply with -campaign, -district or -serve " +
+				"(their SPEC fields and -checkpoint-dir do)"})
+	}
+	for _, name := range []string{"checkpoint-dir", "partial-dir", "report-dir"} {
+		modes.Need(name, cli.Req{OK: !defaultKeyspace,
+			Why: "needs -campaign, -district or -serve (the default keyspace checkpoints at -checkpoint and reports on stdout)"})
+	}
+	if err := modes.Check(fs); err != nil {
+		return nil, err
+	}
 	if *serve && *httpAddr == "" {
 		return nil, fmt.Errorf("-serve needs -http to accept campaign registrations")
 	}
@@ -427,7 +344,7 @@ func parseCLI(args []string) (*cliConfig, error) {
 	case *timeout < 0:
 		return nil, fmt.Errorf("-timeout %v is negative (0 waits forever)", *timeout)
 	}
-	cli := &cliConfig{
+	conf := &cliConfig{
 		out:       os.Stdout,
 		campaigns: campaigns, districts: districts, serve: *serve, httpAddr: *httpAddr,
 		partialDir: *partialDir, reportDir: *reportDir, timeout: *timeout, taxonomy: *taxonomy,
@@ -444,47 +361,43 @@ func parseCLI(args []string) (*cliConfig, error) {
 			},
 		},
 	}
-	if len(campaigns) == 0 && len(districts) == 0 && !*serve {
-		if *checkpointDir != "" || *partialDir != "" || *reportDir != "" {
-			return nil, fmt.Errorf("-checkpoint-dir, -partial-dir and -report-dir need -campaign, -district or -serve " +
-				"(the default keyspace checkpoints at -checkpoint and reports on stdout)")
+	if defaultKeyspace {
+		if err := shared.Check(); err != nil {
+			return nil, err
 		}
-		cf := campaignFlag{seed: *seed, days: *days, scenario: *scenario, checkpoint: *checkpoint}
-		if err := cf.check(); err != nil {
-			return nil, fmt.Errorf("-%v", err)
-		}
-		cli.campaigns, cli.stdout = []campaignFlag{cf}, true
+		conf.campaigns = []campaignFlag{{id: shared, checkpoint: *checkpoint}}
+		conf.stdout = true
 	}
-	for _, cf := range cli.campaigns {
+	for _, cf := range conf.campaigns {
 		ks, err := cf.keyspace(*checkpointDir)
 		if err != nil {
 			return nil, err
 		}
-		cli.sink.Keyspaces = append(cli.sink.Keyspaces, ks)
+		conf.sink.Keyspaces = append(conf.sink.Keyspaces, ks)
 	}
 	for i := range districts {
 		dc, err := districts[i].config(*checkpointDir)
 		if err != nil {
 			return nil, err
 		}
-		cli.sink.Districts = append(cli.sink.Districts, dc)
+		conf.sink.Districts = append(conf.sink.Districts, dc)
 	}
-	return cli, nil
+	return conf, nil
 }
 
 func main() {
-	cli, err := parseCLI(os.Args[1:])
+	conf, err := parseCLI(os.Args[1:])
 	if err != nil {
 		fatal(err)
 	}
-	sink, err := collector.NewSink(cli.sink)
+	sink, err := collector.NewSink(conf.sink)
 	if err != nil {
 		fatal(err)
 	}
-	if cli.httpAddr != "" {
-		ln, err := net.Listen("tcp", cli.httpAddr)
+	if conf.httpAddr != "" {
+		ln, err := net.Listen("tcp", conf.httpAddr)
 		if err != nil {
-			fatal(fmt.Errorf("http listen %s: %w", cli.httpAddr, err))
+			fatal(fmt.Errorf("http listen %s: %w", conf.httpAddr, err))
 		}
 		fmt.Fprintf(os.Stderr, "btsink: observability API on http://%s\n", ln.Addr())
 		go http.Serve(ln, sink.Handler())
@@ -508,27 +421,27 @@ func main() {
 	}()
 
 	fmt.Fprintf(os.Stderr, "btsink: listening on %s (%d campaigns, %d districts%s)\n",
-		sink.Addr(), len(cli.campaigns), len(cli.districts),
-		map[bool]string{true: ", serve mode", false: ""}[cli.serve])
+		sink.Addr(), len(conf.campaigns), len(conf.districts),
+		map[bool]string{true: ", serve mode", false: ""}[conf.serve])
 
 	// Every configured keyspace gets a completion watcher that exports its
 	// partial and, for full-campaign keyspaces, its canonical report.
 	var wg sync.WaitGroup
-	failures := make(chan error, len(cli.campaigns)+len(cli.districts))
-	for _, cf := range cli.campaigns {
+	failures := make(chan error, len(conf.campaigns)+len(conf.districts))
+	for _, cf := range conf.campaigns {
 		wg.Add(1)
 		go func(cf campaignFlag) {
 			defer wg.Done()
-			if err := watchKeyspace(sink, cf, cli); err != nil {
+			if err := watchKeyspace(sink, cf, conf); err != nil {
 				failures <- fmt.Errorf("campaign %q: %w", cf.key, err)
 			}
 		}(cf)
 	}
-	for _, df := range cli.districts {
+	for _, df := range conf.districts {
 		wg.Add(1)
 		go func(df districtFlag) {
 			defer wg.Done()
-			if err := watchDistrict(sink, df, cli.partialDir, cli.timeout); err != nil {
+			if err := watchDistrict(sink, df, conf.partialDir, conf.timeout); err != nil {
 				failures <- fmt.Errorf("district %q: %w", df.key, err)
 			}
 		}(df)
@@ -540,7 +453,7 @@ func main() {
 		failed = true
 		fmt.Fprintln(os.Stderr, "btsink:", err)
 	}
-	if cli.serve {
+	if conf.serve {
 		select {} // stay up for registered campaigns until a signal drains us
 	}
 	if err := sink.Close(); err != nil {
@@ -556,8 +469,8 @@ func main() {
 // precede the verdict that the data is incomplete — and then writes its
 // exports: the partial, and for a full-campaign keyspace the canonical
 // report (stdout for the default keyspace, -report-dir otherwise).
-func watchKeyspace(sink *collector.Sink, cf campaignFlag, cli *cliConfig) error {
-	rep, err := sink.WaitKeyspace(cf.key, cli.timeout)
+func watchKeyspace(sink *collector.Sink, cf campaignFlag, conf *cliConfig) error {
+	rep, err := sink.WaitKeyspace(cf.key, conf.timeout)
 	if err != nil {
 		return err
 	}
@@ -568,7 +481,7 @@ func watchKeyspace(sink *collector.Sink, cf campaignFlag, cli *cliConfig) error 
 		return fmt.Errorf("data loss: %d sequence gaps, %d dropped records",
 			rep.Agg.SeqGaps, rep.Agg.DroppedRecords)
 	}
-	if cli.partialDir != "" {
+	if conf.partialDir != "" {
 		p, err := sink.Partial(cf.key)
 		if err != nil {
 			return err
@@ -577,28 +490,28 @@ func watchKeyspace(sink *collector.Sink, cf campaignFlag, cli *cliConfig) error 
 		if err != nil {
 			return err
 		}
-		if err := collector.WriteFileDurable(filepath.Join(cli.partialDir, cf.key+".partial.json"), blob); err != nil {
+		if err := collector.WriteFileDurable(filepath.Join(conf.partialDir, cf.key+".partial.json"), blob); err != nil {
 			return err
 		}
 	}
-	if len(cf.testbeds) > 0 || (!cli.stdout && cli.reportDir == "") {
+	if len(cf.testbeds) > 0 || (!conf.stdout && conf.reportDir == "") {
 		return nil
 	}
-	res, err := btpan.ResultFromAggregates(btpan.CampaignConfig{Seed: cf.seed,
-		Duration: sim.Time(cf.days) * sim.Day, Scenario: btpan.Scenario(cf.scenario), Streaming: true},
-		rep.Agg, rep.Counters, rep.Durations)
+	cfg := cf.id.Config()
+	cfg.Streaming = true
+	res, err := btpan.ResultFromAggregates(cfg, rep.Agg, rep.Counters, rep.Durations)
 	if err != nil {
 		return err
 	}
-	if cli.stdout {
-		writeReport(cli.out, res, cli.taxonomy)
+	if conf.stdout {
+		writeReport(conf.out, res, conf.taxonomy)
 		return nil
 	}
-	f, err := os.Create(filepath.Join(cli.reportDir, cf.key+".report"))
+	f, err := os.Create(filepath.Join(conf.reportDir, cf.key+".report"))
 	if err != nil {
 		return err
 	}
-	writeReport(f, res, cli.taxonomy)
+	writeReport(f, res, conf.taxonomy)
 	return f.Close()
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -26,9 +27,9 @@ func TestParseCLIValidation(t *testing.T) {
 		{"default checkpoint", []string{"-checkpoint", "sink.ckpt"}, ""},
 		{"scenario high", []string{"-scenario", "9"}, "-scenario 9 out of range 1..4"},
 		{"days low", []string{"-days", "0"}, "-days 0 out of range 1..540"},
-		{"default checkpoint dir", []string{"-checkpoint-dir", "ckpt"}, "need -campaign, -district or -serve"},
-		{"default partial dir", []string{"-partial-dir", "parts"}, "need -campaign, -district or -serve"},
-		{"default report dir", []string{"-report-dir", "reports"}, "need -campaign, -district or -serve"},
+		{"default checkpoint dir", []string{"-checkpoint-dir", "ckpt"}, "-checkpoint-dir needs -campaign, -district or -serve"},
+		{"default partial dir", []string{"-partial-dir", "parts"}, "-partial-dir needs -campaign, -district or -serve"},
+		{"default report dir", []string{"-report-dir", "reports"}, "-report-dir needs -campaign, -district or -serve"},
 		{"campaign", []string{"-campaign", "key=a,seed=1"}, ""},
 		{"campaign scenario high", []string{"-campaign", "key=a,seed=1,scenario=9"}, "scenario 9 out of range 1..4"},
 		{"campaign scenario low", []string{"-campaign", "key=a,seed=1,scenario=0"}, "scenario 0 out of range 1..4"},
@@ -48,6 +49,55 @@ func TestParseCLIValidation(t *testing.T) {
 		{"checkpoint-every negative", []string{"-checkpoint-every", "-3"}, "-checkpoint-every -3 must be at least 1"},
 		{"memory-budget negative", []string{"-memory-budget", "-1"}, "-memory-budget -1 is negative"},
 		{"timeout negative", []string{"-timeout", "-1s"}, "-timeout -1s is negative"},
+
+		// The default keyspace's flags with a SPEC-declared keyspace, and
+		// shape values the engine would read as unset.
+		{"campaign with seed", []string{"-campaign", "key=a,seed=1", "-seed", "5"},
+			"-seed configures the default keyspace only"},
+		{"campaign with days", []string{"-campaign", "key=a,seed=1", "-days", "9"},
+			"-days configures the default keyspace only"},
+		{"campaign with scenario", []string{"-campaign", "key=a,seed=1", "-scenario", "2"},
+			"-scenario configures the default keyspace only"},
+		{"district with checkpoint", []string{"-district", "key=d,seed=1,range=0:2", "-checkpoint", "f"},
+			"-checkpoint configures the default keyspace only"},
+		{"serve with days", []string{"-serve", "-http", "127.0.0.1:0", "-days", "9"},
+			"-days configures the default keyspace only"},
+		{"district hold zero", []string{"-district", "key=d,seed=1,range=0:2,hold=0"}, "-hold 0 must be at least 1"},
+		{"district redundancy zero", []string{"-district", "key=d,seed=1,range=0:2,redundancy=0"},
+			"-redundancy 0 must be at least 1"},
+		{"district without range", []string{"-district", "key=d,seed=1"}, "key=, seed= and range= are required"},
+		{"district range outside", []string{"-district", "key=d,seed=1,range=0:9"},
+			"piconet range 0:9 outside the campaign's [0:2)"},
+
+		// Every btsink command line of README.md, OPERATIONS.md and
+		// scripts/*.sh, script variables at their defaults.
+		{"readme", []string{"-seed", "1", "-days", "4", "-checkpoint", "sink.ckpt"}, ""},
+		{"operations default", []string{"-addr", "127.0.0.1:9310", "-seed", "1", "-days", "4",
+			"-checkpoint", "/tmp/bt/sink.ckpt"}, ""},
+		{"operations multi-tenant", []string{"-addr", "127.0.0.1:9310",
+			"-campaign", "key=prod,seed=7,days=30",
+			"-campaign", "key=replay,seed=7,days=30,scenario=2",
+			"-campaign", "key=guest,seed=3,days=4,quota-bytes=50000000",
+			"-checkpoint-dir", "/tmp/bt/ckpt", "-report-dir", "/tmp/bt/reports",
+			"-http", "127.0.0.1:9380"}, ""},
+		{"operations sharded", []string{"-addr", "127.0.0.1:9311",
+			"-campaign", "key=prod,seed=7,days=30,testbeds=random",
+			"-checkpoint-dir", "/tmp/bt/ck0", "-partial-dir", "/tmp/bt/part0"}, ""},
+		{"operations district", []string{"-addr", "127.0.0.1:9322",
+			"-district", "key=metro1,seed=5,days=7,range=2:4,piconets=4,topology=ring",
+			"-checkpoint-dir", "/tmp/bt/ck1", "-partial-dir", "/tmp/bt/part1"}, ""},
+		{"chaos_distributed", []string{"-addr", "127.0.0.1:1", "-seed", "1", "-days", "2",
+			"-checkpoint", "sink.ckpt", "-checkpoint-every", "8", "-timeout", "10m"}, ""},
+		{"chaos_metro", []string{"-addr", "127.0.0.1:1",
+			"-district", "key=metro0,seed=5,days=7,range=0:2,piconets=4,topology=ring,probe-sample=0.5",
+			"-checkpoint-dir", "ckpt0", "-partial-dir", "part0", "-timeout", "10m"}, ""},
+		{"chaos_multitenant", []string{"-addr", "127.0.0.1:1",
+			"-campaign", "key=alpha,seed=7,days=2,testbeds=random",
+			"-campaign", "key=bravo,seed=11,days=2,testbeds=random",
+			"-campaign", "key=hog,seed=13,days=2,testbeds=random,quota-batches=12",
+			"-checkpoint-dir", "ckpt0", "-checkpoint-every", "8",
+			"-partial-dir", "part0", "-timeout", "10m"}, ""},
+		{"smoke clean", []string{"-addr", "127.0.0.1:1", "-seed", "1", "-days", "1", "-timeout", "10m"}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -61,7 +111,9 @@ func TestParseCLIValidation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parseCLI(%q): %v", tc.args, err)
 			}
-			defaultMode := len(tc.args) == 0 || tc.args[0] == "-checkpoint"
+			defaultMode := !slices.ContainsFunc(tc.args, func(a string) bool {
+				return a == "-campaign" || a == "-district" || a == "-serve"
+			})
 			if cli.stdout != defaultMode {
 				t.Errorf("stdout report = %v, want %v", cli.stdout, defaultMode)
 			}
@@ -70,7 +122,11 @@ func TestParseCLIValidation(t *testing.T) {
 				if len(ks) != 1 || ks[0].Key != "" || ks[0].Campaign.Scenario != 3 {
 					t.Fatalf("default keyspace: %+v", ks)
 				}
-				if want := map[bool]string{true: "sink.ckpt"}[len(tc.args) > 0]; ks[0].CheckpointPath != want {
+				want := ""
+				if i := slices.Index(tc.args, "-checkpoint"); i >= 0 {
+					want = tc.args[i+1]
+				}
+				if ks[0].CheckpointPath != want {
 					t.Errorf("default keyspace checkpoints at %q, want %q", ks[0].CheckpointPath, want)
 				}
 			}

@@ -134,6 +134,23 @@ func (f *ScatternetFold) Finalize() (*Aggregates, *PiconetOverview, error) {
 	return f.agg, &PiconetOverview{Rows: f.rows}, nil
 }
 
+// Rollup finalizes the fold (it must not be reused afterwards) into the
+// metro report of a campaign of the given piconet count that sampled relay
+// probe pairs with fraction probeSample. The fraction is normalized for
+// reporting: 0 (unset) and anything >= 1 both mean the exhaustive plane,
+// fraction 1. The caller adds the overlay's bridge and relay-depth planes.
+func (f *ScatternetFold) Rollup(piconets int, probeSample float64) (*ScatternetRollup, error) {
+	agg, overview, err := f.Finalize()
+	if err != nil {
+		return nil, err
+	}
+	if probeSample <= 0 || probeSample >= 1 {
+		probeSample = 1
+	}
+	return &ScatternetRollup{Piconets: piconets, Scenario: f.scenario, Agg: agg,
+		Overview: overview, ProbePairFraction: probeSample}, nil
+}
+
 // ScatternetRollup is the one-report view of a city-scale scatternet
 // campaign: deployment-wide paper tables merged across every piconet, the
 // per-piconet overview, the all-bridge coupling summary and the (possibly

@@ -76,9 +76,6 @@ func RestoreScatternetFold(snap *ScatternetFoldSnapshot) (*ScatternetFold, error
 	return f, nil
 }
 
-// Scenario reports the fold's recovery-scenario label.
-func (f *ScatternetFold) Scenario() string { return f.scenario }
-
 // PiconetPartial is one finished piconet campaign on the wire: the streaming
 // aggregates plus the fold-ordered depend trace — exactly the AddPiconet
 // arguments, serialized.

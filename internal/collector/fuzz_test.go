@@ -3,6 +3,7 @@ package collector
 import (
 	"bytes"
 	"io"
+	"math"
 	"reflect"
 	"testing"
 
@@ -48,6 +49,14 @@ func FuzzDecode(f *testing.F) {
 		}
 		f.Add(v1BatchFrame(f, b))
 	}
+	// A NaN distance round-trips bit for bit; the law must not call it a
+	// change (JSON cannot encode it, so it goes in as a binary frame only).
+	var nan bytes.Buffer
+	if err := WriteBatch(&nan, &Batch{Node: "n", Testbed: "t", Seq: 1,
+		Reports: []core.UserReport{{Node: "n", Testbed: "t", DistanceM: math.NaN()}}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(nan.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := ReadBatch(bytes.NewReader(data))
 		if err != nil {
@@ -70,7 +79,8 @@ func FuzzDecode(f *testing.F) {
 
 // batchEqual compares batches, treating empty and nil record slices as
 // equal (a hand-built batch may carry empty slices, the binary decoder
-// never materializes them).
+// never materializes them) and report distances bit for bit (a NaN
+// distance round-trips exactly but never compares equal with ==).
 func batchEqual(a, b *Batch) bool {
 	if a.Node != b.Node || a.Testbed != b.Testbed ||
 		a.Watermark != b.Watermark || a.Seq != b.Seq {
@@ -80,7 +90,12 @@ func batchEqual(a, b *Batch) bool {
 		return false
 	}
 	for i := range a.Reports {
-		if a.Reports[i] != b.Reports[i] {
+		ra, rb := a.Reports[i], b.Reports[i]
+		if math.Float64bits(ra.DistanceM) != math.Float64bits(rb.DistanceM) {
+			return false
+		}
+		ra.DistanceM, rb.DistanceM = 0, 0
+		if ra != rb {
 			return false
 		}
 	}

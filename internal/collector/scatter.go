@@ -420,22 +420,9 @@ func MergeDistricts(parts []*DistrictPartial) (*analysis.ScatternetRollup, *anal
 			return nil, nil, fmt.Errorf("collector: merge district %q: %w", p.Keyspace, err)
 		}
 	}
-	agg, overview, err := fold.Finalize()
+	roll, err := fold.Rollup(first.Net.Piconets, first.Net.ProbeSample)
 	if err != nil {
 		return nil, nil, err
-	}
-	// Report normalization of the sampling fraction: <=0 (unset) and >=1
-	// both mean exhaustive. Must match scatternet.ProbeFraction exactly.
-	frac := first.Net.ProbeSample
-	if frac <= 0 || frac >= 1 {
-		frac = 1
-	}
-	roll := &analysis.ScatternetRollup{
-		Piconets:          first.Net.Piconets,
-		Scenario:          fold.Scenario(),
-		Agg:               agg,
-		Overview:          overview,
-		ProbePairFraction: frac,
 	}
 	var redundancy *analysis.RedundancyTable
 	if overlay != nil {

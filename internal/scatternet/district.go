@@ -36,10 +36,9 @@ func (c *Campaign) PiconetPartial(p int) (*analysis.PiconetPartial, error) {
 // RunOverlay runs the bridge overlay world for the campaign duration and
 // returns its rollup partial (nil when the campaign has no bridges). The
 // order-sensitive Welford merges happen HERE, where the campaign's fixed
-// orders are known: the all-bridge summary merges the bridge rows in row
-// order and the relay-depth table merges the per-source probe partials in
-// ascending source order — exactly Campaign.rollup's orders, which is what
-// keeps the distributed report byte-identical to the single-process one.
+// orders are known: the partial snapshots overlaySummary, exactly what
+// Campaign.rollup reports, which is what keeps the distributed report
+// byte-identical to the single-process one.
 func (c *Campaign) RunOverlay() (*analysis.OverlayPartial, error) {
 	if !c.cfg.Rollup {
 		return nil, fmt.Errorf("scatternet: overlay partials need Rollup mode")
@@ -48,20 +47,12 @@ func (c *Campaign) RunOverlay() (*analysis.OverlayPartial, error) {
 		return nil, nil
 	}
 	c.overlay.Run(c.cfg.Duration)
-	out := &analysis.OverlayPartial{}
-	if rows := c.overlay.Table().Rows; len(rows) > 0 {
-		sum := analysis.NewBridgeAccum("all", "-", nil)
-		for _, r := range rows {
-			sum.Merge(r)
-		}
-		out.Bridges, out.BridgeCount = sum.Snapshot(), len(rows)
+	bridges, count, depth := c.overlaySummary()
+	out := &analysis.OverlayPartial{BridgeCount: count, RelayDepth: depth.Snapshot(),
+		Redundancy: c.overlay.RedundancyTable(c.cfg.Duration).Rows}
+	if bridges != nil {
+		out.Bridges = bridges.Snapshot()
 	}
-	rd := analysis.NewRelayDepthAccum()
-	for _, a := range c.overlay.prober.bySrc {
-		rd.Merge(a)
-	}
-	out.RelayDepth = rd.Snapshot()
-	out.Redundancy = c.overlay.RedundancyTable(c.cfg.Duration).Rows
 	return out, nil
 }
 

@@ -161,7 +161,7 @@ func TestOverlayPartialRoundTrip(t *testing.T) {
 
 	wantDepth := analysis.RestoreRelayDepthAccum(overlay.RelayDepth)
 	gotDepth := analysis.RestoreRelayDepthAccum(back.RelayDepth)
-	frac := probeFraction(rollupConfig().ProbePairFraction)
+	frac := rollupConfig().ProbePairFraction
 	if got, want := gotDepth.RenderSampled(frac), wantDepth.RenderSampled(frac); got != want {
 		t.Errorf("relay-depth table changed across the wire:\n%s\nvs\n%s", got, want)
 	}

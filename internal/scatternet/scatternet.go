@@ -369,7 +369,7 @@ func (c *Campaign) Run() (*Result, error) {
 		res.Redundancy = c.overlay.RedundancyTable(c.cfg.Duration)
 	}
 	if c.cfg.Rollup {
-		roll, err := c.rollup(states, res)
+		roll, err := c.rollup(states)
 		if err != nil {
 			return nil, err
 		}
@@ -452,51 +452,43 @@ func (c *Campaign) runPiconet(p int) (*Piconet, []analysis.DependEvent, error) {
 }
 
 // rollup merges the shard partials into the metro-wide report: the folds
-// merge in ascending shard order (exact, so the grouping cannot show), the
-// all-bridge summary row merges the bridge rows in row order, and the
-// relay-depth table merges the prober's per-source partials in ascending
-// source order — every combination order is fixed by the campaign, not by
-// the sharding, which is what makes the report bytes shard-count invariant.
-func (c *Campaign) rollup(states []shardState, res *Result) (*analysis.ScatternetRollup, error) {
+// merge in ascending shard order (exact, so the grouping cannot show) and
+// the overlay's planes merge in overlaySummary's fixed orders — every
+// combination order is fixed by the campaign, not by the sharding, which is
+// what makes the report bytes shard-count invariant.
+func (c *Campaign) rollup(states []shardState) (*analysis.ScatternetRollup, error) {
 	fold := states[0].fold
 	for _, st := range states[1:] {
 		if err := fold.Merge(st.fold); err != nil {
 			return nil, err
 		}
 	}
-	agg, overview, err := fold.Finalize()
+	roll, err := fold.Rollup(c.topo.Piconets, c.cfg.ProbePairFraction)
 	if err != nil {
 		return nil, err
 	}
-	roll := &analysis.ScatternetRollup{
-		Piconets:          c.topo.Piconets,
-		Scenario:          c.cfg.Scenario.String(),
-		Agg:               agg,
-		Overview:          overview,
-		ProbePairFraction: probeFraction(c.cfg.ProbePairFraction),
-	}
 	if c.overlay != nil {
-		if rows := res.Bridges.Rows; len(rows) > 0 {
-			sum := analysis.NewBridgeAccum("all", "-", nil)
-			for _, r := range rows {
-				sum.Merge(r)
-			}
-			roll.Bridges, roll.BridgeCount = sum, len(rows)
-		}
-		rd := analysis.NewRelayDepthAccum()
-		for _, a := range c.overlay.prober.bySrc {
-			rd.Merge(a)
-		}
-		roll.RelayDepth = rd
+		roll.Bridges, roll.BridgeCount, roll.RelayDepth = c.overlaySummary()
 	}
 	return roll, nil
 }
 
-// probeFraction normalizes the configured sampling fraction for reporting
-// (0, the unset default, means exhaustive — fraction 1).
-func probeFraction(f float64) float64 {
-	if f <= 0 || f >= 1 {
-		return 1
+// overlaySummary merges the overlay's bridge rows, in row order, into the
+// all-bridge summary row (nil when there are no rows) and the prober's
+// per-source relay-depth partials, in ascending source order, into one
+// table. Both are order-sensitive Welford merges: the single-process
+// roll-up and the distributed overlay partial (RunOverlay) both take them
+// from here, which keeps the two reports byte-identical.
+func (c *Campaign) overlaySummary() (bridges *analysis.BridgeAccum, count int, depth *analysis.RelayDepthAccum) {
+	if rows := c.overlay.Table().Rows; len(rows) > 0 {
+		bridges, count = analysis.NewBridgeAccum("all", "-", nil), len(rows)
+		for _, r := range rows {
+			bridges.Merge(r)
+		}
 	}
-	return f
+	depth = analysis.NewRelayDepthAccum()
+	for _, a := range c.overlay.prober.bySrc {
+		depth.Merge(a)
+	}
+	return bridges, count, depth
 }

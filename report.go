@@ -76,3 +76,26 @@ func WriteTaxonomyReport(w io.Writer, res *CampaignResult) {
 	fmt.Fprintf(w, "\n%s", surv.Curve(horizon).Render())
 	fmt.Fprintf(w, "\n%s", surv.RenderInterarrival(40))
 }
+
+// WriteMetroReport renders a scatternet roll-up — the hierarchical metro
+// report — in the canonical format shared by btcampaign -scatternet
+// -rollup and btmerge -scatternet, so a distributed metro campaign is
+// diffable byte for byte against the single-process one. redundancy is
+// nil when the campaign has no bridges. With taxonomy it appends the
+// deployment-wide taxonomy plane over the duration and the
+// partition-candidate spans: every span whose bridges were all down at once
+// for at least 30 s.
+func WriteMetroReport(w io.Writer, roll *analysis.ScatternetRollup,
+	redundancy *analysis.RedundancyTable, duration sim.Time, taxonomy bool) {
+	fmt.Fprintf(w, "\n%s", roll.Render())
+	if redundancy != nil {
+		fmt.Fprintf(w, "\nRedundancy groups (outage charged only when a whole span is down)\n%s",
+			redundancy.Render())
+	}
+	if taxonomy {
+		fmt.Fprintf(w, "\n%s", roll.RenderTaxonomy(duration))
+		if redundancy != nil {
+			fmt.Fprintf(w, "\n%s", redundancy.RenderPartitionCandidates(30))
+		}
+	}
+}

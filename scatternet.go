@@ -2,18 +2,11 @@ package btpan
 
 import (
 	"fmt"
-	"math"
-	"sync/atomic"
 
 	"repro/internal/analysis"
 	"repro/internal/scatternet"
 	"repro/internal/sim"
 )
-
-// randomTopologyBuilds counts RandomConnected materializations — observable
-// by the sweep regression test that pins the shared-map hoist (a random
-// sweep must not regenerate the graph once per seed in the hot loop).
-var randomTopologyBuilds atomic.Int64
 
 // Topology names for ScatternetConfig.Topology. The empty string pairs
 // Bridges bridges around the ring (bridge b serves b mod P, (b+1) mod P).
@@ -99,7 +92,6 @@ func (c ScatternetConfig) topology() (*scatternet.Topology, error) {
 	case c.Topology == TopologyMesh:
 		topo = scatternet.Mesh(c.Piconets)
 	case c.Topology == TopologyRandom:
-		randomTopologyBuilds.Add(1)
 		var err error
 		topo, err = scatternet.RandomConnected(c.Piconets, c.Bridges, c.Seed)
 		if err != nil {
@@ -172,20 +164,6 @@ type ScatternetResult struct {
 	// empty in this mode — the per-piconet results were folded and dropped
 	// to keep memory flat.
 	Rollup *analysis.ScatternetRollup
-}
-
-// CheckProbeSample reports why f is not a valid -probe-sample value. The
-// command lines take a fraction in (0, 1], 1 being the exhaustive plane;
-// ScatternetConfig reads 0 as unset, which is also exhaustive, so a 0 must
-// be rejected before it gets there rather than silently run every pair.
-func CheckProbeSample(f float64) error {
-	switch {
-	case math.IsNaN(f):
-		return fmt.Errorf("-probe-sample is NaN; want a fraction in (0, 1] (1 = exhaustive)")
-	case f <= 0 || f > 1:
-		return fmt.Errorf("-probe-sample %v outside (0, 1] (1 = exhaustive)", f)
-	}
-	return nil
 }
 
 // NewScatternetCampaign validates the config and builds the underlying

@@ -1,6 +1,7 @@
 package btpan
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -100,26 +101,27 @@ func TestScatternetRollupTaxonomyShardInvariant(t *testing.T) {
 
 // TestRandomSweepBuildsTopologyOnce is the hot-loop regression guard for
 // random-topology sweeps: the RandomConnected graph is a function of the
-// base seed alone, so a sweep must materialize it once up front (plus one
-// probe build inside Validate) — not once per seed inside the worker pool.
+// base seed alone, so a sweep materializes it once up front and every seed
+// runs that one map — the same backing storage, not a regenerated copy.
 func TestRandomSweepBuildsTopologyOnce(t *testing.T) {
-	before := randomTopologyBuilds.Load()
-	res, err := Sweep(SweepConfig{
+	cfg := SweepConfig{
 		BaseSeed: 7, Seeds: 5, Duration: 1 * sim.Hour, Scenario: ScenarioSIRAs,
 		Piconets: 4, Bridges: 5, Topology: TopologyRandom, Workers: 2,
-	})
+	}
+	res, err := Sweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	builds := randomTopologyBuilds.Load() - before
-	if builds > 2 {
-		t.Errorf("5-seed random sweep built the topology %d times, want at most 2 (validate probe + materialization)", builds)
+	pinned := res.Config.randomMembers
+	if len(pinned) == 0 {
+		t.Fatal("the sweep pinned no random membership map")
 	}
-	members := res.Scatternets[0].Topology.Members
+	if want := cfg.materializeTopology().randomMembers; !reflect.DeepEqual(pinned, want) {
+		t.Errorf("pinned map %v, want the base seed's graph %v", pinned, want)
+	}
 	for i, r := range res.Scatternets {
-		if len(r.Topology.Members) != len(members) {
-			t.Fatalf("seed %d ran a different topology (%d vs %d bridges) — the shared map was not pinned",
-				i, len(r.Topology.Members), len(members))
+		if m := r.Topology.Members; len(m) != len(pinned) || &m[0] != &pinned[0] {
+			t.Errorf("seed %d ran its own copy of the topology, not the pinned map", i)
 		}
 	}
 }

@@ -90,17 +90,9 @@ func (c SweepConfig) scatternetConfig(i int) ScatternetConfig {
 		Redundancy: c.Redundancy,
 		HoldTime:   c.HoldTime,
 	}
-	if c.Topology == TopologyRandom {
-		members := c.randomMembers
-		if members == nil {
-			// Sweep pins the map up front; this fallback covers direct
-			// scatternetConfig callers (Validate's probe config).
-			members = c.materializeTopology().randomMembers
-		}
-		if members != nil {
-			// topology() already applied the redundancy replication.
-			sc.Members, sc.Topology, sc.Redundancy = members, "", 0
-		}
+	if c.randomMembers != nil {
+		// topology() already applied the redundancy replication.
+		sc.Members, sc.Topology, sc.Redundancy = c.randomMembers, "", 0
 	}
 	return sc
 }
@@ -161,10 +153,10 @@ type SweepResult struct {
 // given config: seed i always computes the same campaign no matter which
 // worker runs it or in what order seeds finish.
 func Sweep(cfg SweepConfig) (*SweepResult, error) {
+	cfg = cfg.materializeTopology()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.materializeTopology()
 	workers := cfg.Workers
 	if workers == 0 {
 		workers = runtime.NumCPU() / 2
