@@ -54,7 +54,8 @@
 //	                 single-piconet record files (default campaign-data)
 //	-stream          fold records into running aggregates (O(1) memory)
 //	                 instead of retaining them
-//	-seeds N         sweep seed count; N > 1 enables sweep mode with 95% CIs
+//	-seeds N         sweep seed count, N ≥ 1; N > 1 enables sweep mode with
+//	                 95% CIs (default 1)
 //	-workers W       sweep worker pool size; 0 means NumCPU/2
 //	-json FILE       sweep mode: also write the CI tables as JSON (the
 //	                 input of docs/CONVERGENCE.md)
@@ -81,7 +82,7 @@
 //	-hold S          bridge residency seconds per piconet visit, at least 1
 //	                 (default 10)
 //	-shards S        single-seed scatternet campaigns: piconet-plane worker
-//	                 shards; 0 = GOMAXPROCS capped at the piconet count,
+//	                 shards, S ≥ 0; 0 = GOMAXPROCS capped at the piconet count,
 //	                 1 = one worker beside the overlay — results identical
 //	                 for any value (default 0)
 //	-probe-sample F  single-seed scatternet campaigns: relay-probe pair
@@ -167,6 +168,12 @@ func parseCLI(args []string) (*cliConfig, error) {
 	fs.BoolVar(&cfg.taxonomy, "taxonomy", false, "append the failure-taxonomy / survival report (per-phase split, Kaplan-Meier uptime curve, interarrival histogram)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
+	}
+	if cfg.seeds < 1 {
+		return nil, fmt.Errorf("-seeds %d must be at least 1", cfg.seeds)
+	}
+	if cfg.shards < 0 {
+		return nil, fmt.Errorf("-shards %d must be at least 0 (0 = GOMAXPROCS)", cfg.shards)
 	}
 
 	sweep := cfg.seeds > 1

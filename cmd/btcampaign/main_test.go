@@ -32,6 +32,10 @@ func TestParseCLIValidation(t *testing.T) {
 		{"scenario low", []string{"-scenario", "0"}, "-scenario 0 out of range 1..4"},
 		{"scenario high", []string{"-scenario", "5"}, "-scenario 5 out of range 1..4"},
 		{"codec refused", []string{"-codec", "json"}, "flag provided but not defined: -codec"},
+		{"seeds zero", []string{"-seeds", "0"}, "-seeds 0 must be at least 1"},
+		{"seeds negative", []string{"-seeds", "-3", "-days", "1", "-stream"}, "-seeds -3 must be at least 1"},
+		{"shards negative", []string{"-scatternet", "-shards", "-1"}, "-shards -1 must be at least 0"},
+		{"shards zero", []string{"-scatternet", "-shards", "0"}, ""},
 
 		// Bugfix 1: -probe-sample domain validation at the flag boundary.
 		{"probe-sample zero", []string{"-scatternet", "-probe-sample", "0"},

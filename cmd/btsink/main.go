@@ -72,8 +72,10 @@
 //	                       testbeds=A+B     testbed subset this sink hosts
 //	                                        (default: all; subsets record the
 //	                                        depend trace for btmerge)
-//	                       quota-bytes=N    ingest byte quota (0 = unlimited)
-//	                       quota-batches=N  ingest batch quota (0 = unlimited)
+//	                       quota-bytes=N    ingest byte quota, N ≥ 0
+//	                                        (0 = unlimited)
+//	                       quota-batches=N  ingest batch quota, N ≥ 0
+//	                                        (0 = unlimited)
 //	-serve               always-on service mode: start with no campaigns and
 //	                     accept registrations over HTTP (-http required)
 //	-checkpoint-dir DIR  per-keyspace checkpoints at DIR/<key>.ckpt
@@ -83,9 +85,9 @@
 //	                     completes (canonical btcampaign format)
 //	-http ADDR           serve the observability API (/healthz, /readyz,
 //	                     /metricsz, /campaigns, live tables) on ADDR
-//	-memory-budget N     delay acks while more than N records are buffered
-//	                     across all keyspaces (0 = no backpressure;
-//	                     negative is rejected)
+//	-memory-budget N     delay each session's next read while more than N
+//	                     records are buffered across all keyspaces
+//	                     (0 = no backpressure; negative is rejected)
 //
 // Scatternet district flags (the distributed metro plane):
 //
@@ -179,7 +181,13 @@ func (c *campaignFlags) Set(v string) error {
 	fs.Int64Var(&cf.quotaBytes, "quota-bytes", 0, "ingest byte quota (0 = unlimited)")
 	fs.IntVar(&cf.quotaBatches, "quota-batches", 0, "ingest batch quota (0 = unlimited)")
 	err := cli.SetSpec(fs, v, "key", "seed")
-	if err == nil {
+	switch {
+	case err != nil:
+	case cf.quotaBytes < 0:
+		err = fmt.Errorf("quota-bytes %d is negative (0 = unlimited)", cf.quotaBytes)
+	case cf.quotaBatches < 0:
+		err = fmt.Errorf("quota-batches %d is negative (0 = unlimited)", cf.quotaBatches)
+	default:
 		err = cf.id.Check()
 	}
 	if err != nil {
@@ -315,7 +323,7 @@ func parseCLI(args []string) (*cliConfig, error) {
 	partialDir := fs.String("partial-dir", "", "write <key>.partial.json here on keyspace completion")
 	reportDir := fs.String("report-dir", "", "write <key>.report here when a full-campaign keyspace completes")
 	httpAddr := fs.String("http", "", "observability HTTP listen address (empty disables)")
-	memoryBudget := fs.Int("memory-budget", 0, "buffered record count above which acks are delayed (0 = off)")
+	memoryBudget := fs.Int("memory-budget", 0, "buffered record count above which session reads are delayed (0 = off)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}

@@ -36,6 +36,9 @@ func TestParseCLIValidation(t *testing.T) {
 		{"campaign days high", []string{"-campaign", "key=a,seed=1,days=999"}, "days 999 out of range 1..540"},
 		{"campaign without key", []string{"-campaign", "seed=1"}, "key= and seed= are required"},
 		{"campaign unknown field", []string{"-campaign", "key=a,seed=1,color=red"}, `unknown field "color"`},
+		{"campaign negative byte quota", []string{"-campaign", "key=a,seed=1,quota-bytes=-1"}, "quota-bytes -1 is negative"},
+		{"campaign negative batch quota", []string{"-campaign", "key=a,seed=1,quota-batches=-5"}, "quota-batches -5 is negative"},
+		{"campaign zero quotas", []string{"-campaign", "key=a,seed=1,quota-bytes=0,quota-batches=0"}, ""},
 		{"district", []string{"-district", "key=d,seed=1,range=0:2"}, ""},
 		{"district scenario high", []string{"-district", "key=d,seed=1,range=0:2,scenario=5"}, "scenario 5 out of range 1..4"},
 		{"district empty range", []string{"-district", "key=d,seed=1,range=2:2"}, "empty or negative"},

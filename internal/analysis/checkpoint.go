@@ -273,56 +273,68 @@ type StreamerCheckpoint struct {
 // AggSnapshot captures just the folded aggregates of a (possibly live)
 // streamer, consistently with any concurrent folding — the cheap snapshot
 // behind mid-campaign observability (live Table 2/3/4 over HTTP), as
-// opposed to the full Checkpoint a sink persists for crash recovery.
+// opposed to the full CheckpointView a sink persists for crash recovery.
 func (s *Streamer) AggSnapshot() *AggregatesSnapshot {
 	s.foldMu.Lock()
 	defer s.foldMu.Unlock()
 	return s.agg.Snapshot()
 }
 
-// Checkpoint captures the streamer's full live state. It can run
-// concurrently with ingests: the fold lock blocks folding for the duration
-// and each shard is captured atomically under its own lock, so every
-// captured NextSeq is consistent with the captured pending queue (a batch
-// ingested while the checkpoint is in progress either made its shard's
-// snapshot completely or stays unacknowledged and will be retransmitted).
-// Checkpointing a finalized streamer is an error — there is nothing left in
+// CheckpointView calls fn with the streamer's full live state, without
+// copying its record queues. fn runs while the view holds the fold lock and
+// every shard lock, so ingest and folding wait for it and the state it sees
+// is one consistent cut: every NextSeq matches its shard's pending queue
+// and parked batches exactly.
+//
+// Aliasing contract: each shard's Reports and Entries, each parked batch's
+// Reports and Entries, and Trace are the live slices themselves. fn must
+// not modify them and must not keep them past its return; encode or copy
+// inside fn. Everything else in the view (the aggregate and relator
+// snapshots, the Shards and Parked slices and their scalar fields) is
+// built for this call and stays fn's. Keep fn short and free of I/O: a
+// live-table read (AggSnapshot) waits on the fold lock for as long as fn
+// runs.
+//
+// Viewing a finalized streamer is an error — there is nothing left in
 // flight; snapshot the finalized Aggregates instead.
-func (s *Streamer) Checkpoint() (*StreamerCheckpoint, error) {
+func (s *Streamer) CheckpointView(fn func(*StreamerCheckpoint) error) error {
 	s.foldMu.Lock()
 	defer s.foldMu.Unlock()
 	if s.finalized {
-		return nil, fmt.Errorf("analysis: checkpoint of a finalized streamer")
+		return fmt.Errorf("analysis: checkpoint of a finalized streamer")
 	}
-	cp := &StreamerCheckpoint{Folded: sim.Time(s.folded.Load()), Agg: s.agg.Snapshot()}
-	if s.trace != nil {
-		cp.Trace = append([]DependEvent(nil), s.trace...)
-	}
+	// Lock order: foldMu, then the shards in declaration order. No other
+	// path holds a shard lock while taking foldMu or a second shard lock.
 	for _, sh := range s.all {
 		sh.mu.Lock()
-		sc := ShardCheckpoint{
+	}
+	defer func() {
+		for _, sh := range s.all {
+			sh.mu.Unlock()
+		}
+	}()
+	cp := &StreamerCheckpoint{Folded: sim.Time(s.folded.Load()), Agg: s.agg.Snapshot(), Trace: s.trace,
+		Shards: make([]ShardCheckpoint, len(s.all))}
+	for i, sh := range s.all {
+		sc := &cp.Shards[i]
+		*sc = ShardCheckpoint{
 			Testbed:   sh.key.testbed,
 			Node:      sh.key.node,
-			Reports:   append([]core.UserReport(nil), sh.reports...),
-			Entries:   append([]core.SystemEntry(nil), sh.entries...),
+			Reports:   sh.reports,
+			Entries:   sh.entries,
 			Stolen:    sh.stolen,
 			NextSeq:   sh.nextSeq,
 			Watermark: sim.Time(sh.watermark.Load()),
 		}
-		seqs := make([]uint64, 0, len(sh.parked))
-		for q := range sh.parked {
-			seqs = append(seqs, q)
+		if len(sh.parked) == 0 {
+			continue
 		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		for _, q := range seqs {
-			p := sh.parked[q]
+		sc.Parked = make([]ParkedCheckpoint, 0, len(sh.parked))
+		for q, p := range sh.parked {
 			sc.Parked = append(sc.Parked, ParkedCheckpoint{Seq: q,
-				Reports:   append([]core.UserReport(nil), p.reports...),
-				Entries:   append([]core.SystemEntry(nil), p.entries...),
-				Watermark: p.watermark})
+				Reports: p.reports, Entries: p.entries, Watermark: p.watermark})
 		}
-		sh.mu.Unlock()
-		cp.Shards = append(cp.Shards, sc)
+		sort.Slice(sc.Parked, func(i, j int) bool { return sc.Parked[i].Seq < sc.Parked[j].Seq })
 	}
 	for rank, keys := range s.panuKeys {
 		for _, key := range keys {
@@ -331,7 +343,7 @@ func (s *Streamer) Checkpoint() (*StreamerCheckpoint, error) {
 				State: s.relators[key].Snapshot()})
 		}
 	}
-	return cp, nil
+	return fn(cp)
 }
 
 // RestoreStreamer rebuilds a live Streamer from a checkpoint. The spec must

@@ -160,14 +160,16 @@ func continuous(t *testing.T, batches []synthBatch) *AggregatesSnapshot {
 	return s.Finalize().Snapshot()
 }
 
-// checkpointJSON round-trips a checkpoint through its on-disk encoding.
+// checkpointJSON round-trips a checkpoint through its JSON encoding,
+// marshalled inside the view: the result is a deep copy that shares
+// nothing with the live streamer.
 func checkpointJSON(t *testing.T, s *Streamer) *StreamerCheckpoint {
 	t.Helper()
-	cp, err := s.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := json.Marshal(cp)
+	var blob []byte
+	err := s.CheckpointView(func(cp *StreamerCheckpoint) (err error) {
+		blob, err = json.Marshal(cp)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +337,7 @@ func TestCheckpointAfterFinalizeFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Finalize()
-	if _, err := s.Checkpoint(); err == nil {
+	if err := s.CheckpointView(func(*StreamerCheckpoint) error { return nil }); err == nil {
 		t.Fatal("checkpoint of a finalized streamer did not fail")
 	}
 }

@@ -56,11 +56,7 @@ func streamSubset(t *testing.T, c *synthCampaign, names []string, epoch sim.Time
 		if crashAt > 0 && step == crashAt {
 			// Kill the shard sink: everything not in the checkpoint is gone,
 			// and the restored streamer must carry the depend trace forward.
-			cp, err := s.Checkpoint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err = RestoreStreamer(sub, cp)
+			s, err = RestoreStreamer(sub, checkpointJSON(t, s))
 			if err != nil {
 				t.Fatal(err)
 			}

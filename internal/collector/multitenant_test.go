@@ -4,6 +4,7 @@ import (
 	"net"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -252,6 +253,35 @@ func TestRegisterLate(t *testing.T) {
 	}
 }
 
+// TestRegisterRejectsNegativeQuota refuses a keyspace whose quota is
+// negative, at registration and at startup, instead of reading it as "no
+// quota".
+func TestRegisterRejectsNegativeQuota(t *testing.T) {
+	sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0", AllowEmpty: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	for _, ks := range []KeyspaceConfig{
+		{Key: "bytes", Spec: tpSpec(), MaxBytes: -1},
+		{Key: "batches", Spec: tpSpec(), MaxBatches: -3},
+	} {
+		if err := sink.Register(ks); err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("Register(%q) = %v, want a negative-quota error", ks.Key, err)
+		}
+		if sink.Metrics().Keyspaces != nil {
+			t.Fatalf("a refused keyspace %q was hosted", ks.Key)
+		}
+		if s, err := NewSink(SinkConfig{Addr: "127.0.0.1:0", Keyspaces: []KeyspaceConfig{ks}}); err == nil {
+			s.Close()
+			t.Errorf("NewSink accepted keyspace %q with a negative quota", ks.Key)
+		}
+	}
+	if err := sink.Register(KeyspaceConfig{Key: "unlimited", Spec: tpSpec()}); err != nil {
+		t.Errorf("zero quotas (unlimited) refused: %v", err)
+	}
+}
+
 // TestDrainRejects checks graceful drain: live unfinished sessions get a
 // retryable draining Reject, and so does every new hello.
 func TestDrainRejects(t *testing.T) {
@@ -421,19 +451,50 @@ func rawSession(t *testing.T, addr, keyspace string, campaign CampaignID, testbe
 	return conn, fr.Resume
 }
 
+// sendSeq sends alpha stream node's batch seq on a raw session: one system
+// entry inside hour seq, watermark at the hour's end.
+func sendSeq(t *testing.T, conn net.Conn, node string, seq uint64) {
+	t.Helper()
+	wm := sim.Time(seq) * sim.Hour
+	b := &Batch{Testbed: "alpha", Node: node, Seq: seq, Watermark: wm,
+		Entries: []core.SystemEntry{{At: wm - sim.Hour + sim.Second,
+			Testbed: "alpha", Node: node, Source: core.SysSource(1)}}}
+	if err := WriteBatch(conn, b); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readAck reads the next frame of a raw session, which must be an Ack.
+func readAck(t *testing.T, conn net.Conn) *Ack {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	fr, err := ReadFrame(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr.Kind != KindAck {
+		t.Fatalf("session answered %v (%+v), want an ack", fr.Kind, fr.Reject)
+	}
+	return fr.Ack
+}
+
 // TestResumeCursors drives raw protocol sessions and pins the resume
 // handshake's cursor semantics per stream: cumulative acknowledgement under
 // interleaving, a stream held back behind a sequence gap, and a duplicate
 // hello landing on a still-live session.
 func TestResumeCursors(t *testing.T) {
 	// One scripted step: open a fresh session and check its resume cursors,
-	// or send seq for node on session sess and check the cumulative ack.
+	// or send seq for node on session sess and check the cumulative ack. A
+	// send that leaves the cursor where the session last told it gets no
+	// ack (noAck): the session's next ack, checked by a later step, comes
+	// first.
 	type step struct {
 		hello       bool
 		node        string
 		seq         uint64
 		sess        int               // session index the send goes on
 		wantAck     uint64            // after a send
+		noAck       bool              // the send must not be acknowledged
 		wantCursors map[string]uint64 // after a hello
 	}
 	zero := map[string]uint64{"a1": 0, "a2": 0, "napA": 0}
@@ -452,12 +513,15 @@ func TestResumeCursors(t *testing.T) {
 		{name: "stream resumes behind the cumulative ack", steps: []step{
 			{hello: true, wantCursors: zero},
 			{node: "a1", seq: 1, wantAck: 1},
-			// Seq 3 arrives before 2: parked, cursor stays at 1.
-			{node: "a1", seq: 3, wantAck: 1},
+			// Seq 3 arrives before 2: parked, cursor stays at 1, which the
+			// session already told: no ack.
+			{node: "a1", seq: 3, noAck: true},
 			{hello: true, wantCursors: map[string]uint64{"a1": 1, "a2": 0, "napA": 0}},
 			// Filling the gap drains the parked batch: cursor jumps to 3.
 			{node: "a1", seq: 2, sess: 1, wantAck: 3},
 			{hello: true, wantCursors: map[string]uint64{"a1": 3, "a2": 0, "napA": 0}},
+			// The first session's next ack is a2's: the parked frame got none.
+			{node: "a2", seq: 1, sess: 0, wantAck: 1},
 		}},
 		{name: "duplicate hello on a live session", steps: []step{
 			{hello: true, wantCursors: zero},
@@ -499,24 +563,82 @@ func TestResumeCursors(t *testing.T) {
 					}
 					continue
 				}
-				conn := conns[st.sess]
-				wm := sim.Time(st.seq) * sim.Hour
-				b := &Batch{Testbed: "alpha", Node: st.node, Seq: st.seq, Watermark: wm,
-					Entries: []core.SystemEntry{{At: wm - sim.Hour + sim.Second,
-						Testbed: "alpha", Node: st.node, Source: core.SysSource(1)}}}
-				if err := WriteBatch(conn, b); err != nil {
-					t.Fatal(err)
+				sendSeq(t, conns[st.sess], st.node, st.seq)
+				if st.noAck {
+					continue
 				}
-				conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-				fr, err := ReadFrame(conn)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fr.Kind != KindAck || fr.Ack.Node != st.node || fr.Ack.Seq != st.wantAck {
-					t.Fatalf("send %s/%d answered %v (%+v), want ack seq %d",
-						st.node, st.seq, fr.Kind, fr.Ack, st.wantAck)
+				if ack := readAck(t, conns[st.sess]); ack.Node != st.node || ack.Seq != st.wantAck {
+					t.Fatalf("send %s/%d answered %+v, want ack seq %d", st.node, st.seq, ack, st.wantAck)
 				}
 			}
 		})
 	}
+}
+
+// TestAckOnlyOnProgress pins the told-cursor rule on a checkpointing sink
+// (PROTOCOL.md §6): a stream's cursor moves only at checkpoints, and a
+// session acknowledges a node only when its cursor differs from the one
+// the session last told — in an Ack or in the Resume.
+func TestAckOnlyOnProgress(t *testing.T) {
+	sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0", CheckpointEvery: 4,
+		Keyspaces: []KeyspaceConfig{{Spec: tpSpec(), CheckpointPath: filepath.Join(t.TempDir(), "sink.ckpt")}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	// collect reads acks until want's last one arrives: frames on a session
+	// are answered in order, so every ack the earlier frames earned is
+	// read by then.
+	collect := func(conn net.Conn, want []Ack) {
+		t.Helper()
+		var got []Ack
+		for len(got) < len(want) {
+			got = append(got, *readAck(t, conn))
+		}
+		last := make(map[string]uint64)
+		for _, a := range got {
+			if a.Seq <= last[a.Node] {
+				t.Errorf("ack %s/%d does not advance the node's cursor %d", a.Node, a.Seq, last[a.Node])
+			}
+			last[a.Node] = a.Seq
+		}
+		for i := range want {
+			if got[i].Node != want[i].Node || got[i].Seq != want[i].Seq {
+				t.Fatalf("acks %+v, want %+v", got, want)
+			}
+		}
+	}
+
+	first, _ := rawSession(t, sink.Addr(), "", CampaignID{}, "alpha")
+	defer first.Close()
+	// One stream: a checkpoint every fourth frame, one ack per checkpoint.
+	for seq := uint64(1); seq <= 16; seq++ {
+		sendSeq(t, first, "a1", seq)
+	}
+	collect(first, []Ack{{Node: "a1", Seq: 4}, {Node: "a1", Seq: 8}, {Node: "a1", Seq: 12}, {Node: "a1", Seq: 16}})
+
+	// Two streams interleaved: each checkpoint moves both cursors; the
+	// frame that triggers it acks its own node at once, the other node's
+	// next frame acks that one. napA's last move has no further a2 frame
+	// behind it, so a2's final cursor 4 stays untold on this session.
+	for seq := uint64(1); seq <= 4; seq++ {
+		sendSeq(t, first, "a2", seq)
+		sendSeq(t, first, "napA", seq)
+	}
+	collect(first, []Ack{{Node: "napA", Seq: 2}, {Node: "a2", Seq: 2}, {Node: "napA", Seq: 4}})
+
+	// A resumed session: the Resume tells a1=16, a2=4, napA=4. Four
+	// retransmitted duplicates trigger a checkpoint that moves nothing, so
+	// no ack repeats the Resume; the next four frames move a1 to 20.
+	second, res := rawSession(t, sink.Addr(), "", CampaignID{}, "alpha")
+	defer second.Close()
+	for _, c := range res.Cursors {
+		if want := map[string]uint64{"a1": 16, "a2": 4, "napA": 4}[c.Node]; c.Seq != want {
+			t.Fatalf("resume cursor %s/%d, want %d", c.Node, c.Seq, want)
+		}
+	}
+	for seq := uint64(13); seq <= 20; seq++ {
+		sendSeq(t, second, "a1", seq)
+	}
+	collect(second, []Ack{{Node: "a1", Seq: 20}})
 }

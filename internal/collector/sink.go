@@ -19,7 +19,7 @@ import (
 // agent sessions over TCP, routes each session to its keyspace by the Hello
 // handshake, applies sequenced work exactly once (duplicates from
 // retransmission are filtered by sequence number), and acknowledges durable
-// progress.
+// progress — on the record plane only when a stream's cursor moves.
 //
 // One session engine serves two payloads. A campaign keyspace folds
 // watermarked record batches into a streaming aggregator (go-back-N on the
@@ -40,9 +40,9 @@ import (
 //     restart does not silently re-admit the offender. Restarting with
 //     quotas the restored counters no longer exceed lifts it.
 //   - Backpressure: when the sink's total buffered record count exceeds the
-//     configured memory budget, acknowledgements are delayed. Acks gate the
-//     agents' send windows, so the fleet slows down instead of ballooning
-//     the sink's memory.
+//     configured memory budget, each session's next read is delayed. TCP
+//     flow control carries the delay back to the agents, so the fleet slows
+//     down instead of ballooning the sink's memory.
 //   - Graceful drain: Drain seals every keyspace's checkpoint, notifies live
 //     sessions with a retryable draining Reject, and refuses new hellos —
 //     agents back off and resume against the restarted (or replacement)
@@ -66,7 +66,7 @@ type Sink struct {
 	draining bool
 	closed   bool
 
-	delayedAcks    int // acks delayed by the memory-budget backpressure
+	delayedAcks    int // data frames delayed by the memory-budget backpressure
 	hellosRejected int // hello handshakes answered with a Reject
 
 	wg sync.WaitGroup
@@ -142,7 +142,8 @@ type KeyspaceConfig struct {
 	CheckpointPath string
 	// MaxBytes / MaxBatches are the keyspace's ingest quotas, counted over
 	// received data-frame wire bytes / frames, retransmissions included
-	// (0 = unlimited). Exceeding either quarantines the keyspace.
+	// (0 = unlimited; negative is refused). Exceeding either quarantines
+	// the keyspace.
 	MaxBytes   int64
 	MaxBatches int
 }
@@ -168,11 +169,12 @@ type SinkConfig struct {
 	// frame). Districts checkpoint after every applied partial.
 	CheckpointEvery int
 	// MemoryBudget bounds the total buffered (not yet folded) record count
-	// across all keyspaces; above it acknowledgements are delayed by
-	// BackpressureDelay to slow the fleet down (0 = no backpressure).
+	// across all keyspaces; above it each data frame's processing is
+	// delayed by BackpressureDelay to slow the fleet down (0 = no
+	// backpressure).
 	MemoryBudget int
-	// BackpressureDelay is the per-ack delay applied while over the memory
-	// budget (default 2 ms).
+	// BackpressureDelay is the per-frame delay applied while over the
+	// memory budget (default 2 ms).
 	BackpressureDelay time.Duration
 	// HelloTimeout bounds the wait for a new connection's Hello frame
 	// (default 10 s); a connection that says nothing is dropped.
@@ -198,6 +200,10 @@ type sinkSession struct {
 	conn    net.Conn
 	timeout time.Duration
 	wmu     sync.Mutex
+	// told is the last cursor the session told the agent per node: the
+	// Resume's, then each Ack's. Only the session's own goroutine reads or
+	// writes it.
+	told map[string]StreamCursor
 }
 
 // send writes one control frame to the session's connection.
@@ -206,6 +212,22 @@ func (s *sinkSession) send(kind byte, payload any) error {
 	defer s.wmu.Unlock()
 	s.conn.SetWriteDeadline(time.Now().Add(s.timeout))
 	return writeControl(s.conn, kind, payload)
+}
+
+// ack acknowledges a record stream's cursor when it differs from the last
+// one the session told the agent. A repeat would carry nothing: the agent
+// already holds that cursor, and an Ack that does not advance it is not
+// stall progress. A checkpointing sink's cursors move only at checkpoints,
+// so most data frames get no Ack (PROTOCOL.md §6).
+func (s *sinkSession) ack(cur StreamCursor) error {
+	if s.told[cur.Node] == cur {
+		return nil
+	}
+	if err := s.send(frameAck, Ack(cur)); err != nil {
+		return err
+	}
+	s.told[cur.Node] = cur
+	return nil
 }
 
 // sinkCheckpoint is one campaign keyspace's on-disk state: the campaign
@@ -353,6 +375,10 @@ func campaignIdentity(key string, c CampaignID) string {
 // newTenant builds one campaign keyspace, resuming from its checkpoint file
 // when it exists.
 func (s *Sink) newTenant(ks KeyspaceConfig) (*tenant, error) {
+	if ks.MaxBytes < 0 || ks.MaxBatches < 0 {
+		return nil, fmt.Errorf("collector: keyspace %q quotas %d bytes, %d batches: negative (0 = unlimited)",
+			ks.Key, ks.MaxBytes, ks.MaxBatches)
+	}
 	t := newKeyspace(ks)
 	t.ackable = make(map[skey]StreamCursor)
 	blob, err := t.readCheckpoint()
@@ -525,7 +551,11 @@ func (s *Sink) serve(conn net.Conn) {
 	if rej != nil {
 		s.hellosRejected++
 	} else {
-		sess = &sinkSession{conn: conn, timeout: s.cfg.WriteTimeout}
+		sess = &sinkSession{conn: conn, timeout: s.cfg.WriteTimeout,
+			told: make(map[string]StreamCursor, len(res.Cursors))}
+		for _, c := range res.Cursors {
+			sess.told[c.Node] = c // the Resume tells the agent these cursors
+		}
 		t.sessions[stream] = sess
 	}
 	s.mu.Unlock()
@@ -584,8 +614,8 @@ func (t *tenant) admitRecords(hello *Hello) (string, *Resume, *Reject) {
 }
 
 // handleBatch applies one data frame to the session's keyspace and
-// acknowledges the stream's durable cursor. It reports whether the session
-// should continue.
+// acknowledges the stream's durable cursor when it moved. It reports
+// whether the session should continue.
 func (s *Sink) handleBatch(t *tenant, sess *sinkSession, b *Batch, wireBytes int) bool {
 	key := skey{b.Testbed, b.Node}
 	s.mu.Lock()
@@ -613,10 +643,10 @@ func (s *Sink) handleBatch(t *tenant, sess *sinkSession, b *Batch, wireBytes int
 	}
 	if t.finished[b.Testbed] || t.complete {
 		// Late retransmission after completion: everything is durable
-		// already, just re-acknowledge.
+		// already, just re-acknowledge if this session has not told it.
 		cur := t.ackable[key]
 		s.mu.Unlock()
-		return sess.send(frameAck, &Ack{Node: b.Node, Seq: cur.Seq, Watermark: cur.Watermark}) == nil
+		return sess.ack(cur) == nil
 	}
 	s.mu.Unlock()
 
@@ -654,15 +684,15 @@ func (s *Sink) handleBatch(t *tenant, sess *sinkSession, b *Batch, wireBytes int
 	cur := t.ackable[key]
 	s.mu.Unlock()
 	s.backpressure()
-	ok := sess.send(frameAck, &Ack{Node: b.Node, Seq: cur.Seq, Watermark: cur.Watermark}) == nil
+	ok := sess.ack(cur) == nil
 	s.checkCompletion(t)
 	return ok
 }
 
-// backpressure delays the pending acknowledgement while the sink is over its
-// memory budget. Acks gate the agents' send windows, and frames on one
-// session are processed serially, so a delayed ack directly slows the fleet
-// down to what the sink absorbs.
+// backpressure delays the session's next read (and any acknowledgement the
+// frame earned) while the sink is over its memory budget. Frames on one
+// session are processed serially, so the delay reaches the agent through
+// TCP flow control and slows the fleet down to what the sink absorbs.
 func (s *Sink) backpressure() {
 	if s.cfg.MemoryBudget <= 0 {
 		return
@@ -742,32 +772,38 @@ func (s *Sink) checkpointLocked(t *tenant) error {
 }
 
 // checkpointRecords serializes a campaign keyspace's full state — binary
-// payload encoded into the tenant's reused buffer, guard trailer appended
-// in place, previous-good rotation and atomic rename — then advances the
-// acknowledgeable cursors to what the checkpoint covers. Caller holds mu.
+// payload encoded into the tenant's reused buffer straight from the
+// streamer's live queues, guard trailer appended in place, previous-good
+// rotation and atomic rename — then advances the acknowledgeable cursors to
+// what the checkpoint covers. The payload is encoded inside the streamer's
+// checkpoint view and written after it returns, so the streamer's locks
+// (which ingest and AggSnapshot take) are never held across the disk
+// write; the sink mutex the caller holds still is. Caller holds mu.
 func (t *tenant) checkpointRecords() error {
-	cp, err := t.str.Checkpoint()
+	var covered *analysis.StreamerCheckpoint
+	err := t.str.CheckpointView(func(cp *analysis.StreamerCheckpoint) (err error) {
+		covered = cp
+		t.ckptBuf, err = appendSinkCheckpoint(t.ckptBuf[:0], &sinkCheckpoint{Campaign: t.cfg.Campaign,
+			Keyspace: t.cfg.Key, Streamer: cp, Finals: t.finals, Counters: t.counters, Durations: t.durations,
+			IngestBytes: t.ingestBytes, IngestBatches: t.ingestBatches, Quarantined: t.quarantined})
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	buf, err := appendSinkCheckpoint(t.ckptBuf[:0], &sinkCheckpoint{Campaign: t.cfg.Campaign, Keyspace: t.cfg.Key,
-		Streamer: cp, Finals: t.finals, Counters: t.counters, Durations: t.durations,
-		IngestBytes: t.ingestBytes, IngestBatches: t.ingestBatches, Quarantined: t.quarantined})
-	if err != nil {
-		return err
-	}
-	buf = sealDurable(buf)
+	buf := sealDurable(t.ckptBuf)
 	t.ckptBuf = buf[:0]
 	if err := writeSealed(t.cfg.CheckpointPath, buf); err != nil {
 		return err
 	}
 	t.sinceCP = 0
-	t.advanceAckable(cp)
+	t.advanceAckable(covered)
 	return nil
 }
 
 // advanceAckable moves the acknowledgeable cursors to what a streamer
-// checkpoint covers.
+// checkpoint covers. It reads only the shards' cursors, which a checkpoint
+// view leaves to its caller.
 func (t *tenant) advanceAckable(cp *analysis.StreamerCheckpoint) {
 	for i := range cp.Shards {
 		sh := &cp.Shards[i]

@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -190,17 +194,41 @@ func readPayload(t testing.TB, path string) []byte {
 	return payload
 }
 
-// TestSinkCheckpointBinaryRoundTrip pins the binary layout against the
-// streamer's own checkpoint: encode → decode reproduces Checkpoint() and
-// the tenant bookkeeping exactly, and a sink restored from the file and
+// copyCheckpoint is the test oracle for the checkpoint view: a deep copy
+// of a view's state, taken inside the view, that shares no slice with the
+// live streamer and so stays valid after the view returns.
+func copyCheckpoint(cp *analysis.StreamerCheckpoint) *analysis.StreamerCheckpoint {
+	out := *cp
+	out.Trace = append([]analysis.DependEvent(nil), cp.Trace...)
+	out.Shards = append([]analysis.ShardCheckpoint(nil), cp.Shards...)
+	for i := range out.Shards {
+		sh := &out.Shards[i]
+		sh.Reports = append([]core.UserReport(nil), sh.Reports...)
+		sh.Entries = append([]core.SystemEntry(nil), sh.Entries...)
+		sh.Parked = append([]analysis.ParkedCheckpoint(nil), sh.Parked...)
+		for j := range sh.Parked {
+			p := &sh.Parked[j]
+			p.Reports = append([]core.UserReport(nil), p.Reports...)
+			p.Entries = append([]core.SystemEntry(nil), p.Entries...)
+		}
+	}
+	return &out
+}
+
+// TestSinkCheckpointBinaryRoundTrip pins the binary layout against a deep
+// copy of the streamer's state: encode → decode reproduces it and the
+// tenant bookkeeping exactly, and a sink restored from the file and
 // continued renders the uninterrupted report byte for byte.
 func TestSinkCheckpointBinaryRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sink.ckpt")
 	s := &Sink{cfg: SinkConfig{CheckpointEvery: 64}}
 	ten := ckptLiveTenant(t, s, path)
 
-	cp, err := ten.str.Checkpoint()
-	if err != nil {
+	var cp *analysis.StreamerCheckpoint
+	if err := ten.str.CheckpointView(func(view *analysis.StreamerCheckpoint) error {
+		cp = copyCheckpoint(view)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	var pending, parked int
@@ -261,13 +289,13 @@ func TestSinkCheckpointBinaryRoundTrip(t *testing.T) {
 // the layout that predates the binary one and is no longer read.
 func ckptJSONPayload(t testing.TB, ten *tenant) []byte {
 	t.Helper()
-	cp, err := ten.str.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := json.Marshal(&sinkCheckpoint{Campaign: ten.cfg.Campaign, Keyspace: ten.cfg.Key,
-		Streamer: cp, Finals: ten.finals, Counters: ten.counters, Durations: ten.durations,
-		IngestBytes: ten.ingestBytes, IngestBatches: ten.ingestBatches})
+	var payload []byte
+	err := ten.str.CheckpointView(func(cp *analysis.StreamerCheckpoint) (err error) {
+		payload, err = json.Marshal(&sinkCheckpoint{Campaign: ten.cfg.Campaign, Keyspace: ten.cfg.Key,
+			Streamer: cp, Finals: ten.finals, Counters: ten.counters, Durations: ten.durations,
+			IngestBytes: ten.ingestBytes, IngestBatches: ten.ingestBatches})
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,20 +350,108 @@ func TestSinkCheckpointRejectsCorruption(t *testing.T) {
 	}
 }
 
-// ckptPayload encodes the tenant's current checkpoint payload.
+// ckptPayload encodes the tenant's current checkpoint payload straight
+// from the checkpoint view, as the sink does.
 func ckptPayload(t testing.TB, ten *tenant) []byte {
 	t.Helper()
-	cp, err := ten.str.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := appendSinkCheckpoint(nil, &sinkCheckpoint{Campaign: ten.cfg.Campaign,
-		Keyspace: ten.cfg.Key, Streamer: cp, Finals: ten.finals, Counters: ten.counters,
-		Durations: ten.durations, IngestBytes: ten.ingestBytes, IngestBatches: ten.ingestBatches})
+	var payload []byte
+	err := ten.str.CheckpointView(func(cp *analysis.StreamerCheckpoint) (err error) {
+		payload, err = appendSinkCheckpoint(nil, &sinkCheckpoint{Campaign: ten.cfg.Campaign,
+			Keyspace: ten.cfg.Key, Streamer: cp, Finals: ten.finals, Counters: ten.counters,
+			Durations: ten.durations, IngestBytes: ten.ingestBytes, IngestBatches: ten.ingestBatches})
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return payload
+}
+
+// TestCheckpointViewMatchesCopy encodes checkpoint payloads straight from
+// the checkpoint view while another goroutine keeps offering batches —
+// some out of order, so batches park, and on every stream, so the fold
+// keeps draining the pending queues the view aliases. Each payload must be
+// byte-identical to one encoded after the view returned from a deep copy
+// taken in the same view. Under -race it also holds the view to its
+// locking: an aliased queue read outside the locks races with the ingest.
+func TestCheckpointViewMatchesCopy(t *testing.T) {
+	str, err := analysis.NewStreamer(ckptSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every 40 hours a1's batch is held back 20 hours: its successors park
+	// and the fold stalls meanwhile, then the gap fills and the fold drains.
+	var order, held []ckptBatch
+	next := make(map[string]uint64)
+	for i, b := range tpBatches(200) {
+		key := b.testbed + "/" + b.node
+		next[key]++
+		hour := i/5 + 1
+		cb := ckptBatch{tpBatch: b, seq: next[key]}
+		switch {
+		case key == "alpha/a1" && hour%40 == 10:
+			held = append(held, cb)
+		case key == "alpha/a1" && hour%40 == 30:
+			order = append(order, held[len(held)-1], cb)
+		default:
+			order = append(order, cb)
+		}
+	}
+	// The ingest pauses once, around hour 20 with ten a1 batches parked,
+	// until one view has run, so at least one view sees parked batches
+	// however the goroutines are scheduled.
+	done, paused, resume := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i, b := range order {
+			if _, err := str.OfferSeq(b.testbed, b.node, b.reports, b.entries, b.watermark, b.seq); err != nil {
+				t.Error(err)
+				return
+			}
+			if i == len(order)/10 {
+				paused <- struct{}{}
+				<-resume
+			}
+		}
+	}()
+	views, parked := 0, 0
+	for running := true; running; views++ {
+		wasPaused := false
+		select {
+		case <-done:
+			running = false // one last view of the quiescent state
+		case <-paused:
+			wasPaused = true
+		default:
+		}
+		var direct []byte
+		var copied *analysis.StreamerCheckpoint
+		err := str.CheckpointView(func(cp *analysis.StreamerCheckpoint) (err error) {
+			for _, sh := range cp.Shards {
+				parked += len(sh.Parked)
+			}
+			copied = copyCheckpoint(cp)
+			direct, err = appendSinkCheckpoint(nil, &sinkCheckpoint{Campaign: ckptCampaign, Streamer: cp})
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromCopy, err := appendSinkCheckpoint(nil, &sinkCheckpoint{Campaign: ckptCampaign, Streamer: copied})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(direct, fromCopy) {
+			t.Fatalf("view %d: payload encoded from the view differs from the deep copy's", views)
+		}
+		if wasPaused {
+			close(resume)
+		}
+	}
+	if parked == 0 {
+		t.Error("no view saw a parked batch; the held batches did not engage")
+	}
+	t.Logf("%d views, %d parked batches seen", views, parked)
 }
 
 // checkCheckpointFixedPoint is the decoder's contract on arbitrary input:
@@ -470,4 +586,111 @@ func BenchmarkSinkCheckpoint(b *testing.B) {
 	}
 	b.ReportMetric(float64(st.Size()), "bytes/ckpt")
 	b.ReportMetric(float64(ten.str.Pending()), "records")
+}
+
+// ingestLag is how many hours napA's stream runs behind a1's and a2's in
+// BenchmarkSinkIngest. The fold horizon follows the slowest stream, so the
+// lag holds about 1.2k records pending, the collect workload's average.
+const ingestLag = 400
+
+// ingestFrames encodes n data frames of tpSpec's alpha testbed: per step
+// h, a1's and a2's hour-h batches (one system entry, plus a user report
+// every other hour) and napA's hour h-ingestLag batch (one entry).
+func ingestFrames(n int) []byte {
+	failures := core.UserFailures()
+	var wire bytes.Buffer
+	for h, sent := uint64(1), 0; sent < n; h++ {
+		for _, node := range []string{"a1", "a2", "napA"} {
+			hour := h
+			if node == "napA" {
+				if h <= ingestLag {
+					continue
+				}
+				hour = h - ingestLag
+			}
+			if sent == n {
+				break
+			}
+			wm := sim.Time(hour) * sim.Hour
+			b := &Batch{Testbed: "alpha", Node: node, Seq: hour, Watermark: wm,
+				Entries: []core.SystemEntry{{At: wm - sim.Hour + sim.Time(len(node))*sim.Minute,
+					Testbed: "alpha", Node: node, Source: core.SysSource(1 + hour%7)}}}
+			if node != "napA" && hour%2 == 0 {
+				b.Reports = []core.UserReport{{At: wm - sim.Hour/2, Testbed: "alpha", Node: node,
+					Failure: failures[hour%uint64(len(failures))], SentPkts: int(hour % 9000)}}
+			}
+			if err := WriteBatch(&wire, b); err != nil {
+				panic(err)
+			}
+			sent++
+		}
+	}
+	return wire.Bytes()
+}
+
+// BenchmarkSinkIngest measures sink ingest per data frame: one raw session
+// streams pre-encoded frames of the alpha testbed over loopback into a
+// checkpointing keyspace at the default cadence (a checkpoint every 64
+// frames) while a reader drains the acknowledgements. The timed region
+// ends when the sink has applied every frame, so ns/frame covers the
+// frame read and decode, the apply and fold, the checkpoints and the Acks;
+// allocs/op counts one frame's allocations on both ends. acks/frame is the
+// share of frames that drew an Ack.
+func BenchmarkSinkIngest(b *testing.B) {
+	spec := tpSpec()
+	spec.Testbeds = spec.Testbeds[:1]
+	sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0", Keyspaces: []KeyspaceConfig{{Spec: spec,
+		CheckpointPath: filepath.Join(b.TempDir(), "sink.ckpt")}}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	wire := ingestFrames(b.N)
+	conn, err := net.Dial("tcp", sink.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	hello := &Hello{Testbed: "alpha", Nodes: append(append([]string{}, spec.Testbeds[0].PANUs...), spec.Testbeds[0].NAP)}
+	if err := writeControl(conn, frameHello, hello); err != nil {
+		b.Fatal(err)
+	}
+	if fr, err := ReadFrame(conn); err != nil || fr.Kind != KindResume {
+		b.Fatalf("handshake: %v %v", fr, err)
+	}
+	var acks atomic.Int64
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			fr, err := ReadFrame(conn)
+			if err != nil {
+				return
+			}
+			if fr.Kind == KindAck {
+				acks.Add(1)
+			}
+		}
+	}()
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := time.Now()
+	if _, err := conn.Write(wire); err != nil {
+		b.Fatal(err)
+	}
+	for {
+		applied, _, rejected := sink.Stats()
+		if rejected > 0 {
+			b.Fatalf("sink rejected %d frames", rejected)
+		}
+		if applied == b.N {
+			break
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	elapsed := time.Since(start)
+	b.StopTimer()
+	sink.Close()
+	conn.Close()
+	<-readerDone
+	b.ReportMetric(float64(elapsed.Nanoseconds())/float64(b.N), "ns/frame")
+	b.ReportMetric(float64(acks.Load())/float64(b.N), "acks/frame")
 }

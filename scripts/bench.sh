@@ -29,9 +29,12 @@
 # connection_cycle is one BlueTest cycle on a fresh connection of a
 # fault-free PANU–NAP pair (inquiry, SDP, PAN connect, role switch, bind,
 # transfer, disconnect); transmitter_send is one single-packet DH5 ARQ send;
-# seg_plan is one 1500-byte SDU's segmentation plan walk; and
+# seg_plan is one 1500-byte SDU's segmentation plan walk;
 # sink_checkpoint is one sink checkpoint of a keyspace holding ~1.2k
-# pending records.
+# pending records; and sink_ingest is one data frame through a
+# checkpointing keyspace over loopback (read, decode, apply, fold, its
+# share of the checkpoints and Acks), in ns/frame, allocs/frame and the
+# share of frames that draw an Ack.
 # Usage: scripts/bench.sh [day-benchtime] [month-benchtime] [scale-benchtime]
 set -eu
 
@@ -105,18 +108,20 @@ echo "agent pair (median ns spill, median ns memory, ratio median, q1, q3): $age
 layer_out="$(go test -run '^$' -bench '^BenchmarkTransmitterSend(SDU|SDUMix)?$' -benchmem ./internal/baseband | tee /dev/stderr)"
 seg_out="$(go test -run '^$' -bench '^BenchmarkSegPlan$' -benchmem ./internal/l2cap | tee /dev/stderr)"
 ckpt_out="$(go test -run '^$' -bench '^BenchmarkSinkCheckpoint$' -benchmem ./internal/collector | tee /dev/stderr)"
+# A fixed frame count: 20000 frames span about 300 checkpoints.
+ingest_out="$(go test -run '^$' -bench '^BenchmarkSinkIngest$' -benchtime 20000x -benchmem ./internal/collector | tee /dev/stderr)"
 cycle_out="$(go test -run '^$' -bench '^BenchmarkConnectionCycle$' -benchmem ./internal/workload | tee /dev/stderr)"
 run_out="$(go test -run '^$' -bench '^BenchmarkPipeSendRun$' -benchmem ./internal/stack | tee /dev/stderr)"
 probe_out="$(go test -run '^$' -bench '^Benchmark(ProbeWalk|OverlayDay)$' -benchmem ./internal/scatternet | tee /dev/stderr)"
 kernel_out="$(go test -run '^$' -bench '^BenchmarkKernelSchedule$' -benchmem ./internal/sim | tee /dev/stderr)"
 
-printf '%s\n' "$day_out" "$month_out" "$scale_out" "$layer_out" "$seg_out" "$ckpt_out" "$cycle_out" "$run_out" "$probe_out" "$kernel_out" |
+printf '%s\n' "$day_out" "$month_out" "$scale_out" "$layer_out" "$seg_out" "$ckpt_out" "$ingest_out" "$cycle_out" "$run_out" "$probe_out" "$kernel_out" |
     awk -v smoke="$smoke_secs" -v metro="$metro_secs" -v tax="$tax_stats" -v agent="$agent_stats" -v runs="$ratio_runs" '
 # Benchmark lines interleave custom metrics with the standard ones, so pick
 # values by their unit token instead of field position.
-/^Benchmark(Campaign|Scatternet|Transmitter|SegPlan|SinkCheckpoint|ConnectionCycle|Pipe|ProbeWalk|OverlayDay|KernelSchedule)/ {
+/^Benchmark(Campaign|Scatternet|Transmitter|SegPlan|SinkCheckpoint|SinkIngest|ConnectionCycle|Pipe|ProbeWalk|OverlayDay|KernelSchedule)/ {
     name = $1; sub(/-[0-9]+$/, "", name)
-    ns = bytes = allocs = live = items = outages = probes = per_packet = per_walk = per_day = per_probe = ""
+    ns = bytes = allocs = live = items = outages = probes = per_packet = per_walk = per_day = per_probe = per_frame = acks = ""
     for (i = 2; i <= NF; i++) {
         if ($i == "ns/op") ns = $(i-1)
         if ($i == "B/op") bytes = $(i-1)
@@ -129,6 +134,8 @@ printf '%s\n' "$day_out" "$month_out" "$scale_out" "$layer_out" "$seg_out" "$ckp
         if ($i == "ns/walk") per_walk = $(i-1)
         if ($i == "s/day") per_day = $(i-1)
         if ($i == "ns/probe") per_probe = $(i-1)
+        if ($i == "ns/frame") per_frame = $(i-1)
+        if ($i == "acks/frame") acks = $(i-1)
     }
     if (name == "BenchmarkCampaignDay") { d_ns = ns; d_b = bytes; d_a = allocs; d_live = live }
     if (name == "BenchmarkCampaignMonth") { m_ns = ns; m_b = bytes; m_a = allocs; m_live = live; m_items = items }
@@ -140,6 +147,7 @@ printf '%s\n' "$day_out" "$month_out" "$scale_out" "$layer_out" "$seg_out" "$ckp
     if (name == "BenchmarkTransmitterSend") { send_ns = ns; send_a = allocs }
     if (name == "BenchmarkSegPlan") { seg_ns = ns; seg_a = allocs }
     if (name == "BenchmarkSinkCheckpoint") { ck_ns = ns; ck_a = allocs }
+    if (name == "BenchmarkSinkIngest") { in_nf = per_frame; in_a = allocs; in_acks = acks }
     if (name == "BenchmarkConnectionCycle") { cyc_ns = ns; cyc_a = allocs }
     if (name == "BenchmarkTransmitterSendSDU") { sdu_ns = ns; sdu_a = allocs }
     if (name == "BenchmarkTransmitterSendSDUMix") { mix_ns = ns; mix_a = allocs }
@@ -159,7 +167,8 @@ END {
         sc1024_ns == "" || sc1024_live == "" || sc1024_items == "" || sc1024_probes == "" ||
         t[5] == "" || g[5] == "" ||
         send_ns == "" || send_a == "" || seg_ns == "" || seg_a == "" ||
-        ck_ns == "" || ck_a == "" || cyc_ns == "" || cyc_a == "" ||
+        ck_ns == "" || ck_a == "" || in_nf == "" || in_a == "" || in_acks == "" ||
+        cyc_ns == "" || cyc_a == "" ||
         sdu_ns == "" || sdu_a == "" || mix_ns == "" || mix_a == "" ||
         run_ns == "" || run_pp == "" || run_a == "" ||
         walk_ns == "" || walk_pw == "" || walk_a == "" || kern_ns == "" || kern_a == "" ||
@@ -221,6 +230,9 @@ END {
     printf "    ],\n"
     printf "    \"sink_checkpoint\": [\n"
     printf "      {\"benchmark\": \"BenchmarkSinkCheckpoint\", \"ns_per_op\": %s, \"allocs_per_op\": %s}\n", ck_ns, ck_a
+    printf "    ],\n"
+    printf "    \"sink_ingest\": [\n"
+    printf "      {\"benchmark\": \"BenchmarkSinkIngest\", \"ns_per_frame\": %s, \"allocs_per_frame\": %s, \"acks_per_frame\": %s}\n", in_nf, in_a, in_acks
     printf "    ],\n"
     printf "    \"baseband_sdu\": [\n"
     printf "      {\"benchmark\": \"BenchmarkTransmitterSendSDU\", \"ns_per_op\": %s, \"allocs_per_op\": %s},\n", sdu_ns, sdu_a
