@@ -21,7 +21,7 @@ package btpan
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/analysis"
@@ -59,23 +59,23 @@ type CampaignConfig struct {
 	Duration sim.Time
 	// Scenario selects the recovery regime.
 	Scenario Scenario
-	// Parallelism controls campaign orchestration: 0 (default) runs the
-	// two testbeds on separate goroutines (each owns its kernel and RNG,
-	// so results are identical to sequential execution for a given seed);
-	// 1 forces a single goroutine. Values above 1 behave like 0 — a
-	// campaign has exactly two independent simulations to overlap.
+	// Parallelism is the scatternet's piconet shard count (see
+	// ScatternetConfig); a two-testbed campaign always runs its testbeds
+	// concurrently and ignores it.
 	Parallelism int
-	// Streaming selects the O(1)-memory aggregation plane: node logs are
-	// drained every FlushEvery of virtual time into a streaming aggregator
-	// that folds records into the running aggregates behind Table 2/3/4,
-	// the figures and the §6 scalars, instead of retaining every record.
-	// The resulting tables are bit-identical to a retained run of the same
-	// seed (see TestStreamingEquivalence); raw-record views (AllReports,
-	// Evidence, SensitivityCurve) are unavailable in this mode.
+	// Streaming drops the records once they are folded. Every campaign
+	// streams: node logs drain every FlushEvery of virtual time into one
+	// streaming aggregator that folds records into the running aggregates
+	// behind Table 2/3/4, the figures and the §6 scalars, so every table
+	// comes from the same fold on either setting. Without Streaming the
+	// campaign also keeps every raw record, for the raw-record views
+	// (AllReports, SensitivityCurve, and Evidence/EvidenceRadius at any
+	// window and radius other than the fold's); with it those views are
+	// unavailable and memory stays O(1) in campaign length.
 	Streaming bool
-	// FlushEvery is the virtual-time log drain cadence in streaming mode
-	// (default one virtual hour). Shorter intervals bound pending memory
-	// tighter; the aggregates do not depend on the cadence.
+	// FlushEvery is the virtual-time log drain cadence (default one
+	// virtual hour). Shorter intervals bound pending memory tighter; the
+	// aggregates do not depend on the cadence.
 	FlushEvery sim.Time
 }
 
@@ -93,16 +93,16 @@ func (c CampaignConfig) Validate() error {
 	return nil
 }
 
-// CampaignResult bundles both testbeds' collected data. In retained mode
-// Random/Realistic hold every record; in streaming mode they hold only the
-// light parts (names, durations, per-client counters) and Agg holds the
-// folded aggregates.
+// CampaignResult bundles both testbeds' collected data: Agg holds the
+// folded aggregates every table, figure and scalar is answered from, and
+// Random/Realistic hold the light parts (names, durations, per-client
+// counters) plus, when the campaign did not stream (Config.Streaming
+// false), every raw record.
 type CampaignResult struct {
 	Config    CampaignConfig
 	Random    *testbed.Results
 	Realistic *testbed.Results
-	// Agg is the streaming aggregation state (nil in retained mode).
-	Agg *analysis.Aggregates
+	Agg       *analysis.Aggregates
 }
 
 // RunCampaign builds both testbeds (random and realistic workloads, seven
@@ -117,112 +117,84 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var randomRes, realisticRes *testbed.Results
-	var agg *analysis.Aggregates
-	if cfg.Streaming {
-		flush := cfg.FlushEvery
-		if flush == 0 {
-			flush = sim.Hour
-		}
-		s, err := analysis.NewStreamer(c.StreamSpec())
-		if err != nil {
-			return nil, err
-		}
-		if cfg.Parallelism == 1 {
-			randomRes, realisticRes = c.RunStreamingSequential(cfg.Duration, flush, s)
-		} else {
-			randomRes, realisticRes = c.RunStreaming(cfg.Duration, flush, s)
-		}
-		agg = s.Finalize()
-	} else if cfg.Parallelism == 1 {
-		randomRes, realisticRes = c.RunSequential(cfg.Duration)
-	} else {
-		randomRes, realisticRes = c.Run(cfg.Duration)
+	return runCampaign(cfg, c)
+}
+
+// runCampaign runs a built campaign through one Streamer and assembles the
+// result from its aggregates; without cfg.Streaming the testbeds also keep
+// their records.
+func runCampaign(cfg CampaignConfig, c *testbed.Campaign) (*CampaignResult, error) {
+	flush := cfg.FlushEvery
+	if flush == 0 {
+		flush = sim.Hour
 	}
-	return &CampaignResult{Config: cfg, Random: randomRes, Realistic: realisticRes, Agg: agg}, nil
+	s, err := analysis.NewStreamer(c.StreamSpec())
+	if err != nil {
+		return nil, err
+	}
+	c.KeepRecords = !cfg.Streaming
+	rnd, real := c.RunStreaming(cfg.Duration, flush, s)
+	res, err := ResultFromAggregates(cfg, s.Finalize(),
+		map[string]map[string]*workload.Counters{"random": rnd.Counters, "realistic": real.Counters},
+		map[string]sim.Time{"random": rnd.Duration, "realistic": real.Duration})
+	if err != nil {
+		return nil, err
+	}
+	res.Random, res.Realistic = rnd, real // the same light parts, plus any kept records
+	return res, nil
 }
 
 // AllReports returns both testbeds' user reports (time-sorted per testbed).
-// Streaming campaigns do not retain records: the result is nil.
+// A streaming campaign keeps no records: the result is nil.
 func (r *CampaignResult) AllReports() []core.UserReport {
-	if r.Agg != nil {
+	if r.Config.Streaming {
 		return nil
 	}
-	out := make([]core.UserReport, 0, len(r.Random.Reports)+len(r.Realistic.Reports))
-	out = append(out, r.Random.Reports...)
-	out = append(out, r.Realistic.Reports...)
-	return out
+	return slices.Concat(r.Random.Reports, r.Realistic.Reports)
 }
 
 // DataItems reports the dataset sizes: user reports, system entries, total
 // (the paper collected 20,854 + 335,697 = 356,551 items over 18 months).
 func (r *CampaignResult) DataItems() (userReports, systemEntries, total int) {
-	if r.Agg != nil {
-		return r.Agg.DataItems()
-	}
-	u := len(r.Random.Reports) + len(r.Realistic.Reports)
-	s := len(r.Random.Entries) + len(r.Realistic.Entries)
-	return u, s, u + s
+	return r.Agg.DataItems()
 }
 
-// Evidence runs the merge-and-coalesce pipeline over both testbeds with the
-// given window and returns the accumulated error-failure evidence. A
-// streaming campaign folds evidence at its configured window/radius as
-// records arrive, so it can only answer for those parameters: any other
-// window returns nil — rerun retained for window/radius ablations (the
-// sensitivity sweep needs raw events anyway).
+// Evidence returns the accumulated error-failure evidence of both testbeds
+// at the given coalescence window and the default adjacency radius.
 func (r *CampaignResult) Evidence(window sim.Time) *coalesce.Evidence {
-	if r.Agg != nil {
-		if window == r.Agg.Window {
-			return r.Agg.Evidence
-		}
-		return nil
-	}
 	return r.EvidenceRadius(window, coalesce.RelateRadius)
 }
 
-// EvidenceRadius is Evidence with an explicit adjacency radius. Streaming
-// campaigns answer only for their configured (window, radius) and return
-// nil otherwise.
+// EvidenceRadius is Evidence with an explicit adjacency radius. The fold's
+// own (window, radius) answers from the aggregates; any other pair reruns
+// the merge-and-coalesce pipeline over the kept records — the only path
+// that serves a radius wider than the window — so a streaming campaign
+// returns nil for it.
 func (r *CampaignResult) EvidenceRadius(window, radius sim.Time) *coalesce.Evidence {
-	if r.Agg != nil {
-		if window == r.Agg.Window && radius == r.Agg.Radius {
-			return r.Agg.Evidence
-		}
+	if window == r.Agg.Window && radius == r.Agg.Radius {
+		return r.Agg.Evidence
+	}
+	if r.Config.Streaming {
 		return nil
 	}
 	ev := coalesce.NewEvidence()
-	analysis.BuildEvidenceWithRadius(ev, r.Random.PerNodeReports, r.Random.PerNodeEntries,
-		r.Random.NAPNode, window, radius)
-	analysis.BuildEvidenceWithRadius(ev, r.Realistic.PerNodeReports, r.Realistic.PerNodeEntries,
-		r.Realistic.NAPNode, window, radius)
+	for _, res := range []*testbed.Results{r.Random, r.Realistic} {
+		analysis.BuildEvidenceWithRadius(ev, res.PerNodeReports, res.PerNodeEntries,
+			res.NAPNode, window, radius)
+	}
 	return ev
 }
 
 // Table2 computes the error-failure relationship table at the paper's 330 s
 // coalescence window.
-func (r *CampaignResult) Table2() *analysis.Table2 {
-	if r.Agg != nil {
-		return r.Agg.Table2()
-	}
-	return analysis.BuildTable2(r.Evidence(coalesce.PaperWindow))
-}
+func (r *CampaignResult) Table2() *analysis.Table2 { return r.Agg.Table2() }
 
 // Table3 computes the SIRA effectiveness table from both testbeds.
-func (r *CampaignResult) Table3() *analysis.Table3 {
-	if r.Agg != nil {
-		return r.Agg.Table3()
-	}
-	return analysis.BuildTable3(r.AllReports())
-}
+func (r *CampaignResult) Table3() *analysis.Table3 { return r.Agg.Table3() }
 
 // Dependability computes one Table 4 column from this campaign.
 func (r *CampaignResult) Dependability() *analysis.Dependability {
-	if r.Agg != nil {
-		return r.Agg.Dependability(r.Config.Scenario.String())
-	}
-	return analysis.BuildDependability(r.Config.Scenario.String(), r.AllReports(),
-		r.Config.Duration)
+	return r.Agg.Dependability(r.Config.Scenario.String())
 }
 
 // SensitivityCurve reproduces Figure 2's inset: tuple count versus
@@ -230,24 +202,13 @@ func (r *CampaignResult) Dependability() *analysis.Dependability {
 // sweep needs the raw event stream, so streaming campaigns return nil (run
 // a short retained campaign for Figure 2 — the knee stabilizes within days).
 func (r *CampaignResult) SensitivityCurve() (curve *stats.Curve, kneeSeconds float64) {
-	if r.Agg != nil {
+	if r.Config.Streaming {
 		return nil, 0
 	}
-	events := rebuildEvents(r)
+	events := coalesce.Merge(r.AllReports(), slices.Concat(r.Random.Entries, r.Realistic.Entries))
 	curve = coalesce.Sensitivity(events, coalesce.DefaultWindows())
 	knee, _ := curve.Knee()
 	return curve, knee
-}
-
-// rebuildEvents merges every node's streams into one time-ordered sequence.
-func rebuildEvents(r *CampaignResult) []coalesce.Event {
-	var reports []core.UserReport
-	var entries []core.SystemEntry
-	for _, res := range []*testbed.Results{r.Random, r.Realistic} {
-		reports = append(reports, res.Reports...)
-		entries = append(entries, res.Entries...)
-	}
-	return coalesce.Merge(reports, entries)
 }
 
 // Fig3a computes the packet-loss-by-packet-type distribution (random WL).
@@ -256,75 +217,21 @@ func (r *CampaignResult) Fig3a() []analysis.Bar {
 }
 
 // Fig3c computes the packet-loss-by-application distribution (realistic WL).
-func (r *CampaignResult) Fig3c() []analysis.Bar {
-	if r.Agg != nil {
-		return r.Agg.Fig3c()
-	}
-	return analysis.Fig3cApplications(r.Realistic.Reports)
-}
+func (r *CampaignResult) Fig3c() []analysis.Bar { return r.Agg.Fig3c() }
 
 // Fig4 computes the per-host failure distribution. The paper's Figure 4
 // uses the realistic workload over 18 months; compressed campaigns use both
 // testbeds so the rare host-specific failure types (bind, switch-role
 // command) accumulate enough occurrences to be visible (a documented
 // reproduction assumption, see ARCHITECTURE.md).
-func (r *CampaignResult) Fig4() []analysis.Fig4Row {
-	if r.Agg != nil {
-		return r.Agg.Fig4()
-	}
-	return analysis.Fig4PerHost(r.AllReports())
-}
-
-// retainedTaxonomy folds the retained records into fresh taxonomy and
-// survival accumulators, registering the same node roster the streaming
-// plane declares up front (every PANU test log, sorted for determinism).
-// Per-node record order matches the fold order — each testbed's Reports
-// are time-sorted and the accumulators are insensitive to cross-node
-// interleaving — so the result is bit-identical to the streamed one.
-func (r *CampaignResult) retainedTaxonomy() (*analysis.TaxonomyAccum, *analysis.SurvivalAccum) {
-	tax := analysis.NewTaxonomyAccum()
-	surv := analysis.NewSurvivalAccum()
-	for _, res := range []*testbed.Results{r.Random, r.Realistic} {
-		nodes := make([]string, 0, len(res.PerNodeReports))
-		for node := range res.PerNodeReports {
-			nodes = append(nodes, node)
-		}
-		sort.Strings(nodes)
-		for _, node := range nodes {
-			tax.Nodes++
-			surv.Observe(res.Name, node)
-		}
-		for i := range res.Reports {
-			rep := &res.Reports[i]
-			tax.Add(rep)
-			surv.Add(rep.Testbed, rep.Node, rep)
-		}
-	}
-	return tax, surv
-}
+func (r *CampaignResult) Fig4() []analysis.Fig4Row { return r.Agg.Fig4() }
 
 // Taxonomy returns the phase/verdict failure split of the campaign.
-// Streaming campaigns answer from the folded accumulator; retained
-// campaigns fold the retained records on demand. Both planes yield
-// bit-identical accumulators for the same seed.
-func (r *CampaignResult) Taxonomy() *analysis.TaxonomyAccum {
-	if r.Agg != nil {
-		return r.Agg.Tax
-	}
-	tax, _ := r.retainedTaxonomy()
-	return tax
-}
+func (r *CampaignResult) Taxonomy() *analysis.TaxonomyAccum { return r.Agg.Tax }
 
 // Survival returns the node-uptime survival accumulator (Kaplan-Meier
-// event/censor bins plus the failure-interarrival histogram), on either
-// aggregation plane.
-func (r *CampaignResult) Survival() *analysis.SurvivalAccum {
-	if r.Agg != nil {
-		return r.Agg.Surv
-	}
-	_, surv := r.retainedTaxonomy()
-	return surv
-}
+// event/censor bins plus the failure-interarrival histogram).
+func (r *CampaignResult) Survival() *analysis.SurvivalAccum { return r.Agg.Surv }
 
 // countersMap merges both testbeds' per-client counters under prefixed keys.
 func (r *CampaignResult) countersMap() map[string]*workload.Counters {
@@ -340,12 +247,7 @@ func (r *CampaignResult) countersMap() map[string]*workload.Counters {
 
 // Scalars computes the §6 scalar findings.
 func (r *CampaignResult) Scalars() *analysis.Scalars {
-	counters := r.countersMap()
-	if r.Agg != nil {
-		return r.Agg.Scalars(counters)
-	}
-	_, sys, _ := r.DataItems()
-	return analysis.BuildScalars(r.Random.Reports, r.Realistic.Reports, counters, sys)
+	return r.Agg.Scalars(r.countersMap())
 }
 
 // Table4 runs the four scenario campaigns and assembles the dependability
@@ -364,7 +266,7 @@ func Table4(seed uint64, duration sim.Time) (*analysis.Table4, error) {
 		go func(i int, sc recovery.Scenario) {
 			defer wg.Done()
 			res, err := RunCampaign(CampaignConfig{
-				Seed: seed, Duration: duration, Scenario: sc,
+				Seed: seed, Duration: duration, Scenario: sc, Streaming: true,
 			})
 			if err != nil {
 				errs[i] = err
@@ -395,9 +297,11 @@ func RedundantPiconets(seed uint64, duration sim.Time, failover sim.Time) (*anal
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		a, errA = RunCampaign(CampaignConfig{Seed: seed, Duration: duration, Scenario: ScenarioSIRAsMasking})
+		a, errA = RunCampaign(CampaignConfig{Seed: seed, Duration: duration,
+			Scenario: ScenarioSIRAsMasking, Streaming: true})
 	}()
-	b, errB = RunCampaign(CampaignConfig{Seed: seed ^ 0x5EC0DB, Duration: duration, Scenario: ScenarioSIRAsMasking})
+	b, errB = RunCampaign(CampaignConfig{Seed: seed ^ 0x5EC0DB, Duration: duration,
+		Scenario: ScenarioSIRAsMasking, Streaming: true})
 	wg.Wait()
 	if errA != nil {
 		return nil, errA

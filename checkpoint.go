@@ -41,11 +41,8 @@ func seedCheckpointPath(dir string, seed uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("seed-%d.json", seed))
 }
 
-// saveSeedCheckpoint persists one completed streaming campaign atomically.
+// saveSeedCheckpoint persists one completed campaign's aggregates atomically.
 func saveSeedCheckpoint(dir string, res *CampaignResult) error {
-	if res.Agg == nil {
-		return fmt.Errorf("btpan: cannot checkpoint a retained campaign")
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}

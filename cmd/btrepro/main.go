@@ -9,47 +9,90 @@
 // redundant (the closing recommendation: two overlapped piconets with a
 // 2 s failover).
 // Without -only, everything runs. -quick shrinks the observation windows for
-// a fast smoke run.
+// a fast smoke run, so it takes no -days. Bad flags fail with a one-line
+// error and a non-zero exit before anything is printed.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	btpan "repro"
+	"repro/cmd/internal/cli"
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
-func main() {
-	seed := flag.Uint64("seed", 1, "campaign seed")
-	days := flag.Int("days", 8, "virtual campaign days per scenario")
-	quick := flag.Bool("quick", false, "fast smoke run (shorter windows)")
-	only := flag.String("only", "", "run a single experiment (table2, table3, table4, fig2, fig3a, fig3b, fig3c, fig4, scalars, redundant)")
-	flag.Parse()
+// experiments lists the -only IDs in run order.
+var experiments = []string{"table2", "table3", "table4", "fig2", "fig3a", "fig3b",
+	"fig3c", "fig4", "scalars", "redundant"}
 
-	dur := sim.Time(*days) * sim.Day
-	fixedDur := 16 * sim.Day
-	if *quick {
-		dur = 2 * sim.Day
-		fixedDur = 4 * sim.Day
+// cliConfig is the parsed, validated command line.
+type cliConfig struct {
+	seed          uint64
+	dur, fixedDur sim.Time
+	only          string
+}
+
+// parseCLI parses and validates the command line. Every validation returns
+// an error instead of exiting so the table-driven CLI tests can exercise it
+// directly.
+func parseCLI(args []string) (*cliConfig, error) {
+	fs := flag.NewFlagSet("btrepro", flag.ContinueOnError)
+	c := &cliConfig{}
+	fs.Uint64Var(&c.seed, "seed", 1, "campaign seed")
+	days := fs.Int("days", 8, "virtual campaign days per scenario, 1..540")
+	quick := fs.Bool("quick", false, "fast smoke run (shorter windows; takes no -days)")
+	fs.StringVar(&c.only, "only", "", "run a single experiment ("+strings.Join(experiments, ", ")+")")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("unexpected argument %q (usage: btrepro [-seed N] [-days D] [-quick] [-only ID])", fs.Arg(0))
+	}
+	if c.only != "" && !slices.Contains(experiments, c.only) {
+		return nil, fmt.Errorf("-only %q is not an experiment (want one of %s)", c.only, strings.Join(experiments, ", "))
+	}
+	modes := cli.Modes{}
+	modes.Need("days", cli.Req{OK: !*quick, Why: "is fixed by -quick (2 days)"})
+	if err := modes.Check(fs); err != nil {
+		return nil, err
+	}
+	// The campaigns run the SIRAs scenario; the identity check holds the
+	// one copy of the -days range.
+	if err := (cli.Campaign{Days: *days, Scenario: int(btpan.ScenarioSIRAs)}).Check(); err != nil {
+		return nil, err
+	}
+	c.dur, c.fixedDur = sim.Time(*days)*sim.Day, 16*sim.Day
+	if *quick {
+		c.dur, c.fixedDur = 2*sim.Day, 4*sim.Day
+	}
+	return c, nil
+}
 
-	want := func(id string) bool { return *only == "" || *only == id }
+func main() {
+	c, err := parseCLI(os.Args[1:])
+	if err != nil {
+		fatal(err)
+	}
+	want := func(id string) bool { return c.only == "" || c.only == id }
 
 	needCampaign := want("table2") || want("table3") || want("fig2") ||
 		want("fig3a") || want("fig3c") || want("fig4") || want("scalars")
 
 	var res *btpan.CampaignResult
 	if needCampaign {
-		fmt.Printf("== campaign: %v per testbed, seed %d, scenario SIRAs ==\n", dur, *seed)
+		fmt.Printf("== campaign: %v per testbed, seed %d, scenario SIRAs ==\n", c.dur, c.seed)
 		var err error
+		// Only Figure 2's sweep needs the raw records.
 		res, err = btpan.RunCampaign(btpan.CampaignConfig{
-			Seed: *seed, Duration: dur, Scenario: btpan.ScenarioSIRAs,
+			Seed: c.seed, Duration: c.dur, Scenario: btpan.ScenarioSIRAs,
+			Streaming: !want("fig2"),
 		})
 		if err != nil {
 			fatal(err)
@@ -91,7 +134,7 @@ func main() {
 
 	if want("table4") {
 		fmt.Println("== Table 4: dependability improvement (4 scenario campaigns) ==")
-		t4, err := btpan.Table4(*seed, dur)
+		t4, err := btpan.Table4(c.seed, c.dur)
 		if err != nil {
 			fatal(err)
 		}
@@ -111,7 +154,7 @@ func main() {
 
 	if want("fig3b") {
 		fmt.Println("== Figure 3b: packet loss vs connection age (fixed WL, Verde+Win) ==")
-		fres, err := btpan.RunFixedExperiment(btpan.FixedExperimentConfig{Seed: *seed, Duration: fixedDur})
+		fres, err := btpan.RunFixedExperiment(btpan.FixedExperimentConfig{Seed: c.seed, Duration: c.fixedDur})
 		if err != nil {
 			fatal(err)
 		}
@@ -145,12 +188,12 @@ func main() {
 		for _, d := range []float64{0.5, 5, 7} {
 			fmt.Printf("  %.1f m: %.2f%%\n", d, s.DistanceShares[d])
 		}
-		fmt.Printf("window: %v of paper-scale operation (paper: 18 months, 356,551 items)\n", dur)
+		fmt.Printf("window: %v of paper-scale operation (paper: 18 months, 356,551 items)\n", c.dur)
 	}
 
 	if want("redundant") {
 		fmt.Println("== Redundant piconets: two overlapped SIRAs+masking piconets, 2 s failover ==")
-		dep, err := btpan.RedundantPiconets(*seed, dur, 2*sim.Second)
+		dep, err := btpan.RedundantPiconets(c.seed, c.dur, 2*sim.Second)
 		if err != nil {
 			fatal(err)
 		}
@@ -169,6 +212,7 @@ func sampleCurve(c *stats.Curve) string {
 	return b.String()
 }
 
+// fatal prints the error and exits non-zero.
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "btrepro:", err)
 	os.Exit(1)

@@ -7,7 +7,6 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/coalesce"
 	"repro/internal/core"
 	"repro/internal/logging"
@@ -50,41 +49,25 @@ func TestPersistenceRoundTripPreservesAnalysis(t *testing.T) {
 		}
 	}
 
-	// Rebuild the evidence from the read-back data, split per testbed/node
-	// as btanalyze does, and compare with the live pipeline.
-	rebuild := func(reports []core.UserReport, entries []core.SystemEntry) *coalesce.Evidence {
-		perR := map[string]map[string][]core.UserReport{}
-		for _, r := range reports {
-			if perR[r.Testbed] == nil {
-				perR[r.Testbed] = map[string][]core.UserReport{}
+	// Fold the read-back records as btanalyze does and compare the
+	// evidence with the live pipeline's, at the fold's window and at one
+	// only the batch relator serves.
+	disk, err := ResultFromRecords(gotReports, gotEntries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, window := range []sim.Time{coalesce.PaperWindow, 10 * sim.Second} {
+		live, fromDisk := res.Evidence(window), disk.Evidence(window)
+		if live.TotalFailures != fromDisk.TotalFailures {
+			t.Fatalf("window %v: failures diverged: live %d vs disk %d", window, live.TotalFailures, fromDisk.TotalFailures)
+		}
+		if len(live.Counts) != len(fromDisk.Counts) {
+			t.Fatalf("window %v: evidence cells diverged: %d vs %d", window, len(live.Counts), len(fromDisk.Counts))
+		}
+		for k, v := range live.Counts {
+			if fromDisk.Counts[k] != v {
+				t.Fatalf("window %v: cell %+v diverged: %d vs %d", window, k, v, fromDisk.Counts[k])
 			}
-			perR[r.Testbed][r.Node] = append(perR[r.Testbed][r.Node], r)
-		}
-		perE := map[string]map[string][]core.SystemEntry{}
-		for _, e := range entries {
-			if perE[e.Testbed] == nil {
-				perE[e.Testbed] = map[string][]core.SystemEntry{}
-			}
-			perE[e.Testbed][e.Node] = append(perE[e.Testbed][e.Node], e)
-		}
-		ev := coalesce.NewEvidence()
-		for tb := range perR {
-			analysis.BuildEvidence(ev, perR[tb], perE[tb], "Giallo", coalesce.PaperWindow)
-		}
-		return ev
-	}
-	live := res.Evidence(coalesce.PaperWindow)
-	fromDisk := rebuild(gotReports, gotEntries)
-
-	if live.TotalFailures != fromDisk.TotalFailures {
-		t.Fatalf("failures diverged: live %d vs disk %d", live.TotalFailures, fromDisk.TotalFailures)
-	}
-	if len(live.Counts) != len(fromDisk.Counts) {
-		t.Fatalf("evidence cells diverged: %d vs %d", len(live.Counts), len(fromDisk.Counts))
-	}
-	for k, v := range live.Counts {
-		if fromDisk.Counts[k] != v {
-			t.Fatalf("cell %+v diverged: %d vs %d", k, v, fromDisk.Counts[k])
 		}
 	}
 }

@@ -32,7 +32,7 @@ func TestBuildEvidenceAndTable2(t *testing.T) {
 		},
 	}
 	ev := coalesce.NewEvidence()
-	BuildEvidence(ev, reports, entries, "Giallo", coalesce.PaperWindow)
+	BuildEvidenceWithRadius(ev, reports, entries, "Giallo", coalesce.PaperWindow, coalesce.RelateRadius)
 	table := BuildTable2(ev)
 
 	if table.TotalFailures != 3 {

@@ -91,6 +91,8 @@ func (a *DependAccum) Column(scenario string) *Dependability {
 // gaps between consecutive (unmasked) failure instants across all nodes of
 // the testbed, which matches the paper's "a node in the piconet fails every
 // 30 minutes" reading. duration bounds the observation window.
+//
+// Test oracle: TestStreamerMatchesRetainedExactly.
 func BuildDependability(scenario string, reports []core.UserReport, duration sim.Time) *Dependability {
 	// Split failure and masked streams; sort by time. The censored tail
 	// (last failure to end of window) is not a TTF sample; the paper's

@@ -85,6 +85,8 @@ func Fig3bConnectionAge(reports []core.UserReport, binWidth, nbins int) []Bar {
 
 // Fig3cApplications computes the packet-loss share by emulated application
 // from realistic-workload reports.
+//
+// Test oracle: TestStreamerMatchesRetainedExactly.
 func Fig3cApplications(reports []core.UserReport) []Bar {
 	counts := make(map[core.AppKind]float64)
 	for i := range reports {
@@ -127,6 +129,8 @@ type Fig4Row struct {
 
 // Fig4PerHost computes the per-host user-failure distribution (realistic
 // workload, no masking — matching the paper's Figure 4 conditions).
+//
+// Test oracle: TestStreamerMatchesRetainedExactly.
 func Fig4PerHost(reports []core.UserReport) []Fig4Row {
 	perNode := make(map[string]map[core.UserFailure]int)
 	for i := range reports {
@@ -275,6 +279,8 @@ func (c *ScalarCounts) Scalars(counters map[string]*workload.Counters, systemEnt
 }
 
 // BuildScalars computes the §6 scalars from both testbeds' data.
+//
+// Test oracle: TestStreamerMatchesRetainedExactly.
 func BuildScalars(randomReports, realisticReports []core.UserReport,
 	counters map[string]*workload.Counters, systemEntries int) *Scalars {
 	counts := NewScalarCounts()

@@ -36,19 +36,13 @@ type Table2 struct {
 	TotalFailures int
 }
 
-// BuildEvidence runs the merge-and-coalesce pipeline for every PANU of one
-// testbed and accumulates relationship evidence. The NAP's system log is
+// BuildEvidenceWithRadius runs the merge-and-coalesce pipeline for every
+// PANU of one testbed and accumulates relationship evidence at the given
+// coalescence window and evidence adjacency radius. The NAP's system log is
 // merged into every PANU's stream (the paper relates each Test Log with both
 // the local and the NAP system logs). Call once per testbed with a shared
-// Evidence to aggregate a whole campaign.
-func BuildEvidence(ev *coalesce.Evidence, perNodeReports map[string][]core.UserReport,
-	perNodeEntries map[string][]core.SystemEntry, napNode string, window sim.Time) {
-	BuildEvidenceWithRadius(ev, perNodeReports, perNodeEntries, napNode, window,
-		coalesce.RelateRadius)
-}
-
-// BuildEvidenceWithRadius is BuildEvidence with an explicit evidence
-// adjacency radius (ablation knob).
+// Evidence to aggregate a whole campaign. It is the batch relator: the only
+// path that serves a radius wider than the window.
 func BuildEvidenceWithRadius(ev *coalesce.Evidence, perNodeReports map[string][]core.UserReport,
 	perNodeEntries map[string][]core.SystemEntry, napNode string, window, radius sim.Time) {
 	napEntries := perNodeEntries[napNode]

@@ -77,6 +77,8 @@ func (c *Table3Counts) Table() *Table3 {
 
 // BuildTable3 computes the effectiveness matrix from (unmasked, recovered)
 // failure reports produced under the SIRA cascade.
+//
+// Test oracle: TestStreamerMatchesRetainedExactly.
 func BuildTable3(reports []core.UserReport) *Table3 {
 	counts := NewTable3Counts()
 	for i := range reports {

@@ -642,3 +642,45 @@ func TestAckOnlyOnProgress(t *testing.T) {
 	}
 	collect(second, []Ack{{Node: "a1", Seq: 20}})
 }
+
+// TestSessionBoundToAdmittedStream pins that a session feeds only the
+// testbed its Hello was admitted for (PROTOCOL.md §4): a data frame
+// labelled with another testbed of the keyspace is a protocol violation,
+// so it is counted as rejected, earns no Ack, closes the session, and
+// leaves the other testbed's cursors where they were.
+func TestSessionBoundToAdmittedStream(t *testing.T) {
+	sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0", Keyspaces: []KeyspaceConfig{{Spec: tpSpec()}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	conn, _ := rawSession(t, sink.Addr(), "", CampaignID{}, "alpha")
+	defer conn.Close()
+	sendSeq(t, conn, "a1", 1)
+	if a := readAck(t, conn); a.Node != "a1" || a.Seq != 1 {
+		t.Fatalf("ack %+v, want a1/1", a)
+	}
+
+	wm := sim.Hour
+	foreign := &Batch{Testbed: "beta", Node: "b1", Seq: 1, Watermark: wm,
+		Entries: []core.SystemEntry{{At: wm - sim.Second, Testbed: "beta", Node: "b1",
+			Source: core.SysSource(1)}}}
+	if err := WriteBatch(conn, foreign); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if fr, err := ReadFrame(conn); err == nil {
+		t.Fatalf("a frame for another testbed was answered with %v (%+v), want the session closed",
+			fr.Kind, fr.Ack)
+	}
+	if applied, _, rejected := sink.Stats(); applied != 1 || rejected != 1 {
+		t.Errorf("applied %d, rejected %d; want 1 and 1", applied, rejected)
+	}
+	beta, res := rawSession(t, sink.Addr(), "", CampaignID{}, "beta")
+	defer beta.Close()
+	for _, c := range res.Cursors {
+		if c.Seq != 0 {
+			t.Errorf("beta resume cursor %s/%d, want 0: the alpha session fed beta", c.Node, c.Seq)
+		}
+	}
+}

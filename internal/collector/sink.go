@@ -576,7 +576,7 @@ func (s *Sink) serve(conn net.Conn) {
 		case fr.Kind == KindDone:
 			s.handleDone(t, stream, fr.Done)
 		case fr.Kind == KindBatch && t.district == nil:
-			if !s.handleBatch(t, sess, fr.Batch, fr.WireBytes) {
+			if !s.handleBatch(t, sess, stream, fr.Batch, fr.WireBytes) {
 				return
 			}
 		case fr.Kind == KindScatter && t.district != nil:
@@ -615,10 +615,18 @@ func (t *tenant) admitRecords(hello *Hello) (string, *Resume, *Reject) {
 
 // handleBatch applies one data frame to the session's keyspace and
 // acknowledges the stream's durable cursor when it moved. It reports
-// whether the session should continue.
-func (s *Sink) handleBatch(t *tenant, sess *sinkSession, b *Batch, wireBytes int) bool {
+// whether the session should continue. A frame labelled with any stream
+// but the one the session's Hello was admitted for is a protocol
+// violation: it is counted as rejected, earns no Ack, and ends the session
+// (PROTOCOL.md §4).
+func (s *Sink) handleBatch(t *tenant, sess *sinkSession, stream string, b *Batch, wireBytes int) bool {
 	key := skey{b.Testbed, b.Node}
 	s.mu.Lock()
+	if b.Testbed != stream {
+		t.rejected++
+		s.mu.Unlock()
+		return false
+	}
 	// Admission control first: quota accounting covers every received data
 	// frame, retransmissions included — the quota bounds what the keyspace
 	// makes the shared sink do, not its unique payload.

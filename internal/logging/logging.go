@@ -20,91 +20,70 @@ import (
 	"repro/internal/sim"
 )
 
-// TestLog is a node's user-level failure log.
-type TestLog struct {
+// Log is one node's append-only record log.
+type Log[T any] struct {
 	mu      sync.Mutex
-	reports []core.UserReport
+	records []T
+	// drained counts the records Drain has handed out while keeping them.
+	drained int
 }
+
+// TestLog is a node's user-level failure log.
+type TestLog = Log[core.UserReport]
 
 // NewTestLog creates the Test Log for a node.
 func NewTestLog() *TestLog { return &TestLog{} }
 
-// Append records one user-level failure report.
-func (l *TestLog) Append(r core.UserReport) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.reports = append(l.reports, r)
-}
-
-// Len reports the number of records.
-//
-// Test seam: workload's TestClientRunsCleanCycles.
-func (l *TestLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.reports)
-}
-
-// Snapshot returns a copy of all records.
-func (l *TestLog) Snapshot() []core.UserReport {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]core.UserReport, len(l.reports))
-	copy(out, l.reports)
-	return out
-}
-
-// Drain returns all records and empties the log (the LogAnalyzer's periodic
-// extraction).
-func (l *TestLog) Drain() []core.UserReport {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := l.reports
-	l.reports = nil
-	return out
-}
-
 // SystemLog is a node's system-level error log.
 type SystemLog struct {
-	mu      sync.Mutex
-	node    string
-	entries []core.SystemEntry
+	Log[core.SystemEntry]
+	node string
 }
 
 // NewSystemLog creates the System Log for a node.
 func NewSystemLog(node string) *SystemLog { return &SystemLog{node: node} }
 
-// Append records one system-level entry.
-func (l *SystemLog) Append(e core.SystemEntry) {
+// Append records one record.
+func (l *Log[T]) Append(r T) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.entries = append(l.entries, e)
+	l.records = append(l.records, r)
 }
 
-// Len reports the number of entries.
+// Len reports the number of records.
 //
-// Test seam: workload's TestDefaultFaultsProduceFailures.
-func (l *SystemLog) Len() int {
+// Test seam: workload's TestClientRunsCleanCycles and
+// TestDefaultFaultsProduceFailures.
+func (l *Log[T]) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.entries)
+	return len(l.records)
 }
 
-// Snapshot returns a copy of all entries.
-func (l *SystemLog) Snapshot() []core.SystemEntry {
+// Snapshot returns a copy of all records.
+func (l *Log[T]) Snapshot() []T {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]core.SystemEntry, len(l.entries))
-	copy(out, l.entries)
+	out := make([]T, len(l.records))
+	copy(out, l.records)
 	return out
 }
 
-// Drain returns all entries and empties the log.
-func (l *SystemLog) Drain() []core.SystemEntry {
+// Drain returns the records appended since the previous Drain (the
+// LogAnalyzer's periodic extraction). With keep the log still holds them
+// for Snapshot; without it the log forgets them. The result's capacity
+// ends at its length, so a caller that appends to it cannot write into the
+// log's buffer.
+func (l *Log[T]) Drain(keep bool) []T {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := l.entries
-	l.entries = nil
+	n := len(l.records)
+	out := l.records[l.drained:n:n]
+	if keep {
+		l.drained = n
+	} else {
+		l.records, l.drained = nil, 0
+	}
 	return out
 }
 

@@ -46,9 +46,26 @@ func TestTestLogAppendSnapshotDrain(t *testing.T) {
 	if l.Snapshot()[0].Node == "corrupted" {
 		t.Error("snapshot aliases log storage")
 	}
-	got := l.Drain()
-	if len(got) != 3 || l.Len() != 0 {
-		t.Error("drain should empty the log")
+	// A keeping drain hands out each record once and leaves it in place.
+	if got := l.Drain(true); len(got) != 3 || l.Len() != 3 {
+		t.Errorf("keeping drain returned %d records, left %d; want 3 and 3", len(got), l.Len())
+	}
+	r := sampleReports()[0]
+	l.Append(r)
+	l.Append(r)
+	tail := l.Drain(true)
+	if len(tail) != 2 || tail[0] != r || l.Len() != 5 {
+		t.Fatalf("second keeping drain returned %+v, left %d; want the two new records and 5", tail, l.Len())
+	}
+	// Appending to a drained slice must not write into the log, even where
+	// the log's buffer has room past the slice.
+	l.Append(r)
+	_ = append(tail, core.UserReport{Node: "corrupted"})
+	if l.Snapshot()[5].Node == "corrupted" {
+		t.Error("drained slice aliases log storage")
+	}
+	if got := l.Drain(false); len(got) != 1 || l.Len() != 0 {
+		t.Errorf("forgetting drain returned %d records, left %d; want the 1 undrained and 0", len(got), l.Len())
 	}
 }
 
@@ -63,7 +80,7 @@ func TestSystemLogAppendSnapshotDrain(t *testing.T) {
 	if len(l.Snapshot()) != 2 {
 		t.Error("snapshot size")
 	}
-	if got := l.Drain(); len(got) != 2 || l.Len() != 0 {
+	if got := l.Drain(false); len(got) != 2 || l.Len() != 0 {
 		t.Error("drain should empty the log")
 	}
 }

@@ -119,9 +119,9 @@ type Config struct {
 	// City-scale runs want roughly 4·Piconets kept pairs, i.e. a fraction
 	// around 4/(Piconets-1) — the O(P²) probe wall flattened to O(P).
 	ProbePairFraction float64
-	// Streaming folds each piconet's records into running aggregates as
-	// they are collected (O(1) memory in campaign length), exactly like
-	// the single-piconet streaming plane.
+	// Streaming drops each piconet's records once they are folded (O(1)
+	// memory in campaign length), exactly like the single-piconet
+	// streaming plane; without it the piconet results keep them too.
 	Streaming bool
 	// FlushEvery is the streaming drain cadence (default one virtual hour).
 	FlushEvery sim.Time
@@ -228,7 +228,7 @@ type Piconet struct {
 	// Random / Realistic are the piconet's testbed results (light parts
 	// only in streaming mode, as in the single-piconet campaign).
 	Random, Realistic *testbed.Results
-	// Agg is the piconet's streaming aggregation state (nil when retained).
+	// Agg is the piconet's folded aggregation state.
 	Agg *analysis.Aggregates
 }
 
@@ -412,33 +412,27 @@ func (c *Campaign) runShard(lo, hi int, gate chan struct{}) shardState {
 	return st
 }
 
-// runPiconet lazily builds and runs one piconet's testbed pair on the
-// configured plane. The control flow mirrors the single-piconet campaign
+// runPiconet lazily builds and runs one piconet's testbed pair through
+// its own streamer. The control flow mirrors the single-piconet campaign
 // runner exactly, so piconet 0's outputs are bit-identical to it; both
-// testbeds run sequentially on the shard worker's goroutine (parallelism
-// comes from sharding the piconet space, and the sequential testbed paths
-// produce results identical to the goroutine-per-testbed ones). In rollup
-// mode the streamer also records the depend trace the metro fold
-// re-interleaves.
+// testbeds run one after the other on the shard worker's goroutine
+// (parallelism comes from sharding the piconet space). Without Streaming
+// the testbeds also keep their records. In rollup mode the streamer also
+// records the depend trace the metro fold re-interleaves.
 func (c *Campaign) runPiconet(p int) (*Piconet, []analysis.DependEvent, error) {
 	pair, err := testbed.NewCampaign(PiconetSeed(c.cfg.Seed, p), c.cfg.Scenario, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	pic := &Piconet{Index: p}
-	if !c.cfg.Streaming {
-		pic.Random, pic.Realistic = pair.RunSequential(c.cfg.Duration)
-		return pic, nil, nil
-	}
+	pair.Sequential, pair.KeepRecords = true, !c.cfg.Streaming
 	spec := pair.StreamSpec()
-	if c.cfg.Rollup {
-		spec.TraceDepend = true
-	}
+	spec.TraceDepend = c.cfg.Rollup
 	s, err := analysis.NewStreamer(spec)
 	if err != nil {
 		return nil, nil, err
 	}
-	pic.Random, pic.Realistic = pair.RunStreamingSequential(c.cfg.Duration, c.cfg.FlushEvery, s)
+	pic := &Piconet{Index: p}
+	pic.Random, pic.Realistic = pair.RunStreaming(c.cfg.Duration, c.cfg.FlushEvery, s)
 	pic.Agg = s.Finalize()
 	if c.cfg.Rollup {
 		// Every piconet pair uses the same testbed/node roster, so the

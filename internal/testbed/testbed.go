@@ -14,6 +14,7 @@ package testbed
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/analysis"
@@ -61,6 +62,9 @@ type Testbed struct {
 
 	opts   Options
 	connID uint64
+	// keep makes every drain leave the records in the logs too
+	// (Campaign.KeepRecords).
+	keep bool
 }
 
 // New assembles a testbed from the device catalogue.
@@ -203,12 +207,12 @@ func (tb *Testbed) FinishStream(s Ingestor) {
 func (tb *Testbed) drainTo(s Ingestor) {
 	now := tb.World.Now()
 	for _, h := range tb.PANUs {
-		if err := s.Ingest(tb.Name, h.Node, tb.TestLogs[h.Node].Drain(),
-			tb.SysLogs[h.Node].Drain(), now); err != nil {
+		if err := s.Ingest(tb.Name, h.Node, tb.TestLogs[h.Node].Drain(tb.keep),
+			tb.SysLogs[h.Node].Drain(tb.keep), now); err != nil {
 			panic(err) // spec mismatch: programming error, not data error
 		}
 	}
-	if err := s.Ingest(tb.Name, tb.NAP.Node, nil, tb.SysLogs[tb.NAP.Node].Drain(), now); err != nil {
+	if err := s.Ingest(tb.Name, tb.NAP.Node, nil, tb.SysLogs[tb.NAP.Node].Drain(tb.keep), now); err != nil {
 		panic(err)
 	}
 }
@@ -240,16 +244,19 @@ func (tb *Testbed) Results() *Results {
 		PerNodeEntries: make(map[string][]core.SystemEntry),
 		Counters:       make(map[string]*workload.Counters),
 	}
+	// The flat views are allocated at their exact size: a retained
+	// campaign's result holds every record twice.
+	var reports [][]core.UserReport
 	for node, log := range tb.TestLogs {
-		reports := log.Snapshot()
-		res.PerNodeReports[node] = reports
-		res.Reports = append(res.Reports, reports...)
+		res.PerNodeReports[node] = log.Snapshot()
+		reports = append(reports, res.PerNodeReports[node])
 	}
+	var entries [][]core.SystemEntry
 	for node, log := range tb.SysLogs {
-		entries := log.Snapshot()
-		res.PerNodeEntries[node] = entries
-		res.Entries = append(res.Entries, entries...)
+		res.PerNodeEntries[node] = log.Snapshot()
+		entries = append(entries, res.PerNodeEntries[node])
 	}
+	res.Reports, res.Entries = slices.Concat(reports...), slices.Concat(entries...)
 	logging.SortUserReports(res.Reports)
 	logging.SortSystemEntries(res.Entries)
 	for _, c := range tb.Clients {
@@ -262,14 +269,23 @@ func (tb *Testbed) Results() *Results {
 type Campaign struct {
 	Random    *Testbed
 	Realistic *Testbed
+	// Sequential runs the realistic testbed after the random one on the
+	// caller's goroutine instead of beside it on a second goroutine. The
+	// scatternet sets it: its parallelism comes from sharding the piconet
+	// space instead.
+	Sequential bool
+	// KeepRecords makes every node's logs keep their records while they
+	// drain, so the Results hold every record as well.
+	KeepRecords bool
 }
 
 // CampaignOptions returns the two testbed Options a campaign of the given
 // seed and scenario is built from, with the mid-campaign hardware
 // replacement scheduled at duration/2 (pass 0 to defer that to the
-// campaign's Run). The distributed plane's agents build exactly one of the
-// two, which is what makes a testbed shard in its own OS process
-// bit-identical to the same testbed inside a single-process campaign.
+// campaign's RunStreaming). The distributed plane's agents build exactly
+// one of the two, which is what makes a testbed shard in its own OS
+// process bit-identical to the same testbed inside a single-process
+// campaign.
 func CampaignOptions(seed uint64, scenario recovery.Scenario, duration sim.Time) (random, realistic Options) {
 	random = Options{
 		Name: "random", Seed: seed ^ 0x72616E64, Kind: core.WLRandom,
@@ -319,36 +335,6 @@ func NewCampaign(seed uint64, scenario recovery.Scenario,
 	return &Campaign{Random: random, Realistic: realistic}, nil
 }
 
-// Run drives both testbeds for the duration (with the hardware replacement
-// at the midpoint, as in the paper) and returns their results. The two
-// testbeds are fully independent simulations — each owns its kernel, RNG
-// rig, hosts and logs — so they run on separate goroutines; per-seed
-// determinism is untouched because no state crosses the boundary until both
-// have finished. Use RunSequential to force single-threaded execution.
-func (c *Campaign) Run(duration sim.Time) (randomRes, realisticRes *Results) {
-	c.Random.opts.ReplaceHardwareAt = duration / 2
-	c.Realistic.opts.ReplaceHardwareAt = duration / 2
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c.Random.Run(duration)
-	}()
-	c.Realistic.Run(duration)
-	wg.Wait()
-	return c.Random.Results(), c.Realistic.Results()
-}
-
-// RunSequential is Run on a single goroutine (the Parallelism <= 1 path of
-// campaign configs); it produces results identical to Run.
-func (c *Campaign) RunSequential(duration sim.Time) (randomRes, realisticRes *Results) {
-	c.Random.opts.ReplaceHardwareAt = duration / 2
-	c.Realistic.opts.ReplaceHardwareAt = duration / 2
-	c.Random.Run(duration)
-	c.Realistic.Run(duration)
-	return c.Random.Results(), c.Realistic.Results()
-}
-
 // StreamSpec builds the streaming-aggregator spec covering both testbeds,
 // random first (the fold tie-break rank mirrors the retained pipeline's
 // random-block-then-realistic-block order).
@@ -358,41 +344,35 @@ func (c *Campaign) StreamSpec() analysis.StreamSpec {
 	}}
 }
 
-// RunStreaming is Run with the streaming collection plane armed: both
-// testbeds periodically drain their logs into s (bounding memory by the
-// flush interval instead of the campaign length), the tail is shipped after
-// the horizon, and the returned Results carry only the light parts (names,
-// durations, counters) — records live on in s's aggregates. The two
-// testbeds still run on separate goroutines; the aggregator's watermark
-// fold keeps the merged record order, and therefore every aggregate,
-// bit-identical to a sequential retained run.
+// RunStreaming drives both testbeds for the duration, with the hardware
+// replacement at the midpoint as in the paper. Every flushEvery of virtual
+// time, and once more after the horizon, each node's logs drain into s, so
+// the records live on in s's aggregates and pending memory is bounded by
+// the flush interval instead of the campaign length. The returned Results
+// carry the light parts (names, durations, counters), plus every record
+// when KeepRecords is set. The testbeds are independent simulations (each
+// owns its kernel, RNG rig, hosts and logs) and s's watermark fold keeps
+// the merged record order, so running them concurrently or one after the
+// other (Sequential) gives bit-identical aggregates.
 func (c *Campaign) RunStreaming(duration, flushEvery sim.Time, s Ingestor) (randomRes, realisticRes *Results) {
-	c.Random.opts.ReplaceHardwareAt = duration / 2
-	c.Realistic.opts.ReplaceHardwareAt = duration / 2
-	c.Random.StreamTo(s, flushEvery)
-	c.Realistic.StreamTo(s, flushEvery)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c.Random.Run(duration)
-		c.Random.FinishStream(s)
-	}()
-	c.Realistic.Run(duration)
-	c.Realistic.FinishStream(s)
-	wg.Wait()
-	return c.Random.Results(), c.Realistic.Results()
-}
-
-// RunStreamingSequential is RunStreaming on a single goroutine.
-func (c *Campaign) RunStreamingSequential(duration, flushEvery sim.Time, s Ingestor) (randomRes, realisticRes *Results) {
-	c.Random.opts.ReplaceHardwareAt = duration / 2
-	c.Realistic.opts.ReplaceHardwareAt = duration / 2
-	c.Random.StreamTo(s, flushEvery)
-	c.Realistic.StreamTo(s, flushEvery)
-	c.Random.Run(duration)
-	c.Random.FinishStream(s)
-	c.Realistic.Run(duration)
-	c.Realistic.FinishStream(s)
+	run := func(tb *Testbed) {
+		tb.opts.ReplaceHardwareAt, tb.keep = duration/2, c.KeepRecords
+		tb.StreamTo(s, flushEvery)
+		tb.Run(duration)
+		tb.FinishStream(s)
+	}
+	if c.Sequential {
+		run(c.Random)
+		run(c.Realistic)
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(c.Random)
+		}()
+		run(c.Realistic)
+		wg.Wait()
+	}
 	return c.Random.Results(), c.Realistic.Results()
 }

@@ -3,6 +3,7 @@ package testbed
 import (
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/recovery"
 	"repro/internal/sim"
@@ -130,7 +131,12 @@ func TestCampaignDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		randRes, realRes := c.Run(3 * sim.Hour)
+		s, err := analysis.NewStreamer(c.StreamSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.KeepRecords = true
+		randRes, realRes := c.RunStreaming(3*sim.Hour, sim.Hour, s)
 		return len(randRes.Reports), len(realRes.Reports)
 	}
 	a1, b1 := run()

@@ -5,19 +5,21 @@ import (
 	"io"
 
 	"repro/internal/analysis"
+	"repro/internal/core"
+	"repro/internal/logging"
 	"repro/internal/sim"
 	"repro/internal/testbed"
 	"repro/internal/workload"
 )
 
-// ResultFromAggregates reassembles a CampaignResult from a completed
-// distributed campaign: the sink's finalized streaming aggregates plus the
-// per-testbed workload counters and durations the agents shipped in their
-// Done frames. The result answers every aggregate query (Table 2/3/4,
-// figures, §6 scalars, data items) through exactly the same code paths as a
-// single-process streaming campaign, which is what makes the distributed ≡
-// single-process equivalence a digit-for-digit claim rather than a
-// tolerance check.
+// ResultFromAggregates reassembles a CampaignResult from completed streaming
+// aggregates plus the per-testbed workload counters and durations: the
+// sink's for a distributed campaign (which the agents ship in their Done
+// frames), the in-process Streamer's for RunCampaign. Every aggregate query
+// (Table 2/3/4, figures, §6 scalars, data items) then runs through the same
+// code path wherever the fold happened, which is what makes the distributed
+// ≡ single-process equivalence a digit-for-digit claim rather than a
+// tolerance check. The result holds no records.
 func ResultFromAggregates(cfg CampaignConfig, agg *analysis.Aggregates,
 	counters map[string]map[string]*workload.Counters,
 	durations map[string]sim.Time) (*CampaignResult, error) {
@@ -41,6 +43,52 @@ func ResultFromAggregates(cfg CampaignConfig, agg *analysis.Aggregates,
 		}
 	}
 	return res, nil
+}
+
+// ResultFromRecords folds stored campaign records (both testbeds' user
+// reports and system entries, as btcampaign -out writes them) into a
+// CampaignResult that also keeps them, on the standard campaign's stream
+// roster (testbed.CampaignStreamSpec): a record naming any other testbed or
+// node is an error. Each node's records must be in log order. The files
+// carry neither the campaign identity nor the workload counters, so the
+// result's Config is zero and Fig3a, the §6 scalars and the Table 4 column
+// have nothing behind them; the record views and Tables 2 and 3 do.
+func ResultFromRecords(reports []core.UserReport, entries []core.SystemEntry) (*CampaignResult, error) {
+	spec := testbed.CampaignStreamSpec()
+	s, err := analysis.NewStreamer(spec)
+	if err != nil {
+		return nil, err
+	}
+	byName := make(map[string]*testbed.Results, len(spec.Testbeds))
+	for _, tb := range spec.Testbeds {
+		byName[tb.Name] = &testbed.Results{Name: tb.Name, NAPNode: tb.NAP,
+			PerNodeReports: make(map[string][]core.UserReport),
+			PerNodeEntries: make(map[string][]core.SystemEntry)}
+	}
+	// The streamer rejects a stream outside the roster, so byName has
+	// every testbed a record that got past Ingest names.
+	for i, r := range reports {
+		if err := s.Ingest(r.Testbed, r.Node, reports[i:i+1], nil, 0); err != nil {
+			return nil, err
+		}
+		tb := byName[r.Testbed]
+		tb.Reports = append(tb.Reports, r)
+		tb.PerNodeReports[r.Node] = append(tb.PerNodeReports[r.Node], r)
+	}
+	for i, e := range entries {
+		if err := s.Ingest(e.Testbed, e.Node, nil, entries[i:i+1], 0); err != nil {
+			return nil, err
+		}
+		tb := byName[e.Testbed]
+		tb.Entries = append(tb.Entries, e)
+		tb.PerNodeEntries[e.Node] = append(tb.PerNodeEntries[e.Node], e)
+	}
+	for _, tb := range byName {
+		logging.SortUserReports(tb.Reports)
+		logging.SortSystemEntries(tb.Entries)
+	}
+	return &CampaignResult{Random: byName["random"], Realistic: byName["realistic"],
+		Agg: s.Finalize()}, nil
 }
 
 // WriteReport renders the campaign's streaming report — dataset sizes, the

@@ -8,8 +8,8 @@ import (
 	"repro/internal/testbed"
 )
 
-// equivCampaign runs a short campaign with the ARQ fast path enabled or
-// disabled on every host, sequentially, and wraps the results for analysis.
+// equivCampaign runs a short retained campaign with the ARQ fast path
+// enabled or disabled on every host.
 func equivCampaign(t *testing.T, slowPath bool, seed uint64) *CampaignResult {
 	t.Helper()
 	cfg := CampaignConfig{Seed: seed, Duration: 18 * Hour, Scenario: ScenarioSIRAs}
@@ -19,8 +19,27 @@ func equivCampaign(t *testing.T, slowPath bool, seed uint64) *CampaignResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	randomRes, realisticRes := c.RunSequential(cfg.Duration)
-	return &CampaignResult{Config: cfg, Random: randomRes, Realistic: realisticRes}
+	res, err := runCampaign(cfg, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// shapedCampaign runs cfg with its two testbeds concurrently or one after
+// the other.
+func shapedCampaign(t *testing.T, cfg CampaignConfig, sequential bool) *CampaignResult {
+	t.Helper()
+	c, err := testbed.NewCampaign(cfg.Seed, cfg.Scenario, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Sequential = sequential
+	res, err := runCampaign(cfg, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // TestSeedEquivalenceFastVsSlowPath proves the probability memoization is
@@ -60,30 +79,24 @@ func TestSeedEquivalenceFastVsSlowPath(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequential proves the goroutine-per-testbed campaign
-// runner changes nothing but wall-clock time: each testbed owns its kernel
-// and RNG rig, so for a fixed seed the parallel and sequential runners must
-// produce identical reports and tables.
+// TestParallelMatchesSequential proves the execution shape of a retained
+// campaign changes nothing but wall-clock time: each testbed owns its
+// kernel, RNG rig and logs, so for a fixed seed running the two testbeds
+// concurrently or one after the other keeps identical records and folds
+// identical tables.
 func TestParallelMatchesSequential(t *testing.T) {
-	run := func(parallelism int) *CampaignResult {
-		res, err := RunCampaign(CampaignConfig{
-			Seed: 21, Duration: 18 * Hour, Scenario: ScenarioSIRAs,
-			Parallelism: parallelism,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	cfg := CampaignConfig{Seed: 21, Duration: 18 * Hour, Scenario: ScenarioSIRAs}
+	par := shapedCampaign(t, cfg, false)
+	seq := shapedCampaign(t, cfg, true)
+	if len(par.AllReports()) == 0 {
+		t.Fatal("retained campaign kept no reports")
 	}
-	par := run(0)
-	seq := run(1)
 	if !reflect.DeepEqual(par.AllReports(), seq.AllReports()) {
-		t.Error("user reports diverge between parallel and sequential runners")
+		t.Error("user reports diverge between concurrent and sequential runs")
 	}
-	if !reflect.DeepEqual(par.Table2(), seq.Table2()) {
-		t.Error("Table 2 diverges between parallel and sequential runners")
+	if !reflect.DeepEqual(par.Random.Entries, seq.Random.Entries) ||
+		!reflect.DeepEqual(par.Realistic.Entries, seq.Realistic.Entries) {
+		t.Error("system entries diverge between concurrent and sequential runs")
 	}
-	if !reflect.DeepEqual(par.Dependability(), seq.Dependability()) {
-		t.Error("dependability diverges between parallel and sequential runners")
-	}
+	compareOutputs(t, "concurrent vs sequential retained", par, seq)
 }

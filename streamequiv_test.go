@@ -19,17 +19,14 @@ func equivDuration() sim.Time {
 	return 1 * Day
 }
 
-// runEquiv runs one campaign with the given aggregation plane.
-func runEquiv(t *testing.T, streaming bool, parallelism int, flush sim.Time) *CampaignResult {
+// runEquiv runs one campaign, keeping its records unless streaming, with
+// its testbeds concurrent or sequential.
+func runEquiv(t *testing.T, streaming, sequential bool, flush sim.Time) *CampaignResult {
 	t.Helper()
-	res, err := RunCampaign(CampaignConfig{
+	return shapedCampaign(t, CampaignConfig{
 		Seed: 7, Duration: equivDuration(), Scenario: ScenarioSIRAsMasking,
-		Streaming: streaming, Parallelism: parallelism, FlushEvery: flush,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+		Streaming: streaming, FlushEvery: flush,
+	}, sequential)
 }
 
 // compareOutputs asserts every paper output of the two campaigns is
@@ -39,16 +36,18 @@ func runEquiv(t *testing.T, streaming bool, parallelism int, flush sim.Time) *Ca
 // a tolerance check.
 func compareOutputs(t *testing.T, label string, a, b *CampaignResult) {
 	t.Helper()
-	// Figure 3b's view at the aggregate's binning: streaming keeps the
-	// histogram, retained recomputes it from raw reports.
-	fig3b := func(r *CampaignResult) []analysis.Bar {
-		if r.Agg != nil {
-			return r.Agg.Fig3bBars()
-		}
-		return analysis.Fig3bConnectionAge(r.AllReports(), 1000, 10)
-	}
-	if !reflect.DeepEqual(fig3b(a), fig3b(b)) {
+	if !reflect.DeepEqual(a.Agg.Fig3bBars(), b.Agg.Fig3bBars()) {
 		t.Errorf("%s: Fig 3b diverges", label)
+	}
+	// A campaign that kept its records also answers Figure 3b from them,
+	// through the batch builder, at the aggregate's binning.
+	for _, r := range []*CampaignResult{a, b} {
+		if r.Config.Streaming {
+			continue
+		}
+		if got := analysis.Fig3bConnectionAge(r.AllReports(), 1000, 10); !reflect.DeepEqual(got, r.Agg.Fig3bBars()) {
+			t.Errorf("%s: Fig 3b from the kept records diverges from the fold", label)
+		}
 	}
 	au, as, _ := a.DataItems()
 	bu, bs, _ := b.DataItems()
@@ -92,24 +91,31 @@ func compareOutputs(t *testing.T, label string, a, b *CampaignResult) {
 	}
 }
 
-// TestStreamingEquivalence proves the streaming aggregation plane is
-// behavior-preserving: on a fixed seed, a campaign whose records are folded
-// into running aggregates as they stream off the nodes produces bit-identical
-// Table 2/3/4 and §6 outputs to a campaign that retained every record. The
-// masking scenario maximizes coverage (masked records exercise every skip
-// path).
+// TestStreamingEquivalence proves that keeping the records does not
+// perturb the fold: on a fixed seed, a campaign that keeps every record
+// and one that drops them once folded produce bit-identical Table 2/3/4,
+// figure, §6 and taxonomy outputs, and the kept records are exactly the
+// folded ones. The masking scenario maximizes coverage (masked records
+// exercise every skip path). The retained and streaming captures of
+// TestGoldenReportCaptures and TestGoldenTaxonomyCaptures pin both against
+// the bytes the former batch retained plane produced.
 func TestStreamingEquivalence(t *testing.T) {
-	retained := runEquiv(t, false, 0, 0)
-	streaming := runEquiv(t, true, 0, 0)
+	retained := runEquiv(t, false, false, 0)
+	streaming := runEquiv(t, true, false, 0)
 	compareOutputs(t, "streaming vs retained", retained, streaming)
 
-	// The simulation side is untouched by the collection plane: the
-	// retained run still holds every record.
-	if u, s, _ := retained.DataItems(); u == 0 || s == 0 {
+	u, s, _ := retained.DataItems()
+	if u == 0 || s == 0 {
 		t.Fatalf("retained campaign collected no data (%d/%d)", u, s)
 	}
-	if streaming.Agg == nil {
-		t.Fatal("streaming campaign has no aggregates")
+	if got := len(retained.AllReports()); got != u {
+		t.Errorf("retained campaign kept %d reports, folded %d", got, u)
+	}
+	if got := len(retained.Random.Entries) + len(retained.Realistic.Entries); got != s {
+		t.Errorf("retained campaign kept %d entries, folded %d", got, s)
+	}
+	if streaming.AllReports() != nil || streaming.Evidence(10*sim.Second) != nil {
+		t.Error("streaming campaign answers a raw-record query")
 	}
 }
 
@@ -118,16 +124,17 @@ func TestStreamingEquivalence(t *testing.T) {
 // identical outputs (tuple and radius state carries across drain
 // boundaries).
 func TestStreamingFlushCadenceIrrelevant(t *testing.T) {
-	fine := runEquiv(t, true, 1, 10*sim.Minute)
-	coarse := runEquiv(t, true, 1, 12*Hour)
+	fine := runEquiv(t, true, true, 10*sim.Minute)
+	coarse := runEquiv(t, true, true, 12*Hour)
 	compareOutputs(t, "10min vs 12h flush", fine, coarse)
 }
 
 // TestStreamingParallelMatchesSequential proves the watermark fold makes
-// the two-goroutine streaming run deterministic: same outputs as the
-// single-goroutine run.
+// the one run method deterministic in its execution shape: a streaming
+// campaign whose testbeds run concurrently folds the same outputs as one
+// whose testbeds run one after the other.
 func TestStreamingParallelMatchesSequential(t *testing.T) {
-	par := runEquiv(t, true, 0, 0)
-	seq := runEquiv(t, true, 1, 0)
+	par := runEquiv(t, true, false, 0)
+	seq := runEquiv(t, true, true, 0)
 	compareOutputs(t, "parallel vs sequential streaming", par, seq)
 }
