@@ -150,7 +150,7 @@ func (r *CampaignResult) AllReports() []core.UserReport {
 	if r.Config.Streaming {
 		return nil
 	}
-	return slices.Concat(r.Random.Reports, r.Realistic.Reports)
+	return slices.Concat(r.Random.Reports(), r.Realistic.Reports())
 }
 
 // DataItems reports the dataset sizes: user reports, system entries, total
@@ -205,7 +205,7 @@ func (r *CampaignResult) SensitivityCurve() (curve *stats.Curve, kneeSeconds flo
 	if r.Config.Streaming {
 		return nil, 0
 	}
-	events := coalesce.Merge(r.AllReports(), slices.Concat(r.Random.Entries, r.Realistic.Entries))
+	events := coalesce.Merge(r.AllReports(), slices.Concat(r.Random.Entries(), r.Realistic.Entries()))
 	curve = coalesce.Sensitivity(events, coalesce.DefaultWindows())
 	knee, _ := curve.Knee()
 	return curve, knee
@@ -343,5 +343,5 @@ func RunFixedExperiment(cfg FixedExperimentConfig) (*testbed.Results, error) {
 // Fig3b histograms the fixed experiment's packet losses by connection age
 // (packets sent before the loss).
 func Fig3b(res *testbed.Results, binWidth, bins int) []analysis.Bar {
-	return analysis.Fig3bConnectionAge(res.Reports, binWidth, bins)
+	return analysis.Fig3bConnectionAge(res.Reports(), binWidth, bins)
 }

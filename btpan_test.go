@@ -235,7 +235,7 @@ func TestFixedExperiment(t *testing.T) {
 		t.Fatalf("fixed experiment ran on %d nodes, want 2 (Verde, Win)", len(res.PerNodeReports))
 	}
 	losses := 0
-	for _, r := range res.Reports {
+	for _, r := range res.Reports() {
 		if r.Failure == core.UFPacketLoss && !r.Masked {
 			losses++
 		}

@@ -287,20 +287,17 @@ func runScatternetShard(cfg *cliConfig) {
 		fatal(err)
 	}
 	id := cfg.id.Config()
-	// The overlay rides with the range owning piconet 0 — the convention
-	// both the district sink and the merge tier enforce.
-	overlay := lo == 0 && camp.BridgeCount() > 0
 	// Decorrelate the reconnection jitter of this campaign's shards: same
 	// campaign seed, different range, different backoff schedule.
 	jitter := fnv.New64a()
 	fmt.Fprintf(jitter, "%d:%d", lo, hi)
-	fmt.Fprintf(os.Stderr, "btagent: running scatternet shard [%d:%d) of %d piconets (seed %d, %v, scenario %q, overlay %v) -> %s\n",
-		lo, hi, camp.Piconets(), id.Seed, id.Duration, id.Scenario, overlay, cfg.sink)
+	fmt.Fprintf(os.Stderr, "btagent: running scatternet shard [%d:%d) of %d piconets (seed %d, %v, scenario %q) -> %s\n",
+		lo, hi, camp.Piconets(), id.Seed, id.Duration, id.Scenario, cfg.sink)
 	start := time.Now()
 	agent, err := collector.NewScatterAgent(collector.ScatterAgentConfig{
 		Addr: cfg.sink, Keyspace: cfg.keyspace,
 		Campaign: cfg.id.ID(),
-		Net:      net, Lo: lo, Hi: hi, Overlay: overlay,
+		Net:      net, Lo: lo, Hi: hi,
 		RunPiconet: camp.PiconetPartial,
 		RunOverlay: camp.RunOverlay,
 		RetrySeed:  int64(id.Seed ^ jitter.Sum64()),

@@ -69,7 +69,7 @@ func TestAnalyzeMatchesCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	reports := res.AllReports()
-	entries := append(append([]core.SystemEntry(nil), res.Random.Entries...), res.Realistic.Entries...)
+	entries := append(append([]core.SystemEntry(nil), res.Random.Entries()...), res.Realistic.Entries()...)
 	logging.SortUserReports(reports)
 	logging.SortSystemEntries(entries)
 	dir := t.TempDir()

@@ -458,7 +458,9 @@ func writeRetained(res *btpan.CampaignResult, out string) (reports, entries int,
 	var rs []core.UserReport
 	var es []core.SystemEntry
 	for _, tb := range []*testbed.Results{res.Random, res.Realistic} {
-		rs = append(rs, tb.Reports...)
+		for _, log := range tb.PerNodeReports {
+			rs = append(rs, log...)
+		}
 		for _, log := range tb.PerNodeEntries {
 			es = append(es, filter.FilterSystem(log)...)
 		}

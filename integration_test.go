@@ -22,8 +22,8 @@ func TestPersistenceRoundTripPreservesAnalysis(t *testing.T) {
 	var userBuf, sysBuf bytes.Buffer
 	allReports := res.AllReports()
 	var allEntries []core.SystemEntry
-	allEntries = append(allEntries, res.Random.Entries...)
-	allEntries = append(allEntries, res.Realistic.Entries...)
+	allEntries = append(allEntries, res.Random.Entries()...)
+	allEntries = append(allEntries, res.Realistic.Entries()...)
 	if err := logging.WriteUserReports(&userBuf, allReports); err != nil {
 		t.Fatal(err)
 	}

@@ -24,9 +24,10 @@ import (
 // within-shard Welford summaries sample different gaps than the
 // uninterrupted run and cannot be combined by Summary.Merge. Shards
 // therefore record a fold-ordered DependEvent trace (StreamSpec.TraceDepend)
-// and the merge tier k-way merges the traces back into campaign order —
-// (time, spec testbed rank, node), the fold's exact tie order — and re-runs
-// a fresh DependAccum over the merged sequence.
+// and the merge tier sorts the traces back into campaign order — (time,
+// spec testbed rank, position in the shard's trace), the fold's exact tie
+// order — and re-runs a fresh DependAccum over the merged sequence
+// (replayDepend, shared with the scatternet roll-up one tier up).
 
 // DependEvent is one unmasked failure in a shard's fold-ordered trace:
 // exactly the fields DependAccum consumes, plus the (testbed, node) fold key
@@ -43,6 +44,55 @@ type DependEvent struct {
 // report reconstructs the unmasked UserReport view DependAccum.Add folds.
 func (e *DependEvent) report() core.UserReport {
 	return core.UserReport{At: e.At, Recovered: e.Recovered, TTR: e.TTR, Recovery: e.Recovery}
+}
+
+// taggedEvent is one unmasked failure of a merged trace, tagged with what
+// makes the replay order total: its group (a testbed's full-spec rank, or a
+// piconet) and its position in the fold-ordered trace it came from.
+type taggedEvent struct {
+	ev    DependEvent
+	group int
+	pos   int
+}
+
+// tagTrace appends one fold-ordered trace to dst, tagging each event with
+// group(event) and its position in trace. The trace must hold exactly the
+// failures its source accumulated: one recorded without TraceDepend would
+// silently drop them from the replay.
+func tagTrace(dst []taggedEvent, trace []DependEvent, failures int,
+	group func(*DependEvent) int) ([]taggedEvent, error) {
+	if len(trace) != failures {
+		return dst, fmt.Errorf("trace has %d events for %d accumulated failures (TraceDepend not enabled?)",
+			len(trace), failures)
+	}
+	for i := range trace {
+		dst = append(dst, taggedEvent{ev: trace[i], group: group(&trace[i]), pos: i})
+	}
+	return dst, nil
+}
+
+// replayDepend sorts a tagged trace into campaign order — (time, group,
+// position) — and re-derives the Table 4 accumulator over it, with the
+// masked count the trace does not carry. Each source trace is already in
+// fold order and a group lives in one source, so the sort interleaves the
+// sources exactly as one uninterrupted fold would have.
+func replayDepend(trace []taggedEvent, masked int) DependAccum {
+	sort.Slice(trace, func(i, j int) bool {
+		a, b := &trace[i], &trace[j]
+		if a.ev.At != b.ev.At {
+			return a.ev.At < b.ev.At
+		}
+		if a.group != b.group {
+			return a.group < b.group
+		}
+		return a.pos < b.pos
+	})
+	d := DependAccum{Masked: masked}
+	for i := range trace {
+		r := trace[i].ev.report()
+		d.Add(&r)
+	}
+	return d
 }
 
 // ShardAggregates is one sink shard's contribution to a campaign: the
@@ -123,25 +173,20 @@ func MergeAggregates(spec StreamSpec, parts []ShardAggregates) (*Aggregates, err
 	}
 
 	// Re-derive the order-sensitive Table 4 accumulator from the merged
-	// trace. Ties on (at, rank) can only come from the same shard — a node
-	// belongs to exactly one testbed — so the within-trace order already
-	// resolves them and the merge is deterministic.
+	// trace. Ties on (at, rank) can only come from the same shard — a
+	// testbed belongs to exactly one — so the within-trace position resolves
+	// them in the shard's own (time, rank, node) fold order.
 	var masked int
-	for _, a := range restored {
-		masked += a.Depend.Masked
-	}
+	var trace []taggedEvent
+	byRank := func(ev *DependEvent) int { return rank[ev.Testbed] }
 	for i, p := range parts {
-		if len(p.Trace) != restored[i].Depend.Failures {
-			return nil, fmt.Errorf("analysis: shard partial %d trace has %d events for %d accumulated failures (TraceDepend not enabled on the shard?)",
-				i, len(p.Trace), restored[i].Depend.Failures)
+		masked += restored[i].Depend.Masked
+		var err error
+		if trace, err = tagTrace(trace, p.Trace, restored[i].Depend.Failures, byRank); err != nil {
+			return nil, fmt.Errorf("analysis: shard partial %d %w", i, err)
 		}
 	}
-	merged := mergeTraces(parts, rank)
-	out.Depend = DependAccum{Masked: masked}
-	for i := range merged {
-		r := merged[i].report()
-		out.Depend.Add(&r)
-	}
+	out.Depend = replayDepend(trace, masked)
 	return out, nil
 }
 
@@ -195,54 +240,6 @@ func addAggregates(dst, src *Aggregates) {
 	dst.Entries += src.Entries
 	dst.SeqGaps += src.SeqGaps
 	dst.DroppedRecords += src.DroppedRecords
-}
-
-// mergeTraces k-way merges the shards' fold-ordered traces by the campaign
-// fold key (time, full-spec testbed rank, node), stably within each shard.
-func mergeTraces(parts []ShardAggregates, rank map[string]int) []DependEvent {
-	total := 0
-	for _, p := range parts {
-		total += len(p.Trace)
-	}
-	type cursor struct {
-		trace []DependEvent
-		pos   int
-	}
-	cursors := make([]*cursor, 0, len(parts))
-	for _, p := range parts {
-		if len(p.Trace) > 0 {
-			cursors = append(cursors, &cursor{trace: p.Trace})
-		}
-	}
-	out := make([]DependEvent, 0, total)
-	for len(cursors) > 0 {
-		best := 0
-		for i := 1; i < len(cursors); i++ {
-			a := &cursors[i].trace[cursors[i].pos]
-			b := &cursors[best].trace[cursors[best].pos]
-			if less(a, b, rank) {
-				best = i
-			}
-		}
-		c := cursors[best]
-		out = append(out, c.trace[c.pos])
-		c.pos++
-		if c.pos == len(c.trace) {
-			cursors = append(cursors[:best], cursors[best+1:]...)
-		}
-	}
-	return out
-}
-
-// less orders two depend events by the fold key.
-func less(a, b *DependEvent, rank map[string]int) bool {
-	if a.At != b.At {
-		return a.At < b.At
-	}
-	if ra, rb := rank[a.Testbed], rank[b.Testbed]; ra != rb {
-		return ra < rb
-	}
-	return a.Node < b.Node
 }
 
 // SubSpec restricts a full campaign spec to the named testbeds, preserving

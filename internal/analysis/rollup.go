@@ -17,20 +17,12 @@ import (
 // per-app maps, histogram bins and scalar counters are all integer sums, so
 // the merge is exact and associative), while the order-sensitive Table 4
 // accumulator is re-derived at Finalize from the piconet-tagged failure
-// traces, k-way merged into deployment order by the total key
-// (time, piconet, within-piconet fold position). Because the final sort key
+// traces, sorted into deployment order by the total key
+// (time, piconet, within-piconet fold position) — the merge tier's
+// replayDepend with the piconet as the group. Because the final sort key
 // is total, the merged report is byte-identical no matter how many shards
 // folded the piconets or in which order they finished — the shard-count
 // invariance law pinned by the merge-law tests.
-
-// metroEvent is one unmasked failure in the deployment-wide trace, tagged
-// with its piconet and its position in that piconet's fold-ordered trace (the
-// pair that makes the deployment sort key total).
-type metroEvent struct {
-	ev      DependEvent
-	piconet int
-	seq     int
-}
 
 // ScatternetFold accumulates finished piconet campaigns into one metro
 // partial. Shard workers each own a fold; Merge combines shard partials and
@@ -41,7 +33,7 @@ type ScatternetFold struct {
 	scenario string
 	agg      *Aggregates
 	masked   int
-	trace    []metroEvent
+	trace    []taggedEvent // group = piconet
 	rows     []PiconetRow
 }
 
@@ -55,15 +47,20 @@ func NewScatternetFold(scenario string) *ScatternetFold {
 // derived before the aggregates are absorbed (the fold takes ownership of
 // agg — the caller must not use it afterwards), and the piconet-tagged
 // depend trace joins the deployment sequence. trace must be the piconet's
-// fold-ordered unmasked-failure trace (StreamSpec.TraceDepend).
+// fold-ordered unmasked-failure trace (StreamSpec.TraceDepend). A refused
+// piconet leaves the fold as it was.
 func (f *ScatternetFold) AddPiconet(piconet int, agg *Aggregates, trace []DependEvent) error {
 	if agg == nil {
 		return fmt.Errorf("analysis: scatternet fold of piconet %d without aggregates", piconet)
 	}
-	if len(trace) != agg.Depend.Failures {
-		return fmt.Errorf("analysis: piconet %d trace has %d events for %d accumulated failures (TraceDepend not enabled?)",
-			piconet, len(trace), agg.Depend.Failures)
+	if f.agg != nil && (agg.Window != f.agg.Window || agg.Radius != f.agg.Radius) {
+		return fmt.Errorf("analysis: piconet %d aggregates disagree on window/radius", piconet)
 	}
+	tagged, err := tagTrace(f.trace, trace, agg.Depend.Failures, func(*DependEvent) int { return piconet })
+	if err != nil {
+		return fmt.Errorf("analysis: piconet %d %w", piconet, err)
+	}
+	f.trace = tagged
 	u, s, _ := agg.DataItems()
 	f.rows = append(f.rows, PiconetRow{
 		Piconet:       piconet,
@@ -71,39 +68,34 @@ func (f *ScatternetFold) AddPiconet(piconet int, agg *Aggregates, trace []Depend
 		SystemEntries: s,
 		Depend:        agg.Dependability(f.scenario),
 	})
-	for i, ev := range trace {
-		f.trace = append(f.trace, metroEvent{ev: ev, piconet: piconet, seq: i})
-	}
 	f.masked += agg.Depend.Masked
 	if f.agg == nil {
 		f.agg = agg
-		return nil
+	} else {
+		addAggregates(f.agg, agg)
 	}
-	if agg.Window != f.agg.Window || agg.Radius != f.agg.Radius {
-		return fmt.Errorf("analysis: piconet %d aggregates disagree on window/radius", piconet)
-	}
-	addAggregates(f.agg, agg)
 	return nil
 }
 
 // Merge absorbs another shard's partial into f (o must not be used
-// afterwards). Merging is exact: every combined field is an integer sum or a
-// concatenation that Finalize re-sorts by a total key.
+// afterwards); a refused partial leaves f as it was. Merging is exact:
+// every combined field is an integer sum or a concatenation that Finalize
+// re-sorts by a total key.
 func (f *ScatternetFold) Merge(o *ScatternetFold) error {
 	if o == nil || o.agg == nil {
 		return nil
+	}
+	if f.agg != nil && (o.agg.Window != f.agg.Window || o.agg.Radius != f.agg.Radius) {
+		return fmt.Errorf("analysis: scatternet fold partials disagree on window/radius")
 	}
 	f.rows = append(f.rows, o.rows...)
 	f.trace = append(f.trace, o.trace...)
 	f.masked += o.masked
 	if f.agg == nil {
 		f.agg = o.agg
-		return nil
+	} else {
+		addAggregates(f.agg, o.agg)
 	}
-	if o.agg.Window != f.agg.Window || o.agg.Radius != f.agg.Radius {
-		return fmt.Errorf("analysis: scatternet fold partials disagree on window/radius")
-	}
-	addAggregates(f.agg, o.agg)
 	return nil
 }
 
@@ -115,21 +107,7 @@ func (f *ScatternetFold) Finalize() (*Aggregates, *PiconetOverview, error) {
 	if f.agg == nil {
 		return nil, nil, fmt.Errorf("analysis: finalize of an empty scatternet fold")
 	}
-	sort.Slice(f.trace, func(i, j int) bool {
-		a, b := &f.trace[i], &f.trace[j]
-		if a.ev.At != b.ev.At {
-			return a.ev.At < b.ev.At
-		}
-		if a.piconet != b.piconet {
-			return a.piconet < b.piconet
-		}
-		return a.seq < b.seq
-	})
-	f.agg.Depend = DependAccum{Masked: f.masked}
-	for i := range f.trace {
-		r := f.trace[i].ev.report()
-		f.agg.Depend.Add(&r)
-	}
+	f.agg.Depend = replayDepend(f.trace, f.masked)
 	sort.Slice(f.rows, func(i, j int) bool { return f.rows[i].Piconet < f.rows[j].Piconet })
 	return f.agg, &PiconetOverview{Rows: f.rows}, nil
 }

@@ -190,8 +190,8 @@ func TestBridgeAccumMergeLaws(t *testing.T) {
 
 // TestScatternetFoldGuards exercises the fold's error paths: folding a
 // piconet without aggregates, a depend trace that disagrees with the
-// accumulated failure count, partials with mismatched evidence windows, and
-// finalizing an empty fold.
+// accumulated failure count, partials with mismatched evidence windows
+// (which must leave the fold as it was), and finalizing an empty fold.
 func TestScatternetFoldGuards(t *testing.T) {
 	f := NewScatternetFold("With only SIRAs")
 	if err := f.AddPiconet(0, nil, nil); err == nil {
@@ -220,5 +220,9 @@ func TestScatternetFoldGuards(t *testing.T) {
 	}
 	if err := g.Merge(nil); err != nil {
 		t.Errorf("Merge(nil) must be a no-op, got %v", err)
+	}
+	if _, ov, err := g.Finalize(); err != nil || len(ov.Rows) != 1 {
+		t.Errorf("after refusing piconet 1 the fold finalizes to %+v, %v; want piconet 0's row alone "+
+			"(a district derives its cursor from the rows)", ov, err)
 	}
 }

@@ -47,7 +47,7 @@ func (f *ScatternetFold) Snapshot() *ScatternetFoldSnapshot {
 	}
 	snap.Trace = make([]MetroEvent, len(f.trace))
 	for i, me := range f.trace {
-		snap.Trace[i] = MetroEvent{Ev: me.ev, Piconet: me.piconet, Seq: me.seq}
+		snap.Trace[i] = MetroEvent{Ev: me.ev, Piconet: me.group, Seq: me.pos}
 	}
 	snap.Rows = append([]PiconetRow(nil), f.rows...)
 	return snap
@@ -68,9 +68,9 @@ func RestoreScatternetFold(snap *ScatternetFoldSnapshot) (*ScatternetFold, error
 		f.agg = a
 	}
 	f.masked = snap.Masked
-	f.trace = make([]metroEvent, len(snap.Trace))
+	f.trace = make([]taggedEvent, len(snap.Trace))
 	for i, me := range snap.Trace {
-		f.trace[i] = metroEvent{ev: me.Ev, piconet: me.Piconet, seq: me.Seq}
+		f.trace[i] = taggedEvent{ev: me.Ev, group: me.Piconet, pos: me.Seq}
 	}
 	f.rows = append([]PiconetRow(nil), snap.Rows...)
 	return f, nil
@@ -147,6 +147,8 @@ func (a *BridgeAccum) Snapshot() *BridgeAccumSnapshot {
 	return snap
 }
 
+// sortFailureKinds orders failure-kind counts by kind in place (an
+// insertion sort: a bridge sees only a handful of kinds).
 func sortFailureKinds(s []FailureKindCount) {
 	for i := 1; i < len(s); i++ {
 		for j := i; j > 0 && s[j].Kind < s[j-1].Kind; j-- {

@@ -77,8 +77,6 @@ type AgentConfig struct {
 	// when a new frame would push the live spill past the budget the agent
 	// fails loudly instead of spilling forever. 0 means unbounded.
 	SpillBudget int64
-	// DialTimeout bounds one connection attempt (default 2 s).
-	DialTimeout time.Duration
 	// RetryMin is the backoff floor between reconnection attempts while the
 	// sink is unreachable (default 100 ms). Consecutive failures double the
 	// delay up to RetryMax, with deterministic jitter from RetrySeed; the
@@ -92,12 +90,6 @@ type AgentConfig struct {
 	// together does not hammer the sink in lockstep yet every run of a
 	// given agent is reproducible (default 1; wire the shard seed here).
 	RetrySeed uint64
-	// HelloTimeout bounds the wait for the sink's Resume/Reject answer to
-	// the session Hello (default 5 s).
-	HelloTimeout time.Duration
-	// IOTimeout bounds each data/control frame write on a session (default
-	// 5 s); a slower sink drops the connection and the agent resumes.
-	IOTimeout time.Duration
 	// StallTimeout triggers go-back-N retransmission when unacknowledged
 	// batches exist and no acknowledgement progress happened for this long
 	// (default 500 ms).
@@ -136,6 +128,11 @@ type agentStream struct {
 	buf      []bufEntry // unacknowledged batches, sequences acked+1..last
 }
 
+// agentSessionTimeout bounds a record agent's wait for the sink's answer to
+// its Hello and each frame write on a session; a slower sink drops the
+// connection and the agent resumes.
+const agentSessionTimeout = 5 * time.Second
+
 // NewAgent builds the uplink and starts its connection loop. With SpillDir
 // set it first replays the shard's spill log: previously assigned sequence
 // numbers, acknowledged cursors and unacknowledged frames are restored, and
@@ -154,12 +151,6 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.RetrySeed == 0 {
 		cfg.RetrySeed = 1
 	}
-	if cfg.HelloTimeout <= 0 {
-		cfg.HelloTimeout = 5 * time.Second
-	}
-	if cfg.IOTimeout <= 0 {
-		cfg.IOTimeout = 5 * time.Second
-	}
 	if cfg.StallTimeout <= 0 {
 		cfg.StallTimeout = 500 * time.Millisecond
 	}
@@ -167,8 +158,8 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		cfg:     cfg,
 		streams: make(map[string]*agentStream, len(cfg.Nodes)),
 	}
-	a.init(cfg.Addr, retryPolicy{dial: cfg.DialTimeout, min: cfg.RetryMin, max: cfg.RetryMax,
-		seed: int64(cfg.RetrySeed)}, cfg.HelloTimeout, cfg.IOTimeout, cfg.Fault)
+	a.init(cfg.Addr, retryPolicy{min: cfg.RetryMin, max: cfg.RetryMax,
+		seed: int64(cfg.RetrySeed)}, agentSessionTimeout, cfg.Fault)
 	var replay map[string]*walStream
 	if cfg.SpillDir != "" {
 		// The spill log is keyed by keyspace-qualified shard name: agents

@@ -1,7 +1,9 @@
 package collector
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"net"
 	"os"
@@ -49,7 +51,7 @@ func districtHello(t *testing.T, addr string, dc DistrictConfig, lo, hi int) *Fr
 	}
 	defer conn.Close()
 	hello := Hello{Campaign: dc.Campaign, Keyspace: dc.Key, Testbed: scatterRangeKey(lo, hi),
-		Scatter: &ScatterHello{Net: dc.Net, Lo: lo, Hi: hi, Overlay: lo == 0 && dc.Net.Bridges > 0}}
+		Scatter: &ScatterHello{Net: dc.Net, Lo: lo, Hi: hi}}
 	if err := writeControl(conn, frameHello, hello); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +150,7 @@ func TestDistrictCheckpointFixtureCompletes(t *testing.T) {
 		t.Fatalf("restored district metrics: %+v", km)
 	}
 	agent, err := NewScatterAgent(ScatterAgentConfig{Addr: sink.Addr(), Keyspace: dc.Key,
-		Campaign: dc.Campaign, Net: dc.Net, Lo: dc.Lo, Hi: dc.Hi, Overlay: true,
+		Campaign: dc.Campaign, Net: dc.Net, Lo: dc.Lo, Hi: dc.Hi,
 		RunPiconet: func(p int) (*analysis.PiconetPartial, error) {
 			return nil, fmt.Errorf("piconet %d re-run despite the restored cursor", p)
 		},
@@ -176,4 +178,139 @@ func TestDistrictCheckpointFixtureCompletes(t *testing.T) {
 	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(roll.Render()))); got != districtFixtureRollup {
 		t.Errorf("restored district renders rollup %s, want %s", got, districtFixtureRollup)
 	}
+}
+
+// fixturePayload returns the fixture checkpoint's JSON payload, unsealed.
+func fixturePayload(t testing.TB) []byte {
+	t.Helper()
+	payload, err := ReadFileDurable(districtFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// resealFixture edits the fixture's JSON document and writes it, re-sealed,
+// to a fresh checkpoint path. Numbers stay json.Numbers, so every field the
+// edit leaves alone keeps its exact bytes.
+func resealFixture(t *testing.T, edit func(doc map[string]any)) string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(fixturePayload(t)))
+	dec.UseNumber()
+	var doc map[string]any
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	edit(doc)
+	payload, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "fixture.district.ckpt")
+	if err := WriteFileDurable(path, payload); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestDistrictRestoreRejectsContradictoryFold: a district checkpoint whose
+// fold contradicts its range — rows out of order or past the range, an
+// overlay the range does not owe or owes only after every piconet, a final
+// cursor of another range — is refused at restore with a one-line
+// corrupt-checkpoint error naming the file, never resumed with a cursor the
+// fold does not back.
+func TestDistrictRestoreRejectsContradictoryFold(t *testing.T) {
+	rows := func(doc map[string]any) []any { return doc["fold"].(map[string]any)["rows"].([]any) }
+	setRows := func(doc map[string]any, r []any) { doc["fold"].(map[string]any)["rows"] = r }
+	row := func(doc map[string]any, i int, piconet int) any {
+		r := map[string]any{}
+		for k, v := range rows(doc)[i].(map[string]any) {
+			r[k] = v
+		}
+		r["Piconet"] = piconet
+		return r
+	}
+	for _, tc := range []struct {
+		name string
+		net  func(*ScatterNet)
+		edit func(doc map[string]any)
+	}{
+		{"rows 0,5", nil, func(doc map[string]any) {
+			setRows(doc, []any{rows(doc)[0], row(doc, 1, 5)})
+		}},
+		{"rows 1,0", nil, func(doc map[string]any) {
+			setRows(doc, []any{rows(doc)[1], rows(doc)[0]})
+		}},
+		{"rows past the range", nil, func(doc map[string]any) {
+			setRows(doc, append(rows(doc), row(doc, 1, 2)))
+		}},
+		{"overlay before the last piconet", nil, func(doc map[string]any) {
+			setRows(doc, rows(doc)[:1])
+		}},
+		{"overlay on a range that owes none", func(n *ScatterNet) { n.Bridges = 0 }, func(doc map[string]any) {
+			doc["net"].(map[string]any)["bridges"] = 0
+		}},
+		{"final cursor of another range", nil, func(doc map[string]any) {
+			doc["finals"] = map[string]any{"0:1": 3}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := resealFixture(t, tc.edit)
+			dc := fixtureDistrict(path)
+			if tc.net != nil {
+				tc.net(&dc.Net)
+			}
+			sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0", Districts: []DistrictConfig{dc}})
+			if err == nil {
+				sink.Close()
+				t.Fatal("contradictory checkpoint restored")
+			}
+			msg := err.Error()
+			if !strings.Contains(msg, "corrupt district checkpoint "+path+":") || strings.Contains(msg, "\n") {
+				t.Errorf("restore error %q is not a one-line corrupt-checkpoint error naming %s", msg, path)
+			}
+		})
+	}
+	// The unedited document, round-tripped the same way, still restores.
+	sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0",
+		Districts: []DistrictConfig{fixtureDistrict(resealFixture(t, func(map[string]any) {}))}})
+	if err != nil {
+		t.Fatalf("re-sealed fixture refused: %v", err)
+	}
+	sink.Close()
+}
+
+// FuzzDistrictCheckpoint throws arbitrary payloads at district restore,
+// starting from the fixture: restore must never panic, and any payload it
+// accepts must re-checkpoint to a fixed point — what the restored district
+// writes, restored and written again, is the same bytes.
+func FuzzDistrictCheckpoint(f *testing.F) {
+	payload := fixturePayload(f)
+	f.Add(payload)
+	f.Add(payload[:len(payload)/2])
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.district.ckpt")
+		if err := WriteFileDurable(path, payload); err != nil {
+			t.Fatal(err)
+		}
+		ten, err := newDistrict(fixtureDistrict(path))
+		if err != nil {
+			return
+		}
+		var written [2][]byte
+		for i := range written {
+			if err := ten.district.checkpoint(ten); err != nil {
+				t.Fatalf("checkpoint %d of an accepted payload: %v", i, err)
+			}
+			if written[i], err = ReadFileDurable(path); err != nil {
+				t.Fatal(err)
+			}
+			if ten, err = newDistrict(fixtureDistrict(path)); err != nil {
+				t.Fatalf("restore of checkpoint %d: %v", i, err)
+			}
+		}
+		if !bytes.Equal(written[0], written[1]) {
+			t.Fatalf("re-checkpoint is not a fixed point:\n%s\n%s", written[0], written[1])
+		}
+	})
 }

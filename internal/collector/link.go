@@ -16,11 +16,10 @@ import (
 // the ScatterAgent shipping fold partials stop-and-wait — embeds it and
 // supplies its Hello, its cursors and its stall policy.
 type link struct {
-	addr         string
-	retry        retryPolicy
-	helloTimeout time.Duration  // wait for the sink's answer to Hello
-	ioTimeout    time.Duration  // per-frame write deadline
-	inj          *faultInjector // nil without fault injection; session goroutine only
+	addr    string
+	retry   retryPolicy
+	timeout time.Duration  // wait for the sink's answer to Hello; per-frame write deadline
+	inj     *faultInjector // nil without fault injection; session goroutine only
 
 	mu           sync.Mutex // guards the link's fields and the plane's send state
 	err          error      // first fatal error
@@ -37,21 +36,20 @@ type link struct {
 	finOnce   sync.Once
 }
 
+// dialTimeout bounds one connection attempt of either agent plane.
+const dialTimeout = 2 * time.Second
+
 // retryPolicy is the reconnect configuration both agent planes share: the
-// per-attempt dial timeout and the capped, jittered exponential backoff
-// between attempts.
+// capped, jittered exponential backoff between connection attempts.
 type retryPolicy struct {
-	dial, min, max time.Duration
-	seed           int64
+	min, max time.Duration
+	seed     int64
 }
 
-// init fills the link's shared defaults — 2 s dial timeout, 100 ms..5 s
-// backoff with the cap never below the floor — builds the fault injector
-// and makes its channels.
-func (l *link) init(addr string, retry retryPolicy, helloTimeout, ioTimeout time.Duration, fault FaultConfig) {
-	if retry.dial <= 0 {
-		retry.dial = 2 * time.Second
-	}
+// init fills the link's shared defaults — 100 ms..5 s backoff with the cap
+// never below the floor — builds the fault injector and makes its
+// channels.
+func (l *link) init(addr string, retry retryPolicy, timeout time.Duration, fault FaultConfig) {
 	if retry.min <= 0 {
 		retry.min = 100 * time.Millisecond
 	}
@@ -61,7 +59,7 @@ func (l *link) init(addr string, retry retryPolicy, helloTimeout, ioTimeout time
 	if retry.max < retry.min {
 		retry.max = retry.min
 	}
-	l.addr, l.retry, l.helloTimeout, l.ioTimeout = addr, retry, helloTimeout, ioTimeout
+	l.addr, l.retry, l.timeout = addr, retry, timeout
 	l.inj = newFaultInjector(fault)
 	l.work = make(chan struct{}, 1)
 	l.closed = make(chan struct{})
@@ -101,7 +99,7 @@ func (l *link) redial(session func(net.Conn) bool) {
 			return
 		default:
 		}
-		conn, err := net.DialTimeout("tcp", l.addr, l.retry.dial)
+		conn, err := net.DialTimeout("tcp", l.addr, dialTimeout)
 		if err == nil {
 			resumed := session(conn)
 			conn.Close()
@@ -205,7 +203,7 @@ func (l *link) handshake(conn net.Conn, hello *Hello) *Resume {
 	if err := writeControl(conn, frameHello, hello); err != nil {
 		return nil
 	}
-	conn.SetReadDeadline(time.Now().Add(l.helloTimeout))
+	conn.SetReadDeadline(time.Now().Add(l.timeout))
 	fr, err := ReadFrame(conn)
 	if err != nil {
 		return nil
@@ -286,7 +284,7 @@ func (l *link) send(conn net.Conn, frame []byte) error {
 // write puts frames on the wire in order, each under its own write deadline.
 func (l *link) write(conn net.Conn, frames ...[]byte) error {
 	for _, f := range frames {
-		conn.SetWriteDeadline(time.Now().Add(l.ioTimeout))
+		conn.SetWriteDeadline(time.Now().Add(l.timeout))
 		if _, err := conn.Write(f); err != nil {
 			return err
 		}

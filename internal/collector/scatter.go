@@ -43,20 +43,18 @@ type ScatterNet struct {
 }
 
 // ScatterHello rides inside Hello on a district session: the shared
-// scatternet identity plus the agent's claimed piconet range. Overlay marks
-// the session that will ship the bridge-overlay partial as its last work
-// item — by convention exactly the range starting at piconet 0 when the
-// campaign has bridges.
+// scatternet identity plus the agent's claimed piconet range. Whether the
+// range owes the bridge-overlay partial follows from the two (owesOverlay),
+// so it does not travel.
 type ScatterHello struct {
-	Net     ScatterNet `json:"net"`
-	Lo      int        `json:"lo"`
-	Hi      int        `json:"hi"`
-	Overlay bool       `json:"overlay,omitempty"`
+	Net ScatterNet `json:"net"`
+	Lo  int        `json:"lo"`
+	Hi  int        `json:"hi"`
 }
 
 // ScatterBatch is one kind-8 data frame: work item Seq of the session's
 // range. Seq 1..(hi-lo) carry piconet partials for piconets lo..hi-1 in
-// order; on an overlay-owning session, seq hi-lo+1 carries the overlay
+// order; on a range that owes the overlay, seq hi-lo+1 carries the overlay
 // partial. Exactly one of Piconet/Overlay is set.
 type ScatterBatch struct {
 	Seq     uint64                   `json:"seq"`
@@ -67,6 +65,12 @@ type ScatterBatch struct {
 // scatterRangeKey names a piconet range — the stream/cursor key of a
 // district session, the analogue of a flat stream's node name.
 func scatterRangeKey(lo, hi int) string { return fmt.Sprintf("%d:%d", lo, hi) }
+
+// owesOverlay reports whether the piconet range starting at lo owes the
+// bridge-overlay partial as its last work item: the range containing
+// piconet 0, when the campaign has bridges at all. Agent and district each
+// derive it from the range; it never travels.
+func owesOverlay(net ScatterNet, lo int) bool { return lo == 0 && net.Bridges > 0 }
 
 // DistrictConfig declares one scatternet district keyspace hosted by a
 // Sink: a contiguous piconet slice of one metro campaign.
@@ -90,42 +94,28 @@ type DistrictConfig struct {
 	CheckpointPath string
 }
 
-// scatterCursor is one registered range's durable progress: the range
-// bounds and the cumulative applied-and-checkpointed work-item cursor.
-type scatterCursor struct {
-	Lo      int    `json:"lo"`
-	Hi      int    `json:"hi"`
-	Overlay bool   `json:"overlay,omitempty"`
-	Seq     uint64 `json:"seq"`
-}
-
 // district is a district keyspace's fold plane; the session bookkeeping
-// lives in the tenant that hosts it. Its one stream is the range key.
+// lives in the tenant that hosts it. Its one stream is the range key. The
+// work items apply in order — piconets Lo..Hi-1, then the overlay when the
+// range owes it — so the fold's rows and the overlay are the range's
+// progress, and cursor only counts them.
 type district struct {
 	cfg     DistrictConfig
 	fold    *analysis.ScatternetFold
-	folded  []bool // [Hi-Lo): piconet Lo+i folded
-	foldedN int
 	overlay *analysis.OverlayPartial
-	cursors map[string]*scatterCursor // per range key
-	partial *DistrictPartial          // set at completion
+	cursor  uint64           // work items applied (and checkpointed, when checkpointing)
+	partial *DistrictPartial // set at completion
 }
 
-// districtCheckpoint is one district's on-disk state. The fold snapshot is
-// exact (see analysis.ScatternetFoldSnapshot), so restart + resume is
-// bit-identical to never having crashed.
+// districtCheckpoint is one district's on-disk state: the partial it would
+// export at this instant, plus the range's final cursor once its agent
+// declared Done. The fold snapshot is exact (see
+// analysis.ScatternetFoldSnapshot), so restart + resume is bit-identical
+// to never having crashed. The work-item cursor is not stored: restore
+// derives it from the fold's rows and the overlay.
 type districtCheckpoint struct {
-	Campaign CampaignID `json:"campaign"`
-	Keyspace string     `json:"keyspace,omitempty"`
-	Net      ScatterNet `json:"net"`
-	Lo       int        `json:"lo"`
-	Hi       int        `json:"hi"`
-
-	Fold    *analysis.ScatternetFoldSnapshot `json:"fold"`
-	Folded  []bool                           `json:"folded"`
-	Overlay *analysis.OverlayPartial         `json:"overlay,omitempty"`
-	Cursors map[string]*scatterCursor        `json:"cursors,omitempty"`
-	Finals  map[string]uint64                `json:"finals,omitempty"`
+	DistrictPartial
+	Finals map[string]uint64 `json:"finals,omitempty"`
 }
 
 // districtIdentity renders a district's identity for the checkpoint
@@ -148,7 +138,7 @@ func newDistrict(cfg DistrictConfig) (*tenant, error) {
 	if cfg.ScenarioName == "" {
 		cfg.ScenarioName = fmt.Sprintf("scenario %d", cfg.Campaign.Scenario)
 	}
-	d := &district{cfg: cfg, folded: make([]bool, cfg.Hi-cfg.Lo), cursors: make(map[string]*scatterCursor)}
+	d := &district{cfg: cfg}
 	t := newKeyspace(KeyspaceConfig{Key: cfg.Key, Campaign: cfg.Campaign,
 		ScenarioName: cfg.ScenarioName, CheckpointPath: cfg.CheckpointPath})
 	t.district = d
@@ -166,21 +156,8 @@ func newDistrict(cfg DistrictConfig) (*tenant, error) {
 			return nil, t.mismatch(districtIdentity(cp.Keyspace, cp.Campaign, cp.Net, cp.Lo, cp.Hi),
 				districtIdentity(cfg.Key, cfg.Campaign, cfg.Net, cfg.Lo, cfg.Hi))
 		}
-		if d.fold, err = analysis.RestoreScatternetFold(cp.Fold); err != nil {
+		if err := d.restore(&cp); err != nil {
 			return nil, t.corrupt(err)
-		}
-		if len(cp.Folded) != len(d.folded) {
-			return nil, t.corrupt(fmt.Errorf("folded bitmap covers %d piconets, range has %d",
-				len(cp.Folded), len(d.folded)))
-		}
-		d.overlay = cp.Overlay
-		for i, b := range cp.Folded {
-			if d.folded[i] = b; b {
-				d.foldedN++
-			}
-		}
-		for k, c := range cp.Cursors {
-			d.cursors[k] = c
 		}
 		for k, f := range cp.Finals {
 			t.finals[k] = []StreamCursor{{Node: k, Seq: f}}
@@ -192,10 +169,64 @@ func newDistrict(cfg DistrictConfig) (*tenant, error) {
 	return t, nil
 }
 
-// wantsOverlay reports whether the district's range owes the overlay
-// partial: the range containing piconet 0, when the campaign has bridges at
-// all.
-func (d *district) wantsOverlay() bool { return d.cfg.Lo == 0 && d.cfg.Net.Bridges > 0 }
+// restore installs a checkpointed partial whose identity already matched.
+// Its fold must be a prefix of the range's work items — rows for piconets
+// Lo, Lo+1, … in order, then the overlay only when the range owes one and
+// every piconet has folded — and its final cursor may name only the range.
+// The cursor follows: one work item per row, plus one for the overlay.
+func (d *district) restore(cp *districtCheckpoint) error {
+	fold, err := analysis.RestoreScatternetFold(cp.Fold)
+	if err != nil {
+		return err
+	}
+	rows, n := cp.Fold.Rows, d.cfg.Hi-d.cfg.Lo
+	if len(rows) > n {
+		return fmt.Errorf("fold holds %d piconets, range [%d:%d) has %d", len(rows), d.cfg.Lo, d.cfg.Hi, n)
+	}
+	for i, r := range rows {
+		if r.Piconet != d.cfg.Lo+i {
+			return fmt.Errorf("fold row %d is piconet %d, want %d", i, r.Piconet, d.cfg.Lo+i)
+		}
+	}
+	if cp.Overlay != nil && (!owesOverlay(d.cfg.Net, d.cfg.Lo) || len(rows) < n) {
+		return fmt.Errorf("overlay partial on range [%d:%d) with %d/%d piconets folded, which does not owe it yet",
+			d.cfg.Lo, d.cfg.Hi, len(rows), n)
+	}
+	for k := range cp.Finals {
+		if k != d.key() {
+			return fmt.Errorf("final cursor of %q, not of range %s", k, d.key())
+		}
+	}
+	d.fold, d.overlay, d.cursor = fold, cp.Overlay, uint64(len(rows))
+	if cp.Overlay != nil {
+		d.cursor++
+	}
+	return nil
+}
+
+// key is the district's one stream: its range key.
+func (d *district) key() string { return scatterRangeKey(d.cfg.Lo, d.cfg.Hi) }
+
+// items is the range's work-item count: one per piconet, plus the overlay
+// when the range owes it.
+func (d *district) items() uint64 {
+	n := uint64(d.cfg.Hi - d.cfg.Lo)
+	if owesOverlay(d.cfg.Net, d.cfg.Lo) {
+		n++
+	}
+	return n
+}
+
+// folded reports how many of the range's piconets have folded: the
+// overlay, when owed, is the work item after the last piconet.
+func (d *district) folded() int { return min(int(d.cursor), d.cfg.Hi-d.cfg.Lo) }
+
+// snapshot builds the partial the district would export at this instant —
+// the checkpoint's body and, at completion, the export. Caller holds mu.
+func (d *district) snapshot() DistrictPartial {
+	return DistrictPartial{Keyspace: d.cfg.Key, Campaign: d.cfg.Campaign, Net: d.cfg.Net,
+		Lo: d.cfg.Lo, Hi: d.cfg.Hi, Fold: d.fold.Snapshot(), Overlay: d.overlay}
+}
 
 // checkpoint serializes the district's full state to its checkpoint file
 // (guard trailer, previous-good rotation, atomic rename). Acknowledgements
@@ -206,12 +237,7 @@ func (d *district) checkpoint(t *tenant) error {
 	for k, f := range t.finals {
 		finals[k] = f[0].Seq
 	}
-	blob, err := json.Marshal(&districtCheckpoint{
-		Campaign: d.cfg.Campaign, Keyspace: d.cfg.Key, Net: d.cfg.Net,
-		Lo: d.cfg.Lo, Hi: d.cfg.Hi,
-		Fold: d.fold.Snapshot(), Folded: d.folded, Overlay: d.overlay,
-		Cursors: d.cursors, Finals: finals,
-	})
+	blob, err := json.Marshal(&districtCheckpoint{DistrictPartial: d.snapshot(), Finals: finals})
 	if err != nil {
 		return err
 	}
@@ -219,10 +245,9 @@ func (d *district) checkpoint(t *tenant) error {
 }
 
 // admit runs the district's Hello checks after the shared ones: the
-// scatternet identity must match, the claimed range must be exactly the
-// district's (PROTOCOL §12), and the overlay flag must follow the piconet-0
-// convention. It returns the range key and its Resume cursor. Caller holds
-// mu.
+// scatternet identity must match and the claimed range must be exactly the
+// district's (PROTOCOL §12). It returns the range key and its Resume
+// cursor. Caller holds mu.
 func (d *district) admit(hello *Hello) (string, *Resume, *Reject) {
 	sc := hello.Scatter
 	switch {
@@ -233,19 +258,9 @@ func (d *district) admit(hello *Hello) (string, *Resume, *Reject) {
 		return "", nil, &Reject{Code: RejectUnknownShard, Reason: fmt.Sprintf(
 			"piconet range [%d:%d) is not district %q's [%d:%d)",
 			sc.Lo, sc.Hi, hello.Keyspace, d.cfg.Lo, d.cfg.Hi)}
-	case sc.Overlay != d.wantsOverlay():
-		return "", nil, &Reject{Code: RejectUnknownShard, Reason: fmt.Sprintf(
-			"overlay ownership violation for range [%d:%d): the range starting at piconet 0 "+
-				"carries the overlay exactly when the campaign has bridges (%d configured)",
-			sc.Lo, sc.Hi, d.cfg.Net.Bridges)}
 	}
-	key := scatterRangeKey(sc.Lo, sc.Hi)
-	cur := d.cursors[key]
-	if cur == nil {
-		cur = &scatterCursor{Lo: sc.Lo, Hi: sc.Hi, Overlay: sc.Overlay}
-		d.cursors[key] = cur
-	}
-	return key, &Resume{Cursors: []StreamCursor{{Node: key, Seq: cur.Seq}}}, nil
+	key := d.key()
+	return key, &Resume{Cursors: []StreamCursor{{Node: key, Seq: d.cursor}}}, nil
 }
 
 // handleScatter applies one kind-8 frame under stop-and-wait discipline:
@@ -256,44 +271,32 @@ func (d *district) admit(hello *Hello) (string, *Resume, *Reject) {
 func (s *Sink) handleScatter(t *tenant, sess *sinkSession, key string, sb *ScatterBatch) bool {
 	d := t.district
 	s.mu.Lock()
-	cur := d.cursors[key]
-	if sb.Seq <= cur.Seq {
+	if sb.Seq <= d.cursor {
 		t.duplicates++
-		ack := Ack{Node: key, Seq: cur.Seq}
+		ack := Ack{Node: key, Seq: d.cursor}
 		s.mu.Unlock()
 		return sess.send(frameAck, &ack) == nil
 	}
-	if sb.Seq != cur.Seq+1 {
+	if sb.Seq != d.cursor+1 {
 		s.mu.Unlock()
 		return true
 	}
-	items := uint64(cur.Hi - cur.Lo)
 	var applyErr error
-	switch {
-	case sb.Seq <= items:
-		p := cur.Lo + int(sb.Seq) - 1
-		switch {
-		case sb.Piconet == nil || sb.Piconet.Piconet != p:
+	switch piconets := uint64(d.cfg.Hi - d.cfg.Lo); {
+	case sb.Seq <= piconets:
+		if p := d.cfg.Lo + int(sb.Seq) - 1; sb.Piconet == nil || sb.Piconet.Piconet != p {
 			applyErr = fmt.Errorf("work item %d of range %s must be piconet %d's partial", sb.Seq, key, p)
-		case d.folded[p-d.cfg.Lo]:
-			applyErr = fmt.Errorf("piconet %d already folded", p)
-		default:
-			if applyErr = d.fold.AddPartial(sb.Piconet); applyErr == nil {
-				d.folded[p-d.cfg.Lo] = true
-				d.foldedN++
-			}
+		} else {
+			applyErr = d.fold.AddPartial(sb.Piconet)
 		}
-	case cur.Overlay && sb.Seq == items+1:
-		switch {
-		case sb.Overlay == nil:
+	case sb.Seq == d.items():
+		if sb.Overlay == nil {
 			applyErr = fmt.Errorf("work item %d of range %s must be the overlay partial", sb.Seq, key)
-		case d.overlay != nil:
-			applyErr = fmt.Errorf("duplicate overlay partial")
-		default:
+		} else {
 			d.overlay = sb.Overlay
 		}
 	default:
-		applyErr = fmt.Errorf("work item %d beyond range %s's %d items", sb.Seq, key, items)
+		applyErr = fmt.Errorf("work item %d beyond range %s's %d items", sb.Seq, key, d.items())
 	}
 	if applyErr != nil {
 		t.rejected++
@@ -301,20 +304,19 @@ func (s *Sink) handleScatter(t *tenant, sess *sinkSession, key string, sb *Scatt
 		return false
 	}
 	t.applied++
-	// The cursor advances BEFORE the checkpoint so the durable state is
-	// self-consistent: the checkpoint that contains this partial's fold also
-	// says it was applied. Checkpointing the old cursor would make a restore
-	// re-request work the fold already holds — and an agent that saw the ack
-	// would correctly abort on the regressed resume cursor. A failed
-	// checkpoint leaves the partial folded in memory but not durable: drop
-	// the session WITHOUT acknowledging — the next applied partial's
-	// full-state checkpoint covers this one too.
-	cur.Seq = sb.Seq
+	// The checkpoint holds the fold with this partial in it, and a restore
+	// derives the cursor from that fold, so the durable cursor can never
+	// fall behind the durable fold (a restore re-requesting folded work) or
+	// behind an ack (an agent aborting on the regressed resume cursor). A
+	// failed checkpoint leaves the partial folded in memory but not
+	// durable: drop the session WITHOUT acknowledging — the next applied
+	// partial's full-state checkpoint covers this one too.
+	d.cursor = sb.Seq
 	if t.cfg.CheckpointPath != "" && s.checkpointLocked(t) != nil {
 		s.mu.Unlock()
 		return false
 	}
-	ack := Ack{Node: key, Seq: cur.Seq}
+	ack := Ack{Node: key, Seq: d.cursor}
 	s.mu.Unlock()
 	if sess.send(frameAck, &ack) != nil {
 		return false
@@ -326,7 +328,8 @@ func (s *Sink) handleScatter(t *tenant, sess *sinkSession, key string, sb *Scatt
 // DistrictPartial is one completed district's contribution to the metro
 // merge: the exact fold snapshot over its piconet range, plus the overlay
 // partial when the district owned it. This is what btsink exports (sealed
-// with the §9.1 trailer) and btmerge -scatternet consumes.
+// with the §9.1 trailer) and btmerge -scatternet consumes; a district's
+// checkpoint is the same document taken mid-range, plus its final cursor.
 type DistrictPartial struct {
 	Keyspace string                           `json:"keyspace,omitempty"`
 	Campaign CampaignID                       `json:"campaign"`
@@ -452,21 +455,18 @@ type ScatterAgentConfig struct {
 	// Net is the scatternet identity; must match the district's exactly.
 	Net ScatterNet
 	// Lo, Hi bound this agent's piconet range [Lo, Hi): the district's
-	// whole range.
+	// whole range. The range starting at piconet 0 of a bridged campaign
+	// also ships the bridge overlay.
 	Lo, Hi int
-	// Overlay marks this agent as the bridge-overlay owner; must be set
-	// exactly when Lo == 0 and the campaign has bridges.
-	Overlay bool
 	// RunPiconet produces piconet p's partial. Piconet worlds are
 	// deterministic in (seed, p), so the agent keeps no WAL: after a crash
 	// it simply re-runs the piconets past the sink's resume cursor and
 	// regenerates byte-identical partials.
 	RunPiconet func(p int) (*analysis.PiconetPartial, error)
-	// RunOverlay produces the overlay partial (required when Overlay).
+	// RunOverlay produces the overlay partial (required when the range
+	// owes it).
 	RunOverlay func() (*analysis.OverlayPartial, error)
 
-	// DialTimeout bounds one connection attempt (default 2 s).
-	DialTimeout time.Duration
 	// RetryMin / RetryMax bound the jittered exponential reconnect backoff
 	// (defaults 100 ms / 5 s), seeded by RetrySeed.
 	RetryMin  time.Duration
@@ -505,7 +505,8 @@ func NewScatterAgent(cfg ScatterAgentConfig) (*ScatterAgent, error) {
 	if cfg.RunPiconet == nil {
 		return nil, fmt.Errorf("collector: scatternet agent without a RunPiconet callback")
 	}
-	if cfg.Overlay && cfg.RunOverlay == nil {
+	overlay := owesOverlay(cfg.Net, cfg.Lo)
+	if overlay && cfg.RunOverlay == nil {
 		return nil, fmt.Errorf("collector: overlay-owning scatternet agent without a RunOverlay callback")
 	}
 	if err := cfg.Fault.Validate(); err != nil {
@@ -519,11 +520,11 @@ func NewScatterAgent(cfg ScatterAgentConfig) (*ScatterAgent, error) {
 		key:   scatterRangeKey(cfg.Lo, cfg.Hi),
 		total: uint64(cfg.Hi - cfg.Lo),
 	}
-	if cfg.Overlay {
+	if overlay {
 		a.total++
 	}
-	a.init(cfg.Addr, retryPolicy{dial: cfg.DialTimeout, min: cfg.RetryMin, max: cfg.RetryMax,
-		seed: cfg.RetrySeed}, cfg.StallTimeout, cfg.StallTimeout, cfg.Fault)
+	a.init(cfg.Addr, retryPolicy{min: cfg.RetryMin, max: cfg.RetryMax,
+		seed: cfg.RetrySeed}, cfg.StallTimeout, cfg.Fault)
 	return a, nil
 }
 
@@ -547,7 +548,7 @@ func (a *ScatterAgent) Run() error {
 func (a *ScatterAgent) session(conn net.Conn) bool {
 	res := a.handshake(conn, &Hello{Campaign: a.cfg.Campaign, Keyspace: a.cfg.Keyspace,
 		Testbed: a.key, Scatter: &ScatterHello{
-			Net: a.cfg.Net, Lo: a.cfg.Lo, Hi: a.cfg.Hi, Overlay: a.cfg.Overlay}})
+			Net: a.cfg.Net, Lo: a.cfg.Lo, Hi: a.cfg.Hi}})
 	if res == nil {
 		return false
 	}

@@ -170,18 +170,9 @@ type SinkConfig struct {
 	CheckpointEvery int
 	// MemoryBudget bounds the total buffered (not yet folded) record count
 	// across all keyspaces; above it each data frame's processing is
-	// delayed by BackpressureDelay to slow the fleet down (0 = no
+	// delayed by backpressureDelay to slow the fleet down (0 = no
 	// backpressure).
 	MemoryBudget int
-	// BackpressureDelay is the per-frame delay applied while over the
-	// memory budget (default 2 ms).
-	BackpressureDelay time.Duration
-	// HelloTimeout bounds the wait for a new connection's Hello frame
-	// (default 10 s); a connection that says nothing is dropped.
-	HelloTimeout time.Duration
-	// WriteTimeout bounds each control frame write to an agent (default
-	// 5 s); a stuck agent connection is dropped, the agent resumes.
-	WriteTimeout time.Duration
 	// SpecResolver maps a POST /campaigns registration (campaign identity
 	// plus optional testbed-name subset) to the campaign's stream spec.
 	// The collector package cannot derive specs itself — that knowledge
@@ -190,6 +181,19 @@ type SinkConfig struct {
 	// Nil disables HTTP registration (the endpoint answers 501).
 	SpecResolver func(campaign CampaignID, testbeds []string) (analysis.StreamSpec, error)
 }
+
+// The sink's session timing.
+const (
+	// backpressureDelay is the per-frame delay applied while over the
+	// memory budget.
+	backpressureDelay = 2 * time.Millisecond
+	// sinkHelloTimeout bounds the wait for a new connection's Hello frame;
+	// a connection that says nothing is dropped.
+	sinkHelloTimeout = 10 * time.Second
+	// sinkWriteTimeout bounds each control frame write to an agent; a
+	// stuck agent connection is dropped, the agent resumes.
+	sinkWriteTimeout = 5 * time.Second
+)
 
 // skey identifies one stream.
 type skey struct{ testbed, node string }
@@ -261,15 +265,6 @@ type SinkReport struct {
 func NewSink(cfg SinkConfig) (*Sink, error) {
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 64
-	}
-	if cfg.HelloTimeout <= 0 {
-		cfg.HelloTimeout = 10 * time.Second
-	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = 5 * time.Second
-	}
-	if cfg.BackpressureDelay <= 0 {
-		cfg.BackpressureDelay = 2 * time.Millisecond
 	}
 	if len(cfg.Keyspaces) == 0 && len(cfg.Districts) == 0 && !cfg.AllowEmpty {
 		return nil, fmt.Errorf("collector: sink declares no keyspaces (set AllowEmpty for the always-on mode)")
@@ -516,7 +511,7 @@ func (s *Sink) acceptLoop() {
 // typed rejects, the plane's own admission checks, the Resume, then data
 // and Done frames until the connection ends.
 func (s *Sink) serve(conn net.Conn) {
-	conn.SetReadDeadline(time.Now().Add(s.cfg.HelloTimeout))
+	conn.SetReadDeadline(time.Now().Add(sinkHelloTimeout))
 	fr, err := ReadFrame(conn)
 	if err != nil || fr.Kind != KindHello {
 		return
@@ -551,7 +546,7 @@ func (s *Sink) serve(conn net.Conn) {
 	if rej != nil {
 		s.hellosRejected++
 	} else {
-		sess = &sinkSession{conn: conn, timeout: s.cfg.WriteTimeout,
+		sess = &sinkSession{conn: conn, timeout: sinkWriteTimeout,
 			told: make(map[string]StreamCursor, len(res.Cursors))}
 		for _, c := range res.Cursors {
 			sess.told[c.Node] = c // the Resume tells the agent these cursors
@@ -711,7 +706,7 @@ func (s *Sink) backpressure() {
 	s.mu.Lock()
 	s.delayedAcks++
 	s.mu.Unlock()
-	time.Sleep(s.cfg.BackpressureDelay)
+	time.Sleep(backpressureDelay)
 }
 
 // PendingRecords reports the total buffered (not yet folded) record count
@@ -836,10 +831,7 @@ func (t *tenant) acked(stream, node string) uint64 {
 	if t.district == nil {
 		return t.ackable[skey{stream, node}].Seq
 	}
-	if cur := t.district.cursors[stream]; cur != nil {
-		return cur.Seq
-	}
-	return 0
+	return t.district.cursor // its one stream: restore and Done refuse any other
 }
 
 // ready reports whether every declared stream is released and the plane's
@@ -849,8 +841,7 @@ func (t *tenant) ready() bool {
 		// Completing on the last fold alone, ahead of the agent's Done,
 		// could leave that agent redialling a closed listener: btsink exits
 		// once every keyspace completes.
-		return len(t.finished) == len(d.cursors) && d.foldedN == d.cfg.Hi-d.cfg.Lo &&
-			(!d.wantsOverlay() || d.overlay != nil)
+		return t.finished[d.key()] && d.cursor == d.items()
 	}
 	return len(t.finished) == len(t.cfg.Spec.Testbeds) && len(t.cfg.Spec.Testbeds) > 0
 }
@@ -887,8 +878,8 @@ func (s *Sink) checkCompletion(t *tenant) {
 	if complete {
 		t.complete = true
 		if d := t.district; d != nil {
-			d.partial = &DistrictPartial{Keyspace: d.cfg.Key, Campaign: d.cfg.Campaign, Net: d.cfg.Net,
-				Lo: d.cfg.Lo, Hi: d.cfg.Hi, Fold: d.fold.Snapshot(), Overlay: d.overlay}
+			p := d.snapshot()
+			d.partial = &p
 		} else {
 			t.agg = t.str.Finalize()
 			t.trace = t.str.DependTrace()
@@ -957,8 +948,8 @@ func (s *Sink) wait(id nsKey, timeout time.Duration) (*tenant, error) {
 	progress, why := "", ""
 	switch d := t.district; {
 	case d != nil:
-		progress = fmt.Sprintf("%d/%d piconets folded, ", d.foldedN, d.cfg.Hi-d.cfg.Lo)
-		if d.wantsOverlay() && d.overlay == nil {
+		progress = fmt.Sprintf("%d/%d piconets folded, ", d.folded(), d.cfg.Hi-d.cfg.Lo)
+		if owesOverlay(d.cfg.Net, d.cfg.Lo) && d.overlay == nil {
 			why = "; overlay partial not received"
 		}
 	case t.quarantined:
@@ -1162,7 +1153,7 @@ func (s *Sink) Metrics() *SinkMetrics {
 		}
 		if d := t.district; d != nil {
 			km.FinishedTestbeds = 0
-			km.Piconets, km.FoldedPiconets = d.cfg.Hi-d.cfg.Lo, d.foldedN
+			km.Piconets, km.FoldedPiconets = d.cfg.Hi-d.cfg.Lo, d.folded()
 		}
 		m.Keyspaces, strs = append(m.Keyspaces, km), append(strs, t.str)
 	}

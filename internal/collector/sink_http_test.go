@@ -220,7 +220,7 @@ func TestSinkHTTPDistrict(t *testing.T) {
 	}
 
 	agent, err := NewScatterAgent(ScatterAgentConfig{Addr: sink.Addr(), Keyspace: dc.Key,
-		Campaign: dc.Campaign, Net: dc.Net, Lo: dc.Lo, Hi: dc.Hi, Overlay: true,
+		Campaign: dc.Campaign, Net: dc.Net, Lo: dc.Lo, Hi: dc.Hi,
 		RunPiconet: func(int) (*analysis.PiconetPartial, error) { return nil, fmt.Errorf("no re-run") },
 		RunOverlay: func() (*analysis.OverlayPartial, error) { return nil, fmt.Errorf("no re-run") },
 	})

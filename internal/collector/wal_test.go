@@ -301,7 +301,7 @@ func TestAgentSpillBudgetOverflow(t *testing.T) {
 		Campaign: CampaignID{Seed: 3, Duration: 24 * sim.Hour, Scenario: 3},
 		Testbed:  "alpha", Nodes: []string{"a1", "a2", "napA"},
 		SpillDir: t.TempDir(), SpillBudget: 512,
-		DialTimeout: 50 * time.Millisecond, RetryMin: 10 * time.Millisecond,
+		RetryMin: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -226,7 +226,7 @@ func (b *bridge) arrive(d int) {
 	switch {
 	case now < b.out.until:
 		b.acc.AddOutageDrop(b.serves[d])
-	case len(b.queues[d]) >= b.cfg.QueueCap:
+	case len(b.queues[d]) >= queueCap:
 		b.acc.AddQueueDrop(b.serves[d])
 	default:
 		b.queues[d] = append(b.queues[d], relaySDU{at: now})

@@ -144,7 +144,7 @@ func newProber(cfg Config, o *overlay, topo Topology) *prober {
 		outages: o.outages,
 		hold:    cfg.HoldTime,
 		service: relayAirTime(cfg.RelayBytes),
-		every:   cfg.RelayProbeEvery,
+		every:   relayProbeEvery,
 		acc:     analysis.NewRelayDepthAccum(),
 	}
 	if cfg.Rollup {

@@ -87,7 +87,7 @@ func newEventProber(cfg Config, o *overlay, topo Topology) *eventProber {
 		members: topo.Members,
 		hold:    cfg.HoldTime,
 		service: relayAirTime(cfg.RelayBytes),
-		every:   cfg.RelayProbeEvery,
+		every:   relayProbeEvery,
 		acc:     analysis.NewRelayDepthAccum(),
 	}
 	if cfg.Rollup {

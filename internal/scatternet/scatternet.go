@@ -71,12 +71,19 @@ const (
 	DefaultRelayEvery = 30 * sim.Second
 	// DefaultRelayBytes is the relayed SDU size (a bulk BNEP payload).
 	DefaultRelayBytes = 1024
-	// DefaultQueueCap bounds each store-and-forward queue so overlay
-	// memory stays O(1) even when a bridge is down for a long recovery.
-	DefaultQueueCap = 64
-	// DefaultRelayProbeEvery is the mean inter-arrival of multi-hop relay
-	// probes per ordered piconet pair.
-	DefaultRelayProbeEvery = 60 * sim.Second
+)
+
+// Fixed overlay knobs.
+const (
+	// queueCap bounds each per-destination store-and-forward queue so
+	// overlay memory stays O(1) even when a bridge is down for a long
+	// recovery; arrivals beyond it are counted as queue drops.
+	queueCap = 64
+	// relayProbeEvery is the mean inter-arrival of multi-hop relay probes
+	// per sampled ordered piconet pair. Probes walk the topology's
+	// minimum-hop route analytically — they read bridge state but never
+	// perturb it — and feed the delay-vs-relay-depth table.
+	relayProbeEvery = 60 * sim.Second
 )
 
 // Config describes one scatternet campaign.
@@ -100,14 +107,6 @@ type Config struct {
 	RelayEvery sim.Time
 	// RelayBytes is the relayed SDU size (default 1024).
 	RelayBytes int
-	// QueueCap bounds each per-destination store-and-forward queue
-	// (default 64); arrivals beyond it are counted as queue drops.
-	QueueCap int
-	// RelayProbeEvery is the mean inter-arrival of multi-hop relay probes
-	// per sampled ordered piconet pair (default 60 s). Probes walk the
-	// topology's minimum-hop route analytically — they read bridge state
-	// but never perturb it — and feed the delay-vs-relay-depth table.
-	RelayProbeEvery sim.Time
 	// ProbePairFraction samples the relay probe plane over a seeded subset
 	// of ordered piconet pairs: each pair is kept with this independent
 	// probability, drawn deterministically from the campaign seed (see
@@ -163,12 +162,6 @@ func (c Config) withDefaults() Config {
 	if c.RelayBytes == 0 {
 		c.RelayBytes = DefaultRelayBytes
 	}
-	if c.QueueCap == 0 {
-		c.QueueCap = DefaultQueueCap
-	}
-	if c.RelayProbeEvery == 0 {
-		c.RelayProbeEvery = DefaultRelayProbeEvery
-	}
 	if c.FlushEvery == 0 {
 		c.FlushEvery = sim.Hour
 	}
@@ -188,12 +181,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("scatternet: non-positive bridge hold time")
 	case c.RelayEvery <= 0:
 		return fmt.Errorf("scatternet: non-positive relay inter-arrival time")
-	case c.RelayProbeEvery <= 0:
-		return fmt.Errorf("scatternet: non-positive relay probe inter-arrival time")
 	case c.RelayBytes <= 0:
 		return fmt.Errorf("scatternet: non-positive relay SDU size")
-	case c.QueueCap <= 0:
-		return fmt.Errorf("scatternet: non-positive relay queue capacity")
 	case c.FlushEvery < 0:
 		return fmt.Errorf("scatternet: negative streaming flush interval")
 	case math.IsNaN(c.ProbePairFraction):

@@ -53,7 +53,7 @@ func TestScenarioFailureStreamsDiffer(t *testing.T) {
 		}
 		tb.Run(12 * sim.Hour)
 		actions := map[core.RecoveryAction]int{}
-		for _, r := range tb.Results().Reports {
+		for _, r := range tb.Results().Reports() {
 			if r.Recovered {
 				actions[r.Recovery]++
 			}
@@ -90,14 +90,14 @@ func TestReportsCarryFullContext(t *testing.T) {
 	}
 	tb.Run(12 * sim.Hour)
 	res := tb.Results()
-	if len(res.Reports) == 0 {
+	if len(res.Reports()) == 0 {
 		t.Skip("no failures in this window")
 	}
 	nodes := map[string]bool{}
 	for _, s := range []string{"Verde", "Miseno", "Azzurro", "Win", "Ipaq", "Zaurus"} {
 		nodes[s] = true
 	}
-	for _, r := range res.Reports {
+	for _, r := range res.Reports() {
 		if !nodes[r.Node] {
 			t.Fatalf("report from unknown node %q", r.Node)
 		}
@@ -126,10 +126,10 @@ func TestSystemEntriesAttributable(t *testing.T) {
 	}
 	tb.Run(12 * sim.Hour)
 	res := tb.Results()
-	if len(res.Entries) == 0 {
+	if len(res.Entries()) == 0 {
 		t.Skip("no system entries in this window")
 	}
-	for _, e := range res.Entries {
+	for _, e := range res.Entries() {
 		if !e.Source.Valid() {
 			t.Fatalf("entry with invalid source: %+v", e)
 		}
@@ -151,14 +151,14 @@ func TestMaskedScenarioSuppressesUserVisibleFailures(t *testing.T) {
 		}
 		tb.Run(2 * sim.Day)
 		res := tb.Results()
-		for _, r := range res.Reports {
+		for _, r := range res.Reports() {
 			if r.Masked {
 				masked++
 			} else {
 				failures++
 			}
 		}
-		return failures, masked, len(res.Entries)
+		return failures, masked, len(res.Entries())
 	}
 	f0, m0, _ := run(recovery.ScenarioSIRAs)
 	f1, m1, _ := run(recovery.ScenarioSIRAsMasking)

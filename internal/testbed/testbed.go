@@ -14,6 +14,7 @@ package testbed
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 
@@ -222,12 +223,9 @@ type Results struct {
 	Name     string
 	Duration sim.Time
 	NAPNode  string
-	// Reports holds every user-level report (including masked ones).
-	Reports []core.UserReport
-	// Entries holds every system-level entry from all nodes.
-	Entries []core.SystemEntry
-	// PerNodeReports/PerNodeEntries keep per-node views for the
-	// coalescence pipeline.
+	// PerNodeReports/PerNodeEntries hold every record, once, in each
+	// node's log order: user-level reports (masked ones included) and
+	// system-level entries. Reports and Entries give the time-sorted views.
 	PerNodeReports map[string][]core.UserReport
 	PerNodeEntries map[string][]core.SystemEntry
 	// Counters keeps the per-client counters.
@@ -244,25 +242,32 @@ func (tb *Testbed) Results() *Results {
 		PerNodeEntries: make(map[string][]core.SystemEntry),
 		Counters:       make(map[string]*workload.Counters),
 	}
-	// The flat views are allocated at their exact size: a retained
-	// campaign's result holds every record twice.
-	var reports [][]core.UserReport
 	for node, log := range tb.TestLogs {
 		res.PerNodeReports[node] = log.Snapshot()
-		reports = append(reports, res.PerNodeReports[node])
 	}
-	var entries [][]core.SystemEntry
 	for node, log := range tb.SysLogs {
 		res.PerNodeEntries[node] = log.Snapshot()
-		entries = append(entries, res.PerNodeEntries[node])
 	}
-	res.Reports, res.Entries = slices.Concat(reports...), slices.Concat(entries...)
-	logging.SortUserReports(res.Reports)
-	logging.SortSystemEntries(res.Entries)
 	for _, c := range tb.Clients {
 		res.Counters[c.Node()] = c.Counters()
 	}
 	return res
+}
+
+// Reports returns every user-level report of the testbed (masked ones
+// included), sorted by (time, node) — a fresh slice each call.
+func (r *Results) Reports() []core.UserReport {
+	reports := slices.Concat(slices.Collect(maps.Values(r.PerNodeReports))...)
+	logging.SortUserReports(reports)
+	return reports
+}
+
+// Entries returns every system-level entry of the testbed, sorted by
+// (time, node) — a fresh slice each call.
+func (r *Results) Entries() []core.SystemEntry {
+	entries := slices.Concat(slices.Collect(maps.Values(r.PerNodeEntries))...)
+	logging.SortSystemEntries(entries)
+	return entries
 }
 
 // Campaign runs the paper's two testbeds.

@@ -79,18 +79,19 @@ func TestShortCampaignProducesData(t *testing.T) {
 	if totalCycles < 500 {
 		t.Errorf("only %d cycles across 6 nodes in 6 virtual hours", totalCycles)
 	}
-	if len(res.Reports) == 0 {
+	if len(res.Reports()) == 0 {
 		t.Error("no user reports with calibrated fault rates")
 	}
-	if len(res.Entries) == 0 {
+	if len(res.Entries()) == 0 {
 		t.Error("no system entries")
 	}
 	// Reports must be time-sorted and carry the testbed name.
-	for i, r := range res.Reports {
+	reports := res.Reports()
+	for i, r := range reports {
 		if r.Testbed != "random" {
 			t.Fatalf("report %d has testbed %q", i, r.Testbed)
 		}
-		if i > 0 && r.At < res.Reports[i-1].At {
+		if i > 0 && r.At < reports[i-1].At {
 			t.Fatal("reports not sorted")
 		}
 	}
@@ -137,7 +138,7 @@ func TestCampaignDeterminism(t *testing.T) {
 		}
 		c.KeepRecords = true
 		randRes, realRes := c.RunStreaming(3*sim.Hour, sim.Hour, s)
-		return len(randRes.Reports), len(realRes.Reports)
+		return len(randRes.Reports()), len(realRes.Reports())
 	}
 	a1, b1 := run()
 	a2, b2 := run()

@@ -153,7 +153,6 @@ func runMetroAgent(cfg ScatternetConfig, dc collector.DistrictConfig, addr strin
 		Net:          dc.Net,
 		Lo:           dc.Lo,
 		Hi:           dc.Hi,
-		Overlay:      dc.Lo == 0 && dc.Net.Bridges > 0,
 		RunPiconet:   run,
 		RunOverlay:   camp.RunOverlay,
 		RetryMin:     20 * time.Millisecond,

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
-	"repro/internal/logging"
 	"repro/internal/sim"
 	"repro/internal/testbed"
 	"repro/internal/workload"
@@ -72,7 +71,6 @@ func ResultFromRecords(reports []core.UserReport, entries []core.SystemEntry) (*
 			return nil, err
 		}
 		tb := byName[r.Testbed]
-		tb.Reports = append(tb.Reports, r)
 		tb.PerNodeReports[r.Node] = append(tb.PerNodeReports[r.Node], r)
 	}
 	for i, e := range entries {
@@ -80,12 +78,7 @@ func ResultFromRecords(reports []core.UserReport, entries []core.SystemEntry) (*
 			return nil, err
 		}
 		tb := byName[e.Testbed]
-		tb.Entries = append(tb.Entries, e)
 		tb.PerNodeEntries[e.Node] = append(tb.PerNodeEntries[e.Node], e)
-	}
-	for _, tb := range byName {
-		logging.SortUserReports(tb.Reports)
-		logging.SortSystemEntries(tb.Entries)
 	}
 	return &CampaignResult{Random: byName["random"], Realistic: byName["realistic"],
 		Agg: s.Finalize()}, nil

@@ -94,8 +94,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if !reflect.DeepEqual(par.AllReports(), seq.AllReports()) {
 		t.Error("user reports diverge between concurrent and sequential runs")
 	}
-	if !reflect.DeepEqual(par.Random.Entries, seq.Random.Entries) ||
-		!reflect.DeepEqual(par.Realistic.Entries, seq.Realistic.Entries) {
+	if !reflect.DeepEqual(par.Random.Entries(), seq.Random.Entries()) ||
+		!reflect.DeepEqual(par.Realistic.Entries(), seq.Realistic.Entries()) {
 		t.Error("system entries diverge between concurrent and sequential runs")
 	}
 	compareOutputs(t, "concurrent vs sequential retained", par, seq)

@@ -111,7 +111,7 @@ func TestStreamingEquivalence(t *testing.T) {
 	if got := len(retained.AllReports()); got != u {
 		t.Errorf("retained campaign kept %d reports, folded %d", got, u)
 	}
-	if got := len(retained.Random.Entries) + len(retained.Realistic.Entries); got != s {
+	if got := len(retained.Random.Entries()) + len(retained.Realistic.Entries()); got != s {
 		t.Errorf("retained campaign kept %d entries, folded %d", got, s)
 	}
 	if streaming.AllReports() != nil || streaming.Evidence(10*sim.Second) != nil {
