@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/coalesce"
+	"repro/internal/collector"
 	"repro/internal/core"
 	"repro/internal/recovery"
 	"repro/internal/sim"
@@ -91,6 +92,12 @@ func (c CampaignConfig) Validate() error {
 		return fmt.Errorf("btpan: negative streaming flush interval")
 	}
 	return nil
+}
+
+// ID is the campaign identity as the collection wire compares it: every
+// agent, sink and merge of one campaign must agree on it.
+func (c CampaignConfig) ID() collector.CampaignID {
+	return collector.CampaignID{Seed: c.Seed, Duration: c.Duration, Scenario: int(c.Scenario)}
 }
 
 // CampaignResult bundles both testbeds' collected data: Agg holds the

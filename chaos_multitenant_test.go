@@ -9,9 +9,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/collector"
-	"repro/internal/sim"
 	"repro/internal/testbed"
-	"repro/internal/workload"
 )
 
 // The multi-tenant chaos test: three concurrent campaigns collected through
@@ -23,45 +21,6 @@ import (
 // other campaigns' merged reports stay byte-identical to their
 // single-process streaming references. scripts/chaos_multitenant.sh is the
 // real-OS-process version of this test.
-
-// runTenantShard is runShard with a keyspace and a caller-chosen Finish
-// timeout (the quota-shed shard is EXPECTED to time out, rejected).
-func runTenantShard(opts testbed.Options, campaign collector.CampaignID, keyspace, addr string,
-	duration, flush sim.Time, fault collector.FaultConfig, finishTimeout time.Duration,
-	errs chan<- shardErr) {
-	name := keyspace + "/" + opts.Name
-	tb, err := testbed.New(opts)
-	if err != nil {
-		errs <- shardErr{name, err}
-		return
-	}
-	nodes := make([]string, 0, len(tb.PANUs)+1)
-	for _, h := range tb.PANUs {
-		nodes = append(nodes, h.Node)
-	}
-	nodes = append(nodes, tb.NAP.Node)
-	agent, err := collector.NewAgent(collector.AgentConfig{
-		Addr: addr, Campaign: campaign, Keyspace: keyspace,
-		Testbed: opts.Name, Nodes: nodes, Fault: fault,
-		RetryMin: 10 * time.Millisecond, RetryMax: 100 * time.Millisecond,
-		RetrySeed:    campaign.Seed,
-		StallTimeout: 150 * time.Millisecond,
-	})
-	if err != nil {
-		errs <- shardErr{name, err}
-		return
-	}
-	defer agent.Close()
-	tb.StreamTo(agent, flush)
-	tb.Run(duration)
-	tb.FinishStream(agent)
-	res := tb.Results()
-	counters := make(map[string]*workload.CountersSnapshot, len(res.Counters))
-	for node, c := range res.Counters {
-		counters[node] = c.Snapshot()
-	}
-	errs <- shardErr{name, agent.Finish(counters, duration, finishTimeout)}
-}
 
 // TestMultiTenantShardedChaos is the PR's acceptance test; see the file
 // comment for the topology and the promises under test.
@@ -77,13 +36,9 @@ func TestMultiTenantShardedChaos(t *testing.T) {
 	}
 
 	// Single-process streaming references for the campaigns that complete.
-	want := make(map[string]*CampaignResult)
+	want := make(map[string]string)
 	for _, c := range camps[:2] {
-		res, err := RunCampaign(c.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[c.key] = res
+		want[c.key] = flatBytes(streamingPlane.run(t, c.cfg))
 	}
 
 	// Shard i hosts testbed names[i] of every campaign, each keyspace with
@@ -99,7 +54,7 @@ func TestMultiTenantShardedChaos(t *testing.T) {
 				t.Fatal(err)
 			}
 			ks := collector.KeyspaceConfig{
-				Key: c.key, Campaign: campaignID(c.cfg), Spec: sub,
+				Key: c.key, Campaign: c.cfg.ID(), Spec: sub,
 				CheckpointPath: filepath.Join(ckptDir, fmt.Sprintf("%s-shard%d.ckpt", c.key, i)),
 			}
 			if i == 0 && c.key == "hog" {
@@ -122,7 +77,7 @@ func TestMultiTenantShardedChaos(t *testing.T) {
 	// Six agents: every campaign's random shard at shard 0, realistic at
 	// shard 1, all under drop/duplicate/reorder injection. The hog random
 	// agent is expected to be shed: give it a short Finish timeout.
-	errs := make(chan shardErr, 2*len(camps))
+	errs := make(chan error, 2*len(camps))
 	var faultSeed uint64 = 40
 	for _, c := range camps {
 		randomOpts, realisticOpts := testbed.CampaignOptions(c.cfg.Seed, c.cfg.Scenario, c.cfg.Duration)
@@ -130,14 +85,16 @@ func TestMultiTenantShardedChaos(t *testing.T) {
 		if c.key == "hog" {
 			finishTimeout = 5 * time.Second
 		}
-		fault := collector.FaultConfig{Seed: faultSeed, Drop: 0.05, Duplicate: 0.05, Reorder: 0.1}
-		faultB := fault
-		faultB.Seed++
+		ac := collector.AgentConfig{Addr: addr0, Keyspace: c.key,
+			Fault:    collector.FaultConfig{Seed: faultSeed, Drop: 0.05, Duplicate: 0.05, Reorder: 0.1},
+			RetryMin: 10 * time.Millisecond, RetryMax: 100 * time.Millisecond,
+			RetrySeed: c.cfg.Seed, StallTimeout: 150 * time.Millisecond}
+		acB := ac
+		acB.Addr = shard1.Addr()
+		acB.Fault.Seed++
 		faultSeed += 2
-		go runTenantShard(randomOpts, campaignID(c.cfg), c.key, addr0,
-			c.cfg.Duration, sim.Hour, fault, finishTimeout, errs)
-		go runTenantShard(realisticOpts, campaignID(c.cfg), c.key, shard1.Addr(),
-			c.cfg.Duration, sim.Hour, faultB, 120*time.Second, errs)
+		go func() { errs <- runAgent(c.cfg, randomOpts, ac, finishTimeout, 0) }()
+		go func() { errs <- runAgent(c.cfg, realisticOpts, acB, 120*time.Second, 0) }()
 	}
 
 	// Kill shard 0 mid-storm — but only once it has made durable progress
@@ -176,19 +133,22 @@ func TestMultiTenantShardedChaos(t *testing.T) {
 
 	// Collect every agent: all succeed except the hog's random shard, which
 	// must have been shed with the typed over-quota reject.
-	for i := 0; i < 2*len(camps); i++ {
-		e := <-errs
-		if e.name == "hog/random" {
-			if e.err == nil {
-				t.Error("hog/random finished despite its quota quarantine")
-			} else if !strings.Contains(e.err.Error(), collector.RejectOverQuota) {
-				t.Errorf("hog/random failed without the typed over-quota reject: %v", e.err)
+	hogShed := false
+	for range 2 * len(camps) {
+		err := <-errs
+		if err != nil && strings.HasPrefix(err.Error(), "shard hog/random: ") {
+			hogShed = true
+			if !strings.Contains(err.Error(), collector.RejectOverQuota) {
+				t.Errorf("hog/random failed without the typed over-quota reject: %v", err)
 			}
 			continue
 		}
-		if e.err != nil {
-			t.Fatalf("shard %s: %v", e.name, e.err)
+		if err != nil {
+			t.Fatal(err)
 		}
+	}
+	if !hogShed {
+		t.Error("hog/random finished despite its quota quarantine")
 	}
 
 	// The two clean campaigns merge byte-identically to their references.
@@ -205,15 +165,9 @@ func TestMultiTenantShardedChaos(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := ResultFromAggregates(c.cfg, rep.Agg, rep.Counters, rep.Durations)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareOutputs(t, "campaign "+c.key, want[c.key], res)
-		if rep.Agg.SeqGaps != 0 || rep.Agg.DroppedRecords != 0 {
-			t.Errorf("campaign %s leaked the storm into its aggregates: %d gaps, %d dropped",
-				c.key, rep.Agg.SeqGaps, rep.Agg.DroppedRecords)
-		}
+		// The bytes carry the sequence-gap and dropped-record counters, so
+		// the storm must not leak into the aggregates either.
+		sameBytes(t, "campaign "+c.key, want[c.key], flatBytes(reportResult(t, c.cfg, rep)))
 	}
 
 	// Isolation: the hog's realistic half (on the untouched shard) completed

@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/testbed"
-	"repro/internal/workload"
 )
 
 // The chaos suite: repeatedly SIGKILL every process of the distributed
@@ -47,72 +46,19 @@ func (k *killSwitch) Ingest(testbed, node string, reports []core.UserReport,
 // runChaosShard runs one shard through len(kills) kill-and-restart
 // incarnations plus a final run to completion. Every incarnation rebuilds
 // the testbed from scratch — the deterministic re-run a restarted btagent
-// performs — and shares one spill directory, so each restart replays the
+// performs — and shares ac's spill directory, so each restart replays the
 // previous life's unacknowledged tail and skips what the WAL already
 // covers. kills[i] is the ingest count at which incarnation i dies.
-func runChaosShard(opts testbed.Options, campaign collector.CampaignID, addr string,
-	duration, flush sim.Time, fault collector.FaultConfig, spillDir string,
-	kills []int, errs chan<- shardErr) {
-	attempt := func(fuse int) error {
-		tb, err := testbed.New(opts)
-		if err != nil {
-			return err
-		}
-		nodes := make([]string, 0, len(tb.PANUs)+1)
-		for _, h := range tb.PANUs {
-			nodes = append(nodes, h.Node)
-		}
-		nodes = append(nodes, tb.NAP.Node)
-		agent, err := collector.NewAgent(collector.AgentConfig{
-			Addr: addr, Campaign: campaign, Testbed: opts.Name, Nodes: nodes,
-			Fault: fault, SpillDir: spillDir,
-			RetryMin: 10 * time.Millisecond, RetryMax: 200 * time.Millisecond,
-			RetrySeed:    uint64(fuse) + 1,
-			StallTimeout: 150 * time.Millisecond,
-		})
-		if err != nil {
-			return err
-		}
-		killed := false
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if e, ok := r.(error); ok && errors.Is(e, errChaosKill) {
-						killed = true
-						return
-					}
-					panic(r)
-				}
-			}()
-			var sink testbed.Ingestor = agent
-			if fuse > 0 {
-				sink = &killSwitch{agent: agent, fuse: fuse}
-			}
-			tb.StreamTo(sink, flush)
-			tb.Run(duration)
-			tb.FinishStream(sink)
-		}()
-		if killed {
-			agent.Abort() // kill -9 double: only the spill log survives
-			return errChaosKill
-		}
-		res := tb.Results()
-		counters := make(map[string]*workload.CountersSnapshot, len(res.Counters))
-		for node, c := range res.Counters {
-			counters[node] = c.Snapshot()
-		}
-		err = agent.Finish(counters, duration, 120*time.Second)
-		agent.Close()
-		return err
-	}
+func runChaosShard(cfg CampaignConfig, opts testbed.Options, ac collector.AgentConfig, kills []int) error {
 	for _, fuse := range kills {
-		if err := attempt(fuse); !errors.Is(err, errChaosKill) {
-			errs <- shardErr{opts.Name, fmt.Errorf("incarnation with fuse %d did not die on schedule: %v",
-				fuse, err)}
-			return
+		ac.RetrySeed = uint64(fuse) + 1
+		if err := runAgent(cfg, opts, ac, 120*time.Second, fuse); !errors.Is(err, errChaosKill) {
+			return fmt.Errorf("shard %s: incarnation with fuse %d did not die on schedule: %v",
+				opts.Name, fuse, err)
 		}
 	}
-	errs <- shardErr{opts.Name, attempt(0)}
+	ac.RetrySeed = 1
+	return runAgent(cfg, opts, ac, 120*time.Second, 0)
 }
 
 // TestChaosAgentSinkKillStorm kills both agents three times each (at
@@ -124,16 +70,12 @@ func runChaosShard(opts testbed.Options, campaign collector.CampaignID, addr str
 // invisible in the data.
 func TestChaosAgentSinkKillStorm(t *testing.T) {
 	cfg := distributedConfig()
-	want, err := RunCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := flatBytes(streamingPlane.run(t, cfg))
 
 	cpPath := filepath.Join(t.TempDir(), "sink.ckpt")
-	spill := t.TempDir()
 	mkSink := func(addr string) *collector.Sink {
 		s, err := collector.NewSink(collector.SinkConfig{Addr: addr,
-			Keyspaces:       []collector.KeyspaceConfig{{Campaign: campaignID(cfg), Spec: testbed.CampaignStreamSpec(), CheckpointPath: cpPath}},
+			Keyspaces:       []collector.KeyspaceConfig{{Campaign: cfg.ID(), Spec: testbed.CampaignStreamSpec(), CheckpointPath: cpPath}},
 			CheckpointEvery: 4})
 		if err != nil {
 			t.Fatal(err)
@@ -144,17 +86,18 @@ func TestChaosAgentSinkKillStorm(t *testing.T) {
 	addr := sink.Addr()
 
 	randomOpts, realisticOpts := testbed.CampaignOptions(cfg.Seed, cfg.Scenario, cfg.Duration)
-	fault := collector.FaultConfig{Seed: 23, Drop: 0.1, Duplicate: 0.1, Reorder: 0.15}
-	faultB := fault
-	faultB.Seed++
-	errs := make(chan shardErr, 2)
+	ac := collector.AgentConfig{Addr: addr, SpillDir: t.TempDir(),
+		Fault:    collector.FaultConfig{Seed: 23, Drop: 0.1, Duplicate: 0.1, Reorder: 0.15},
+		RetryMin: 10 * time.Millisecond, RetryMax: 200 * time.Millisecond,
+		StallTimeout: 150 * time.Millisecond}
+	acB := ac
+	acB.Fault.Seed++
+	errs := make(chan error, 2)
 	// Each shard dies after 5, then 17, then 29 ingests; the counts rise so
 	// every incarnation makes progress past its predecessor, and the
 	// stagger between shards keeps the kills unsynchronized.
-	go runChaosShard(randomOpts, campaignID(cfg), addr, cfg.Duration, sim.Hour,
-		fault, spill, []int{5, 17, 29}, errs)
-	go runChaosShard(realisticOpts, campaignID(cfg), addr, cfg.Duration, sim.Hour,
-		faultB, spill, []int{9, 21, 33}, errs)
+	go func() { errs <- runChaosShard(cfg, randomOpts, ac, []int{5, 17, 29}) }()
+	go func() { errs <- runChaosShard(cfg, realisticOpts, acB, []int{9, 21, 33}) }()
 
 	// Meanwhile, kill the sink twice under the storm, restarting it from
 	// its checkpoint on the same port each time.
@@ -176,15 +119,16 @@ func TestChaosAgentSinkKillStorm(t *testing.T) {
 	}
 	defer sink.Close()
 
-	for i := 0; i < 2; i++ {
-		if e := <-errs; e.err != nil {
-			t.Fatalf("shard %s: %v", e.name, e.err)
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
 		}
 	}
-	got := assembleDistributed(t, cfg, sink, 120*time.Second)
-	compareOutputs(t, "chaos kill storm", want, got)
-	if got.Agg.SeqGaps != 0 || got.Agg.DroppedRecords != 0 {
-		t.Errorf("the kill storm leaked into the aggregates: %d gaps, %d dropped",
-			got.Agg.SeqGaps, got.Agg.DroppedRecords)
+	rep, err := sink.WaitKeyspace("", 120*time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
+	// The bytes carry the sequence-gap and dropped-record counters, so the
+	// storm must not leak into the aggregates either.
+	sameBytes(t, "chaos kill storm vs streaming", want, flatBytes(reportResult(t, cfg, rep)))
 }

@@ -106,7 +106,6 @@ import (
 	"repro/internal/collector"
 	"repro/internal/sim"
 	"repro/internal/testbed"
-	"repro/internal/workload"
 )
 
 // cliConfig is the parsed and validated command line.
@@ -203,11 +202,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	nodes := make([]string, 0, len(tb.PANUs)+1)
-	for _, h := range tb.PANUs {
-		nodes = append(nodes, h.Node)
-	}
-	nodes = append(nodes, tb.NAP.Node)
 
 	// Decorrelate the reconnection jitter of this campaign's shards: same
 	// campaign seed, different testbed name, different backoff schedule.
@@ -215,8 +209,8 @@ func main() {
 	jitter.Write([]byte(opts.Name))
 	agent, err := collector.NewAgent(collector.AgentConfig{
 		Addr: cfg.sink, Keyspace: cfg.keyspace,
-		Campaign: cfg.id.ID(),
-		Testbed:  opts.Name, Nodes: nodes,
+		Campaign: id.ID(),
+		Testbed:  opts.Name, Nodes: tb.SpecEntry().Nodes(),
 		SpillDir: cfg.spillDir, SpillBudget: cfg.spillBudget,
 		RetrySeed: id.Seed ^ jitter.Sum64(),
 		Fault:     cfg.fault,
@@ -228,13 +222,9 @@ func main() {
 		opts.Name, id.Seed, id.Duration, id.Scenario, cfg.sink)
 
 	start := time.Now()
-	if err := runShard(tb, agent, id.Duration, sim.Time(cfg.flush)*sim.Second); err != nil {
+	counters, err := tb.RunShard(agent, id.Duration, sim.Time(cfg.flush)*sim.Second)
+	if err != nil {
 		fatal(err)
-	}
-	res := tb.Results()
-	counters := make(map[string]*workload.CountersSnapshot, len(res.Counters))
-	for node, c := range res.Counters {
-		counters[node] = c.Snapshot()
 	}
 	if err := agent.Finish(counters, id.Duration, cfg.timeout); err != nil {
 		fatal(err)
@@ -252,26 +242,6 @@ func checkLimits(fault collector.FaultConfig, timeout time.Duration) error {
 		return fmt.Errorf("-timeout %v is negative (0 waits forever)", timeout)
 	}
 	return fault.Validate()
-}
-
-// runShard drives the simulation with the uplink armed. The testbed's
-// streaming drain panics on an unrecoverable uplink error (a refused
-// session, a sink that lost its checkpoint); convert that to a clean CLI
-// failure instead of a stack trace.
-func runShard(tb *testbed.Testbed, agent *collector.Agent, duration, flush sim.Time) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if e, ok := r.(error); ok {
-				err = e
-				return
-			}
-			panic(r)
-		}
-	}()
-	tb.StreamTo(agent, flush)
-	tb.Run(duration)
-	tb.FinishStream(agent)
-	return nil
 }
 
 // runScatternetShard runs one district shard of a distributed metro
@@ -296,7 +266,7 @@ func runScatternetShard(cfg *cliConfig) {
 	start := time.Now()
 	agent, err := collector.NewScatterAgent(collector.ScatterAgentConfig{
 		Addr: cfg.sink, Keyspace: cfg.keyspace,
-		Campaign: cfg.id.ID(),
+		Campaign: id.ID(),
 		Net:      net, Lo: lo, Hi: hi,
 		RunPiconet: camp.PiconetPartial,
 		RunOverlay: camp.RunOverlay,

@@ -91,7 +91,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	campaign := c.id.ID()
+	campaign := c.id.Config().ID()
 
 	if c.scat {
 		mergeDistricts(campaign, c.paths, c.taxonomy)

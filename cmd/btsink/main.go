@@ -120,6 +120,11 @@
 // name: a value out of range is rejected with a one-line error naming the
 // field, never clamped to the default, so an agent and its district cannot
 // agree on a shape only because both were clamped.
+//
+// At start btsink creates -checkpoint-dir, -partial-dir, -report-dir and
+// the directory of -checkpoint when they are missing. A path it cannot
+// make a directory of (a regular file there, say) ends it at once with one
+// line naming the flag.
 package main
 
 import (
@@ -250,7 +255,7 @@ func (df *districtFlag) config(checkpointDir string) (collector.DistrictConfig, 
 	}
 	dc := collector.DistrictConfig{
 		Key:          df.key,
-		Campaign:     df.id.ID(),
+		Campaign:     df.id.Config().ID(),
 		Net:          net,
 		ScenarioName: camp.ScenarioName(),
 		Lo:           df.rng.Lo, Hi: df.rng.Hi,
@@ -272,7 +277,7 @@ func (cf *campaignFlag) keyspace(checkpointDir string) (collector.KeyspaceConfig
 	}
 	ks := collector.KeyspaceConfig{
 		Key:          cf.key,
-		Campaign:     cf.id.ID(),
+		Campaign:     cf.id.Config().ID(),
 		Spec:         spec,
 		ScenarioName: fmt.Sprint(btpan.Scenario(cf.id.Scenario)),
 		MaxBytes:     cf.quotaBytes,
@@ -299,6 +304,7 @@ type cliConfig struct {
 	reportDir  string
 	timeout    time.Duration
 	taxonomy   bool
+	mkdirs     [][2]string // {flag, directory} pairs created at start
 }
 
 // parseCLI parses and validates the command line and builds the sink
@@ -369,6 +375,9 @@ func parseCLI(args []string) (*cliConfig, error) {
 			},
 		},
 	}
+	conf.mkdirs = [][2]string{{"checkpoint-dir", filepath.Clean(*checkpointDir)}, // "" cleans to "."
+		{"partial-dir", filepath.Clean(*partialDir)}, {"report-dir", filepath.Clean(*reportDir)},
+		{"checkpoint", filepath.Dir(*checkpoint)}}
 	if defaultKeyspace {
 		if err := shared.Check(); err != nil {
 			return nil, err
@@ -397,6 +406,11 @@ func main() {
 	conf, err := parseCLI(os.Args[1:])
 	if err != nil {
 		fatal(err)
+	}
+	for _, d := range conf.mkdirs {
+		if err := os.MkdirAll(d[1], 0o755); err != nil {
+			fatal(fmt.Errorf("-%s: %w", d[0], err))
+		}
 	}
 	sink, err := collector.NewSink(conf.sink)
 	if err != nil {

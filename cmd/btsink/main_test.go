@@ -182,7 +182,7 @@ func TestDataLossFailsBeforeReport(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		nodes := append(append([]string{}, tb.PANUs...), tb.NAP)
+		nodes := tb.Nodes()
 		writeControl(t, conn, 2, collector.Hello{Campaign: campaign, Testbed: tb.Name, Nodes: nodes})
 		if fr, err := collector.ReadFrame(conn); err != nil || fr.Kind != collector.KindResume {
 			t.Fatalf("handshake: %v %+v", err, fr)

@@ -61,12 +61,6 @@ func (c Campaign) Config() btpan.CampaignConfig {
 		Scenario: btpan.Scenario(c.Scenario)}
 }
 
-// ID is the identity as the collection wire compares it.
-func (c Campaign) ID() collector.CampaignID {
-	return collector.CampaignID{Seed: c.Seed, Duration: sim.Time(c.Days) * sim.Day,
-		Scenario: c.Scenario}
-}
-
 // Shape is the scatternet shape: how many piconets, how the bridges join
 // them, and how the bridges and the relay probes behave.
 type Shape struct {
@@ -140,24 +134,15 @@ func (s Shape) String() string {
 	return fmt.Sprintf("%d piconets, %s topology", s.Piconets, name)
 }
 
-// District builds the streaming roll-up campaign a distributed metro
-// district of identity c runs, checks that r lies inside its piconets,
-// and returns the engine with the district identity agents and sinks
-// compare. The effective piconet and bridge counts come from the built
-// engine, so two processes given the same flags agree by construction.
+// District builds the distributed metro district of identity c in this
+// shape (btpan's ScatternetConfig.District) and checks that r lies inside
+// its piconets.
 func (s Shape) District(c Campaign, r Range) (*scatternet.Campaign, collector.ScatterNet, error) {
-	cfg := s.Config(c)
-	cfg.Streaming, cfg.Rollup = true, true
-	camp, err := btpan.NewScatternetCampaign(cfg)
-	if err != nil {
-		return nil, collector.ScatterNet{}, err
+	camp, net, err := s.Config(c).District()
+	if err == nil && r.Hi > net.Piconets {
+		err = fmt.Errorf("piconet range %d:%d outside the campaign's [0:%d)", r.Lo, r.Hi, net.Piconets)
 	}
-	if r.Hi > camp.Piconets() {
-		return nil, collector.ScatterNet{}, fmt.Errorf("piconet range %d:%d outside the campaign's [0:%d)", r.Lo, r.Hi, camp.Piconets())
-	}
-	return camp, collector.ScatterNet{Piconets: camp.Piconets(), Bridges: camp.BridgeCount(),
-		Topology: s.Topology, Redundancy: s.Redundancy, Hold: cfg.HoldTime,
-		ProbeSample: s.ProbeSample}, nil
+	return camp, net, err
 }
 
 // Range is a half-open piconet range [Lo, Hi), written "A:B" on the

@@ -8,9 +8,7 @@ import (
 	"time"
 
 	"repro/internal/collector"
-	"repro/internal/sim"
 	"repro/internal/testbed"
-	"repro/internal/workload"
 )
 
 // The distributed-plane acceptance suite: N btagent-style shard processes
@@ -20,98 +18,12 @@ import (
 // sink kill + checkpoint restore. These are the in-process versions of the
 // multi-process smoke in scripts/smoke_distributed.sh.
 
-// shardErr carries one shard's terminal error.
-type shardErr struct {
-	name string
-	err  error
-}
-
-// campaignID derives the handshake identity from a campaign config.
-func campaignID(cfg CampaignConfig) collector.CampaignID {
-	return collector.CampaignID{Seed: cfg.Seed, Duration: cfg.Duration,
-		Scenario: int(cfg.Scenario)}
-}
-
-// runShard runs one testbed shard against the sink at addr, exactly as
-// cmd/btagent does: build the testbed from the campaign options, stream its
-// drains through a collector.Agent shipping binary batch frames, then
-// Finish with the counters.
-func runShard(opts testbed.Options, campaign collector.CampaignID, addr string,
-	duration, flush sim.Time, fault collector.FaultConfig, errs chan<- shardErr) {
-	tb, err := testbed.New(opts)
-	if err != nil {
-		errs <- shardErr{opts.Name, err}
-		return
-	}
-	nodes := make([]string, 0, len(tb.PANUs)+1)
-	for _, h := range tb.PANUs {
-		nodes = append(nodes, h.Node)
-	}
-	nodes = append(nodes, tb.NAP.Node)
-	agent, err := collector.NewAgent(collector.AgentConfig{
-		Addr: addr, Campaign: campaign, Testbed: opts.Name, Nodes: nodes, Fault: fault,
-		RetryMin: 20 * time.Millisecond, StallTimeout: 150 * time.Millisecond,
-	})
-	if err != nil {
-		errs <- shardErr{opts.Name, err}
-		return
-	}
-	defer agent.Close()
-	tb.StreamTo(agent, flush)
-	tb.Run(duration)
-	tb.FinishStream(agent)
-	res := tb.Results()
-	counters := make(map[string]*workload.CountersSnapshot, len(res.Counters))
-	for node, c := range res.Counters {
-		counters[node] = c.Snapshot()
-	}
-	errs <- shardErr{opts.Name, agent.Finish(counters, duration, 120*time.Second)}
-}
-
-// distributedConfig is the suite's campaign config (mirrors runEquiv).
+// distributedConfig is the suite's campaign config: the equivalence
+// suite's, streaming.
 func distributedConfig() CampaignConfig {
-	return CampaignConfig{Seed: 7, Duration: equivDuration(),
-		Scenario: ScenarioSIRAsMasking, Streaming: true}
-}
-
-// assembleDistributed turns a completed sink report into a CampaignResult.
-func assembleDistributed(t *testing.T, cfg CampaignConfig, sink *collector.Sink,
-	timeout time.Duration) *CampaignResult {
-	t.Helper()
-	rep, err := sink.WaitKeyspace("", timeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ResultFromAggregates(cfg, rep.Agg, rep.Counters, rep.Durations)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-// runDistributed runs the full N-agent + sink campaign over loopback.
-func runDistributed(t *testing.T, cfg CampaignConfig, fault collector.FaultConfig) *CampaignResult {
-	t.Helper()
-	sink, err := collector.NewSink(collector.SinkConfig{Addr: "127.0.0.1:0",
-		Keyspaces: []collector.KeyspaceConfig{{Campaign: campaignID(cfg), Spec: testbed.CampaignStreamSpec()}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sink.Close()
-	randomOpts, realisticOpts := testbed.CampaignOptions(cfg.Seed, cfg.Scenario, cfg.Duration)
-	errs := make(chan shardErr, 2)
-	faultB := fault
-	if faultB.Active() {
-		faultB.Seed = fault.Seed + 1 // distinct decision sequences per shard
-	}
-	go runShard(randomOpts, campaignID(cfg), sink.Addr(), cfg.Duration, sim.Hour, fault, errs)
-	go runShard(realisticOpts, campaignID(cfg), sink.Addr(), cfg.Duration, sim.Hour, faultB, errs)
-	for i := 0; i < 2; i++ {
-		if e := <-errs; e.err != nil {
-			t.Fatalf("shard %s: %v", e.name, e.err)
-		}
-	}
-	return assembleDistributed(t, cfg, sink, 120*time.Second)
+	cfg := equivConfig(0)
+	cfg.Streaming = true
+	return cfg
 }
 
 // TestCampaignStreamSpecMatchesCampaign pins that the sink-side spec helper
@@ -129,31 +41,16 @@ func TestCampaignStreamSpecMatchesCampaign(t *testing.T) {
 // TestDistributedMatchesStreaming: 2 agents + 1 sink over loopback, clean
 // network, equals the single-process streaming campaign digit for digit.
 func TestDistributedMatchesStreaming(t *testing.T) {
-	cfg := distributedConfig()
-	want, err := RunCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := runDistributed(t, cfg, collector.FaultConfig{})
-	compareOutputs(t, "distributed", want, got)
+	agreeFlat(t, distributedConfig(), streamingPlane, distributedPlane(collector.FaultConfig{}))
 }
 
 // TestDistributedUnderFaults: same claim with seeded drop/duplicate/reorder
 // injection on the data path — retransmission and duplicate filtering must
-// hide the lossy network completely.
+// hide the lossy network completely, down to zero sequence gaps and
+// dropped records.
 func TestDistributedUnderFaults(t *testing.T) {
-	cfg := distributedConfig()
-	want, err := RunCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fault := collector.FaultConfig{Seed: 17, Drop: 0.1, Duplicate: 0.1, Reorder: 0.15}
-	got := runDistributed(t, cfg, fault)
-	compareOutputs(t, "distributed+faults", want, got)
-	if got.Agg.SeqGaps != 0 || got.Agg.DroppedRecords != 0 {
-		t.Errorf("injected loss leaked into the aggregates: %d gaps, %d dropped",
-			got.Agg.SeqGaps, got.Agg.DroppedRecords)
-	}
+	agreeFlat(t, distributedConfig(), streamingPlane, distributedPlane(fault))
 }
 
 // TestDistributedResume kills the sink mid-campaign (no graceful
@@ -163,22 +60,24 @@ func TestDistributedUnderFaults(t *testing.T) {
 // land mid-campaign.
 func TestDistributedResume(t *testing.T) {
 	cfg := distributedConfig()
-	want, err := RunCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := flatBytes(streamingPlane.run(t, cfg))
 
 	cpPath := filepath.Join(t.TempDir(), "sink.ckpt")
-	sink, err := collector.NewSink(collector.SinkConfig{Addr: "127.0.0.1:0",
-		Keyspaces:       []collector.KeyspaceConfig{{Campaign: campaignID(cfg), Spec: testbed.CampaignStreamSpec(), CheckpointPath: cpPath}},
-		CheckpointEvery: 8})
-	if err != nil {
-		t.Fatal(err)
+	mkSink := func(addr string) *collector.Sink {
+		s, err := collector.NewSink(collector.SinkConfig{Addr: addr,
+			Keyspaces:       []collector.KeyspaceConfig{{Campaign: cfg.ID(), Spec: testbed.CampaignStreamSpec(), CheckpointPath: cpPath}},
+			CheckpointEvery: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
+	sink := mkSink("127.0.0.1:0")
 	addr := sink.Addr()
 	randomOpts, realisticOpts := testbed.CampaignOptions(cfg.Seed, cfg.Scenario, cfg.Duration)
-	errs := make(chan shardErr, 2)
-	go runShard(randomOpts, campaignID(cfg), addr, cfg.Duration, sim.Hour, collector.FaultConfig{}, errs)
+	ac := collector.AgentConfig{Addr: addr, RetryMin: 20 * time.Millisecond, StallTimeout: 150 * time.Millisecond}
+	errs := make(chan error, 2)
+	go func() { errs <- runAgent(cfg, randomOpts, ac, 120*time.Second, 0) }()
 
 	// Kill the sink once it has demonstrably checkpointed mid-stream.
 	deadline := time.Now().Add(60 * time.Second)
@@ -196,19 +95,17 @@ func TestDistributedResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sink2, err := collector.NewSink(collector.SinkConfig{Addr: addr,
-		Keyspaces:       []collector.KeyspaceConfig{{Campaign: campaignID(cfg), Spec: testbed.CampaignStreamSpec(), CheckpointPath: cpPath}},
-		CheckpointEvery: 8})
+	sink2 := mkSink(addr)
+	defer sink2.Close()
+	go func() { errs <- runAgent(cfg, realisticOpts, ac, 120*time.Second, 0) }()
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := sink2.WaitKeyspace("", 120*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sink2.Close()
-	go runShard(realisticOpts, campaignID(cfg), addr, cfg.Duration, sim.Hour, collector.FaultConfig{}, errs)
-	for i := 0; i < 2; i++ {
-		if e := <-errs; e.err != nil {
-			t.Fatalf("shard %s: %v", e.name, e.err)
-		}
-	}
-	got := assembleDistributed(t, cfg, sink2, 120*time.Second)
-	compareOutputs(t, "distributed+kill/resume", want, got)
+	sameBytes(t, "distributed+kill/resume vs streaming", want, flatBytes(reportResult(t, cfg, rep)))
 }

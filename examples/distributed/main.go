@@ -4,8 +4,10 @@
 // 10 % of data frames dropped, 10 % duplicated, 15 % reordered — and the
 // campaign still reproduces the single-process streaming tables digit for
 // digit, because retransmission and sequence-number deduplication hide the
-// lossy network completely. The same deployment runs as real OS processes
-// with cmd/btsink and cmd/btagent (see OPERATIONS.md).
+// lossy network completely. Each agent runs its testbed with the shard
+// runner cmd/btagent uses (testbed.RunShard), and the campaign identity is
+// btpan's CampaignConfig.ID, as in cmd/btsink. The same deployment runs as
+// real OS processes with cmd/btsink and cmd/btagent (see OPERATIONS.md).
 package main
 
 import (
@@ -17,7 +19,6 @@ import (
 	"repro/internal/collector"
 	"repro/internal/sim"
 	"repro/internal/testbed"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -26,8 +27,7 @@ func main() {
 		Scenario: btpan.ScenarioSIRAsMasking, Streaming: true,
 	}
 
-	campaign := collector.CampaignID{Seed: cfg.Seed, Duration: cfg.Duration,
-		Scenario: int(cfg.Scenario)}
+	campaign := cfg.ID()
 	sink, err := collector.NewSink(collector.SinkConfig{Addr: "127.0.0.1:0",
 		Keyspaces: []collector.KeyspaceConfig{{Campaign: campaign, Spec: testbed.CampaignStreamSpec()}}})
 	if err != nil {
@@ -42,9 +42,7 @@ func main() {
 		fault := collector.FaultConfig{
 			Seed: uint64(i) + 1, Drop: 0.1, Duplicate: 0.1, Reorder: 0.15,
 		}
-		go func(opts testbed.Options, fault collector.FaultConfig) {
-			errs <- runShard(opts, campaign, sink.Addr(), cfg.Duration, fault)
-		}(opts, fault)
+		go func() { errs <- runShard(opts, campaign, sink.Addr(), cfg.Duration, fault) }()
 	}
 	for i := 0; i < 2; i++ {
 		if err := <-errs; err != nil {
@@ -66,31 +64,23 @@ func main() {
 		applied, dups, rejected, rep.Agg.SeqGaps)
 }
 
-// runShard mirrors cmd/btagent: one testbed streamed through an uplink.
+// runShard runs one testbed shard through an uplink with cmd/btagent's
+// shard runner (testbed.RunShard).
 func runShard(opts testbed.Options, campaign collector.CampaignID, addr string,
 	duration sim.Time, fault collector.FaultConfig) error {
 	tb, err := testbed.New(opts)
 	if err != nil {
 		return err
 	}
-	nodes := make([]string, 0, len(tb.PANUs)+1)
-	for _, h := range tb.PANUs {
-		nodes = append(nodes, h.Node)
-	}
-	nodes = append(nodes, tb.NAP.Node)
 	agent, err := collector.NewAgent(collector.AgentConfig{
-		Addr: addr, Campaign: campaign, Testbed: opts.Name, Nodes: nodes, Fault: fault})
+		Addr: addr, Campaign: campaign, Testbed: opts.Name, Nodes: tb.SpecEntry().Nodes(), Fault: fault})
 	if err != nil {
 		return err
 	}
 	defer agent.Close()
-	tb.StreamTo(agent, sim.Hour)
-	tb.Run(duration)
-	tb.FinishStream(agent)
-	res := tb.Results()
-	counters := make(map[string]*workload.CountersSnapshot, len(res.Counters))
-	for node, c := range res.Counters {
-		counters[node] = c.Snapshot()
+	counters, err := tb.RunShard(agent, duration, sim.Hour)
+	if err != nil {
+		return err
 	}
 	return agent.Finish(counters, duration, time.Minute)
 }

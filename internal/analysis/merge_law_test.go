@@ -29,7 +29,7 @@ func streamSubset(t *testing.T, c *synthCampaign, names []string, epoch sim.Time
 	cur := make(map[shardKey]*cursor)
 	var keys []shardKey
 	for _, tb := range sub.Testbeds {
-		for _, node := range append(append([]string{}, tb.PANUs...), tb.NAP) {
+		for _, node := range tb.Nodes() {
 			key := shardKey{tb.Name, node}
 			cur[key] = &cursor{}
 			keys = append(keys, key)

@@ -43,6 +43,11 @@ type TestbedSpec struct {
 	PANUs []string
 }
 
+// Nodes returns the testbed's roster: its PANUs in order, then its NAP.
+func (tb TestbedSpec) Nodes() []string {
+	return append(append([]string(nil), tb.PANUs...), tb.NAP)
+}
+
 // StreamSpec configures a Streamer. Testbed order is significant: it is the
 // tie-break rank of the fold order, matching the retained pipeline's
 // "random block before realistic block" convention.
@@ -268,7 +273,7 @@ func NewStreamer(spec StreamSpec) (*Streamer, error) {
 		s.kinds = append(s.kinds, tb.Kind)
 		s.naps = append(s.naps, tb.NAP)
 		var keys []shardKey
-		for _, node := range append(append([]string{}, tb.PANUs...), tb.NAP) {
+		for _, node := range tb.Nodes() {
 			key := shardKey{tb.Name, node}
 			if _, dup := s.shards[key]; dup {
 				return nil, fmt.Errorf("analysis: duplicate stream %s/%s", tb.Name, node)

@@ -141,7 +141,7 @@ func (c *synthCampaign) stream(t *testing.T, epoch sim.Time) (*Aggregates, int) 
 	cur := make(map[shardKey]*cursor)
 	var keys []shardKey
 	for _, tb := range c.spec.Testbeds {
-		for _, node := range append(append([]string{}, tb.PANUs...), tb.NAP) {
+		for _, node := range tb.Nodes() {
 			key := shardKey{tb.Name, node}
 			cur[key] = &cursor{}
 			keys = append(keys, key)

@@ -44,7 +44,7 @@ func ksAgents(t *testing.T, addr, keyspace string, campaign CampaignID, batches 
 	for i, tb := range spec.Testbeds {
 		a, err := NewAgent(AgentConfig{
 			Addr: addr, Campaign: campaign, Keyspace: keyspace, Testbed: tb.Name,
-			Nodes:        append(append([]string{}, tb.PANUs...), tb.NAP),
+			Nodes:        tb.Nodes(),
 			RetryMin:     10 * time.Millisecond,
 			RetryMax:     50 * time.Millisecond,
 			RetrySeed:    campaign.Seed*10 + uint64(i),
@@ -319,7 +319,7 @@ func TestDrainRejects(t *testing.T) {
 	}
 	defer conn2.Close()
 	spec := tpSpec().Testbeds[0]
-	hello := &Hello{Testbed: spec.Name, Nodes: append(append([]string{}, spec.PANUs...), spec.NAP)}
+	hello := &Hello{Testbed: spec.Name, Nodes: spec.Nodes()}
 	if err := writeControl(conn2, frameHello, hello); err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestShardedPartialsMerge(t *testing.T) {
 		}
 		a, err := NewAgent(AgentConfig{
 			Addr: sinks[i].Addr(), Campaign: camp, Keyspace: "camp", Testbed: tb.Name,
-			Nodes:        append(append([]string{}, tb.PANUs...), tb.NAP),
+			Nodes:        tb.Nodes(),
 			RetryMin:     10 * time.Millisecond,
 			StallTimeout: 100 * time.Millisecond,
 		})
@@ -436,7 +436,7 @@ func rawSession(t *testing.T, addr, keyspace string, campaign CampaignID, testbe
 		t.Fatal(err)
 	}
 	hello := &Hello{Campaign: campaign, Keyspace: keyspace, Testbed: testbed,
-		Nodes: append(append([]string{}, spec.PANUs...), spec.NAP)}
+		Nodes: spec.Nodes()}
 	if err := writeControl(conn, frameHello, hello); err != nil {
 		t.Fatal(err)
 	}

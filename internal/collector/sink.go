@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io/fs"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -414,7 +415,7 @@ func (s *Sink) newTenant(ks KeyspaceConfig) (*tenant, error) {
 		}
 		t.str = str
 		for _, tb := range ks.Spec.Testbeds {
-			for _, node := range append(append([]string{}, tb.PANUs...), tb.NAP) {
+			for _, node := range tb.Nodes() {
 				t.ackable[skey{tb.Name, node}] = StreamCursor{Node: node}
 			}
 		}
@@ -593,16 +594,12 @@ func (t *tenant) admitRecords(hello *Hello) (string, *Resume, *Reject) {
 			hello.Keyspace, t.ingestBytes, t.ingestBatches)}
 	}
 	spec := testbedSpec(&t.cfg.Spec, hello.Testbed)
-	nodes := []string(nil)
-	if spec != nil {
-		nodes = append(append(nodes, spec.PANUs...), spec.NAP)
-	}
-	if spec == nil || !nodesMatch(hello.Nodes, nodes) {
+	if spec == nil || !nodesMatch(hello.Nodes, spec.Nodes()) {
 		return "", nil, &Reject{Code: RejectUnknownShard, Reason: fmt.Sprintf(
 			"unknown shard %q or node set not in keyspace %q's spec", hello.Testbed, hello.Keyspace)}
 	}
 	res := &Resume{}
-	for _, node := range nodes {
+	for _, node := range spec.Nodes() {
 		res.Cursors = append(res.Cursors, t.ackable[skey{hello.Testbed, node}])
 	}
 	return hello.Testbed, res, nil
@@ -905,21 +902,10 @@ func testbedSpec(spec *analysis.StreamSpec, name string) *analysis.TestbedSpec {
 	return nil
 }
 
-// nodesMatch reports set equality of two node lists.
+// nodesMatch reports whether two node lists hold the same nodes, counted
+// with multiplicity (a spec's roster names each node once).
 func nodesMatch(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	set := make(map[string]bool, len(a))
-	for _, n := range a {
-		set[n] = true
-	}
-	for _, n := range b {
-		if !set[n] {
-			return false
-		}
-	}
-	return len(set) == len(b)
+	return slices.Equal(slices.Sorted(slices.Values(a)), slices.Sorted(slices.Values(b)))
 }
 
 // wait blocks until the addressed keyspace completes. A zero timeout waits

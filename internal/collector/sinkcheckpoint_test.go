@@ -649,7 +649,7 @@ func BenchmarkSinkIngest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	hello := &Hello{Testbed: "alpha", Nodes: append(append([]string{}, spec.Testbeds[0].PANUs...), spec.Testbeds[0].NAP)}
+	hello := &Hello{Testbed: "alpha", Nodes: spec.Testbeds[0].Nodes()}
 	if err := writeControl(conn, frameHello, hello); err != nil {
 		b.Fatal(err)
 	}

@@ -137,7 +137,7 @@ func tpAgents(t *testing.T, addr string, batches []tpBatch, fault FaultConfig) [
 	for i, tb := range spec.Testbeds {
 		cfg := AgentConfig{
 			Addr: addr, Testbed: tb.Name,
-			Nodes:        append(append([]string{}, tb.PANUs...), tb.NAP),
+			Nodes:        tb.Nodes(),
 			Fault:        fault,
 			RetryMin:     20 * time.Millisecond,
 			StallTimeout: 100 * time.Millisecond,
@@ -262,7 +262,7 @@ func TestSinkCheckpointResume(t *testing.T) {
 	for _, tb := range spec.Testbeds {
 		a, err := NewAgent(AgentConfig{
 			Addr: addr, Testbed: tb.Name,
-			Nodes:        append(append([]string{}, tb.PANUs...), tb.NAP),
+			Nodes:        tb.Nodes(),
 			RetryMin:     20 * time.Millisecond,
 			StallTimeout: 100 * time.Millisecond,
 		})
@@ -345,7 +345,7 @@ func TestSinkLostCheckpointDetected(t *testing.T) {
 	spec := tpSpec()
 	a, err := NewAgent(AgentConfig{
 		Addr: addr, Testbed: "alpha",
-		Nodes:        append(append([]string{}, spec.Testbeds[0].PANUs...), spec.Testbeds[0].NAP),
+		Nodes:        spec.Testbeds[0].Nodes(),
 		RetryMin:     20 * time.Millisecond,
 		StallTimeout: 100 * time.Millisecond,
 	})
@@ -409,7 +409,7 @@ func TestCampaignMismatchRejected(t *testing.T) {
 		Addr:     sink.Addr(),
 		Campaign: CampaignID{Seed: 2, Duration: 24 * sim.Hour, Scenario: 3},
 		Testbed:  "alpha",
-		Nodes:    append(append([]string{}, spec.Testbeds[0].PANUs...), spec.Testbeds[0].NAP),
+		Nodes:    spec.Testbeds[0].Nodes(),
 		RetryMin: 20 * time.Millisecond, StallTimeout: 100 * time.Millisecond,
 	})
 	if err != nil {

@@ -445,7 +445,7 @@ func tpSpillAgents(t testing.TB, addr, spillDir string) map[string]*Agent {
 	for _, tb := range tpSpec().Testbeds {
 		a, err := NewAgent(AgentConfig{
 			Addr: addr, Testbed: tb.Name,
-			Nodes:        append(append([]string{}, tb.PANUs...), tb.NAP),
+			Nodes:        tb.Nodes(),
 			SpillDir:     spillDir,
 			RetryMin:     5 * time.Millisecond,
 			RetryMax:     50 * time.Millisecond,

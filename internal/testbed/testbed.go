@@ -303,6 +303,31 @@ func CampaignOptions(seed uint64, scenario recovery.Scenario, duration sim.Time)
 	return random, realistic
 }
 
+// RunShard runs the testbed as one shard of a distributed campaign, as
+// cmd/btagent does: it streams into s every flush until duration, ships the
+// tail, and returns each client's counters for the shard's Done frame. An
+// ingest error (a refused session, say) panics in the drain; RunShard
+// returns it instead.
+func (tb *Testbed) RunShard(s Ingestor, duration, flush sim.Time) (counters map[string]*workload.CountersSnapshot, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			e, ok := r.(error)
+			if !ok {
+				panic(r)
+			}
+			err = e
+		}
+	}()
+	tb.StreamTo(s, flush)
+	tb.Run(duration)
+	tb.FinishStream(s)
+	counters = make(map[string]*workload.CountersSnapshot, len(tb.Clients))
+	for _, c := range tb.Clients {
+		counters[c.Node()] = c.Counters().Snapshot()
+	}
+	return counters, nil
+}
+
 // CampaignStreamSpec declares the standard two-testbed campaign's streams
 // from the device catalogue alone — what a collection sink needs to host
 // the streaming aggregator without building any hosts. It is exactly

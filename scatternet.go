@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/analysis"
+	"repro/internal/collector"
 	"repro/internal/scatternet"
 	"repro/internal/sim"
 )
@@ -176,6 +177,21 @@ func NewScatternetCampaign(cfg ScatternetConfig) (*scatternet.Campaign, error) {
 		return nil, err
 	}
 	return scatternet.New(engineCfg)
+}
+
+// District builds the streaming roll-up engine a metro district of this
+// campaign runs, with the district identity agents and sinks compare: its
+// piconet and bridge counts come from the built engine, so two processes
+// given the same config agree by construction.
+func (c ScatternetConfig) District() (*scatternet.Campaign, collector.ScatterNet, error) {
+	c.Streaming, c.Rollup = true, true
+	camp, err := NewScatternetCampaign(c)
+	if err != nil {
+		return nil, collector.ScatterNet{}, err
+	}
+	return camp, collector.ScatterNet{Piconets: camp.Piconets(), Bridges: camp.BridgeCount(),
+		Topology: c.Topology, Redundancy: c.Redundancy, Hold: c.HoldTime,
+		ProbeSample: c.ProbeSample}, nil
 }
 
 // RunScatternet builds and runs the scatternet campaign: every piconet is a

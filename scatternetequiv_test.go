@@ -7,49 +7,27 @@ import (
 	"repro/internal/sim"
 )
 
-// runScat runs a scatternet campaign for the equivalence suite.
-func runScat(t *testing.T, piconets, bridges int, streaming bool) *ScatternetResult {
-	t.Helper()
-	res, err := RunScatternet(ScatternetConfig{
-		CampaignConfig: CampaignConfig{
-			Seed: 7, Duration: equivDuration(), Scenario: ScenarioSIRAsMasking,
-			Streaming: streaming,
-		},
-		Piconets: piconets,
-		Bridges:  bridges,
-		HoldTime: 10 * sim.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
 // TestScatternetOnePiconetEquivalence is the seed-equivalence guarantee of
 // the scatternet subsystem: a 1-piconet scatternet reproduces the classic
 // single-piconet campaign's Table 2/3/4, figures and §6 scalars
 // bit-identically on a fixed seed, on both aggregation planes.
 func TestScatternetOnePiconetEquivalence(t *testing.T) {
-	classic := runEquiv(t, false, false, 0)
-	scat := runScat(t, 1, 0, false)
-	if len(scat.Piconets) != 1 {
-		t.Fatalf("1-piconet scatternet has %d piconets", len(scat.Piconets))
-	}
-	compareOutputs(t, "1-piconet scatternet vs classic campaign", classic, scat.Piconet(0))
-
-	streaming := runScat(t, 1, 0, true)
-	compareOutputs(t, "streaming 1-piconet scatternet vs classic campaign",
-		classic, streaming.Piconet(0))
+	cfg := equivConfig(0)
+	classic := flatBytes(retainedPlane.run(t, cfg))
+	sameBytes(t, "1-piconet scatternet vs classic campaign",
+		classic, flatBytes(onePiconetPlane.run(t, cfg)))
+	cfg.Streaming = true
+	sameBytes(t, "streaming 1-piconet scatternet vs classic campaign",
+		classic, flatBytes(onePiconetPlane.run(t, cfg)))
 }
 
 // TestScatternetPiconetZeroUnperturbed pins the composition's isolation:
 // adding piconets and bridges around piconet 0 cannot change a single float
 // of its tables, because no state crosses a simulation-world boundary.
 func TestScatternetPiconetZeroUnperturbed(t *testing.T) {
-	classic := runEquiv(t, true, false, 0)
-	scat := runScat(t, 3, 2, true)
-	compareOutputs(t, "piconet 0 of a 3-piconet/2-bridge scatternet vs classic",
-		classic, scat.Piconet(0))
+	cfg := equivConfig(0)
+	cfg.Streaming = true
+	agreeFlat(t, cfg, streamingPlane, piconetPlane(3, 2))
 }
 
 // TestScatternetBridgeAccounting checks the bridge-attributed aggregate's
@@ -57,7 +35,13 @@ func TestScatternetPiconetZeroUnperturbed(t *testing.T) {
 // live hold-time rotation, and outage bookkeeping that agrees between the
 // per-bridge and per-piconet views.
 func TestScatternetBridgeAccounting(t *testing.T) {
-	scat := runScat(t, 3, 2, true)
+	cfg := equivConfig(0)
+	cfg.Streaming = true
+	scat, err := RunScatternet(ScatternetConfig{CampaignConfig: cfg,
+		Piconets: 3, Bridges: 2, HoldTime: 10 * sim.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
 	bt := scat.Bridges
 	if len(bt.Rows) != 2 {
 		t.Fatalf("expected 2 bridge rows, got %d", len(bt.Rows))

@@ -1,10 +1,8 @@
 package btpan
 
 import (
-	"reflect"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/sim"
 )
 
@@ -19,90 +17,26 @@ func equivDuration() sim.Time {
 	return 1 * Day
 }
 
-// runEquiv runs one campaign, keeping its records unless streaming, with
-// its testbeds concurrent or sequential.
-func runEquiv(t *testing.T, streaming, sequential bool, flush sim.Time) *CampaignResult {
-	t.Helper()
-	return shapedCampaign(t, CampaignConfig{
-		Seed: 7, Duration: equivDuration(), Scenario: ScenarioSIRAsMasking,
-		Streaming: streaming, FlushEvery: flush,
-	}, sequential)
-}
-
-// compareOutputs asserts every paper output of the two campaigns is
-// bit-identical: Table 2, Table 3, the Table 4 column, Figures 3a/3b/3c/4
-// and the §6 scalars, plus the dataset sizes. reflect.DeepEqual compares
-// floats exactly — this is the acceptance bar for the streaming plane, not
-// a tolerance check.
-func compareOutputs(t *testing.T, label string, a, b *CampaignResult) {
-	t.Helper()
-	if !reflect.DeepEqual(a.Agg.Fig3bBars(), b.Agg.Fig3bBars()) {
-		t.Errorf("%s: Fig 3b diverges", label)
-	}
-	// A campaign that kept its records also answers Figure 3b from them,
-	// through the batch builder, at the aggregate's binning.
-	for _, r := range []*CampaignResult{a, b} {
-		if r.Config.Streaming {
-			continue
-		}
-		if got := analysis.Fig3bConnectionAge(r.AllReports(), 1000, 10); !reflect.DeepEqual(got, r.Agg.Fig3bBars()) {
-			t.Errorf("%s: Fig 3b from the kept records diverges from the fold", label)
-		}
-	}
-	au, as, _ := a.DataItems()
-	bu, bs, _ := b.DataItems()
-	if au != bu || as != bs {
-		t.Fatalf("%s: data items diverge: %d/%d vs %d/%d", label, au, as, bu, bs)
-	}
-	if !reflect.DeepEqual(a.Table2(), b.Table2()) {
-		t.Errorf("%s: Table 2 diverges", label)
-	}
-	if !reflect.DeepEqual(a.Table3(), b.Table3()) {
-		t.Errorf("%s: Table 3 diverges", label)
-	}
-	if !reflect.DeepEqual(a.Dependability(), b.Dependability()) {
-		t.Errorf("%s: Table 4 column diverges:\n a %+v\n b %+v",
-			label, a.Dependability(), b.Dependability())
-	}
-	if !reflect.DeepEqual(a.Fig3c(), b.Fig3c()) {
-		t.Errorf("%s: Fig 3c diverges", label)
-	}
-	if !reflect.DeepEqual(a.Fig4(), b.Fig4()) {
-		t.Errorf("%s: Fig 4 diverges", label)
-	}
-	if !reflect.DeepEqual(a.Fig3a(), b.Fig3a()) {
-		t.Errorf("%s: Fig 3a diverges", label)
-	}
-	if !reflect.DeepEqual(a.Scalars(), b.Scalars()) {
-		t.Errorf("%s: §6 scalars diverge:\n a %+v\n b %+v", label, a.Scalars(), b.Scalars())
-	}
-	// The taxonomy plane: the rendered tables are the acceptance surface, so
-	// equality is asserted on the exact report bytes the -taxonomy flag
-	// emits, not on a tolerance.
-	horizon := a.Config.Duration
-	if got, want := a.Taxonomy().Table(horizon).Render(), b.Taxonomy().Table(horizon).Render(); got != want {
-		t.Errorf("%s: taxonomy table diverges:\n a:\n%s\n b:\n%s", label, got, want)
-	}
-	if got, want := a.Survival().Curve(horizon).Render(), b.Survival().Curve(horizon).Render(); got != want {
-		t.Errorf("%s: survival curve diverges:\n a:\n%s\n b:\n%s", label, got, want)
-	}
-	if got, want := a.Survival().RenderInterarrival(40), b.Survival().RenderInterarrival(40); got != want {
-		t.Errorf("%s: interarrival histogram diverges:\n a:\n%s\n b:\n%s", label, got, want)
-	}
+// equivConfig is the equivalence suite's campaign at the given flush
+// cadence (0: the default hour). The masking scenario maximizes coverage
+// (masked records exercise every skip path).
+func equivConfig(flush sim.Time) CampaignConfig {
+	return CampaignConfig{Seed: 7, Duration: equivDuration(), Scenario: ScenarioSIRAsMasking,
+		FlushEvery: flush}
 }
 
 // TestStreamingEquivalence proves that keeping the records does not
 // perturb the fold: on a fixed seed, a campaign that keeps every record
 // and one that drops them once folded produce bit-identical Table 2/3/4,
 // figure, §6 and taxonomy outputs, and the kept records are exactly the
-// folded ones. The masking scenario maximizes coverage (masked records
-// exercise every skip path). The retained and streaming captures of
+// folded ones. The retained and streaming captures of
 // TestGoldenReportCaptures and TestGoldenTaxonomyCaptures pin both against
 // the bytes the former batch retained plane produced.
 func TestStreamingEquivalence(t *testing.T) {
-	retained := runEquiv(t, false, false, 0)
-	streaming := runEquiv(t, true, false, 0)
-	compareOutputs(t, "streaming vs retained", retained, streaming)
+	cfg := equivConfig(0)
+	retained := retainedPlane.run(t, cfg)
+	streaming := streamingPlane.run(t, cfg)
+	sameBytes(t, "streaming vs retained", flatBytes(retained), flatBytes(streaming))
 
 	u, s, _ := retained.DataItems()
 	if u == 0 || s == 0 {
@@ -124,9 +58,12 @@ func TestStreamingEquivalence(t *testing.T) {
 // identical outputs (tuple and radius state carries across drain
 // boundaries).
 func TestStreamingFlushCadenceIrrelevant(t *testing.T) {
-	fine := runEquiv(t, true, true, 10*sim.Minute)
-	coarse := runEquiv(t, true, true, 12*Hour)
-	compareOutputs(t, "10min vs 12h flush", fine, coarse)
+	fine := equivConfig(10 * sim.Minute)
+	fine.Streaming = true
+	coarse := fine
+	coarse.FlushEvery = 12 * Hour
+	sameBytes(t, "10min vs 12h flush",
+		flatBytes(sequentialPlane.run(t, fine)), flatBytes(sequentialPlane.run(t, coarse)))
 }
 
 // TestStreamingParallelMatchesSequential proves the watermark fold makes
@@ -134,7 +71,7 @@ func TestStreamingFlushCadenceIrrelevant(t *testing.T) {
 // campaign whose testbeds run concurrently folds the same outputs as one
 // whose testbeds run one after the other.
 func TestStreamingParallelMatchesSequential(t *testing.T) {
-	par := runEquiv(t, true, false, 0)
-	seq := runEquiv(t, true, true, 0)
-	compareOutputs(t, "parallel vs sequential streaming", par, seq)
+	cfg := equivConfig(0)
+	cfg.Streaming = true
+	agreeFlat(t, cfg, streamingPlane, sequentialPlane)
 }
