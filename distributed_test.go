@@ -41,7 +41,7 @@ func TestCampaignStreamSpecMatchesCampaign(t *testing.T) {
 // TestDistributedMatchesStreaming: 2 agents + 1 sink over loopback, clean
 // network, equals the single-process streaming campaign digit for digit.
 func TestDistributedMatchesStreaming(t *testing.T) {
-	agreeFlat(t, distributedConfig(), streamingPlane, distributedPlane(collector.FaultConfig{}))
+	agreeFlat(t, distributedConfig(), streamingPlane, distributedPlane(collector.FaultConfig{}, durability{}))
 }
 
 // TestDistributedUnderFaults: same claim with seeded drop/duplicate/reorder
@@ -50,7 +50,7 @@ func TestDistributedMatchesStreaming(t *testing.T) {
 // dropped records.
 func TestDistributedUnderFaults(t *testing.T) {
 	fault := collector.FaultConfig{Seed: 17, Drop: 0.1, Duplicate: 0.1, Reorder: 0.15}
-	agreeFlat(t, distributedConfig(), streamingPlane, distributedPlane(fault))
+	agreeFlat(t, distributedConfig(), streamingPlane, distributedPlane(fault, durability{}))
 }
 
 // TestDistributedResume kills the sink mid-campaign (no graceful

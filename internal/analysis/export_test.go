@@ -31,3 +31,17 @@ func (t *Table3) MeanSeverity(f core.UserFailure) float64 {
 	}
 	return mean
 }
+
+// retainedRecordCap sums the record capacity the streamer holds: its fold
+// scratch and every shard's report and entry queues.
+func (s *Streamer) retainedRecordCap() int {
+	s.foldMu.Lock()
+	defer s.foldMu.Unlock()
+	n := cap(s.scratch)
+	for _, sh := range s.all {
+		sh.mu.Lock()
+		n += cap(sh.reports) + cap(sh.entries)
+		sh.mu.Unlock()
+	}
+	return n
+}

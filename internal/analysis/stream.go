@@ -617,6 +617,14 @@ func (s *Streamer) Finalize() *Aggregates {
 			sh.mu.Unlock()
 		}
 		s.fold(sim.Never)
+		// Nothing can pend any more: let go of the record storage, which
+		// keeps the capacity of the largest fold and queue it ever held.
+		s.scratch = nil
+		for _, sh := range s.all {
+			sh.mu.Lock()
+			sh.reports, sh.entries = nil, nil
+			sh.mu.Unlock()
+		}
 		for _, keys := range s.panuKeys {
 			for _, key := range keys {
 				s.relators[key].Close()

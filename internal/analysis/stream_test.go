@@ -233,6 +233,51 @@ func TestStreamerPendingBounded(t *testing.T) {
 	}
 }
 
+// TestFinalizeReleasesRecordBuffers pins what a finished streamer keeps:
+// the final fold of a corpus whose last stream lagged gathers the whole
+// campaign, and afterwards neither the fold scratch nor any shard queue
+// may still hold that capacity. The aggregates match the retained
+// pipeline's exactly.
+func TestFinalizeReleasesRecordBuffers(t *testing.T) {
+	c := genCampaign(600)
+	t2, t3, dep, f3c, f4, sc, nu, ne := c.retained()
+	s, err := NewStreamer(c.spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every stream delivers its whole log at once; the last one (the
+	// realistic NAP) comes last with its watermark still at zero, so
+	// nothing folds before Finalize.
+	for i, tb := range c.spec.Testbeds {
+		for _, node := range tb.Nodes() {
+			key := shardKey{tb.Name, node}
+			wm := c.horizon + sim.Second
+			if i == len(c.spec.Testbeds)-1 && node == tb.NAP {
+				wm = 0
+			}
+			if err := s.Ingest(tb.Name, node, c.reports[key], c.entries[key], wm); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if p := s.Pending(); p != nu+ne {
+		t.Fatalf("pending %d before Finalize, want the whole corpus %d", p, nu+ne)
+	}
+	agg := s.Finalize()
+	if n := s.retainedRecordCap(); n != 0 {
+		t.Errorf("finalized streamer retains %d records of capacity", n)
+	}
+	if !reflect.DeepEqual(agg.Table2(), t2) || !reflect.DeepEqual(agg.Table3(), t3) ||
+		!reflect.DeepEqual(agg.Dependability("SIRAs"), dep) || !reflect.DeepEqual(agg.Fig3c(), f3c) ||
+		!reflect.DeepEqual(agg.Fig4(), f4) ||
+		!reflect.DeepEqual(agg.Scalars(map[string]*workload.Counters{}), sc) {
+		t.Error("aggregates of the one-fold campaign diverge from the retained pipeline")
+	}
+	if gu, ge, _ := agg.DataItems(); gu != nu || ge != ne {
+		t.Errorf("items %d/%d, want %d/%d", gu, ge, nu, ne)
+	}
+}
+
 // TestStreamerReorderTolerance pins the cross-connection hardening: batch
 // reordering above the fold horizon is repaired (identical aggregates),
 // while records at or below an already-folded instant are rejected as an

@@ -128,6 +128,10 @@ type agentStream struct {
 	buf      []bufEntry // unacknowledged batches, sequences acked+1..last
 }
 
+// unsent returns the stream's first batch not yet sent on this connection.
+// Caller holds mu and has checked sentUpTo < last.
+func (st *agentStream) unsent() bufEntry { return st.buf[int(st.sentUpTo-st.acked)] }
+
 // agentSessionTimeout bounds a record agent's wait for the sink's answer to
 // its Hello and each frame write on a session; a slower sink drops the
 // connection and the agent resumes.
@@ -524,7 +528,12 @@ func (a *Agent) maybeCompactLocked() {
 
 // collect gathers the batches to send now (everything assigned but not yet
 // sent on this connection) and, once all data is on the wire and Finish was
-// requested, the Done frame to follow it.
+// requested, the Done frame to follow it. The streams' unsent batches are
+// merged by watermark: each stream keeps its sequence order, and ties go to
+// roster order, the order a single-process campaign drains them in. The
+// sink folds up to the minimum watermark over all streams, so a backlog
+// shipped one node after another would pend whole at the sink until the
+// last node's first batch arrived.
 func (a *Agent) collect(doneSent *bool) ([]bufEntry, *Done) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -535,13 +544,21 @@ func (a *Agent) collect(doneSent *bool) ([]bufEntry, *Done) {
 		return nil, nil
 	}
 	var out []bufEntry
-	for _, node := range a.order {
-		st := a.streams[node]
-		for seq := st.sentUpTo + 1; seq <= st.last; seq++ {
-			out = append(out, st.buf[int(seq-st.acked-1)])
-			a.countSendLocked(seq, &st.maxSent)
+	for {
+		var next *agentStream
+		for _, node := range a.order {
+			st := a.streams[node]
+			if st.sentUpTo < st.last && (next == nil ||
+				st.unsent().b.Watermark < next.unsent().b.Watermark) {
+				next = st
+			}
 		}
-		st.sentUpTo = st.last
+		if next == nil {
+			break
+		}
+		out = append(out, next.unsent())
+		next.sentUpTo++
+		a.countSendLocked(next.sentUpTo, &next.maxSent)
 	}
 	// Once Finish has been requested, every known batch is in this same
 	// write burst, so Done may ride right behind the data.

@@ -2,6 +2,7 @@ package collector
 
 import (
 	"net"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -81,16 +82,29 @@ func finishKSAgents(t *testing.T, agents []*Agent, timeout time.Duration) {
 
 // TestMultiTenantIsolation hosts two campaigns on one sink and checks that
 // each keyspace's tables are bit-identical to its own single-process
-// reference — shared transport, zero cross-talk.
+// reference — shared transport, zero cross-talk. A third campaign whose
+// beta testbed never ships stays open: the pending counts of the metrics
+// and of the memory budget are exactly its alpha records, the completed
+// keyspaces pending nothing.
 func TestMultiTenantIsolation(t *testing.T) {
 	batches := tpBatches(24)
 	want := tpLocal(t, batches)
 	campRed := CampaignID{Seed: 1, Duration: 24 * sim.Hour, Scenario: 1}
 	campBlue := CampaignID{Seed: 2, Duration: 24 * sim.Hour, Scenario: 2}
+	campOpen := CampaignID{Seed: 5, Duration: 24 * sim.Hour, Scenario: 1}
+	var alpha []tpBatch
+	alphaRecords := 0
+	for _, b := range batches {
+		if b.testbed == "alpha" {
+			alpha = append(alpha, b)
+			alphaRecords += len(b.reports) + len(b.entries)
+		}
+	}
 
 	sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0", Keyspaces: []KeyspaceConfig{
 		{Key: "red", Campaign: campRed, Spec: tpSpec()},
 		{Key: "blue", Campaign: campBlue, Spec: tpSpec()},
+		{Key: "open", Campaign: campOpen, Spec: tpSpec()},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -99,6 +113,9 @@ func TestMultiTenantIsolation(t *testing.T) {
 
 	red := ksAgents(t, sink.Addr(), "red", campRed, batches)
 	blue := ksAgents(t, sink.Addr(), "blue", campBlue, batches)
+	for _, a := range ksAgents(t, sink.Addr(), "open", campOpen, alpha) {
+		defer a.Close()
+	}
 	finishKSAgents(t, red, 30*time.Second)
 	finishKSAgents(t, blue, 30*time.Second)
 
@@ -111,14 +128,34 @@ func TestMultiTenantIsolation(t *testing.T) {
 			t.Errorf("keyspace %s diverged from the single-process reference", key)
 		}
 	}
+	waitUntil(t, 10*time.Second, "the open keyspace's alpha batches", func() bool {
+		for _, km := range sink.Metrics().Keyspaces {
+			if km.Key == "open" {
+				return km.AppliedBatches == len(alpha)
+			}
+		}
+		return false
+	})
 	m := sink.Metrics()
-	if len(m.Keyspaces) != 2 {
-		t.Fatalf("metrics list %d keyspaces, want 2", len(m.Keyspaces))
+	if len(m.Keyspaces) != 3 {
+		t.Fatalf("metrics list %d keyspaces, want 3", len(m.Keyspaces))
 	}
 	for _, km := range m.Keyspaces {
-		if !km.Complete || km.Quarantined {
+		open := km.Key == "open"
+		if km.Complete == open || km.Quarantined {
 			t.Errorf("keyspace %s: complete=%v quarantined=%v", km.Key, km.Complete, km.Quarantined)
 		}
+		pending := 0
+		if open {
+			pending = alphaRecords
+		}
+		if km.PendingRecords != pending {
+			t.Errorf("keyspace %s pends %d records, want %d", km.Key, km.PendingRecords, pending)
+		}
+	}
+	if m.PendingRecords != alphaRecords || sink.PendingRecords() != alphaRecords {
+		t.Errorf("sink pends %d records (metrics) and %d (memory budget), want %d",
+			m.PendingRecords, sink.PendingRecords(), alphaRecords)
 	}
 }
 
@@ -572,6 +609,36 @@ func TestResumeCursors(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCheckpointBytesCounted: a campaign keyspace's CheckpointBytes metric
+// grows by the size of each checkpoint file it writes.
+func TestCheckpointBytesCounted(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sink.ckpt")
+	sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0", CheckpointEvery: 2,
+		Keyspaces: []KeyspaceConfig{{Spec: tpSpec(), CheckpointPath: path}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	conn, _ := rawSession(t, sink.Addr(), "", CampaignID{}, "alpha")
+	defer conn.Close()
+	var want int64
+	for seq := uint64(1); seq <= 6; seq++ {
+		sendSeq(t, conn, "a1", seq)
+		if seq%2 == 1 {
+			continue
+		}
+		readAck(t, conn) // the frame's checkpoint has landed
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += st.Size()
+		if got := sink.Metrics().Keyspaces[0].CheckpointBytes; got != want {
+			t.Fatalf("after frame %d the keyspace counts %d checkpoint bytes, want %d", seq, got, want)
+		}
 	}
 }
 

@@ -103,6 +103,8 @@ type tenant struct {
 	rejected    int // data frames refused as protocol errors
 	ckptFails   int // checkpoint write failures (disk trouble, not protocol)
 	lastCkptErr error
+	// ckptBytes sums the sizes of the campaign checkpoint files written.
+	ckptBytes int64
 
 	done chan struct{}
 
@@ -707,12 +709,14 @@ func (s *Sink) backpressure() {
 }
 
 // PendingRecords reports the total buffered (not yet folded) record count
-// across every keyspace — the quantity the memory budget bounds.
+// across every keyspace — the quantity the memory budget bounds. A
+// completed keyspace's streamer is finalized and holds nothing, so it is
+// skipped without taking its shard locks.
 func (s *Sink) PendingRecords() int {
 	s.mu.Lock()
 	streamers := make([]*analysis.Streamer, 0, len(s.tenants))
 	for _, t := range s.tenants {
-		if t.str != nil {
+		if t.str != nil && !t.complete {
 			streamers = append(streamers, t.str)
 		}
 	}
@@ -796,6 +800,7 @@ func (t *tenant) checkpointRecords() error {
 	if err := writeSealed(t.cfg.CheckpointPath, buf); err != nil {
 		return err
 	}
+	t.ckptBytes += int64(len(buf))
 	t.sinceCP = 0
 	t.advanceAckable(covered)
 	return nil
@@ -1066,7 +1071,8 @@ func (s *Sink) shutdown() error {
 // KeyspaceMetrics is one keyspace's slice of the sink metrics. Kind is
 // "campaign" for record keyspaces and "district" for scatternet districts;
 // the testbed, quota and pending fields describe campaigns, the piconet
-// fields districts.
+// fields districts. CheckpointBytes sums the sizes of every checkpoint
+// file a campaign keyspace has written.
 type KeyspaceMetrics struct {
 	Key      string     `json:"key"`
 	Kind     string     `json:"kind"`
@@ -1087,8 +1093,9 @@ type KeyspaceMetrics struct {
 	QuotaBytes       int64 `json:"quota_bytes,omitempty"`
 	QuotaBatches     int   `json:"quota_batches,omitempty"`
 
-	PendingRecords     int `json:"pending_records"`
-	CheckpointFailures int `json:"checkpoint_failures"`
+	PendingRecords     int   `json:"pending_records"`
+	CheckpointFailures int   `json:"checkpoint_failures"`
+	CheckpointBytes    int64 `json:"checkpoint_bytes"`
 }
 
 // SinkMetrics is the sink's observable state — what /metricsz serves.
@@ -1116,7 +1123,8 @@ func (s *Sink) Metrics() *SinkMetrics {
 		HellosRejected: s.hellosRejected,
 	}
 	// Pending counts take the streamers' shard locks: read them after
-	// releasing mu, so a metrics poll never holds up ingest.
+	// releasing mu, so a metrics poll never holds up ingest. A completed
+	// keyspace pends nothing and is not read.
 	strs := make([]*analysis.Streamer, 0, len(s.tenants))
 	for _, t := range s.tenants {
 		km := KeyspaceMetrics{
@@ -1136,12 +1144,17 @@ func (s *Sink) Metrics() *SinkMetrics {
 			QuotaBatches:     t.cfg.MaxBatches,
 
 			CheckpointFailures: t.ckptFails,
+			CheckpointBytes:    t.ckptBytes,
 		}
 		if d := t.district; d != nil {
 			km.FinishedTestbeds = 0
 			km.Piconets, km.FoldedPiconets = d.cfg.Hi-d.cfg.Lo, d.folded()
 		}
-		m.Keyspaces, strs = append(m.Keyspaces, km), append(strs, t.str)
+		str := t.str
+		if t.complete {
+			str = nil
+		}
+		m.Keyspaces, strs = append(m.Keyspaces, km), append(strs, str)
 	}
 	s.mu.Unlock()
 	for i, str := range strs {

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -693,4 +695,95 @@ func BenchmarkSinkIngest(b *testing.B) {
 	<-readerDone
 	b.ReportMetric(float64(elapsed.Nanoseconds())/float64(b.N), "ns/frame")
 	b.ReportMetric(float64(acks.Load())/float64(b.N), "acks/frame")
+}
+
+// keyspaceBacklogDays sizes BenchmarkSinkKeyspace's backlog: four weeks of
+// hourly flushes of tpSpec's alpha testbed, 2016 frames.
+const keyspaceBacklogDays = 28
+
+// BenchmarkSinkKeyspace measures one keyspace's life on a long-lived sink:
+// an agent buffers a recorded multi-day backlog of the alpha testbed's
+// three streams while its keyspace is not registered yet, and ships it
+// into a checkpointing keyspace (default cadence) once it is, until
+// WaitKeyspace returns. Each iteration is a fresh keyspace on the same
+// sink. ns/frame is the wall time from registration to completion per data
+// frame; ckpt-bytes/frame the checkpoint file bytes the keyspace wrote per
+// frame (KeyspaceMetrics.CheckpointBytes); retained-KB/keyspace the live
+// heap, after GC, that the completed keyspaces still hold, per keyspace.
+func BenchmarkSinkKeyspace(b *testing.B) {
+	spec := tpSpec()
+	spec.Testbeds = spec.Testbeds[:1]
+	tb := spec.Testbeds[0]
+	var backlog []tpBatch
+	for _, bt := range tpBatches(keyspaceBacklogDays * 24) {
+		if bt.testbed == tb.Name {
+			backlog = append(backlog, bt)
+		}
+	}
+	counters := make(map[string]*workload.CountersSnapshot)
+	for _, node := range tb.PANUs {
+		counters[node] = tpCounters(node)
+	}
+	dir := b.TempDir()
+	sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0", AllowEmpty: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sink.Close()
+	heap := func() float64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc)
+	}
+	base := heap()
+	var elapsed time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		key := fmt.Sprintf("ks%d", i)
+		a, err := NewAgent(AgentConfig{Addr: sink.Addr(), Keyspace: key, Testbed: tb.Name,
+			Nodes: tb.Nodes(), RetryMin: time.Millisecond, RetryMax: time.Millisecond})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, bt := range backlog {
+			if err := a.Ingest(bt.testbed, bt.node, bt.reports, bt.entries, bt.watermark); err != nil {
+				b.Fatal(err)
+			}
+		}
+		finished := make(chan error, 1)
+		go func() { finished <- a.Finish(counters, keyspaceBacklogDays*sim.Day, time.Minute) }()
+		// The sink has turned the agent away once, so the whole backlog is
+		// still in its buffer when the keyspace appears.
+		for n, _ := a.Rejects(); n == 0; n, _ = a.Rejects() {
+			time.Sleep(50 * time.Microsecond)
+		}
+		b.StartTimer()
+		start := time.Now()
+		if err := sink.Register(KeyspaceConfig{Key: key, Spec: spec,
+			CheckpointPath: filepath.Join(dir, key+".ckpt")}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sink.WaitKeyspace(key, time.Minute); err != nil {
+			b.Fatal(err)
+		}
+		elapsed += time.Since(start)
+		b.StopTimer()
+		if err := <-finished; err != nil {
+			b.Fatal(err)
+		}
+		a.Close()
+	}
+	var ckptBytes int64
+	for _, km := range sink.Metrics().Keyspaces {
+		ckptBytes += km.CheckpointBytes
+	}
+	retained := heap() - base
+	runtime.KeepAlive(backlog) // live through both heap reads
+	frames := float64(b.N * len(backlog))
+	b.ReportMetric(float64(elapsed.Nanoseconds())/frames, "ns/frame")
+	b.ReportMetric(float64(ckptBytes)/frames, "ckpt-bytes/frame")
+	b.ReportMetric(retained/1024/float64(b.N), "retained-KB/keyspace")
 }

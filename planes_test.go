@@ -62,10 +62,11 @@ var (
 	onePiconetPlane = piconetPlane(1, 0)
 )
 
-// flatPlanes is every flat plane, the distributed one under fault.
-func flatPlanes(fault collector.FaultConfig) []flatPlane {
+// flatPlanes is every flat plane, the distributed one under fault and with
+// durability dur.
+func flatPlanes(fault collector.FaultConfig, dur durability) []flatPlane {
 	return []flatPlane{retainedPlane, streamingPlane, sequentialPlane, slowPathPlane,
-		onePiconetPlane, distributedPlane(fault)}
+		onePiconetPlane, distributedPlane(fault, dur)}
 }
 
 // inProcess runs cfg on a freshly built campaign, its testbeds one after
@@ -121,18 +122,37 @@ func piconetPlane(piconets, bridges int) flatPlane {
 		}}
 }
 
+// durability is the distributed plane's durability: how many frames its
+// sink receives between checkpoints (0: the sink's default) and whether
+// its agents keep a spill log.
+type durability struct {
+	checkpointEvery int
+	spill           bool
+}
+
 // distributedPlane is two agents, one per testbed, shipping to one sink
 // over loopback TCP, each with fault injected on its data frames (the
 // realistic one at fault seed + 1, so the shards draw distinct decisions).
-func distributedPlane(fault collector.FaultConfig) flatPlane {
+// The sink checkpoints to a file at dur's cadence, so its acknowledgements
+// follow the checkpoints, and with dur.spill the agents spill to a log.
+func distributedPlane(fault collector.FaultConfig, dur durability) flatPlane {
 	name := "distributed"
 	if fault.Active() {
 		name = "distributed+faults"
 	}
+	if dur.checkpointEvery > 0 {
+		name += fmt.Sprintf(", checkpoint every %d frames", dur.checkpointEvery)
+	}
+	if dur.spill {
+		name += ", spill log"
+	}
 	return flatPlane{name, func(t *testing.T, cfg CampaignConfig) *CampaignResult {
 		t.Helper()
+		dir := t.TempDir()
 		sink, err := collector.NewSink(collector.SinkConfig{Addr: "127.0.0.1:0",
-			Keyspaces: []collector.KeyspaceConfig{{Campaign: cfg.ID(), Spec: testbed.CampaignStreamSpec()}}})
+			CheckpointEvery: dur.checkpointEvery,
+			Keyspaces: []collector.KeyspaceConfig{{Campaign: cfg.ID(), Spec: testbed.CampaignStreamSpec(),
+				CheckpointPath: filepath.Join(dir, "sink.ckpt")}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,6 +163,9 @@ func distributedPlane(fault collector.FaultConfig) flatPlane {
 			ac := collector.AgentConfig{Addr: sink.Addr(), Fault: fault,
 				RetryMin: 20 * time.Millisecond, StallTimeout: 150 * time.Millisecond}
 			ac.Fault.Seed += uint64(i)
+			if dur.spill {
+				ac.SpillDir = dir
+			}
 			go func() { errs <- runAgent(cfg, opts, ac, 120*time.Second, 0) }()
 		}
 		for range 2 {
@@ -451,12 +474,14 @@ func TestPlanesAgreeOnGeneratedConfigs(t *testing.T) {
 	}
 	for d := 1; d <= n; d++ {
 		t.Run(fmt.Sprintf("flat-%d", d), func(t *testing.T) {
-			cfg, fault := drawFlat(uint64(d))
+			cfg, fault, dur := drawFlat(uint64(d))
 			replay(t, fmt.Sprintf("flat-%d", d), struct {
 				CampaignConfig
-				Fault collector.FaultConfig
-			}{cfg, fault})
-			agreeFlat(t, cfg, flatPlanes(fault)...)
+				Fault           collector.FaultConfig
+				CheckpointEvery int
+				Spill           bool
+			}{cfg, fault, dur.checkpointEvery, dur.spill})
+			agreeFlat(t, cfg, flatPlanes(fault, dur)...)
 		})
 		t.Run(fmt.Sprintf("metro-%d", d), func(t *testing.T) {
 			cfg, split, fault := drawMetro(uint64(d))
@@ -471,9 +496,11 @@ func TestPlanesAgreeOnGeneratedConfigs(t *testing.T) {
 }
 
 // drawFlat draws flat config d: seed, scenario 1–4, 2–12 virtual hours,
-// a flush cadence of 10 min–12 h, whether the records are kept, and
-// drop/duplicate/reorder probabilities of at most 0.15 with their seed.
-func drawFlat(d uint64) (CampaignConfig, collector.FaultConfig) {
+// a flush cadence of 10 min–12 h, whether the records are kept,
+// drop/duplicate/reorder probabilities of at most 0.15 with their seed,
+// the sink's checkpoint cadence (1, 2, 8 or 64 frames) and whether the
+// agents spill.
+func drawFlat(d uint64) (CampaignConfig, collector.FaultConfig, durability) {
 	r := rand.New(rand.NewPCG(d, 0x666c6174))
 	cfg := CampaignConfig{
 		Seed:       r.Uint64(),
@@ -482,7 +509,8 @@ func drawFlat(d uint64) (CampaignConfig, collector.FaultConfig) {
 		FlushEvery: between(r, 10*sim.Minute, 12*Hour),
 		Streaming:  r.IntN(2) == 0,
 	}
-	return cfg, drawFault(r)
+	fault := drawFault(r)
+	return cfg, fault, durability{checkpointEvery: []int{1, 2, 8, 64}[r.IntN(4)], spill: r.IntN(2) == 0}
 }
 
 // drawMetro draws metro config d: seed, scenario 1–4, 1–3 virtual hours,

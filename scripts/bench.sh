@@ -34,7 +34,11 @@
 # pending records; and sink_ingest is one data frame through a
 # checkpointing keyspace over loopback (read, decode, apply, fold, its
 # share of the checkpoints and Acks), in ns/frame, allocs/frame and the
-# share of frames that draw an Ack.
+# share of frames that draw an Ack; sink_keyspace is one agent shipping a
+# four-week backlog of three streams into a fresh checkpointing keyspace
+# of a long-lived sink until it completes, in ns/frame, checkpoint file
+# bytes per frame and the heap each completed keyspace still holds
+# (24 keyspaces on one sink).
 # Usage: scripts/bench.sh [day-benchtime] [month-benchtime] [scale-benchtime]
 set -eu
 
@@ -110,18 +114,19 @@ seg_out="$(go test -run '^$' -bench '^BenchmarkSegPlan$' -benchmem ./internal/l2
 ckpt_out="$(go test -run '^$' -bench '^BenchmarkSinkCheckpoint$' -benchmem ./internal/collector | tee /dev/stderr)"
 # A fixed frame count: 20000 frames span about 300 checkpoints.
 ingest_out="$(go test -run '^$' -bench '^BenchmarkSinkIngest$' -benchtime 20000x -benchmem ./internal/collector | tee /dev/stderr)"
+keyspace_out="$(go test -run '^$' -bench '^BenchmarkSinkKeyspace$' -benchtime 24x -benchmem ./internal/collector | tee /dev/stderr)"
 cycle_out="$(go test -run '^$' -bench '^BenchmarkConnectionCycle$' -benchmem ./internal/workload | tee /dev/stderr)"
 run_out="$(go test -run '^$' -bench '^BenchmarkPipeSendRun$' -benchmem ./internal/stack | tee /dev/stderr)"
 probe_out="$(go test -run '^$' -bench '^Benchmark(ProbeWalk|OverlayDay)$' -benchmem ./internal/scatternet | tee /dev/stderr)"
 kernel_out="$(go test -run '^$' -bench '^BenchmarkKernelSchedule$' -benchmem ./internal/sim | tee /dev/stderr)"
 
-printf '%s\n' "$day_out" "$month_out" "$scale_out" "$layer_out" "$seg_out" "$ckpt_out" "$ingest_out" "$cycle_out" "$run_out" "$probe_out" "$kernel_out" |
+printf '%s\n' "$day_out" "$month_out" "$scale_out" "$layer_out" "$seg_out" "$ckpt_out" "$ingest_out" "$keyspace_out" "$cycle_out" "$run_out" "$probe_out" "$kernel_out" |
     awk -v smoke="$smoke_secs" -v metro="$metro_secs" -v tax="$tax_stats" -v agent="$agent_stats" -v runs="$ratio_runs" '
 # Benchmark lines interleave custom metrics with the standard ones, so pick
 # values by their unit token instead of field position.
-/^Benchmark(Campaign|Scatternet|Transmitter|SegPlan|SinkCheckpoint|SinkIngest|ConnectionCycle|Pipe|ProbeWalk|OverlayDay|KernelSchedule)/ {
+/^Benchmark(Campaign|Scatternet|Transmitter|SegPlan|SinkCheckpoint|SinkIngest|SinkKeyspace|ConnectionCycle|Pipe|ProbeWalk|OverlayDay|KernelSchedule)/ {
     name = $1; sub(/-[0-9]+$/, "", name)
-    ns = bytes = allocs = live = items = outages = probes = per_packet = per_walk = per_day = per_probe = per_frame = acks = ""
+    ns = bytes = allocs = live = items = outages = probes = per_packet = per_walk = per_day = per_probe = per_frame = acks = ckpt_bytes = retained = ""
     for (i = 2; i <= NF; i++) {
         if ($i == "ns/op") ns = $(i-1)
         if ($i == "B/op") bytes = $(i-1)
@@ -136,6 +141,8 @@ printf '%s\n' "$day_out" "$month_out" "$scale_out" "$layer_out" "$seg_out" "$ckp
         if ($i == "ns/probe") per_probe = $(i-1)
         if ($i == "ns/frame") per_frame = $(i-1)
         if ($i == "acks/frame") acks = $(i-1)
+        if ($i == "ckpt-bytes/frame") ckpt_bytes = $(i-1)
+        if ($i == "retained-KB/keyspace") retained = $(i-1)
     }
     if (name == "BenchmarkCampaignDay") { d_ns = ns; d_b = bytes; d_a = allocs; d_live = live }
     if (name == "BenchmarkCampaignMonth") { m_ns = ns; m_b = bytes; m_a = allocs; m_live = live; m_items = items }
@@ -148,6 +155,7 @@ printf '%s\n' "$day_out" "$month_out" "$scale_out" "$layer_out" "$seg_out" "$ckp
     if (name == "BenchmarkSegPlan") { seg_ns = ns; seg_a = allocs }
     if (name == "BenchmarkSinkCheckpoint") { ck_ns = ns; ck_a = allocs }
     if (name == "BenchmarkSinkIngest") { in_nf = per_frame; in_a = allocs; in_acks = acks }
+    if (name == "BenchmarkSinkKeyspace") { ks_nf = per_frame; ks_cb = ckpt_bytes; ks_kb = retained }
     if (name == "BenchmarkConnectionCycle") { cyc_ns = ns; cyc_a = allocs }
     if (name == "BenchmarkTransmitterSendSDU") { sdu_ns = ns; sdu_a = allocs }
     if (name == "BenchmarkTransmitterSendSDUMix") { mix_ns = ns; mix_a = allocs }
@@ -168,6 +176,7 @@ END {
         t[5] == "" || g[5] == "" ||
         send_ns == "" || send_a == "" || seg_ns == "" || seg_a == "" ||
         ck_ns == "" || ck_a == "" || in_nf == "" || in_a == "" || in_acks == "" ||
+        ks_nf == "" || ks_cb == "" || ks_kb == "" ||
         cyc_ns == "" || cyc_a == "" ||
         sdu_ns == "" || sdu_a == "" || mix_ns == "" || mix_a == "" ||
         run_ns == "" || run_pp == "" || run_a == "" ||
@@ -233,6 +242,9 @@ END {
     printf "    ],\n"
     printf "    \"sink_ingest\": [\n"
     printf "      {\"benchmark\": \"BenchmarkSinkIngest\", \"ns_per_frame\": %s, \"allocs_per_frame\": %s, \"acks_per_frame\": %s}\n", in_nf, in_a, in_acks
+    printf "    ],\n"
+    printf "    \"sink_keyspace\": [\n"
+    printf "      {\"benchmark\": \"BenchmarkSinkKeyspace\", \"ns_per_frame\": %s, \"checkpoint_bytes_per_frame\": %s, \"retained_kb_per_keyspace\": %s}\n", ks_nf, ks_cb, ks_kb
     printf "    ],\n"
     printf "    \"baseband_sdu\": [\n"
     printf "      {\"benchmark\": \"BenchmarkTransmitterSendSDU\", \"ns_per_op\": %s, \"allocs_per_op\": %s},\n", sdu_ns, sdu_a
