@@ -9,9 +9,12 @@
 // Delivery is at-least-once: batches stay buffered until the sink
 // acknowledges them, connection losses reconnect (with capped, jittered
 // exponential backoff) and resume from the sink's handshake cursors, and
-// acknowledgement stalls trigger go-back-N retransmission — so the campaign
-// survives sink restarts and (with the fault-injection knobs) deterministic
-// frame loss, duplication, reordering and delay on the data path.
+// stalls — no acknowledgement progress and no completion confirmation
+// while batches or the final Done are unanswered — trigger go-back-N
+// retransmission and a resend of the Done, eight in a row a reconnect. So
+// the campaign survives sink restarts, a checkpoint write that fails and
+// recovers, and (with the fault-injection knobs) deterministic frame loss,
+// duplication, reordering and delay on the data path.
 //
 // With -spill-dir the agent itself survives kill -9: every encoded batch
 // frame is appended to a write-ahead spill log before it is offered to the
@@ -70,8 +73,10 @@
 // to completion (deterministic in (seed, piconet), so no spill log is
 // needed — a restarted agent re-runs past the sink's resume cursor and
 // regenerates byte-identical partials) and ships one fold partial per
-// piconet to the district sink as a kind-8 frame, stop-and-wait under
-// cumulative acks. The range that starts at piconet 0 additionally runs the
+// piconet to the district sink as a kind-8 frame, one at a time through
+// the same session loop and stall rule as the testbed shard, under
+// cumulative acks of what the sink holds durably. The range that starts at
+// piconet 0 additionally runs the
 // bridge overlay and ships its pre-merged rollup partial last. The topology
 // flags (-piconets -bridges -topology -redundancy -hold -probe-sample) must
 // match the sink's district declaration exactly; a mismatch is a fatal

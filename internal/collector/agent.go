@@ -2,7 +2,6 @@ package collector
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -22,8 +21,9 @@ import (
 // buffered until the sink acknowledges it (cumulatively, per stream), a
 // connection loss triggers reconnect-and-resume from the sink's Resume
 // cursors, and an acknowledgement stall triggers go-back-N retransmission
-// of everything unacknowledged. The sink deduplicates by sequence number,
-// so duplicates arising from retransmission are harmless by construction.
+// of everything unacknowledged (link.session runs the loop; the Agent is
+// its record plane). The sink deduplicates by sequence number, so
+// duplicates arising from retransmission are harmless by construction.
 //
 // With SpillDir configured the agent is additionally crash-tolerant: every
 // encoded batch frame is appended to a write-ahead spill log (wal.go)
@@ -36,13 +36,12 @@ type Agent struct {
 	link // the shared session engine; its mu guards the fields below
 	cfg  AgentConfig
 
-	streams   map[string]*agentStream
-	order     []string
-	wal       *wal        // nil without SpillDir
-	walQ      []walQueued // ingested but not yet encoded/spilled batches
-	connected bool        // a session holds a live Resume handshake
-	done      *Done       // set by Finish; resent once per connection
-	wg        sync.WaitGroup
+	streams map[string]*agentStream
+	order   []string
+	wal     *wal        // nil without SpillDir
+	walQ    []walQueued // ingested but not yet encoded/spilled batches
+	done    *Done       // set by Finish; sent once per connection and after each stall
+	wg      sync.WaitGroup
 }
 
 // AgentConfig configures an Agent.
@@ -90,9 +89,10 @@ type AgentConfig struct {
 	// together does not hammer the sink in lockstep yet every run of a
 	// given agent is reproducible (default 1; wire the shard seed here).
 	RetrySeed uint64
-	// StallTimeout triggers go-back-N retransmission when unacknowledged
-	// batches exist and no acknowledgement progress happened for this long
-	// (default 500 ms).
+	// StallTimeout triggers go-back-N retransmission, and a resend of the
+	// Done, when sent batches or the Done went unanswered — no
+	// acknowledgement progress and no Fin — for this long; eight stalls in
+	// a row reconnect (default 500 ms).
 	StallTimeout time.Duration
 }
 
@@ -116,13 +116,10 @@ type walQueued struct {
 	seq  uint64
 }
 
-// agentStream is one node's send state.
+// agentStream is one node's stream: its send state and its buffer.
 type agentStream struct {
-	node     string
+	sendState
 	last     uint64     // last assigned sequence number
-	acked    uint64     // cumulatively acknowledged by the sink
-	sentUpTo uint64     // send cursor on the current connection
-	maxSent  uint64     // highest sequence ever sent (retransmit accounting)
 	ingested uint64     // drains seen this process (replay-skip counter)
 	replayed uint64     // drains covered by the WAL replay; re-runs skip them
 	buf      []bufEntry // unacknowledged batches, sequences acked+1..last
@@ -131,11 +128,6 @@ type agentStream struct {
 // unsent returns the stream's first batch not yet sent on this connection.
 // Caller holds mu and has checked sentUpTo < last.
 func (st *agentStream) unsent() bufEntry { return st.buf[int(st.sentUpTo-st.acked)] }
-
-// agentSessionTimeout bounds a record agent's wait for the sink's answer to
-// its Hello and each frame write on a session; a slower sink drops the
-// connection and the agent resumes.
-const agentSessionTimeout = 5 * time.Second
 
 // NewAgent builds the uplink and starts its connection loop. With SpillDir
 // set it first replays the shard's spill log: previously assigned sequence
@@ -163,7 +155,7 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		streams: make(map[string]*agentStream, len(cfg.Nodes)),
 	}
 	a.init(cfg.Addr, retryPolicy{min: cfg.RetryMin, max: cfg.RetryMax,
-		seed: int64(cfg.RetrySeed)}, agentSessionTimeout, cfg.Fault)
+		seed: int64(cfg.RetrySeed)}, cfg.StallTimeout, cfg.Fault)
 	var replay map[string]*walStream
 	if cfg.SpillDir != "" {
 		// The spill log is keyed by keyspace-qualified shard name: agents
@@ -187,7 +179,7 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 			}
 			return nil, fmt.Errorf("collector: agent declares node %q twice", node)
 		}
-		st := &agentStream{node: node}
+		st := &agentStream{sendState: sendState{node: node}}
 		if ws := replay[node]; ws != nil {
 			st.last, st.acked = ws.last, ws.acked
 			st.sentUpTo, st.replayed = ws.acked, ws.last
@@ -197,7 +189,9 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		}
 		a.streams[node] = st
 		a.order = append(a.order, node)
+		a.sends = append(a.sends, &st.sendState)
 	}
+	a.hello = &Hello{Campaign: cfg.Campaign, Keyspace: cfg.Keyspace, Testbed: cfg.Testbed, Nodes: a.order}
 	for node := range replay {
 		if _, ok := a.streams[node]; !ok {
 			if a.wal != nil {
@@ -397,89 +391,18 @@ func (a *Agent) Abort() {
 // run is the agent's connection loop (link.redial) around its sessions.
 func (a *Agent) run() {
 	defer a.wg.Done()
-	a.redial(a.session)
+	a.redial(a)
 }
 
-// session drives one connection: handshake, then ship until it breaks. It
-// reports whether the sink answered the handshake with Resume (backoff
-// reset).
-func (a *Agent) session(conn net.Conn) bool {
-	res := a.handshake(conn, &Hello{Campaign: a.cfg.Campaign, Keyspace: a.cfg.Keyspace,
-		Testbed: a.cfg.Testbed, Nodes: a.order})
-	if res == nil || !a.applyResume(res) {
-		return false
-	}
-	defer func() {
-		a.mu.Lock()
-		a.connected = false
-		a.mu.Unlock()
-	}()
+// spawn runs f on a goroutine whose base is an Agent method, so profiles
+// book the session's ack reader to the agent.
+func (a *Agent) spawn(f func()) { go func() { f() }() }
 
-	readerDone := make(chan struct{})
-	a.wg.Add(1)
-	go a.reader(conn, readerDone)
-
-	ticker := time.NewTicker(a.cfg.StallTimeout / 2)
-	defer ticker.Stop()
-	doneSent := false
-	for {
-		entries, done := a.collect(&doneSent)
-		for _, e := range entries {
-			raw := e.raw
-			if raw == nil {
-				var err error
-				if raw, err = encodeBatchFrame(e.b); err != nil {
-					a.fatal(err)
-					return true
-				}
-			}
-			if a.send(conn, raw) != nil {
-				return true
-			}
-		}
-		if done != nil && a.sendDone(conn, done) != nil {
-			return true
-		}
-		select {
-		case <-a.work:
-		case <-ticker.C:
-			a.maybeStallReset()
-		case <-readerDone:
-			return true
-		case <-a.fin:
-			return true
-		case <-a.closed:
-			return true
-		}
-	}
-}
-
-// applyResume aligns every stream's send state with the sink's
-// acknowledged cursors (link.resumeLocked stops the agent on a missing or
-// regressed cursor).
-func (a *Agent) applyResume(res *Resume) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, node := range a.order {
-		st := a.streams[node]
-		seq, ok := a.resumeLocked(res, a.cfg.Testbed+"/"+node, node, st.acked)
-		if !ok {
-			return false
-		}
-		a.pruneLocked(st, seq)
-		st.sentUpTo = st.acked
-	}
-	a.connected = true
-	a.lastProgress = time.Now()
-	return true
-}
-
-// pruneLocked drops buffered batches covered by a cumulative ack and
-// truncates the spill log's view of them. Caller holds mu.
-func (a *Agent) pruneLocked(st *agentStream, acked uint64) {
-	if acked <= st.acked {
-		return
-	}
+// pruneLocked moves a stream's acknowledged cursor forward, drops the
+// buffered batches it covers and truncates the spill log's view of them.
+// Caller holds mu.
+func (a *Agent) pruneLocked(ss *sendState, acked uint64) {
+	st := a.streams[ss.node]
 	drop := int(acked - st.acked)
 	if drop > len(st.buf) {
 		drop = len(st.buf)
@@ -492,9 +415,6 @@ func (a *Agent) pruneLocked(st *agentStream, acked uint64) {
 	}
 	st.buf = st.buf[:copy(st.buf, st.buf[drop:])]
 	st.acked = acked
-	if st.sentUpTo < st.acked {
-		st.sentUpTo = st.acked
-	}
 	if a.wal != nil {
 		if err := a.wal.noteAck(st.node, acked, freed); err != nil {
 			a.fatalLocked(err)
@@ -526,15 +446,15 @@ func (a *Agent) maybeCompactLocked() {
 	}
 }
 
-// collect gathers the batches to send now (everything assigned but not yet
-// sent on this connection) and, once all data is on the wire and Finish was
-// requested, the Done frame to follow it. The streams' unsent batches are
+// due gathers the batches to send now (everything assigned but not yet
+// sent on this connection) and, once Finish was requested, the Done frame
+// to follow them. The streams' unsent batches are
 // merged by watermark: each stream keeps its sequence order, and ties go to
 // roster order, the order a single-process campaign drains them in. The
 // sink folds up to the minimum watermark over all streams, so a backlog
 // shipped one node after another would pend whole at the sink until the
 // last node's first batch arrived.
-func (a *Agent) collect(doneSent *bool) ([]bufEntry, *Done) {
+func (a *Agent) due() ([]bufEntry, *Done) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	// Durability before delivery: everything gathered below must already be
@@ -557,51 +477,9 @@ func (a *Agent) collect(doneSent *bool) ([]bufEntry, *Done) {
 			break
 		}
 		out = append(out, next.unsent())
-		next.sentUpTo++
-		a.countSendLocked(next.sentUpTo, &next.maxSent)
+		a.countSendLocked(&next.sendState)
 	}
-	// Once Finish has been requested, every known batch is in this same
-	// write burst, so Done may ride right behind the data.
-	if a.done != nil && !*doneSent {
-		*doneSent = true
-		return out, a.done
-	}
-	return out, nil
-}
-
-// maybeStallReset rewinds the send cursors to the acknowledged positions
-// when acknowledgements have stalled, forcing go-back-N retransmission of
-// everything in flight (the recovery path for frames lost to the network).
-func (a *Agent) maybeStallReset() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	unacked := false
-	for _, st := range a.streams {
-		if st.last > st.acked {
-			unacked = true
-			break
-		}
-	}
-	if !unacked || time.Since(a.lastProgress) < a.cfg.StallTimeout {
-		return
-	}
-	for _, st := range a.streams {
-		st.sentUpTo = st.acked
-	}
-	a.lastProgress = time.Now()
-	a.signal()
-}
-
-// reader consumes the sink's acknowledgements and the final Fin.
-func (a *Agent) reader(conn net.Conn, done chan struct{}) {
-	defer a.wg.Done()
-	defer close(done)
-	a.read(conn, func(ack *Ack) bool {
-		st, ok := a.streams[ack.Node]
-		if !ok || ack.Seq <= st.acked {
-			return false
-		}
-		a.pruneLocked(st, ack.Seq)
-		return true
-	})
+	// Once Finish has been requested, every known batch is on the wire by
+	// the end of this pass, so Done may ride right behind the data.
+	return out, a.done
 }

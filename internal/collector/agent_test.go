@@ -108,8 +108,7 @@ func TestAgentShipsBacklogInWatermarkOrder(t *testing.T) {
 			}
 		}
 	}
-	var doneSent bool
-	first, _ := a.collect(&doneSent)
+	first, _ := a.due()
 	check("the first session", first, merged)
 
 	str, err := analysis.NewStreamer(spec)
@@ -129,11 +128,10 @@ func TestAgentShipsBacklogInWatermarkOrder(t *testing.T) {
 	// go-back-N: part of one stream is acknowledged, then the stall
 	// rewinds every send cursor.
 	a.mu.Lock()
-	a.pruneLocked(a.streams[roster[0]], 5)
-	a.lastProgress = time.Time{}
+	a.ackLocked(a, &a.streams[roster[0]].sendState, 5)
+	a.rewindLocked()
 	a.mu.Unlock()
-	a.maybeStallReset()
-	resend, _ := a.collect(&doneSent)
+	resend, _ := a.due()
 	check("the go-back-N resend", resend, unacked(a))
 	if sent, retransmits := a.Stats(); sent != len(first)+len(resend) || retransmits != len(resend) {
 		t.Errorf("sent %d with %d retransmits, want %d with %d",
@@ -143,6 +141,6 @@ func TestAgentShipsBacklogInWatermarkOrder(t *testing.T) {
 	a.Close()
 	b := newAgent()
 	defer b.Close()
-	replayed, _ := b.collect(&doneSent)
+	replayed, _ := b.due()
 	check("the spill log replay", replayed, unacked(b))
 }

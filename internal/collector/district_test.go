@@ -45,11 +45,31 @@ func fixtureDistrict(path string) DistrictConfig {
 // the sink's first answer.
 func districtHello(t *testing.T, addr string, dc DistrictConfig, lo, hi int) *Frame {
 	t.Helper()
+	conn, fr := dialDistrict(t, addr, dc, lo, hi)
+	conn.Close()
+	return fr
+}
+
+// districtSession opens a raw district session claiming dc's range and
+// returns it with the sink's Resume cursor.
+func districtSession(t *testing.T, addr string, dc DistrictConfig) (net.Conn, uint64) {
+	t.Helper()
+	conn, fr := dialDistrict(t, addr, dc, dc.Lo, dc.Hi)
+	if fr.Kind != KindResume || len(fr.Resume.Cursors) != 1 {
+		conn.Close()
+		t.Fatalf("district handshake answered %v (%+v), want a one-cursor resume", fr.Kind, fr.Reject)
+	}
+	return conn, fr.Resume.Cursors[0].Seq
+}
+
+// dialDistrict sends a district Hello claiming [lo, hi) on a fresh
+// connection and returns the connection with the sink's first answer.
+func dialDistrict(t *testing.T, addr string, dc DistrictConfig, lo, hi int) (net.Conn, *Frame) {
+	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
 	hello := Hello{Campaign: dc.Campaign, Keyspace: dc.Key, Testbed: scatterRangeKey(lo, hi),
 		Scatter: &ScatterHello{Net: dc.Net, Lo: lo, Hi: hi}}
 	if err := writeControl(conn, frameHello, hello); err != nil {
@@ -60,7 +80,158 @@ func districtHello(t *testing.T, addr string, dc DistrictConfig, lo, hi int) *Fr
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fr
+	return conn, fr
+}
+
+// sendItem sends work item seq of dc's range on a raw district session: the
+// partial of piconet dc.Lo+seq-1, with the aggregates of an empty campaign.
+func sendItem(t *testing.T, conn net.Conn, dc DistrictConfig, seq uint64) {
+	t.Helper()
+	str, err := analysis.NewStreamer(tpSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb := ScatterBatch{Seq: seq, Piconet: &analysis.PiconetPartial{
+		Piconet: dc.Lo + int(seq) - 1, Agg: str.Finalize().Snapshot()}}
+	if err := writeControl(conn, frameScatter, &sb); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// bareDistrict is a district of the piconets [0:n) of an n-piconet
+// campaign without bridges, checkpointing at path.
+func bareDistrict(n int, path string) DistrictConfig {
+	return DistrictConfig{Key: "bare", Campaign: CampaignID{Seed: 3, Duration: sim.Hour, Scenario: 3},
+		Net: ScatterNet{Piconets: n}, Lo: 0, Hi: n, CheckpointPath: path}
+}
+
+// TestDistrictAckOnlyOnProgress is TestAckOnlyOnProgress's district twin
+// (PROTOCOL.md §6, §12): an applied work item earns exactly one Ack, a
+// retransmitted one none, and the Resume counts as telling the cursor. A
+// Done that names fewer work items than the range holds earns no Fin.
+func TestDistrictAckOnlyOnProgress(t *testing.T) {
+	dc := bareDistrict(3, filepath.Join(t.TempDir(), "bare.district.ckpt"))
+	sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0", Districts: []DistrictConfig{dc}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	// expectAck reads the session's next frame, which must be the Ack of
+	// seq: every frame sent before it earned none.
+	expectAck := func(conn net.Conn, seq uint64) {
+		t.Helper()
+		if a := readAck(t, conn); a.Node != "0:3" || a.Seq != seq {
+			t.Fatalf("ack %+v, want 0:3/%d", a, seq)
+		}
+	}
+
+	first, cur := districtSession(t, sink.Addr(), dc)
+	defer first.Close()
+	if cur != 0 {
+		t.Fatalf("fresh district resumes at %d, want 0", cur)
+	}
+	sendItem(t, first, dc, 1)
+	expectAck(first, 1)
+	sendItem(t, first, dc, 1)
+	sendItem(t, first, dc, 2)
+	expectAck(first, 2)
+
+	second, cur := districtSession(t, sink.Addr(), dc)
+	defer second.Close()
+	if cur != 2 {
+		t.Fatalf("district resumes at %d, want 2", cur)
+	}
+	sendItem(t, second, dc, 2)
+	sendItem(t, second, dc, 1)
+	sendItem(t, second, dc, 3)
+	expectAck(second, 3)
+	if applied, duplicates, rejected := sink.Stats(); applied != 3 || duplicates != 3 || rejected != 0 {
+		t.Errorf("applied %d, duplicates %d, rejected %d; want 3, 3, 0", applied, duplicates, rejected)
+	}
+
+	// done sends a Done naming final work items and reads the answer within
+	// wait: a Fin, or nil.
+	done := func(final uint64, wait time.Duration) *Frame {
+		t.Helper()
+		if err := writeControl(second, frameDone, &Done{Testbed: "0:3", Duration: sim.Hour,
+			Final: []StreamCursor{{Node: "0:3", Seq: final}}}); err != nil {
+			t.Fatal(err)
+		}
+		second.SetReadDeadline(time.Now().Add(wait))
+		fr, err := ReadFrame(second)
+		if err != nil {
+			return nil
+		}
+		return fr
+	}
+	if fr := done(2, 200*time.Millisecond); fr != nil {
+		t.Fatalf("Done naming 2 of 3 work items answered %v, want nothing", fr.Kind)
+	}
+	if fr := done(3, 5*time.Second); fr == nil || fr.Kind != KindFin {
+		t.Fatalf("Done naming every work item answered %v, want Fin", fr)
+	}
+	if _, err := sink.WaitDistrict(dc.Key, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDistrictResumeOnlyDurable pins PROTOCOL.md §12's durable cursor: a
+// work item whose checkpoint failed is folded but not durable, so neither
+// an Ack nor a Resume may name it — a restart on the checkpoint file would
+// resume below it, and an agent holding it would abort on the regression
+// (PROTOCOL.md §4). Its retransmission retries the checkpoint, and only
+// then is it acknowledged.
+func TestDistrictResumeOnlyDurable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bare.district.ckpt")
+	dc := bareDistrict(2, path)
+	sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0", Districts: []DistrictConfig{dc}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Abort()
+	tmp := path + ".tmp"
+	if err := os.Mkdir(tmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	first, cur := districtSession(t, sink.Addr(), dc)
+	defer first.Close()
+	told := []uint64{cur}
+	sendItem(t, first, dc, 1)
+	first.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if fr, err := ReadFrame(first); err == nil {
+		t.Fatalf("item 1 with its checkpoint failing was answered with %v (%+v); want the session closed",
+			fr.Kind, fr.Ack)
+	}
+
+	second, cur := districtSession(t, sink.Addr(), dc)
+	defer second.Close()
+	told = append(told, cur)
+	if err := os.Remove(tmp); err != nil {
+		t.Fatal(err)
+	}
+	sendItem(t, second, dc, 1)
+	ack := readAck(t, second)
+	told = append(told, ack.Seq)
+	if ack.Seq != 1 {
+		t.Errorf("retransmitted item 1 acknowledged %d, want 1", ack.Seq)
+	}
+	if err := sink.Abort(); err != nil {
+		t.Fatal(err)
+	}
+
+	restarted, err := NewSink(SinkConfig{Addr: "127.0.0.1:0", Districts: []DistrictConfig{dc}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	conn, durable := districtSession(t, restarted.Addr(), dc)
+	conn.Close()
+	for i, c := range told {
+		if c > durable {
+			t.Errorf("cursor %d told the agent (Resume, Resume, Ack) is %d, ahead of the %d a restart resumes at",
+				i, c, durable)
+		}
+	}
 }
 
 // TestDistrictExactRange pins PROTOCOL §12's exact-range rule: a district

@@ -169,6 +169,8 @@ type stringTable struct {
 	list  []string
 }
 
+// intern returns s's index in the table, appending s on its first
+// appearance.
 func (t *stringTable) intern(s string) uint64 {
 	if i, ok := t.index[s]; ok {
 		return i
@@ -277,12 +279,15 @@ type binReader struct {
 	err error
 }
 
+// fail records the first decode error, naming the field what and the
+// offset it was read at; every later read then returns a zero value.
 func (r *binReader) fail(what string) {
 	if r.err == nil {
 		r.err = fmt.Errorf("collector: truncated or corrupt binary payload at %s (offset %d)", what, r.off)
 	}
 }
 
+// uvarint reads an unsigned varint.
 func (r *binReader) uvarint(what string) uint64 {
 	if r.err != nil {
 		return 0
@@ -296,6 +301,7 @@ func (r *binReader) uvarint(what string) uint64 {
 	return v
 }
 
+// varint reads a zigzag-encoded signed varint.
 func (r *binReader) varint(what string) int64 {
 	if r.err != nil {
 		return 0
@@ -309,6 +315,7 @@ func (r *binReader) varint(what string) int64 {
 	return v
 }
 
+// byte reads one raw byte.
 func (r *binReader) byte(what string) byte {
 	if r.err != nil {
 		return 0
@@ -322,6 +329,7 @@ func (r *binReader) byte(what string) byte {
 	return v
 }
 
+// f64 reads a little-endian IEEE 754 float64.
 func (r *binReader) f64(what string) float64 {
 	if r.err != nil {
 		return 0
@@ -349,6 +357,8 @@ func (r *binReader) bytes(n uint64, what string) []byte {
 	return s
 }
 
+// str reads a string-table index and returns the interned string,
+// failing on an index past the table.
 func (r *binReader) str(table []string, what string) string {
 	i := r.uvarint(what)
 	if r.err != nil {

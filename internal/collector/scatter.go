@@ -3,7 +3,6 @@ package collector
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"sort"
 	"time"
 
@@ -14,8 +13,8 @@ import (
 // The scatternet district plane (protocol §12): a metro campaign sharded
 // over real OS processes. Each scatternet agent owns a contiguous piconet
 // range and streams one kind-8 frame per finished piconet — the fold
-// partial AddPiconet needs — to its district sink, stop-and-wait under the
-// same cumulative-cursor/Resume discipline as the flat record stream. The
+// partial AddPiconet needs — to its district sink, one work item at a time
+// through the session loop the flat record stream runs (link.go). The
 // range that starts at piconet 0 additionally owns the bridge overlay and
 // ships its pre-merged rollup partial as the final work item (the overlay's
 // Welford merges are order-sensitive, so they happen at the owner, never at
@@ -25,9 +24,10 @@ import (
 // and exports a trailer-sealed district partial when its range completes.
 // MergeDistricts then rebuilds the metro rollup bit-identically to the
 // single-process `btcampaign -scatternet -rollup -stream` run. This file
-// holds only the payload: the session, Done/Fin, completion, checkpoint
-// bookkeeping and Wait are the campaign keyspace's (sink.go), and the
-// agent's connection loop and handshake are link.go's.
+// holds only the payload, its admission and its checkpoint layout: the
+// session, the durable cursors and their Acks, Done/Fin, completion and
+// Wait are the campaign keyspace's (sink.go), and the agent's session loop
+// is link.go's.
 
 // ScatterNet is the scatternet campaign identity beyond CampaignID: the
 // topology knobs that shape every piconet world and the probe plane. Agents
@@ -94,16 +94,16 @@ type DistrictConfig struct {
 	CheckpointPath string
 }
 
-// district is a district keyspace's fold plane; the session bookkeeping
-// lives in the tenant that hosts it. Its one stream is the range key. The
-// work items apply in order — piconets Lo..Hi-1, then the overlay when the
-// range owes it — so the fold's rows and the overlay are the range's
-// progress, and cursor only counts them.
+// district is a district keyspace's fold plane; the session bookkeeping,
+// its durable cursor included, lives in the tenant that hosts it. Its one
+// stream is the range key. The work items apply in order — piconets
+// Lo..Hi-1, then the overlay when the range owes it — so the fold's rows
+// and the overlay are the range's progress, and cursor only counts them.
 type district struct {
 	cfg     DistrictConfig
 	fold    *analysis.ScatternetFold
 	overlay *analysis.OverlayPartial
-	cursor  uint64           // work items applied (and checkpointed, when checkpointing)
+	cursor  uint64           // work items applied; the durable cursor trails it until a checkpoint lands
 	partial *DistrictPartial // set at completion
 }
 
@@ -166,6 +166,7 @@ func newDistrict(cfg DistrictConfig) (*tenant, error) {
 	if d.fold == nil {
 		d.fold = analysis.NewScatternetFold(cfg.ScenarioName)
 	}
+	d.settle(t)
 	return t, nil
 }
 
@@ -207,6 +208,12 @@ func (d *district) restore(cp *districtCheckpoint) error {
 // key is the district's one stream: its range key.
 func (d *district) key() string { return scatterRangeKey(d.cfg.Lo, d.cfg.Hi) }
 
+// settle makes every applied work item durable: its range's cursor in the
+// tenant's ackable map. Caller holds mu.
+func (d *district) settle(t *tenant) {
+	t.ackable[skey{d.key(), d.key()}] = StreamCursor{Node: d.key(), Seq: d.cursor}
+}
+
 // items is the range's work-item count: one per piconet, plus the overlay
 // when the range owes it.
 func (d *district) items() uint64 {
@@ -229,9 +236,9 @@ func (d *district) snapshot() DistrictPartial {
 }
 
 // checkpoint serializes the district's full state to its checkpoint file
-// (guard trailer, previous-good rotation, atomic rename). Acknowledgements
-// cover exactly what this writes: the cursor IS the ackable position,
-// advanced only after the checkpoint lands. Caller holds mu.
+// (guard trailer, previous-good rotation, atomic rename), then advances the
+// durable cursor to what it covers: acknowledgements and Resumes cover
+// exactly what this wrote. Caller holds mu.
 func (d *district) checkpoint(t *tenant) error {
 	finals := make(map[string]uint64, len(t.finals))
 	for k, f := range t.finals {
@@ -241,14 +248,18 @@ func (d *district) checkpoint(t *tenant) error {
 	if err != nil {
 		return err
 	}
-	return WriteFileDurable(t.cfg.CheckpointPath, blob)
+	if err := WriteFileDurable(t.cfg.CheckpointPath, blob); err != nil {
+		return err
+	}
+	d.settle(t)
+	return nil
 }
 
 // admit runs the district's Hello checks after the shared ones: the
 // scatternet identity must match and the claimed range must be exactly the
-// district's (PROTOCOL §12). It returns the range key and its Resume
-// cursor. Caller holds mu.
-func (d *district) admit(hello *Hello) (string, *Resume, *Reject) {
+// district's (PROTOCOL §12). It returns the range key, the stream's one
+// node. Caller holds mu.
+func (d *district) admit(hello *Hello) (string, []string, *Reject) {
 	sc := hello.Scatter
 	switch {
 	case sc.Net != d.cfg.Net:
@@ -259,70 +270,62 @@ func (d *district) admit(hello *Hello) (string, *Resume, *Reject) {
 			"piconet range [%d:%d) is not district %q's [%d:%d)",
 			sc.Lo, sc.Hi, hello.Keyspace, d.cfg.Lo, d.cfg.Hi)}
 	}
-	key := d.key()
-	return key, &Resume{Cursors: []StreamCursor{{Node: key, Seq: d.cursor}}}, nil
+	return d.key(), []string{d.key()}, nil
 }
 
-// handleScatter applies one kind-8 frame under stop-and-wait discipline:
-// only the next expected work item is applied (then checkpointed, then
-// acknowledged); retransmissions re-acknowledge the cursor; frames from the
-// future (reorder injection) are ignored and recovered by the agent's stall
-// retransmission. It reports whether the session should continue.
+// handleScatter applies one kind-8 frame: only the next work item applies;
+// one already applied is a duplicate, and one from the future (reorder
+// injection) is ignored for the agent's stall retransmission to recover.
+// Whenever the fold runs ahead of the durable cursor — after an apply, or
+// on a retransmission after a checkpoint failed — the district
+// checkpoints. The checkpoint holds the fold with every applied partial in
+// it, and a restore derives the cursor from that fold, so the durable
+// cursor can never fall behind the durable fold (a restore re-requesting
+// folded work) or behind an ack (an agent aborting on the regressed resume
+// cursor). It reports whether the session should continue.
 func (s *Sink) handleScatter(t *tenant, sess *sinkSession, key string, sb *ScatterBatch) bool {
 	d := t.district
 	s.mu.Lock()
-	if sb.Seq <= d.cursor {
+	switch {
+	case sb.Seq <= d.cursor:
 		t.duplicates++
-		ack := Ack{Node: key, Seq: d.cursor}
-		s.mu.Unlock()
-		return sess.send(frameAck, &ack) == nil
-	}
-	if sb.Seq != d.cursor+1 {
+	case sb.Seq == d.cursor+1:
+		if err := d.apply(sb); err != nil {
+			t.rejected++
+			s.mu.Unlock()
+			return false
+		}
+		t.applied++
+		d.cursor = sb.Seq
+		if t.cfg.CheckpointPath == "" {
+			d.settle(t)
+		}
+	default:
 		s.mu.Unlock()
 		return true
 	}
-	var applyErr error
+	return s.ackDurable(t, sess, skey{key, key}, t.ackable[skey{key, key}].Seq < d.cursor)
+}
+
+// apply folds work item d.cursor+1 — the next piconet's partial, or the
+// overlay partial after the last piconet when the range owes it. Caller
+// holds mu.
+func (d *district) apply(sb *ScatterBatch) error {
+	key := d.key()
 	switch piconets := uint64(d.cfg.Hi - d.cfg.Lo); {
 	case sb.Seq <= piconets:
 		if p := d.cfg.Lo + int(sb.Seq) - 1; sb.Piconet == nil || sb.Piconet.Piconet != p {
-			applyErr = fmt.Errorf("work item %d of range %s must be piconet %d's partial", sb.Seq, key, p)
-		} else {
-			applyErr = d.fold.AddPartial(sb.Piconet)
+			return fmt.Errorf("work item %d of range %s must be piconet %d's partial", sb.Seq, key, p)
 		}
+		return d.fold.AddPartial(sb.Piconet)
 	case sb.Seq == d.items():
 		if sb.Overlay == nil {
-			applyErr = fmt.Errorf("work item %d of range %s must be the overlay partial", sb.Seq, key)
-		} else {
-			d.overlay = sb.Overlay
+			return fmt.Errorf("work item %d of range %s must be the overlay partial", sb.Seq, key)
 		}
-	default:
-		applyErr = fmt.Errorf("work item %d beyond range %s's %d items", sb.Seq, key, d.items())
+		d.overlay = sb.Overlay
+		return nil
 	}
-	if applyErr != nil {
-		t.rejected++
-		s.mu.Unlock()
-		return false
-	}
-	t.applied++
-	// The checkpoint holds the fold with this partial in it, and a restore
-	// derives the cursor from that fold, so the durable cursor can never
-	// fall behind the durable fold (a restore re-requesting folded work) or
-	// behind an ack (an agent aborting on the regressed resume cursor). A
-	// failed checkpoint leaves the partial folded in memory but not
-	// durable: drop the session WITHOUT acknowledging — the next applied
-	// partial's full-state checkpoint covers this one too.
-	d.cursor = sb.Seq
-	if t.cfg.CheckpointPath != "" && s.checkpointLocked(t) != nil {
-		s.mu.Unlock()
-		return false
-	}
-	ack := Ack{Node: key, Seq: d.cursor}
-	s.mu.Unlock()
-	if sess.send(frameAck, &ack) != nil {
-		return false
-	}
-	s.checkCompletion(t)
-	return true
+	return fmt.Errorf("work item %d beyond range %s's %d items", sb.Seq, key, d.items())
 }
 
 // DistrictPartial is one completed district's contribution to the metro
@@ -473,8 +476,8 @@ type ScatterAgentConfig struct {
 	RetryMax  time.Duration
 	RetrySeed int64
 	// StallTimeout triggers retransmission of the outstanding work item (or
-	// the Done) when its acknowledgement (or Fin) does not arrive, and
-	// bounds the handshake and each frame write (default 5 s).
+	// the Done) when its acknowledgement (or Fin) does not arrive; eight
+	// stalls in a row reconnect (default 5 s).
 	StallTimeout time.Duration
 	// Fault injects deterministic faults into outgoing kind-8 data frames
 	// (control frames are never injected), exercising the retransmission
@@ -483,16 +486,15 @@ type ScatterAgentConfig struct {
 }
 
 // ScatterAgent is one scatternet district agent: the shared session engine
-// (link) shipping fold partials stop-and-wait. Build it with
-// NewScatterAgent, drive it with Run, then read its transport counters.
+// (link) shipping fold partials with a window of one work item. Build it
+// with NewScatterAgent, drive it with Run, then read its transport
+// counters.
 type ScatterAgent struct {
-	link  // its mu guards cursor and maxSent
-	cfg   ScatterAgentConfig
-	key   string
-	total uint64
-
-	cursor    uint64 // work items acknowledged durable by the sink
-	maxSent   uint64 // highest work item ever sent (retransmit accounting)
+	link      // its mu guards the send state
+	sendState // the range's one stream, counting work items
+	cfg       ScatterAgentConfig
+	done      *Done  // the range's Done, due once every work item is acknowledged
+	total     uint64 // the range's work items
 	cachedSeq uint64
 	cached    []byte // encoded kind-8 frame for cachedSeq
 }
@@ -515,25 +517,27 @@ func NewScatterAgent(cfg ScatterAgentConfig) (*ScatterAgent, error) {
 	if cfg.StallTimeout <= 0 {
 		cfg.StallTimeout = 5 * time.Second
 	}
-	a := &ScatterAgent{
-		cfg:   cfg,
-		key:   scatterRangeKey(cfg.Lo, cfg.Hi),
-		total: uint64(cfg.Hi - cfg.Lo),
-	}
+	key := scatterRangeKey(cfg.Lo, cfg.Hi)
+	a := &ScatterAgent{sendState: sendState{node: key}, cfg: cfg, total: uint64(cfg.Hi - cfg.Lo)}
 	if overlay {
 		a.total++
 	}
+	a.hello = &Hello{Campaign: cfg.Campaign, Keyspace: cfg.Keyspace, Testbed: key,
+		Scatter: &ScatterHello{Net: cfg.Net, Lo: cfg.Lo, Hi: cfg.Hi}}
+	a.done = &Done{Testbed: key, Duration: cfg.Campaign.Duration,
+		Final: []StreamCursor{{Node: key, Seq: a.total}}}
+	a.sends = []*sendState{&a.sendState}
 	a.init(cfg.Addr, retryPolicy{min: cfg.RetryMin, max: cfg.RetryMax,
 		seed: cfg.RetrySeed}, cfg.StallTimeout, cfg.Fault)
 	return a, nil
 }
 
 // Run drives the agent to completion: dial, handshake, ship every work item
-// stop-and-wait, Done, Fin. It reconnects with jittered exponential backoff
+// one at a time, Done, Fin. It reconnects with jittered exponential backoff
 // through sink restarts and transient rejects, and returns nil only after
 // the sink released the session with Fin.
 func (a *ScatterAgent) Run() error {
-	a.redial(a.session)
+	a.redial(a)
 	select {
 	case <-a.fin:
 		return nil
@@ -542,98 +546,41 @@ func (a *ScatterAgent) Run() error {
 	}
 }
 
-// session drives one connection: handshake, ship the remaining work items
-// stop-and-wait, then Done until Fin. It reports whether the sink answered
-// with Resume (backoff reset).
-func (a *ScatterAgent) session(conn net.Conn) bool {
-	res := a.handshake(conn, &Hello{Campaign: a.cfg.Campaign, Keyspace: a.cfg.Keyspace,
-		Testbed: a.key, Scatter: &ScatterHello{
-			Net: a.cfg.Net, Lo: a.cfg.Lo, Hi: a.cfg.Hi}})
-	if res == nil {
-		return false
-	}
+// spawn runs f on a goroutine of its own.
+func (a *ScatterAgent) spawn(f func()) { go f() }
+
+// pruneLocked moves the range's acknowledged cursor; the cached frame of
+// an acknowledged item is let go at the next due. Caller holds mu.
+func (a *ScatterAgent) pruneLocked(st *sendState, acked uint64) { st.acked = acked }
+
+// due returns the next work item past the acknowledged cursor unless one
+// is already on the wire (a window of one), and the Done once every work
+// item is acknowledged. The item is computed here, outside mu — running
+// its piconet world or the overlay — and cached until it is acknowledged,
+// so a retransmission re-sends the same bytes without re-running anything.
+func (a *ScatterAgent) due() ([]bufEntry, *Done) {
 	a.mu.Lock()
-	acked, ok := a.resumeLocked(res, a.key, a.key, a.cursor)
-	a.cursor = max(a.cursor, acked)
-	a.mu.Unlock()
-	if !ok {
-		return true
-	}
-
-	readerDone := make(chan struct{})
-	go func() {
-		defer close(readerDone)
-		a.read(conn, func(ack *Ack) bool {
-			if ack.Node != a.key || ack.Seq <= a.cursor {
-				return false
-			}
-			a.cursor = ack.Seq
-			a.signal()
-			return true
-		})
-	}()
-	defer func() {
-		conn.Close()
-		<-readerDone
-	}()
-
-	stall := time.NewTimer(a.cfg.StallTimeout)
-	defer stall.Stop()
-	var inFlight uint64 // work item on the wire, awaiting its ack
-	doneSent := false
-	stalls := 0
-	for {
-		a.mu.Lock()
-		cursor := a.cursor
+	seq := a.acked + 1
+	switch {
+	case a.acked >= a.total:
 		a.mu.Unlock()
-		switch {
-		case cursor < a.total && inFlight <= cursor:
-			seq := cursor + 1
-			if a.cachedSeq != seq {
-				frame, err := a.encodeItem(seq)
-				if err != nil {
-					a.fatal(err)
-					return true
-				}
-				a.cachedSeq, a.cached = seq, frame
-			}
-			a.mu.Lock()
-			a.countSendLocked(seq, &a.maxSent)
-			a.mu.Unlock()
-			if a.send(conn, a.cached) != nil {
-				return true
-			}
-			inFlight = seq
-			stall.Reset(a.cfg.StallTimeout)
-		case cursor == a.total && !doneSent:
-			// Every work item is durable: release the cached frame and
-			// declare the range done.
-			a.cachedSeq, a.cached = 0, nil
-			if a.sendDone(conn, &Done{Testbed: a.key, Duration: a.cfg.Campaign.Duration,
-				Final: []StreamCursor{{Node: a.key, Seq: a.total}}}) != nil {
-				return true
-			}
-			doneSent = true
-			stall.Reset(a.cfg.StallTimeout)
-		}
-		select {
-		case <-a.work:
-			stalls = 0
-		case <-stall.C:
-			// The frame (or its ack, or the Fin) was lost: retransmit. A few
-			// stalls in a row mean the connection is wedged — reconnect.
-			if stalls++; stalls >= 8 {
-				return true
-			}
-			inFlight, doneSent = 0, false
-		case <-readerDone:
-			return true
-		case <-a.fin:
-			return true
-		case <-a.closed:
-			return true
-		}
+		a.cachedSeq, a.cached = 0, nil
+		return nil, a.done
+	case a.sentUpTo >= seq:
+		a.mu.Unlock()
+		return nil, nil
 	}
+	a.countSendLocked(&a.sendState)
+	a.mu.Unlock()
+	if a.cachedSeq != seq {
+		frame, err := a.encodeItem(seq)
+		if err != nil {
+			a.fatal(err)
+			return nil, nil
+		}
+		a.cachedSeq, a.cached = seq, frame
+	}
+	return []bufEntry{{raw: a.cached}}, nil
 }
 
 // encodeItem computes work item seq (running the piconet world or the

@@ -20,14 +20,14 @@ import (
 // agent sessions over TCP, routes each session to its keyspace by the Hello
 // handshake, applies sequenced work exactly once (duplicates from
 // retransmission are filtered by sequence number), and acknowledges durable
-// progress — on the record plane only when a stream's cursor moves.
+// progress only when a stream's cursor moves.
 //
 // One session engine serves two payloads. A campaign keyspace folds
-// watermarked record batches into a streaming aggregator (go-back-N on the
-// agent side); a scatternet district keyspace (scatter.go) folds per-piconet
-// fold partials (stop-and-wait). The Hello, the shared rejects, the Resume,
-// the Done/Fin release, completion, checkpoint bookkeeping, Wait and the
-// Drain/Close loops are the same code for both.
+// watermarked record batches into a streaming aggregator; a scatternet
+// district keyspace (scatter.go) folds per-piconet fold partials. The
+// Hello, the shared rejects, the durable cursors with their Resume and
+// Acks, the Done/Fin release, completion, checkpoint bookkeeping, Wait and
+// the Drain/Close loops are the same code for both.
 //
 // Tenancy and robustness properties:
 //
@@ -97,6 +97,11 @@ type tenant struct {
 	finished  map[string]bool
 	sessions  map[string]*sinkSession // latest session per stream
 	complete  bool
+	// ackable holds every declared stream's durable cursor — what Resume
+	// and Acks may tell. It moves when a checkpoint lands, or at apply
+	// when the keyspace has no checkpoint file. A district's one stream is
+	// its range key, which is also its one node.
+	ackable map[skey]StreamCursor
 
 	applied     int // work items applied (first delivery)
 	duplicates  int // data frames filtered as retransmitted duplicates
@@ -110,7 +115,6 @@ type tenant struct {
 
 	// The record plane.
 	str           *analysis.Streamer
-	ackable       map[skey]StreamCursor // what sessions may acknowledge
 	sinceCP       int
 	agg           *analysis.Aggregates // set at completion
 	trace         []analysis.DependEvent
@@ -198,7 +202,8 @@ const (
 	sinkWriteTimeout = 5 * time.Second
 )
 
-// skey identifies one stream.
+// skey identifies one node of a stream: a campaign testbed's node, or a
+// district's range key twice.
 type skey struct{ testbed, node string }
 
 // sinkSession serializes writes to one agent connection (acknowledgements
@@ -221,11 +226,12 @@ func (s *sinkSession) send(kind byte, payload any) error {
 	return writeControl(s.conn, kind, payload)
 }
 
-// ack acknowledges a record stream's cursor when it differs from the last
+// ack acknowledges a stream's durable cursor when it differs from the last
 // one the session told the agent. A repeat would carry nothing: the agent
 // already holds that cursor, and an Ack that does not advance it is not
 // stall progress. A checkpointing sink's cursors move only at checkpoints,
-// so most data frames get no Ack (PROTOCOL.md §6).
+// so most record frames get no Ack, and a retransmitted work item none
+// (PROTOCOL.md §6).
 func (s *sinkSession) ack(cur StreamCursor) error {
 	if s.told[cur.Node] == cur {
 		return nil
@@ -317,6 +323,7 @@ func newKeyspace(cfg KeyspaceConfig) *tenant {
 		durations: make(map[string]sim.Time),
 		finished:  make(map[string]bool),
 		sessions:  make(map[string]*sinkSession),
+		ackable:   make(map[skey]StreamCursor),
 		done:      make(chan struct{}),
 	}
 }
@@ -378,7 +385,6 @@ func (s *Sink) newTenant(ks KeyspaceConfig) (*tenant, error) {
 			ks.Key, ks.MaxBytes, ks.MaxBatches)
 	}
 	t := newKeyspace(ks)
-	t.ackable = make(map[skey]StreamCursor)
 	blob, err := t.readCheckpoint()
 	if err != nil {
 		return nil, err
@@ -524,7 +530,7 @@ func (s *Sink) serve(conn net.Conn) {
 	id := nsKey{district: hello.Scatter != nil, key: hello.Keyspace}
 	var (
 		stream string
-		res    *Resume
+		nodes  []string
 		rej    *Reject
 		sess   *sinkSession
 	)
@@ -542,17 +548,20 @@ func (s *Sink) serve(conn net.Conn) {
 			hello.Campaign.Seed, hello.Campaign.Duration, hello.Campaign.Scenario, t.kind(),
 			hello.Keyspace, t.cfg.Campaign.Seed, t.cfg.Campaign.Duration, t.cfg.Campaign.Scenario)}
 	case t.district != nil:
-		stream, res, rej = t.district.admit(hello)
+		stream, nodes, rej = t.district.admit(hello)
 	default:
-		stream, res, rej = t.admitRecords(hello)
+		stream, nodes, rej = t.admitRecords(hello)
 	}
+	res := &Resume{}
 	if rej != nil {
 		s.hellosRejected++
 	} else {
 		sess = &sinkSession{conn: conn, timeout: sinkWriteTimeout,
-			told: make(map[string]StreamCursor, len(res.Cursors))}
-		for _, c := range res.Cursors {
-			sess.told[c.Node] = c // the Resume tells the agent these cursors
+			told: make(map[string]StreamCursor, len(nodes))}
+		for _, node := range nodes {
+			c := t.ackable[skey{stream, node}]
+			res.Cursors = append(res.Cursors, c)
+			sess.told[node] = c // the Resume tells the agent these cursors
 		}
 		t.sessions[stream] = sess
 	}
@@ -588,8 +597,9 @@ func (s *Sink) serve(conn net.Conn) {
 }
 
 // admitRecords runs the record plane's Hello checks — quota quarantine and
-// the shard's node set — and builds the Resume cursors. Caller holds mu.
-func (t *tenant) admitRecords(hello *Hello) (string, *Resume, *Reject) {
+// the shard's node set — and returns the testbed and its nodes. Caller
+// holds mu.
+func (t *tenant) admitRecords(hello *Hello) (string, []string, *Reject) {
 	if t.quarantined {
 		return "", nil, &Reject{Code: RejectOverQuota, Reason: fmt.Sprintf(
 			"keyspace %q is quarantined over quota (%d bytes, %d batches ingested)",
@@ -600,11 +610,7 @@ func (t *tenant) admitRecords(hello *Hello) (string, *Resume, *Reject) {
 		return "", nil, &Reject{Code: RejectUnknownShard, Reason: fmt.Sprintf(
 			"unknown shard %q or node set not in keyspace %q's spec", hello.Testbed, hello.Keyspace)}
 	}
-	res := &Resume{}
-	for _, node := range spec.Nodes() {
-		res.Cursors = append(res.Cursors, t.ackable[skey{hello.Testbed, node}])
-	}
-	return hello.Testbed, res, nil
+	return hello.Testbed, spec.Nodes(), nil
 }
 
 // handleBatch applies one data frame to the session's keyspace and
@@ -646,9 +652,7 @@ func (s *Sink) handleBatch(t *tenant, sess *sinkSession, stream string, b *Batch
 	if t.finished[b.Testbed] || t.complete {
 		// Late retransmission after completion: everything is durable
 		// already, just re-acknowledge if this session has not told it.
-		cur := t.ackable[key]
-		s.mu.Unlock()
-		return sess.ack(cur) == nil
+		return s.ackDurable(t, sess, key, false)
 	}
 	s.mu.Unlock()
 
@@ -671,17 +675,26 @@ func (s *Sink) handleBatch(t *tenant, sess *sinkSession, stream string, b *Batch
 		if err == nil {
 			t.ackable[key] = StreamCursor{Node: b.Node, Seq: seq, Watermark: wm}
 		}
-	} else if t.sinceCP >= s.cfg.CheckpointEvery || t.donePending() {
-		// Endgame: once a shard has declared Done, every further frame is a
-		// retransmission filling the last gaps — checkpoint eagerly so the
-		// final acknowledgements (and Fin) go out without waiting for the
-		// cadence to come around. A failed checkpoint is disk trouble, not a
-		// peer error: drop the session so the agent keeps the
-		// unacknowledged batches for retransmission.
-		if s.checkpointLocked(t) != nil {
-			s.mu.Unlock()
-			return false
-		}
+	}
+	// Endgame: once a shard has declared Done, every further frame is a
+	// retransmission filling the last gaps — checkpoint eagerly so the final
+	// acknowledgements (and Fin) go out without waiting for the cadence to
+	// come around.
+	return s.ackDurable(t, sess, key, t.cfg.CheckpointPath != "" &&
+		(t.sinceCP >= s.cfg.CheckpointEvery || t.donePending()))
+}
+
+// ackDurable finishes a data frame of either plane: a checkpoint when
+// asked, then an Ack of the stream's durable cursor under the told-cursor
+// rule, then the completion check. A failed checkpoint is disk trouble,
+// not a peer error: the session drops without an Ack, so the agent keeps
+// the unacknowledged work and its retransmission retries the checkpoint.
+// Caller holds mu; ackDurable releases it. It reports whether the session
+// should continue.
+func (s *Sink) ackDurable(t *tenant, sess *sinkSession, key skey, checkpoint bool) bool {
+	if checkpoint && s.checkpointLocked(t) != nil {
+		s.mu.Unlock()
+		return false
 	}
 	cur := t.ackable[key]
 	s.mu.Unlock()
@@ -741,8 +754,8 @@ func (s *Sink) handleDone(t *tenant, stream string, d *Done) {
 		}
 		return
 	}
-	if t.district != nil && (len(d.Final) != 1 || d.Final[0].Node != stream || d.Final[0].Seq == 0) {
-		// A district's Done names exactly its range's final work-item count.
+	if t.district != nil && (len(d.Final) != 1 || d.Final[0].Node != stream || d.Final[0].Seq != t.district.items()) {
+		// A district's Done names exactly its range's work-item count.
 		s.mu.Unlock()
 		return
 	}
@@ -828,24 +841,16 @@ func (t *tenant) donePending() bool {
 	return false
 }
 
-// acked reports the durable cursor of one node of a stream. Caller holds mu.
-func (t *tenant) acked(stream, node string) uint64 {
-	if t.district == nil {
-		return t.ackable[skey{stream, node}].Seq
-	}
-	return t.district.cursor // its one stream: restore and Done refuse any other
-}
-
-// ready reports whether every declared stream is released and the plane's
-// own completion condition holds. Caller holds mu.
+// ready reports whether every declared stream is released. A district's
+// Done names every work item of its range, so its fold is whole by then.
+// Caller holds mu.
 func (t *tenant) ready() bool {
-	if d := t.district; d != nil {
-		// Completing on the last fold alone, ahead of the agent's Done,
-		// could leave that agent redialling a closed listener: btsink exits
-		// once every keyspace completes.
-		return t.finished[d.key()] && d.cursor == d.items()
+	for k := range t.ackable {
+		if !t.finished[k.testbed] {
+			return false
+		}
 	}
-	return len(t.finished) == len(t.cfg.Spec.Testbeds) && len(t.cfg.Spec.Testbeds) > 0
+	return len(t.ackable) > 0
 }
 
 // checkCompletion releases the streams whose final cursors are fully
@@ -863,7 +868,7 @@ func (s *Sink) checkCompletion(t *tenant) {
 		}
 		covered := true
 		for _, c := range final {
-			if t.acked(stream, c.Node) < c.Seq {
+			if t.ackable[skey{stream, c.Node}].Seq < c.Seq {
 				covered = false
 				break
 			}

@@ -331,6 +331,68 @@ func TestSinkCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestDoneResentAfterCheckpointFailure: a Done whose checkpoint fails is
+// never answered, and with every batch acknowledged no data frame is left
+// to retry it. The agent's stall policy covers an unanswered Done as it
+// covers unacknowledged batches: it re-sends the Done until a checkpoint
+// lands and the sink releases it with Fin.
+func TestDoneResentAfterCheckpointFailure(t *testing.T) {
+	batches := tpBatches(6)
+	cpPath := filepath.Join(t.TempDir(), "sink.ckpt")
+	sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0", CheckpointEvery: 1,
+		Keyspaces: []KeyspaceConfig{{Spec: tpSpec(), CheckpointPath: cpPath}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	agents := ksAgents(t, sink.Addr(), "", CampaignID{}, batches)
+	for _, a := range agents {
+		defer a.Close()
+	}
+	alpha, beta := agents[0], agents[1]
+	if err := alpha.Finish(nil, 24*sim.Hour, 10*time.Second); err != nil {
+		t.Fatalf("finish alpha: %v", err)
+	}
+	waitUntil(t, 10*time.Second, "every beta batch acknowledged", func() bool {
+		beta.mu.Lock()
+		defer beta.mu.Unlock()
+		for _, st := range beta.streams {
+			if st.acked < st.last {
+				return false
+			}
+		}
+		return true
+	})
+
+	// A directory where the checkpoint's temporary file goes fails every
+	// checkpoint write until it is removed.
+	tmp := cpPath + ".tmp"
+	if err := os.Mkdir(tmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	finished := make(chan error, 1)
+	go func() {
+		counters := map[string]*workload.CountersSnapshot{"b1": tpCounters("b1")}
+		finished <- beta.Finish(counters, 24*sim.Hour, 5*time.Second)
+	}()
+	waitUntil(t, 5*time.Second, "the Done's checkpoint to fail", func() bool {
+		return sink.Metrics().Keyspaces[0].CheckpointFailures >= 1
+	})
+	if err := os.Remove(tmp); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-finished; err != nil {
+		t.Fatalf("finish beta: %v", err)
+	}
+	rep, err := sink.WaitKeyspace("", 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Agg.Snapshot(); !reflect.DeepEqual(tpLocal(t, batches), got) {
+		t.Errorf("aggregates diverge from the local streamer")
+	}
+}
+
 // TestSinkLostCheckpointDetected: a sink that comes back EMPTY (checkpoint
 // gone) must be refused by agents that already had batches acknowledged —
 // silent truncation is the one unrecoverable failure and has to be loud.

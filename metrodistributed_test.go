@@ -48,7 +48,7 @@ func TestMetroDistributedMatchesRollup(t *testing.T) {
 
 // TestMetroDistributedUnderFaults re-runs the equivalence with every
 // outgoing partial frame subject to seeded drop/duplication/reordering: the
-// stop-and-wait retransmission and the sink's cursor dedup must still yield
+// stall retransmission and the sink's cursor dedup must still yield
 // the identical report.
 func TestMetroDistributedUnderFaults(t *testing.T) {
 	cfg := metroConfig()
