@@ -1,7 +1,9 @@
 package collector
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"slices"
@@ -12,11 +14,11 @@ import (
 // link is the agent-side session engine both planes share: the dial/backoff
 // loop and one session loop — the Hello/Resume handshake with its
 // regression abort, the reader that applies acknowledgements and the Fin
-// release, the send pass with its fault-injected frame writes, the Done
-// send, one stall policy, typed reject handling and the transport counters.
-// A plane — the flat Agent shipping record batches, or the ScatterAgent
-// shipping fold partials — embeds it, sets its Hello and its streams' send
-// states, and implements plane.
+// release, the buffered send pass with its fault-injected frame writes and
+// the Done, one stall policy, typed reject handling and the transport
+// counters. A plane — the flat Agent shipping record batches, or the
+// ScatterAgent shipping fold partials — embeds it, sets its Hello and its
+// streams' send states, and implements plane.
 type link struct {
 	addr  string
 	retry retryPolicy
@@ -64,9 +66,10 @@ type plane interface {
 }
 
 // The agents' session timing: dialTimeout bounds one connection attempt,
-// sessionTimeout the wait for the sink's answer to a Hello and each frame
-// write (a slower sink drops the connection and the agent resumes), and
-// maxStalls stalls in a row mark a session wedged: the agent reconnects.
+// sessionTimeout the wait for the sink's answer to a Hello and each write
+// to the connection (a slower sink drops the connection and the agent
+// resumes), and maxStalls stalls in a row mark a session wedged: the agent
+// reconnects.
 const (
 	dialTimeout    = 2 * time.Second
 	sessionTimeout = 5 * time.Second
@@ -288,9 +291,9 @@ func (l *link) resumeLocked(p plane, res *Resume) bool {
 // the stall clock and wakes the send pass. Fin releases the agent, and a
 // mid-session Reject — the sink started draining, or the keyspace tripped
 // its quota — gets the same split as at the handshake.
-func (l *link) read(conn net.Conn, p plane) {
+func (l *link) read(r io.Reader, p plane) {
 	for {
-		fr, err := ReadFrame(conn)
+		fr, err := ReadFrame(r)
 		if err != nil {
 			return
 		}
@@ -321,17 +324,23 @@ func (l *link) read(conn net.Conn, p plane) {
 // releases the agent or the agent stops. It reports whether the sink
 // answered with Resume (backoff reset).
 //
+// The session reads the sink's frames through one bufio.Reader and writes
+// each send pass into one bufio.Writer, flushed once at the end of the
+// pass, so a pass of many frames is one write(2).
+//
 // A stall is no ack progress and no Fin for the stall timeout while sent
 // frames or the Done are unanswered. The clock starts over when a pass
 // sends after nothing was outstanding, so work the plane does before a
 // send never counts. A stall rewinds the plane, so the next pass resends
 // everything unacknowledged and the Done; maxStalls in a row reconnect.
 func (l *link) session(p plane, conn net.Conn) bool {
-	if writeControl(conn, frameHello, l.hello) != nil {
+	w := bufio.NewWriterSize(deadlineWriter{conn, sessionTimeout}, dataBufSize)
+	r := bufio.NewReaderSize(conn, controlBufSize)
+	if writeControl(w, frameHello, l.hello) != nil || w.Flush() != nil {
 		return false
 	}
 	conn.SetReadDeadline(time.Now().Add(sessionTimeout))
-	fr, err := ReadFrame(conn)
+	fr, err := ReadFrame(r)
 	if err != nil || fr.Kind != KindResume {
 		if err == nil && fr.Kind == KindReject {
 			l.reject(fr.Reject, "refused session")
@@ -349,7 +358,7 @@ func (l *link) session(p plane, conn net.Conn) bool {
 	readerDone := make(chan struct{})
 	p.spawn(func() {
 		defer close(readerDone)
-		l.read(conn, p)
+		l.read(r, p)
 	})
 	defer func() {
 		conn.Close()
@@ -367,6 +376,9 @@ func (l *link) session(p plane, conn net.Conn) bool {
 		idle := !doneSent && !l.unackedLocked()
 		l.mu.Unlock()
 		frames, done := p.due()
+		if doneSent {
+			done = nil
+		}
 		for _, e := range frames {
 			raw := e.raw
 			if raw == nil {
@@ -376,18 +388,17 @@ func (l *link) session(p plane, conn net.Conn) bool {
 					return true
 				}
 			}
-			if l.send(conn, raw) != nil {
+			if l.send(w, raw) != nil {
 				return true
 			}
 		}
-		sent := len(frames) > 0
-		if done != nil && !doneSent {
-			if l.sendDone(conn, done) != nil {
-				return true
-			}
-			doneSent, sent = true, true
+		if l.endPass(w, done) != nil {
+			return true
 		}
-		if idle && sent {
+		if done != nil {
+			doneSent = true
+		}
+		if idle && (len(frames) > 0 || done != nil) {
 			l.mu.Lock()
 			l.lastProgress = time.Now()
 			l.mu.Unlock()
@@ -416,38 +427,50 @@ func (l *link) session(p plane, conn net.Conn) bool {
 	}
 }
 
-// send hands one encoded data frame to the fault injector and writes what
-// it lets through, after any delay it imposes. This is the one place either
-// plane puts a data frame on the wire.
-func (l *link) send(conn net.Conn, frame []byte) error {
+// send hands one encoded data frame to the fault injector and buffers what
+// it lets through. A delay the injector imposes first flushes what the pass
+// has buffered, so the frames ahead of the delay are not held back by it.
+// This is the one place either plane puts a data frame on the wire.
+func (l *link) send(w *bufio.Writer, frame []byte) error {
+	if l.inj == nil {
+		return l.write(w, frame)
+	}
 	frames, delay := l.inj.apply(frame)
 	if delay > 0 {
+		if err := w.Flush(); err != nil {
+			return err
+		}
 		time.Sleep(delay)
 	}
-	return l.write(conn, frames...)
+	return l.write(w, frames...)
 }
 
-// write puts frames on the wire in order, each under its own write deadline.
-func (l *link) write(conn net.Conn, frames ...[]byte) error {
+// write buffers frames in order. The pass's writer puts them on the wire
+// when it flushes, under a fresh write deadline per underlying write.
+func (l *link) write(w io.Writer, frames ...[]byte) error {
 	for _, f := range frames {
-		conn.SetWriteDeadline(time.Now().Add(sessionTimeout))
-		if _, err := conn.Write(f); err != nil {
+		if _, err := w.Write(f); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// sendDone ships the Done frame. Control frames are never fault-injected,
-// so a data frame the injector still holds back goes out first rather than
-// trailing the Done.
-func (l *link) sendDone(conn net.Conn, done *Done) error {
-	frame, err := jsonFrame(frameDone, done)
-	if err != nil {
-		return err
-	}
+// endPass finishes a send pass: the data frame the fault injector still
+// holds back, then done when the pass carries the Done, then one flush of
+// everything buffered. Control frames are never fault-injected, so the held
+// frame goes out first rather than trailing the Done or waiting for the
+// next pass.
+func (l *link) endPass(w *bufio.Writer, done *Done) error {
 	if h := l.inj.flush(); h != nil {
-		return l.write(conn, h, frame)
+		if err := l.write(w, h); err != nil {
+			return err
+		}
 	}
-	return l.write(conn, frame)
+	if done != nil {
+		if err := writeControl(w, frameDone, done); err != nil {
+			return err
+		}
+	}
+	return w.Flush()
 }

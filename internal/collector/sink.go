@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -197,8 +198,8 @@ const (
 	// sinkHelloTimeout bounds the wait for a new connection's Hello frame;
 	// a connection that says nothing is dropped.
 	sinkHelloTimeout = 10 * time.Second
-	// sinkWriteTimeout bounds each control frame write to an agent; a
-	// stuck agent connection is dropped, the agent resumes.
+	// sinkWriteTimeout bounds each write to an agent; a stuck agent
+	// connection is dropped, the agent resumes.
 	sinkWriteTimeout = 5 * time.Second
 )
 
@@ -206,37 +207,83 @@ const (
 // district's range key twice.
 type skey struct{ testbed, node string }
 
-// sinkSession serializes writes to one agent connection (acknowledgements
-// and Fin can be written from another session's completion path).
+// sinkSession is the sink's end of one agent connection. Its writes go
+// through one buffer under wmu: Acks queue there, and Resume, Reject and Fin
+// flush the buffer at once, Acks first. Fin and the draining Reject can be
+// written from another session's goroutine. The session also reads its
+// connection through Read, which flushes the queued Acks before every
+// underlying read, so an Ack waits at most until the frames already read
+// are handled.
 type sinkSession struct {
-	conn    net.Conn
-	timeout time.Duration
-	wmu     sync.Mutex
+	conn net.Conn
+	wmu  sync.Mutex
+	w    *bufio.Writer // nil once the session ended; guarded by wmu
 	// told is the last cursor the session told the agent per node: the
-	// Resume's, then each Ack's. Only the session's own goroutine reads or
-	// writes it.
+	// Resume's, then each queued Ack's. Only the session's own goroutine
+	// reads or writes it.
 	told map[string]StreamCursor
 }
 
-// send writes one control frame to the session's connection.
-func (s *sinkSession) send(kind byte, payload any) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	s.conn.SetWriteDeadline(time.Now().Add(s.timeout))
-	return writeControl(s.conn, kind, payload)
+// newSinkSession wraps conn with the session's write buffer.
+func newSinkSession(conn net.Conn) *sinkSession {
+	return &sinkSession{conn: conn,
+		w: bufio.NewWriterSize(deadlineWriter{conn, sinkWriteTimeout}, controlBufSize)}
 }
 
-// ack acknowledges a stream's durable cursor when it differs from the last
-// one the session told the agent. A repeat would carry nothing: the agent
-// already holds that cursor, and an Ack that does not advance it is not
-// stall progress. A checkpointing sink's cursors move only at checkpoints,
-// so most record frames get no Ack, and a retransmitted work item none
-// (PROTOCOL.md §6).
+// write buffers one control frame behind the queued ones and, with flush,
+// puts the buffer on the wire. A failed write or flush ends the session.
+func (s *sinkSession) write(kind byte, payload any, flush bool) error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if s.w == nil {
+		return net.ErrClosed
+	}
+	if err := writeControl(s.w, kind, payload); err != nil || !flush {
+		return err
+	}
+	return s.w.Flush()
+}
+
+// send writes one control frame to the session's connection now, after
+// any queued Acks.
+func (s *sinkSession) send(kind byte, payload any) error {
+	return s.write(kind, payload, true)
+}
+
+// Read reads the agent's bytes from the connection. It first flushes the
+// queued Acks: the session is about to wait on the network, so nothing it
+// has queued may wait with it. serve reads through it until the session
+// ends.
+func (s *sinkSession) Read(p []byte) (int, error) {
+	s.wmu.Lock()
+	err := s.w.Flush()
+	s.wmu.Unlock()
+	if err != nil {
+		return 0, err
+	}
+	return s.conn.Read(p)
+}
+
+// end drops the session's write buffer once its connection is done; a
+// later send fails as a write to the closed connection would.
+func (s *sinkSession) end() {
+	s.wmu.Lock()
+	s.w = nil
+	s.wmu.Unlock()
+}
+
+// ack queues an Ack of a stream's durable cursor when it differs from the
+// last one the session told the agent. A repeat would carry nothing: the
+// agent already holds that cursor, and an Ack that does not advance it is
+// not stall progress. A checkpointing sink's cursors move only at
+// checkpoints, so most record frames get no Ack, and a retransmitted work
+// item none (PROTOCOL.md §6). The cursor counts as told once the Ack is
+// queued.
 func (s *sinkSession) ack(cur StreamCursor) error {
 	if s.told[cur.Node] == cur {
 		return nil
 	}
-	if err := s.send(frameAck, Ack(cur)); err != nil {
+	if err := s.write(frameAck, Ack(cur), false); err != nil {
 		return err
 	}
 	s.told[cur.Node] = cur
@@ -518,10 +565,14 @@ func (s *Sink) acceptLoop() {
 
 // serve drives one agent session of either plane: the Hello, the shared
 // typed rejects, the plane's own admission checks, the Resume, then data
-// and Done frames until the connection ends.
+// and Done frames until the connection ends. Every frame is read through
+// one bufio.Reader over the session, so one read(2) fills many frames.
 func (s *Sink) serve(conn net.Conn) {
+	sess := newSinkSession(conn)
+	defer sess.end()
+	r := bufio.NewReaderSize(sess, dataBufSize)
 	conn.SetReadDeadline(time.Now().Add(sinkHelloTimeout))
-	fr, err := ReadFrame(conn)
+	fr, err := ReadFrame(r)
 	if err != nil || fr.Kind != KindHello {
 		return
 	}
@@ -532,7 +583,6 @@ func (s *Sink) serve(conn net.Conn) {
 		stream string
 		nodes  []string
 		rej    *Reject
-		sess   *sinkSession
 	)
 	s.mu.Lock()
 	t := s.tenants[id]
@@ -556,8 +606,7 @@ func (s *Sink) serve(conn net.Conn) {
 	if rej != nil {
 		s.hellosRejected++
 	} else {
-		sess = &sinkSession{conn: conn, timeout: sinkWriteTimeout,
-			told: make(map[string]StreamCursor, len(nodes))}
+		sess.told = make(map[string]StreamCursor, len(nodes))
 		for _, node := range nodes {
 			c := t.ackable[skey{stream, node}]
 			res.Cursors = append(res.Cursors, c)
@@ -567,7 +616,7 @@ func (s *Sink) serve(conn net.Conn) {
 	}
 	s.mu.Unlock()
 	if rej != nil {
-		writeControl(conn, frameReject, rej)
+		sess.send(frameReject, rej)
 		return
 	}
 	if sess.send(frameResume, res) != nil {
@@ -575,7 +624,7 @@ func (s *Sink) serve(conn net.Conn) {
 	}
 
 	for {
-		fr, err := ReadFrame(conn)
+		fr, err := ReadFrame(r)
 		if err != nil {
 			return
 		}

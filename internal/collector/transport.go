@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"time"
 
 	"repro/internal/sim"
@@ -214,6 +215,32 @@ func writeControl(w io.Writer, kind byte, payload any) error {
 	return nil
 }
 
+// The session wire buffers. Both ends of a session read and write their
+// connection through bufio, so one read(2) fills many frames and one
+// write(2) carries many; the bytes on the wire are the same. Data frames
+// flow agent to sink, so that direction gets the larger buffers, and the
+// handshake and Acks flow back through the small ones. A frame larger than
+// a buffer passes straight through it.
+const (
+	dataBufSize    = 16 << 10
+	controlBufSize = 4 << 10
+)
+
+// deadlineWriter is the io.Writer under a session's bufio.Writer: every
+// write to the connection, an explicit flush or the one bufio makes when
+// its buffer fills, runs under a fresh write deadline, so a stale one never
+// applies.
+type deadlineWriter struct {
+	conn    net.Conn
+	timeout time.Duration
+}
+
+// Write sets the write deadline, then writes p to the connection.
+func (w deadlineWriter) Write(p []byte) (int, error) {
+	w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
+	return w.conn.Write(p)
+}
+
 // ReadFrame reads one frame of any kind, dispatching on the kind byte. io.EOF
 // is returned unchanged when the stream ends cleanly between frames.
 func ReadFrame(r io.Reader) (*Frame, error) {
@@ -364,8 +391,9 @@ func (f *faultInjector) apply(frame []byte) (out [][]byte, delay time.Duration) 
 	return out, delay
 }
 
-// flush returns any held frame (called before control frames and at the end
-// of a write burst, so a reorder decision cannot starve the last frame).
+// flush returns any held frame. The send pass calls it at its end, before
+// the Done and before it flushes its buffer, so a reorder decision swaps
+// frames within one pass and never starves the pass's last frame.
 func (f *faultInjector) flush() []byte {
 	if f == nil || f.held == nil {
 		return nil

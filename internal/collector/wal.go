@@ -525,16 +525,15 @@ func WriteFileDurable(path string, payload []byte) error {
 }
 
 // writeSealed is WriteFileDurable for a payload already sealed with
-// sealDurable.
+// sealDurable. The rotation renames the current file without looking for
+// it first: a missing one is the first write, with no previous file.
 func writeSealed(path string, sealed []byte) error {
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, sealed, 0o644); err != nil {
 		return err
 	}
-	if _, err := os.Stat(path); err == nil {
-		if err := os.Rename(path, path+PrevSuffix); err != nil {
-			return err
-		}
+	if err := os.Rename(path, path+PrevSuffix); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
 	}
 	return os.Rename(tmp, path)
 }

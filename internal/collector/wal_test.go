@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io/fs"
@@ -380,6 +381,47 @@ func TestDurableFileTornAtEveryByte(t *testing.T) {
 	os.Remove(path + PrevSuffix)
 	if _, err := ReadFileDurable(path); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("missing checkpoints: err = %v, want fs.ErrNotExist", err)
+	}
+}
+
+// TestDurableFileRotation pins the files a durable write leaves: the first
+// write no previous file, the second the first's bytes under PrevSuffix,
+// neither a temp file; a rotation that fails other than for a missing
+// file is an error.
+func TestDurableFileRotation(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ck")
+	if err := WriteFileDurable(path, []byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path + PrevSuffix); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("first write left a previous file: %v", err)
+	}
+	first, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileDurable(path, []byte("two")); err != nil {
+		t.Fatal(err)
+	}
+	if prev, err := os.ReadFile(path + PrevSuffix); err != nil || !bytes.Equal(prev, first) {
+		t.Fatalf("second write rotated %q (%v), want the first write's file", prev, err)
+	}
+	if got, err := ReadFileDurable(path); err != nil || string(got) != "two" {
+		t.Fatalf("read back %q (%v), want %q", got, err, "two")
+	}
+	if names, _ := filepath.Glob(filepath.Join(dir, "*")); len(names) != 2 {
+		t.Fatalf("durable writes left %v, want the file and its previous", names)
+	}
+	// A directory in the previous file's place makes the rotation fail.
+	if err := os.Remove(path + PrevSuffix); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(path+PrevSuffix, "sub"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileDurable(path, []byte("three")); err == nil {
+		t.Fatal("a rotation onto a directory succeeded")
 	}
 }
 
