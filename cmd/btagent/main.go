@@ -7,8 +7,9 @@
 // TCP.
 //
 // Delivery is at-least-once: batches stay buffered until the sink
-// acknowledges them, connection losses reconnect (with capped, jittered
-// exponential backoff) and resume from the sink's handshake cursors, and
+// acknowledges them in Acks that carry every cursor that moved,
+// connection losses reconnect (with capped, jittered exponential backoff)
+// and resume from the cursors of the Ack that answers the Hello, and
 // stalls — no acknowledgement progress and no completion confirmation
 // while batches or the final Done are unanswered — trigger go-back-N
 // retransmission and a resend of the Done, eight in a row a reconnect. So

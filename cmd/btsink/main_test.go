@@ -183,11 +183,15 @@ func TestDataLossFailsBeforeReport(t *testing.T) {
 		}
 		defer conn.Close()
 		nodes := tb.Nodes()
-		writeControl(t, conn, 2, collector.Hello{Campaign: campaign, Testbed: tb.Name, Nodes: nodes})
-		if fr, err := collector.ReadFrame(conn); err != nil || fr.Kind != collector.KindResume {
+		writeControl(t, conn, 2, collector.Hello{Session: collector.SessionVersion, Campaign: campaign,
+			Testbed: tb.Name, Nodes: nodes})
+		if fr, err := collector.ReadFrame(conn); err != nil || fr.Kind != collector.KindAck {
 			t.Fatalf("handshake: %v %+v", err, fr)
 		}
 		done := collector.Done{Testbed: tb.Name, Duration: campaign.Duration}
+		for _, node := range nodes {
+			done.Final = append(done.Final, collector.StreamCursor{Node: node})
+		}
 		if i == 0 {
 			for _, seq := range []uint64{1, 3} {
 				var buf bytes.Buffer
@@ -199,7 +203,7 @@ func TestDataLossFailsBeforeReport(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			done.Final = []collector.StreamCursor{{Node: nodes[0], Seq: 1}}
+			done.Final[0].Seq = 1
 		}
 		writeControl(t, conn, 5, &done)
 		for {

@@ -19,8 +19,8 @@ import (
 //
 // Delivery is at-least-once on top of a lossy path: every batch stays
 // buffered until the sink acknowledges it (cumulatively, per stream), a
-// connection loss triggers reconnect-and-resume from the sink's Resume
-// cursors, and an acknowledgement stall triggers go-back-N retransmission
+// connection loss triggers reconnect-and-resume from the cursors the sink's
+// first Ack tells, and an acknowledgement stall triggers go-back-N retransmission
 // of everything unacknowledged (link.session runs the loop; the Agent is
 // its record plane). The sink deduplicates by sequence number, so
 // duplicates arising from retransmission are harmless by construction.
@@ -191,7 +191,8 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		a.order = append(a.order, node)
 		a.sends = append(a.sends, &st.sendState)
 	}
-	a.hello = &Hello{Campaign: cfg.Campaign, Keyspace: cfg.Keyspace, Testbed: cfg.Testbed, Nodes: a.order}
+	a.hello = &Hello{Session: SessionVersion, Campaign: cfg.Campaign, Keyspace: cfg.Keyspace,
+		Testbed: cfg.Testbed, Nodes: a.order}
 	for node := range replay {
 		if _, ok := a.streams[node]; !ok {
 			if a.wal != nil {
@@ -247,7 +248,7 @@ func (a *Agent) Ingest(testbed, node string, reports []core.UserReport,
 	}
 	st.last++
 	if st.last <= st.acked {
-		// The sink holds this batch durably (its Resume cursor was ahead of
+		// The sink holds this batch durably (its resume cursor was ahead of
 		// our replayed state); assigning the sequence number keeps the
 		// stream consistent, shipping it again would only feed the
 		// duplicate filter.

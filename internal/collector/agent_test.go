@@ -128,7 +128,7 @@ func TestAgentShipsBacklogInWatermarkOrder(t *testing.T) {
 	// go-back-N: part of one stream is acknowledged, then the stall
 	// rewinds every send cursor.
 	a.mu.Lock()
-	a.ackLocked(a, &a.streams[roster[0]].sendState, 5)
+	a.applyLocked(a, &Ack{Cursors: []StreamCursor{{Node: roster[0], Seq: 5}}}, false)
 	a.rewindLocked()
 	a.mu.Unlock()
 	resend, _ := a.due()

@@ -51,15 +51,15 @@ func districtHello(t *testing.T, addr string, dc DistrictConfig, lo, hi int) *Fr
 }
 
 // districtSession opens a raw district session claiming dc's range and
-// returns it with the sink's Resume cursor.
+// returns it with the cursor of the sink's first Ack.
 func districtSession(t *testing.T, addr string, dc DistrictConfig) (net.Conn, uint64) {
 	t.Helper()
 	conn, fr := dialDistrict(t, addr, dc, dc.Lo, dc.Hi)
-	if fr.Kind != KindResume || len(fr.Resume.Cursors) != 1 {
+	if fr.Kind != KindAck || len(fr.Ack.Cursors) != 1 {
 		conn.Close()
-		t.Fatalf("district handshake answered %v (%+v), want a one-cursor resume", fr.Kind, fr.Reject)
+		t.Fatalf("district handshake answered %v (%+v), want a one-cursor ack", fr.Kind, fr.Reject)
 	}
-	return conn, fr.Resume.Cursors[0].Seq
+	return conn, fr.Ack.Cursors[0].Seq
 }
 
 // dialDistrict sends a district Hello claiming [lo, hi) on a fresh
@@ -70,9 +70,9 @@ func dialDistrict(t *testing.T, addr string, dc DistrictConfig, lo, hi int) (net
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello := Hello{Campaign: dc.Campaign, Keyspace: dc.Key, Testbed: scatterRangeKey(lo, hi),
-		Scatter: &ScatterHello{Net: dc.Net, Lo: lo, Hi: hi}}
-	if err := writeControl(conn, frameHello, hello); err != nil {
+	hello := Hello{Session: SessionVersion, Campaign: dc.Campaign, Keyspace: dc.Key,
+		Testbed: scatterRangeKey(lo, hi), Scatter: &ScatterHello{Net: dc.Net, Lo: lo, Hi: hi}}
+	if err := writeControl(conn, KindHello, hello); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -93,7 +93,7 @@ func sendItem(t *testing.T, conn net.Conn, dc DistrictConfig, seq uint64) {
 	}
 	sb := ScatterBatch{Seq: seq, Piconet: &analysis.PiconetPartial{
 		Piconet: dc.Lo + int(seq) - 1, Agg: str.Finalize().Snapshot()}}
-	if err := writeControl(conn, frameScatter, &sb); err != nil {
+	if err := writeControl(conn, KindScatter, &sb); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -107,8 +107,8 @@ func bareDistrict(n int, path string) DistrictConfig {
 
 // TestDistrictAckOnlyOnProgress is TestAckOnlyOnProgress's district twin
 // (PROTOCOL.md §6, §12): an applied work item earns exactly one Ack, a
-// retransmitted one none, and the Resume counts as telling the cursor. A
-// Done that names fewer work items than the range holds earns no Fin.
+// retransmitted one none, and the first Ack counts as telling the cursor.
+// A Done that names fewer work items than the range holds earns no Fin.
 func TestDistrictAckOnlyOnProgress(t *testing.T) {
 	dc := bareDistrict(3, filepath.Join(t.TempDir(), "bare.district.ckpt"))
 	sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0", Districts: []DistrictConfig{dc}})
@@ -120,8 +120,8 @@ func TestDistrictAckOnlyOnProgress(t *testing.T) {
 	// seq: every frame sent before it earned none.
 	expectAck := func(conn net.Conn, seq uint64) {
 		t.Helper()
-		if a := readAck(t, conn); a.Node != "0:3" || a.Seq != seq {
-			t.Fatalf("ack %+v, want 0:3/%d", a, seq)
+		if c := readCursor(t, conn); c.Node != "0:3" || c.Seq != seq {
+			t.Fatalf("ack %+v, want 0:3/%d", c, seq)
 		}
 	}
 
@@ -149,26 +149,29 @@ func TestDistrictAckOnlyOnProgress(t *testing.T) {
 		t.Errorf("applied %d, duplicates %d, rejected %d; want 3, 3, 0", applied, duplicates, rejected)
 	}
 
-	// done sends a Done naming final work items and reads the answer within
-	// wait: a Fin, or nil.
-	done := func(final uint64, wait time.Duration) *Frame {
+	// done sends a Done naming final work items on conn and reads the
+	// answer.
+	done := func(conn net.Conn, final uint64) *Frame {
 		t.Helper()
-		if err := writeControl(second, frameDone, &Done{Testbed: "0:3", Duration: sim.Hour,
+		if err := writeControl(conn, KindDone, &Done{Testbed: "0:3", Duration: sim.Hour,
 			Final: []StreamCursor{{Node: "0:3", Seq: final}}}); err != nil {
 			t.Fatal(err)
 		}
-		second.SetReadDeadline(time.Now().Add(wait))
-		fr, err := ReadFrame(second)
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		fr, err := ReadFrame(conn)
 		if err != nil {
-			return nil
+			t.Fatal(err)
 		}
 		return fr
 	}
-	if fr := done(2, 200*time.Millisecond); fr != nil {
-		t.Fatalf("Done naming 2 of 3 work items answered %v, want nothing", fr.Kind)
+	// A short Done is refused and ends its session (TestDoneMustNameSessionStreams).
+	if fr := done(second, 2); fr.Kind == KindFin {
+		t.Fatal("Done naming 2 of 3 work items answered with Fin")
 	}
-	if fr := done(3, 5*time.Second); fr == nil || fr.Kind != KindFin {
-		t.Fatalf("Done naming every work item answered %v, want Fin", fr)
+	third, _ := districtSession(t, sink.Addr(), dc)
+	defer third.Close()
+	if fr := done(third, 3); fr.Kind != KindFin {
+		t.Fatalf("Done naming every work item answered %v, want Fin", fr.Kind)
 	}
 	if _, err := sink.WaitDistrict(dc.Key, 5*time.Second); err != nil {
 		t.Fatal(err)
@@ -176,11 +179,11 @@ func TestDistrictAckOnlyOnProgress(t *testing.T) {
 }
 
 // TestDistrictResumeOnlyDurable pins PROTOCOL.md §12's durable cursor: a
-// work item whose checkpoint failed is folded but not durable, so neither
-// an Ack nor a Resume may name it — a restart on the checkpoint file would
-// resume below it, and an agent holding it would abort on the regression
-// (PROTOCOL.md §4). Its retransmission retries the checkpoint, and only
-// then is it acknowledged.
+// work item whose checkpoint failed is folded but not durable, so no Ack,
+// the first of a session included, may name it — a restart on the
+// checkpoint file would resume below it, and an agent holding it would
+// abort on the regression (PROTOCOL.md §4). Its retransmission retries the
+// checkpoint, and only then is it acknowledged.
 func TestDistrictResumeOnlyDurable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bare.district.ckpt")
 	dc := bareDistrict(2, path)
@@ -210,7 +213,7 @@ func TestDistrictResumeOnlyDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	sendItem(t, second, dc, 1)
-	ack := readAck(t, second)
+	ack := readCursor(t, second)
 	told = append(told, ack.Seq)
 	if ack.Seq != 1 {
 		t.Errorf("retransmitted item 1 acknowledged %d, want 1", ack.Seq)
@@ -228,7 +231,7 @@ func TestDistrictResumeOnlyDurable(t *testing.T) {
 	conn.Close()
 	for i, c := range told {
 		if c > durable {
-			t.Errorf("cursor %d told the agent (Resume, Resume, Ack) is %d, ahead of the %d a restart resumes at",
+			t.Errorf("cursor %d told the agent (first Ack, first Ack, Ack) is %d, ahead of the %d a restart resumes at",
 				i, c, durable)
 		}
 	}
@@ -253,7 +256,7 @@ func TestDistrictExactRange(t *testing.T) {
 				r[0], r[1], fr.Reject, RejectUnknownShard)
 		}
 	}
-	if fr := districtHello(t, sink.Addr(), dc, 0, 3); fr.Kind != KindResume {
+	if fr := districtHello(t, sink.Addr(), dc, 0, 3); fr.Kind != KindAck {
 		t.Fatalf("the district's own range was not resumed: %+v", fr)
 	}
 }
@@ -299,7 +302,7 @@ func TestWaitDistrictTimeoutDiagnostics(t *testing.T) {
 
 // TestDistrictCheckpointFixtureCompletes restores a district from a
 // checkpoint written before the session engine was shared, releases its
-// agent — whose Resume cursor already covers every work item, so it ships
+// agent — whose resume cursor already covers every work item, so it ships
 // only its Done — and requires the completed partial to render the
 // single-process rollup byte for byte.
 func TestDistrictCheckpointFixtureCompletes(t *testing.T) {

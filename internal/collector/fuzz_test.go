@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -108,28 +109,32 @@ func batchEqual(a, b *Batch) bool {
 }
 
 // FuzzControlFrame throws arbitrary byte streams at the control-plane
-// surface of ReadFrame — the hello/resume/ack/done/fin/reject JSON frames a
+// surface of ReadFrame — the hello/ack/done/fin/reject JSON frames a
 // malformed or hostile peer can send a sink or an agent. The decoder must
 // never panic or hang; whatever it accepts must carry the right payload for
-// its kind byte, and accepted control frames must survive a re-encode with
+// its kind byte, an accepted Ack must carry at least one cursor and no node
+// twice, and accepted control frames must survive a re-encode with
 // writeControl and re-decode to the same kind (the handshake's round-trip
 // law).
 //
-// The seed corpus is every control frame the real session writes, plus
+// The seed corpus is every control frame the real session writes, the
+// session protocol v2 Resume and one-cursor Ack (both refused), plus
 // truncations and kind-byte corruptions of each.
 func FuzzControlFrame(f *testing.F) {
 	id := CampaignID{Seed: 7, Duration: 24 * sim.Hour, Scenario: 3}
 	seeds := []struct {
-		kind    byte
+		kind    FrameKind
 		payload any
 	}{
-		{frameHello, &Hello{Campaign: id, Testbed: "random", Nodes: []string{"a1", "napA"}}},
-		{frameResume, &Resume{Cursors: []StreamCursor{{Node: "a1", Seq: 12, Watermark: 3 * sim.Hour}}}},
-		{frameAck, &Ack{Node: "a1", Seq: 12, Watermark: 3 * sim.Hour}},
-		{frameDone, &Done{Testbed: "random", Duration: 24 * sim.Hour,
+		{KindHello, &Hello{Session: SessionVersion, Campaign: id, Testbed: "random", Nodes: []string{"a1", "napA"}}},
+		{KindAck, &Ack{Cursors: []StreamCursor{{Node: "a1", Seq: 12, Watermark: 3 * sim.Hour}, {Node: "napA"}}}},
+		{KindAck, &Ack{Cursors: []StreamCursor{{Node: "a1", Seq: 13, Watermark: 4 * sim.Hour}}}},
+		{KindAck, v2Ack{Node: "a1", Seq: 12, Watermark: 3 * sim.Hour}},
+		{v2Resume, &Ack{Cursors: []StreamCursor{{Node: "a1", Seq: 12, Watermark: 3 * sim.Hour}}}},
+		{KindDone, &Done{Testbed: "random", Duration: 24 * sim.Hour,
 			Final: []StreamCursor{{Node: "a1", Seq: 24}}}},
-		{frameFin, &Fin{}},
-		{frameReject, &Reject{Reason: "campaign mismatch"}},
+		{KindFin, &Fin{}},
+		{KindReject, &Reject{Reason: "campaign mismatch"}},
 	}
 	for _, s := range seeds {
 		var buf bytes.Buffer
@@ -151,43 +156,47 @@ func FuzzControlFrame(f *testing.F) {
 			return // rejected garbage is the expected outcome
 		}
 		// An accepted frame must carry the payload its kind promises.
-		var rekind byte
 		var payload any
 		switch fr.Kind {
-		case KindBatch:
-			return // FuzzDecode owns the data plane
+		case KindBatch, KindScatter:
+			return // FuzzDecode and the district suite own the data planes
 		case KindHello:
 			if fr.Hello == nil {
 				t.Fatal("accepted hello frame with nil payload")
 			}
-			rekind, payload = frameHello, fr.Hello
-		case KindResume:
-			if fr.Resume == nil {
-				t.Fatal("accepted resume frame with nil payload")
-			}
-			rekind, payload = frameResume, fr.Resume
+			payload = fr.Hello
 		case KindAck:
 			if fr.Ack == nil {
 				t.Fatal("accepted ack frame with nil payload")
 			}
-			rekind, payload = frameAck, fr.Ack
+			seen := make(map[string]bool)
+			for _, c := range fr.Ack.Cursors {
+				if seen[c.Node] {
+					t.Fatalf("accepted ack naming node %q twice", c.Node)
+				}
+				seen[c.Node] = true
+			}
+			if len(seen) == 0 {
+				t.Fatal("accepted ack with no cursor")
+			}
+			payload = fr.Ack
 		case KindDone:
 			if fr.Done == nil {
 				t.Fatal("accepted done frame with nil payload")
 			}
-			rekind, payload = frameDone, fr.Done
+			payload = fr.Done
 		case KindFin:
-			rekind, payload = frameFin, &Fin{}
+			payload = &Fin{}
 		case KindReject:
 			if fr.Reject == nil {
 				t.Fatal("accepted reject frame with nil payload")
 			}
-			rekind, payload = frameReject, fr.Reject
+			payload = fr.Reject
 		default:
 			t.Fatalf("accepted frame of unknown kind %d", fr.Kind)
 		}
 		var buf bytes.Buffer
-		if err := writeControl(&buf, rekind, payload); err != nil {
+		if err := writeControl(&buf, fr.Kind, payload); err != nil {
 			t.Fatalf("re-encode of accepted control frame failed: %v", err)
 		}
 		again, err := ReadFrame(&buf)
@@ -200,19 +209,30 @@ func FuzzControlFrame(f *testing.F) {
 	})
 }
 
+// v2Ack is a session protocol v2 Ack: one cursor, not a list.
+type v2Ack struct {
+	Node      string   `json:"node"`
+	Seq       uint64   `json:"seq"`
+	Watermark sim.Time `json:"watermark"`
+}
+
 // TestFuzzControlSeedCorpusRoundTrips drives each real control frame
-// through writeControl/ReadFrame on every `go test` run even without -fuzz.
+// through writeControl/ReadFrame on every `go test` run even without -fuzz,
+// and requires the refused shapes — an Ack with no cursor (which a v2
+// one-cursor Ack decodes to) or a node named twice, and the retired kind-3
+// Resume — to fail with one line.
 func TestFuzzControlSeedCorpusRoundTrips(t *testing.T) {
 	var buf bytes.Buffer
 	id := CampaignID{Seed: 7, Duration: 24 * sim.Hour, Scenario: 3}
-	if err := writeControl(&buf, frameHello, &Hello{Campaign: id, Testbed: "random",
+	if err := writeControl(&buf, KindHello, &Hello{Session: SessionVersion, Campaign: id, Testbed: "random",
 		Nodes: []string{"a1"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeControl(&buf, frameAck, &Ack{Node: "a1", Seq: 3}); err != nil {
+	ack := &Ack{Cursors: []StreamCursor{{Node: "a1", Seq: 3}, {Node: "napA", Seq: 1}}}
+	if err := writeControl(&buf, KindAck, ack); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeControl(&buf, frameFin, &Fin{}); err != nil {
+	if err := writeControl(&buf, KindFin, &Fin{}); err != nil {
 		t.Fatal(err)
 	}
 	wantKinds := []FrameKind{KindHello, KindAck, KindFin}
@@ -230,6 +250,25 @@ func TestFuzzControlSeedCorpusRoundTrips(t *testing.T) {
 	}
 	if _, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 2, 9, '{', '}'})); err == nil {
 		t.Error("unknown kind byte 9 decoded without error")
+	}
+	for _, tc := range []struct {
+		kind    FrameKind
+		payload any
+		want    string
+	}{
+		{KindAck, v2Ack{Node: "a1", Seq: 3}, "ack names no cursor"},
+		{KindAck, &Ack{}, "ack names no cursor"},
+		{KindAck, &Ack{Cursors: []StreamCursor{{Node: "a1", Seq: 3}, {Node: "a1", Seq: 4}}}, `ack names node "a1" twice`},
+		{v2Resume, &Ack{Cursors: []StreamCursor{{Node: "a1", Seq: 3}}}, "unknown frame kind 3"},
+	} {
+		buf.Reset()
+		if err := writeControl(&buf, tc.kind, tc.payload); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadFrame(&buf)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "\n") {
+			t.Errorf("kind %d %+v decoded with error %v, want one line with %q", tc.kind, tc.payload, err, tc.want)
+		}
 	}
 }
 

@@ -12,13 +12,13 @@ import (
 )
 
 // link is the agent-side session engine both planes share: the dial/backoff
-// loop and one session loop — the Hello/Resume handshake with its
-// regression abort, the reader that applies acknowledgements and the Fin
-// release, the buffered send pass with its fault-injected frame writes and
-// the Done, one stall policy, typed reject handling and the transport
-// counters. A plane — the flat Agent shipping record batches, or the
-// ScatterAgent shipping fold partials — embeds it, sets its Hello and its
-// streams' send states, and implements plane.
+// loop and one session loop — the Hello and the Ack that answers it, one
+// apply of every Ack with its regression abort, the reader that takes the
+// Acks and the Fin release, the buffered send pass with its fault-injected
+// frame writes and the Done, one stall policy, typed reject handling and
+// the transport counters. A plane — the flat Agent shipping record
+// batches, or the ScatterAgent shipping fold partials — embeds it, sets its
+// Hello and its streams' send states, and implements plane.
 type link struct {
 	addr  string
 	retry retryPolicy
@@ -29,7 +29,7 @@ type link struct {
 
 	mu           sync.Mutex // guards the link's fields and the plane's send state
 	err          error      // first fatal error
-	connected    bool       // a session holds a live Resume handshake
+	connected    bool       // a session's Hello was answered with its first Ack
 	lastProgress time.Time  // stall clock: last ack progress, stall, or send after an idle spell
 	stalls       int        // stalls in a row since the last ack progress
 	sent         int        // data frames handed to the fault injector
@@ -123,8 +123,8 @@ func (p retryPolicy) backoff(rng *rand.Rand, attempt int) time.Duration {
 
 // redial is the connection loop: dial, run one session of p, reconnect —
 // until the link is closed or released. Failed attempts back off
-// exponentially with seeded jitter; a session that got as far as a Resume
-// handshake resets the backoff and reconnects eagerly.
+// exponentially with seeded jitter; a session whose Hello was answered with
+// an Ack resets the backoff and reconnects eagerly.
 func (l *link) redial(p plane) {
 	rng := rand.New(rand.NewSource(l.retry.seed))
 	attempt := 0
@@ -217,17 +217,6 @@ func (l *link) countSendLocked(st *sendState) {
 	}
 }
 
-// ackLocked applies a cumulative acknowledgement of st's stream up to seq
-// and reports whether it moved the stream's cursor. Caller holds mu.
-func (l *link) ackLocked(p plane, st *sendState, seq uint64) bool {
-	if seq <= st.acked {
-		return false
-	}
-	p.pruneLocked(st, seq)
-	st.sentUpTo = max(st.sentUpTo, st.acked)
-	return true
-}
-
 // unackedLocked reports whether some stream has frames on the wire that the
 // sink has not acknowledged. Caller holds mu.
 func (l *link) unackedLocked() bool {
@@ -258,39 +247,49 @@ func (l *link) reject(rej *Reject, what string) {
 	l.fatalLocked(fmt.Errorf("collector: sink %s: %s", what, rej.Error()))
 }
 
-// resumeLocked applies the sink's Resume as an acknowledgement of every
-// stream, then rewinds. A missing cursor, or one behind what the sink
-// already acknowledged, means the sink lost its durable state (restarted
-// without its checkpoint): the agent's copies of the acknowledged work are
-// gone, the campaign cannot be made whole, and the agent stops loudly
-// rather than ship a silently truncated stream. Caller holds mu.
-func (l *link) resumeLocked(p plane, res *Resume) bool {
-	for _, st := range l.sends {
-		stream := l.hello.Testbed
-		if st.node != stream {
-			stream += "/" + st.node
-		}
-		i := slices.IndexFunc(res.Cursors, func(c StreamCursor) bool { return c.Node == st.node })
-		switch {
-		case i < 0:
-			l.fatalLocked(fmt.Errorf("collector: sink resume is missing stream %s", stream))
-			return false
-		case res.Cursors[i].Seq < st.acked:
-			l.fatalLocked(fmt.Errorf("collector: sink resumed stream %s at seq %d below acknowledged %d "+
-				"(checkpoint lost?)", stream, res.Cursors[i].Seq, st.acked))
+// applyLocked applies one Ack, each cursor cumulatively; a cursor that
+// moves is progress, which resets the stall clock and wakes the send pass.
+// A stream the Hello did not declare ends the session. A cursor behind one
+// the sink already acknowledged means it lost its durable state: that work
+// is gone from the agent, which stops loudly rather than ship a silently
+// truncated stream. The session's first Ack must name every stream, and it
+// rewinds the send cursors. It reports whether the session may go on.
+// Caller holds mu.
+func (l *link) applyLocked(p plane, ack *Ack, first bool) bool {
+	sends := make([]*sendState, len(ack.Cursors))
+	for i, c := range ack.Cursors {
+		j := slices.IndexFunc(l.sends, func(st *sendState) bool { return st.node == c.Node })
+		if j < 0 {
 			return false
 		}
-		l.ackLocked(p, st, res.Cursors[i].Seq)
+		if sends[i] = l.sends[j]; c.Seq < sends[i].acked {
+			l.fatalLocked(fmt.Errorf("collector: sink told node %s of %s at seq %d, below acknowledged %d "+
+				"(checkpoint lost?)", c.Node, l.hello.Testbed, c.Seq, sends[i].acked))
+			return false
+		}
 	}
-	l.rewindLocked()
+	if first && len(sends) < len(l.sends) {
+		i := slices.IndexFunc(l.sends, func(st *sendState) bool { return !slices.Contains(sends, st) })
+		l.fatalLocked(fmt.Errorf("collector: sink's first ack is missing node %s of %s", l.sends[i].node, l.hello.Testbed))
+		return false
+	}
+	for i, st := range sends {
+		if seq := ack.Cursors[i].Seq; seq > st.acked {
+			p.pruneLocked(st, seq)
+			st.sentUpTo, l.lastProgress, l.stalls = max(st.sentUpTo, st.acked), time.Now(), 0
+			l.signal()
+		}
+	}
+	if first {
+		l.rewindLocked()
+	}
 	return true
 }
 
 // read consumes the sink's frames on one session until it ends: each Ack
-// goes to the plane, and one that moves a cursor is progress — it resets
-// the stall clock and wakes the send pass. Fin releases the agent, and a
-// mid-session Reject — the sink started draining, or the keyspace tripped
-// its quota — gets the same split as at the handshake.
+// goes to applyLocked, Fin releases the agent, and a mid-session Reject —
+// the sink started draining, or the keyspace tripped its quota — gets the
+// same split as at the handshake.
 func (l *link) read(r io.Reader, p plane) {
 	for {
 		fr, err := ReadFrame(r)
@@ -300,12 +299,11 @@ func (l *link) read(r io.Reader, p plane) {
 		switch fr.Kind {
 		case KindAck:
 			l.mu.Lock()
-			i := slices.IndexFunc(l.sends, func(st *sendState) bool { return st.node == fr.Ack.Node })
-			if i >= 0 && l.ackLocked(p, l.sends[i], fr.Ack.Seq) {
-				l.lastProgress, l.stalls = time.Now(), 0
-				l.signal()
-			}
+			ok := l.applyLocked(p, fr.Ack, false)
 			l.mu.Unlock()
+			if !ok {
+				return
+			}
 		case KindFin:
 			l.finOnce.Do(func() { close(l.fin) })
 			return
@@ -318,11 +316,11 @@ func (l *link) read(r io.Reader, p plane) {
 	}
 }
 
-// session drives one connection of plane p: the Hello, answered by a
-// Resume (a Reject goes to reject), then send passes — the plane's due
-// frames, then its Done once — until the connection breaks, the sink
-// releases the agent or the agent stops. It reports whether the sink
-// answered with Resume (backoff reset).
+// session drives one connection of plane p: the Hello, answered by an Ack
+// (a Reject goes to reject, and a v2 sink's Resume stops the agent), then
+// send passes — the plane's due frames, then its Done once — until the
+// connection breaks, the sink releases the agent or the agent stops. It
+// reports whether the sink's Ack was applied (backoff reset).
 //
 // The session reads the sink's frames through one bufio.Reader and writes
 // each send pass into one bufio.Writer, flushed once at the end of the
@@ -336,12 +334,16 @@ func (l *link) read(r io.Reader, p plane) {
 func (l *link) session(p plane, conn net.Conn) bool {
 	w := bufio.NewWriterSize(deadlineWriter{conn, sessionTimeout}, dataBufSize)
 	r := bufio.NewReaderSize(conn, controlBufSize)
-	if writeControl(w, frameHello, l.hello) != nil || w.Flush() != nil {
+	if writeControl(w, KindHello, l.hello) != nil || w.Flush() != nil {
 		return false
 	}
 	conn.SetReadDeadline(time.Now().Add(sessionTimeout))
+	if b, err := r.Peek(5); err == nil && FrameKind(b[4]) == v2Resume {
+		l.fatal(fmt.Errorf("collector: sink speaks session protocol v2; this agent speaks v%d", SessionVersion))
+		return false
+	}
 	fr, err := ReadFrame(r)
-	if err != nil || fr.Kind != KindResume {
+	if err != nil || fr.Kind != KindAck {
 		if err == nil && fr.Kind == KindReject {
 			l.reject(fr.Reject, "refused session")
 		}
@@ -349,7 +351,7 @@ func (l *link) session(p plane, conn net.Conn) bool {
 	}
 	conn.SetReadDeadline(time.Time{})
 	l.mu.Lock()
-	ok := l.resumeLocked(p, fr.Resume)
+	ok := l.applyLocked(p, fr.Ack, true)
 	l.connected, l.lastProgress, l.stalls = ok, time.Now(), 0
 	l.mu.Unlock()
 	if !ok {
@@ -468,7 +470,7 @@ func (l *link) endPass(w *bufio.Writer, done *Done) error {
 		}
 	}
 	if done != nil {
-		if err := writeControl(w, frameDone, done); err != nil {
+		if err := writeControl(w, KindDone, done); err != nil {
 			return err
 		}
 	}

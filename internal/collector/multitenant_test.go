@@ -356,8 +356,8 @@ func TestDrainRejects(t *testing.T) {
 	}
 	defer conn2.Close()
 	spec := tpSpec().Testbeds[0]
-	hello := &Hello{Testbed: spec.Name, Nodes: spec.Nodes()}
-	if err := writeControl(conn2, frameHello, hello); err != nil {
+	hello := &Hello{Session: SessionVersion, Testbed: spec.Name, Nodes: spec.Nodes()}
+	if err := writeControl(conn2, KindHello, hello); err != nil {
 		t.Fatal(err)
 	}
 	conn2.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -458,8 +458,8 @@ func TestShardedPartialsMerge(t *testing.T) {
 }
 
 // rawSession opens a raw protocol session for one tpSpec testbed and returns
-// the connection plus the sink's Resume answer.
-func rawSession(t *testing.T, addr, keyspace string, campaign CampaignID, testbed string) (net.Conn, *Resume) {
+// the connection plus the sink's first Ack, which answers the Hello.
+func rawSession(t *testing.T, addr, keyspace string, campaign CampaignID, testbed string) (net.Conn, *Ack) {
 	t.Helper()
 	var spec *analysis.TestbedSpec
 	full := tpSpec()
@@ -472,9 +472,9 @@ func rawSession(t *testing.T, addr, keyspace string, campaign CampaignID, testbe
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello := &Hello{Campaign: campaign, Keyspace: keyspace, Testbed: testbed,
+	hello := &Hello{Session: SessionVersion, Campaign: campaign, Keyspace: keyspace, Testbed: testbed,
 		Nodes: spec.Nodes()}
-	if err := writeControl(conn, frameHello, hello); err != nil {
+	if err := writeControl(conn, KindHello, hello); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -482,10 +482,10 @@ func rawSession(t *testing.T, addr, keyspace string, campaign CampaignID, testbe
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fr.Kind != KindResume {
-		t.Fatalf("handshake answered with %v (%+v), want resume", fr.Kind, fr.Reject)
+	if fr.Kind != KindAck {
+		t.Fatalf("handshake answered with %v (%+v), want an ack", fr.Kind, fr.Reject)
 	}
-	return conn, fr.Resume
+	return conn, fr.Ack
 }
 
 // sendSeq sends alpha stream node's batch seq on a raw session: one system
@@ -515,6 +515,17 @@ func readAck(t *testing.T, conn net.Conn) *Ack {
 	return fr.Ack
 }
 
+// readCursor reads the next frame of a raw session, which must be an Ack
+// of one cursor, and returns that cursor.
+func readCursor(t *testing.T, conn net.Conn) StreamCursor {
+	t.Helper()
+	ack := readAck(t, conn)
+	if len(ack.Cursors) != 1 {
+		t.Fatalf("ack %+v, want one cursor", ack)
+	}
+	return ack.Cursors[0]
+}
+
 // TestResumeCursors drives raw protocol sessions and pins the resume
 // handshake's cursor semantics per stream: cumulative acknowledgement under
 // interleaving, a stream held back behind a sequence gap, and a duplicate
@@ -531,6 +542,7 @@ func TestResumeCursors(t *testing.T) {
 		seq         uint64
 		sess        int               // session index the send goes on
 		wantAck     uint64            // after a send
+		alsoAck     map[string]uint64 // other cursors the send's ack tells
 		noAck       bool              // the send must not be acknowledged
 		wantCursors map[string]uint64 // after a hello
 	}
@@ -557,8 +569,10 @@ func TestResumeCursors(t *testing.T) {
 			// Filling the gap drains the parked batch: cursor jumps to 3.
 			{node: "a1", seq: 2, sess: 1, wantAck: 3},
 			{hello: true, wantCursors: map[string]uint64{"a1": 3, "a2": 0, "napA": 0}},
-			// The first session's next ack is a2's: the parked frame got none.
-			{node: "a2", seq: 1, sess: 0, wantAck: 1},
+			// The first session's next ack is a2's: the parked frame got
+			// none. It also tells a1's cursor, which the second session
+			// moved past what the first one told.
+			{node: "a2", seq: 1, sess: 0, wantAck: 1, alsoAck: map[string]uint64{"a1": 3}},
 		}},
 		{name: "duplicate hello on a live session", steps: []step{
 			{hello: true, wantCursors: zero},
@@ -587,6 +601,7 @@ func TestResumeCursors(t *testing.T) {
 					c.Close()
 				}
 			}()
+			sent := 0
 			for _, st := range tc.steps {
 				if st.hello {
 					conn, res := rawSession(t, sink.Addr(), "", CampaignID{}, "alpha")
@@ -601,11 +616,32 @@ func TestResumeCursors(t *testing.T) {
 					continue
 				}
 				sendSeq(t, conns[st.sess], st.node, st.seq)
+				sent++
 				if st.noAck {
+					// Nothing answers the frame: wait until the sink has
+					// offered it, so a later step on another session
+					// cannot overtake it.
+					for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+						if applied, duplicates, _ := sink.Stats(); applied+duplicates == sent {
+							break
+						}
+						if time.Now().After(deadline) {
+							t.Fatalf("send %s/%d never reached the sink", st.node, st.seq)
+						}
+					}
 					continue
 				}
-				if ack := readAck(t, conns[st.sess]); ack.Node != st.node || ack.Seq != st.wantAck {
-					t.Fatalf("send %s/%d answered %+v, want ack seq %d", st.node, st.seq, ack, st.wantAck)
+				want := map[string]uint64{st.node: st.wantAck}
+				for node, seq := range st.alsoAck {
+					want[node] = seq
+				}
+				ack := readAck(t, conns[st.sess])
+				got := make(map[string]uint64, len(ack.Cursors))
+				for _, c := range ack.Cursors {
+					got[c.Node] = c.Seq
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("send %s/%d answered %+v, want ack cursors %v", st.node, st.seq, ack, want)
 				}
 			}
 		})
@@ -644,8 +680,9 @@ func TestCheckpointBytesCounted(t *testing.T) {
 
 // TestAckOnlyOnProgress pins the told-cursor rule on a checkpointing sink
 // (PROTOCOL.md §6): a stream's cursor moves only at checkpoints, and a
-// session acknowledges a node only when its cursor differs from the one
-// the session last told — in an Ack or in the Resume.
+// session tells a node's cursor only when it differs from the one the
+// session last told — in an earlier Ack or in the first one, which answers
+// the Hello. Every cursor a checkpoint moved goes out in one Ack.
 func TestAckOnlyOnProgress(t *testing.T) {
 	sink, err := NewSink(SinkConfig{Addr: "127.0.0.1:0", CheckpointEvery: 4,
 		Keyspaces: []KeyspaceConfig{{Spec: tpSpec(), CheckpointPath: filepath.Join(t.TempDir(), "sink.ckpt")}}})
@@ -653,61 +690,69 @@ func TestAckOnlyOnProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sink.Close()
-	// collect reads acks until want's last one arrives: frames on a session
-	// are answered in order, so every ack the earlier frames earned is
-	// read by then.
-	collect := func(conn net.Conn, want []Ack) {
+	// collect reads len(want) acks, each of which must carry want's nodes
+	// and seqs in order: frames on a session are answered in order, so
+	// every ack the earlier frames earned is read by then. told holds the
+	// session's told cursors, which no ack may repeat or move back.
+	collect := func(conn net.Conn, told map[string]uint64, want [][]StreamCursor) {
 		t.Helper()
-		var got []Ack
-		for len(got) < len(want) {
-			got = append(got, *readAck(t, conn))
-		}
-		last := make(map[string]uint64)
-		for _, a := range got {
-			if a.Seq <= last[a.Node] {
-				t.Errorf("ack %s/%d does not advance the node's cursor %d", a.Node, a.Seq, last[a.Node])
+		for i, w := range want {
+			got := readAck(t, conn).Cursors
+			for _, c := range got {
+				if c.Seq <= told[c.Node] {
+					t.Errorf("ack %s/%d does not advance the told cursor %d", c.Node, c.Seq, told[c.Node])
+				}
+				told[c.Node] = c.Seq
 			}
-			last[a.Node] = a.Seq
-		}
-		for i := range want {
-			if got[i].Node != want[i].Node || got[i].Seq != want[i].Seq {
-				t.Fatalf("acks %+v, want %+v", got, want)
+			match := len(got) == len(w)
+			for j := 0; match && j < len(w); j++ {
+				match = got[j].Node == w[j].Node && got[j].Seq == w[j].Seq
+			}
+			if !match {
+				t.Fatalf("ack %d carries %+v, want %+v", i, got, w)
 			}
 		}
 	}
+	cursors := func(ack *Ack) map[string]uint64 {
+		m := make(map[string]uint64)
+		for _, c := range ack.Cursors {
+			m[c.Node] = c.Seq
+		}
+		return m
+	}
 
-	first, _ := rawSession(t, sink.Addr(), "", CampaignID{}, "alpha")
+	first, res := rawSession(t, sink.Addr(), "", CampaignID{}, "alpha")
 	defer first.Close()
+	told := cursors(res)
 	// One stream: a checkpoint every fourth frame, one ack per checkpoint.
 	for seq := uint64(1); seq <= 16; seq++ {
 		sendSeq(t, first, "a1", seq)
 	}
-	collect(first, []Ack{{Node: "a1", Seq: 4}, {Node: "a1", Seq: 8}, {Node: "a1", Seq: 12}, {Node: "a1", Seq: 16}})
+	collect(first, told, [][]StreamCursor{{{Node: "a1", Seq: 4}}, {{Node: "a1", Seq: 8}},
+		{{Node: "a1", Seq: 12}}, {{Node: "a1", Seq: 16}}})
 
-	// Two streams interleaved: each checkpoint moves both cursors; the
-	// frame that triggers it acks its own node at once, the other node's
-	// next frame acks that one. napA's last move has no further a2 frame
-	// behind it, so a2's final cursor 4 stays untold on this session.
+	// Two streams interleaved: each checkpoint moves both cursors, and the
+	// frame that triggers it is answered with one ack carrying both.
 	for seq := uint64(1); seq <= 4; seq++ {
 		sendSeq(t, first, "a2", seq)
 		sendSeq(t, first, "napA", seq)
 	}
-	collect(first, []Ack{{Node: "napA", Seq: 2}, {Node: "a2", Seq: 2}, {Node: "napA", Seq: 4}})
+	collect(first, told, [][]StreamCursor{{{Node: "a2", Seq: 2}, {Node: "napA", Seq: 2}},
+		{{Node: "a2", Seq: 4}, {Node: "napA", Seq: 4}}})
 
-	// A resumed session: the Resume tells a1=16, a2=4, napA=4. Four
+	// A resumed session: its first ack tells a1=16, a2=4, napA=4. Four
 	// retransmitted duplicates trigger a checkpoint that moves nothing, so
-	// no ack repeats the Resume; the next four frames move a1 to 20.
+	// no ack repeats the first one; the next four frames move a1 to 20.
 	second, res := rawSession(t, sink.Addr(), "", CampaignID{}, "alpha")
 	defer second.Close()
-	for _, c := range res.Cursors {
-		if want := map[string]uint64{"a1": 16, "a2": 4, "napA": 4}[c.Node]; c.Seq != want {
-			t.Fatalf("resume cursor %s/%d, want %d", c.Node, c.Seq, want)
-		}
+	told = cursors(res)
+	if want := map[string]uint64{"a1": 16, "a2": 4, "napA": 4}; !reflect.DeepEqual(told, want) {
+		t.Fatalf("resume cursors %v, want %v", told, want)
 	}
 	for seq := uint64(13); seq <= 20; seq++ {
 		sendSeq(t, second, "a1", seq)
 	}
-	collect(second, []Ack{{Node: "a1", Seq: 20}})
+	collect(second, told, [][]StreamCursor{{{Node: "a1", Seq: 20}}})
 }
 
 // TestSessionBoundToAdmittedStream pins that a session feeds only the
@@ -724,8 +769,8 @@ func TestSessionBoundToAdmittedStream(t *testing.T) {
 	conn, _ := rawSession(t, sink.Addr(), "", CampaignID{}, "alpha")
 	defer conn.Close()
 	sendSeq(t, conn, "a1", 1)
-	if a := readAck(t, conn); a.Node != "a1" || a.Seq != 1 {
-		t.Fatalf("ack %+v, want a1/1", a)
+	if c := readCursor(t, conn); c.Node != "a1" || c.Seq != 1 {
+		t.Fatalf("ack %+v, want a1/1", c)
 	}
 
 	wm := sim.Hour
@@ -749,5 +794,86 @@ func TestSessionBoundToAdmittedStream(t *testing.T) {
 		if c.Seq != 0 {
 			t.Errorf("beta resume cursor %s/%d, want 0: the alpha session fed beta", c.Node, c.Seq)
 		}
+	}
+}
+
+// TestDoneMustNameSessionStreams pins PROTOCOL.md §4's Done rule on both
+// planes: a Done's finals name each of the session's nodes exactly once,
+// and a district's one final counts every work item of its range.
+// Completion tests only the nodes the finals name, so a Done short of a
+// node would finalize the keyspace without that node's data. Anything else
+// is answered with a fatal protocol Reject naming the fault, counted as
+// rejected, and never recorded.
+func TestDoneMustNameSessionStreams(t *testing.T) {
+	alpha := tpSpec()
+	alpha.Testbeds = alpha.Testbeds[:1]
+	dc := bareDistrict(3, "")
+	for _, tc := range []struct {
+		name     string
+		district bool
+		final    []StreamCursor
+		want     string
+	}{
+		{name: "subset", final: []StreamCursor{{Node: "a1", Seq: 1}}, want: `"a2"`},
+		{name: "duplicate", final: []StreamCursor{{Node: "a1", Seq: 1}, {Node: "a2"}, {Node: "a1", Seq: 1},
+			{Node: "napA"}}, want: `"a1" twice`},
+		{name: "foreign", final: []StreamCursor{{Node: "a1", Seq: 1}, {Node: "a2"}, {Node: "napA"},
+			{Node: "b1"}}, want: `"b1"`},
+		{name: "district short", district: true, final: []StreamCursor{{Node: "0:3", Seq: 2}}, want: "names 2 work items"},
+		{name: "district long", district: true, final: []StreamCursor{{Node: "0:3", Seq: 4}}, want: "names 4 work items"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := SinkConfig{Addr: "127.0.0.1:0", Keyspaces: []KeyspaceConfig{{Spec: alpha}}}
+			id, stream := nsKey{}, "alpha"
+			if tc.district {
+				cfg = SinkConfig{Addr: "127.0.0.1:0", Districts: []DistrictConfig{dc}}
+				id, stream = nsKey{district: true, key: dc.Key}, "0:3"
+			}
+			sink, err := NewSink(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sink.Close()
+			var conn net.Conn
+			if tc.district {
+				conn, _ = districtSession(t, sink.Addr(), dc)
+				for seq := uint64(1); seq <= 3; seq++ {
+					sendItem(t, conn, dc, seq)
+					readAck(t, conn)
+				}
+			} else {
+				conn, _ = rawSession(t, sink.Addr(), "", CampaignID{}, "alpha")
+				sendSeq(t, conn, "a1", 1)
+				readAck(t, conn)
+			}
+			defer conn.Close()
+			if err := writeControl(conn, KindDone, &Done{Testbed: stream, Final: tc.final}); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			fr, err := ReadFrame(conn)
+			if err != nil {
+				t.Fatalf("Done answered with %v, want a Reject", err)
+			}
+			if fr.Kind != KindReject || fr.Reject.Code != RejectProtocol || fr.Reject.Retryable() ||
+				!strings.Contains(fr.Reject.Reason, tc.want) {
+				t.Fatalf("Done answered %v %+v, want a fatal protocol Reject with %s", fr.Kind, fr.Reject, tc.want)
+			}
+			if _, err := ReadFrame(conn); err == nil {
+				t.Error("the session went on after the Reject")
+			}
+			if _, _, rejected := sink.Stats(); rejected != 1 {
+				t.Errorf("%d frames rejected, want 1", rejected)
+			}
+			sink.mu.Lock()
+			finals := len(sink.tenants[id].finals)
+			sink.mu.Unlock()
+			if finals != 0 {
+				t.Errorf("the refused Done's finals were recorded")
+			}
+			if _, err := sink.wait(id, 50*time.Millisecond); err == nil {
+				t.Error("the keyspace completed on a refused Done")
+			}
+		})
 	}
 }

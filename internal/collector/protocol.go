@@ -89,7 +89,7 @@ func WriteBatch(w io.Writer, b *Batch) error {
 // byte + payload) to frame.
 func appendBatchFrame(frame []byte, b *Batch) ([]byte, error) {
 	start := len(frame)
-	frame = append(frame, 0, 0, 0, 0, frameBatch) // length backfilled below
+	frame = append(frame, 0, 0, 0, 0, byte(KindBatch)) // length backfilled below
 	frame = appendBinaryBatch(frame, b)
 	n := len(frame) - start - 4 // kind byte + payload
 	if n > maxBatchBytes {
@@ -108,7 +108,7 @@ func ReadBatch(r io.Reader) (*Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	if kind != frameBatch {
+	if FrameKind(kind) != KindBatch {
 		return nil, fmt.Errorf("collector: unknown frame kind %d", kind)
 	}
 	return decodeBinaryBatch(blob)

@@ -237,8 +237,8 @@ func (d *district) snapshot() DistrictPartial {
 
 // checkpoint serializes the district's full state to its checkpoint file
 // (guard trailer, previous-good rotation, atomic rename), then advances the
-// durable cursor to what it covers: acknowledgements and Resumes cover
-// exactly what this wrote. Caller holds mu.
+// durable cursor to what it covers: Acks cover exactly what this wrote.
+// Caller holds mu.
 func (d *district) checkpoint(t *tenant) error {
 	finals := make(map[string]uint64, len(t.finals))
 	for k, f := range t.finals {
@@ -283,7 +283,7 @@ func (d *district) admit(hello *Hello) (string, []string, *Reject) {
 // cursor can never fall behind the durable fold (a restore re-requesting
 // folded work) or behind an ack (an agent aborting on the regressed resume
 // cursor). It reports whether the session should continue.
-func (s *Sink) handleScatter(t *tenant, sess *sinkSession, key string, sb *ScatterBatch) bool {
+func (s *Sink) handleScatter(t *tenant, sess *sinkSession, sb *ScatterBatch) bool {
 	d := t.district
 	s.mu.Lock()
 	switch {
@@ -304,7 +304,7 @@ func (s *Sink) handleScatter(t *tenant, sess *sinkSession, key string, sb *Scatt
 		s.mu.Unlock()
 		return true
 	}
-	return s.ackDurable(t, sess, skey{key, key}, t.ackable[skey{key, key}].Seq < d.cursor)
+	return s.ackDurable(t, sess, t.ackable[skey{d.key(), d.key()}].Seq < d.cursor)
 }
 
 // apply folds work item d.cursor+1 — the next piconet's partial, or the
@@ -522,7 +522,7 @@ func NewScatterAgent(cfg ScatterAgentConfig) (*ScatterAgent, error) {
 	if overlay {
 		a.total++
 	}
-	a.hello = &Hello{Campaign: cfg.Campaign, Keyspace: cfg.Keyspace, Testbed: key,
+	a.hello = &Hello{Session: SessionVersion, Campaign: cfg.Campaign, Keyspace: cfg.Keyspace, Testbed: key,
 		Scatter: &ScatterHello{Net: cfg.Net, Lo: cfg.Lo, Hi: cfg.Hi}}
 	a.done = &Done{Testbed: key, Duration: cfg.Campaign.Duration,
 		Final: []StreamCursor{{Node: key, Seq: a.total}}}
@@ -604,5 +604,5 @@ func (a *ScatterAgent) encodeItem(seq uint64) ([]byte, error) {
 		}
 		sb.Overlay = ov
 	}
-	return jsonFrame(frameScatter, &sb)
+	return jsonFrame(KindScatter, &sb)
 }

@@ -26,8 +26,8 @@ import (
 // One session engine serves two payloads. A campaign keyspace folds
 // watermarked record batches into a streaming aggregator; a scatternet
 // district keyspace (scatter.go) folds per-piconet fold partials. The
-// Hello, the shared rejects, the durable cursors with their Resume and
-// Acks, the Done/Fin release, completion, checkpoint bookkeeping, Wait and
+// Hello, the shared rejects, the durable cursors with the Acks that tell
+// them, the Done/Fin release, completion, checkpoint bookkeeping, Wait and
 // the Drain/Close loops are the same code for both.
 //
 // Tenancy and robustness properties:
@@ -55,8 +55,8 @@ import (
 // rename, and acknowledges only checkpoint-covered work. A killed sink
 // restarted on the same checkpoint files resumes exactly where the last
 // checkpoints left off; agents reconnect, learn the durable cursors from the
-// Resume handshake, retransmit the tail, and every campaign completes with
-// tables bit-identical to an uninterrupted run (pinned by
+// Ack that answers their Hello, retransmit the tail, and every campaign
+// completes with tables bit-identical to an uninterrupted run (pinned by
 // TestDistributedResume, the multi-tenant chaos tests and the metro suite).
 type Sink struct {
 	cfg SinkConfig
@@ -98,15 +98,15 @@ type tenant struct {
 	finished  map[string]bool
 	sessions  map[string]*sinkSession // latest session per stream
 	complete  bool
-	// ackable holds every declared stream's durable cursor — what Resume
-	// and Acks may tell. It moves when a checkpoint lands, or at apply
-	// when the keyspace has no checkpoint file. A district's one stream is
-	// its range key, which is also its one node.
+	// ackable holds every declared stream's durable cursor — what Acks may
+	// tell. It moves when a checkpoint lands, or at apply when the keyspace
+	// has no checkpoint file. A district's one stream is its range key,
+	// which is also its one node.
 	ackable map[skey]StreamCursor
 
 	applied     int // work items applied (first delivery)
 	duplicates  int // data frames filtered as retransmitted duplicates
-	rejected    int // data frames refused as protocol errors
+	rejected    int // data and Done frames refused as protocol errors
 	ckptFails   int // checkpoint write failures (disk trouble, not protocol)
 	lastCkptErr error
 	// ckptBytes sums the sizes of the campaign checkpoint files written.
@@ -128,8 +128,8 @@ type tenant struct {
 // KeyspaceConfig declares one campaign keyspace hosted by a Sink.
 type KeyspaceConfig struct {
 	// Key names the keyspace; agents address it with the Hello Keyspace
-	// field. The empty string is the default keyspace pre-keyspace agents
-	// land in.
+	// field. The empty string is the default keyspace agents without a
+	// keyspace land in.
 	Key string
 	// Campaign identifies the keyspace's campaign: sessions from agents of
 	// a different campaign are refused, and a checkpoint file recorded
@@ -208,46 +208,42 @@ const (
 type skey struct{ testbed, node string }
 
 // sinkSession is the sink's end of one agent connection. Its writes go
-// through one buffer under wmu: Acks queue there, and Resume, Reject and Fin
-// flush the buffer at once, Acks first. Fin and the draining Reject can be
-// written from another session's goroutine. The session also reads its
+// through one buffer under wmu: Acks queue there, and Reject and Fin flush
+// the buffer at once, Acks first. Fin and the draining Reject can be
+// written from another session's goroutine. The session reads its
 // connection through Read, which flushes the queued Acks before every
 // underlying read, so an Ack waits at most until the frames already read
 // are handled.
 type sinkSession struct {
-	conn net.Conn
-	wmu  sync.Mutex
-	w    *bufio.Writer // nil once the session ended; guarded by wmu
-	// told is the last cursor the session told the agent per node: the
-	// Resume's, then each queued Ack's. Only the session's own goroutine
-	// reads or writes it.
+	conn   net.Conn
+	wmu    sync.Mutex
+	w      *bufio.Writer // nil once the session ended; guarded by wmu
+	stream string        // the stream the Hello was admitted for
+	nodes  []string      // its nodes
+	// told is the last cursor the session told the agent per node. Only
+	// the session's own goroutine reads or writes it.
 	told map[string]StreamCursor
 }
 
 // newSinkSession wraps conn with the session's write buffer.
 func newSinkSession(conn net.Conn) *sinkSession {
-	return &sinkSession{conn: conn,
+	return &sinkSession{conn: conn, told: make(map[string]StreamCursor),
 		w: bufio.NewWriterSize(deadlineWriter{conn, sinkWriteTimeout}, controlBufSize)}
 }
 
-// write buffers one control frame behind the queued ones and, with flush,
-// puts the buffer on the wire. A failed write or flush ends the session.
-func (s *sinkSession) write(kind byte, payload any, flush bool) error {
+// send buffers one control frame behind the queued ones. An Ack stays
+// queued until the session next reads; any other frame puts the buffer on
+// the wire at once. A failed write or flush ends the session.
+func (s *sinkSession) send(kind FrameKind, payload any) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	if s.w == nil {
 		return net.ErrClosed
 	}
-	if err := writeControl(s.w, kind, payload); err != nil || !flush {
+	if err := writeControl(s.w, kind, payload); err != nil || kind == KindAck {
 		return err
 	}
 	return s.w.Flush()
-}
-
-// send writes one control frame to the session's connection now, after
-// any queued Acks.
-func (s *sinkSession) send(kind byte, payload any) error {
-	return s.write(kind, payload, true)
 }
 
 // Read reads the agent's bytes from the connection. It first flushes the
@@ -272,21 +268,28 @@ func (s *sinkSession) end() {
 	s.wmu.Unlock()
 }
 
-// ack queues an Ack of a stream's durable cursor when it differs from the
-// last one the session told the agent. A repeat would carry nothing: the
-// agent already holds that cursor, and an Ack that does not advance it is
-// not stall progress. A checkpointing sink's cursors move only at
-// checkpoints, so most record frames get no Ack, and a retransmitted work
-// item none (PROTOCOL.md §6). The cursor counts as told once the Ack is
-// queued.
-func (s *sinkSession) ack(cur StreamCursor) error {
-	if s.told[cur.Node] == cur {
+// tell queues one Ack of every cursor of the session's stream that differs
+// from the last one the session told, and nothing when none does (the
+// told-cursor rule, PROTOCOL.md §6). The first tell, from nothing told,
+// carries every cursor and answers the Hello. A cursor counts as told once
+// its Ack is queued. Caller holds mu; tell releases it.
+func (s *Sink) tell(t *tenant, sess *sinkSession) error {
+	var cursors []StreamCursor
+	for _, node := range sess.nodes {
+		if c := t.ackable[skey{sess.stream, node}]; sess.told[node] != c {
+			cursors = append(cursors, c)
+		}
+	}
+	s.mu.Unlock()
+	if len(cursors) == 0 {
 		return nil
 	}
-	if err := s.write(frameAck, Ack(cur), false); err != nil {
+	if err := sess.send(KindAck, &Ack{Cursors: cursors}); err != nil {
 		return err
 	}
-	s.told[cur.Node] = cur
+	for _, c := range cursors {
+		sess.told[c.Node] = c
+	}
 	return nil
 }
 
@@ -564,7 +567,7 @@ func (s *Sink) acceptLoop() {
 }
 
 // serve drives one agent session of either plane: the Hello, the shared
-// typed rejects, the plane's own admission checks, the Resume, then data
+// typed rejects, the plane's own admission checks, the first Ack, then data
 // and Done frames until the connection ends. Every frame is read through
 // one bufio.Reader over the session, so one read(2) fills many frames.
 func (s *Sink) serve(conn net.Conn) {
@@ -579,14 +582,13 @@ func (s *Sink) serve(conn net.Conn) {
 	conn.SetReadDeadline(time.Time{})
 	hello := fr.Hello
 	id := nsKey{district: hello.Scatter != nil, key: hello.Keyspace}
-	var (
-		stream string
-		nodes  []string
-		rej    *Reject
-	)
+	var rej *Reject
 	s.mu.Lock()
 	t := s.tenants[id]
 	switch {
+	case hello.Session != SessionVersion:
+		rej = &Reject{Code: RejectProtocol, Reason: fmt.Sprintf("agent speaks session protocol %d, "+
+			"this sink %d (a v1 or v2 agent's Hello names no version)", hello.Session, SessionVersion)}
 	case s.draining:
 		rej = &Reject{Code: RejectDraining, Reason: "sink is draining; retry against its replacement"}
 	case t == nil:
@@ -598,28 +600,18 @@ func (s *Sink) serve(conn net.Conn) {
 			hello.Campaign.Seed, hello.Campaign.Duration, hello.Campaign.Scenario, t.kind(),
 			hello.Keyspace, t.cfg.Campaign.Seed, t.cfg.Campaign.Duration, t.cfg.Campaign.Scenario)}
 	case t.district != nil:
-		stream, nodes, rej = t.district.admit(hello)
+		sess.stream, sess.nodes, rej = t.district.admit(hello)
 	default:
-		stream, nodes, rej = t.admitRecords(hello)
+		sess.stream, sess.nodes, rej = t.admitRecords(hello)
 	}
-	res := &Resume{}
 	if rej != nil {
 		s.hellosRejected++
-	} else {
-		sess.told = make(map[string]StreamCursor, len(nodes))
-		for _, node := range nodes {
-			c := t.ackable[skey{stream, node}]
-			res.Cursors = append(res.Cursors, c)
-			sess.told[node] = c // the Resume tells the agent these cursors
-		}
-		t.sessions[stream] = sess
-	}
-	s.mu.Unlock()
-	if rej != nil {
-		sess.send(frameReject, rej)
+		s.mu.Unlock()
+		sess.send(KindReject, rej)
 		return
 	}
-	if sess.send(frameResume, res) != nil {
+	t.sessions[sess.stream] = sess
+	if s.tell(t, sess) != nil {
 		return
 	}
 
@@ -630,13 +622,15 @@ func (s *Sink) serve(conn net.Conn) {
 		}
 		switch {
 		case fr.Kind == KindDone:
-			s.handleDone(t, stream, fr.Done)
+			if !s.handleDone(t, sess, fr.Done) {
+				return
+			}
 		case fr.Kind == KindBatch && t.district == nil:
-			if !s.handleBatch(t, sess, stream, fr.Batch, fr.WireBytes) {
+			if !s.handleBatch(t, sess, fr.Batch, fr.WireBytes) {
 				return
 			}
 		case fr.Kind == KindScatter && t.district != nil:
-			if !s.handleScatter(t, sess, stream, fr.Scatter) {
+			if !s.handleScatter(t, sess, fr.Scatter) {
 				return
 			}
 		default:
@@ -668,10 +662,10 @@ func (t *tenant) admitRecords(hello *Hello) (string, []string, *Reject) {
 // but the one the session's Hello was admitted for is a protocol
 // violation: it is counted as rejected, earns no Ack, and ends the session
 // (PROTOCOL.md §4).
-func (s *Sink) handleBatch(t *tenant, sess *sinkSession, stream string, b *Batch, wireBytes int) bool {
+func (s *Sink) handleBatch(t *tenant, sess *sinkSession, b *Batch, wireBytes int) bool {
 	key := skey{b.Testbed, b.Node}
 	s.mu.Lock()
-	if b.Testbed != stream {
+	if b.Testbed != sess.stream {
 		t.rejected++
 		s.mu.Unlock()
 		return false
@@ -693,7 +687,7 @@ func (s *Sink) handleBatch(t *tenant, sess *sinkSession, stream string, b *Batch
 		}
 		bytes, batches := t.ingestBytes, t.ingestBatches
 		s.mu.Unlock()
-		sess.send(frameReject, &Reject{Code: RejectOverQuota, Reason: fmt.Sprintf(
+		sess.send(KindReject, &Reject{Code: RejectOverQuota, Reason: fmt.Sprintf(
 			"keyspace %q over ingest quota (%d bytes, %d batches received)",
 			t.cfg.Key, bytes, batches)})
 		return false
@@ -701,7 +695,7 @@ func (s *Sink) handleBatch(t *tenant, sess *sinkSession, stream string, b *Batch
 	if t.finished[b.Testbed] || t.complete {
 		// Late retransmission after completion: everything is durable
 		// already, just re-acknowledge if this session has not told it.
-		return s.ackDurable(t, sess, key, false)
+		return s.ackDurable(t, sess, false)
 	}
 	s.mu.Unlock()
 
@@ -729,26 +723,23 @@ func (s *Sink) handleBatch(t *tenant, sess *sinkSession, stream string, b *Batch
 	// retransmission filling the last gaps — checkpoint eagerly so the final
 	// acknowledgements (and Fin) go out without waiting for the cadence to
 	// come around.
-	return s.ackDurable(t, sess, key, t.cfg.CheckpointPath != "" &&
+	return s.ackDurable(t, sess, t.cfg.CheckpointPath != "" &&
 		(t.sinceCP >= s.cfg.CheckpointEvery || t.donePending()))
 }
 
 // ackDurable finishes a data frame of either plane: a checkpoint when
-// asked, then an Ack of the stream's durable cursor under the told-cursor
-// rule, then the completion check. A failed checkpoint is disk trouble,
-// not a peer error: the session drops without an Ack, so the agent keeps
-// the unacknowledged work and its retransmission retries the checkpoint.
-// Caller holds mu; ackDurable releases it. It reports whether the session
-// should continue.
-func (s *Sink) ackDurable(t *tenant, sess *sinkSession, key skey, checkpoint bool) bool {
+// asked, then the tell of the session's durable cursors, then the
+// completion check. A failed checkpoint is disk trouble, not a peer error:
+// the session drops without an Ack, so the agent keeps the unacknowledged
+// work and its retransmission retries the checkpoint. Caller holds mu;
+// ackDurable releases it. It reports whether the session should continue.
+func (s *Sink) ackDurable(t *tenant, sess *sinkSession, checkpoint bool) bool {
 	if checkpoint && s.checkpointLocked(t) != nil {
 		s.mu.Unlock()
 		return false
 	}
-	cur := t.ackable[key]
-	s.mu.Unlock()
+	ok := s.tell(t, sess) == nil
 	s.backpressure()
-	ok := sess.ack(cur) == nil
 	s.checkCompletion(t)
 	return ok
 }
@@ -793,30 +784,59 @@ func (s *Sink) PendingRecords() int {
 // handleDone records a stream's completion claim — final cursors, counters,
 // duration — made durable first when checkpointing, then re-checks
 // completion. A Done re-sent after a reconnect is answered with Fin again.
-func (s *Sink) handleDone(t *tenant, stream string, d *Done) {
+// A Done doneReject refuses is counted as rejected, answered with its
+// Reject and never recorded. It reports whether the session should go on.
+func (s *Sink) handleDone(t *tenant, sess *sinkSession, d *Done) bool {
 	s.mu.Lock()
-	if t.finished[stream] {
-		sess := t.sessions[stream]
+	if rej := t.doneReject(sess, d); rej != nil {
+		t.rejected++
 		s.mu.Unlock()
-		if sess != nil {
-			sess.send(frameFin, &Fin{})
-		}
-		return
+		sess.send(KindReject, rej)
+		return false
 	}
-	if t.district != nil && (len(d.Final) != 1 || d.Final[0].Node != stream || d.Final[0].Seq != t.district.items()) {
-		// A district's Done names exactly its range's work-item count.
+	if t.finished[sess.stream] {
 		s.mu.Unlock()
-		return
+		sess.send(KindFin, &Fin{})
+		return true
 	}
-	t.finals[stream] = d.Final
-	t.counters[stream] = d.Counters
-	t.durations[stream] = d.Duration
+	t.finals[sess.stream] = d.Final
+	t.counters[sess.stream] = d.Counters
+	t.durations[sess.stream] = d.Duration
 	if t.cfg.CheckpointPath != "" && s.checkpointLocked(t) != nil {
 		s.mu.Unlock()
-		return
+		return true
 	}
 	s.mu.Unlock()
 	s.checkCompletion(t)
+	return true
+}
+
+// doneReject returns the fatal Reject naming what is wrong with a Done, or
+// nil (PROTOCOL.md §4): the finals must name each of the session's nodes
+// once, since completion tests only the nodes they name, and a district's
+// must count its range's work items. Caller holds mu.
+func (t *tenant) doneReject(sess *sinkSession, d *Done) *Reject {
+	fault := ""
+	for _, node := range sess.nodes {
+		if fault == "" && !slices.ContainsFunc(d.Final, func(c StreamCursor) bool { return c.Node == node }) {
+			fault = fmt.Sprintf("does not name node %q", node)
+		}
+	}
+	for _, c := range d.Final {
+		if !slices.Contains(sess.nodes, c.Node) {
+			fault = fmt.Sprintf("names node %q, which the session does not ship", c.Node)
+		}
+	}
+	if i := repeated(d.Final); i >= 0 {
+		fault = fmt.Sprintf("names node %q twice", d.Final[i].Node)
+	}
+	if fault == "" && t.district != nil && d.Final[0].Seq != t.district.items() {
+		fault = fmt.Sprintf("names %d work items, the range holds %d", d.Final[0].Seq, t.district.items())
+	}
+	if fault == "" {
+		return nil
+	}
+	return &Reject{Code: RejectProtocol, Reason: fmt.Sprintf("done for %s %s", sess.stream, fault)}
 }
 
 // checkpointLocked writes the keyspace's checkpoint file — the record
@@ -944,7 +964,7 @@ func (s *Sink) checkCompletion(t *tenant) {
 	}
 	s.mu.Unlock()
 	for _, sess := range fins {
-		sess.send(frameFin, &Fin{})
+		sess.send(KindFin, &Fin{})
 	}
 	if complete {
 		close(t.done)
@@ -1062,7 +1082,7 @@ func (s *Sink) Drain() error {
 	}
 	s.mu.Unlock()
 	for _, sess := range sessions {
-		sess.send(frameReject, &Reject{Code: RejectDraining,
+		sess.send(KindReject, &Reject{Code: RejectDraining,
 			Reason: "sink is draining; retry against its replacement"})
 	}
 	return firstErr

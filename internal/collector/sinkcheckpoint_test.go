@@ -637,7 +637,7 @@ func ingestFrames(n int) []byte {
 // ends when the sink has applied every frame, so ns/frame covers the
 // frame read and decode, the apply and fold, the checkpoints and the Acks;
 // allocs/op counts one frame's allocations on both ends. acks/frame is the
-// share of frames that drew an Ack.
+// number of Ack frames per data frame, the handshake's not counted.
 func BenchmarkSinkIngest(b *testing.B) {
 	spec := tpSpec()
 	spec.Testbeds = spec.Testbeds[:1]
@@ -651,11 +651,11 @@ func BenchmarkSinkIngest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	hello := &Hello{Testbed: "alpha", Nodes: spec.Testbeds[0].Nodes()}
-	if err := writeControl(conn, frameHello, hello); err != nil {
+	hello := &Hello{Session: SessionVersion, Testbed: "alpha", Nodes: spec.Testbeds[0].Nodes()}
+	if err := writeControl(conn, KindHello, hello); err != nil {
 		b.Fatal(err)
 	}
-	if fr, err := ReadFrame(conn); err != nil || fr.Kind != KindResume {
+	if fr, err := ReadFrame(conn); err != nil || fr.Kind != KindAck {
 		b.Fatalf("handshake: %v %v", fr, err)
 	}
 	var acks atomic.Int64

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"time"
 
 	"repro/internal/sim"
@@ -14,45 +15,37 @@ import (
 )
 
 // The distributed collection plane's wire protocol, specified normatively in
-// PROTOCOL.md. Every frame is a 4-byte big-endian length prefix covering a
-// kind byte plus payload. Kind 0 carries a record batch in the binary
-// encoding and kind 8 a district partial (§12); the others are control
-// frames that carry the session protocol: an agent opens with Hello, the
-// sink answers with Resume (the per-stream acknowledged cursors the agent
-// must resume from), data batches flow as kind-0 frames, the sink
-// acknowledges durable progress with Ack, the agent announces shard
-// completion with Done (final cursors + workload counters), and the sink
-// releases it with Fin once everything is durable.
+// PROTOCOL.md: every frame is a 4-byte big-endian length prefix covering a
+// kind byte plus payload. An agent opens a session with Hello; the sink's
+// Acks tell it durable cursors, the first answering the Hello with every
+// one (where the agent resumes) and each later one those that moved. Data
+// flows as kind-0 record batches or kind-8 district partials (§12); Done
+// declares the shard finished, and Fin releases it once all is durable.
 
-// Frame kinds. Kind 1 is unassigned and rejected like any unknown kind.
-// Control payloads are JSON: they are rare (one Hello/Resume/Done/Fin per
-// session, one small Ack per applied batch), and a debuggable handshake
-// beats saving bytes there — the hot path, record batches, stays binary.
+// FrameKind is a frame's kind byte. Kinds 1 and 3 are unassigned and
+// rejected like any unknown kind. Control payloads are JSON: they are rare
+// (one Hello/Done/Fin per session, and an Ack only when a checkpoint moves
+// a cursor), and a debuggable handshake beats saving bytes there — the hot
+// path, record batches, stays binary.
+type FrameKind byte
+
+// Frame kinds.
 const (
-	frameBatch   byte = 0
-	frameHello   byte = 2
-	frameResume  byte = 3
-	frameAck     byte = 4
-	frameDone    byte = 5
-	frameFin     byte = 6
-	frameReject  byte = 7
-	frameScatter byte = 8
+	KindBatch   FrameKind = 0
+	KindHello   FrameKind = 2
+	KindAck     FrameKind = 4
+	KindDone    FrameKind = 5
+	KindFin     FrameKind = 6
+	KindReject  FrameKind = 7
+	KindScatter FrameKind = 8
+	// v2Resume is session protocol v2's answer to a Hello, retired in v3:
+	// an agent that gets it stops (PROTOCOL.md §4).
+	v2Resume FrameKind = 3
 )
 
-// FrameKind classifies a decoded frame.
-type FrameKind int
-
-// Decoded frame kinds.
-const (
-	KindBatch FrameKind = iota
-	KindHello
-	KindResume
-	KindAck
-	KindDone
-	KindFin
-	KindReject
-	KindScatter
-)
+// SessionVersion is the session protocol this package speaks (PROTOCOL.md
+// §4); a sink refuses a Hello of any other version.
+const SessionVersion = 3
 
 // CampaignID identifies the campaign every process of a deployment must
 // agree on. Node lists are identical across campaigns, so without this the
@@ -69,17 +62,16 @@ type CampaignID struct {
 // and the streams the agent will ship (all of which must match the sink's
 // declared campaign and spec exactly). Keyspace addresses one campaign of a
 // multi-tenant sink; the empty string is the sink's default keyspace, which
-// keeps single-campaign deployments (and pre-keyspace agents) working
-// unchanged.
+// keeps single-campaign deployments working unchanged.
 type Hello struct {
+	Session  int        `json:"session"` // SessionVersion; v1 and v2 agents send none
 	Campaign CampaignID `json:"campaign"`
 	Keyspace string     `json:"keyspace,omitempty"`
 	Testbed  string     `json:"testbed"`
 	Nodes    []string   `json:"nodes"`
 	// Scatter marks the session as a scatternet district shard (protocol
 	// §12): the agent ships piconet fold partials (kind 8) instead of record
-	// batches. Absent on flat-campaign sessions, so v2 sessions interoperate
-	// unchanged.
+	// batches. Absent on flat-campaign sessions.
 	Scatter *ScatterHello `json:"scatternet,omitempty"`
 }
 
@@ -103,6 +95,9 @@ const (
 	// RejectDraining: the sink is shutting down gracefully and refuses new
 	// work — retryable against its replacement.
 	RejectDraining = "draining"
+	// RejectProtocol: the agent speaks another session protocol version,
+	// or sent a Done that does not name its session's streams. Fatal.
+	RejectProtocol = "protocol"
 )
 
 // Reject answers a Hello (or interrupts a session) the sink cannot serve.
@@ -141,22 +136,37 @@ type StreamCursor struct {
 	Watermark sim.Time `json:"watermark"`
 }
 
-// Resume answers a Hello with every declared stream's acknowledged cursor;
-// the agent retransmits everything after these positions and discards its
-// buffered copies up to them.
-type Resume struct {
+// Ack tells the agent durable cursors, each covering its stream's batches up
+// to and including Seq, so the agent may drop its copies of them. The first
+// Ack of a session answers the Hello with every declared stream's cursor
+// (the agent resends what follows them); each later one carries the
+// cursors that moved since. A checkpointing sink tells only
+// checkpoint-covered cursors, so a crash can demand the rest again.
+type Ack struct {
 	Cursors []StreamCursor `json:"cursors"`
 }
 
-// Ack acknowledges one stream's durable progress. Acks are cumulative: Seq
-// covers every batch up to and including it, and the agent may drop its
-// buffered copies. A checkpointing sink acknowledges only checkpoint-covered
-// batches — applied-but-not-yet-checkpointed work stays unacknowledged so a
-// crash can demand its retransmission.
-type Ack struct {
-	Node      string   `json:"node"`
-	Seq       uint64   `json:"seq"`
-	Watermark sim.Time `json:"watermark"`
+// check refuses an Ack that names no cursor — what a session protocol v2
+// Ack, one cursor outside any list, decodes to — or names a node twice.
+func (a *Ack) check() error {
+	if len(a.Cursors) == 0 {
+		return fmt.Errorf("collector: ack names no cursor")
+	}
+	if i := repeated(a.Cursors); i >= 0 {
+		return fmt.Errorf("collector: ack names node %q twice", a.Cursors[i].Node)
+	}
+	return nil
+}
+
+// repeated returns the index of the first cursor whose node an earlier one
+// names, or -1.
+func repeated(cursors []StreamCursor) int {
+	for i, c := range cursors {
+		if slices.ContainsFunc(cursors[:i], func(o StreamCursor) bool { return o.Node == c.Node }) {
+			return i
+		}
+	}
+	return -1
 }
 
 // Done announces that the agent's shard finished its campaign: no new data
@@ -182,7 +192,6 @@ type Frame struct {
 	WireBytes int
 	Batch     *Batch
 	Hello     *Hello
-	Resume    *Resume
 	Ack       *Ack
 	Done      *Done
 	Reject    *Reject
@@ -191,7 +200,7 @@ type Frame struct {
 
 // jsonFrame renders one complete frame whose payload is JSON: every
 // control frame, and the kind-8 district partial.
-func jsonFrame(kind byte, payload any) ([]byte, error) {
+func jsonFrame(kind FrameKind, payload any) ([]byte, error) {
 	blob, err := json.Marshal(payload)
 	if err != nil {
 		return nil, fmt.Errorf("collector: marshal frame kind %d: %w", kind, err)
@@ -200,11 +209,11 @@ func jsonFrame(kind byte, payload any) ([]byte, error) {
 		return nil, fmt.Errorf("collector: frame kind %d of %d bytes exceeds limit", kind, 1+len(blob))
 	}
 	frame := binary.BigEndian.AppendUint32(make([]byte, 0, 5+len(blob)), uint32(1+len(blob)))
-	return append(append(frame, kind), blob...), nil
+	return append(append(frame, byte(kind)), blob...), nil
 }
 
 // writeControl frames and writes one control payload (kind byte + JSON).
-func writeControl(w io.Writer, kind byte, payload any) error {
+func writeControl(w io.Writer, kind FrameKind, payload any) error {
 	frame, err := jsonFrame(kind, payload)
 	if err != nil {
 		return err
@@ -260,45 +269,40 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 
 // decodeFrame decodes one frame body by kind byte.
 func decodeFrame(kind byte, blob []byte) (*Frame, error) {
-	switch kind {
-	case frameBatch:
-		b, err := decodeBinaryBatch(blob)
-		if err != nil {
-			return nil, err
+	fr := &Frame{Kind: FrameKind(kind)}
+	var err error
+	switch fr.Kind {
+	case KindBatch:
+		fr.Batch, err = decodeBinaryBatch(blob)
+	case KindHello:
+		err = decodeJSON(&fr.Hello, blob, "hello")
+	case KindAck:
+		if err = decodeJSON(&fr.Ack, blob, "ack"); err == nil {
+			err = fr.Ack.check()
 		}
-		return &Frame{Kind: KindBatch, Batch: b}, nil
-	case frameHello:
-		fr := &Frame{Kind: KindHello}
-		return decodeJSON(fr, &fr.Hello, blob, "hello")
-	case frameResume:
-		fr := &Frame{Kind: KindResume}
-		return decodeJSON(fr, &fr.Resume, blob, "resume")
-	case frameAck:
-		fr := &Frame{Kind: KindAck}
-		return decodeJSON(fr, &fr.Ack, blob, "ack")
-	case frameDone:
-		fr := &Frame{Kind: KindDone}
-		return decodeJSON(fr, &fr.Done, blob, "done")
-	case frameFin:
-		return &Frame{Kind: KindFin}, nil
-	case frameReject:
-		fr := &Frame{Kind: KindReject}
-		return decodeJSON(fr, &fr.Reject, blob, "reject")
-	case frameScatter:
-		fr := &Frame{Kind: KindScatter}
-		return decodeJSON(fr, &fr.Scatter, blob, "scatternet partial")
+	case KindDone:
+		err = decodeJSON(&fr.Done, blob, "done")
+	case KindFin:
+	case KindReject:
+		err = decodeJSON(&fr.Reject, blob, "reject")
+	case KindScatter:
+		err = decodeJSON(&fr.Scatter, blob, "scatternet partial")
 	default:
-		return nil, fmt.Errorf("collector: unknown frame kind %d", kind)
+		err = fmt.Errorf("collector: unknown frame kind %d", kind)
 	}
-}
-
-// decodeJSON decodes a JSON frame payload into a fresh *field of fr.
-func decodeJSON[T any](fr *Frame, field **T, blob []byte, what string) (*Frame, error) {
-	*field = new(T)
-	if err := json.Unmarshal(blob, *field); err != nil {
-		return nil, fmt.Errorf("collector: decode %s: %w", what, err)
+	if err != nil {
+		return nil, err
 	}
 	return fr, nil
+}
+
+// decodeJSON decodes a JSON frame payload into a fresh *field.
+func decodeJSON[T any](field **T, blob []byte, what string) error {
+	*field = new(T)
+	if err := json.Unmarshal(blob, *field); err != nil {
+		return fmt.Errorf("collector: decode %s: %w", what, err)
+	}
+	return nil
 }
 
 // encodeBatchFrame renders a complete data frame (length prefix + kind

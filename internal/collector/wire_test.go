@@ -20,9 +20,9 @@ import (
 // The framing suite pins how the session buffers meet the wire, one
 // connection end at a time over net.Pipe: a pipe Write blocks until the
 // peer has read all of it, so every underlying write the end under test
-// makes is counted exactly. The sink answers a read that filled many data
-// frames with one write of their Acks and flushes Resume, Reject and Fin
-// at once; the agent puts a send pass on the wire in one write, flushing
+// makes is counted exactly. The sink answers the Hello, and a read that
+// filled many data frames, with one write of their Acks and flushes Reject
+// and Fin at once; the agent puts a send pass on the wire in one write, flushing
 // early only before a fault-injected delay; every underlying write runs
 // under a fresh deadline; and ReadFrame decodes the same frames through
 // any read pattern.
@@ -132,7 +132,7 @@ func pipeSink(t *testing.T) (*Sink, net.Conn, *countConn) {
 func alphaHello(t *testing.T, conn net.Conn) {
 	t.Helper()
 	spec := tpSpec().Testbeds[0]
-	if err := writeControl(conn, frameHello, &Hello{Campaign: wireCampaign,
+	if err := writeControl(conn, KindHello, &Hello{Session: SessionVersion, Campaign: wireCampaign,
 		Testbed: spec.Name, Nodes: spec.Nodes()}); err != nil {
 		t.Fatal(err)
 	}
@@ -154,26 +154,27 @@ func alphaFrames(t *testing.T, k int) []byte {
 }
 
 // TestWireSinkAcksPerRead: K data frames that arrive in one read earn
-// their K Acks in one sink write, in order, and the Resume before them
-// went out at once without further input.
+// their K Acks in one sink write, in order, and the Ack that answered the
+// Hello before them went out at once without further input.
 func TestWireSinkAcksPerRead(t *testing.T) {
 	const k = 8
 	_, agent, sc := pipeSink(t)
 	alphaHello(t, agent)
-	if fr := readN(t, agent, 1)[0]; fr.Kind != KindResume {
-		t.Fatalf("handshake answered %v, want Resume", fr.Kind)
+	if fr := readN(t, agent, 1)[0]; fr.Kind != KindAck || len(fr.Ack.Cursors) != 3 {
+		t.Fatalf("handshake answered %v %+v, want an Ack of alpha's three cursors", fr.Kind, fr.Ack)
 	}
 	if _, err := agent.Write(alphaFrames(t, k)); err != nil {
 		t.Fatal(err)
 	}
 	for i, fr := range readN(t, agent, k) {
-		if fr.Kind != KindAck || fr.Ack.Node != "a1" || fr.Ack.Seq != uint64(i+1) {
+		want := []StreamCursor{{Node: "a1", Seq: uint64(i + 1), Watermark: sim.Time(i+1) * sim.Hour}}
+		if fr.Kind != KindAck || !reflect.DeepEqual(fr.Ack.Cursors, want) {
 			t.Fatalf("frame %d: %v %+v, want Ack a1 seq %d", i, fr.Kind, fr.Ack, i+1)
 		}
 	}
 	writes, stale := sc.snapshot()
 	if len(writes) != 2 {
-		t.Fatalf("sink made %d writes for a Resume and %d Acks, want 2", len(writes), k)
+		t.Fatalf("sink made %d writes for the handshake and %d Acks, want 2", len(writes), k)
 	}
 	if n := len(writeFrames(t, writes[1])); n != k {
 		t.Fatalf("the Ack write carried %d frames, want %d", n, k)
@@ -190,8 +191,8 @@ func TestWireSinkFinFlushesAcks(t *testing.T) {
 	_, agent, sc := pipeSink(t)
 	alphaHello(t, agent)
 	readN(t, agent, 1)
-	done, err := jsonFrame(frameDone, &Done{Testbed: "alpha", Duration: wireCampaign.Duration,
-		Final: []StreamCursor{{Node: "a1", Seq: k}}})
+	done, err := jsonFrame(KindDone, &Done{Testbed: "alpha", Duration: wireCampaign.Duration,
+		Final: []StreamCursor{{Node: "a1", Seq: k}, {Node: "a2"}, {Node: "napA"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestWireSinkFinFlushesAcks(t *testing.T) {
 	}
 	writes, _ := sc.snapshot()
 	if len(writes) != 2 || len(writeFrames(t, writes[1])) != k+1 {
-		t.Fatalf("sink wrote %d times, want the Resume then the Acks with the Fin in one write", len(writes))
+		t.Fatalf("sink wrote %d times, want the handshake then the Acks with the Fin in one write", len(writes))
 	}
 }
 
@@ -213,7 +214,7 @@ func TestWireSinkFinFlushesAcks(t *testing.T) {
 // Reject without sending anything more.
 func TestWireSinkRejectAtOnce(t *testing.T) {
 	_, agent, _ := pipeSink(t)
-	if err := writeControl(agent, frameHello, &Hello{Campaign: wireCampaign, Keyspace: "nosuch",
+	if err := writeControl(agent, KindHello, &Hello{Session: SessionVersion, Campaign: wireCampaign, Keyspace: "nosuch",
 		Testbed: "alpha", Nodes: tpSpec().Testbeds[0].Nodes()}); err != nil {
 		t.Fatal(err)
 	}
@@ -238,19 +239,18 @@ func TestWireSinkFinFromAnotherGoroutine(t *testing.T) {
 	defer agent.Close()
 	sc := &countConn{Conn: end}
 	sess := newSinkSession(sc)
-	sess.told = map[string]StreamCursor{}
 	for seq := uint64(1); seq <= 3; seq++ {
-		if err := sess.ack(StreamCursor{Node: "a1", Seq: seq}); err != nil {
+		if err := sess.send(KindAck, &Ack{Cursors: []StreamCursor{{Node: "a1", Seq: seq}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if writes, _ := sc.snapshot(); len(writes) != 0 {
 		t.Fatalf("queued Acks made %d writes before any flush", len(writes))
 	}
-	go sess.send(frameFin, &Fin{})
+	go sess.send(KindFin, &Fin{})
 	got := readN(t, agent, 4)
 	for i, fr := range got[:3] {
-		if fr.Kind != KindAck || fr.Ack.Seq != uint64(i+1) {
+		if fr.Kind != KindAck || fr.Ack.Cursors[0].Seq != uint64(i+1) {
 			t.Fatalf("frame %d: %v %+v, want Ack seq %d", i, fr.Kind, fr.Ack, i+1)
 		}
 	}
@@ -262,7 +262,7 @@ func TestWireSinkFinFromAnotherGoroutine(t *testing.T) {
 		t.Fatalf("%d writes (%d stale), want one under a fresh deadline", len(writes), stale)
 	}
 	sess.end()
-	if err := sess.send(frameFin, &Fin{}); err == nil {
+	if err := sess.send(KindFin, &Fin{}); err == nil {
 		t.Fatal("send on an ended session succeeded")
 	}
 }
@@ -305,24 +305,46 @@ func nodeBatch(t *testing.T, seq uint64, size int) []byte {
 	return f
 }
 
+// pipeAgent starts one link session of p over net.Pipe with fault config
+// fault and reads its Hello. It returns the link, the sink's end, the
+// agent's counted end, and the channel the session's result arrives on.
+func pipeAgent(t *testing.T, p plane, fault FaultConfig) (*link, net.Conn, *countConn, chan bool) {
+	t.Helper()
+	sinkEnd, end := net.Pipe()
+	t.Cleanup(func() { sinkEnd.Close() })
+	ac := &countConn{Conn: end}
+	l := &link{hello: &Hello{Session: SessionVersion, Testbed: "tb", Nodes: []string{"n"}},
+		sends: []*sendState{{node: "n"}}}
+	l.init("", retryPolicy{}, time.Minute, fault)
+	ended := make(chan bool, 1)
+	go func() { ended <- l.session(p, ac) }()
+	if fr := readN(t, sinkEnd, 1)[0]; fr.Kind != KindHello {
+		t.Fatalf("session opened with %v, want Hello", fr.Kind)
+	}
+	return l, sinkEnd, ac, ended
+}
+
+// sessionEnd waits for the session's result, failing the test if the
+// session is still running after a few seconds.
+func sessionEnd(t *testing.T, ended chan bool) bool {
+	t.Helper()
+	select {
+	case ok := <-ended:
+		return ok
+	case <-time.After(3 * time.Second):
+		t.Fatal("session still running")
+		return false
+	}
+}
+
 // runPass runs one link session of p over net.Pipe with fault config
 // fault, plays the sink's handshake, reads want data frames plus the Done
 // when p has one, then releases the agent with Fin. It returns the data
 // frames' sequence numbers in arrival order and the agent's counted end.
 func runPass(t *testing.T, p *passPlane, fault FaultConfig, want int) ([]uint64, *countConn) {
 	t.Helper()
-	sinkEnd, end := net.Pipe()
-	defer sinkEnd.Close()
-	ac := &countConn{Conn: end}
-	l := &link{hello: &Hello{Testbed: "tb", Nodes: []string{"n"}}, sends: []*sendState{{node: "n"}}}
-	l.init("", retryPolicy{}, time.Minute, fault)
-	ended := make(chan bool, 1)
-	go func() { ended <- l.session(p, ac) }()
-
-	if fr := readN(t, sinkEnd, 1)[0]; fr.Kind != KindHello {
-		t.Fatalf("session opened with %v, want Hello", fr.Kind)
-	}
-	if err := writeControl(sinkEnd, frameResume, &Resume{Cursors: []StreamCursor{{Node: "n"}}}); err != nil {
+	_, sinkEnd, ac, ended := pipeAgent(t, p, fault)
+	if err := writeControl(sinkEnd, KindAck, &Ack{Cursors: []StreamCursor{{Node: "n"}}}); err != nil {
 		t.Fatal(err)
 	}
 	n := want
@@ -338,11 +360,11 @@ func runPass(t *testing.T, p *passPlane, fault FaultConfig, want int) ([]uint64,
 			t.Fatalf("frame %d: %v, want data frames then one Done", i, fr.Kind)
 		}
 	}
-	if err := writeControl(sinkEnd, frameFin, &Fin{}); err != nil {
+	if err := writeControl(sinkEnd, KindFin, &Fin{}); err != nil {
 		t.Fatal(err)
 	}
-	if !<-ended {
-		t.Fatal("session did not report its Resume")
+	if !sessionEnd(t, ended) {
+		t.Fatal("session did not report its first Ack")
 	}
 	return seqs, ac
 }
@@ -472,14 +494,14 @@ func TestWireReadPatterns(t *testing.T) {
 		}
 		stream = append(stream, f...)
 	}
-	add(jsonFrame(frameHello, &Hello{Campaign: wireCampaign, Testbed: "tb", Nodes: []string{"n"}}))
-	add(jsonFrame(frameResume, &Resume{Cursors: []StreamCursor{{Node: "n", Seq: 2}}}))
+	add(jsonFrame(KindHello, &Hello{Session: SessionVersion, Campaign: wireCampaign, Testbed: "tb", Nodes: []string{"n"}}))
+	add(jsonFrame(KindAck, &Ack{Cursors: []StreamCursor{{Node: "n", Seq: 2}, {Node: "m", Seq: 1}}}))
 	add(nodeBatch(t, 3, 500), nil)
-	add(jsonFrame(frameAck, &Ack{Node: "n", Seq: 3, Watermark: 3 * sim.Hour}))
+	add(jsonFrame(KindAck, &Ack{Cursors: []StreamCursor{{Node: "n", Seq: 3, Watermark: 3 * sim.Hour}}}))
 	add(nodeBatch(t, 4, 3*dataBufSize), nil)
-	add(jsonFrame(frameDone, &Done{Testbed: "tb", Final: []StreamCursor{{Node: "n", Seq: 4}}}))
-	add(jsonFrame(frameReject, &Reject{Code: RejectDraining, Reason: "draining"}))
-	add(jsonFrame(frameFin, &Fin{}))
+	add(jsonFrame(KindDone, &Done{Testbed: "tb", Final: []StreamCursor{{Node: "n", Seq: 4}}}))
+	add(jsonFrame(KindReject, &Reject{Code: RejectDraining, Reason: "draining"}))
+	add(jsonFrame(KindFin, &Fin{}))
 
 	read := func(r io.Reader) []*Frame {
 		var out []*Frame
@@ -507,5 +529,90 @@ func TestWireReadPatterns(t *testing.T) {
 		if got := read(r); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: decoded frames differ from a bytes.Reader's", name)
 		}
+	}
+}
+
+// rawFrame renders one control frame around a hand-written JSON payload,
+// the bytes a peer of another session protocol version sends.
+func rawFrame(kind FrameKind, payload string) []byte {
+	f := []byte{0, 0, 0, byte(1 + len(payload)), byte(kind)}
+	return append(f, payload...)
+}
+
+// TestWireSinkRefusesV2Hello: a session protocol v2 agent's Hello, which
+// names no session version, is answered with a fatal protocol Reject that
+// says so in one line. v2 agents treat the
+// code, which they do not know, as fatal (PROTOCOL.md §4.2).
+func TestWireSinkRefusesV2Hello(t *testing.T) {
+	s, agent, _ := pipeSink(t)
+	hello := `{"campaign":{"seed":5,"duration":86400000000000,"scenario":1},"testbed":"alpha","nodes":["a1","a2","napA"]}`
+	if _, err := agent.Write(rawFrame(KindHello, hello)); err != nil {
+		t.Fatal(err)
+	}
+	fr := readN(t, agent, 1)[0]
+	if fr.Kind != KindReject || fr.Reject.Code != RejectProtocol || fr.Reject.Retryable() ||
+		!strings.Contains(fr.Reject.Reason, "v2") || strings.Contains(fr.Reject.Reason, "\n") {
+		t.Fatalf("v2 Hello answered %v %+v, want one fatal protocol Reject naming v2", fr.Kind, fr.Reject)
+	}
+	if m := s.Metrics(); m.HellosRejected != 1 {
+		t.Fatalf("%d hellos rejected, want 1", m.HellosRejected)
+	}
+}
+
+// TestWireAgentStopsOnV2Resume: a session protocol v2 sink answers the
+// Hello with its Resume (kind 3). The agent stops with one line naming the
+// sink's version: the session reports no handshake, Err says why, and the
+// link is closed, so the dial loop does not try again.
+func TestWireAgentStopsOnV2Resume(t *testing.T) {
+	l, sinkEnd, _, ended := pipeAgent(t, &passPlane{}, FaultConfig{})
+	if _, err := sinkEnd.Write(rawFrame(v2Resume, `{"cursors":[{"node":"n","seq":0,"watermark":0}]}`)); err != nil {
+		t.Fatal(err)
+	}
+	if sessionEnd(t, ended) {
+		t.Fatal("session reported a handshake with a v2 sink")
+	}
+	err := l.Err()
+	if err == nil || !strings.Contains(err.Error(), "sink speaks session protocol v2") ||
+		strings.Contains(err.Error(), "\n") {
+		t.Fatalf("Err() = %v, want one line saying the sink speaks v2", err)
+	}
+	select {
+	case <-l.closed:
+	default:
+		t.Fatal("the link is still open: the dial loop would reconnect")
+	}
+}
+
+// TestWireAgentEndsOnForeignAck: an Ack naming a stream the Hello did not
+// declare is a protocol violation, and the agent ends the session (and
+// reconnects) without stopping.
+func TestWireAgentEndsOnForeignAck(t *testing.T) {
+	l, sinkEnd, _, ended := pipeAgent(t, &passPlane{}, FaultConfig{})
+	for _, ack := range []*Ack{{Cursors: []StreamCursor{{Node: "n"}}}, {Cursors: []StreamCursor{{Node: "x", Seq: 1}}}} {
+		if err := writeControl(sinkEnd, KindAck, ack); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !sessionEnd(t, ended) {
+		t.Fatal("session reported no handshake")
+	}
+	if err := l.Err(); err != nil {
+		t.Fatalf("a foreign Ack stopped the agent: %v", err)
+	}
+}
+
+// TestWireAgentAbortsOnRegressedAck: an Ack behind a cursor the sink
+// already told is lost durable state — on any Ack of the session, not only
+// the first — and stops the agent with the checkpoint-lost line.
+func TestWireAgentAbortsOnRegressedAck(t *testing.T) {
+	l, sinkEnd, _, ended := pipeAgent(t, &passPlane{}, FaultConfig{})
+	for _, seq := range []uint64{5, 3} {
+		if err := writeControl(sinkEnd, KindAck, &Ack{Cursors: []StreamCursor{{Node: "n", Seq: seq}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sessionEnd(t, ended)
+	if err := l.Err(); err == nil || !strings.Contains(err.Error(), "at seq 3, below acknowledged 5 (checkpoint lost?)") {
+		t.Fatalf("Err() = %v, want the checkpoint-lost abort", err)
 	}
 }
